@@ -848,7 +848,7 @@ def _monte_carlo_engine(
         pairs.append((_view_summary(tr, strategy), tuple(int(x) for x in tr.b)))
         if want_defect:
             defects.append(view_small_distance_defect(tr, strategy, tr.E_c, t_defect))
-    pr_pass = passes / budget if budget else math.nan
+    pr_pass = passes / budget
     mi = _plugin_mi(pairs)
     stats = None
     if defects:
@@ -880,13 +880,17 @@ def information_account(
     rng). The exact method enumerates the full joint distribution; the
     Monte Carlo method runs the protocol with that code pinned, c forced
     to 1 and the rest of w announced, applying the plug-in estimator to
-    the sufficient view digest. Priors on the string are configurable;
-    the default is uniform.
+    the sufficient view digest. budget caps the exact method's state space
+    and sets the Monte Carlo trial count (default 10,000); a given budget
+    must be at least 1. Priors on the string are configurable; the default
+    is uniform.
 
     require_disjoint_store further conditions a storing receiver on the
     event that E_c avoided the stored set entirely.
     """
     prior = _normalize_prior(prior, params.m)
+    if budget is not None and budget < 1:
+        raise DomainError(f"budget must be at least 1, got {budget}")
     if rng is None:
         rng = stream(params.seed, "info")
     if code is None:

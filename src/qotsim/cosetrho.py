@@ -67,8 +67,7 @@ def rho_brute(ens: CosetEnsemble) -> np.ndarray:
     """Direct mixture over the coset; entries over the + computational basis."""
     if ens.code.N > quantum.DENSITY_MAX_N:
         raise ResourceError(f"density matrices cap at N={quantum.DENSITY_MAX_N}")
-    members = ens.members
-    states = [quantum.bb84_state(beta, ens.theta) for beta in members]
+    states = quantum.bb84_states(ens.members, ens.theta)
     probs = np.full(len(states), 1.0 / len(states))
     return quantum.density_from_ensemble(states, probs)
 

@@ -57,6 +57,10 @@ def _photon(bit: int, basis: int) -> np.ndarray:
     return np.array([_SQ2, _SQ2] if bit == 0 else [_SQ2, -_SQ2], dtype=complex)
 
 
+# _PHOTONS[basis, bit] is _photon(bit, basis)
+_PHOTONS = np.array([[_photon(bit, basis) for bit in (0, 1)] for basis in (PLUS, CROSS)])
+
+
 def angle_basis(angle: float) -> np.ndarray:
     """Rotation whose columns are the basis states at the given angle from +."""
     c, s = math.cos(angle), math.sin(angle)
@@ -65,17 +69,28 @@ def angle_basis(angle: float) -> np.ndarray:
 
 def bb84_state(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Product state encoding bit string w in bases theta."""
-    w = gf2.bits(w)
+    return bb84_states(gf2.bits(w).reshape(1, -1), theta)[0]
+
+
+def bb84_states(words: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """One product state per row of words, all encoded in bases theta.
+
+    Photon by photon, every row's state is multiplied by that photon's
+    amplitudes, which is np.kron's arithmetic in np.kron's order: each row
+    is bit-identical to a kron chain over its photons.
+    """
+    words = gf2.bitmatrix(words)
     theta = basis_string(theta)
-    if w.size != theta.size:
+    rows, n = words.shape
+    if n != theta.size:
         raise DimensionError("bit string and basis string lengths differ")
-    n = w.size
     if n > STATEVECTOR_MAX_N:
         raise ResourceError(f"statevectors cap at n={STATEVECTOR_MAX_N}")
-    state = np.array([1.0], dtype=complex)
+    photons = _PHOTONS[theta, words]  # (rows, n, 2)
+    states = np.ones((rows, 1), dtype=complex)
     for i in range(n):
-        state = np.kron(state, _photon(int(w[i]), int(theta[i])))
-    return state
+        states = (states[:, :, None] * photons[:, i, None, :]).reshape(rows, -1)
+    return states
 
 
 def check_state(state: np.ndarray, n: int = None) -> np.ndarray:
@@ -162,21 +177,21 @@ def measure_in_bases(state: np.ndarray, theta_hat: np.ndarray, rng) -> tuple:
 
 
 def density_from_ensemble(states, probs) -> np.ndarray:
-    """rho = sum_a p_a |psi_a><psi_a|."""
+    """rho = sum_a p_a |psi_a><psi_a|, as one weighted product V^T P V*
+    over the states stacked as the rows of V."""
     probs = np.asarray(probs, dtype=float)
     if np.any(probs < -PHYS_TOL) or abs(probs.sum() - 1.0) > PHYS_TOL:
         raise DomainError("ensemble probabilities must be nonnegative and sum to 1")
+    if probs.shape != (len(states),):
+        raise DimensionError("ensemble needs one probability per state")
     dims = {np.asarray(s).size for s in states}
     if len(dims) != 1:
         raise DimensionError("ensemble states differ in dimension")
     dim = dims.pop()
     if dim > 1 << DENSITY_MAX_N:
         raise ResourceError(f"density matrices cap at N={DENSITY_MAX_N}")
-    rho = np.zeros((dim, dim), dtype=complex)
-    for p, s in zip(probs, states):
-        v = np.asarray(s, dtype=complex).ravel()
-        rho += p * np.outer(v, v.conj())
-    return rho
+    v = np.array([np.asarray(s, dtype=complex).ravel() for s in states])
+    return (v.T * probs) @ v.conj()
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:

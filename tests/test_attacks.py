@@ -466,6 +466,16 @@ def test_exact_engine_caps_and_budget():
     assert exc_info.value.estimated_statespace > 5
 
 
+@pytest.mark.parametrize("budget", [0, -2])
+def test_non_positive_budgets_are_rejected(budget):
+    for method in attacks.InfoMethod:
+        with pytest.raises(DomainError):
+            attacks.information_account(
+                exact_params(), attacks.honest(), method=method, budget=budget,
+                code=IDENTITY_CODE,
+            )
+
+
 def test_exact_engine_rejects_underspecified_stores():
     with pytest.raises(DomainError):
         attacks.information_account(exact_params(), attacks.store_subset(count=2))

@@ -178,6 +178,13 @@ def test_attack_branch_decomposition(tmp_path):
     assert 0.0 <= doc["branches"]["pass_mixed"] <= 1.0
 
 
+def test_attack_rejects_a_zero_monte_carlo_budget(tmp_path, capsys):
+    args = ATTACK_ARGS + ["--method", "MONTE_CARLO", "--budget", "0", "--out", str(tmp_path)]
+    assert run(args) == 1
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "attack_report.json").exists()
+
+
 def test_attack_branch_flag_needs_the_coin_strategy(tmp_path):
     assert run(ATTACK_ARGS + ["--branch-trials", "5", "--out", str(tmp_path)]) == 1
 

@@ -62,6 +62,27 @@ def test_brute_force_density_matches_closed_form(trial):
         assert np.max(np.abs(framed - cosetrho.rho_closed_form(ens))) < 1e-12
 
 
+def test_rho_brute_matches_the_per_member_outer_product_loop():
+    rng = np.random.default_rng(1050)
+    code = random_code(rng, 8, 1)
+    theta = gf2.random_bits(rng, 8)
+    ens = cosetrho.coset_ensemble(code, valid_syndromes(code)[-1], theta)
+    assert len(ens.members) == 128
+    reference = np.zeros((256, 256), dtype=complex)
+    for beta in ens.members:
+        v = np.array([1.0], dtype=complex)
+        for bit, basis in zip(beta, theta):
+            v = np.kron(v, quantum._photon(int(bit), int(basis)))
+        reference += np.outer(v, v.conj()) / 128
+    assert np.max(np.abs(cosetrho.rho_brute(ens) - reference)) <= 1e-15
+
+
+def test_rho_brute_density_cap():
+    code = gf2.LinearCode(f=np.ones((1, 11), dtype=np.uint8), r=0, m=1)
+    with pytest.raises(ResourceError):
+        cosetrho.rho_brute(cosetrho.coset_ensemble(code, [0], "0" * 11))
+
+
 def test_closed_form_on_a_duplicate_row_matrix():
     # rank-deficient presentation: both rows constrain the same parity
     code = gf2.LinearCode(f=gf2.bitmatrix(["11", "11"]), r=1, m=1)

@@ -4,11 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qotsim import gf2, quantum
-from qotsim.errors import DimensionError, DomainError
+from qotsim.errors import DimensionError, DomainError, ResourceError
 
 SQ2 = 1.0 / math.sqrt(2.0)
+
+
+def kron_state(w, theta):
+    """Reference encoding: one np.kron per photon."""
+    state = np.array([1.0], dtype=complex)
+    for bit, basis in zip(w, theta):
+        state = np.kron(state, quantum._photon(int(bit), int(basis)))
+    return state
+
+
+def outer_density(states, probs):
+    """Reference mixture: one np.outer per state."""
+    rho = np.zeros((states[0].size, states[0].size), dtype=complex)
+    for p, v in zip(probs, states):
+        rho += p * np.outer(v, v.conj())
+    return rho
 
 
 class FixedUniform:
@@ -60,6 +78,34 @@ def test_bb84_tensor_order_matches_pack_int():
     assert np.allclose(state, expect)
     state = quantum.bb84_state([0, 1], [quantum.PLUS, quantum.CROSS])
     assert np.allclose(state, np.kron([1, 0], [SQ2, -SQ2]))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_bb84_states_rows_are_the_kron_chain_bit_for_bit(n):
+    rng = np.random.default_rng(790 + n)
+    words = rng.integers(0, 2, size=(6, n), dtype=np.uint8)
+    theta = gf2.random_bits(rng, n)
+    states = quantum.bb84_states(words, theta)
+    assert states.shape == (6, 1 << n)
+    for row, state in zip(words, states):
+        assert np.array_equal(state, quantum.bb84_state(row, theta))
+        assert np.array_equal(state, kron_state(row, theta))
+
+
+def test_bb84_states_validation():
+    with pytest.raises(DimensionError):
+        quantum.bb84_states([[0, 1]], [0])
+    with pytest.raises(DimensionError):
+        quantum.bb84_state([0, 1], [0])
+    with pytest.raises(DimensionError):
+        quantum.bb84_states([0, 1], [0, 0])
+    with pytest.raises(DomainError):
+        quantum.bb84_states([[0, 2]], [0, 0])
+    big = quantum.STATEVECTOR_MAX_N + 1
+    with pytest.raises(ResourceError):
+        quantum.bb84_states(np.zeros((1, big), dtype=np.uint8), np.zeros(big, dtype=np.uint8))
+    with pytest.raises(ResourceError):
+        quantum.bb84_state(np.zeros(big, dtype=np.uint8), np.zeros(big, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("trial", range(8))
@@ -148,6 +194,52 @@ def test_density_from_ensemble_and_checks():
         quantum.check_density(rho * 2.0)
     with pytest.raises(DomainError):
         quantum.check_density(np.array([[0.5, 0.5j], [0.5j, 0.5]]))
+
+
+@st.composite
+def ensembles(draw):
+    """1-4 photons, 1-16 encodings each in its own bases, random weights."""
+    n = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 16))
+    bit_rows = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    states = [
+        quantum.bb84_state(draw(bit_rows), draw(bit_rows)) for _ in range(size)
+    ]
+    weights = np.array(
+        draw(st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size))
+    )
+    return states, weights / weights.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ensembles())
+def test_density_from_ensemble_matches_the_outer_product_loop(ensemble):
+    states, probs = ensemble
+    rho = quantum.density_from_ensemble(states, probs)
+    assert np.max(np.abs(rho - outer_density(states, probs))) <= 1e-14
+    assert abs(np.trace(rho).real - 1.0) <= quantum.PHYS_TOL
+
+
+def test_density_from_ensemble_conjugates_complex_amplitudes():
+    circular = np.array([SQ2, 1j * SQ2])
+    rho = quantum.density_from_ensemble([circular], [1.0])
+    assert np.allclose(rho, [[0.5, -0.5j], [0.5j, 0.5]], atol=1e-15)
+
+
+def test_density_from_ensemble_validation():
+    states = [quantum.bb84_state([0], [0]), quantum.bb84_state([1], [1])]
+    with pytest.raises(DomainError):
+        quantum.density_from_ensemble(states, [1.5, -0.5])
+    with pytest.raises(DomainError):
+        quantum.density_from_ensemble(states, [0.5, 0.4])
+    with pytest.raises(DimensionError):
+        quantum.density_from_ensemble(states, [1.0])
+    with pytest.raises(DimensionError):
+        quantum.density_from_ensemble([states[0], quantum.bb84_state([0, 0], [0, 0])], [0.5, 0.5])
+    big = np.zeros(2 << quantum.DENSITY_MAX_N, dtype=complex)
+    big[0] = 1.0
+    with pytest.raises(ResourceError):
+        quantum.density_from_ensemble([big], [1.0])
 
 
 def test_density_in_frame_matches_manual_conjugation():
