@@ -299,24 +299,24 @@ def view_photon_state(transcript: protocol.Transcript, strategy: AttackStrategy)
 
     factors: List[np.ndarray] = []
     if strategy.kind is StrategyKind.HONEST:
-        factors = [quantum._photon(int(w_hat[i]), int(theta_hat[i])) for i in range(n)]
+        factors = [quantum.photon(int(w_hat[i]), int(theta_hat[i])) for i in range(n)]
     elif strategy.kind is StrategyKind.FIXED_BASIS:
         rot = quantum.angle_basis(strategy.angle)
         factors = [rot[:, int(w_hat[i])] for i in range(n)]
     elif strategy.kind is StrategyKind.STORE_SUBSET:
         kept = stored_set()
         factors = [
-            quantum._photon(int(encoded[i]), int(transcript.theta[i])) if i in kept
-            else quantum._photon(int(w_hat[i]), int(theta_hat[i]))
+            quantum.photon(int(encoded[i]), int(transcript.theta[i])) if i in kept
+            else quantum.photon(int(w_hat[i]), int(theta_hat[i]))
             for i in range(n)
         ]
     elif strategy.kind is StrategyKind.RANDOM_OK:
         if transcript.strategy.get("coin_ok") == 1:
             factors = [
-                quantum._photon(int(encoded[i]), int(transcript.theta[i])) for i in range(n)
+                quantum.photon(int(encoded[i]), int(transcript.theta[i])) for i in range(n)
             ]
         else:
-            factors = [quantum._photon(int(w_hat[i]), int(theta_hat[i])) for i in range(n)]
+            factors = [quantum.photon(int(w_hat[i]), int(theta_hat[i])) for i in range(n)]
     else:
         raise DomainError(f"unknown strategy kind {strategy.kind}")
 
@@ -533,14 +533,12 @@ class _Geometry:
 
 
 def _syndrome_tables(code: gf2.LinearCode) -> Tuple[np.ndarray, np.ndarray]:
-    """Packed g- and h-images of every word in 2^N."""
-    size = 1 << code.N
-    syn = np.zeros(size, dtype=np.int64)
-    hmap = np.zeros(size, dtype=np.int64)
-    for u in range(size):
-        vec = gf2.unpack_int(u, code.N)
-        syn[u] = gf2.pack_int(gf2.matvec(code.g, vec))
-        hmap[u] = gf2.pack_int(gf2.matvec(code.h, vec))
+    """Packed g- and h-images of every word in 2^N: word u of the span of
+    f's columns is f u."""
+    images = np.concatenate(list(gf2.span_words(code.f.T)))
+    fu = np.unpackbits(images, axis=1, count=code.r + code.m)
+    syn = fu[:, : code.r] @ (1 << np.arange(code.r - 1, -1, -1))
+    hmap = fu[:, code.r :] @ (1 << np.arange(code.m - 1, -1, -1))
     return syn, hmap
 
 
@@ -595,8 +593,8 @@ def _measurement_table(angle: float, basis: int, p: float) -> np.ndarray:
     rot = quantum.angle_basis(angle)
     q = np.zeros((2, 2))
     for bit in range(2):
-        held = quantum._photon(bit, basis)
-        flipped = quantum._photon(1 - bit, basis)
+        held = quantum.photon(bit, basis)
+        flipped = quantum.photon(1 - bit, basis)
         for obs in range(2):
             probe = rot[:, obs]
             q[obs, bit] = (1 - p) * abs(np.vdot(probe, held)) ** 2 + p * abs(
@@ -609,7 +607,7 @@ def _disagree_prob(angle: float, basis_hat: int) -> float:
     """Chance that a photon left in the post-measurement state at `angle`
     reads opposite to the recorded outcome in the basis_hat frame."""
     rot = quantum.angle_basis(angle)
-    return float(abs(np.vdot(quantum._photon(1, basis_hat), rot[:, 0])) ** 2)
+    return float(abs(np.vdot(quantum.photon(1, basis_hat), rot[:, 0])) ** 2)
 
 
 def _tail_over_threshold(probs: List[float], t: int) -> float:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -44,12 +43,9 @@ class CosetEnsemble:
 
     @property
     def members(self) -> np.ndarray:
-        """All coset elements, one per row."""
-        dim = self.kernel.shape[0]
-        combos = np.array(list(product((0, 1), repeat=dim)), dtype=np.uint8)
-        if dim == 0:
-            return self.beta0.reshape(1, -1)
-        return (combos @ self.kernel ^ self.beta0) & 1
+        """All coset elements, one per row: beta0 xor each kernel span word."""
+        words = np.concatenate(list(gf2.span_words(self.kernel))) ^ np.packbits(self.beta0)
+        return np.unpackbits(words, axis=1, count=self.code.N)
 
 
 def coset_ensemble(code: gf2.LinearCode, x, theta) -> CosetEnsemble:
@@ -72,26 +68,14 @@ def rho_brute(ens: CosetEnsemble) -> np.ndarray:
     return quantum.density_from_ensemble(states, probs)
 
 
-def _rowspan_lookup(f: np.ndarray, n_cols: int) -> np.ndarray:
-    """Boolean table over packed ints: membership in the row span of f."""
-    table = np.zeros(1 << n_cols, dtype=bool)
-    table[0] = True
-    rows = f.shape[0]
-    packed = [gf2.pack_int(f[i]) for i in range(rows)]
-    acc = 0
-    for i in range(1, 1 << rows):
-        flip = (i & -i).bit_length() - 1
-        acc ^= packed[flip]
-        table[acc] = True
-    return table
-
-
 def rho_closed_form(ens: CosetEnsemble) -> np.ndarray:
     """The formula above; entries over the conjugate basis of theta."""
     n = ens.code.N
     if n > quantum.DENSITY_MAX_N:
         raise ResourceError(f"density matrices cap at N={quantum.DENSITY_MAX_N}")
-    span = _rowspan_lookup(ens.code.f, n)
+    words = np.unpackbits(np.concatenate(list(gf2.span_words(ens.code.f))), axis=1, count=n)
+    span = np.zeros(1 << n, dtype=bool)
+    span[words @ (1 << np.arange(n - 1, -1, -1))] = True
     idx = np.arange(1 << n, dtype=np.int64)
     delta = idx[:, None] ^ idx[None, :]
     b0 = gf2.pack_int(ens.beta0)
@@ -176,14 +160,12 @@ def _min_weight_on(f: np.ndarray, e: np.ndarray, n_cols: int):
     """Minimum weight, restricted to the coordinates in e, over the nonzero
     row-span words. A span word supported off e is invisible to distances
     measured on e, so this is the quantity a ball on e actually tests."""
-    emask = 0
-    for i in e:
-        emask |= 1 << (n_cols - 1 - int(i))
-    span = np.nonzero(_rowspan_lookup(f, n_cols))[0]
-    span = span[span != 0]
+    span = np.concatenate(list(gf2.span_words(f)))
+    span = span[span.any(axis=1)]
     if span.size == 0:
         return math.inf
-    return int(np.min(np.bitwise_count(span & emask)))
+    emask = np.packbits(np.isin(np.arange(n_cols), e))
+    return int(np.min(np.bitwise_count(span & emask).sum(axis=1)))
 
 
 def lemma1_certificate(

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceError
 
 MIN_DISTANCE_MAX_ROWS = 24  # brute force walks 2^rows span elements
+SPAN_BLOCK_ROWS = 16  # span_words blocks hold the span of this many rows
 
 
 def bits(values, length: Optional[int] = None) -> np.ndarray:
@@ -233,29 +234,42 @@ def unpack_int(value: int, length: int) -> np.ndarray:
     return np.array([(value >> (length - 1 - i)) & 1 for i in range(length)], dtype=np.uint8)
 
 
-def min_distance(code: Union[LinearCode, np.ndarray], max_rows: int = MIN_DISTANCE_MAX_ROWS):
+def _xor_doubling(packed: np.ndarray) -> np.ndarray:
+    """Every xor of the packed rows, row 0 the most significant index bit."""
+    span = np.zeros((1 << len(packed), packed.shape[1]), dtype=np.uint8)
+    for i, row in enumerate(packed[::-1]):
+        np.bitwise_xor(span[: 1 << i], row, out=span[1 << i : 2 << i])
+    return span
+
+
+def span_words(m: np.ndarray) -> Iterator[np.ndarray]:
+    """Row span of m as np.packbits rows, in itertools.product order: word i
+    xors the rows picked by the bits of i, row 0 most significant.
+
+    Yields consecutive blocks of at most 2^SPAN_BLOCK_ROWS words: the span
+    of the last SPAN_BLOCK_ROWS rows xor-ed with each word of the span of
+    the rest. Packed bytes keep words of any width exact, and their byte
+    order is the lexicographic order of the bit vectors.
+    """
+    packed = np.packbits(bitmatrix(m), axis=1)
+    split = max(packed.shape[0] - SPAN_BLOCK_ROWS, 0)
+    low = _xor_doubling(packed[split:])
+    for high in _xor_doubling(packed[:split]):
+        yield high ^ low
+
+
+def min_distance(code: Union[LinearCode, np.ndarray]):
     """Minimum Hamming weight over nonzero row-span elements of f.
 
-    Walks the 2^rows span combinations in Gray-code order over packed words.
-    Returns math.inf when the span is {0}.
+    Takes the least nonzero weight over the span_words blocks of the
+    2^rows span elements. Returns math.inf when the span is {0}.
     """
     f = code.f if isinstance(code, LinearCode) else bitmatrix(code)
     rows = f.shape[0]
-    if rows > max_rows:
-        raise ResourceError(f"min_distance caps at {max_rows} rows, got {rows}")
-    if rows == 0:
-        return math.inf
-    packed = [pack_int(f[i]) for i in range(rows)]
-    best = None
-    acc = 0
-    for i in range(1, 1 << rows):
-        flip = (i & -i).bit_length() - 1
-        acc ^= packed[flip]
-        if acc:
-            weight = bin(acc).count("1")
-            if best is None or weight < best:
-                best = weight
-    return math.inf if best is None else best
+    if rows > MIN_DISTANCE_MAX_ROWS:
+        raise ResourceError(f"min_distance caps at {MIN_DISTANCE_MAX_ROWS} rows, got {rows}")
+    weights = (np.bitwise_count(block).sum(axis=1) for block in span_words(f))
+    return min((int(w[w > 0].min()) for w in weights if w.any()), default=math.inf)
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:

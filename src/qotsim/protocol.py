@@ -345,17 +345,14 @@ def bob_decode(
     dim = kern.shape[0]
     if (1 << dim) > DECODE_MAX_COSET:
         raise ResourceError(f"decode coset of 2^{dim} words exceeds the cap")
-    target = gf2.pack_int(w_hat_ec)
-    base = gf2.pack_int(particular)
-    packed_kern = [gf2.pack_int(kern[i]) for i in range(dim)]
-    best_word, best_key = base, (bin(base ^ target).count("1"), base)
-    acc = base
-    for i in range(1, 1 << dim):
-        acc ^= packed_kern[(i & -i).bit_length() - 1]
-        key = (bin(acc ^ target).count("1"), acc)
-        if key < best_key:
-            best_word, best_key = acc, key
-    corrected = gf2.unpack_int(best_word, w_hat_ec.size)
+    base, target = np.packbits(particular), np.packbits(w_hat_ec)
+
+    def nearest(block):
+        dist = np.bitwise_count(block ^ target).sum(axis=1)
+        return int(dist.min()), min(map(bytes, block[dist == dist.min()]))
+
+    _, best = min(nearest(block ^ base) for block in gf2.span_words(kern))
+    corrected = np.unpackbits(np.frombuffer(best, dtype=np.uint8), count=w_hat_ec.size)
     return a ^ gf2.matvec(h, corrected), corrected
 
 

@@ -51,14 +51,14 @@ def conjugate_bases(theta: np.ndarray) -> np.ndarray:
     return basis_string(theta) ^ 1
 
 
-def _photon(bit: int, basis: int) -> np.ndarray:
+def photon(bit: int, basis: int) -> np.ndarray:
     if basis == PLUS:
         return np.array([1.0, 0.0] if bit == 0 else [0.0, 1.0], dtype=complex)
     return np.array([_SQ2, _SQ2] if bit == 0 else [_SQ2, -_SQ2], dtype=complex)
 
 
-# _PHOTONS[basis, bit] is _photon(bit, basis)
-_PHOTONS = np.array([[_photon(bit, basis) for bit in (0, 1)] for basis in (PLUS, CROSS)])
+# _PHOTONS[basis, bit] is photon(bit, basis)
+_PHOTONS = np.array([[photon(bit, basis) for bit in (0, 1)] for basis in (PLUS, CROSS)])
 
 
 def angle_basis(angle: float) -> np.ndarray:

@@ -72,7 +72,7 @@ def test_rho_brute_matches_the_per_member_outer_product_loop():
     for beta in ens.members:
         v = np.array([1.0], dtype=complex)
         for bit, basis in zip(beta, theta):
-            v = np.kron(v, quantum._photon(int(bit), int(basis)))
+            v = np.kron(v, quantum.photon(int(bit), int(basis)))
         reference += np.outer(v, v.conj()) / 128
     assert np.max(np.abs(cosetrho.rho_brute(ens) - reference)) <= 1e-15
 

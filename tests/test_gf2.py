@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qotsim import gf2
 from qotsim.errors import DimensionError, DomainError, ResourceError
@@ -182,6 +184,82 @@ def test_min_distance_zero_span_and_cap():
     assert gf2.min_distance(np.zeros((0, 4), dtype=np.uint8)) == math.inf
     with pytest.raises(ResourceError):
         gf2.min_distance(np.zeros((25, 26), dtype=np.uint8))
+
+
+def test_min_distance_runs_at_the_row_cap():
+    rows = gf2.MIN_DISTANCE_MAX_ROWS
+    f = np.hstack([np.eye(rows, dtype=np.uint8), np.ones((rows, 2), dtype=np.uint8)])
+    # one row weighs 3; any two rows cancel the all-ones columns and weigh 2
+    assert gf2.min_distance(f) == 2
+
+
+@st.composite
+def bit_matrices(draw, min_rows=0, max_rows=10, min_cols=1, max_cols=130):
+    """Random bit matrices; in some the last row is the xor of the first two."""
+    rows = draw(st.integers(min_rows, max_rows))
+    cols = draw(st.integers(min_cols, max_cols))
+    m = gf2.random_bitmatrix(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), rows, cols)
+    if rows >= 3 and draw(st.booleans()):
+        m[-1] = m[0] ^ m[1]
+    return m
+
+
+def product_span(m):
+    """Word i xors the rows of m picked by the bits of i, row 0 most significant."""
+    combos = np.array(list(itertools.product((0, 1), repeat=m.shape[0])), dtype=float)
+    return (combos @ m % 2).astype(np.uint8)
+
+
+def unpacked_span(m):
+    blocks = list(gf2.span_words(m))
+    block = 1 << min(m.shape[0], gf2.SPAN_BLOCK_ROWS)
+    assert [len(b) for b in blocks] == [block] * ((1 << m.shape[0]) // block)
+    return np.unpackbits(np.concatenate(blocks), axis=1, count=m.shape[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_matrices())
+def test_span_words_matches_itertools_product(m):
+    assert np.array_equal(unpacked_span(m), product_span(m))
+
+
+@settings(max_examples=4, deadline=None)
+@given(bit_matrices(min_rows=gf2.SPAN_BLOCK_ROWS + 1, max_rows=gf2.SPAN_BLOCK_ROWS + 1, max_cols=24))
+def test_span_words_across_a_block_boundary(m):
+    assert np.array_equal(unpacked_span(m), product_span(m))
+
+
+@settings(max_examples=50, deadline=None)
+@given(bit_matrices(max_rows=8, min_cols=65))
+def test_min_distance_matches_exhaustive_search_on_wide_words(f):
+    weights = product_span(f).sum(axis=1)
+    expected = int(weights[weights > 0].min()) if weights.any() else math.inf
+    assert gf2.min_distance(f) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_matrices(max_cols=20))
+def test_rank_nullity(m):
+    kern = gf2.kernel_basis(m)
+    assert gf2.rank(m) + kern.shape[0] == m.shape[1]
+    assert gf2.rank(kern) == kern.shape[0]
+    assert not any(gf2.matvec(m, v).any() for v in kern)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_matrices(max_cols=20), st.integers(0, 2**32 - 1))
+def test_solve_affine_agrees_with_matvec(m, seed):
+    rng = np.random.default_rng(seed)
+    u = gf2.random_bits(rng, m.shape[1])
+    particular, kern = gf2.solve_affine(m, gf2.matvec(m, u))
+    assert np.array_equal(gf2.matvec(m, particular), gf2.matvec(m, u))
+    assert gf2.in_row_span(kern, u ^ particular)  # every solution is in the coset
+    x = gf2.random_bits(rng, m.shape[0])
+    particular, _ = gf2.solve_affine(m, x)
+    solvable = gf2.rank(np.hstack([m, x.reshape(-1, 1)])) == gf2.rank(m)
+    assert (particular is not None) == solvable
+    if solvable:
+        assert np.array_equal(gf2.matvec(m, particular), x)
 
 
 def test_hamming_distances():

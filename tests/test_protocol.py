@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qotsim import attacks, gf2, protocol, quantum
 from qotsim.errors import (
@@ -281,6 +283,12 @@ def test_bob_decode_unsolvable_and_cap():
         protocol.bob_decode(np.zeros(21, dtype=np.uint8), [], wide, [0], np.ones((1, 21), dtype=np.uint8))
 
 
+def test_bob_decode_of_empty_words():
+    empty = np.zeros((0, 0), dtype=np.uint8)
+    b_hat, corrected = protocol.bob_decode([], [], empty, [], empty)
+    assert b_hat.size == 0 and corrected.size == 0
+
+
 @pytest.mark.parametrize("trial", range(15))
 def test_bob_decode_is_maximum_likelihood(trial):
     rng = np.random.default_rng(1500 + trial)
@@ -305,6 +313,32 @@ def _span(kern, width):
     for row in kern:
         out = out + [v ^ row for v in out]
     return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(65, 130),
+    dim=st.integers(0, 8),
+    flip=st.sampled_from([0.02, 0.5]),
+    tie=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bob_decode_returns_the_first_nearest_coset_word_on_wide_words(width, dim, flip, tie, seed):
+    rng = np.random.default_rng(seed)
+    g = gf2.random_bitmatrix(rng, width - dim, width)
+    target = gf2.random_bits(rng, width)
+    if tie:  # v and v ^ e0 ^ e1 share a coset and sit at equal distance
+        g[:, 1] = g[:, 0]
+        target[1] = 1 - target[0]
+    u = target ^ (rng.random(width) < flip).astype(np.uint8)
+    s = gf2.matvec(g, u)
+    h, a = gf2.random_bitmatrix(rng, 2, width), gf2.random_bits(rng, 2)
+    b_hat, corrected = protocol.bob_decode(target, s, g, a, h)
+    particular, kern = gf2.solve_affine(g, s)
+    coset = [particular ^ combo for combo in _span(kern, width)]
+    best = min(coset, key=lambda v: (gf2.hamming_distance(v, target), v.tolist()))
+    assert np.array_equal(corrected, best)
+    assert np.array_equal(b_hat, a ^ gf2.matvec(h, best))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ def kron_state(w, theta):
     """Reference encoding: one np.kron per photon."""
     state = np.array([1.0], dtype=complex)
     for bit, basis in zip(w, theta):
-        state = np.kron(state, quantum._photon(int(bit), int(basis)))
+        state = np.kron(state, quantum.photon(int(bit), int(basis)))
     return state
 
 
