@@ -24,7 +24,7 @@ therefore upper-bounds the plain protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from itertools import combinations, product
 from typing import Dict, List, Optional, Tuple
@@ -50,13 +50,16 @@ class StrategyKind(Enum):
 
 @dataclass(frozen=True)
 class AttackStrategy:
-    """Receiver behavior during the photon phase.
+    """Receiver behavior during the photon phase, as a per-photon plan.
 
-    HONEST measures everything in the committed bases. STORE_SUBSET keeps
-    the photons in F unmeasured until the bases are announced and commits
-    a uniformly random outcome bit for each of them. FIXED_BASIS measures
-    every photon at one fixed angle. RANDOM_OK tosses a single coin and
-    stores every photon when it lands 1, otherwise plays honestly.
+    No step of the protocol entangles photons, so a plan says, photon by
+    photon, whether the receiver holds it until the bases are announced
+    (committing a uniformly random outcome bit for it) or measures it now,
+    at `angle` or, when that is None, in his committed basis.
+
+    HONEST holds nothing. STORE_SUBSET holds the photons in F. FIXED_BASIS
+    holds nothing and measures at one fixed angle. RANDOM_OK tosses a
+    single coin and holds every photon when it lands 1.
     """
 
     kind: StrategyKind
@@ -71,6 +74,37 @@ class AttackStrategy:
             "count": self.count,
             "angle": self.angle,
         }
+
+    def hold(self, n: int, rng: np.random.Generator) -> Tuple[np.ndarray, dict]:
+        """Draw the sorted positions held in one run, plus the runtime
+        record (the chosen store set, the coin) that joins the transcript."""
+        if self.kind is StrategyKind.STORE_SUBSET:
+            if self.positions is not None:
+                held = gf2.position_set(self.positions, n)
+            elif self.count > n:
+                raise DomainError("cannot store more photons than were sent")
+            else:
+                held = np.sort(rng.choice(n, size=self.count, replace=False))
+            return held, {"stored": [int(i) for i in held]}
+        if self.kind is StrategyKind.RANDOM_OK:
+            coin = int(rng.integers(0, 2))
+            if coin == 1:
+                return np.arange(n), {"coin_ok": coin, "stored": list(range(n))}
+            return np.arange(0), {"coin_ok": coin}
+        return np.arange(0), {}
+
+    def branches(self, n: int) -> List[Tuple[float, np.ndarray]]:
+        """The plans this strategy mixes, as (weight, held mask) pairs."""
+        none = np.zeros(n, dtype=bool)
+        if self.kind is StrategyKind.STORE_SUBSET:
+            if self.positions is None:
+                raise DomainError("exact enumeration needs an explicit store set")
+            mask = none.copy()
+            mask[gf2.position_set(self.positions, n)] = True
+            return [(1.0, mask)]
+        if self.kind is StrategyKind.RANDOM_OK:
+            return [(0.5, none), (0.5, np.ones(n, dtype=bool))]
+        return [(1.0, none)]
 
 
 def honest() -> AttackStrategy:
@@ -114,78 +148,33 @@ class BobRecord:
     runtime: dict
 
 
-def _store_set(strategy: AttackStrategy, n: int, rng) -> np.ndarray:
-    if strategy.positions is not None:
-        f = gf2.position_set(strategy.positions, n)
-    else:
-        if strategy.count > n:
-            raise DomainError("cannot store more photons than were sent")
-        f = np.sort(rng.choice(n, size=strategy.count, replace=False))
-    return f
-
-
 def apply_strategy(
     strategy: AttackStrategy,
     reception: protocol.Reception,
-    theta_hat_policy,
     oracle: protocol.CommitmentOracle,
     rng: np.random.Generator,
 ) -> BobRecord:
     """Run the photon phase of the given strategy and register both
     commitments. Draw order is fixed: bases, then strategy choices, then
-    measurements in position order, then filler outcome bits.
+    measurements in position order, then filler outcome bits for the held
+    photons.
 
-    Quantum storage exists only in EXACT_QUANTUM mode; a strategy that
-    actually requests storage under CLASSICAL_FAST raises a mode error.
+    Held photons stay in the reception, in either mode, until
+    finish_deferred measures them.
     """
     n = reception.n
-    if theta_hat_policy is None:
-        theta_hat = gf2.random_bits(rng, n)
-    else:
-        theta_hat = quantum.basis_string(theta_hat_policy(n, rng), length=n)
+    theta_hat = gf2.random_bits(rng, n)
+    held, runtime = strategy.hold(n, rng)
+    pending = tuple(int(i) for i in held)
 
     outcomes: Dict[int, int] = {}
-    pending: tuple = ()
-    runtime: dict = {}
     w_hat = np.zeros(n, dtype=np.uint8)
-
-    if strategy.kind is StrategyKind.HONEST:
-        for i in range(n):
-            outcomes[i] = reception.measure_basis(i, int(theta_hat[i]), rng)
-            w_hat[i] = outcomes[i]
-    elif strategy.kind is StrategyKind.STORE_SUBSET:
-        f = _store_set(strategy, n, rng)
-        if f.size and reception.mode is not protocol.Mode.EXACT_QUANTUM:
-            raise ModeError("photon storage requires EXACT_QUANTUM")
-        stored = np.zeros(n, dtype=bool)
-        stored[f] = True
-        for i in range(n):
-            if not stored[i]:
-                outcomes[i] = reception.measure_basis(i, int(theta_hat[i]), rng)
-                w_hat[i] = outcomes[i]
-        pads = gf2.random_bits(rng, int(f.size))
-        w_hat[f] = pads
-        pending = tuple(int(i) for i in f)
-        runtime["stored"] = list(pending)
-    elif strategy.kind is StrategyKind.FIXED_BASIS:
-        for i in range(n):
-            outcomes[i] = reception.measure(i, strategy.angle, rng)
-            w_hat[i] = outcomes[i]
-    elif strategy.kind is StrategyKind.RANDOM_OK:
-        coin = int(rng.integers(0, 2))
-        runtime["coin_ok"] = coin
-        if coin == 1:
-            if reception.mode is not protocol.Mode.EXACT_QUANTUM:
-                raise ModeError("photon storage requires EXACT_QUANTUM")
-            w_hat = gf2.random_bits(rng, n)
-            pending = tuple(range(n))
-            runtime["stored"] = list(pending)
-        else:
-            for i in range(n):
-                outcomes[i] = reception.measure_basis(i, int(theta_hat[i]), rng)
-                w_hat[i] = outcomes[i]
-    else:
-        raise DomainError(f"unknown strategy kind {strategy.kind}")
+    for i in sorted(set(range(n)) - set(pending)):
+        committed = protocol.basis_angle(int(theta_hat[i]))
+        angle = committed if strategy.angle is None else strategy.angle
+        outcomes[i] = reception.measure(i, angle, rng)
+        w_hat[i] = outcomes[i]
+    w_hat[held] = gf2.random_bits(rng, held.size)
 
     tid = oracle.commit(theta_hat)
     wid = oracle.commit(w_hat)
@@ -282,9 +271,9 @@ def store_attack_test_statistics(
 def view_photon_state(transcript: protocol.Transcript, strategy: AttackStrategy) -> np.ndarray:
     """The photon-part vector of the realized view, over + amplitudes.
 
-    Honest and fixed-basis views are the post-measurement product states;
-    storage views keep the stored photons as Alice encoded them (the state
-    as it stands when the commitment is tested).
+    Measured photons sit in their post-measurement states; held photons
+    stay as Alice encoded them (the state as it stands when the commitment
+    is tested).
     """
     if transcript.strategy["kind"] != strategy.kind.value:
         raise DomainError("strategy does not match the transcript")
@@ -293,32 +282,14 @@ def view_photon_state(transcript: protocol.Transcript, strategy: AttackStrategy)
         raise ResourceError(f"view reconstruction caps at n={DEFECT_MAX_N}")
     theta_hat, w_hat = transcript.theta_hat, transcript.w_hat
     encoded = transcript.w ^ transcript.flips
-
-    def stored_set() -> set:
-        return set(transcript.strategy.get("stored") or ())
-
-    factors: List[np.ndarray] = []
-    if strategy.kind is StrategyKind.HONEST:
-        factors = [quantum.photon(int(w_hat[i]), int(theta_hat[i])) for i in range(n)]
-    elif strategy.kind is StrategyKind.FIXED_BASIS:
-        rot = quantum.angle_basis(strategy.angle)
-        factors = [rot[:, int(w_hat[i])] for i in range(n)]
-    elif strategy.kind is StrategyKind.STORE_SUBSET:
-        kept = stored_set()
-        factors = [
-            quantum.photon(int(encoded[i]), int(transcript.theta[i])) if i in kept
-            else quantum.photon(int(w_hat[i]), int(theta_hat[i]))
-            for i in range(n)
-        ]
-    elif strategy.kind is StrategyKind.RANDOM_OK:
-        if transcript.strategy.get("coin_ok") == 1:
-            factors = [
-                quantum.photon(int(encoded[i]), int(transcript.theta[i])) for i in range(n)
-            ]
-        else:
-            factors = [quantum.photon(int(w_hat[i]), int(theta_hat[i])) for i in range(n)]
-    else:
-        raise DomainError(f"unknown strategy kind {strategy.kind}")
+    held = set(transcript.strategy.get("stored") or ())
+    rot = None if strategy.angle is None else quantum.angle_basis(strategy.angle)
+    factors = [
+        quantum.photon(int(encoded[i]), int(transcript.theta[i])) if i in held
+        else quantum.photon(int(w_hat[i]), int(theta_hat[i])) if rot is None
+        else rot[:, int(w_hat[i])]
+        for i in range(n)
+    ]
 
     state = np.array([1.0], dtype=complex)
     for f in factors:
@@ -420,21 +391,7 @@ class InfoReport:
     small_distance_defect_stats: Optional[DefectStats]
 
     def to_json(self) -> dict:
-        d = {
-            "pr_pass": self.pr_pass,
-            "mutual_information": self.mutual_information,
-            "product": self.product,
-            "method": self.method.value,
-            "samples_or_statespace": self.samples_or_statespace,
-        }
-        if self.small_distance_defect_stats is None:
-            d["small_distance_defect_stats"] = None
-        else:
-            d["small_distance_defect_stats"] = {
-                "max": self.small_distance_defect_stats.max,
-                "mean": self.small_distance_defect_stats.mean,
-            }
-        return d
+        return {**asdict(self), "method": self.method.value}
 
 
 def _entropy_bits(dist: np.ndarray) -> float:
@@ -649,6 +606,8 @@ def _exact_engine(
 
     uniform_like = np.ones((1, size))
     uniform_obs = np.ones((1, size))
+    # word_bits[k][o]: the k bits of o, most significant first
+    word_bits = [[gf2.unpack_int(o, k) for o in range(1 << k)] for k in range(N + 1)]
 
     def accumulate_classes(classes) -> Tuple[float, float, float, float]:
         """classes: iterable of (weight, likelihood, obs_prob, defect).
@@ -671,11 +630,11 @@ def _exact_engine(
             d_max = max(d_max, defect)
         return w_tot, h_acc, d_acc, d_max
 
-    def store_classes(stored_mask: np.ndarray, p_rest: float):
+    def store_classes(stored_mask: np.ndarray):
         """View classes for a storing receiver: one per candidate set,
         keyed by the slots it pins."""
         nf = int(stored_mask.sum())
-        geo = _Geometry(n, N, nf, thr, 0.5, p_rest)
+        geo = _Geometry(n, N, nf, thr, 0.5, p)
         for e in candidates:
             pinned = [j for j, pos in enumerate(e) if stored_mask[pos]]
             if require_disjoint_store and pinned:
@@ -686,9 +645,9 @@ def _exact_engine(
             like = np.zeros((1 << len(pinned), size))
             obs = np.zeros((1 << len(pinned), size))
             for o in range(1 << len(pinned)):
-                obits = gf2.unpack_int(o, len(pinned))
+                obits = word_bits[len(pinned)][o]
                 for u in range(size):
-                    ubits = gf2.unpack_int(u, N)
+                    ubits = word_bits[N][u]
                     lw = 1.0
                     for t_j, slot in enumerate(pinned):
                         lw *= (1 - p) if obits[t_j] == ubits[slot] else p
@@ -697,56 +656,49 @@ def _exact_engine(
             defect = _tail_over_threshold([0.5] * len(pinned), t_defect)
             yield weight, like, obs, defect
 
-    if strategy.kind is StrategyKind.HONEST:
+    def honest_classes():
+        """One aggregated class: on E_1 the committed bases mismatch, so the
+        outcomes measured there carry nothing about w."""
         geo = _Geometry(n, N, 0, thr, 0.5, p)
         weight = sum(geo.weight(0) for _ in candidates)
-        w_tot, h_acc, d_acc, d_max = accumulate_classes(
-            [(weight, uniform_like, uniform_obs, 0.0)]
-        )
-    elif strategy.kind is StrategyKind.STORE_SUBSET:
-        if strategy.positions is None:
-            raise DomainError("exact enumeration needs an explicit store set")
-        mask = np.zeros(n, dtype=bool)
-        mask[gf2.position_set(strategy.positions, n)] = True
-        w_tot, h_acc, d_acc, d_max = accumulate_classes(store_classes(mask, p))
-    elif strategy.kind is StrategyKind.FIXED_BASIS:
+        return [(weight, uniform_like, uniform_obs, 0.0)]
+
+    def fixed_classes():
+        """One class per basis pattern on E_c for a fixed-angle receiver."""
         q_plus = _measurement_table(strategy.angle, quantum.PLUS, p)
         q_cross = _measurement_table(strategy.angle, quantum.CROSS, p)
         err = 0.5 * (q_plus[1, 0] + q_cross[1, 0])
         geo = _Geometry(n, N, 0, thr, err, err)
         base = sum(geo.weight(0) for _ in candidates)
+        for types in product((quantum.PLUS, quantum.CROSS), repeat=N):
+            like = np.zeros((size, size))
+            for o in range(size):
+                obits = word_bits[N][o]
+                for u in range(size):
+                    ubits = word_bits[N][u]
+                    lw = 1.0
+                    for slot in range(N):
+                        q = q_plus if types[slot] == quantum.PLUS else q_cross
+                        lw *= q[obits[slot], ubits[slot]]
+                    like[o, u] = lw
+            dis = [
+                _disagree_prob(strategy.angle, quantum.CROSS if ty == quantum.PLUS else quantum.PLUS)
+                for ty in types
+            ]
+            defect = _tail_over_threshold(dis, t_defect)
+            yield base * 0.5**N, like, like, defect
 
-        def fixed_classes():
-            for types in product((quantum.PLUS, quantum.CROSS), repeat=N):
-                like = np.zeros((size, size))
-                for o in range(size):
-                    obits = gf2.unpack_int(o, N)
-                    for u in range(size):
-                        ubits = gf2.unpack_int(u, N)
-                        lw = 1.0
-                        for slot in range(N):
-                            q = q_plus if types[slot] == quantum.PLUS else q_cross
-                            lw *= q[obits[slot], ubits[slot]]
-                        like[o, u] = lw
-                dis = [
-                    _disagree_prob(strategy.angle, quantum.CROSS if ty == quantum.PLUS else quantum.PLUS)
-                    for ty in types
-                ]
-                defect = _tail_over_threshold(dis, t_defect)
-                yield base * 0.5**N, like, like, defect
+    def plan_classes(held: np.ndarray):
+        if held.any():
+            return store_classes(held)
+        return honest_classes() if strategy.angle is None else fixed_classes()
 
-        w_tot, h_acc, d_acc, d_max = accumulate_classes(fixed_classes())
-    elif strategy.kind is StrategyKind.RANDOM_OK:
-        geo_h = _Geometry(n, N, 0, thr, 0.5, p)
-        weight_h = sum(geo_h.weight(0) for _ in candidates)
-        honest_part = [(0.5 * weight_h, uniform_like, uniform_obs, 0.0)]
-        all_mask = np.ones(n, dtype=bool)
-        store_part = [
-            (0.5 * w, like, obs, d) for (w, like, obs, d) in store_classes(all_mask, p)
-        ]
-        w_tot, h_acc, d_acc, d_max = accumulate_classes(honest_part + store_part)
-    else:
-        raise DomainError(f"unknown strategy kind {strategy.kind}")
+    branches = strategy.branches(n)
+    w_tot, h_acc, d_acc, d_max = accumulate_classes(
+        (branch_weight * w, like, obs, d)
+        for branch_weight, held in branches
+        for w, like, obs, d in plan_classes(held)
+    )
 
     if w_tot <= 0.0:
         raise DomainError("conditioning event has probability zero")
@@ -754,11 +706,9 @@ def _exact_engine(
     defect_stats = DefectStats(max=float(d_max), mean=float(d_acc / w_tot))
 
     # Pr(pass) itself never depends on the disjointness conditioning.
-    if strategy.kind is StrategyKind.STORE_SUBSET and require_disjoint_store:
-        mask = np.zeros(n, dtype=bool)
-        mask[gf2.position_set(strategy.positions, n)] = True
-        nf = int(mask.sum())
-        geo = _Geometry(n, N, nf, thr, 0.5, p)
+    if require_disjoint_store:
+        ((_, mask),) = branches
+        geo = _Geometry(n, N, int(mask.sum()), thr, 0.5, p)
         pr_pass = sum(
             geo.weight(sum(1 for pos in e if mask[pos])) for e in candidates
         )
@@ -780,21 +730,14 @@ def _view_summary(tr: protocol.Transcript, strategy: AttackStrategy) -> tuple:
     the masked string, for the plug-in estimator."""
     ec = [int(i) for i in tr.E_c]
     base = (tuple(ec), tuple(int(b) for b in tr.s), tuple(int(b) for b in tr.a))
-    if strategy.kind is StrategyKind.HONEST:
-        return base
-    if strategy.kind is StrategyKind.STORE_SUBSET:
-        known = tuple((i, tr.deferred[i]) for i in ec if i in tr.deferred)
+    known = tuple((i, tr.deferred[i]) for i in ec if i in tr.deferred)
+    if strategy.angle is None:
         return base + (known,)
-    if strategy.kind is StrategyKind.FIXED_BASIS:
-        return base + (
-            tuple(int(tr.w_hat[i]) for i in ec),
-            tuple(int(tr.theta[i]) for i in ec),
-        )
-    if strategy.kind is StrategyKind.RANDOM_OK:
-        coin = tr.strategy.get("coin_ok")
-        known = tuple((i, tr.deferred[i]) for i in ec if i in tr.deferred)
-        return base + (coin, known)
-    raise DomainError(f"unknown strategy kind {strategy.kind}")
+    return base + (
+        known,
+        tuple(int(tr.w_hat[i]) for i in ec),
+        tuple(int(tr.theta[i]) for i in ec),
+    )
 
 
 def _plugin_mi(pairs: List[Tuple[tuple, tuple]]) -> float:
@@ -932,8 +875,7 @@ def random_ok_decomposition(
     params: protocol.ProtocolParams, trials: int, rng=None
 ) -> BranchReport:
     """Empirical check that the single-coin strategy passes with the
-    average of its two branch rates. Needs EXACT_QUANTUM (the store-all
-    branch keeps every photon)."""
+    average of its two branch rates, in either mode."""
     if rng is None:
         rng = stream(params.seed, "branches")
     rates = []

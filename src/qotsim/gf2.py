@@ -309,28 +309,3 @@ def binary_entropy_inverse(y: float, tol: float = 1e-12) -> float:
         else:
             hi = mid
     return (lo + hi) / 2.0
-
-
-def vec_to_json(v: np.ndarray) -> dict:
-    v = bits(v)
-    return {"length": int(v.size), "bits": "".join(str(int(b)) for b in v)}
-
-
-def vec_from_json(obj: dict) -> np.ndarray:
-    return bits(obj["bits"], length=obj["length"])
-
-
-def mat_to_json(m: np.ndarray) -> dict:
-    m = bitmatrix(m)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": "".join(str(int(b)) for b in m.ravel()),
-    }
-
-
-def mat_from_json(obj: dict) -> np.ndarray:
-    flat = bits(obj["entries"])
-    if flat.size != obj["rows"] * obj["cols"]:
-        raise DimensionError("matrix JSON entries do not match dimensions")
-    return flat.reshape(obj["rows"], obj["cols"])

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -115,11 +115,7 @@ class ProtocolParams:
         return ChannelModel.bitflip(self.noise_p)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "r": self.r, "delta": self.delta,
-            "epsilon": self.epsilon, "N": self.N, "noise_p": self.noise_p,
-            "mode": self.mode.value, "seed": self.seed,
-        }
+        return {**asdict(self), "mode": self.mode.value}
 
 
 class CommitmentOracle:
@@ -359,16 +355,52 @@ def bob_decode(
 # ---------------------------------------------------------------------------
 # transcripts
 
-def _bits_str(v: Optional[np.ndarray]) -> Optional[str]:
-    if v is None:
-        return None
+def _bits_str(v: np.ndarray) -> str:
     return "".join(str(int(b)) for b in np.asarray(v).ravel())
 
 
-def _positions(v: Optional[np.ndarray]) -> Optional[List[int]]:
-    if v is None:
-        return None
+def _positions(v: np.ndarray) -> List[int]:
     return [int(i) for i in np.asarray(v).ravel()]
+
+
+def _position_array(v: List[int]) -> np.ndarray:
+    return np.asarray(v, dtype=np.int64)
+
+
+def _str_keys(m: dict) -> dict:
+    return {str(k): int(v) for k, v in m.items()}
+
+
+def _int_keys(m: dict) -> Dict[int, int]:
+    return {int(k): int(v) for k, v in m.items()}
+
+
+# (encode, decode) of every transcript field that is not plain JSON; None
+# stays None. Every other field is written and read as it stands.
+_CODECS = {
+    "params": (ProtocolParams.to_json, lambda d: ProtocolParams(**d)),
+    "channel": (
+        lambda c: {"kind": c.kind.value, "p": c.p},
+        lambda d: ChannelModel(ChannelKind(d["kind"]), d["p"]),
+    ),
+    "f": (lambda f: [_bits_str(row) for row in f], gf2.bitmatrix),
+    "theta": (quantum.basis_text, quantum.basis_string),
+    "theta_hat": (quantum.basis_text, quantum.basis_string),
+    **{name: (_bits_str, gf2.bits)
+       for name in ("w", "flips", "w_hat", "s", "a", "decoded", "b", "b_hat")},
+    **{name: (_positions, _position_array)
+       for name in ("R", "T0", "T1", "E0", "E1", "E_c")},
+    "announced_sets": (
+        lambda sets: [_positions(e) for e in sets],
+        lambda sets: [_position_array(e) for e in sets],
+    ),
+    "announced_rest": (
+        lambda r: {"positions": _positions(r["positions"]), "bits": _bits_str(r["bits"])},
+        lambda r: {"positions": _position_array(r["positions"]), "bits": gf2.bits(r["bits"])},
+    ),
+    "bob_values": (_str_keys, _int_keys),
+    "deferred": (_str_keys, _int_keys),
+}
 
 
 @dataclass
@@ -412,88 +444,28 @@ class Transcript:
     eve: Optional[dict] = None
 
     def to_json(self) -> str:
-        d = {
-            "protocol": self.protocol,
-            "params": self.params.to_json(),
-            "channel": {"kind": self.channel.kind.value, "p": self.channel.p},
-            "strategy": self.strategy,
-            "f": [_bits_str(row) for row in self.f],
-            "w": _bits_str(self.w),
-            "theta": quantum.basis_text(self.theta),
-            "flips": _bits_str(self.flips),
-            "theta_hat": quantum.basis_text(self.theta_hat),
-            "w_hat": _bits_str(self.w_hat),
-            "theta_hat_commit": self.theta_hat_commit,
-            "w_hat_commit": self.w_hat_commit,
-            "R": _positions(self.R),
-            "test_errors": self.test_errors,
-            "passed": self.passed,
-            "abort_reason": self.abort_reason,
-            "T0": _positions(self.T0),
-            "T1": _positions(self.T1),
-            "E0": _positions(self.E0),
-            "E1": _positions(self.E1),
-            "announced_sets": None if self.announced_sets is None
-            else [_positions(e) for e in self.announced_sets],
-            "alice_pick": self.alice_pick,
-            "c": self.c,
-            "E_c": _positions(self.E_c),
-            "s": _bits_str(self.s),
-            "a": _bits_str(self.a),
-            "announced_rest": None if self.announced_rest is None else {
-                "positions": _positions(self.announced_rest["positions"]),
-                "bits": _bits_str(self.announced_rest["bits"]),
-            },
-            "bob_values": {str(k): int(v) for k, v in sorted(self.bob_values.items())},
-            "deferred": {str(k): int(v) for k, v in sorted(self.deferred.items())},
-            "decoded": _bits_str(self.decoded),
-            "b": _bits_str(self.b),
-            "b_hat": _bits_str(self.b_hat),
-            "eve": self.eve,
-        }
+        d = {}
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            if value is not None and fld.name in _CODECS:
+                value = _CODECS[fld.name][0](value)
+            d[fld.name] = value
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
         d = json.loads(text)
-        pd = d["params"]
-        params = ProtocolParams(
-            n=pd["n"], m=pd["m"], r=pd["r"], delta=pd["delta"],
-            epsilon=pd["epsilon"], N=pd["N"], noise_p=pd["noise_p"],
-            mode=Mode(pd["mode"]), seed=pd["seed"],
-        )
-        channel = ChannelModel(ChannelKind(d["channel"]["kind"]), d["channel"]["p"])
-
-        def vec(sv):
-            return None if sv is None else gf2.bits(sv)
-
-        def pos(pv):
-            return None if pv is None else np.asarray(pv, dtype=np.int64)
-
-        rest = d["announced_rest"]
-        return cls(
-            protocol=d["protocol"], params=params, channel=channel,
-            strategy=d["strategy"],
-            f=gf2.bitmatrix([list(map(int, row)) for row in d["f"]]),
-            w=vec(d["w"]), theta=quantum.basis_string(d["theta"]),
-            flips=vec(d["flips"]),
-            theta_hat=quantum.basis_string(d["theta_hat"]),
-            w_hat=vec(d["w_hat"]),
-            theta_hat_commit=d["theta_hat_commit"], w_hat_commit=d["w_hat_commit"],
-            R=pos(d["R"]), test_errors=d["test_errors"], passed=d["passed"],
-            abort_reason=d["abort_reason"],
-            T0=pos(d["T0"]), T1=pos(d["T1"]), E0=pos(d["E0"]), E1=pos(d["E1"]),
-            announced_sets=None if d["announced_sets"] is None
-            else [pos(e) for e in d["announced_sets"]],
-            alice_pick=d["alice_pick"], c=d["c"], E_c=pos(d["E_c"]),
-            s=vec(d["s"]), a=vec(d["a"]),
-            announced_rest=None if rest is None
-            else {"positions": pos(rest["positions"]), "bits": vec(rest["bits"])},
-            bob_values={int(k): int(v) for k, v in d["bob_values"].items()},
-            deferred={int(k): int(v) for k, v in d["deferred"].items()},
-            decoded=vec(d["decoded"]), b=vec(d["b"]), b_hat=vec(d["b_hat"]),
-            eve=d["eve"],
-        )
+        names = {fld.name for fld in fields(cls)}
+        if d.keys() != names:
+            raise DomainError(
+                f"transcript keys: missing {sorted(names - d.keys())}, "
+                f"unknown {sorted(d.keys() - names)}"
+            )
+        return cls(**{
+            name: value if value is None or name not in _CODECS
+            else _CODECS[name][1](value)
+            for name, value in d.items()
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +512,7 @@ def _run(
         eve_record = attacks.eve_intercept(eve, reception, stream(seed, "eve"))
 
     rng_bob = stream(seed, "bob")
-    record = attacks.apply_strategy(bob, reception, None, oracle, rng_bob)
+    record = attacks.apply_strategy(bob, reception, oracle, rng_bob)
     strategy_desc = {**bob.describe(), **record.runtime}
 
     coins = stream(seed, "test").random(params.n)

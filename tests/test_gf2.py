@@ -290,12 +290,3 @@ def test_binary_entropy_inverse_roundtrip(y):
 def test_binary_entropy_inverse_domain():
     with pytest.raises(DomainError):
         gf2.binary_entropy_inverse(-0.1)
-
-
-def test_json_roundtrips():
-    v = gf2.bits("10110")
-    assert np.array_equal(gf2.vec_from_json(gf2.vec_to_json(v)), v)
-    m = gf2.bitmatrix(["101", "010"])
-    assert np.array_equal(gf2.mat_from_json(gf2.mat_to_json(m)), m)
-    with pytest.raises(DimensionError):
-        gf2.mat_from_json({"rows": 2, "cols": 2, "entries": "101"})

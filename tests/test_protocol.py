@@ -484,3 +484,57 @@ def test_transcript_roundtrip_preserves_everything():
     assert all(isinstance(k, int) for k in back.bob_values)
     assert np.array_equal(back.f, tr.f)
     assert back.params == tr.params
+
+
+@st.composite
+def protocol_runs(draw):
+    """Arguments of one run: either protocol, every receiver strategy and
+    both kinds of Eve, small sizes so that both abort reasons are common."""
+    n = draw(st.integers(4, 16))
+    N = draw(st.integers(1, n // 4))
+    m = draw(st.integers(1, N))
+    params = protocol.ProtocolParams(
+        n=n, m=m, r=draw(st.integers(0, N - m)), N=N,
+        delta=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        noise_p=draw(st.sampled_from([0.0, 0.1])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    announce_rest = draw(st.booleans())
+    if draw(st.booleans()):
+        eve = draw(st.sampled_from([None, attacks.honest(), attacks.fixed_basis(0.3)]))
+        return "qkd", params, dict(eve=eve, announce_rest=announce_rest)
+    bob = draw(st.one_of(
+        st.just(attacks.honest()),
+        st.just(attacks.random_ok()),
+        st.floats(-4.0, 4.0).map(attacks.fixed_basis),
+        st.lists(st.integers(0, n - 1), unique=True).map(
+            lambda f: attacks.store_subset(positions=f)
+        ),
+        st.integers(0, n).map(lambda k: attacks.store_subset(count=k)),
+    ))
+    return "qot", params, dict(
+        b=draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)),
+        bob=bob, force_c=draw(st.sampled_from([None, 0, 1])),
+        announce_rest=announce_rest,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(protocol_runs())
+def test_random_transcripts_round_trip_byte_for_byte(run):
+    kind, params, kw = run
+    if kind == "qkd":
+        tr = protocol.run_qkd(params, **kw)
+    else:
+        tr = protocol.run_string_qot(params, **kw)
+    text = tr.to_json()
+    assert protocol.Transcript.from_json(text).to_json() == text
+
+
+def test_transcript_from_json_rejects_missing_and_unknown_keys():
+    d = json.loads(protocol.run_string_qot(make_params(seed=31), [1]).to_json())
+    protocol.Transcript.from_json(json.dumps(d))
+    with pytest.raises(DomainError, match="missing \\['eve'\\]"):
+        protocol.Transcript.from_json(json.dumps({k: v for k, v in d.items() if k != "eve"}))
+    with pytest.raises(DomainError, match="unknown \\['extra'\\]"):
+        protocol.Transcript.from_json(json.dumps({**d, "extra": 1}))
