@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from functools import cache, reduce
 from itertools import combinations, product
 from typing import Dict, List, Optional, Tuple
 
@@ -115,7 +116,7 @@ def store_subset(positions=None, count: Optional[int] = None) -> AttackStrategy:
     if (positions is None) == (count is None):
         raise DomainError("give exactly one of positions or count")
     if positions is not None:
-        positions = tuple(int(i) for i in np.unique(np.asarray(positions, dtype=np.int64)))
+        positions = tuple(sorted({int(i) for i in positions}))
     elif count < 0:
         raise DomainError("count may not be negative")
     return AttackStrategy(kind=StrategyKind.STORE_SUBSET, positions=positions, count=count)
@@ -503,16 +504,15 @@ def _class_entropy(
     code: gf2.LinearCode,
     prior: np.ndarray,
     likelihood: np.ndarray,
-    obs_prob: np.ndarray,
     syn: np.ndarray,
     hmap: np.ndarray,
 ) -> float:
     """E[H(B | view)] within one view class.
 
     likelihood[o, u] is the probability of observation o at the E_c
-    photons when the encoded substring is u; obs_prob[o, u_true] the
-    chance of seeing o. Averages over the uniform true substring, the
-    observations, and the announced mask a = b xor h u_true.
+    photons when the encoded substring is u, so likelihood[o, u_true] is
+    also the chance of seeing o. Averages over the uniform true substring,
+    the observations, and the announced mask a = b xor h u_true.
     """
     size = 1 << code.N
     m2 = prior.size
@@ -522,7 +522,7 @@ def _class_entropy(
         t_true = hmap[u_true]
         coset = np.nonzero(syn == s)[0]
         for o in range(likelihood.shape[0]):
-            po = obs_prob[o, u_true]
+            po = likelihood[o, u_true]
             if po == 0.0:
                 continue
             weights = likelihood[o, coset]
@@ -604,101 +604,66 @@ def _exact_engine(
         err.estimated_statespace = statespace
         raise err
 
-    uniform_like = np.ones((1, size))
-    uniform_obs = np.ones((1, size))
-    # word_bits[k][o]: the k bits of o, most significant first
-    word_bits = [[gf2.unpack_int(o, k) for o in range(1 << k)] for k in range(N + 1)]
+    # Each slot of E_c is an (observation table, disagreement chance) pair:
+    # table[obs, bit] is the chance of reading obs when bit was encoded
+    # there, and the chance that the slot leaves the distance-t ball feeds
+    # the defect. A blind slot reads nothing about its bit.
+    slots = {
+        "blind": (np.ones((1, 2)), None),
+        "held": (np.array([[1 - p, p], [p, 1 - p]]), 0.5),
+    }
+    if strategy.angle is not None:
+        for ty, other in ((quantum.PLUS, quantum.CROSS), (quantum.CROSS, quantum.PLUS)):
+            slots[ty] = (
+                _measurement_table(strategy.angle, ty, p),
+                _disagree_prob(strategy.angle, other),
+            )
 
-    def accumulate_classes(classes) -> Tuple[float, float, float, float]:
-        """classes: iterable of (weight, likelihood, obs_prob, defect).
+    @cache
+    def pattern_stats(pattern: tuple) -> Tuple[float, float]:
+        """(entropy, defect) of the view class with these slot kinds."""
+        tables, chances = zip(*(slots[kind] for kind in pattern))
+        like = reduce(np.kron, tables, np.ones((1, 1)))
+        return (
+            _class_entropy(code, prior, like, syn, hmap),
+            _tail_over_threshold([c for c in chances if c is not None], t_defect),
+        )
 
-        Returns (total weight, weighted mean entropy, weighted defect mean,
-        max defect)."""
-        w_tot, h_acc, d_acc, d_max = 0.0, 0.0, 0.0, 0.0
-        cache: Dict[bytes, float] = {}
-        for weight, like, obs, defect in classes:
+    def plan_classes(held: np.ndarray):
+        """(weight, slot pattern) of every view class of one plan."""
+        if held.any():
+            # one class per candidate set, keyed by the slots it pins
+            geo = _Geometry(n, N, int(held.sum()), thr, 0.5, p)
+            for e in candidates:
+                pattern = tuple("held" if held[pos] else "blind" for pos in e)
+                pinned = pattern.count("held")
+                if not (require_disjoint_store and pinned):
+                    yield geo.weight(pinned), pattern
+        elif strategy.angle is None:
+            # on E_1 the committed bases mismatch, so the outcomes measured
+            # there carry nothing about w: one aggregated blind class
+            geo = _Geometry(n, N, 0, thr, 0.5, p)
+            yield sum(geo.weight(0) for _ in candidates), ("blind",) * N
+        else:
+            # one class per basis pattern on E_c
+            err = 0.5 * (slots[quantum.PLUS][0][1, 0] + slots[quantum.CROSS][0][1, 0])
+            geo = _Geometry(n, N, 0, thr, err, err)
+            base = sum(geo.weight(0) for _ in candidates)
+            for types in product((quantum.PLUS, quantum.CROSS), repeat=N):
+                yield base * 0.5**N, types
+
+    branches = strategy.branches(n)
+    w_tot, h_acc, d_acc, d_max = 0.0, 0.0, 0.0, 0.0
+    for branch_weight, held in branches:
+        for w, pattern in plan_classes(held):
+            weight = branch_weight * w
             if weight <= 0.0:
                 continue
-            key = like.tobytes() + obs.tobytes()
-            h = cache.get(key)
-            if h is None:
-                h = _class_entropy(code, prior, like, obs, syn, hmap)
-                cache[key] = h
+            h, defect = pattern_stats(pattern)
             w_tot += weight
             h_acc += weight * h
             d_acc += weight * defect
             d_max = max(d_max, defect)
-        return w_tot, h_acc, d_acc, d_max
-
-    def store_classes(stored_mask: np.ndarray):
-        """View classes for a storing receiver: one per candidate set,
-        keyed by the slots it pins."""
-        nf = int(stored_mask.sum())
-        geo = _Geometry(n, N, nf, thr, 0.5, p)
-        for e in candidates:
-            pinned = [j for j, pos in enumerate(e) if stored_mask[pos]]
-            if require_disjoint_store and pinned:
-                continue
-            weight = geo.weight(len(pinned))
-            if weight == 0.0:
-                continue
-            like = np.zeros((1 << len(pinned), size))
-            obs = np.zeros((1 << len(pinned), size))
-            for o in range(1 << len(pinned)):
-                obits = word_bits[len(pinned)][o]
-                for u in range(size):
-                    ubits = word_bits[N][u]
-                    lw = 1.0
-                    for t_j, slot in enumerate(pinned):
-                        lw *= (1 - p) if obits[t_j] == ubits[slot] else p
-                    like[o, u] = lw
-                    obs[o, u] = lw
-            defect = _tail_over_threshold([0.5] * len(pinned), t_defect)
-            yield weight, like, obs, defect
-
-    def honest_classes():
-        """One aggregated class: on E_1 the committed bases mismatch, so the
-        outcomes measured there carry nothing about w."""
-        geo = _Geometry(n, N, 0, thr, 0.5, p)
-        weight = sum(geo.weight(0) for _ in candidates)
-        return [(weight, uniform_like, uniform_obs, 0.0)]
-
-    def fixed_classes():
-        """One class per basis pattern on E_c for a fixed-angle receiver."""
-        q_plus = _measurement_table(strategy.angle, quantum.PLUS, p)
-        q_cross = _measurement_table(strategy.angle, quantum.CROSS, p)
-        err = 0.5 * (q_plus[1, 0] + q_cross[1, 0])
-        geo = _Geometry(n, N, 0, thr, err, err)
-        base = sum(geo.weight(0) for _ in candidates)
-        for types in product((quantum.PLUS, quantum.CROSS), repeat=N):
-            like = np.zeros((size, size))
-            for o in range(size):
-                obits = word_bits[N][o]
-                for u in range(size):
-                    ubits = word_bits[N][u]
-                    lw = 1.0
-                    for slot in range(N):
-                        q = q_plus if types[slot] == quantum.PLUS else q_cross
-                        lw *= q[obits[slot], ubits[slot]]
-                    like[o, u] = lw
-            dis = [
-                _disagree_prob(strategy.angle, quantum.CROSS if ty == quantum.PLUS else quantum.PLUS)
-                for ty in types
-            ]
-            defect = _tail_over_threshold(dis, t_defect)
-            yield base * 0.5**N, like, like, defect
-
-    def plan_classes(held: np.ndarray):
-        if held.any():
-            return store_classes(held)
-        return honest_classes() if strategy.angle is None else fixed_classes()
-
-    branches = strategy.branches(n)
-    w_tot, h_acc, d_acc, d_max = accumulate_classes(
-        (branch_weight * w, like, obs, d)
-        for branch_weight, held in branches
-        for w, like, obs, d in plan_classes(held)
-    )
 
     if w_tot <= 0.0:
         raise DomainError("conditioning event has probability zero")

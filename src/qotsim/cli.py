@@ -29,6 +29,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +101,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="run protocol trials")
     _add_common(p)
+    p.set_defaults(r=None)  # resolved by _params_from_args
     _add_strategy(p)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--protocol", choices=["qot", "qkd"], default="qot")
@@ -159,10 +162,17 @@ def _out_dir(args) -> Path:
 
 
 def _params_from_args(args, seed: int) -> protocol.ProtocolParams:
-    return protocol.ProtocolParams(
-        n=args.n, m=args.m, r=args.r, delta=args.delta, epsilon=args.epsilon,
-        N=args.N, noise_p=args.noise_p, mode=protocol.Mode(args.mode), seed=seed,
+    """Run parameters from the flags. Without --r (simulate's default) r is
+    the fewest syndrome bits, at least 1, whose decode coset fits the cap."""
+    params = protocol.ProtocolParams(
+        n=args.n, m=args.m, r=1 if args.r is None else args.r, delta=args.delta,
+        epsilon=args.epsilon, N=args.N, noise_p=args.noise_p,
+        mode=protocol.Mode(args.mode), seed=seed,
     )
+    if args.r is None:
+        coset_bits = protocol.DECODE_MAX_COSET.bit_length() - 1
+        params = replace(params, r=max(1, params.N - coset_bits))
+    return params
 
 
 def _build_strategy(name, store_positions, store_count, angle) -> attacks.AttackStrategy:
@@ -194,41 +204,26 @@ def _csv_writer(fh):
 # ---------------------------------------------------------------------------
 # simulate
 
-def _simulate_trial(payload: dict):
+def _simulate_trial(args, idx: int):
     """One run; top level so a process pool can ship it."""
-    idx = payload["idx"]
-    seed = _trial_seed(payload["seed"], idx)
-    params = protocol.ProtocolParams(
-        n=payload["n"], m=payload["m"], r=payload["r"], delta=payload["delta"],
-        epsilon=payload["epsilon"], N=payload["N"], noise_p=payload["noise_p"],
-        mode=protocol.Mode(payload["mode"]), seed=seed,
-    )
-    bob = _build_strategy(
-        payload["strategy"], payload["store_positions"],
-        payload["store_count"], payload["angle"],
-    )
-    if payload["protocol"] == "qkd":
-        eve = None
-        if payload["eve"] is not None:
-            eve = (
-                attacks.honest() if payload["eve"] == "HONEST"
-                else attacks.fixed_basis(payload["eve_angle"])
-            )
-        tr = protocol.run_qkd(params, eve=eve, announce_rest=payload["announce_rest"])
+    params = _params_from_args(args, seed=_trial_seed(args.seed, idx))
+    bob = _build_strategy(args.strategy, args.store_positions, args.store_count, args.angle)
+    if args.protocol == "qkd":
+        eve = None if args.eve is None else _build_strategy(args.eve, None, None, args.eve_angle)
+        tr = protocol.run_qkd(params, eve=eve, announce_rest=args.announce_rest)
     else:
-        if payload["b"] is not None:
-            b = gf2.bits(payload["b"], length=payload["m"])
+        if args.b is not None:
+            b = gf2.bits(args.b, length=args.m)
         else:
-            b = gf2.random_bits(stream(payload["seed"], "b", idx), payload["m"])
+            b = gf2.random_bits(stream(args.seed, "b", idx), args.m)
         tr = protocol.run_string_qot(
-            params, b, bob=bob, force_c=payload["force_c"],
-            announce_rest=payload["announce_rest"],
+            params, b, bob=bob, force_c=args.force_c, announce_rest=args.announce_rest,
         )
     delivered = ""
     if tr.b_hat is not None:
         delivered = int(np.array_equal(tr.b_hat, tr.b))
     row = [
-        idx, seed, int(tr.passed), tr.test_errors,
+        idx, params.seed, int(tr.passed), tr.test_errors,
         tr.abort_reason or "", "" if tr.c is None else tr.c, delivered,
     ]
     return idx, tr.to_json(), row
@@ -248,25 +243,12 @@ def _cmd_simulate(args) -> int:
     _params_from_args(args, seed=0)
 
     out = _out_dir(args)
-    payloads = [
-        {
-            "idx": i, "seed": args.seed,
-            "n": args.n, "m": args.m, "r": args.r, "delta": args.delta,
-            "epsilon": args.epsilon, "N": args.N, "noise_p": args.noise_p,
-            "mode": args.mode,
-            "strategy": args.strategy, "store_positions": args.store_positions,
-            "store_count": args.store_count, "angle": args.angle,
-            "protocol": args.protocol, "b": args.b, "force_c": args.force_c,
-            "announce_rest": args.announce_rest,
-            "eve": args.eve, "eve_angle": args.eve_angle,
-        }
-        for i in range(args.trials)
-    ]
+    trial = partial(_simulate_trial, args)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_simulate_trial, payloads))
+            results = list(pool.map(trial, range(args.trials)))
     else:
-        results = [_simulate_trial(p) for p in payloads]
+        results = list(map(trial, range(args.trials)))
     results.sort(key=lambda item: item[0])
 
     transcripts = out / "transcripts.jsonl"

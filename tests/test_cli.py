@@ -79,7 +79,24 @@ def test_simulate_workers_do_not_change_the_output(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(QOT_ARGS + ["--out", str(a), "--workers", "1"]) == 0
     assert run(QOT_ARGS + ["--out", str(b), "--workers", "2"]) == 0
-    assert (a / "transcripts.jsonl").read_bytes() == (b / "transcripts.jsonl").read_bytes()
+    for name in ("transcripts.jsonl", "summary.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_simulate_default_r_fits_the_decode_cap(tmp_path, capsys):
+    """n=92 makes N=22: r=1 would leave a 2^21-word decode coset, so the
+    default r is 2. An explicit --r is taken as given."""
+    args = ["simulate", "--n", "92", "--trials", "20"]
+    assert run(args + ["--out", str(tmp_path / "a")]) == 0
+    lines = (tmp_path / "a" / "transcripts.jsonl").read_text().splitlines()
+    runs = [protocol.Transcript.from_json(line) for line in lines]
+    assert {tr.params.r for tr in runs} == {2}
+    assert any(tr.abort_reason is None for tr in runs)  # some runs decode
+    assert run(args + ["--r", "1", "--out", str(tmp_path / "b")]) == 2
+    assert "decode coset of 2^21 words" in capsys.readouterr().err
+    assert run(["simulate", "--n", "64", "--trials", "1", "--out", str(tmp_path / "c")]) == 0
+    tr = protocol.Transcript.from_json((tmp_path / "c" / "transcripts.jsonl").read_text())
+    assert (tr.params.N, tr.params.r) == (15, 1)
 
 
 def test_simulate_fixed_string_and_noise_alias(tmp_path):
