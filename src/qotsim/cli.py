@@ -320,7 +320,6 @@ def _cmd_density_check(args) -> int:
     agg = {
         "trials": args.trials,
         "condition_met": met,
-        "max_defect_over_met": worst_met,
         "violations": violations,
         "tolerance": DENSITY_DEFECT_TOL,
     }

@@ -10,7 +10,10 @@ Expressed over the opposite product basis, rho_x has the closed form
 for any coset representative beta0. rho_brute builds the mixture directly;
 rho_closed_form fills the formula; rho_zero_induction reproduces the
 recursive derivation; lemma1_certificate checks that low-distance state
-spans cannot tell rho_x from rho_x' when 2t < dN.
+spans cannot tell rho_x from rho_x' when 2t < dN. The certificate evaluates
+rho_x - rho_x' on the low ball only: each coset member's overlaps with the
+ball's basis states are products of single-photon overlaps, so neither full
+density nor its frame change is built.
 
 Normalization is by the actual coset size, which equals 2^-k exactly when f
 has full rank; with dependent rows the closed form still holds verbatim
@@ -59,10 +62,14 @@ def coset_ensemble(code: gf2.LinearCode, x, theta) -> CosetEnsemble:
     return CosetEnsemble(code=code, x=x, theta=theta, beta0=beta0, kernel=kernel)
 
 
+def _check_density_cap(n: int) -> None:
+    if n > quantum.DENSITY_MAX_N:
+        raise ResourceError(f"density matrices cap at N={quantum.DENSITY_MAX_N}")
+
+
 def rho_brute(ens: CosetEnsemble) -> np.ndarray:
     """Direct mixture over the coset; entries over the + computational basis."""
-    if ens.code.N > quantum.DENSITY_MAX_N:
-        raise ResourceError(f"density matrices cap at N={quantum.DENSITY_MAX_N}")
+    _check_density_cap(ens.code.N)
     states = quantum.bb84_states(ens.members, ens.theta)
     probs = np.full(len(states), 1.0 / len(states))
     return quantum.density_from_ensemble(states, probs)
@@ -71,8 +78,7 @@ def rho_brute(ens: CosetEnsemble) -> np.ndarray:
 def rho_closed_form(ens: CosetEnsemble) -> np.ndarray:
     """The formula above; entries over the conjugate basis of theta."""
     n = ens.code.N
-    if n > quantum.DENSITY_MAX_N:
-        raise ResourceError(f"density matrices cap at N={quantum.DENSITY_MAX_N}")
+    _check_density_cap(n)
     words = np.unpackbits(np.concatenate(list(gf2.span_words(ens.code.f))), axis=1, count=n)
     span = np.zeros(1 << n, dtype=bool)
     span[words @ (1 << np.arange(n - 1, -1, -1))] = True
@@ -142,18 +148,28 @@ class Lemma1Certificate:
 def _low_ball_block(
     code: gf2.LinearCode, theta, x, x_prime, e, t: int, w_hat
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(delta-rho over the conjugate frame, low-ball index array)."""
+    """(P1 delta-rho P1 over the low-ball states of the conjugate frame,
+    their frame indices).
+
+    Row k of a coset's amplitude matrix A holds member k's overlaps with
+    the low-ball basis states, so the block is (A^T A* - A'^T A'*) / K; no
+    2^N x 2^N density is formed.
+    """
     theta = quantum.basis_string(theta, length=code.N)
     x, x_prime = gf2.bits(x), gf2.bits(x_prime)
     if x.size == x_prime.size and np.array_equal(x, x_prime):
         raise DomainError("syndromes must differ")
     theta_hat = quantum.conjugate_bases(theta)
-    diff = rho_brute(coset_ensemble(code, x, theta)) - rho_brute(
-        coset_ensemble(code, x_prime, theta)
+    ens = coset_ensemble(code, x, theta)
+    _check_density_cap(code.N)
+    ens_prime = coset_ensemble(code, x_prime, theta)
+    low = np.nonzero(quantum.ball_projector(e, w_hat, t, theta_hat, quantum.LOW).mask)[0]
+    # both cosets shift one kernel, so they have the same K members
+    amps = quantum.framed_amplitudes(
+        np.vstack([ens.members, ens_prime.members]), theta, theta_hat, low
     )
-    framed = quantum.density_in_frame(diff, theta_hat)
-    p1 = quantum.ball_projector(e, w_hat, t, theta_hat, quantum.LOW)
-    return framed, np.nonzero(p1.mask)[0]
+    a, a_prime = np.split(amps, 2)
+    return (a.T @ a.conj() - a_prime.T @ a_prime.conj()) / len(a), low
 
 
 def _min_weight_on(f: np.ndarray, e: np.ndarray, n_cols: int):
@@ -174,20 +190,22 @@ def lemma1_certificate(
     """Certify that the low-distance span sees no difference between the
     two coset operators whenever 2t is below the span min-distance.
 
-    max_defect is the larger of: the biggest |<phi|delta rho|phi>| over the
-    spanning basis states of the low ball, and the operator norm of
-    P1 (delta rho) P1. dN is the code's min distance; when e covers every
-    coordinate the hypothesis is 2t < dN, and on a proper subset it
-    tightens to the min span weight restricted to e (what a ball on e can
-    resolve). condition_met records the hypothesis actually checked.
+    delta rho is evaluated on the low ball only: its block over the
+    conjugate-frame basis states within distance t of w_hat on e. max_defect
+    is the larger of that block's biggest diagonal magnitude
+    (|<phi|delta rho|phi>| over the ball's basis states) and its operator
+    norm, the norm of P1 (delta rho) P1. dN is the code's min distance;
+    when e covers every coordinate the hypothesis is 2t < dN, and on a
+    proper subset it tightens to the min span weight restricted to e (what
+    a ball on e can resolve). condition_met records the hypothesis actually
+    checked.
     """
-    framed, low = _low_ball_block(code, theta, x, x_prime, e, t, w_hat)
-    diag_max = float(np.max(np.abs(framed.diagonal()[low]))) if low.size else 0.0
+    block, low = _low_ball_block(code, theta, x, x_prime, e, t, w_hat)
     if low.size:
-        block = framed[np.ix_(low, low)]
+        diag_max = float(np.max(np.abs(block.diagonal())))
         op_norm = float(np.max(np.abs(np.linalg.eigvalsh(block))))
     else:
-        op_norm = 0.0
+        diag_max = op_norm = 0.0
     d_min = gf2.min_distance(code)
     e = gf2.position_set(e, code.N)
     d_eff = d_min if e.size == code.N else _min_weight_on(code.f, e, code.N)
@@ -209,13 +227,12 @@ def distinguishing_witness(
     should yield strictly positive values.
     """
     theta = quantum.basis_string(theta, length=code.N)
-    framed, low = _low_ball_block(code, theta, x, x_prime, e, t, w_hat)
+    block, low = _low_ball_block(code, theta, x, x_prime, e, t, w_hat)
     if low.size == 0:
         raise DomainError("empty low ball has no witness")
-    block = framed[np.ix_(low, low)]
     vals, vecs = np.linalg.eigh(block)
     best = int(np.argmax(np.abs(vals)))
-    coords = np.zeros(framed.shape[0], dtype=complex)
+    coords = np.zeros(1 << code.N, dtype=complex)
     coords[low] = vecs[:, best]
     phi = quantum.from_frame(coords, quantum.conjugate_bases(theta))
     return float(abs(vals[best])), phi

@@ -27,7 +27,7 @@ def bits(values, length: Optional[int] = None) -> np.ndarray:
     v = np.asarray(values, dtype=np.uint8).ravel()
     if v.size == 0:
         v = v.reshape(0)
-    if not np.all(v <= 1):
+    if not (v <= 1).all():
         raise DomainError("bit vector entries must be 0 or 1")
     if length is not None and v.size != length:
         raise DimensionError(f"expected length {length}, got {v.size}")
@@ -43,7 +43,7 @@ def bitmatrix(values, rows: Optional[int] = None, cols: Optional[int] = None) ->
     m = np.asarray(values, dtype=np.uint8)
     if m.ndim != 2:
         raise DimensionError("bit matrix must be 2-dimensional")
-    if not np.all(m <= 1):
+    if not (m <= 1).all():
         raise DomainError("bit matrix entries must be 0 or 1")
     if rows is not None and m.shape[0] != rows:
         raise DimensionError(f"expected {rows} rows, got {m.shape[0]}")
@@ -133,18 +133,24 @@ def rank(m: np.ndarray) -> int:
     return row_reduce(m).rank
 
 
-def kernel_basis(m: np.ndarray) -> np.ndarray:
-    """Basis of {v : m v = 0}, one row per free column; shape (dim, cols)."""
-    m = bitmatrix(m)
-    red = row_reduce(m)
-    cols = m.shape[1]
-    free = [c for c in range(cols) if c not in red.pivots]
+def _kernel_from(red: RowReduction, cols: int) -> np.ndarray:
+    """Kernel basis of the first cols columns of a reduced matrix, one row
+    per free column. Pivots at or past cols (an augmented column) are
+    skipped: the RREF of [m | x] restricted to m's columns is m's RREF."""
+    pivots = [c for c in red.pivots if c < cols]
+    free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.uint8)
     for i, fc in enumerate(free):
         basis[i, fc] = 1
-        for prow, pcol in enumerate(red.pivots):
+        for prow, pcol in enumerate(pivots):
             basis[i, pcol] = red.matrix[prow, fc]
     return basis
+
+
+def kernel_basis(m: np.ndarray) -> np.ndarray:
+    """Basis of {v : m v = 0}, one row per free column; shape (dim, cols)."""
+    m = bitmatrix(m)
+    return _kernel_from(row_reduce(m), m.shape[1])
 
 
 def solve_affine(m: np.ndarray, x: np.ndarray):
@@ -152,14 +158,14 @@ def solve_affine(m: np.ndarray, x: np.ndarray):
 
     Returns (particular, kernel_basis); particular is None when the system
     is inconsistent. The solution coset is particular xor span(kernel_basis).
+    One elimination of [m | x] yields both.
     """
     m, x = bitmatrix(m), bits(x)
     if m.shape[0] != x.size:
         raise DimensionError("solve_affine dimension mismatch")
-    rows, cols = m.shape
-    aug = np.concatenate([m, x.reshape(-1, 1)], axis=1)
-    red = row_reduce(aug)
-    kern = kernel_basis(m)
+    cols = m.shape[1]
+    red = row_reduce(np.concatenate([m, x.reshape(-1, 1)], axis=1))
+    kern = _kernel_from(red, cols)
     if cols in red.pivots:  # pivot in the augmented column: inconsistent
         return None, kern
     particular = np.zeros(cols, dtype=np.uint8)

@@ -94,10 +94,12 @@ class ProtocolParams:
             raise DomainError("the transferred string needs at least one bit")
         if self.r < 0:
             raise DomainError("syndrome length may not be negative")
-        if self.delta < 0:
-            raise DomainError("test tolerance may not be negative")
+        if not self.delta >= 0:  # also rejects NaN
+            raise DomainError("test tolerance must be a nonnegative number")
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", 8.0 * self.delta)
+        if not self.epsilon >= 0:
+            raise DomainError("storage fraction epsilon must be a nonnegative number")
         if self.N is None:
             object.__setattr__(self, "N", int(0.24 * self.n))
         if self.N < 1:

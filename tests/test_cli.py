@@ -202,6 +202,12 @@ def test_attack_rejects_a_zero_monte_carlo_budget(tmp_path, capsys):
     assert not (tmp_path / "attack_report.json").exists()
 
 
+def test_attack_rejects_a_negative_epsilon(tmp_path, capsys):
+    assert run(ATTACK_ARGS + ["--epsilon", "-0.1", "--out", str(tmp_path)]) == 1
+    assert "epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "attack_report.json").exists()
+
+
 def test_attack_branch_flag_needs_the_coin_strategy(tmp_path):
     assert run(ATTACK_ARGS + ["--branch-trials", "5", "--out", str(tmp_path)]) == 1
 
@@ -240,6 +246,8 @@ def test_density_check_writes_certificates(tmp_path, capsys):
     agg = json.loads((tmp_path / "density_summary.json").read_text())
     assert agg["violations"] == 0
     assert agg["trials"] == 10
+    # residue stays out of the summary; the max_defect column keeps it
+    assert set(agg) == {"trials", "condition_met", "violations", "tolerance"}
 
 
 def test_density_check_out_of_hypothesis_radii_are_informational(tmp_path):

@@ -150,6 +150,47 @@ def test_mixing_recursion_rejects_bad_kernels():
         )
 
 
+def full_density_block(code, theta, x, x_prime, e, t, w_hat):
+    """The certificate's block the long way: both brute densities, their
+    difference framed whole, then sliced to the low ball."""
+    theta_hat = quantum.conjugate_bases(theta)
+    diff = cosetrho.rho_brute(cosetrho.coset_ensemble(code, x, theta)) - cosetrho.rho_brute(
+        cosetrho.coset_ensemble(code, x_prime, theta)
+    )
+    low = np.nonzero(quantum.ball_projector(e, w_hat, t, theta_hat, quantum.LOW).mask)[0]
+    return quantum.density_in_frame(diff, theta_hat)[np.ix_(low, low)], low
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_low_ball_block_matches_the_framed_full_density(trial):
+    rng = np.random.default_rng(1300 + trial)
+    n_cols = int(rng.integers(3, 9))
+    code = random_code(rng, n_cols, int(rng.integers(1, 4)))
+    while gf2.rank(code.f) == 0:  # a zero map has one coset, nothing to compare
+        code = random_code(rng, n_cols, code.f.shape[0])
+    syndromes = valid_syndromes(code)
+    x, x_prime = syndromes[0], syndromes[-1]
+    theta, w_hat = gf2.random_bits(rng, n_cols), gf2.random_bits(rng, n_cols)
+    subset = np.nonzero(rng.integers(0, 2, n_cols))[0]
+    for e in (range(n_cols), subset):
+        # t = 0 lies inside the hypothesis (2t < dN) and t = N beyond it
+        for t in range(n_cols + 1):
+            args = (code, theta, x, x_prime, e, t, w_hat)
+            expect, low = full_density_block(*args)
+            block, got_low = cosetrho._low_ball_block(*args)
+            assert np.array_equal(got_low, low)
+            assert np.max(np.abs(block - expect), initial=0.0) <= 1e-14
+            if low.size:
+                value, _ = cosetrho.distinguishing_witness(*args)
+                assert abs(value - np.max(np.abs(np.linalg.eigvalsh(expect)))) <= 1e-12
+
+
+def test_certificate_keeps_the_density_cap():
+    code = gf2.parity_code(11)
+    with pytest.raises(ResourceError):
+        cosetrho.lemma1_certificate(code, "0" * 11, [0], [1], range(11), 0, "0" * 11)
+
+
 def test_certificate_under_hypothesis():
     code = gf2.parity_code(4)
     cert = cosetrho.lemma1_certificate(

@@ -262,6 +262,24 @@ def test_solve_affine_agrees_with_matvec(m, seed):
         assert np.array_equal(gf2.matvec(m, particular), x)
 
 
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices(max_cols=20), st.integers(0, 2**32 - 1), st.booleans())
+def test_solve_affine_kernel_is_kernel_basis(m, seed, consistent):
+    """The one elimination of [m | x] gives kernel_basis(m) row for row,
+    whether or not x lies in the image of m."""
+    rng = np.random.default_rng(seed)
+    if consistent:
+        x = gf2.matvec(m, gf2.random_bits(rng, m.shape[1]))
+    else:
+        x = gf2.random_bits(rng, m.shape[0])
+    particular, kern = gf2.solve_affine(m, x)
+    assert np.array_equal(kern, gf2.kernel_basis(m))
+    if consistent:
+        assert particular is not None
+    if particular is not None:
+        assert np.array_equal(gf2.matvec(m, particular), x)
+
+
 def test_hamming_distances():
     assert gf2.hamming_distance("1010", "0010") == 1
     with pytest.raises(DimensionError):

@@ -2,6 +2,7 @@
 set choice, decoding, transcripts, and the two execution modes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -48,6 +49,11 @@ def test_params_validation():
         protocol.ProtocolParams(n=8, m=1, r=0, delta=0.1, N=2, noise_p=0.5)
     with pytest.raises(DomainError):
         protocol.ProtocolParams(n=3, m=1, r=0, delta=0.1)  # default N = 0
+    # nan < 0 is false, so a sign test alone would let NaN through
+    for bad in (dict(delta=math.nan), dict(epsilon=-0.1), dict(epsilon=math.nan)):
+        with pytest.raises(DomainError):
+            protocol.ProtocolParams(**{**dict(n=8, m=1, r=0, delta=0.1, N=2), **bad})
+    assert protocol.ProtocolParams(n=8, m=1, r=0, delta=0.1, N=2, epsilon=0.0).epsilon == 0.0
 
 
 def test_params_mode_coercion_and_channel():

@@ -131,6 +131,59 @@ def test_to_frame_is_involutive(trial):
     assert np.allclose(back, state, atol=1e-12)
 
 
+@st.composite
+def complex_vectors(draw, max_n=5):
+    """(n, a random complex vector of 2^n entries)."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complex_vectors(), st.data())
+def test_frame_change_is_a_norm_preserving_involution(vec, data):
+    n, state = vec
+    theta_hat = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    coords = quantum.to_frame(state, theta_hat)
+    assert abs(np.linalg.norm(coords) - np.linalg.norm(state)) < 1e-12 * np.linalg.norm(state)
+    assert np.allclose(quantum.from_frame(coords, theta_hat), state, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complex_vectors(), st.data())
+def test_shift_op_apply_and_conjugate_match_its_matrix(vec, data):
+    n, state = vec
+    draw_bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    op = quantum.u_beta(data.draw(draw_bits), data.draw(draw_bits))
+    u = op.matrix()
+    assert np.allclose(op.apply(state), u @ state, atol=1e-12)
+    rho = np.outer(state, state.conj()) + np.diag(np.arange(1 << n))
+    assert np.allclose(op.conjugate(rho), u @ rho @ u, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_framed_amplitudes_are_columns_of_the_frame_change(n, seed):
+    rng = np.random.default_rng(seed)
+    words = gf2.random_bitmatrix(rng, int(rng.integers(1, 5)), n)
+    theta, theta_hat = gf2.random_bits(rng, n), gf2.random_bits(rng, n)
+    indices = rng.permutation(1 << n)[: int(rng.integers(0, (1 << n) + 1))]
+    framed = np.array([quantum.to_frame(v, theta_hat) for v in quantum.bb84_states(words, theta)])
+    got = quantum.framed_amplitudes(words, theta, theta_hat, indices)
+    assert got.shape == (len(words), indices.size)
+    assert np.max(np.abs(got - framed[:, indices]), initial=0.0) < 1e-14
+
+
+def test_framed_amplitudes_validation():
+    with pytest.raises(DimensionError):
+        quantum.framed_amplitudes(np.zeros((1, 3), dtype=np.uint8), "00", "00", [0])
+    with pytest.raises(DomainError):
+        quantum.framed_amplitudes(np.zeros((1, 2), dtype=np.uint8), "00", "00", [4])
+    big = quantum.STATEVECTOR_MAX_N + 1
+    with pytest.raises(ResourceError):
+        quantum.framed_amplitudes(np.zeros((1, big), dtype=np.uint8), [0] * big, [0] * big, [0])
+
+
 def test_check_state_validation():
     with pytest.raises(DimensionError):
         quantum.check_state(np.ones(3) / math.sqrt(3))
