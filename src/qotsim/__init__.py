@@ -5,7 +5,6 @@ from . import attacks, cosetrho, gf2, protocol, quantum, streams
 from .errors import (
     DimensionError,
     DomainError,
-    ModeError,
     ProtocolViolation,
     ResourceError,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "streams",
     "DimensionError",
     "DomainError",
-    "ModeError",
     "ProtocolViolation",
     "ResourceError",
     "ChannelModel",

@@ -33,13 +33,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import gf2, protocol, quantum
-from .errors import DimensionError, DomainError, ModeError, ResourceError
+from .errors import DimensionError, DomainError, ResourceError
 from .streams import stream
 
 INFO_MAX_N = 10
 INFO_MAX_SIDE = 3  # N
 INFO_MAX_M = 2
-DEFECT_MAX_N = 12
 
 
 class StrategyKind(Enum):
@@ -269,47 +268,36 @@ def store_attack_test_statistics(
 # ---------------------------------------------------------------------------
 # small-distance diagnostics
 
-def view_photon_state(transcript: protocol.Transcript, strategy: AttackStrategy) -> np.ndarray:
-    """The photon-part vector of the realized view, over + amplitudes.
-
-    Measured photons sit in their post-measurement states; held photons
-    stay as Alice encoded them (the state as it stands when the commitment
-    is tested).
-    """
-    if transcript.strategy["kind"] != strategy.kind.value:
-        raise DomainError("strategy does not match the transcript")
-    n = transcript.params.n
-    if n > DEFECT_MAX_N:
-        raise ResourceError(f"view reconstruction caps at n={DEFECT_MAX_N}")
-    theta_hat, w_hat = transcript.theta_hat, transcript.w_hat
-    encoded = transcript.w ^ transcript.flips
-    held = set(transcript.strategy.get("stored") or ())
-    rot = None if strategy.angle is None else quantum.angle_basis(strategy.angle)
-    factors = [
-        quantum.photon(int(encoded[i]), int(transcript.theta[i])) if i in held
-        else quantum.photon(int(w_hat[i]), int(theta_hat[i])) if rot is None
-        else rot[:, int(w_hat[i])]
-        for i in range(n)
-    ]
-
-    state = np.array([1.0], dtype=complex)
-    for f in factors:
-        state = np.kron(state, f)
-    return state
-
-
 def view_small_distance_defect(
     transcript: protocol.Transcript, strategy: AttackStrategy, e, t: int
 ) -> float:
-    """Weight of the (unit) view vector outside the distance-t ball on E
-    around the committed outcomes: ||P0 phi||^2."""
-    if transcript.params.mode is not protocol.Mode.EXACT_QUANTUM:
-        raise ModeError("view reconstruction is defined for EXACT_QUANTUM runs")
-    phi = view_photon_state(transcript, strategy)
-    p0 = quantum.ball_projector(
-        e, transcript.w_hat, t, transcript.theta_hat, quantum.HIGH
-    )
-    return quantum.small_distance_defect(phi, p0)
+    """Weight of the view outside the distance-t ball on E around the
+    committed outcomes, ||P0 phi||^2, in either execution mode.
+
+    The view is a product state, so this is the tail of independent
+    per-photon disagreements: none for a photon measured in its committed
+    basis; the squared overlap with the flipped outcome for one measured at
+    a fixed angle (the same for either outcome, the rotation being real);
+    for a held photon 0 or 1 when its basis matches the committed one,
+    else 1/2.
+    """
+    if transcript.strategy["kind"] != strategy.kind.value:
+        raise DomainError("strategy does not match the transcript")
+    if t < 0:
+        raise DomainError("ball radius must be nonnegative")
+    theta, theta_hat = transcript.theta, transcript.theta_hat
+    encoded = transcript.w ^ transcript.flips
+    held = set(transcript.strategy.get("stored") or ())
+    chances = []
+    for i in gf2.position_set(e, transcript.params.n):
+        if i in held:
+            matched = theta[i] == theta_hat[i]
+            chances.append(float(encoded[i] != transcript.w_hat[i]) if matched else 0.5)
+        elif strategy.angle is not None:
+            chances.append(_disagree_prob(strategy.angle, int(theta_hat[i])))
+        else:
+            chances.append(0.0)
+    return _tail_over_threshold(chances, t)
 
 
 def j_indicator(e, tau_count: int, alpha, w_hat) -> int:
@@ -380,8 +368,8 @@ class InfoReport:
     product = mutual_information * pr_pass, the security figure of merit.
     pr_pass counts runs that pass the test with both sets available.
     small_distance_defect_stats summarizes ||P0 phi_v||^2 / ||phi_v||^2
-    over views against radius floor(epsilon n) on E_c; None when the
-    strategy/mode combination gives no view vector to measure.
+    over views against radius floor(epsilon n) on E_c, in either mode;
+    None only when no Monte Carlo run passed.
     """
 
     pr_pass: float
@@ -568,15 +556,18 @@ def _disagree_prob(angle: float, basis_hat: int) -> float:
 
 
 def _tail_over_threshold(probs: List[float], t: int) -> float:
-    """P(sum of independent Bernoullis > t), exact over 2^len patterns."""
-    total = 0.0
-    for pattern in product((0, 1), repeat=len(probs)):
-        if sum(pattern) > t:
-            w = 1.0
-            for bit, q in zip(pattern, probs):
-                w *= q if bit else (1.0 - q)
-            total += w
-    return total
+    """P(sum of independent Bernoullis > t): a Poisson-binomial DP over the
+    counts 0..t that carries the mass crossing t as it goes."""
+    if t < 0:
+        return 1.0
+    dist = np.zeros(t + 1)
+    dist[0] = 1.0
+    over = 0.0
+    for q in probs:
+        over += dist[t] * q
+        dist[1:] = dist[1:] * (1.0 - q) + dist[:-1] * q
+        dist[0] *= 1.0 - q
+    return float(over)
 
 
 def _exact_engine(
@@ -607,9 +598,10 @@ def _exact_engine(
     # Each slot of E_c is an (observation table, disagreement chance) pair:
     # table[obs, bit] is the chance of reading obs when bit was encoded
     # there, and the chance that the slot leaves the distance-t ball feeds
-    # the defect. A blind slot reads nothing about its bit.
+    # the defect. A blind slot reads nothing about its bit and never
+    # leaves the ball.
     slots = {
-        "blind": (np.ones((1, 2)), None),
+        "blind": (np.ones((1, 2)), 0.0),
         "held": (np.array([[1 - p, p], [p, 1 - p]]), 0.5),
     }
     if strategy.angle is not None:
@@ -626,7 +618,7 @@ def _exact_engine(
         like = reduce(np.kron, tables, np.ones((1, 1)))
         return (
             _class_entropy(code, prior, like, syn, hmap),
-            _tail_over_threshold([c for c in chances if c is not None], t_defect),
+            _tail_over_threshold(chances, t_defect),
         )
 
     def plan_classes(held: np.ndarray):
@@ -738,9 +730,6 @@ def _monte_carlo_engine(
     pairs: List[Tuple[tuple, tuple]] = []
     defects: List[float] = []
     t_defect = int(math.floor(params.epsilon * params.n))
-    want_defect = (
-        params.mode is protocol.Mode.EXACT_QUANTUM and params.n <= DEFECT_MAX_N
-    )
     for trial in range(budget):
         b_idx = int(rng.choice(1 << m, p=prior))
         b = gf2.unpack_int(b_idx, m)
@@ -752,8 +741,7 @@ def _monte_carlo_engine(
             continue
         passes += 1
         pairs.append((_view_summary(tr, strategy), tuple(int(x) for x in tr.b)))
-        if want_defect:
-            defects.append(view_small_distance_defect(tr, strategy, tr.E_c, t_defect))
+        defects.append(view_small_distance_defect(tr, strategy, tr.E_c, t_defect))
     pr_pass = passes / budget
     mi = _plugin_mi(pairs)
     stats = None

@@ -39,7 +39,6 @@ from . import attacks, cosetrho, gf2, protocol
 from .errors import (
     DimensionError,
     DomainError,
-    ModeError,
     ProtocolViolation,
     ResourceError,
 )
@@ -500,7 +499,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DomainError, DimensionError, ModeError, ProtocolViolation) as exc:
+    except (DomainError, DimensionError, ProtocolViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

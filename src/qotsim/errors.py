@@ -13,9 +13,5 @@ class ResourceError(RuntimeError):
     """A computation would exceed a hard size cap."""
 
 
-class ModeError(RuntimeError):
-    """The requested operation is not available in the active execution mode."""
-
-
 class ProtocolViolation(RuntimeError):
     """A party used the commitment oracle outside its contract."""

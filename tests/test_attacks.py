@@ -8,12 +8,16 @@ regression anchors, not definitions.
 
 import json
 import math
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qotsim import attacks, gf2, protocol, quantum
-from qotsim.errors import DimensionError, DomainError, ModeError, ResourceError
+from qotsim.errors import DimensionError, DomainError, ResourceError
 from qotsim.streams import stream
 
 IDENTITY_CODE = gf2.LinearCode(f=gf2.bitmatrix(["10", "01"]), r=1, m=1)
@@ -278,27 +282,128 @@ def test_view_defect_honest_is_zero():
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
-def test_view_defect_needs_the_statevector_and_caps():
-    tr = protocol.run_string_qot(
-        protocol.ProtocolParams(n=8, m=1, r=1, delta=0.25, N=2, seed=1), [1]
+def test_view_defect_is_mode_free_and_uncapped():
+    """The defect reads only the transcript, so a CLASSICAL_FAST run and its
+    EXACT_QUANTUM replay agree, and the Monte Carlo engine reports it at
+    sizes no statevector could hold."""
+    for k, strat in enumerate(
+        [attacks.store_subset(positions=[0, 2, 5]), attacks.fixed_basis(0.3), attacks.random_ok()]
+    ):
+        fast = completed_run(strat, seed0=30 * k, mode=protocol.Mode.CLASSICAL_FAST)
+        replay = protocol.run_string_qot(
+            replace(fast.params, mode=protocol.Mode.EXACT_QUANTUM), [1], bob=strat
+        )
+        for e in (fast.E_c, range(8)):
+            for t in range(4):
+                got = attacks.view_small_distance_defect(fast, strat, e, t)
+                want = attacks.view_small_distance_defect(replay, strat, e, t)
+                assert abs(got - want) < 1e-12
+    params = protocol.ProtocolParams(
+        n=16, m=1, r=1, N=2, delta=0.25, epsilon=0.1, seed=3,
+        mode=protocol.Mode.CLASSICAL_FAST,
     )
-    with pytest.raises(ModeError):
-        attacks.view_small_distance_defect(tr, attacks.honest(), range(8), 1)
-    big = protocol.run_string_qot(
-        protocol.ProtocolParams(
-            n=13, m=1, r=1, delta=0.25, N=3,
-            mode=protocol.Mode.EXACT_QUANTUM, seed=1,
-        ),
-        [1],
+    rep = attacks.information_account(
+        params, attacks.store_subset(positions=range(0, 16, 2)),
+        method=attacks.InfoMethod.MONTE_CARLO, budget=40,
+        rng=stream(4, "mc"), code=IDENTITY_CODE,
     )
-    with pytest.raises(ResourceError):
-        attacks.view_small_distance_defect(big, attacks.honest(), range(13), 1)
+    stats = rep.small_distance_defect_stats
+    assert stats is not None
+    assert 0.0 <= stats.mean <= stats.max <= 1.0
 
 
 def test_view_defect_strategy_must_match_transcript():
     tr = completed_run(attacks.honest())
     with pytest.raises(DomainError):
-        attacks.view_photon_state(tr, attacks.fixed_basis(0.1))
+        attacks.view_small_distance_defect(tr, attacks.fixed_basis(0.1), range(8), 0)
+
+
+def test_view_defect_rejects_a_negative_radius():
+    tr = completed_run(attacks.honest())
+    with pytest.raises(DomainError):
+        attacks.view_small_distance_defect(tr, attacks.honest(), range(8), -1)
+
+
+def test_view_defect_rejects_positions_out_of_range():
+    tr = completed_run(attacks.honest())
+    with pytest.raises(DomainError):
+        attacks.view_small_distance_defect(tr, attacks.honest(), [0, 8], 0)
+
+
+def kron_view_defect(tr, strategy, e, t):
+    """Reference defect: the view's 2^n photon vector, one np.kron factor
+    per photon, weighed outside the distance-t ball by the projector.
+
+    Measured photons sit in their post-measurement states; held photons
+    stay as Alice encoded them (the state as it stands when the
+    commitment is tested)."""
+    encoded = tr.w ^ tr.flips
+    held = set(tr.strategy.get("stored") or ())
+    rot = None if strategy.angle is None else quantum.angle_basis(strategy.angle)
+    state = np.array([1.0], dtype=complex)
+    for i in range(tr.params.n):
+        if i in held:
+            factor = quantum.photon(int(encoded[i]), int(tr.theta[i]))
+        elif rot is None:
+            factor = quantum.photon(int(tr.w_hat[i]), int(tr.theta_hat[i]))
+        else:
+            factor = rot[:, int(tr.w_hat[i])]
+        state = np.kron(state, factor)
+    p0 = quantum.ball_projector(e, tr.w_hat, t, tr.theta_hat, quantum.HIGH)
+    return quantum.small_distance_defect(state, p0)
+
+
+def test_view_defect_matches_the_kron_reference():
+    rng = np.random.default_rng(2024)
+    modes = (protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM)
+    checked = 0
+    for trial in range(40):
+        n = int(rng.integers(5, 11))
+        N = int(rng.integers(2, 4))
+        strategies = [
+            attacks.honest(),
+            attacks.store_subset(positions=rng.choice(n, size=3, replace=False)),
+            attacks.store_subset(count=int(rng.integers(1, n + 1))),
+            attacks.fixed_basis(float(rng.uniform(0.0, math.pi))),
+            attacks.random_ok(),
+        ]
+        strat = strategies[trial % len(strategies)]
+        params = protocol.ProtocolParams(
+            n=n, m=1, r=1, N=N, delta=0.3, noise_p=0.1 * (trial % 2),
+            mode=modes[trial // 5 % 2], seed=trial,
+        )
+        for seed in range(200):
+            tr = protocol.run_string_qot(replace(params, seed=seed), [1], bob=strat)
+            if tr.abort_reason is None:
+                break
+        else:
+            continue
+        for e in (tr.E_c, range(n)):
+            for t in range(N + 2):
+                got = attacks.view_small_distance_defect(tr, strat, e, t)
+                assert got == pytest.approx(kron_view_defect(tr, strat, e, t), abs=1e-12)
+        checked += 1
+    assert checked >= 35
+
+
+def brute_tail(probs, t):
+    """P(sum of independent Bernoullis > t) over all 2^len patterns."""
+    return sum(
+        math.prod(q if bit else 1.0 - q for bit, q in zip(pattern, probs))
+        for pattern in product((0, 1), repeat=len(probs))
+        if sum(pattern) > t
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=10))
+def test_tail_over_threshold_is_the_brute_enumeration(probs):
+    radii = range(-1, len(probs) + 2)
+    tails = [attacks._tail_over_threshold(probs, t) for t in radii]
+    for t, got in zip(radii, tails):
+        assert got == pytest.approx(brute_tail(probs, t), abs=1e-12)
+    assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
+    assert tails[0] == 1.0 and tails[-2:] == [0.0, 0.0]
 
 
 def store_defect_oracle(tr, t):
@@ -567,7 +672,9 @@ def test_default_code_draw_is_full_rank_and_seeded():
     ids=["store-all", "honest", "store-part", "fixed-noisy", "random-ok"],
 )
 def test_monte_carlo_agrees_with_exact_enumeration(strategy, noise_p):
-    params = exact_params(seed=51, noise_p=noise_p)
+    # epsilon = 0 puts the defect at radius 0, where it is nonzero for every
+    # strategy but honest; it enters neither pr_pass nor the information
+    params = exact_params(seed=51, noise_p=noise_p, epsilon=0.0)
     exact = attacks.information_account(params, strategy, code=IDENTITY_CODE)
     mc = attacks.information_account(
         params, strategy,
@@ -580,6 +687,10 @@ def test_monte_carlo_agrees_with_exact_enumeration(strategy, noise_p):
     assert abs(mc.pr_pass - exact.pr_pass) < 4 * sigma
     # the plug-in estimate is biased up, never far below the exact value
     assert mc.mutual_information > exact.mutual_information - 0.1
+    # a defect lies in [0, 1], so its sample mean has standard error <= 1/2 / sqrt(samples)
+    d_exact, d_mc = exact.small_distance_defect_stats, mc.small_distance_defect_stats
+    assert abs(d_mc.mean - d_exact.mean) < 4 * 0.5 / math.sqrt(mc.samples_or_statespace)
+    assert d_mc.max <= d_exact.max + 1e-12
 
 
 def test_monte_carlo_honest_excess_is_plugin_bias_sized():
