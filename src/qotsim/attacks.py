@@ -167,14 +167,16 @@ def apply_strategy(
     held, runtime = strategy.hold(n, rng)
     pending = tuple(int(i) for i in held)
 
-    outcomes: Dict[int, int] = {}
+    measured = gf2.complement_positions(held, n)
+    if strategy.angle is None:
+        angles = protocol.basis_angle(theta_hat[measured])
+    else:
+        angles = strategy.angle
+    outs = reception.measure_many(measured, angles, rng)
     w_hat = np.zeros(n, dtype=np.uint8)
-    for i in sorted(set(range(n)) - set(pending)):
-        committed = protocol.basis_angle(int(theta_hat[i]))
-        angle = committed if strategy.angle is None else strategy.angle
-        outcomes[i] = reception.measure(i, angle, rng)
-        w_hat[i] = outcomes[i]
+    w_hat[measured] = outs
     w_hat[held] = gf2.random_bits(rng, held.size)
+    outcomes = dict(zip(measured.tolist(), outs.tolist()))
 
     tid = oracle.commit(theta_hat)
     wid = oracle.commit(w_hat)
@@ -189,10 +191,9 @@ def finish_deferred(
 ) -> Dict[int, int]:
     """Measure the stored photons in the now-announced encoding bases."""
     theta = quantum.basis_string(theta, length=reception.n)
-    out: Dict[int, int] = {}
-    for i in record.pending:
-        out[i] = reception.measure_basis(i, int(theta[i]), rng)
-    return out
+    held = np.array(record.pending, dtype=np.int64)
+    outs = reception.measure_many(held, protocol.basis_angle(theta[held]), rng)
+    return dict(zip(record.pending, outs.tolist()))
 
 
 def eve_intercept(
@@ -202,21 +203,21 @@ def eve_intercept(
     collapsed state on. HONEST intercepts in fresh random bases per
     photon; FIXED_BASIS at its angle. Storage strategies have no channel
     counterpart."""
-    n = reception.n
+    every = np.arange(reception.n)
     if eve.kind is StrategyKind.HONEST:
-        bases = gf2.random_bits(rng, n)
-        outs = [reception.measure_basis(i, int(bases[i]), rng) for i in range(n)]
+        bases = gf2.random_bits(rng, reception.n)
+        outs = reception.measure_many(every, protocol.basis_angle(bases), rng)
         return {
             "kind": "HONEST",
             "bases": quantum.basis_text(bases),
-            "outcomes": "".join(str(o) for o in outs),
+            "outcomes": protocol._bits_str(outs),
         }
     if eve.kind is StrategyKind.FIXED_BASIS:
-        outs = [reception.measure(i, eve.angle, rng) for i in range(n)]
+        outs = reception.measure_many(every, eve.angle, rng)
         return {
             "kind": "FIXED_BASIS",
             "angle": eve.angle,
-            "outcomes": "".join(str(o) for o in outs),
+            "outcomes": protocol._bits_str(outs),
         }
     raise DomainError("channel strategies are HONEST or FIXED_BASIS")
 

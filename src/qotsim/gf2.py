@@ -120,10 +120,10 @@ def row_reduce(m: np.ndarray) -> RowReduction:
         swap = row + hits[0]
         if swap != row:
             a[[row, swap]] = a[[swap, row]]
-        others = np.nonzero(a[:, col])[0]
-        for i in others:
-            if i != row:
-                a[i] ^= a[row]
+        # xor the pivot row into every other row with a 1 in this column
+        others = a[:, col].copy()
+        others[row] = 0
+        a ^= others[:, None] & a[row]
         pivots.append(col)
         row += 1
     return RowReduction(matrix=a, rank=row, pivots=tuple(pivots))

@@ -142,7 +142,7 @@ class CommitmentOracle:
             raise ProtocolViolation(f"no commitment with id {cid}")
         stored = self._ledger[cid]
         pos = gf2.position_set(positions, stored.size)
-        self._opened[cid].update(int(i) for i in pos)
+        self._opened[cid].update(pos.tolist())
         return stored[pos].copy()
 
     def opened_positions(self, cid: int) -> List[int]:
@@ -151,9 +151,13 @@ class CommitmentOracle:
         return sorted(self._opened[cid])
 
 
-def basis_angle(basis: int) -> float:
-    """Measurement angle of a +/x basis label."""
-    return 0.0 if basis == quantum.PLUS else math.pi / 4
+_BASIS_ANGLES = np.array([0.0, math.pi / 4])  # indexed by quantum.PLUS, quantum.CROSS
+
+
+def basis_angle(basis):
+    """Measurement angle of a +/x basis label, elementwise over an array
+    of labels."""
+    return _BASIS_ANGLES[np.asarray(basis, dtype=np.intp)]
 
 
 @dataclass(frozen=True)
@@ -169,14 +173,26 @@ class Dispatch:
         return self.w ^ self.flips
 
 
+def _born_p1(held: float, bit: int, probe: float) -> float:
+    """Chance of outcome 1 when the photon left in basis state `bit` at
+    angle `held` is measured at angle `probe`."""
+    return abs(np.vdot(quantum.angle_basis(probe)[:, 1], quantum.angle_basis(held)[:, bit])) ** 2
+
+
 class Reception:
     """Bob's end of the channel.
 
     Exposes only projective measurement; the encoding data stays private
     to the instance. EXACT_QUANTUM holds the full statevector and
     collapses it photon by photon; CLASSICAL_FAST tracks one pure-qubit
-    descriptor (angle, bit) per photon and samples the same Born rule,
-    consuming one uniform draw per measurement in either mode.
+    descriptor (angle, bit) per photon and samples the same Born rule.
+
+    Measurement comes in blocks: measure_many takes k distinct positions,
+    each with its angle, and consumes one uniform per photon in block
+    order, in either mode. CLASSICAL_FAST draws the block's uniforms with
+    one rng.random(k) call, which yields the same doubles as k scalar
+    draws, so a block and a photon-by-photon loop leave the same outcomes
+    and the same generator state.
     """
 
     def __init__(self, mode: Mode, n: int, encoded: np.ndarray, theta: np.ndarray):
@@ -185,27 +201,49 @@ class Reception:
         if mode is Mode.EXACT_QUANTUM:
             self._state = quantum.bb84_state(encoded, theta)
         else:
-            self._angles = np.array([basis_angle(int(t)) for t in theta])
+            self._angles = basis_angle(theta)
             self._bits = encoded.astype(np.uint8).copy()
 
-    def measure(self, position: int, angle: float, rng: np.random.Generator) -> int:
-        if not 0 <= position < self.n:
+    def measure_many(self, positions, angles, rng: np.random.Generator) -> np.ndarray:
+        """Measure the photons at positions, in order, each at its angle
+        (one angle may serve the whole block); returns the outcome bits."""
+        pos = np.asarray(positions).ravel()
+        if pos.size and pos.dtype.kind not in "iu":
+            raise DomainError("measurement positions must be integers")
+        pos = pos.astype(np.int64)
+        angles = np.asarray(angles, dtype=float)
+        if angles.shape not in ((), pos.shape):
+            raise DimensionError("give one angle, or one per position")
+        angles = np.full(pos.shape, angles)
+        ordered = np.sort(pos)
+        if ordered.size and (ordered[0] < 0 or ordered[-1] >= self.n):
             raise DomainError("measurement position out of range")
+        if ordered.size > 1 and (ordered[1:] == ordered[:-1]).any():
+            raise DomainError("a block measures each position at most once")
         if self.mode is Mode.EXACT_QUANTUM:
-            outcome, self._state = quantum.measure_photon(
-                self._state, position, quantum.angle_basis(angle), rng
-            )
-            return int(outcome)
-        held = quantum.angle_basis(self._angles[position])[:, self._bits[position]]
-        probe = quantum.angle_basis(angle)[:, 1]
-        p1 = float(abs(np.vdot(probe, held)) ** 2)
-        outcome = 1 if rng.random() < p1 else 0
-        self._angles[position] = angle
-        self._bits[position] = outcome
-        return outcome
+            out = np.empty(pos.size, dtype=np.uint8)
+            for j, (i, angle) in enumerate(zip(pos.tolist(), angles.tolist())):
+                out[j], self._state = quantum.measure_photon(
+                    self._state, i, quantum.angle_basis(angle), rng
+                )
+            return out
+        # p1 depends only on the (held angle, held bit, probe angle) triple,
+        # and a block holds few distinct triples: compute each one's p1 once
+        p1_of: Dict[tuple, float] = {}
+        p1 = np.array([
+            p1_of[t] if t in p1_of else p1_of.setdefault(t, _born_p1(*t))
+            for t in zip(self._angles[pos].tolist(), self._bits[pos].tolist(), angles.tolist())
+        ])
+        out = (rng.random(pos.size) < p1).astype(np.uint8)
+        self._angles[pos] = angles
+        self._bits[pos] = out
+        return out
+
+    def measure(self, position: int, angle: float, rng: np.random.Generator) -> int:
+        return int(self.measure_many([position], angle, rng)[0])
 
     def measure_basis(self, position: int, basis: int, rng: np.random.Generator) -> int:
-        return self.measure(position, basis_angle(int(basis)), rng)
+        return self.measure(position, basis_angle(basis), rng)
 
 
 def alice_setup(
@@ -358,7 +396,7 @@ def bob_decode(
 # transcripts
 
 def _bits_str(v: np.ndarray) -> str:
-    return "".join(str(int(b)) for b in np.asarray(v).ravel())
+    return (np.asarray(v, dtype=np.uint8).ravel() + 48).tobytes().decode("ascii")
 
 
 def _positions(v: np.ndarray) -> List[int]:

@@ -42,8 +42,11 @@ def basis_string(spec, length=None) -> np.ndarray:
     return gf2.bits(spec, length=length)
 
 
+_BASIS_CHARS = np.frombuffer(b"+x", dtype=np.uint8)
+
+
 def basis_text(theta: np.ndarray) -> str:
-    return "".join("x" if b else "+" for b in theta)
+    return _BASIS_CHARS[np.asarray(theta, dtype=np.intp)].tobytes().decode("ascii")
 
 
 def conjugate_bases(theta: np.ndarray) -> np.ndarray:

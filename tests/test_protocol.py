@@ -1,6 +1,7 @@
 """Protocol runner: parameters, commitments, transmission, the test,
 set choice, decoding, transcripts, and the two execution modes."""
 
+import hashlib
 import json
 import math
 
@@ -126,23 +127,93 @@ def test_transmit_bitflip_flips_the_encoded_bit():
 
 
 class CountingRng:
-    def __init__(self):
-        self.calls = 0
+    """Counts the uniforms drawn, whether one at a time or as an array."""
 
-    def random(self, *a):
-        self.calls += 1
-        return 0.42
+    def __init__(self):
+        self.drawn = 0
+
+    def random(self, size=None):
+        self.drawn += 1 if size is None else int(np.prod(size))
+        return 0.42 if size is None else np.full(size, 0.42)
 
 
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
 def test_reception_consumes_one_uniform_per_measurement(mode):
     _, reception = protocol.transmit(
-        "10", "01", protocol.ChannelModel.noiseless(), mode, np.random.default_rng(0),
+        "10110", "01100", protocol.ChannelModel.noiseless(), mode, np.random.default_rng(0),
     )
     rng = CountingRng()
     reception.measure_basis(0, quantum.PLUS, rng)
     reception.measure_basis(1, quantum.CROSS, rng)
-    assert rng.calls == 2
+    assert rng.drawn == 2
+    reception.measure_many([4, 2, 3], [0.0, 0.3, math.pi / 4], rng)
+    assert rng.drawn == 5
+    reception.measure_many([0, 1, 2, 3, 4], 0.7, rng)
+    assert rng.drawn == 10
+
+
+def twin_receptions(mode, n, seed):
+    rng = np.random.default_rng(seed)
+    encoded, theta = gf2.random_bits(rng, n), gf2.random_bits(rng, n)
+    return [protocol.Reception(mode, n, encoded, theta) for _ in range(2)]
+
+
+@st.composite
+def measurement_blocks(draw):
+    """A photon count and a few blocks of distinct positions, each block
+    at one fixed angle or at per-photon +/x basis angles."""
+    n = draw(st.integers(1, 10))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        positions = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        if draw(st.booleans()):
+            angles = draw(st.floats(-4.0, 4.0))
+        else:
+            bases = draw(st.lists(st.integers(0, 1), min_size=len(positions),
+                                  max_size=len(positions)))
+            angles = protocol.basis_angle(np.array(bases, dtype=np.uint8))
+        blocks.append((positions, angles))
+    return n, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(measurement_blocks(), st.integers(0, 2**32),
+       st.sampled_from([protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM]))
+def test_block_measurement_matches_the_photon_by_photon_loop(case, seed, mode):
+    n, blocks = case
+    block, loop = twin_receptions(mode, n, seed)
+    rng_block, rng_loop = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for positions, angles in blocks:
+        outs = block.measure_many(positions, angles, rng_block)
+        angles = np.broadcast_to(angles, len(positions))
+        expected = [loop.measure(i, float(a), rng_loop) for i, a in zip(positions, angles)]
+        assert outs.dtype == np.uint8 and outs.tolist() == expected
+        assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+    # both receptions are left in the same post-measurement states
+    final = np.arange(n)
+    assert np.array_equal(block.measure_many(final, 0.2, rng_block),
+                          loop.measure_many(final, 0.2, rng_loop))
+
+
+@pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
+def test_block_rejects_repeated_and_out_of_range_positions(mode):
+    reception, _ = twin_receptions(mode, 5, 3)
+    rng = np.random.default_rng(0)
+    for bad in ([1, 3, 1], [-1], [5], [0, 5], [1.0], [True]):
+        with pytest.raises(DomainError):
+            reception.measure_many(bad, 0.0, rng)
+    with pytest.raises(DimensionError):
+        reception.measure_many([0, 1], [0.0, 0.1, 0.2], rng)
+
+
+@pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
+def test_empty_block_draws_nothing(mode):
+    reception, _ = twin_receptions(mode, 4, 5)
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    outs = reception.measure_many([], 0.3, rng)
+    assert outs.size == 0
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
@@ -544,3 +615,39 @@ def test_transcript_from_json_rejects_missing_and_unknown_keys():
         protocol.Transcript.from_json(json.dumps({k: v for k, v in d.items() if k != "eve"}))
     with pytest.raises(DomainError, match="unknown \\['extra'\\]"):
         protocol.Transcript.from_json(json.dumps({**d, "extra": 1}))
+
+
+# sha256 of to_json for six n = 1024 CLASSICAL_FAST runs, frozen so that a
+# change to any stream's draw order shows up as a changed transcript
+FROZEN_TRANSCRIPTS = {
+    "honest": "dd392a6a88dc41124b885d80e0b9d44ed1624235ce15df60033db40350a06295",
+    "fixed_basis": "46bccf6b832e8b8a3f9692874ba88c6283b832f336140d23510243b70cc749ce",
+    "store_count": "d85904d21f26a699d8952c1ab234fad74f1bd089d3e9940e7f3c0cedc584ca0c",
+    "random_ok": "57bb283567a9c28de782a53876672bbec11c2c4366acc378fa4c0f2af17e0190",
+    "qkd_honest_eve": "ed5a362ff546dc953b6ed93072cee563f436c4027c3daac144f7ae6fcfe2fa4e",
+    "qkd_fixed_eve": "e4b18502797b15933afaed5071eb02ef7d16026c1feb66cb270d8abb9870c2f4",
+}
+
+
+def test_protocol_scale_transcripts_keep_their_frozen_digests():
+    params = protocol.ProtocolParams(
+        n=1024, m=2, r=8, N=16, delta=0.05, noise_p=0.02,
+        mode=protocol.Mode.CLASSICAL_FAST, seed=20261018,
+    )
+    runs = {
+        "honest": protocol.run_string_qot(params, [1, 0]),
+        "fixed_basis": protocol.run_string_qot(params, [1, 0], bob=attacks.fixed_basis(0.3)),
+        "store_count": protocol.run_string_qot(
+            params, [1, 0], bob=attacks.store_subset(count=64)
+        ),
+        "random_ok": protocol.run_string_qot(params, [1, 0], bob=attacks.random_ok()),
+        "qkd_honest_eve": protocol.run_qkd(params, eve=attacks.honest()),
+        "qkd_fixed_eve": protocol.run_qkd(params, eve=attacks.fixed_basis(0.3)),
+    }
+    digests = {
+        name: hashlib.sha256(tr.to_json().encode()).hexdigest() for name, tr in runs.items()
+    }
+    assert digests == FROZEN_TRANSCRIPTS
+    # the six cover passing and failing tests, both picks and a decode
+    assert {tr.abort_reason for tr in runs.values()} == {None, protocol.TEST_FAILED}
+    assert {tr.c for tr in runs.values()} == {None, 0, 1}
