@@ -13,8 +13,9 @@ sampling it, by two reductions:
   collapses to a small "class" determining that posterior.
 * positions are exchangeable given their per-position roles, so the
   probability of (test outcome, set shortage, E_1 landing on a given
-  position set) factors into multinomial weights over role counts, with
-  the candidate E_1 sets enumerated outright (C(n, N) of them).
+  position set) depends on the set only through the held positions it
+  absorbs. One recursion over role counts gives that weight, and the
+  candidate E_1 sets are counted per slot pattern, never enumerated.
 
 Exactness requires the final announcement of w outside E_c to be on (the
 generous-view convention), which only helps the receiver; the engine
@@ -27,7 +28,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import cache, reduce
-from itertools import combinations, product
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -401,82 +402,53 @@ def _normalize_prior(prior, m: int) -> np.ndarray:
     return prior / prior.sum()
 
 
-def _binom_pmf(size: int, p: float) -> np.ndarray:
-    out = np.array([math.comb(size, j) * p**j * (1 - p) ** (size - j) for j in range(size + 1)])
-    return out
-
-
-def _pass_prob(x: int, y: int, p_f: float, p_rest: float, thr: int) -> float:
-    """P(Bin(x, p_f) + Bin(y, p_rest) <= thr)."""
-    if thr < 0:
-        return 0.0
-    a = _binom_pmf(x, p_f)
-    b = _binom_pmf(y, p_rest)
-    total = 0.0
-    for j in range(min(x, thr) + 1):
-        total += a[j] * float(np.sum(b[: max(0, thr - j + 1)]))
-    return total
-
-
-def _role_triples(size: int) -> List[Tuple[int, int, int, float]]:
-    """(tested, candidate-side, other-side, weight) over `size` iid
-    positions whose four roles are equally likely."""
-    out = []
-    base = 0.25**size
-    for x in range(size + 1):
-        for v in range(size - x + 1):
-            for z in range(size - x - v + 1):
-                w = size - x - v - z
-                coef = math.factorial(size) // (
-                    math.factorial(x) * math.factorial(v) * math.factorial(z) * math.factorial(w)
-                )
-                out.append((x, v, z, coef * base))
-    return out
-
-
-class _Geometry:
-    """Joint weights of (test outcome, shortage, E_1 landing on a given
-    candidate set), factored over position roles.
+def _geometry_weights(
+    n: int, N: int, held: int, thr: int, p_held: float, p_rest: float
+) -> np.ndarray:
+    """w[j] = P(E_1 = e, pass, both sets exist) for a candidate set e that
+    absorbs j of the `held` positions.
 
     Every position independently lands in one of four roles with equal
     probability: tested (R and matched), candidate (mismatched, untested),
     spare (matched, untested, hosting E_0), other. Conditioned on the role
     counts, E_1 is uniform among N-subsets of the candidate positions, so
-    P(E_1 = e, pass, no shortage) depends on e only through how many
-    stored positions it absorbs.
+    the weight depends on e only through j. Every position of e must be a
+    candidate (0.25^N). Over the positions outside e, a recursion carries
+    the joint law of three counts: test disagreements (chance p_held at a
+    tested held position, p_rest elsewhere; mass past thr fails the test
+    and is dropped), extra candidates v, and spares (capped at N, all E_0
+    needs). E_1 then lands on e with chance 1 / C(N + v, N).
     """
+    outside = n - N
+    land = np.array([1.0 / math.comb(N + v, N) for v in range(outside + 1)])
+    w = np.zeros(N + 1)
+    for j in range(N + 1):
+        if not 0 <= held - j <= outside:
+            continue
+        dist = np.zeros((thr + 1, outside + 1, N + 1))  # [disagreements, v, spares]
+        dist[0, 0, 0] = 1.0
+        for q in [p_held] * (held - j) + [p_rest] * (outside - held + j):
+            step = dist * (2.0 - q)  # other, or tested and agreeing
+            step[1:] += q * dist[:-1]  # tested and disagreeing
+            step[:, 1:] += dist[:, :-1]  # candidate
+            step[:, :, 1:] += dist[:, :, :-1]  # spare
+            step[:, :, N] += dist[:, :, N]  # spares past N stay at N
+            dist = 0.25 * step
+        w[j] = 0.25**N * (dist[:, :, N].sum(axis=0) @ land)
+    return w
 
-    def __init__(self, n: int, N: int, nf: int, thr: int, p_store: float, p_rest: float):
-        self.n, self.N, self.nf = n, N, nf
-        self.thr, self.p_store, self.p_rest = thr, p_store, p_rest
-        self._cache: Dict[int, float] = {}
 
-    def weight(self, j: int) -> float:
-        """P(E_1 = e, pass, both sets exist) for any e absorbing j stored
-        positions."""
-        if j in self._cache:
-            return self._cache[j]
-        n, N, nf = self.n, self.N, self.nf
-        alpha = nf - j           # stored positions outside e
-        beta = (n - nf) - (N - j)  # unstored positions outside e
-        total = 0.0
-        if alpha >= 0 and beta >= 0:
-            trip_f = _role_triples(alpha)
-            trip_b = _role_triples(beta)
-            pass_cache: Dict[Tuple[int, int], float] = {}
-            for x1, v1, z1, w1 in trip_f:
-                for x2, v2, z2, w2 in trip_b:
-                    if z1 + z2 < N:
-                        continue  # no room for E_0
-                    key = (x1, x2)
-                    pw = pass_cache.get(key)
-                    if pw is None:
-                        pw = _pass_prob(x1, x2, self.p_store, self.p_rest, self.thr)
-                        pass_cache[key] = pw
-                    total += w1 * w2 * pw / math.comb(N + v1 + v2, N)
-            total *= 0.25**N  # each position of e must land in the candidate role
-        self._cache[j] = total
-        return total
+def _pattern_counts(held: np.ndarray, N: int) -> Dict[tuple, int]:
+    """How many N-subsets of the positions have each slot pattern: the
+    sequence of "held" and "blind" kinds of their sorted positions."""
+    counts: Dict[tuple, int] = {(): 1}
+    for is_held in held:
+        kind = "held" if is_held else "blind"
+        for prefix, count in list(counts.items()):
+            if len(prefix) < N:
+                key = prefix + (kind,)
+                counts[key] = counts.get(key, 0) + count
+    return {pattern: count for pattern, count in counts.items() if len(pattern) == N}
 
 
 def _syndrome_tables(code: gf2.LinearCode) -> Tuple[np.ndarray, np.ndarray]:
@@ -503,34 +475,20 @@ def _class_entropy(
     also the chance of seeing o. Averages over the uniform true substring,
     the observations, and the announced mask a = b xor h u_true.
     """
-    size = 1 << code.N
     m2 = prior.size
-    total = 0.0
-    for u_true in range(size):
-        s = syn[u_true]
-        t_true = hmap[u_true]
-        coset = np.nonzero(syn == s)[0]
-        for o in range(likelihood.shape[0]):
-            po = likelihood[o, u_true]
-            if po == 0.0:
-                continue
-            weights = likelihood[o, coset]
-            z = weights.sum()
-            if z <= 0.0:
-                continue
-            pi = np.zeros(m2)
-            np.add.at(pi, hmap[coset], weights / z)
-            h_here = 0.0
-            for b in range(m2):
-                if prior[b] == 0.0:
-                    continue
-                a = t_true ^ b
-                post = prior * pi[np.arange(m2) ^ a]
-                zz = post.sum()
-                if zz > 0:
-                    h_here += prior[b] * _entropy_bits(post / zz)
-            total += po * h_here
-    return float(total / size)
+    # joint[o, s, t]: chance of o summed over the words with syndrome s and
+    # mask t, which is all the view class keeps of the true word
+    joint = np.zeros((likelihood.shape[0], 1 << code.r, m2))
+    np.add.at(joint, (slice(None), syn, hmap), likelihood)
+    xor = np.arange(m2)[:, None] ^ np.arange(m2)
+    # posterior of b given (o, s, a): prior[b] * joint[o, s, a ^ b], normalised
+    post = prior * joint[:, :, xor]
+    z = post.sum(axis=-1, keepdims=True)
+    post = np.divide(post, z, out=np.zeros_like(post), where=z > 0)
+    logs = np.log2(post, out=np.zeros_like(post), where=post > 0)
+    ent = -np.sum(post * logs, axis=-1)
+    # the announced mask is a = t ^ b for the true t and string b
+    return float(np.sum(joint * (ent[:, :, xor] @ prior)) / (1 << code.N))
 
 
 def _measurement_table(angle: float, basis: int, p: float) -> np.ndarray:
@@ -587,8 +545,7 @@ def _exact_engine(
     size = 1 << N
     h_prior = _entropy_bits(prior)
 
-    candidates = list(combinations(range(n), N))
-    statespace = len(candidates) + (1 << m) * size * size
+    statespace = math.comb(n, N) + (1 << m) * size * size
     if budget is not None and statespace > budget:
         err = ResourceError(
             f"exact enumeration needs about {statespace} states, budget is {budget}"
@@ -624,33 +581,26 @@ def _exact_engine(
 
     def plan_classes(held: np.ndarray):
         """(weight, slot pattern) of every view class of one plan."""
-        if held.any():
-            # one class per candidate set, keyed by the slots it pins
-            geo = _Geometry(n, N, int(held.sum()), thr, 0.5, p)
-            for e in candidates:
-                pattern = tuple("held" if held[pos] else "blind" for pos in e)
-                pinned = pattern.count("held")
-                if not (require_disjoint_store and pinned):
-                    yield geo.weight(pinned), pattern
-        elif strategy.angle is None:
-            # on E_1 the committed bases mismatch, so the outcomes measured
-            # there carry nothing about w: one aggregated blind class
-            geo = _Geometry(n, N, 0, thr, 0.5, p)
-            yield sum(geo.weight(0) for _ in candidates), ("blind",) * N
+        if strategy.angle is None:
+            # one class per slot pattern, weighted by its candidate sets; on
+            # E_1 the committed bases mismatch, so a slot not held is blind
+            weights = _geometry_weights(n, N, int(held.sum()), thr, 0.5, p)
+            for pattern, count in _pattern_counts(held, N).items():
+                yield count * weights[pattern.count("held")], pattern
         else:
             # one class per basis pattern on E_c
             err = 0.5 * (slots[quantum.PLUS][0][1, 0] + slots[quantum.CROSS][0][1, 0])
-            geo = _Geometry(n, N, 0, thr, err, err)
-            base = sum(geo.weight(0) for _ in candidates)
+            base = math.comb(n, N) * _geometry_weights(n, N, 0, thr, err, err)[0]
             for types in product((quantum.PLUS, quantum.CROSS), repeat=N):
                 yield base * 0.5**N, types
 
-    branches = strategy.branches(n)
-    w_tot, h_acc, d_acc, d_max = 0.0, 0.0, 0.0, 0.0
-    for branch_weight, held in branches:
+    # Pr(pass) itself never depends on the disjointness conditioning.
+    pr_pass, w_tot, h_acc, d_acc, d_max = 0.0, 0.0, 0.0, 0.0, 0.0
+    for branch_weight, held in strategy.branches(n):
         for w, pattern in plan_classes(held):
             weight = branch_weight * w
-            if weight <= 0.0:
+            pr_pass += weight
+            if weight <= 0.0 or (require_disjoint_store and "held" in pattern):
                 continue
             h, defect = pattern_stats(pattern)
             w_tot += weight
@@ -662,16 +612,6 @@ def _exact_engine(
         raise DomainError("conditioning event has probability zero")
     info = float(max(0.0, h_prior - h_acc / w_tot))
     defect_stats = DefectStats(max=float(d_max), mean=float(d_acc / w_tot))
-
-    # Pr(pass) itself never depends on the disjointness conditioning.
-    if require_disjoint_store:
-        ((_, mask),) = branches
-        geo = _Geometry(n, N, int(mask.sum()), thr, 0.5, p)
-        pr_pass = sum(
-            geo.weight(sum(1 for pos in e if mask[pos])) for e in candidates
-        )
-    else:
-        pr_pass = w_tot
 
     return InfoReport(
         pr_pass=float(pr_pass),
@@ -685,10 +625,13 @@ def _exact_engine(
 
 def _view_summary(tr: protocol.Transcript, strategy: AttackStrategy) -> tuple:
     """Hashable digest of everything in the view that can correlate with
-    the masked string, for the plug-in estimator."""
+    the masked string, for the plug-in estimator. It is keyed by slot of
+    E_c, never by position: a view class depends on which slots are held,
+    not on where E_c fell, and every extra key inflates the estimator's
+    upward bias."""
     ec = [int(i) for i in tr.E_c]
-    base = (tuple(ec), tuple(int(b) for b in tr.s), tuple(int(b) for b in tr.a))
-    known = tuple((i, tr.deferred[i]) for i in ec if i in tr.deferred)
+    base = (tuple(int(b) for b in tr.s), tuple(int(b) for b in tr.a))
+    known = tuple((k, tr.deferred[i]) for k, i in enumerate(ec) if i in tr.deferred)
     if strategy.angle is None:
         return base + (known,)
     return base + (

@@ -515,7 +515,6 @@ def _run(
     params: ProtocolParams,
     b: Optional[np.ndarray],
     bob,
-    channel: Optional[ChannelModel],
     eve,
     force_c: Optional[int],
     announce_rest: bool,
@@ -526,8 +525,7 @@ def _run(
 
     if bob is None:
         bob = attacks.honest()
-    if channel is None:
-        channel = params.channel()
+    channel = params.channel()
     if force_c is not None and force_c not in (0, 1):
         raise DomainError("force_c must be 0 or 1")
     seed = params.seed
@@ -618,20 +616,17 @@ def run_string_qot(
     params: ProtocolParams,
     b,
     bob=None,
-    channel: Optional[ChannelModel] = None,
     force_c: Optional[int] = None,
     announce_rest: bool = False,
     code=None,
 ) -> Transcript:
     """One full transfer of the m-bit string b. Aborts land in the
     transcript, never as exceptions. A pinned code replaces the drawn f."""
-    return _run(params, b, bob, channel, None, force_c, announce_rest, qkd=False,
-                code=code)
+    return _run(params, b, bob, None, force_c, announce_rest, qkd=False, code=code)
 
 
 def run_qkd(
     params: ProtocolParams,
-    channel: Optional[ChannelModel] = None,
     eve=None,
     announce_rest: bool = False,
 ) -> Transcript:
@@ -644,4 +639,4 @@ def run_qkd(
     two variants are comparable run-for-run under one seed; E1 is simply
     never announced.
     """
-    return _run(params, None, None, channel, eve, 0, announce_rest, qkd=True)
+    return _run(params, None, None, eve, 0, announce_rest, qkd=True)

@@ -9,7 +9,9 @@ regression anchors, not definitions.
 import json
 import math
 from dataclasses import replace
-from itertools import product
+from functools import cache
+from collections import Counter
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -658,6 +660,142 @@ def test_default_code_draw_is_full_rank_and_seeded():
 
 
 # ---------------------------------------------------------------------------
+# exact engine building blocks against brute references
+
+def ref_binom_pmf(size, p):
+    return np.array([math.comb(size, j) * p**j * (1 - p) ** (size - j) for j in range(size + 1)])
+
+
+@cache
+def ref_pass_prob(x, y, p_f, p_rest, thr):
+    """P(Bin(x, p_f) + Bin(y, p_rest) <= thr)."""
+    if thr < 0:
+        return 0.0
+    a = ref_binom_pmf(x, p_f)
+    b = ref_binom_pmf(y, p_rest)
+    return sum(a[j] * float(np.sum(b[: max(0, thr - j + 1)])) for j in range(min(x, thr) + 1))
+
+
+@cache
+def ref_role_triples(size):
+    """(tested, candidate, spare, weight) over `size` iid positions whose
+    four roles are equally likely."""
+    out = []
+    for x in range(size + 1):
+        for v in range(size - x + 1):
+            for z in range(size - x - v + 1):
+                w = size - x - v - z
+                coef = math.factorial(size) // (
+                    math.factorial(x) * math.factorial(v) * math.factorial(z) * math.factorial(w)
+                )
+                out.append((x, v, z, coef * 0.25**size))
+    return out
+
+
+def ref_geometry_weight(n, N, nf, thr, p_store, p_rest, j):
+    """P(E_1 = e, pass, both sets exist) for a set e absorbing j of the nf
+    held positions, summed over the multinomial role counts of the held
+    and unheld positions outside e."""
+    alpha = nf - j
+    beta = (n - nf) - (N - j)
+    if alpha < 0 or beta < 0:
+        return 0.0
+    total = 0.0
+    for x1, v1, z1, w1 in ref_role_triples(alpha):
+        for x2, v2, z2, w2 in ref_role_triples(beta):
+            if z1 + z2 >= N:
+                pw = ref_pass_prob(x1, x2, p_store, p_rest, thr)
+                total += w1 * w2 * pw / math.comb(N + v1 + v2, N)
+    return total * 0.25**N
+
+
+def test_geometry_weights_match_the_role_triple_sum():
+    checked = 0
+    for n in range(2, 11):
+        for N, delta, p in product(range(1, 4), (0.0, 0.1, 0.25, 0.5), (0.0, 0.1)):
+            thr = math.floor(delta * n)
+            for held, p_held in product(range(n + 1), {0.5, p}):
+                got = attacks._geometry_weights(n, N, held, thr, p_held, p)
+                want = [ref_geometry_weight(n, N, held, thr, p_held, p, j) for j in range(N + 1)]
+                assert got.shape == (N + 1,)
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(max(want), 1e-300))
+                checked += 1
+    assert checked > 1500
+
+
+def ref_class_entropy(code, prior, likelihood, syn, hmap):
+    """E[H(B | view)] within one view class, by loops over true words,
+    observations and strings."""
+    size = 1 << code.N
+    m2 = prior.size
+    total = 0.0
+    for u_true in range(size):
+        s = syn[u_true]
+        t_true = hmap[u_true]
+        coset = np.nonzero(syn == s)[0]
+        for o in range(likelihood.shape[0]):
+            po = likelihood[o, u_true]
+            if po == 0.0:
+                continue
+            weights = likelihood[o, coset]
+            z = weights.sum()
+            if z <= 0.0:
+                continue
+            pi = np.zeros(m2)
+            np.add.at(pi, hmap[coset], weights / z)
+            h_here = 0.0
+            for b in range(m2):
+                if prior[b] == 0.0:
+                    continue
+                a = t_true ^ b
+                post = prior * pi[np.arange(m2) ^ a]
+                zz = post.sum()
+                if zz > 0:
+                    h_here += prior[b] * attacks._entropy_bits(post / zz)
+            total += po * h_here
+    return float(total / size)
+
+
+@st.composite
+def entropy_classes(draw):
+    """A code (rank-deficient f allowed), a likelihood table with some rows
+    and columns zeroed, and a prior with zero entries allowed."""
+    N = draw(st.integers(1, 3))
+    m = draw(st.integers(1, min(2, N)))
+    r = draw(st.integers(0, N - m))
+    bits = draw(st.lists(st.integers(0, 1), min_size=(r + m) * N, max_size=(r + m) * N))
+    code = gf2.LinearCode(f=np.array(bits, dtype=np.uint8).reshape(r + m, N), r=r, m=m)
+    rows = draw(st.integers(1, 4))
+    cells = st.lists(st.floats(0.0, 1.0), min_size=rows << N, max_size=rows << N)
+    like = np.array(draw(cells)).reshape(rows, 1 << N)
+    like[np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))] = 0.0
+    like[:, np.array(draw(st.lists(st.booleans(), min_size=1 << N, max_size=1 << N)))] = 0.0
+    prior = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=1 << m, max_size=1 << m
+    ).filter(any)))
+    return code, prior / prior.sum(), like
+
+
+@settings(max_examples=300, deadline=None)
+@given(entropy_classes())
+def test_class_entropy_matches_the_loop_over_words(case):
+    code, prior, like = case
+    syn, hmap = attacks._syndrome_tables(code)
+    got = attacks._class_entropy(code, prior, like, syn, hmap)
+    assert got == pytest.approx(ref_class_entropy(code, prior, like, syn, hmap), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), max_size=10), st.integers(1, 4))
+def test_pattern_counts_match_the_candidate_sets(held, N):
+    want = Counter(
+        tuple("held" if held[pos] else "blind" for pos in e)
+        for e in combinations(range(len(held)), N)
+    )
+    assert attacks._pattern_counts(np.array(held, dtype=bool), N) == dict(want)
+
+
+# ---------------------------------------------------------------------------
 # information accounting, Monte Carlo
 
 @pytest.mark.parametrize(
@@ -685,8 +823,10 @@ def test_monte_carlo_agrees_with_exact_enumeration(strategy, noise_p):
     assert mc.samples_or_statespace > 0
     sigma = math.sqrt(exact.pr_pass * (1 - exact.pr_pass) / 3000)
     assert abs(mc.pr_pass - exact.pr_pass) < 4 * sigma
-    # the plug-in estimate is biased up, never far below the exact value
+    # the plug-in estimate is biased up, never far below the exact value;
+    # keyed by slot of E_c, its alphabet is small enough to stay close above
     assert mc.mutual_information > exact.mutual_information - 0.1
+    assert mc.mutual_information < exact.mutual_information + 0.1
     # a defect lies in [0, 1], so its sample mean has standard error <= 1/2 / sqrt(samples)
     d_exact, d_mc = exact.small_distance_defect_stats, mc.small_distance_defect_stats
     assert abs(d_mc.mean - d_exact.mean) < 4 * 0.5 / math.sqrt(mc.samples_or_statespace)
