@@ -53,8 +53,14 @@ def bitmatrix(values, rows: Optional[int] = None, cols: Optional[int] = None) ->
 
 
 def position_set(members, universe: int) -> np.ndarray:
-    """Sorted duplicate-free index array over {0, ..., universe-1}."""
-    e = np.unique(np.asarray(members, dtype=np.int64).ravel())
+    """Sorted duplicate-free index array over {0, ..., universe-1}.
+
+    Input that is already strictly increasing comes back as is, so the
+    result may share memory with members: callers only read it.
+    """
+    e = np.asarray(members, dtype=np.int64).ravel()
+    if e.size > 1 and not (e[1:] > e[:-1]).all():
+        e = np.unique(e)
     if e.size and (e[0] < 0 or e[-1] >= universe):
         raise DomainError(f"positions must lie in [0, {universe})")
     return e

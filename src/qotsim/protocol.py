@@ -221,10 +221,13 @@ class Reception:
         if ordered.size > 1 and (ordered[1:] == ordered[:-1]).any():
             raise DomainError("a block measures each position at most once")
         if self.mode is Mode.EXACT_QUANTUM:
+            # a block holds few distinct angles: build each one's basis once
+            probes = angles.tolist()
+            rotation = {angle: quantum.angle_basis(angle) for angle in set(probes)}
             out = np.empty(pos.size, dtype=np.uint8)
-            for j, (i, angle) in enumerate(zip(pos.tolist(), angles.tolist())):
+            for j, (i, angle) in enumerate(zip(pos.tolist(), probes)):
                 out[j], self._state = quantum.measure_photon(
-                    self._state, i, quantum.angle_basis(angle), rng
+                    self._state, i, rotation[angle], rng
                 )
             return out
         # p1 depends only on the (held angle, held bit, probe angle) triple,

@@ -160,22 +160,32 @@ from_frame = to_frame
 def measure_photon(state: np.ndarray, i: int, rotation: np.ndarray, rng) -> tuple:
     """Projectively measure photon i in the basis given by rotation columns.
 
-    Returns (outcome bit, collapsed full state). One uniform draw per call.
+    On the (2^i, 2, 2^(n-i-1)) view psi of the state, outcome o has the
+    component c_o = conj(rot[0, o]) psi[:, 0] + conj(rot[1, o]) psi[:, 1],
+    p1 = |c_1|^2 / (|c_0|^2 + |c_1|^2), and the collapsed state is
+    rot[:, o] (x) c_o / |c_o|. Returns (outcome bit, collapsed full state).
+    One uniform draw per call.
     """
+    state = np.asarray(state, dtype=complex).ravel()
+    size = state.size
+    if size == 0 or size & (size - 1):
+        raise DimensionError("statevector length must be a power of 2")
     rot = np.asarray(rotation, dtype=complex)
-    work = apply_single(state, i, rot.conj().T)
-    n = work.size.bit_length() - 1
-    psi = work.reshape([2] * n)
-    slices = [slice(None)] * n
-    slices[i] = 1
-    total = float(np.vdot(work, work).real)
-    p1 = float(np.sum(np.abs(psi[tuple(slices)]) ** 2)) / total
-    outcome = 1 if rng.random() < p1 else 0
-    slices[i] = 1 - outcome
-    psi[tuple(slices)] = 0.0
-    work = psi.reshape(-1)
-    work = work / math.sqrt(float(np.vdot(work, work).real))
-    return outcome, apply_single(work, i, rot)
+    if rot.shape != (2, 2):
+        raise DimensionError("a photon rotation is a 2x2 matrix")
+    n = size.bit_length() - 1
+    if not 0 <= i < n:
+        raise DomainError(f"photon index {i} outside [0, {n})")
+    psi = state.reshape(1 << i, 2, -1)
+    adj = rot.conj()
+    parts = [adj[0, o] * psi[:, 0] + adj[1, o] * psi[:, 1] for o in (0, 1)]
+    norms = [float(np.vdot(c, c).real) for c in parts]
+    total = norms[0] + norms[1]
+    if not total > 0.0:
+        raise DomainError("cannot measure a state whose norm is zero or NaN")
+    outcome = 1 if rng.random() < norms[1] / total else 0
+    kept = parts[outcome] / math.sqrt(norms[outcome])
+    return outcome, (rot[:, outcome, None] * kept[:, None, :]).reshape(-1)
 
 
 def measure_subset(state: np.ndarray, positions, bases, rng) -> tuple:

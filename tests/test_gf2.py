@@ -49,6 +49,25 @@ def test_position_set_sorts_and_dedupes():
         gf2.position_set([-1], 5)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-4, 40), max_size=30),
+        st.lists(st.integers(-4, 40), max_size=30).map(sorted),
+        st.sets(st.integers(-4, 40), max_size=30).map(sorted),
+    )
+)
+def test_position_set_is_unique_of_its_input(members):
+    expect = np.unique(np.asarray(members, dtype=np.int64))
+    if expect.size and (expect[0] < 0 or expect[-1] >= 36):
+        with pytest.raises(DomainError):
+            gf2.position_set(members, 36)
+        return
+    got = gf2.position_set(np.array(members, dtype=np.int64), 36)
+    assert got.dtype == expect.dtype
+    assert np.array_equal(got, expect)
+
+
 def test_complement_positions():
     assert np.array_equal(gf2.complement_positions([0, 2], 4), [1, 3])
     assert np.array_equal(gf2.complement_positions([], 3), [0, 1, 2])

@@ -216,6 +216,16 @@ def test_empty_block_draws_nothing(mode):
     assert rng.bit_generator.state == before
 
 
+def test_exact_block_builds_one_basis_per_distinct_angle(monkeypatch):
+    reception, _ = twin_receptions(protocol.Mode.EXACT_QUANTUM, 6, 7)
+    built = []
+    angle_basis = quantum.angle_basis
+    monkeypatch.setattr(quantum, "angle_basis", lambda a: built.append(a) or angle_basis(a))
+    angles = protocol.basis_angle([0, 1, 1, 0, 1, 0])
+    reception.measure_many(range(6), angles, np.random.default_rng(4))
+    assert sorted(built) == [0.0, math.pi / 4]
+
+
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
 def test_reception_matched_basis_is_faithful_and_repeatable(mode):
     w, theta = gf2.bits("1001"), gf2.bits("0110")
@@ -649,5 +659,64 @@ def test_protocol_scale_transcripts_keep_their_frozen_digests():
     }
     assert digests == FROZEN_TRANSCRIPTS
     # the six cover passing and failing tests, both picks and a decode
+    assert {tr.abort_reason for tr in runs.values()} == {None, protocol.TEST_FAILED}
+    assert {tr.c for tr in runs.values()} == {None, 0, 1}
+
+
+# sha256 of to_json for EXACT_QUANTUM runs of every strategy kind and both
+# Eve kinds at n = 6, 10 and 14, frozen so that a change to the statevector
+# arithmetic that flips a single Born-rule outcome shows up
+FROZEN_EXACT_TRANSCRIPTS = {
+    "honest n=6": "54f843938b0c3af95fa6031cedb51756f40206187908c3ba4ac0064fe38699e0",
+    "fixed_basis n=6": "b90479b93b85efb393889ff29e85e7915871b7239a7abdb223d2d8dcacebedee",
+    "store_positions n=6": "3a534137e167b90e0d331ec4ef7a4c983d5e578bbc6f2852c4d544598312a0f2",
+    "store_count n=6": "08fe1d9d62f05c940fe2cdcdab20affd301bc421aff018082628e49f5d9c72e6",
+    "random_ok n=6": "e8626d0332270d0e50306972be8fd54c1ff861217fdc6db887efbab9f6e2b152",
+    "qkd_honest_eve n=6": "796304ff8a8de4dd91e2a24cbda0fe0234cbac81d545cfacf1ee2873e9e8c079",
+    "qkd_fixed_eve n=6": "172313cc43e0925af0882b7a2ec577de339e9568c12311e8bb785566fb42617e",
+    "honest n=10": "a8bd7b45070850e3ebd646e631270aaed828777b85084a70d2e4662f2d118552",
+    "fixed_basis n=10": "6d4ce28ab8d3b7a343382e8cfbdd83d554f5d9f79bbfc1ffcd1927da832cad00",
+    "store_positions n=10": "e673bc3ab60ac480c65f6654203e048a90698682cf04281962babafd39debae4",
+    "store_count n=10": "c619ac57d3b9a7020fab8a9b5edd8e116d6f5949d0ce912f5ae0521be63fd8e8",
+    "random_ok n=10": "407307537e92e971f913d95639b54c9da89925ce1d8e17aecff8d76ae672946b",
+    "qkd_honest_eve n=10": "f0c5d2d975d6c24291e9bb5fcd27894fbbf2dfb227b3889d4fa4a6a777fc6fed",
+    "qkd_fixed_eve n=10": "f36634261b44f200bac7159f59134df7f83de58ba90df6570042e13f6d7ea14c",
+    "honest n=14": "3e0e8a3d4306dfc03ef07e76d764321eaa001493e55b5fbe14871c91a2caa2e9",
+    "fixed_basis n=14": "736c2f42544f375af3ea0507f4d807edd7e041ed13304f8e035250404303053a",
+    "store_positions n=14": "a7a41d213600594d5724e308bf13d7ce93747dc3677e6d612d926a9c9bc77bfe",
+    "store_count n=14": "00679ecba3ed82f1366ba4824ccfd84ca41ae52d500684eaea02f2f87b581eea",
+    "random_ok n=14": "ec2c41b89b5de7fbe37f4a5859a10944f54cc20ce0fd4ef7fecd31cc1b057333",
+    "qkd_honest_eve n=14": "17619d5a8772350eb5dae5cb48f246aacca702e63b2784b1e999d0c2ae3217ab",
+    "qkd_fixed_eve n=14": "581af8b08d45e5b44c86a70ceedcd0074e91b10e29fc867c1816f8f83da82822",
+}
+
+
+def test_exact_quantum_transcripts_keep_their_frozen_digests():
+    runs = {}
+    for n, seed, delta in ((6, 6, 0.25), (10, 11, 0.25), (14, 10, 0.125)):
+        params = protocol.ProtocolParams(
+            n=n, m=1, r=1, N=2, delta=delta, noise_p=0.05,
+            mode=protocol.Mode.EXACT_QUANTUM, seed=seed,
+        )
+        runs.update({
+            f"honest n={n}": protocol.run_string_qot(params, [1]),
+            f"fixed_basis n={n}": protocol.run_string_qot(
+                params, [1], bob=attacks.fixed_basis(0.3)
+            ),
+            f"store_positions n={n}": protocol.run_string_qot(
+                params, [0], bob=attacks.store_subset(positions=range(0, n, 2))
+            ),
+            f"store_count n={n}": protocol.run_string_qot(
+                params, [1], bob=attacks.store_subset(count=n // 3)
+            ),
+            f"random_ok n={n}": protocol.run_string_qot(params, [0], bob=attacks.random_ok()),
+            f"qkd_honest_eve n={n}": protocol.run_qkd(params, eve=attacks.honest()),
+            f"qkd_fixed_eve n={n}": protocol.run_qkd(params, eve=attacks.fixed_basis(0.3)),
+        })
+    digests = {
+        name: hashlib.sha256(tr.to_json().encode()).hexdigest() for name, tr in runs.items()
+    }
+    assert digests == FROZEN_EXACT_TRANSCRIPTS
+    # the runs cover passing and failing tests, both picks and a decode
     assert {tr.abort_reason for tr in runs.values()} == {None, protocol.TEST_FAILED}
     assert {tr.c for tr in runs.values()} == {None, 0, 1}

@@ -219,6 +219,62 @@ def test_measurement_collapse_is_repeatable():
     assert again == outcome
 
 
+def test_measure_photon_rejects_a_negative_index():
+    state = quantum.bb84_state([0, 1], [quantum.PLUS, quantum.PLUS])
+    with pytest.raises(DomainError):
+        quantum.measure_photon(state, -1, np.eye(2), FixedUniform())
+
+
+def test_measure_photon_rejects_an_index_past_the_last_photon():
+    state = quantum.bb84_state([0, 1], [quantum.PLUS, quantum.PLUS])
+    with pytest.raises(DomainError):
+        quantum.measure_photon(state, 2, np.eye(2), FixedUniform())
+
+
+def test_measure_photon_rejects_a_zero_state():
+    rng = FixedUniform()
+    with pytest.raises(DomainError):
+        quantum.measure_photon(np.zeros(4, dtype=complex), 0, np.eye(2), rng)
+    assert rng.calls == 0
+
+
+def test_measure_photon_rejects_a_rotation_that_is_not_2x2():
+    state = quantum.bb84_state([0, 1], [quantum.PLUS, quantum.PLUS])
+    with pytest.raises(DimensionError):
+        quantum.measure_photon(state, 0, np.eye(3), FixedUniform())
+
+
+def test_measure_photon_rejects_a_length_that_is_not_a_power_of_two():
+    state = np.ones(6, dtype=complex) / math.sqrt(6)
+    with pytest.raises(DimensionError):
+        quantum.measure_photon(state, 0, np.eye(2), FixedUniform())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_measure_photon_matches_the_dense_projector(n, seed, data):
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state /= np.linalg.norm(state)
+    i = data.draw(st.integers(0, n - 1))
+    rot = quantum.angle_basis(data.draw(st.floats(-math.pi, math.pi)))
+    # P_o = I (x) |r_o><r_o| (x) I, with r_o the rotation's column o
+    kept = [
+        np.kron(np.kron(np.eye(1 << i), np.outer(rot[:, o], rot[:, o].conj())),
+                np.eye(1 << (n - i - 1))) @ state
+        for o in (0, 1)
+    ]
+    p1 = float(np.vdot(kept[1], kept[1]).real)
+    # a uniform 1e-12 below p1 must give 1 and one 1e-12 above must give 0
+    for outcome, uniform in ((1, p1 - 1e-12), (0, p1 + 1e-12)):
+        weight = float(np.vdot(kept[outcome], kept[outcome]).real)
+        if weight < 1e-6:
+            continue  # too rare to force, and its collapse is ill-conditioned
+        got, collapsed = quantum.measure_photon(state, i, rot, FixedUniform(uniform))
+        assert got == outcome
+        assert np.max(np.abs(collapsed - kept[outcome] / math.sqrt(weight))) < 1e-12
+
+
 def test_measure_in_bases_recovers_the_encoding():
     rng = np.random.default_rng(11)
     w = gf2.bits("10110")
