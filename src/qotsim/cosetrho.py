@@ -42,24 +42,27 @@ class CosetEnsemble:
     x: np.ndarray
     theta: np.ndarray
     beta0: np.ndarray
-    kernel: np.ndarray  # rows span ker f
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """Rows spanning ker f, shared by every coset of the code."""
+        return self.code.kernel
 
     @property
     def members(self) -> np.ndarray:
         """All coset elements, one per row: beta0 xor each kernel span word."""
-        words = np.concatenate(list(gf2.span_words(self.kernel))) ^ np.packbits(self.beta0)
-        return np.unpackbits(words, axis=1, count=self.code.N)
+        return self.code.kernel_span ^ self.beta0
 
 
 def coset_ensemble(code: gf2.LinearCode, x, theta) -> CosetEnsemble:
     x = gf2.bits(x, length=code.r + code.m)
     theta = quantum.basis_string(theta, length=code.N)
-    beta0, kernel = gf2.solve_affine(code.f, x)
+    beta0 = code.particular(x)
     if beta0 is None:
         raise DomainError("syndrome x is not in the image of f; empty coset")
-    if kernel.shape[0] > COSET_MAX_DIM:
+    if code.kernel.shape[0] > COSET_MAX_DIM:
         raise ResourceError(f"coset dimension caps at {COSET_MAX_DIM}")
-    return CosetEnsemble(code=code, x=x, theta=theta, beta0=beta0, kernel=kernel)
+    return CosetEnsemble(code=code, x=x, theta=theta, beta0=beta0)
 
 
 def _check_density_cap(n: int) -> None:
@@ -70,9 +73,9 @@ def _check_density_cap(n: int) -> None:
 def rho_brute(ens: CosetEnsemble) -> np.ndarray:
     """Direct mixture over the coset; entries over the + computational basis."""
     _check_density_cap(ens.code.N)
-    states = quantum.bb84_states(ens.members, ens.theta)
-    probs = np.full(len(states), 1.0 / len(states))
-    return quantum.density_from_ensemble(states, probs)
+    # every BB84 amplitude is real, so the mixture is one real product
+    states = quantum.bb84_states(ens.members, ens.theta).real
+    return quantum.density_from_ensemble(states, np.full(len(states), 1.0 / len(states)))
 
 
 def rho_closed_form(ens: CosetEnsemble) -> np.ndarray:
@@ -115,7 +118,7 @@ def rho_zero_induction(
     depend on the choice).
     """
     theta = quantum.basis_string(theta, length=code.N)
-    derived = gf2.kernel_basis(code.f)
+    derived = code.kernel
     if kernel is None:
         kernel = derived
     else:
@@ -159,7 +162,7 @@ def _low_ball_block(
     x, x_prime = gf2.bits(x), gf2.bits(x_prime)
     if x.size == x_prime.size and np.array_equal(x, x_prime):
         raise DomainError("syndromes must differ")
-    theta_hat = quantum.conjugate_bases(theta)
+    theta_hat = theta ^ 1
     ens = coset_ensemble(code, x, theta)
     _check_density_cap(code.N)
     ens_prime = coset_ensemble(code, x_prime, theta)
@@ -206,7 +209,7 @@ def lemma1_certificate(
         op_norm = float(np.max(np.abs(np.linalg.eigvalsh(block))))
     else:
         diag_max = op_norm = 0.0
-    d_min = gf2.min_distance(code)
+    d_min = code.distance
     e = gf2.position_set(e, code.N)
     d_eff = d_min if e.size == code.N else _min_weight_on(code.f, e, code.N)
     return Lemma1Certificate(

@@ -8,9 +8,10 @@ All indexing is 0-based, here and in every serialized artifact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -196,6 +197,9 @@ class LinearCode:
     The first r rows form g (error correction), the next m rows form h
     (privacy amplification). k = N - r - m counts the residual degrees of
     freedom of the coset {beta : f beta = x}.
+
+    f is kept as a read-only copy, so the facts derived from it once per
+    code (min distance, kernel, coset solver) cannot go stale.
     """
 
     f: np.ndarray
@@ -203,7 +207,8 @@ class LinearCode:
     m: int
 
     def __post_init__(self):
-        f = bitmatrix(self.f)
+        f = bitmatrix(self.f).copy()
+        f.setflags(write=False)
         object.__setattr__(self, "f", f)
         if self.r < 0 or self.m < 0:
             raise DomainError("row counts must be nonnegative")
@@ -227,6 +232,45 @@ class LinearCode:
     @property
     def h(self) -> np.ndarray:
         return self.f[self.r :]
+
+    @functools.cached_property
+    def distance(self):
+        """min_distance of f, computed once per code."""
+        return min_distance(self.f)
+
+    @functools.cached_property
+    def kernel(self) -> np.ndarray:
+        """kernel_basis(f), one row per free column."""
+        return kernel_basis(self.f)
+
+    @functools.cached_property
+    def _syndrome_map(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(E, the pivot columns of f), from the RREF of [f | I]: E f is
+        RREF(f), so E x carries a syndrome x through the elimination that
+        solve_affine performs on [f | x]. The first rank entries of E x are
+        beta0 on the pivot columns; the rest vanish iff x is in the image."""
+        n, rows = self.N, self.f.shape[0]
+        red = row_reduce(np.concatenate([self.f, np.eye(rows, dtype=np.uint8)], axis=1))
+        pivots = np.array([c for c in red.pivots if c < n], dtype=np.intp)
+        return red.matrix[:, n:].astype(np.int64), pivots
+
+    @functools.cached_property
+    def kernel_span(self) -> np.ndarray:
+        """Every element of ker f, one row each, in span_words order."""
+        words = np.concatenate(list(span_words(self.kernel)))
+        return np.unpackbits(words, axis=1, count=self.N)
+
+    def particular(self, x) -> Optional[np.ndarray]:
+        """solve_affine(f, x)'s particular solution, bit for bit (RREF is
+        unique), by one matvec; None when x is not in the image of f."""
+        x = bits(x, length=self.f.shape[0])
+        carry, pivots = self._syndrome_map
+        carried = carry @ x & 1
+        if carried[pivots.size :].any():
+            return None
+        beta0 = np.zeros(self.N, dtype=np.uint8)
+        beta0[pivots] = carried[: pivots.size]
+        return beta0
 
 
 def parity_code(n_cols: int) -> LinearCode:
@@ -274,9 +318,12 @@ def min_distance(code: Union[LinearCode, np.ndarray]):
     """Minimum Hamming weight over nonzero row-span elements of f.
 
     Takes the least nonzero weight over the span_words blocks of the
-    2^rows span elements. Returns math.inf when the span is {0}.
+    2^rows span elements. Returns math.inf when the span is {0}. A
+    LinearCode answers from its cached distance.
     """
-    f = code.f if isinstance(code, LinearCode) else bitmatrix(code)
+    if isinstance(code, LinearCode):
+        return code.distance
+    f = bitmatrix(code)
     rows = f.shape[0]
     if rows > MIN_DISTANCE_MAX_ROWS:
         raise ResourceError(f"min_distance caps at {MIN_DISTANCE_MAX_ROWS} rows, got {rows}")

@@ -135,21 +135,40 @@ def check_state(state: np.ndarray, n: int = None) -> np.ndarray:
     return state
 
 
-def apply_single(state: np.ndarray, i: int, u2: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 operator to photon i of a 2^n statevector."""
-    n = state.size.bit_length() - 1
-    psi = state.reshape([2] * n)
-    psi = np.tensordot(np.asarray(u2, dtype=complex), psi, axes=(1, i))
-    return np.moveaxis(psi, 0, i).reshape(-1)
+def _butterflies(a: np.ndarray, photons, bufs) -> np.ndarray:
+    """Unscaled Hadamard butterflies (a0 + a1, a0 - a1) over the bit of
+    each listed photon in a's leading index (2^n values, big-endian).
+
+    Each butterfly reads a (2^i, 2, rest) view of the last result, a at
+    first, and writes the one of the two buffers in bufs that does not
+    hold it. Returns the buffer holding the result, or a itself when no
+    photon is listed; a is never written.
+    """
+    for i in photons:
+        out = _other(bufs, a)
+        s = a.reshape(1 << int(i), 2, -1)
+        d = out.reshape(1 << int(i), 2, -1)
+        np.add(s[:, 0], s[:, 1], out=d[:, 0])
+        np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
+        a = out
+    return a
+
+
+def _other(bufs, a: np.ndarray) -> np.ndarray:
+    return bufs[1] if a is bufs[0] else bufs[0]
 
 
 def to_frame(state: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
-    """Coefficients of the state over the theta_hat product basis."""
+    """Coefficients of the state over the theta_hat product basis: an
+    unscaled butterfly per cross photon, then one scale by 2^(-c/2) for c
+    cross photons."""
     theta_hat = basis_string(theta_hat)
-    out = np.asarray(state, dtype=complex)
-    for i in np.nonzero(theta_hat == CROSS)[0]:
-        out = apply_single(out, int(i), _H)
-    return out
+    state = np.asarray(state, dtype=complex).ravel()
+    if state.size != 1 << theta_hat.size:
+        raise DimensionError("statevector dimension does not match basis string")
+    cross = np.nonzero(theta_hat == CROSS)[0]
+    bufs = [np.empty_like(state), np.empty_like(state)]
+    return _butterflies(state, cross, bufs) * 2.0 ** (-cross.size / 2)
 
 
 # to_frame is its own inverse photon-by-photon (H is self-adjoint), so it
@@ -217,20 +236,21 @@ def measure_in_bases(state: np.ndarray, theta_hat: np.ndarray, rng) -> tuple:
 
 def density_from_ensemble(states, probs) -> np.ndarray:
     """rho = sum_a p_a |psi_a><psi_a|, as one weighted product V^T P V*
-    over the states stacked as the rows of V."""
+    over the states stacked as the rows of V (an array of rows is used as
+    is). Real states, such as every BB84 encoding, make it a real product."""
     probs = np.asarray(probs, dtype=float)
     if np.any(probs < -PHYS_TOL) or abs(probs.sum() - 1.0) > PHYS_TOL:
         raise DomainError("ensemble probabilities must be nonnegative and sum to 1")
     if probs.shape != (len(states),):
         raise DimensionError("ensemble needs one probability per state")
-    dims = {np.asarray(s).size for s in states}
-    if len(dims) != 1:
-        raise DimensionError("ensemble states differ in dimension")
-    dim = dims.pop()
-    if dim > 1 << DENSITY_MAX_N:
+    if not isinstance(states, np.ndarray):
+        if len({np.size(s) for s in states}) != 1:
+            raise DimensionError("ensemble states differ in dimension")
+        states = [np.ravel(s) for s in states]
+    v = np.asarray(states).reshape(probs.size, -1)
+    if v.shape[1] > 1 << DENSITY_MAX_N:
         raise ResourceError(f"density matrices cap at N={DENSITY_MAX_N}")
-    v = np.array([np.asarray(s, dtype=complex).ravel() for s in states])
-    return (v.T * probs) @ v.conj()
+    return ((v.T * probs) @ v.conj()).astype(complex, copy=False)
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:
@@ -247,19 +267,31 @@ def check_density(rho: np.ndarray) -> np.ndarray:
 
 
 def density_in_frame(rho: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
-    """Matrix of rho over the theta_hat product basis."""
+    """Matrix of rho over the theta_hat product basis.
+
+    H rho H with H real and symmetric: the butterflies of to_frame on the
+    rows, the same on the rows of the transpose, and one exact scale by
+    2^-c for c cross photons. H is real, so a real rho (every BB84
+    mixture) is changed on its real part alone.
+    """
     theta_hat = basis_string(theta_hat)
     n = theta_hat.size
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (1 << n, 1 << n):
         raise DimensionError("density dimension does not match basis string")
-    out = rho.reshape([2] * (2 * n))
-    for i in np.nonzero(theta_hat == CROSS)[0]:
-        out = np.tensordot(_H, out, axes=(1, int(i)))
-        out = np.moveaxis(out, 0, int(i))
-        out = np.tensordot(_H, out, axes=(1, n + int(i)))
-        out = np.moveaxis(out, 0, n + int(i))
-    return out.reshape(1 << n, 1 << n)
+    cross = np.nonzero(theta_hat == CROSS)[0]
+    if rho.imag.any():
+        return _hadamard_conjugate(rho, cross)
+    return _hadamard_conjugate(rho.real, cross).astype(complex)
+
+
+def _hadamard_conjugate(rho: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    bufs = [np.empty_like(rho), np.empty_like(rho)]
+    rows = _butterflies(rho, cross, bufs)
+    flipped = _other(bufs, rows)
+    np.copyto(flipped, rows.T)
+    both = _butterflies(flipped, cross, bufs)
+    return np.multiply(both.T, 2.0 ** -cross.size, out=_other(bufs, both))
 
 
 def matrix_element(rho: np.ndarray, alpha, alpha_p, theta_hat) -> complex:

@@ -35,6 +35,49 @@ def test_coset_ensemble_members():
     assert got == {0b01, 0b10}
 
 
+def test_coset_ensemble_members_keep_span_words_order():
+    """Row j of members is beta0 xor the j-th span_words word of the kernel."""
+    rng = np.random.default_rng(1010)
+    for rows, n_cols in ((1, 5), (2, 6), (3, 3), (3, 7)):
+        f = gf2.random_bitmatrix(rng, rows, n_cols)
+        if rows == 3:
+            f[2] = f[0] ^ f[1]  # rank-deficient
+        code = gf2.LinearCode(f=f, r=1, m=rows - 1)
+        for x in valid_syndromes(code):
+            beta0, kern = gf2.solve_affine(f, x)
+            words = np.concatenate(list(gf2.span_words(kern))) ^ np.packbits(beta0)
+            ens = cosetrho.coset_ensemble(code, x, gf2.random_bits(rng, n_cols))
+            assert np.array_equal(ens.beta0, beta0)
+            assert np.array_equal(ens.members, np.unpackbits(words, axis=1, count=n_cols))
+
+
+def test_coset_ensemble_rejects_a_syndrome_outside_the_image():
+    rng = np.random.default_rng(1020)
+    for rows, n_cols in ((2, 2), (3, 3), (3, 6)):
+        f = gf2.random_bitmatrix(rng, rows, n_cols)
+        f[-1] = f[0]  # rank-deficient: some syndromes have no coset
+        code = gf2.LinearCode(f=f, r=1, m=rows - 1)
+        valid = {gf2.pack_int(x) for x in valid_syndromes(code)}
+        assert len(valid) < 1 << rows
+        for packed in set(range(1 << rows)) - valid:
+            assert code.particular(gf2.unpack_int(packed, rows)) is None
+            with pytest.raises(DomainError):
+                cosetrho.coset_ensemble(code, gf2.unpack_int(packed, rows), "0" * n_cols)
+
+
+def test_certificates_compute_the_min_distance_once_per_code(monkeypatch):
+    """lemma1_certificate reads the code's cached distance, which computes
+    through the module-level gf2.min_distance once."""
+    calls = []
+    real = gf2.min_distance
+    monkeypatch.setattr(gf2, "min_distance", lambda f: calls.append(f) or real(f))
+    code = gf2.LinearCode(f=gf2.bitmatrix(["11100", "00111"]), r=1, m=1)
+    for x_prime in ([0, 1], [1, 0], [1, 1]):
+        cert = cosetrho.lemma1_certificate(code, "0" * 5, [0, 0], x_prime, range(5), 1, "0" * 5)
+        assert cert.dN == 3 and cert.condition_met
+    assert len(calls) == 1 and calls[0] is code.f
+
+
 def test_coset_ensemble_empty_coset():
     code = gf2.LinearCode(f=gf2.bitmatrix(["11", "11"]), r=1, m=1)
     with pytest.raises(DomainError):

@@ -160,6 +160,19 @@ def test_linear_code_validation():
         gf2.LinearCode(f=gf2.bitmatrix(["11"]), r=-1, m=2)
 
 
+def test_linear_code_keeps_a_read_only_copy_of_f():
+    f = gf2.bitmatrix(["110", "011"])
+    code = gf2.LinearCode(f=f, r=1, m=1)
+    assert gf2.min_distance(code) == 2
+    f[0] = 0  # the caller's array is not the code's
+    assert np.array_equal(code.f, gf2.bitmatrix(["110", "011"]))
+    with pytest.raises(ValueError):
+        code.f[0, 0] = 0
+    with pytest.raises(ValueError):
+        code.h[0, 0] = 1
+    assert code.distance == gf2.min_distance(code.f) == 2
+
+
 def test_parity_code():
     code = gf2.parity_code(5)
     assert code.r == 0 and code.m == 1
@@ -327,3 +340,34 @@ def test_binary_entropy_inverse_roundtrip(y):
 def test_binary_entropy_inverse_domain():
     with pytest.raises(DomainError):
         gf2.binary_entropy_inverse(-0.1)
+
+
+@st.composite
+def code_matrices(draw):
+    """f for a LinearCode (rows <= cols), often square (r + m = N) and, from
+    three rows on, sometimes rank-deficient."""
+    cols = draw(st.integers(1, 10))
+    rows = draw(st.one_of(st.just(cols), st.integers(0, cols)))
+    return draw(bit_matrices(min_rows=rows, max_rows=rows, min_cols=cols, max_cols=cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(code_matrices(), st.integers(0, 2**32 - 1), st.booleans())
+def test_linear_code_solver_is_solve_affine_bit_for_bit(f, seed, consistent):
+    """The cached [f | I] reduction gives solve_affine's particular solution
+    and kernel_basis's rows exactly, and None for a syndrome outside the
+    image of f."""
+    rng = np.random.default_rng(seed)
+    rows = f.shape[0]
+    code = gf2.LinearCode(f=f, r=rows // 2, m=rows - rows // 2)
+    x = gf2.random_bits(rng, rows)
+    if consistent:
+        x = gf2.matvec(f, gf2.random_bits(rng, f.shape[1]))
+    particular, kern = gf2.solve_affine(f, x)
+    beta0 = code.particular(x)
+    assert (beta0 is None) == (particular is None)
+    if particular is not None:
+        assert beta0.dtype == np.uint8 and np.array_equal(beta0, particular)
+    assert code.kernel.dtype == np.uint8
+    assert np.array_equal(code.kernel, kern)
+    assert np.array_equal(code.kernel, gf2.kernel_basis(f))

@@ -149,6 +149,52 @@ def test_frame_change_is_a_norm_preserving_involution(vec, data):
     assert np.allclose(quantum.from_frame(coords, theta_hat), state, atol=1e-12)
 
 
+def hadamard_frame(theta_hat):
+    """Reference frame change: the kron of H (cross) or I (plus) per photon."""
+    h = np.array([[SQ2, SQ2], [SQ2, -SQ2]])
+    u = np.array([[1.0]])
+    for basis in theta_hat:
+        u = np.kron(u, h if basis == quantum.CROSS else np.eye(2))
+    return u
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_frame_changes_match_the_dense_kron_reference(n, seed):
+    rng = np.random.default_rng(seed)
+    theta_hat = gf2.random_bits(rng, n)
+    u = hadamard_frame(theta_hat)
+    dim = 1 << n
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    assert np.max(np.abs(quantum.to_frame(psi, theta_hat) - u @ psi)) < 1e-12
+    assert np.max(np.abs(quantum.from_frame(psi, theta_hat) - u @ psi)) < 1e-12
+    # a complex rho, and a real one (the frame change of its real part alone)
+    for m in (rho, rho.real):
+        framed = quantum.density_in_frame(m, theta_hat)
+        assert framed.dtype == complex and framed.flags.c_contiguous
+        assert np.max(np.abs(framed - u @ m @ u)) < 1e-12
+
+
+def test_frame_changes_leave_their_input_alone():
+    rng = np.random.default_rng(31)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    rho = np.outer(psi, psi.conj())
+    psi_copy, rho_copy = psi.copy(), rho.copy()
+    quantum.to_frame(psi, "xx+")
+    quantum.density_in_frame(rho, "x+x")
+    assert np.array_equal(psi, psi_copy) and np.array_equal(rho, rho_copy)
+    assert np.array_equal(quantum.to_frame(psi, "+++"), psi)
+    assert quantum.to_frame(psi, "+++") is not psi
+
+
+def test_to_frame_rejects_a_mismatched_basis_string():
+    with pytest.raises(DimensionError):
+        quantum.to_frame(np.ones(8) / math.sqrt(8), "xx")
+    with pytest.raises(DimensionError):
+        quantum.to_frame(np.ones(8) / math.sqrt(8), "xxxx")
+
+
 @settings(max_examples=100, deadline=None)
 @given(complex_vectors(), st.data())
 def test_shift_op_apply_and_conjugate_match_its_matrix(vec, data):
