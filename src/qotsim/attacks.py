@@ -453,12 +453,10 @@ def _pattern_counts(held: np.ndarray, N: int) -> Dict[tuple, int]:
 
 def _syndrome_tables(code: gf2.LinearCode) -> Tuple[np.ndarray, np.ndarray]:
     """Packed g- and h-images of every word in 2^N: word u of the span of
-    f's columns is f u."""
+    f's columns is f u, whose first r bits are g u and last m bits h u."""
     images = np.concatenate(list(gf2.span_words(code.f.T)))
-    fu = np.unpackbits(images, axis=1, count=code.r + code.m)
-    syn = fu[:, : code.r] @ (1 << np.arange(code.r - 1, -1, -1))
-    hmap = fu[:, code.r :] @ (1 << np.arange(code.m - 1, -1, -1))
-    return syn, hmap
+    fu = gf2.lane_prefix(images, code.r + code.m)
+    return fu >> code.m, fu & ((1 << code.m) - 1)
 
 
 def _class_entropy(

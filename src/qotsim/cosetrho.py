@@ -82,9 +82,8 @@ def rho_closed_form(ens: CosetEnsemble) -> np.ndarray:
     """The formula above; entries over the conjugate basis of theta."""
     n = ens.code.N
     _check_density_cap(n)
-    words = np.unpackbits(np.concatenate(list(gf2.span_words(ens.code.f))), axis=1, count=n)
     span = np.zeros(1 << n, dtype=bool)
-    span[words @ (1 << np.arange(n - 1, -1, -1))] = True
+    span[gf2.lane_prefix(ens.code.row_span, n)] = True
     idx = np.arange(1 << n, dtype=np.int64)
     delta = idx[:, None] ^ idx[None, :]
     b0 = gf2.pack_int(ens.beta0)
@@ -175,16 +174,16 @@ def _low_ball_block(
     return (a.T @ a.conj() - a_prime.T @ a_prime.conj()) / len(a), low
 
 
-def _min_weight_on(f: np.ndarray, e: np.ndarray, n_cols: int):
+def _min_weight_on(code: gf2.LinearCode, e: np.ndarray):
     """Minimum weight, restricted to the coordinates in e, over the nonzero
     row-span words. A span word supported off e is invisible to distances
     measured on e, so this is the quantity a ball on e actually tests."""
-    span = np.concatenate(list(gf2.span_words(f)))
-    span = span[span.any(axis=1)]
+    span = code.row_span
+    span = span[gf2.lane_weights(span) > 0]
     if span.size == 0:
         return math.inf
-    emask = np.packbits(np.isin(np.arange(n_cols), e))
-    return int(np.min(np.bitwise_count(span & emask).sum(axis=1)))
+    emask = gf2.pack_lanes([np.isin(np.arange(code.N), e)])
+    return int(gf2.lane_weights(span & emask).min())
 
 
 def lemma1_certificate(
@@ -211,7 +210,7 @@ def lemma1_certificate(
         diag_max = op_norm = 0.0
     d_min = code.distance
     e = gf2.position_set(e, code.N)
-    d_eff = d_min if e.size == code.N else _min_weight_on(code.f, e, code.N)
+    d_eff = d_min if e.size == code.N else _min_weight_on(code, e)
     return Lemma1Certificate(
         max_defect=max(diag_max, op_norm),
         dN=d_min,

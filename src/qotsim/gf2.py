@@ -4,6 +4,14 @@ minimum weight, restricted Hamming distance, and binary entropy.
 Bit vectors and matrices are numpy uint8 arrays with entries in {0, 1}.
 Position sets are sorted integer arrays over a universe {0, ..., n-1}.
 All indexing is 0-based, here and in every serialized artifact.
+
+Span walks work on lane words instead: a bit vector of width n becomes a
+row of ceil(n / 64) big-endian uint64 lanes (pack_lanes), position j
+being bit 63 - j % 64 of lane j // 64 and the bits past n zero. Lane 0
+holds the leading positions and each lane's top bit its first one, so
+comparing lane tuples compares the bit vectors lexicographically; a word
+of at most 64 bits is one integer, ordered as its bit vector, and its
+Hamming weight is one bitwise_count.
 """
 
 from __future__ import annotations
@@ -21,15 +29,31 @@ MIN_DISTANCE_MAX_ROWS = 24  # brute force walks 2^rows span elements
 SPAN_BLOCK_ROWS = 16  # span_words blocks hold the span of this many rows
 
 
+def _bit_array(values, what: str) -> np.ndarray:
+    """values as a uint8 array, or DomainError unless every entry is 0 or 1.
+
+    The check runs before the cast, which would wrap 256 to 0 and truncate
+    0.5 to 0. uint8 input comes back uncopied.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind in "iu":
+        # an entry other than 0 or 1 sets a bit above bit 0 of the or of
+        # all entries, and a negative one its sign bit
+        valid = not np.bitwise_or.reduce(a, axis=None) >> 1
+    elif a.dtype.kind == "b":
+        valid = True
+    else:
+        valid = bool(((a == 0) | (a == 1)).all())
+    if not valid:
+        raise DomainError(f"{what} entries must be 0 or 1")
+    return a.astype(np.uint8, copy=False)
+
+
 def bits(values, length: Optional[int] = None) -> np.ndarray:
     """Normalize to a uint8 bit vector, validating entries are 0/1."""
     if isinstance(values, str):
         values = [int(ch) for ch in values]
-    v = np.asarray(values, dtype=np.uint8).ravel()
-    if v.size == 0:
-        v = v.reshape(0)
-    if not (v <= 1).all():
-        raise DomainError("bit vector entries must be 0 or 1")
+    v = _bit_array(values, "bit vector").ravel()
     if length is not None and v.size != length:
         raise DimensionError(f"expected length {length}, got {v.size}")
     return v
@@ -41,11 +65,9 @@ def bitmatrix(values, rows: Optional[int] = None, cols: Optional[int] = None) ->
         isinstance(row, str) for row in values
     ):
         values = [bits(row) for row in values]
-    m = np.asarray(values, dtype=np.uint8)
+    m = _bit_array(values, "bit matrix")
     if m.ndim != 2:
         raise DimensionError("bit matrix must be 2-dimensional")
-    if not (m <= 1).all():
-        raise DomainError("bit matrix entries must be 0 or 1")
     if rows is not None and m.shape[0] != rows:
         raise DimensionError(f"expected {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
@@ -147,10 +169,9 @@ def _kernel_from(red: RowReduction, cols: int) -> np.ndarray:
     pivots = [c for c in red.pivots if c < cols]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for prow, pcol in enumerate(pivots):
-            basis[i, pcol] = red.matrix[prow, fc]
+    basis[np.arange(len(free)), free] = 1
+    # pivot row i of the reduced matrix belongs to pivots[i]
+    basis[:, pivots] = red.matrix[: len(pivots)][:, free].T
     return basis
 
 
@@ -199,7 +220,7 @@ class LinearCode:
     freedom of the coset {beta : f beta = x}.
 
     f is kept as a read-only copy, so the facts derived from it once per
-    code (min distance, kernel, coset solver) cannot go stale.
+    code (min distance, kernel, row span, coset solver) cannot go stale.
     """
 
     f: np.ndarray
@@ -256,9 +277,14 @@ class LinearCode:
 
     @functools.cached_property
     def kernel_span(self) -> np.ndarray:
-        """Every element of ker f, one row each, in span_words order."""
-        words = np.concatenate(list(span_words(self.kernel)))
-        return np.unpackbits(words, axis=1, count=self.N)
+        """Every element of ker f, one bit row each, in span_words order."""
+        return unpack_lanes(np.concatenate(list(span_words(self.kernel))), self.N)
+
+    @functools.cached_property
+    def row_span(self) -> np.ndarray:
+        """Every element of the row span of f, one lane word each, in
+        span_words order: 2^(r+m) words, so only small codes should ask."""
+        return np.concatenate(list(span_words(self.f)))
 
     def particular(self, x) -> Optional[np.ndarray]:
         """solve_affine(f, x)'s particular solution, bit for bit (RREF is
@@ -290,27 +316,62 @@ def unpack_int(value: int, length: int) -> np.ndarray:
     return np.array([(value >> (length - 1 - i)) & 1 for i in range(length)], dtype=np.uint8)
 
 
-def _xor_doubling(packed: np.ndarray) -> np.ndarray:
-    """Every xor of the packed rows, row 0 the most significant index bit."""
-    span = np.zeros((1 << len(packed), packed.shape[1]), dtype=np.uint8)
-    for i, row in enumerate(packed[::-1]):
+def pack_lanes(m) -> np.ndarray:
+    """Rows of a bit matrix as lane words: shape (rows, ceil(cols / 64))
+    uint64, position j at bit 63 - j % 64 of lane j // 64, zero past cols."""
+    m = bitmatrix(m)
+    rows, cols = m.shape
+    lanes = np.zeros((rows, -(-cols // 64)), dtype=">u8")
+    lanes.view(np.uint8)[:, : -(-cols // 8)] = np.packbits(m, axis=1)
+    return lanes.astype(np.uint64)
+
+
+def unpack_lanes(words: np.ndarray, width: int) -> np.ndarray:
+    """Rows of lane words back to a (rows, width) bit matrix."""
+    raw = np.ascontiguousarray(words, dtype=">u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=width)
+
+
+def lane_weights(words: np.ndarray) -> np.ndarray:
+    """Hamming weight of each row of lane words; one bitwise_count per word
+    of one lane, and a sum over the lanes of wider words."""
+    counts = np.bitwise_count(words)
+    return counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1)
+
+
+def lane_prefix(words: np.ndarray, width: int) -> np.ndarray:
+    """The first width < 64 positions of each row of lane words as an
+    int64, position 0 most significant (pack_int's order)."""
+    if not 0 <= width < 64:
+        raise DomainError("lane prefixes hold 0 to 63 positions")
+    if width == 0:
+        return np.zeros(len(words), dtype=np.int64)
+    return (words[:, 0] >> np.uint64(64 - width)).astype(np.int64)
+
+
+def _xor_doubling(lanes: np.ndarray) -> np.ndarray:
+    """Every xor of the lane-word rows, row 0 the most significant index bit."""
+    span = np.zeros((1 << len(lanes), lanes.shape[1]), dtype=np.uint64)
+    for i, row in enumerate(lanes[::-1]):
         np.bitwise_xor(span[: 1 << i], row, out=span[1 << i : 2 << i])
     return span
 
 
 def span_words(m: np.ndarray) -> Iterator[np.ndarray]:
-    """Row span of m as np.packbits rows, in itertools.product order: word i
+    """Row span of m as pack_lanes rows, in itertools.product order: word i
     xors the rows picked by the bits of i, row 0 most significant.
 
     Yields consecutive blocks of at most 2^SPAN_BLOCK_ROWS words: the span
     of the last SPAN_BLOCK_ROWS rows xor-ed with each word of the span of
-    the rest. Packed bytes keep words of any width exact, and their byte
-    order is the lexicographic order of the bit vectors.
+    the rest. Lane words keep words of any width exact. Lane 0 holds the
+    leading positions with position 0 at its top bit, so the integer order
+    of one-lane words, and the tuple order of wider ones, is the
+    lexicographic order of the bit vectors.
     """
-    packed = np.packbits(bitmatrix(m), axis=1)
-    split = max(packed.shape[0] - SPAN_BLOCK_ROWS, 0)
-    low = _xor_doubling(packed[split:])
-    for high in _xor_doubling(packed[:split]):
+    lanes = pack_lanes(m)
+    split = max(lanes.shape[0] - SPAN_BLOCK_ROWS, 0)
+    low = _xor_doubling(lanes[split:])
+    for high in _xor_doubling(lanes[:split]):
         yield high ^ low
 
 
@@ -327,7 +388,7 @@ def min_distance(code: Union[LinearCode, np.ndarray]):
     rows = f.shape[0]
     if rows > MIN_DISTANCE_MAX_ROWS:
         raise ResourceError(f"min_distance caps at {MIN_DISTANCE_MAX_ROWS} rows, got {rows}")
-    weights = (np.bitwise_count(block).sum(axis=1) for block in span_words(f))
+    weights = (lane_weights(block) for block in span_words(f))
     return min((int(w[w > 0].min()) for w in weights if w.any()), default=math.inf)
 
 

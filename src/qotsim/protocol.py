@@ -375,8 +375,8 @@ def bob_decode(
     when the syndrome equation has no solution (impossible for an honestly
     generated s).
     """
-    w_hat_ec = gf2.bits(w_hat_ec)
     g, h = gf2.bitmatrix(g), gf2.bitmatrix(h)
+    w_hat_ec = gf2.bits(w_hat_ec, length=g.shape[1])
     s, a = gf2.bits(s), gf2.bits(a)
     particular, kern = gf2.solve_affine(g, s)
     if particular is None:
@@ -384,14 +384,21 @@ def bob_decode(
     dim = kern.shape[0]
     if (1 << dim) > DECODE_MAX_COSET:
         raise ResourceError(f"decode coset of 2^{dim} words exceeds the cap")
-    base, target = np.packbits(particular), np.packbits(w_hat_ec)
+    base, target = gf2.pack_lanes([particular, w_hat_ec])
+    offset = base ^ target
 
     def nearest(block):
-        dist = np.bitwise_count(block ^ target).sum(axis=1)
-        return int(dist.min()), min(map(bytes, block[dist == dist.min()]))
+        # block holds kernel words k; the coset word k ^ base lies at
+        # distance weight(k ^ base ^ target) from w_hat_ec
+        dist = gf2.lane_weights(block ^ offset)
+        least = dist.min()
+        ties = block[dist == least] ^ base
+        for lane in range(ties.shape[1]):  # lexicographic: lane 0 leads
+            ties = ties[ties[:, lane] == ties[:, lane].min()]
+        return int(least), tuple(ties[0].tolist())
 
-    _, best = min(nearest(block ^ base) for block in gf2.span_words(kern))
-    corrected = np.unpackbits(np.frombuffer(best, dtype=np.uint8), count=w_hat_ec.size)
+    _, best = min(nearest(block) for block in gf2.span_words(kern))
+    corrected = gf2.unpack_lanes(np.array([best], dtype=np.uint64), w_hat_ec.size)[0]
     return a ^ gf2.matvec(h, corrected), corrected
 
 
@@ -403,7 +410,7 @@ def _bits_str(v: np.ndarray) -> str:
 
 
 def _positions(v: np.ndarray) -> List[int]:
-    return [int(i) for i in np.asarray(v).ravel()]
+    return np.asarray(v).ravel().tolist()
 
 
 def _position_array(v: List[int]) -> np.ndarray:

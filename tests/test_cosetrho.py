@@ -1,10 +1,13 @@
 """Coset density operators: brute force vs closed form, the mixing
 recursion, low-ball certificates, and min-distance ratio statistics."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qotsim import cosetrho, gf2, quantum
 from qotsim.errors import DomainError, ResourceError
@@ -45,10 +48,10 @@ def test_coset_ensemble_members_keep_span_words_order():
         code = gf2.LinearCode(f=f, r=1, m=rows - 1)
         for x in valid_syndromes(code):
             beta0, kern = gf2.solve_affine(f, x)
-            words = np.concatenate(list(gf2.span_words(kern))) ^ np.packbits(beta0)
+            words = np.concatenate(list(gf2.span_words(kern))) ^ gf2.pack_lanes([beta0])
             ens = cosetrho.coset_ensemble(code, x, gf2.random_bits(rng, n_cols))
             assert np.array_equal(ens.beta0, beta0)
-            assert np.array_equal(ens.members, np.unpackbits(words, axis=1, count=n_cols))
+            assert np.array_equal(ens.members, gf2.unpack_lanes(words, n_cols))
 
 
 def test_coset_ensemble_rejects_a_syndrome_outside_the_image():
@@ -76,6 +79,42 @@ def test_certificates_compute_the_min_distance_once_per_code(monkeypatch):
         cert = cosetrho.lemma1_certificate(code, "0" * 5, [0, 0], x_prime, range(5), 1, "0" * 5)
         assert cert.dN == 3 and cert.condition_met
     assert len(calls) == 1 and calls[0] is code.f
+
+
+def test_row_span_is_walked_once_per_code(monkeypatch):
+    """rho_closed_form and the restricted certificate both read the code's
+    cached row span instead of walking span_words(f) per coset."""
+    walked = []
+    real = gf2.span_words
+    monkeypatch.setattr(gf2, "span_words", lambda m: walked.append(m) or real(m))
+    code = gf2.LinearCode(f=gf2.bitmatrix(["11100", "00111"]), r=1, m=1)
+    assert code.distance == 3  # min_distance walks f once more, for the distance cache
+    walked.clear()
+    for x in valid_syndromes(code):
+        cosetrho.rho_closed_form(cosetrho.coset_ensemble(code, x, "01010"))
+    for x_prime in ([0, 1], [1, 0], [1, 1]):
+        cosetrho.lemma1_certificate(code, "0" * 5, [0, 0], x_prime, [0, 1, 3], 1, "0" * 5)
+    assert sum(m is code.f for m in walked) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_cols=st.integers(1, 8),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_min_weight_on_is_the_least_restricted_weight(n_cols, rows, seed, data):
+    rows = min(rows, n_cols)
+    code = random_code(np.random.default_rng(seed), n_cols, rows)
+    e = sorted(data.draw(st.sets(st.integers(0, n_cols - 1))))
+    words = [
+        np.bitwise_xor.reduce(code.f[list(pick)], axis=0)
+        for k in range(1, rows + 1)
+        for pick in itertools.combinations(range(rows), k)
+    ]
+    expected = min((int(w[e].sum()) for w in words if w.any()), default=math.inf)
+    assert cosetrho._min_weight_on(code, np.array(e, dtype=np.int64)) == expected
 
 
 def test_coset_ensemble_empty_coset():

@@ -25,6 +25,34 @@ def test_bits_validates_entries_and_length():
         gf2.bits("101", length=4)
 
 
+def test_bits_rejects_entries_a_uint8_cast_would_wrap():
+    with pytest.raises(DomainError):
+        gf2.bits(np.array([256, 1]))
+
+
+def test_bits_rejects_negative_entries():
+    with pytest.raises(DomainError):
+        gf2.bits(np.array([-255]))
+
+
+def test_bits_rejects_fractional_entries():
+    with pytest.raises(DomainError):
+        gf2.bits(np.array([0.5, 1.7]))
+
+
+def test_bitmatrix_rejects_fractional_entries():
+    with pytest.raises(DomainError):
+        gf2.bitmatrix([[0.5, 1.0]])
+
+
+def test_bits_keeps_exact_zeros_and_ones_of_any_dtype():
+    for values in ([0, 1], np.array([0.0, 1.0]), np.array([False, True]), np.array([0, 1], dtype=np.int8)):
+        got = gf2.bits(values)
+        assert got.dtype == np.uint8 and np.array_equal(got, [0, 1])
+    v = np.array([1, 0], dtype=np.uint8)
+    assert np.shares_memory(gf2.bits(v), v)
+
+
 def test_bitmatrix_accepts_string_rows():
     m = gf2.bitmatrix(["10", "01"])
     assert np.array_equal(m, np.eye(2, dtype=np.uint8))
@@ -246,7 +274,8 @@ def unpacked_span(m):
     blocks = list(gf2.span_words(m))
     block = 1 << min(m.shape[0], gf2.SPAN_BLOCK_ROWS)
     assert [len(b) for b in blocks] == [block] * ((1 << m.shape[0]) // block)
-    return np.unpackbits(np.concatenate(blocks), axis=1, count=m.shape[1])
+    assert all(b.dtype == np.uint64 and b.shape[1] == -(-m.shape[1] // 64) for b in blocks)
+    return gf2.unpack_lanes(np.concatenate(blocks), m.shape[1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -256,9 +285,60 @@ def test_span_words_matches_itertools_product(m):
 
 
 @settings(max_examples=4, deadline=None)
-@given(bit_matrices(min_rows=gf2.SPAN_BLOCK_ROWS + 1, max_rows=gf2.SPAN_BLOCK_ROWS + 1, max_cols=24))
+@given(bit_matrices(min_rows=gf2.SPAN_BLOCK_ROWS + 1, max_rows=gf2.SPAN_BLOCK_ROWS + 1, min_cols=65, max_cols=129))
 def test_span_words_across_a_block_boundary(m):
+    """One walk crosses a block boundary (17 rows) and a lane boundary."""
     assert np.array_equal(unpacked_span(m), product_span(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.one_of(st.sampled_from([0, 63, 64, 65, 128, 129]), st.integers(0, 130)),
+    rows=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pack_lanes_round_trips(width, rows, seed):
+    m = gf2.random_bitmatrix(np.random.default_rng(seed), rows, width)
+    words = gf2.pack_lanes(m)
+    assert words.dtype == np.uint64 and words.shape == (rows, -(-width // 64))
+    assert np.array_equal(gf2.unpack_lanes(words, width), m)
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 128, 129])
+def test_pack_lanes_puts_position_zero_at_the_top_of_lane_zero(width):
+    for j in (0, width // 2, width - 1):
+        v = np.zeros(width, dtype=np.uint8)
+        v[j] = 1
+        lanes = gf2.pack_lanes([v])[0]
+        assert [int(x) for x in lanes] == [
+            1 << (63 - j % 64) if lane == j // 64 else 0 for lane in range(lanes.size)
+        ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_one_lane_integer_order_is_lexicographic_order(width, seed):
+    m = gf2.random_bitmatrix(np.random.default_rng(seed), 2, width)
+    a, b = (int(w) for w in gf2.pack_lanes(m)[:, 0])
+    assert (a < b) == (m[0].tolist() < m[1].tolist())
+    assert (a == b) == (m[0].tolist() == m[1].tolist())
+    if width < 64:
+        assert gf2.lane_prefix(gf2.pack_lanes(m), width).tolist() == [gf2.pack_int(row) for row in m]
+
+
+def python_min_distance(f):
+    """Least nonzero weight over the row span, on Python integers alone."""
+    span = {0}
+    for row in f.tolist():
+        word = int("".join(map(str, row)) or "0", 2)
+        span |= {x ^ word for x in span}
+    return min((bin(x).count("1") for x in span if x), default=math.inf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bit_matrices(max_rows=9, min_cols=60, max_cols=135))
+def test_min_distance_matches_a_python_reference_across_lanes(f):
+    assert gf2.min_distance(f) == python_min_distance(f)
 
 
 @settings(max_examples=50, deadline=None)

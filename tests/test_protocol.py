@@ -370,6 +370,12 @@ def test_bob_decode_unsolvable_and_cap():
         protocol.bob_decode(np.zeros(21, dtype=np.uint8), [], wide, [0], np.ones((1, 21), dtype=np.uint8))
 
 
+def test_bob_decode_rejects_a_word_of_the_wrong_width():
+    g = gf2.bitmatrix(["110000", "011000"])
+    with pytest.raises(DimensionError):
+        protocol.bob_decode("10100", [0, 0], g, [0], gf2.bitmatrix(["000001"]))
+
+
 def test_bob_decode_of_empty_words():
     empty = np.zeros((0, 0), dtype=np.uint8)
     b_hat, corrected = protocol.bob_decode([], [], empty, [], empty)
