@@ -74,7 +74,7 @@ def rho_brute(ens: CosetEnsemble) -> np.ndarray:
     """Direct mixture over the coset; entries over the + computational basis."""
     _check_density_cap(ens.code.N)
     # every BB84 amplitude is real, so the mixture is one real product
-    states = quantum.bb84_states(ens.members, ens.theta).real
+    states = quantum.bb84_states(ens.members, ens.theta)
     return quantum.density_from_ensemble(states, np.full(len(states), 1.0 / len(states)))
 
 

@@ -25,6 +25,7 @@ variants can be compared run-for-run under one seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -173,9 +174,11 @@ class Dispatch:
         return self.w ^ self.flips
 
 
+@functools.lru_cache(maxsize=256)
 def _born_p1(held: float, bit: int, probe: float) -> float:
     """Chance of outcome 1 when the photon left in basis state `bit` at
-    angle `held` is measured at angle `probe`."""
+    angle `held` is measured at angle `probe`. A run holds few distinct
+    (held, bit, probe) triples, so each one is computed once."""
     return abs(np.vdot(quantum.angle_basis(probe)[:, 1], quantum.angle_basis(held)[:, bit])) ** 2
 
 
@@ -183,16 +186,20 @@ class Reception:
     """Bob's end of the channel.
 
     Exposes only projective measurement; the encoding data stays private
-    to the instance. EXACT_QUANTUM holds the full statevector and
-    collapses it photon by photon; CLASSICAL_FAST tracks one pure-qubit
-    descriptor (angle, bit) per photon and samples the same Born rule.
+    to the instance. EXACT_QUANTUM holds the full statevector, real like
+    every BB84 encoding and probe rotation, and collapses it one block at a
+    time (quantum.measure_photons measures each photon on the shrinking
+    remainder and assembles the state once). CLASSICAL_FAST tracks one
+    pure-qubit descriptor (angle, bit) per photon and samples the same Born
+    rule.
 
     Measurement comes in blocks: measure_many takes k distinct positions,
     each with its angle, and consumes one uniform per photon in block
     order, in either mode. CLASSICAL_FAST draws the block's uniforms with
     one rng.random(k) call, which yields the same doubles as k scalar
     draws, so a block and a photon-by-photon loop leave the same outcomes
-    and the same generator state.
+    and the same generator state. A block of one position (measure,
+    measure_basis) skips the duplicate scan and draws one scalar.
     """
 
     def __init__(self, mode: Mode, n: int, encoded: np.ndarray, theta: np.ndarray):
@@ -210,10 +217,13 @@ class Reception:
         pos = np.asarray(positions).ravel()
         if pos.size and pos.dtype.kind not in "iu":
             raise DomainError("measurement positions must be integers")
-        pos = pos.astype(np.int64)
         angles = np.asarray(angles, dtype=float)
         if angles.shape not in ((), pos.shape):
             raise DimensionError("give one angle, or one per position")
+        if pos.size == 1:
+            return np.array([self._measure_one(int(pos[0]), float(angles.flat[0]), rng)],
+                            dtype=np.uint8)
+        pos = pos.astype(np.int64)
         angles = np.full(pos.shape, angles)
         ordered = np.sort(pos)
         if ordered.size and (ordered[0] < 0 or ordered[-1] >= self.n):
@@ -224,22 +234,30 @@ class Reception:
             # a block holds few distinct angles: build each one's basis once
             probes = angles.tolist()
             rotation = {angle: quantum.angle_basis(angle) for angle in set(probes)}
-            out = np.empty(pos.size, dtype=np.uint8)
-            for j, (i, angle) in enumerate(zip(pos.tolist(), probes)):
-                out[j], self._state = quantum.measure_photon(
-                    self._state, i, rotation[angle], rng
-                )
+            out, self._state = quantum.measure_photons(
+                self._state, pos.tolist(), [rotation[angle] for angle in probes], rng
+            )
             return out
-        # p1 depends only on the (held angle, held bit, probe angle) triple,
-        # and a block holds few distinct triples: compute each one's p1 once
-        p1_of: Dict[tuple, float] = {}
         p1 = np.array([
-            p1_of[t] if t in p1_of else p1_of.setdefault(t, _born_p1(*t))
+            _born_p1(*t)
             for t in zip(self._angles[pos].tolist(), self._bits[pos].tolist(), angles.tolist())
         ])
         out = (rng.random(pos.size) < p1).astype(np.uint8)
         self._angles[pos] = angles
         self._bits[pos] = out
+        return out
+
+    def _measure_one(self, i: int, angle: float, rng: np.random.Generator) -> int:
+        if not 0 <= i < self.n:
+            raise DomainError("measurement position out of range")
+        if self.mode is Mode.EXACT_QUANTUM:
+            out, self._state = quantum.measure_photon(
+                self._state, i, quantum.angle_basis(angle), rng
+            )
+            return out
+        out = int(rng.random() < _born_p1(float(self._angles[i]), int(self._bits[i]), angle))
+        self._angles[i] = angle
+        self._bits[i] = out
         return out
 
     def measure(self, position: int, angle: float, rng: np.random.Generator) -> int:

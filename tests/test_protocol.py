@@ -226,6 +226,18 @@ def test_exact_block_builds_one_basis_per_distinct_angle(monkeypatch):
     assert sorted(built) == [0.0, math.pi / 4]
 
 
+def test_exact_reception_state_stays_real_across_blocks():
+    reception, _ = twin_receptions(protocol.Mode.EXACT_QUANTUM, 6, 11)
+    rng = np.random.default_rng(5)
+    assert reception._state.dtype == np.float64
+    reception.measure_many([4, 0, 2], protocol.basis_angle([1, 0, 1]), rng)
+    assert reception._state.dtype == np.float64
+    reception.measure(3, 0.4, rng)
+    reception.measure_many([5, 1], 1.1, rng)
+    assert reception._state.dtype == np.float64
+    assert abs(np.linalg.norm(reception._state) - 1.0) < quantum.PHYS_TOL
+
+
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
 def test_reception_matched_basis_is_faithful_and_repeatable(mode):
     w, theta = gf2.bits("1001"), gf2.bits("0110")

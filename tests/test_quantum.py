@@ -230,15 +230,6 @@ def test_framed_amplitudes_validation():
         quantum.framed_amplitudes(np.zeros((1, big), dtype=np.uint8), [0] * big, [0] * big, [0])
 
 
-def test_check_state_validation():
-    with pytest.raises(DimensionError):
-        quantum.check_state(np.ones(3) / math.sqrt(3))
-    with pytest.raises(DimensionError):
-        quantum.check_state(quantum.bb84_state([0], [0]), n=2)
-    with pytest.raises(DomainError):
-        quantum.check_state(np.array([1.0, 1.0]))
-
-
 def test_measure_photon_deterministic_when_aligned():
     state = quantum.bb84_state([1, 0], [quantum.PLUS, quantum.CROSS])
     rng = FixedUniform(0.999)  # threshold never reached spuriously
@@ -296,6 +287,12 @@ def test_measure_photon_rejects_a_length_that_is_not_a_power_of_two():
         quantum.measure_photon(state, 0, np.eye(2), FixedUniform())
 
 
+def phased_rotation(angle, row_phase, col_phase):
+    """A complex 2x2 unitary: diag(1, e^(i row)) R(angle) diag(1, e^(i col))."""
+    rot = quantum.angle_basis(angle)
+    return np.exp(1j * np.array([0.0, row_phase]))[:, None] * rot * np.exp(1j * np.array([0.0, col_phase]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
 def test_measure_photon_matches_the_dense_projector(n, seed, data):
@@ -303,7 +300,7 @@ def test_measure_photon_matches_the_dense_projector(n, seed, data):
     state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     state /= np.linalg.norm(state)
     i = data.draw(st.integers(0, n - 1))
-    rot = quantum.angle_basis(data.draw(st.floats(-math.pi, math.pi)))
+    rot = phased_rotation(*(data.draw(st.floats(-math.pi, math.pi)) for _ in range(3)))
     # P_o = I (x) |r_o><r_o| (x) I, with r_o the rotation's column o
     kept = [
         np.kron(np.kron(np.eye(1 << i), np.outer(rot[:, o], rot[:, o].conj())),
@@ -321,22 +318,107 @@ def test_measure_photon_matches_the_dense_projector(n, seed, data):
         assert np.max(np.abs(collapsed - kept[outcome] / math.sqrt(weight))) < 1e-12
 
 
-def test_measure_in_bases_recovers_the_encoding():
-    rng = np.random.default_rng(11)
+def test_measure_photons_recovers_the_encoding():
     w = gf2.bits("10110")
     theta = gf2.bits("01011")
-    outcomes, collapsed = quantum.measure_in_bases(quantum.bb84_state(w, theta), theta, rng)
+    rotations = [quantum.angle_basis(math.pi / 4 * b) for b in theta]
+    rng = FixedUniform(0.3)
+    outcomes, collapsed = quantum.measure_photons(
+        quantum.bb84_state(w, theta), range(5), rotations, rng
+    )
     assert np.array_equal(outcomes, w)
+    assert rng.calls == 5
     assert np.allclose(collapsed, quantum.bb84_state(w, theta), atol=1e-12)
 
 
-def test_measure_subset_leaves_other_photons_alone():
+def test_measure_photons_leaves_other_photons_alone():
     w = gf2.bits("101")
     theta = gf2.bits("000")
     state = quantum.bb84_state(w, theta)
-    outcomes, collapsed = quantum.measure_subset(state, [1], [quantum.PLUS], np.random.default_rng(3))
+    outcomes, collapsed = quantum.measure_photons(state, [1], [np.eye(2)], np.random.default_rng(3))
     assert np.array_equal(outcomes, [0])
     assert np.allclose(collapsed, state, atol=1e-12)
+
+
+class ScriptedUniforms:
+    """rng stub returning the scripted uniforms in order; counts draws."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.values[self.calls - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_measure_photons_matches_a_loop_of_measure_photon(n, seed, bb84, data):
+    gen = np.random.default_rng(seed)
+    if bb84:
+        state = quantum.bb84_state(gen.integers(0, 2, n), gen.integers(0, 2, n))
+    else:
+        state = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+        state /= np.linalg.norm(state)
+    order = data.draw(st.permutations(range(n)))
+    positions = order[:data.draw(st.integers(0, n))]
+    if bb84:
+        rotations = [quantum.angle_basis(data.draw(st.sampled_from([0.0, math.pi / 4])))
+                     for _ in positions]
+    else:
+        rotations = [phased_rotation(*(data.draw(st.floats(-math.pi, math.pi)) for _ in range(3)))
+                     for _ in positions]
+    uniforms = gen.random(len(positions)).tolist()
+    loop_rng, loop_state, loop_out = ScriptedUniforms(uniforms), state, []
+    for i, rot in zip(positions, rotations):
+        outcome, loop_state = quantum.measure_photon(loop_state, i, rot, loop_rng)
+        loop_out.append(outcome)
+    block_rng = ScriptedUniforms(uniforms)
+    outcomes, collapsed = quantum.measure_photons(state, positions, rotations, block_rng)
+    assert outcomes.tolist() == loop_out
+    assert block_rng.calls == loop_rng.calls == len(positions)
+    assert collapsed.dtype == state.dtype
+    assert np.max(np.abs(collapsed - loop_state)) < 1e-12
+
+
+@pytest.mark.parametrize("state, positions, rotations, error", [
+    (quantum.bb84_state([0, 1, 1], [0, 1, 0]), [0, 2, 0], [np.eye(2)] * 3, DomainError),
+    (quantum.bb84_state([0, 1, 1], [0, 1, 0]), [1, 3], [np.eye(2)] * 2, DomainError),
+    (quantum.bb84_state([0, 1, 1], [0, 1, 0]), [2, -1], [np.eye(2)] * 2, DomainError),
+    (quantum.bb84_state([0, 1, 1], [0, 1, 0]), [1.0], [np.eye(2)], DomainError),
+    (quantum.bb84_state([0, 1, 1], [0, 1, 0]), [0, 1], [np.eye(2), np.eye(3)], DimensionError),
+    (quantum.bb84_state([0, 1, 1], [0, 1, 0]), [0, 1], [np.eye(2)], DimensionError),
+    (np.zeros(8), [1, 0], [np.eye(2)] * 2, DomainError),
+    (np.full(8, np.nan), [2], [np.eye(2)], DomainError),
+    (np.ones(6) / math.sqrt(6), [0], [np.eye(2)], DimensionError),
+], ids=["duplicate", "past-the-end", "negative", "float-index", "rotation-3x3",
+        "rotation-count", "zero-state", "nan-state", "length-6"])
+def test_measure_photons_checks_everything_before_the_first_draw(state, positions, rotations, error):
+    rng = FixedUniform()
+    with pytest.raises(error):
+        quantum.measure_photons(state, positions, rotations, rng)
+    assert rng.calls == 0
+
+
+def test_measure_photons_keeps_the_dtype_of_its_inputs():
+    real = quantum.bb84_state([1, 0, 1], [0, 1, 1])
+    assert real.dtype == np.float64
+    _, collapsed = quantum.measure_photons(real, [2, 0], [quantum.angle_basis(0.3)] * 2, FixedUniform())
+    assert collapsed.dtype == np.float64
+    _, collapsed = quantum.measure_photons(real.astype(complex), [1], [np.eye(2)], FixedUniform())
+    assert collapsed.dtype == np.complex128
+    phased = quantum.angle_basis(0.3) * np.array([1.0, 1j])
+    _, collapsed = quantum.measure_photons(real, [1], [phased], FixedUniform())
+    assert collapsed.dtype == np.complex128
+
+
+def test_measure_photons_on_an_empty_block_draws_nothing():
+    state = quantum.bb84_state([1, 0], [1, 0])
+    rng = FixedUniform()
+    outcomes, collapsed = quantum.measure_photons(state, [], [], rng)
+    assert outcomes.size == 0 and rng.calls == 0
+    assert np.array_equal(collapsed, state)
 
 
 def test_density_from_ensemble_and_checks():
