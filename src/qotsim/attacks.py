@@ -123,7 +123,10 @@ def store_subset(positions=None, count: Optional[int] = None) -> AttackStrategy:
 
 
 def fixed_basis(angle: float) -> AttackStrategy:
-    return AttackStrategy(kind=StrategyKind.FIXED_BASIS, angle=float(angle))
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise DomainError("a fixed measurement angle must be finite")
+    return AttackStrategy(kind=StrategyKind.FIXED_BASIS, angle=angle)
 
 
 def random_ok() -> AttackStrategy:
@@ -302,53 +305,6 @@ def view_small_distance_defect(
     return _tail_over_threshold(chances, t)
 
 
-def j_indicator(e, tau_count: int, alpha, w_hat) -> int:
-    """1 iff alpha sits farther than tau_count from the committed word on E."""
-    alpha, w_hat = gf2.bits(alpha), gf2.bits(w_hat)
-    e = gf2.position_set(e, alpha.size)
-    return int(gf2.hamming_distance_on(e, alpha, w_hat) > tau_count)
-
-
-@dataclass(frozen=True)
-class JStatistics:
-    joint_probability: float
-    completed: int
-    trials: int
-
-
-def j_statistics(params: protocol.ProtocolParams, trials: int, rng=None) -> JStatistics:
-    """Empirical Pr(J[E_c, eps n] = 0 and J[T0 cap R, delta n] = 1) under
-    the random-preparation sampling picture: a uniform word alpha stands
-    for the state's expansion label, a uniform w_hat for the commitment,
-    with the set geometry drawn as in a run. Reported as a diagnostic;
-    nothing is asserted about it."""
-    if rng is None:
-        rng = stream(params.seed, "j-stats")
-    n, N = params.n, params.N
-    t_ec = math.floor(params.epsilon * n)
-    t_test = math.floor(params.delta * n)
-    hits = 0
-    completed = 0
-    for _ in range(trials):
-        alpha = gf2.random_bits(rng, n)
-        w_hat = gf2.random_bits(rng, n)
-        theta = gf2.random_bits(rng, n)
-        theta_hat = gf2.random_bits(rng, n)
-        R = np.nonzero(rng.random(n) < 0.5)[0]
-        part = protocol.partition_and_choose_sets(theta, theta_hat, R, N, rng)
-        if part.shortage:
-            continue
-        completed += 1
-        test_set = np.intersect1d(part.T0, R)
-        ec = part.E0 if int(rng.integers(0, 2)) == 0 else part.E1
-        if j_indicator(ec, t_ec, alpha, w_hat) == 0 and (
-            test_set.size and j_indicator(test_set, t_test, alpha, w_hat) == 1
-        ):
-            hits += 1
-    prob = hits / completed if completed else math.nan
-    return JStatistics(joint_probability=prob, completed=completed, trials=trials)
-
-
 # ---------------------------------------------------------------------------
 # information accounting
 
@@ -397,7 +353,7 @@ def _normalize_prior(prior, m: int) -> np.ndarray:
     prior = np.asarray(prior, dtype=float).ravel()
     if prior.size != 1 << m:
         raise DimensionError(f"prior needs 2^{m} entries")
-    if np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-9:
+    if not np.isfinite(prior).all() or np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-9:
         raise DomainError("prior must be a probability vector")
     return prior / prior.sum()
 

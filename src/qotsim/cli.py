@@ -239,6 +239,8 @@ def _cmd_simulate(args) -> int:
         raise DomainError("need at least one trial")
     # fail fast on bad strategy flags before spawning workers
     _build_strategy(args.strategy, args.store_positions, args.store_count, args.angle)
+    if args.eve is not None:
+        _build_strategy(args.eve, None, None, args.eve_angle)
     _params_from_args(args, seed=0)
 
     out = _out_dir(args)

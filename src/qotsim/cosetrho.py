@@ -165,7 +165,7 @@ def _low_ball_block(
     ens = coset_ensemble(code, x, theta)
     _check_density_cap(code.N)
     ens_prime = coset_ensemble(code, x_prime, theta)
-    low = np.nonzero(quantum.ball_projector(e, w_hat, t, theta_hat, quantum.LOW).mask)[0]
+    low = quantum.ball_projector(e, gf2.bits(w_hat, length=code.N), t)
     # both cosets shift one kernel, so they have the same K members
     amps = quantum.framed_amplitudes(
         np.vstack([ens.members, ens_prime.members]), theta, theta_hat, low

@@ -103,22 +103,6 @@ def random_bitmatrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
     return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
 
 
-def bitxor(v: np.ndarray, vp: np.ndarray) -> np.ndarray:
-    """Componentwise exclusive-or."""
-    v, vp = bits(v), bits(vp)
-    if v.size != vp.size:
-        raise DimensionError("xor operands differ in length")
-    return v ^ vp
-
-
-def bitdot(v: np.ndarray, vp: np.ndarray) -> int:
-    """Parity of the componentwise AND."""
-    v, vp = bits(v), bits(vp)
-    if v.size != vp.size:
-        raise DimensionError("dot operands differ in length")
-    return int(np.bitwise_and(v, vp).sum() & 1)
-
-
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product with sums taken modulo 2."""
     m, v = bitmatrix(m), bits(v)
@@ -200,15 +184,6 @@ def solve_affine(m: np.ndarray, x: np.ndarray):
     for r, c in enumerate(red.pivots):
         particular[c] = red.matrix[r, cols]
     return particular, kern
-
-
-def in_row_span(m: np.ndarray, v: np.ndarray) -> bool:
-    """True iff v is a GF(2) combination of the rows of m."""
-    m, v = bitmatrix(m), bits(v)
-    if m.shape[1] != v.size:
-        raise DimensionError("in_row_span dimension mismatch")
-    base = row_reduce(m).rank
-    return row_reduce(np.vstack([m, v])).rank == base
 
 
 @dataclass(frozen=True)
@@ -397,15 +372,6 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
     if a.size != b.size:
         raise DimensionError("hamming operands differ in length")
     return int((a ^ b).sum())
-
-
-def hamming_distance_on(e: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
-    """Count of disagreement positions inside the position set e."""
-    a, b = bits(a), bits(b)
-    if a.size != b.size:
-        raise DimensionError("hamming operands differ in length")
-    e = position_set(e, a.size)
-    return int((a[e] ^ b[e]).sum())
 
 
 def binary_entropy(x: float) -> float:

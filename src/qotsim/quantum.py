@@ -25,13 +25,11 @@ from . import gf2
 from .errors import DimensionError, DomainError, ResourceError
 
 PLUS, CROSS = 0, 1
-LOW, HIGH = "low", "high"
 
 STATEVECTOR_MAX_N = 20
 DENSITY_MAX_N = 10
 
 PHYS_TOL = 1e-10  # physical invariants (norms, traces, probabilities)
-ALG_TOL = 1e-12  # algebraic identities
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -254,19 +252,6 @@ def density_from_ensemble(states, probs) -> np.ndarray:
     return ((v.T * probs) @ v.conj()).astype(complex, copy=False)
 
 
-def check_density(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionError("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > PHYS_TOL:
-        raise DomainError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > PHYS_TOL:
-        raise DomainError("density matrix trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < -PHYS_TOL:
-        raise DomainError("density matrix has a negative eigenvalue")
-    return rho
-
-
 def density_in_frame(rho: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
     """Matrix of rho over the theta_hat product basis.
 
@@ -295,79 +280,25 @@ def _hadamard_conjugate(rho: np.ndarray, cross: np.ndarray) -> np.ndarray:
     return np.multiply(both.T, 2.0 ** -cross.size, out=_other(bufs, both))
 
 
-def matrix_element(rho: np.ndarray, alpha, alpha_p, theta_hat) -> complex:
-    """<psi_{alpha,theta_hat}| rho |psi_{alpha',theta_hat}>."""
-    va = bb84_state(alpha, theta_hat)
-    vb = bb84_state(alpha_p, theta_hat)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (va.size, va.size):
-        raise DimensionError("density dimension does not match index strings")
-    return complex(va.conj() @ rho @ vb)
-
-
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Projector onto a span of theta_hat product-basis states.
-
-    Diagonal in that basis, so it is just the index mask; algebra on masks
-    is exact.
-    """
-
-    n: int
-    theta_hat: np.ndarray
-    mask: np.ndarray  # boolean over 2^n basis strings
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        coords = to_frame(np.asarray(state, dtype=complex), self.theta_hat)
-        coords = np.where(self.mask, coords, 0.0)
-        return from_frame(coords, self.theta_hat)
-
-    def complement(self) -> "Projector":
-        return Projector(n=self.n, theta_hat=self.theta_hat, mask=~self.mask)
-
-
-def ball_projector(e, center, t: int, theta_hat, side: str) -> Projector:
-    """Projector onto span{|psi_{alpha,theta_hat}> : d_e(alpha, center) <= t}
-    (side LOW), or onto the complementary span (side HIGH)."""
+def ball_projector(e, center, t: int) -> np.ndarray:
+    """The sorted basis indices alpha with d_e(alpha, center) <= t: in any
+    product frame theta_hat, the states |alpha, theta_hat> that span the
+    projector onto the distance-t ball around center on the positions e."""
     if t < 0:
         raise DomainError("ball radius must be nonnegative")
     center = gf2.bits(center)
-    theta_hat = basis_string(theta_hat, length=center.size)
     n = center.size
-    e = gf2.position_set(e, n)
-    emask = 0
-    for i in e:
-        emask |= 1 << (n - 1 - int(i))
+    emask = sum(1 << (n - 1 - int(i)) for i in gf2.position_set(e, n))
     idx = np.arange(1 << n, dtype=np.int64)
-    dist = np.bitwise_count((idx ^ gf2.pack_int(center)) & emask)
-    if side == LOW:
-        mask = dist <= t
-    elif side == HIGH:
-        mask = dist > t
-    else:
-        raise DomainError(f"side must be {LOW!r} or {HIGH!r}")
-    return Projector(n=n, theta_hat=theta_hat, mask=mask)
+    return np.nonzero(np.bitwise_count((idx ^ gf2.pack_int(center)) & emask) <= t)[0]
 
 
-def outcome_probability(rho: np.ndarray, pi) -> float:
-    """Tr(Pi rho) for a Projector or an explicit operator matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if isinstance(pi, Projector):
-        framed = density_in_frame(rho, pi.theta_hat)
-        return float(np.sum(framed.diagonal().real[pi.mask]))
-    pi = np.asarray(pi, dtype=complex)
-    if pi.shape != rho.shape:
-        raise DimensionError("operator and density dimensions differ")
-    return float(np.trace(pi @ rho).real)
-
-
-def small_distance_defect(phi: np.ndarray, p0: Projector) -> float:
-    """||P0 phi||^2; 0 within tolerance certifies the small-distance property."""
-    phi = np.asarray(phi, dtype=complex).ravel()
-    if phi.size != 1 << p0.n:
-        raise DimensionError("state dimension does not match projector")
-    coords = to_frame(phi, p0.theta_hat)
-    return float(np.sum(np.abs(coords[p0.mask]) ** 2))
+def small_distance_defect(phi: np.ndarray, theta_hat, indices) -> float:
+    """Weight of phi on the theta_hat basis states listed in indices. Over
+    the complement of a ball it is ||P0 phi||^2, and 0 within tolerance
+    certifies the small-distance property."""
+    coords = to_frame(phi, theta_hat)
+    return float(np.sum(np.abs(coords[indices]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -380,18 +311,6 @@ class ShiftOp:
     """
 
     gates: tuple  # per-photon "I" | "X" | "Z"
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        n = len(self.gates)
-        out = np.array(state, dtype=complex).reshape([2] * n)
-        for i, gate in enumerate(self.gates):
-            if gate == "X":
-                out = np.flip(out, axis=i)
-            elif gate == "Z":
-                sl = [slice(None)] * n
-                sl[i] = 1
-                out[tuple(sl)] *= -1.0
-        return out.reshape(-1)
 
     def conjugate(self, rho: np.ndarray) -> np.ndarray:
         """U rho U (the adjoint equals the operator itself)."""
@@ -407,21 +326,6 @@ class ShiftOp:
                     sl[axis] = 1
                     out[tuple(sl)] *= -1.0
         return out.reshape(dim, dim)
-
-    def matrix(self) -> np.ndarray:
-        n = len(self.gates)
-        if n > DENSITY_MAX_N:
-            raise ResourceError("dense operator matrices cap at N=10")
-        table = {
-            "I": np.eye(2, dtype=complex),
-            "X": np.array([[0, 1], [1, 0]], dtype=complex),
-            "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-        }
-        out = np.array([[1.0]], dtype=complex)
-        for gate in self.gates:
-            out = np.kron(out, table[gate])
-        return out
-
 
 def u_beta(beta: np.ndarray, theta: np.ndarray) -> ShiftOp:
     """The unitary with U|psi_{b,theta}> = |psi_{beta xor b,theta}>."""

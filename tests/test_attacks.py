@@ -56,6 +56,9 @@ def test_strategy_constructors_validate():
     st = attacks.store_subset(positions=[3, 1, 3])
     assert st.positions == (1, 3)
     assert attacks.fixed_basis(1).angle == 1.0
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            attacks.fixed_basis(angle)
     desc = attacks.random_ok().describe()
     assert desc["kind"] == "RANDOM_OK" and desc["positions"] is None
 
@@ -334,7 +337,7 @@ def test_view_defect_rejects_positions_out_of_range():
 
 def kron_view_defect(tr, strategy, e, t):
     """Reference defect: the view's 2^n photon vector, one np.kron factor
-    per photon, weighed outside the distance-t ball by the projector.
+    per photon, weighed on the frame states outside the distance-t ball.
 
     Measured photons sit in their post-measurement states; held photons
     stay as Alice encoded them (the state as it stands when the
@@ -351,8 +354,8 @@ def kron_view_defect(tr, strategy, e, t):
         else:
             factor = rot[:, int(tr.w_hat[i])]
         state = np.kron(state, factor)
-    p0 = quantum.ball_projector(e, tr.w_hat, t, tr.theta_hat, quantum.HIGH)
-    return quantum.small_distance_defect(state, p0)
+    outside = np.setdiff1d(np.arange(state.size), quantum.ball_projector(e, tr.w_hat, t))
+    return quantum.small_distance_defect(state, tr.theta_hat, outside)
 
 
 def test_view_defect_matches_the_kron_reference():
@@ -466,21 +469,6 @@ def test_view_defect_never_grows_with_the_radius():
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(0.0, abs=1e-12)
 
-
-def test_j_indicator_and_statistics():
-    assert attacks.j_indicator([0, 1], 0, "110", "100") == 1
-    assert attacks.j_indicator([0, 1], 1, "110", "100") == 0
-    params = protocol.ProtocolParams(n=16, m=1, r=1, delta=0.1, N=3, seed=6)
-    a = attacks.j_statistics(params, 300)
-    b = attacks.j_statistics(params, 300)
-    assert a == b  # default stream is derived from the params seed
-    assert 0 <= a.completed <= a.trials == 300
-    if a.completed:
-        assert 0.0 <= a.joint_probability <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# information accounting, exact engine
 
 def test_exact_honest_learns_nothing():
     rep = attacks.information_account(exact_params(), attacks.honest(), code=IDENTITY_CODE)
@@ -609,10 +597,13 @@ def test_exact_engine_respects_priors():
         attacks.information_account(
             exact_params(), attacks.honest(), code=IDENTITY_CODE, prior=[1.0, 0.0, 0.0]
         )
-    with pytest.raises(DomainError):
-        attacks.information_account(
-            exact_params(), attacks.honest(), code=IDENTITY_CODE, prior=[-1.0, 2.0]
-        )
+    for prior in ([-1.0, 2.0], [math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.0]):
+        for method in attacks.InfoMethod:
+            with pytest.raises(DomainError, match="prior"):
+                attacks.information_account(
+                    exact_params(), attacks.honest(), code=IDENTITY_CODE, prior=prior,
+                    method=method,
+                )
 
 
 def test_exact_engine_caps_and_budget():

@@ -208,6 +208,17 @@ def test_attack_rejects_a_negative_epsilon(tmp_path, capsys):
     assert not (tmp_path / "attack_report.json").exists()
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_non_finite_angles_exit_one(tmp_path, capsys, angle):
+    bob = ATTACK_ARGS + ["--strategy", "FIXED_BASIS", f"--angle={angle}", "--out", str(tmp_path)]
+    assert run(bob) == 1
+    eve = ["simulate", "--protocol", "qkd", "--n", "16", "--N", "4", "--trials", "2",
+           "--eve", "FIXED_BASIS", f"--eve-angle={angle}", "--out", str(tmp_path)]
+    assert run(eve) == 1
+    assert capsys.readouterr().err.count("finite") == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_attack_branch_flag_needs_the_coin_strategy(tmp_path):
     assert run(ATTACK_ARGS + ["--branch-trials", "5", "--out", str(tmp_path)]) == 1
 

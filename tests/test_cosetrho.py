@@ -239,7 +239,7 @@ def full_density_block(code, theta, x, x_prime, e, t, w_hat):
     diff = cosetrho.rho_brute(cosetrho.coset_ensemble(code, x, theta)) - cosetrho.rho_brute(
         cosetrho.coset_ensemble(code, x_prime, theta)
     )
-    low = np.nonzero(quantum.ball_projector(e, w_hat, t, theta_hat, quantum.LOW).mask)[0]
+    low = quantum.ball_projector(e, w_hat, t)
     return quantum.density_in_frame(diff, theta_hat)[np.ix_(low, low)], low
 
 

@@ -101,16 +101,6 @@ def test_complement_positions():
     assert np.array_equal(gf2.complement_positions([], 3), [0, 1, 2])
 
 
-def test_bitxor_bitdot():
-    assert np.array_equal(gf2.bitxor("1100", "1010"), [0, 1, 1, 0])
-    assert gf2.bitdot("110", "011") == 1
-    assert gf2.bitdot("110", "001") == 0
-    with pytest.raises(DimensionError):
-        gf2.bitxor("11", "1")
-    with pytest.raises(DimensionError):
-        gf2.bitdot("11", "1")
-
-
 def test_matvec_small_example():
     f = gf2.bitmatrix([[1, 1, 0], [0, 1, 1]])
     assert np.array_equal(gf2.matvec(f, [1, 0, 1]), [1, 1])
@@ -162,13 +152,6 @@ def test_solve_affine_zero_rows():
     particular, kern = gf2.solve_affine(np.zeros((0, 3), dtype=np.uint8), [])
     assert np.array_equal(particular, [0, 0, 0])
     assert kern.shape[0] == 3
-
-
-def test_in_row_span():
-    m = gf2.bitmatrix([[1, 1, 0], [0, 1, 1]])
-    assert gf2.in_row_span(m, [1, 0, 1])
-    assert not gf2.in_row_span(m, [1, 0, 0])
-    assert gf2.in_row_span(m, [0, 0, 0])
 
 
 def test_linear_code_split_and_k():
@@ -365,7 +348,8 @@ def test_solve_affine_agrees_with_matvec(m, seed):
     u = gf2.random_bits(rng, m.shape[1])
     particular, kern = gf2.solve_affine(m, gf2.matvec(m, u))
     assert np.array_equal(gf2.matvec(m, particular), gf2.matvec(m, u))
-    assert gf2.in_row_span(kern, u ^ particular)  # every solution is in the coset
+    # every solution is in the coset: u ^ particular lies in the span of kern
+    assert gf2.rank(np.vstack([kern, u ^ particular])) == kern.shape[0]
     x = gf2.random_bits(rng, m.shape[0])
     particular, _ = gf2.solve_affine(m, x)
     solvable = gf2.rank(np.hstack([m, x.reshape(-1, 1)])) == gf2.rank(m)
@@ -396,9 +380,6 @@ def test_hamming_distances():
     assert gf2.hamming_distance("1010", "0010") == 1
     with pytest.raises(DimensionError):
         gf2.hamming_distance("10", "1")
-    # only positions inside e count
-    assert gf2.hamming_distance_on([0, 2], "101", "001") == 1
-    assert gf2.hamming_distance_on([], "101", "001") == 0
 
 
 def test_binary_entropy_values():
