@@ -367,13 +367,6 @@ def min_distance(code: Union[LinearCode, np.ndarray]):
     return min((int(w[w > 0].min()) for w in weights if w.any()), default=math.inf)
 
 
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    a, b = bits(a), bits(b)
-    if a.size != b.size:
-        raise DimensionError("hamming operands differ in length")
-    return int((a ^ b).sum())
-
-
 def binary_entropy(x: float) -> float:
     """H(x) = -(x lg x + (1-x) lg(1-x)), with 0 lg 0 = 0."""
     if x < 0.0 or x > 1.0:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -118,7 +118,8 @@ class ProtocolParams:
         return ChannelModel.bitflip(self.noise_p)
 
     def to_json(self) -> dict:
-        return {**asdict(self), "mode": self.mode.value}
+        return {**{fld.name: getattr(self, fld.name) for fld in fields(self)},
+                "mode": self.mode.value}
 
 
 class CommitmentOracle:
@@ -195,11 +196,14 @@ class Reception:
 
     Measurement comes in blocks: measure_many takes k distinct positions,
     each with its angle, and consumes one uniform per photon in block
-    order, in either mode. CLASSICAL_FAST draws the block's uniforms with
-    one rng.random(k) call, which yields the same doubles as k scalar
-    draws, so a block and a photon-by-photon loop leave the same outcomes
-    and the same generator state. A block of one position (measure,
-    measure_basis) skips the duplicate scan and draws one scalar.
+    order, in either mode. CLASSICAL_FAST finds the block's distinct held
+    and probe angles, computes one Born probability per distinct (held,
+    bit, probe) triple, gathers them per photon, and draws the block's
+    uniforms with one rng.random(k) call, which yields the same doubles as
+    k scalar draws. So a block and a photon-by-photon loop leave the same
+    outcomes and the same generator state. measure and measure_basis
+    measure one photon directly and draw one scalar, as does a block of
+    one position.
     """
 
     def __init__(self, mode: Mode, n: int, encoded: np.ndarray, theta: np.ndarray):
@@ -220,15 +224,17 @@ class Reception:
         angles = np.asarray(angles, dtype=float)
         if angles.shape not in ((), pos.shape):
             raise DimensionError("give one angle, or one per position")
+        if not pos.size:
+            return np.zeros(0, dtype=np.uint8)
         if pos.size == 1:
             return np.array([self._measure_one(int(pos[0]), float(angles.flat[0]), rng)],
                             dtype=np.uint8)
         pos = pos.astype(np.int64)
         angles = np.full(pos.shape, angles)
         ordered = np.sort(pos)
-        if ordered.size and (ordered[0] < 0 or ordered[-1] >= self.n):
+        if ordered[0] < 0 or ordered[-1] >= self.n:
             raise DomainError("measurement position out of range")
-        if ordered.size > 1 and (ordered[1:] == ordered[:-1]).any():
+        if (ordered[1:] == ordered[:-1]).any():
             raise DomainError("a block measures each position at most once")
         if self.mode is Mode.EXACT_QUANTUM:
             # a block holds few distinct angles: build each one's basis once
@@ -238,10 +244,15 @@ class Reception:
                 self._state, pos.tolist(), [rotation[angle] for angle in probes], rng
             )
             return out
-        p1 = np.array([
-            _born_p1(*t)
-            for t in zip(self._angles[pos].tolist(), self._bits[pos].tolist(), angles.tolist())
-        ])
+        # a block holds few distinct angles: one Born probability per
+        # distinct (held, bit, probe) triple, gathered per photon
+        held, held_at = np.unique(self._angles[pos], return_inverse=True)
+        probes, probe_at = np.unique(angles, return_inverse=True)
+        table = np.array([
+            _born_p1(h, bit, probe)
+            for h in held.tolist() for bit in (0, 1) for probe in probes.tolist()
+        ]).reshape(held.size, 2, probes.size)
+        p1 = table[held_at, self._bits[pos], probe_at]
         out = (rng.random(pos.size) < p1).astype(np.uint8)
         self._angles[pos] = angles
         self._bits[pos] = out
@@ -261,7 +272,9 @@ class Reception:
         return out
 
     def measure(self, position: int, angle: float, rng: np.random.Generator) -> int:
-        return int(self.measure_many([position], angle, rng)[0])
+        if isinstance(position, bool) or not isinstance(position, (int, np.integer)):
+            raise DomainError("measurement positions must be integers")
+        return self._measure_one(int(position), float(angle), rng)
 
     def measure_basis(self, position: int, basis: int, rng: np.random.Generator) -> int:
         return self.measure(position, basis_angle(basis), rng)
@@ -435,13 +448,90 @@ def _position_array(v: List[int]) -> np.ndarray:
     return np.asarray(v, dtype=np.int64)
 
 
-def _str_keys(m: dict) -> dict:
-    return {str(k): int(v) for k, v in m.items()}
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+_DIGIT_TABLE_MAX = 1 << 16  # larger numbers are written by json.dumps
+_PAD = ord(" ")
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_table(bound: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Decimal text of 0..bound-1, right-aligned in space-padded uint8
+    rows of one width, and each number's rank in the order of those texts
+    ("10" before "9"), the order json.dumps(sort_keys=True) gives keys."""
+    names = [str(k) for k in range(bound)]
+    text = "".join(name.rjust(len(names[-1])) for name in names)
+    digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(bound, -1)
+    rank = np.empty(bound, dtype=np.intp)
+    rank[sorted(range(bound), key=names.__getitem__)] = np.arange(bound)
+    return digits, rank
+
+
+def _covering_table(a: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The digit table for a non-empty integer array with every entry in
+    0.._DIGIT_TABLE_MAX-1, else None."""
+    if a.dtype.kind not in "iu" or not a.size or a.min() < 0 or a.max() >= _DIGIT_TABLE_MAX:
+        return None
+    return _digit_table(1 << int(a.max()).bit_length())
+
+
+def _unpadded(rows: np.ndarray) -> str:
+    return rows[rows != _PAD].tobytes().decode("ascii")
+
+
+def _positions_text(v: np.ndarray) -> str:
+    """JSON text of a position list, byte for byte what json.dumps writes
+    for _positions(v)."""
+    a = np.asarray(v).ravel()
+    table = _covering_table(a)
+    if table is None:
+        return _dumps(a.tolist())
+    digits = table[0][a]
+    rows = np.empty((a.size, digits.shape[1] + 1), dtype=np.uint8)
+    rows[:, :-1] = digits
+    rows[:, -1] = ord(",")
+    return "[" + _unpadded(rows)[:-1] + "]"
+
+
+def _int_array(items, count: int) -> Optional[np.ndarray]:
+    """items as int64, or None unless each is an int or a NumPy integer."""
+    if not all(t is int or issubclass(t, np.integer) for t in set(map(type, items))):
+        return None
+    try:
+        return np.fromiter(items, dtype=np.int64, count=count)
+    except OverflowError:
+        return None
+
+
+def _map_text(m: dict) -> str:
+    """JSON text of an int -> int map, byte for byte what json.dumps
+    writes for {str(k): int(v)} with sorted keys. Int keys in the digit
+    table with values 0..9 are written from arrays, any other map by
+    json.dumps."""
+    keys = _int_array(m.keys(), len(m))
+    values = _int_array(m.values(), len(m))
+    table = None if keys is None or values is None else _covering_table(keys)
+    if table is None or values.min() < 0 or values.max() > 9:
+        return _dumps({str(k): int(v) for k, v in m.items()})
+    digits, rank = table
+    order = np.argsort(rank[keys])
+    rows = np.empty((keys.size, digits.shape[1] + 5), dtype=np.uint8)  # "key":v,
+    rows[:, 0] = ord('"')
+    rows[:, 1:-4] = digits[keys[order]]
+    rows[:, -4:] = np.frombuffer(b'":0,', dtype=np.uint8)
+    rows[:, -2] += values[order].astype(np.uint8)
+    return "{" + _unpadded(rows)[:-1] + "}"
 
 
 def _int_keys(m: dict) -> Dict[int, int]:
     return {int(k): int(v) for k, v in m.items()}
 
+
+_POSITION_FIELDS = ("R", "T0", "T1", "E0", "E1", "E_c")
+# fields whose encoder returns finished JSON text
+_TEXT_FIELDS = frozenset((*_POSITION_FIELDS, "bob_values", "deferred"))
 
 # (encode, decode) of every transcript field that is not plain JSON; None
 # stays None. Every other field is written and read as it stands.
@@ -456,8 +546,8 @@ _CODECS = {
     "theta_hat": (quantum.basis_text, quantum.basis_string),
     **{name: (_bits_str, gf2.bits)
        for name in ("w", "flips", "w_hat", "s", "a", "decoded", "b", "b_hat")},
-    **{name: (_positions, _position_array)
-       for name in ("R", "T0", "T1", "E0", "E1", "E_c")},
+    **{name: (_positions_text, _position_array)
+       for name in _POSITION_FIELDS},
     "announced_sets": (
         lambda sets: [_positions(e) for e in sets],
         lambda sets: [_position_array(e) for e in sets],
@@ -466,8 +556,8 @@ _CODECS = {
         lambda r: {"positions": _positions(r["positions"]), "bits": _bits_str(r["bits"])},
         lambda r: {"positions": _position_array(r["positions"]), "bits": gf2.bits(r["bits"])},
     ),
-    "bob_values": (_str_keys, _int_keys),
-    "deferred": (_str_keys, _int_keys),
+    "bob_values": (_map_text, _int_keys),
+    "deferred": (_map_text, _int_keys),
 }
 
 
@@ -512,13 +602,24 @@ class Transcript:
     eve: Optional[dict] = None
 
     def to_json(self) -> str:
-        d = {}
-        for fld in fields(self):
-            value = getattr(self, fld.name)
-            if value is not None and fld.name in _CODECS:
-                value = _CODECS[fld.name][0](value)
-            d[fld.name] = value
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+        """The fields in sorted order, as one json.dumps(sort_keys=True)
+        of the encoded fields would write them, with the position maps'
+        text spliced in at their places."""
+        chunks, plain = [], {}
+        for name in sorted(fld.name for fld in fields(self)):
+            value = getattr(self, name)
+            if value is not None and name in _CODECS:
+                value = _CODECS[name][0](value)
+            if name in _TEXT_FIELDS and value is not None:
+                if plain:
+                    chunks.append(_dumps(plain)[1:-1])
+                    plain = {}
+                chunks.append(f'"{name}":{value}')
+            else:
+                plain[name] = value
+        if plain:
+            chunks.append(_dumps(plain)[1:-1])
+        return "{" + ",".join(chunks) + "}"
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":

@@ -5,20 +5,25 @@ names and indices. Streams are independent of how many other streams exist,
 so adding trials or reordering draws never perturbs earlier randomness.
 """
 
+import functools
 import zlib
 
 import numpy as np
 
 
+@functools.lru_cache(maxsize=None)
+def _name_key(name: str) -> int:
+    return zlib.crc32(name.encode("utf-8"))
+
+
 def stream_seed(root_seed, *path):
     """SeedSequence for a purpose path like ("trial", 7, "channel")."""
-    key = tuple(
-        zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else int(p)
-        for p in path
-    )
+    key = tuple(_name_key(p) if isinstance(p, str) else int(p) for p in path)
     return np.random.SeedSequence(entropy=root_seed, spawn_key=key)
 
 
 def stream(root_seed, *path):
-    """Generator dedicated to the given purpose path under the root seed."""
-    return np.random.default_rng(stream_seed(root_seed, *path))
+    """Generator dedicated to the given purpose path under the root seed:
+    the generator np.random.default_rng(stream_seed(root_seed, *path))
+    gives, built directly."""
+    return np.random.Generator(np.random.PCG64(stream_seed(root_seed, *path)))

@@ -376,12 +376,6 @@ def test_solve_affine_kernel_is_kernel_basis(m, seed, consistent):
         assert np.array_equal(gf2.matvec(m, particular), x)
 
 
-def test_hamming_distances():
-    assert gf2.hamming_distance("1010", "0010") == 1
-    with pytest.raises(DimensionError):
-        gf2.hamming_distance("10", "1")
-
-
 def test_binary_entropy_values():
     assert gf2.binary_entropy(0.0) == 0.0
     assert gf2.binary_entropy(1.0) == 0.0

@@ -1,6 +1,7 @@
 """Protocol runner: parameters, commitments, transmission, the test,
 set choice, decoding, transcripts, and the two execution modes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -193,6 +194,91 @@ def test_block_measurement_matches_the_photon_by_photon_loop(case, seed, mode):
     final = np.arange(n)
     assert np.array_equal(block.measure_many(final, 0.2, rng_block),
                           loop.measure_many(final, 0.2, rng_loop))
+
+
+def born_loop(reception, positions, angles, rng):
+    """CLASSICAL_FAST measurement photon by photon, each Born probability
+    computed afresh: the reference for the per-block probability table."""
+    outs = []
+    for i, angle in zip(positions, np.broadcast_to(angles, len(positions)).tolist()):
+        p1 = protocol._born_p1.__wrapped__(
+            float(reception._angles[i]), int(reception._bits[i]), angle
+        )
+        outs.append(int(rng.random() < p1))
+        reception._angles[i], reception._bits[i] = angle, outs[-1]
+    return outs
+
+
+def assert_born_table_matches_the_loop(n, blocks, seed):
+    table, loop = twin_receptions(protocol.Mode.CLASSICAL_FAST, n, seed)
+    rng_table, rng_loop = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for positions, angles in blocks:
+        outs = table.measure_many(positions, angles, rng_table)
+        assert outs.tolist() == born_loop(loop, positions, angles, rng_loop)
+        assert rng_table.bit_generator.state == rng_loop.bit_generator.state
+    # the same held states, down to the sign of a zero angle
+    assert table._angles.tobytes() == loop._angles.tobytes()
+    assert table._bits.tobytes() == loop._bits.tobytes()
+
+
+ZEROS_AND_ANGLES = st.sampled_from([0.0, -0.0, math.pi / 4, 0.3, -1.2])
+
+
+@st.composite
+def born_blocks(draw):
+    """Blocks of distinct positions, each at one angle or at one angle per
+    photon drawn from a few values, 0.0 and -0.0 among them, so that the
+    held angles of later blocks are mixed."""
+    n = draw(st.integers(1, 12))
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        positions = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        if draw(st.booleans()):
+            angles = draw(ZEROS_AND_ANGLES)
+        else:
+            angles = np.array(draw(st.lists(
+                ZEROS_AND_ANGLES, min_size=len(positions), max_size=len(positions)
+            )))
+        blocks.append((positions, angles))
+    return n, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(born_blocks(), st.integers(0, 2**32))
+def test_born_table_matches_the_per_photon_born_rule(case, seed):
+    assert_born_table_matches_the_loop(*case, seed)
+
+
+def test_born_table_on_empty_blocks_and_on_both_zeros():
+    blocks = [
+        ([], 0.3),
+        (np.array([], dtype=np.int64), np.array([])),  # finish_deferred with nothing held
+        ([0, 1, 2], -0.0),
+        ([1, 3, 5, 0], np.array([0.0, -0.0, 0.0, -0.0])),  # probes hold both zeros
+        ([5, 4, 3, 2, 1, 0], 0.0),  # held angles hold both zeros
+        ([2, 0, 4], np.array([-0.0, 0.0, math.pi / 4])),
+        ([0, 1, 2, 3, 4, 5], math.pi / 4),
+    ]
+    for seed in range(20):
+        assert_born_table_matches_the_loop(6, blocks, seed)
+
+
+@pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
+def test_one_photon_measure_rejects_what_a_block_rejects(mode):
+    reception, twin = twin_receptions(mode, 5, 3)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for bad in (1.0, np.float64(2.0), True, np.bool_(False), "1", None, -1, 5, np.int64(5)):
+        with pytest.raises(DomainError):
+            reception.measure(bad, 0.0, rng)
+        with pytest.raises(DomainError):
+            reception.measure_basis(bad, quantum.PLUS, rng)
+    assert rng.bit_generator.state == before
+    # NumPy integers are positions, and one photon draws what a block of one draws
+    rng_twin = np.random.default_rng(0)
+    for i, angle in ((np.int64(2), 0.3), (np.uint8(4), -1.0), (2, math.pi / 4)):
+        assert reception.measure(i, angle, rng) == twin.measure_many([i], angle, rng_twin)[0]
+    assert rng.bit_generator.state == rng_twin.bit_generator.state
 
 
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
@@ -406,11 +492,8 @@ def test_bob_decode_is_maximum_likelihood(trial):
     _, corrected = protocol.bob_decode(target, s, g, [0], h)
     assert np.array_equal(gf2.matvec(g, corrected), s)
     particular, kern = gf2.solve_affine(g, s)
-    best = min(
-        gf2.hamming_distance(particular ^ combo, target)
-        for combo in _span(kern, width)
-    )
-    assert gf2.hamming_distance(corrected, target) == best
+    best = min(np.count_nonzero(particular ^ combo != target) for combo in _span(kern, width))
+    assert np.count_nonzero(corrected != target) == best
 
 
 def _span(kern, width):
@@ -441,7 +524,7 @@ def test_bob_decode_returns_the_first_nearest_coset_word_on_wide_words(width, di
     b_hat, corrected = protocol.bob_decode(target, s, g, a, h)
     particular, kern = gf2.solve_affine(g, s)
     coset = [particular ^ combo for combo in _span(kern, width)]
-    best = min(coset, key=lambda v: (gf2.hamming_distance(v, target), v.tolist()))
+    best = min(coset, key=lambda v: (np.count_nonzero(v != target), v.tolist()))
     assert np.array_equal(corrected, best)
     assert np.array_equal(b_hat, a ^ gf2.matvec(h, best))
 
@@ -592,17 +675,21 @@ def test_transcript_roundtrip_preserves_everything():
 
 
 @st.composite
-def protocol_runs(draw):
+def protocol_runs(draw, sizes=st.integers(4, 16), exact=False):
     """Arguments of one run: either protocol, every receiver strategy and
-    both kinds of Eve, small sizes so that both abort reasons are common."""
-    n = draw(st.integers(4, 16))
-    N = draw(st.integers(1, n // 4))
+    both kinds of Eve, small sizes so that both abort reasons are common.
+    With exact, runs of at most 10 photons may take EXACT_QUANTUM."""
+    n = draw(sizes)
+    N = draw(st.integers(1, min(n // 4, 12)))
     m = draw(st.integers(1, N))
+    mode = protocol.Mode.CLASSICAL_FAST
+    if exact and n <= 10:
+        mode = draw(st.sampled_from(protocol.Mode))
     params = protocol.ProtocolParams(
         n=n, m=m, r=draw(st.integers(0, N - m)), N=N,
         delta=draw(st.sampled_from([0.0, 0.1, 0.3])),
         noise_p=draw(st.sampled_from([0.0, 0.1])),
-        seed=draw(st.integers(0, 2**32)),
+        mode=mode, seed=draw(st.integers(0, 2**32)),
     )
     announce_rest = draw(st.booleans())
     if draw(st.booleans()):
@@ -624,16 +711,113 @@ def protocol_runs(draw):
     )
 
 
+def execute(run) -> protocol.Transcript:
+    kind, params, kw = run
+    if kind == "qkd":
+        return protocol.run_qkd(params, **kw)
+    return protocol.run_string_qot(params, **kw)
+
+
 @settings(max_examples=200, deadline=None)
 @given(protocol_runs())
 def test_random_transcripts_round_trip_byte_for_byte(run):
-    kind, params, kw = run
-    if kind == "qkd":
-        tr = protocol.run_qkd(params, **kw)
-    else:
-        tr = protocol.run_string_qot(params, **kw)
-    text = tr.to_json()
+    text = execute(run).to_json()
     assert protocol.Transcript.from_json(text).to_json() == text
+
+
+def _positions(v):
+    return np.asarray(v).ravel().tolist()
+
+
+def _str_keys(m):
+    return {str(k): int(v) for k, v in m.items()}
+
+
+# the transcript encoder before position text came from digit tables:
+# position lists as int lists and position maps with str keys, all
+# written by one json.dumps
+REFERENCE_ENCODERS = {
+    **{name: codec[0] for name, codec in protocol._CODECS.items()},
+    **{name: _positions for name in ("R", "T0", "T1", "E0", "E1", "E_c")},
+    "bob_values": _str_keys,
+    "deferred": _str_keys,
+}
+
+
+def reference_to_json(tr: protocol.Transcript) -> str:
+    d = {}
+    for fld in dataclasses.fields(tr):
+        value = getattr(tr, fld.name)
+        if value is not None and fld.name in REFERENCE_ENCODERS:
+            value = REFERENCE_ENCODERS[fld.name](value)
+        d[fld.name] = value
+    return json.dumps(d, sort_keys=True, separators=(",", ":"))
+
+
+# keys and values a run never writes: NumPy ints, negative, huge, bool
+# and str keys, values outside 0..9, floats
+ODD_KEYS = st.one_of(
+    st.integers(0, 1100), st.integers(0, 1100).map(np.int64), st.integers(0, 300).map(np.uint16),
+    st.integers(-50, -1), st.integers(2**16 - 2, 2**70), st.booleans(), st.text(max_size=2),
+)
+ODD_VALUES = st.one_of(
+    st.integers(0, 9), st.integers(-3, 12), st.integers(0, 9).map(np.uint8), st.booleans(),
+    st.integers(2**63, 2**70), st.floats(-3.0, 12.0),
+)
+POSITION_MAPS = st.one_of(
+    st.dictionaries(st.integers(0, 1100), st.integers(0, 1), max_size=40),
+    st.dictionaries(st.integers(0, 2**16 - 1).map(np.int64), st.integers(0, 9), max_size=40),
+    st.dictionaries(st.integers(0, 1100), st.integers(-3, 12), max_size=40),
+    st.dictionaries(ODD_KEYS, ODD_VALUES, max_size=40),
+)
+POSITION_LISTS = st.one_of(
+    st.lists(st.integers(0, 1100), max_size=40),
+    st.lists(st.integers(-5, 2**17), max_size=40),
+    st.lists(st.integers(0, 2**16 - 1), max_size=40).map(lambda v: np.array(v, dtype=np.uint16)),
+    st.lists(st.integers(0, 2**70), max_size=5),
+    st.lists(st.floats(0.0, 50.0), max_size=5),
+    st.lists(st.integers(0, 99), min_size=6, max_size=6).map(lambda v: np.reshape(v, (2, 3))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(protocol_runs(sizes=st.sampled_from([9, 10, 11, 99, 100, 999, 1000, 1001]), exact=True)
+       | protocol_runs(exact=True), st.data())
+def test_to_json_matches_the_reference_encoder(run, data):
+    tr = execute(run)
+    assert tr.to_json() == reference_to_json(tr)
+    # hand-built transcripts with maps and position lists no run makes
+    odd = dataclasses.replace(
+        tr,
+        bob_values=data.draw(POSITION_MAPS), deferred=data.draw(POSITION_MAPS),
+        R=data.draw(POSITION_LISTS), E_c=data.draw(st.none() | POSITION_LISTS),
+    )
+    assert odd.to_json() == reference_to_json(odd)
+
+
+def test_to_json_matches_the_reference_encoder_on_every_run_kind():
+    params = make_params(n=1000, N=16, r=8, m=2, delta=0.05, noise_p=0.02, seed=3)
+    runs = [
+        protocol.run_string_qot(params, [1, 0]),
+        protocol.run_string_qot(params, [1, 0], bob=attacks.store_subset(count=64), force_c=0),
+        protocol.run_string_qot(params, [0, 1], bob=attacks.store_subset(count=1000)),  # aborts
+        protocol.run_string_qot(params, [0, 1], bob=attacks.fixed_basis(0.3)),
+        protocol.run_string_qot(params, [1, 1], announce_rest=True),
+        protocol.run_qkd(params, eve=attacks.honest(), announce_rest=True),
+        protocol.run_qkd(params, eve=attacks.fixed_basis(0.3)),
+        protocol.run_string_qot(
+            make_params(n=10, N=2, m=1, r=0, mode=protocol.Mode.EXACT_QUANTUM, seed=4), [1],
+            bob=attacks.store_subset(positions=[1, 7]), announce_rest=True,
+        ),
+    ]
+    assert runs[1].deferred and runs[2].bob_values == {}
+    assert runs[2].abort_reason == protocol.TEST_FAILED
+    runs.append(dataclasses.replace(runs[0], bob_values={}, deferred={}, R=[]))
+    runs.append(dataclasses.replace(
+        runs[0], bob_values={**runs[0].bob_values, 5: 10}, deferred={7: -1, 2**16: 1},
+    ))
+    for tr in runs:
+        assert tr.to_json() == reference_to_json(tr)
 
 
 def test_transcript_from_json_rejects_missing_and_unknown_keys():
