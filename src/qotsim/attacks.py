@@ -135,10 +135,12 @@ def random_ok() -> AttackStrategy:
 
 @dataclass
 class BobRecord:
-    """Commitments plus the deferred-state handle for one run.
+    """Commitments plus Bob's outcomes for one run.
 
-    pending lists the positions whose photons are still unmeasured; they
-    are resolved by finish_deferred once the encoding bases are announced.
+    measured and held are the sorted positions whose photons were measured
+    in the photon phase and those held until the encoding bases are
+    announced. values is the length-n uint8 array of his outcome at each
+    position: 0 at the held positions until finish_deferred writes theirs.
     runtime carries strategy data that only exists at run time (the chosen
     store set, the coin), merged into the transcript's strategy record.
     """
@@ -147,8 +149,9 @@ class BobRecord:
     w_hat: np.ndarray
     theta_hat_commit: int
     w_hat_commit: int
-    outcomes: Dict[int, int]
-    pending: tuple
+    measured: np.ndarray
+    held: np.ndarray
+    values: np.ndarray
     runtime: dict
 
 
@@ -169,35 +172,33 @@ def apply_strategy(
     n = reception.n
     theta_hat = gf2.random_bits(rng, n)
     held, runtime = strategy.hold(n, rng)
-    pending = tuple(int(i) for i in held)
 
     measured = gf2.complement_positions(held, n)
     if strategy.angle is None:
         angles = protocol.basis_angle(theta_hat[measured])
     else:
         angles = strategy.angle
-    outs = reception.measure_many(measured, angles, rng)
-    w_hat = np.zeros(n, dtype=np.uint8)
-    w_hat[measured] = outs
+    values = np.zeros(n, dtype=np.uint8)
+    values[measured] = reception.measure_many(measured, angles, rng)
+    w_hat = values.copy()
     w_hat[held] = gf2.random_bits(rng, held.size)
-    outcomes = dict(zip(measured.tolist(), outs.tolist()))
 
     tid = oracle.commit(theta_hat)
     wid = oracle.commit(w_hat)
     return BobRecord(
         theta_hat=theta_hat, w_hat=w_hat, theta_hat_commit=tid, w_hat_commit=wid,
-        outcomes=outcomes, pending=pending, runtime=runtime,
+        measured=measured, held=held, values=values, runtime=runtime,
     )
 
 
 def finish_deferred(
     record: BobRecord, reception: protocol.Reception, theta: np.ndarray, rng
-) -> Dict[int, int]:
-    """Measure the stored photons in the now-announced encoding bases."""
+) -> None:
+    """Measure the held photons in the now-announced encoding bases and
+    write their outcomes into record.values."""
     theta = quantum.basis_string(theta, length=reception.n)
-    held = np.array(record.pending, dtype=np.int64)
-    outs = reception.measure_many(held, protocol.basis_angle(theta[held]), rng)
-    return dict(zip(record.pending, outs.tolist()))
+    held = record.held
+    record.values[held] = reception.measure_many(held, protocol.basis_angle(theta[held]), rng)
 
 
 def eve_intercept(
@@ -583,16 +584,15 @@ def _view_summary(tr: protocol.Transcript, strategy: AttackStrategy) -> tuple:
     E_c, never by position: a view class depends on which slots are held,
     not on where E_c fell, and every extra key inflates the estimator's
     upward bias."""
-    ec = [int(i) for i in tr.E_c]
-    base = (tuple(int(b) for b in tr.s), tuple(int(b) for b in tr.a))
-    known = tuple((k, tr.deferred[i]) for k, i in enumerate(ec) if i in tr.deferred)
+    ec = tr.E_c
+    base = (tuple(tr.s.tolist()), tuple(tr.a.tolist()))
+    held, bits = tr.deferred.positions.tolist(), tr.deferred.bits.tolist()
+    known = tuple(
+        (k, bits[held.index(i)]) for k, i in enumerate(ec.tolist()) if i in held
+    )
     if strategy.angle is None:
         return base + (known,)
-    return base + (
-        known,
-        tuple(int(tr.w_hat[i]) for i in ec),
-        tuple(int(tr.theta[i]) for i in ec),
-    )
+    return base + (known, tuple(tr.w_hat[ec].tolist()), tuple(tr.theta[ec].tolist()))
 
 
 def _plugin_mi(pairs: List[Tuple[tuple, tuple]]) -> float:

@@ -129,28 +129,19 @@ class CommitmentOracle:
 
     def __init__(self):
         self._ledger: Dict[int, np.ndarray] = {}
-        self._opened: Dict[int, set] = {}
         self._next = 0
 
     def commit(self, values) -> int:
         cid = self._next
         self._next += 1
         self._ledger[cid] = gf2.bits(values).copy()
-        self._opened[cid] = set()
         return cid
 
     def open(self, cid: int, positions) -> np.ndarray:
         if cid not in self._ledger:
             raise ProtocolViolation(f"no commitment with id {cid}")
         stored = self._ledger[cid]
-        pos = gf2.position_set(positions, stored.size)
-        self._opened[cid].update(pos.tolist())
-        return stored[pos].copy()
-
-    def opened_positions(self, cid: int) -> List[int]:
-        if cid not in self._ledger:
-            raise ProtocolViolation(f"no commitment with id {cid}")
-        return sorted(self._opened[cid])
+        return stored[gf2.position_set(positions, stored.size)].copy()
 
 
 _BASIS_ANGLES = np.array([0.0, math.pi / 4])  # indexed by quantum.PLUS, quantum.CROSS
@@ -190,20 +181,23 @@ class Reception:
     to the instance. EXACT_QUANTUM holds the full statevector, real like
     every BB84 encoding and probe rotation, and collapses it one block at a
     time (quantum.measure_photons measures each photon on the shrinking
-    remainder and assembles the state once). CLASSICAL_FAST tracks one
-    pure-qubit descriptor (angle, bit) per photon and samples the same Born
-    rule.
+    remainder and assembles the state once). CLASSICAL_FAST holds per
+    photon a basis state bit and an index into the run's angle table, whose
+    entries 0 and 1 are the +/x basis angles, so theta is the initial index
+    array. An angle joins the table when a measurement first uses it, and
+    only then is the Born table of p1 per (held angle, bit, probe angle)
+    rebuilt; a protocol run uses at most three angles.
 
     Measurement comes in blocks: measure_many takes k distinct positions,
-    each with its angle, and consumes one uniform per photon in block
-    order, in either mode. CLASSICAL_FAST finds the block's distinct held
-    and probe angles, computes one Born probability per distinct (held,
-    bit, probe) triple, gathers them per photon, and draws the block's
-    uniforms with one rng.random(k) call, which yields the same doubles as
-    k scalar draws. So a block and a photon-by-photon loop leave the same
-    outcomes and the same generator state. measure and measure_basis
-    measure one photon directly and draw one scalar, as does a block of
-    one position.
+    each with its finite angle, and consumes one uniform per photon in
+    block order, in either mode. CLASSICAL_FAST compares the block's angles
+    with the table's entries, gathers p1 per photon from the Born table,
+    and draws the block's uniforms with one rng.random(k) call, which
+    yields the same doubles as k scalar draws. So a block and a photon-by-photon loop leave
+    the same outcomes and the same generator state. measure and
+    measure_basis measure one photon directly and draw one scalar, as does
+    a block of one position. Bad positions and non-finite angles raise
+    DomainError before anything is drawn.
     """
 
     def __init__(self, mode: Mode, n: int, encoded: np.ndarray, theta: np.ndarray):
@@ -212,7 +206,9 @@ class Reception:
         if mode is Mode.EXACT_QUANTUM:
             self._state = quantum.bb84_state(encoded, theta)
         else:
-            self._angles = basis_angle(theta)
+            self._angles: List[float] = []
+            self._learn(_BASIS_ANGLES.tolist())
+            self._held = theta.astype(np.intp)
             self._bits = encoded.astype(np.uint8).copy()
 
     def measure_many(self, positions, angles, rng: np.random.Generator) -> np.ndarray:
@@ -224,39 +220,60 @@ class Reception:
         angles = np.asarray(angles, dtype=float)
         if angles.shape not in ((), pos.shape):
             raise DimensionError("give one angle, or one per position")
+        if not np.isfinite(angles).all():
+            raise DomainError("measurement angles must be finite")
         if not pos.size:
             return np.zeros(0, dtype=np.uint8)
         if pos.size == 1:
             return np.array([self._measure_one(int(pos[0]), float(angles.flat[0]), rng)],
                             dtype=np.uint8)
         pos = pos.astype(np.int64)
-        angles = np.full(pos.shape, angles)
-        ordered = np.sort(pos)
+        ordered = pos if (pos[1:] > pos[:-1]).all() else np.sort(pos)
         if ordered[0] < 0 or ordered[-1] >= self.n:
             raise DomainError("measurement position out of range")
         if (ordered[1:] == ordered[:-1]).any():
             raise DomainError("a block measures each position at most once")
         if self.mode is Mode.EXACT_QUANTUM:
             # a block holds few distinct angles: build each one's basis once
-            probes = angles.tolist()
+            probes = np.full(pos.shape, angles).tolist()
             rotation = {angle: quantum.angle_basis(angle) for angle in set(probes)}
             out, self._state = quantum.measure_photons(
                 self._state, pos.tolist(), [rotation[angle] for angle in probes], rng
             )
             return out
-        # a block holds few distinct angles: one Born probability per
-        # distinct (held, bit, probe) triple, gathered per photon
-        held, held_at = np.unique(self._angles[pos], return_inverse=True)
-        probes, probe_at = np.unique(angles, return_inverse=True)
-        table = np.array([
-            _born_p1(h, bit, probe)
-            for h in held.tolist() for bit in (0, 1) for probe in probes.tolist()
-        ]).reshape(held.size, 2, probes.size)
-        p1 = table[held_at, self._bits[pos], probe_at]
+        probe = self._index(angles)
+        p1 = self._born[self._held[pos], self._bits[pos], probe]
         out = (rng.random(pos.size) < p1).astype(np.uint8)
-        self._angles[pos] = angles
+        self._held[pos] = probe
         self._bits[pos] = out
         return out
+
+    def _index(self, angles):
+        """The entry in the angle table of one angle, or of each angle of
+        an array. Angles new to the run join the table first, and the Born
+        table is rebuilt over it."""
+        if not np.ndim(angles):
+            angle = float(angles)
+            if angle not in self._angles:
+                self._learn([angle])
+            return self._angles.index(angle)
+        index = np.full(angles.shape, -1)
+        for entry, angle in enumerate(self._angles):
+            index[angles == angle] = entry
+        new = index < 0
+        if new.any():
+            self._learn(dict.fromkeys(angles[new].tolist()))
+            return self._index(angles)
+        return index
+
+    def _learn(self, angles) -> None:
+        """Add angles to the table and rebuild the Born table over it."""
+        self._angles.extend(angles)
+        size = len(self._angles)
+        self._born = np.array([
+            _born_p1(held, bit, probe)
+            for held in self._angles for bit in (0, 1) for probe in self._angles
+        ]).reshape(size, 2, size)
 
     def _measure_one(self, i: int, angle: float, rng: np.random.Generator) -> int:
         if not 0 <= i < self.n:
@@ -266,17 +283,23 @@ class Reception:
                 self._state, i, quantum.angle_basis(angle), rng
             )
             return out
-        out = int(rng.random() < _born_p1(float(self._angles[i]), int(self._bits[i]), angle))
-        self._angles[i] = angle
+        probe = self._index(angle)
+        out = int(rng.random() < self._born[self._held[i], self._bits[i], probe])
+        self._held[i] = probe
         self._bits[i] = out
         return out
 
     def measure(self, position: int, angle: float, rng: np.random.Generator) -> int:
         if isinstance(position, bool) or not isinstance(position, (int, np.integer)):
             raise DomainError("measurement positions must be integers")
-        return self._measure_one(int(position), float(angle), rng)
+        angle = float(angle)
+        if not math.isfinite(angle):
+            raise DomainError("measurement angles must be finite")
+        return self._measure_one(int(position), angle, rng)
 
     def measure_basis(self, position: int, basis: int, rng: np.random.Generator) -> int:
+        if basis not in (quantum.PLUS, quantum.CROSS):
+            raise DomainError("a basis is + (0) or x (1)")
         return self.measure(position, basis_angle(basis), rng)
 
 
@@ -459,74 +482,103 @@ _PAD = ord(" ")
 @functools.lru_cache(maxsize=None)
 def _digit_table(bound: int) -> Tuple[np.ndarray, np.ndarray]:
     """Decimal text of 0..bound-1, right-aligned in space-padded uint8
-    rows of one width, and each number's rank in the order of those texts
-    ("10" before "9"), the order json.dumps(sort_keys=True) gives keys."""
+    rows of one width, and the numbers in the order of those texts ("10"
+    before "9"), the order json.dumps(sort_keys=True) gives keys."""
     names = [str(k) for k in range(bound)]
     text = "".join(name.rjust(len(names[-1])) for name in names)
     digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(bound, -1)
-    rank = np.empty(bound, dtype=np.intp)
-    rank[sorted(range(bound), key=names.__getitem__)] = np.arange(bound)
-    return digits, rank
-
-
-def _covering_table(a: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The digit table for a non-empty integer array with every entry in
-    0.._DIGIT_TABLE_MAX-1, else None."""
-    if a.dtype.kind not in "iu" or not a.size or a.min() < 0 or a.max() >= _DIGIT_TABLE_MAX:
-        return None
-    return _digit_table(1 << int(a.max()).bit_length())
+    return digits, np.array(sorted(range(bound), key=names.__getitem__))
 
 
 def _unpadded(rows: np.ndarray) -> str:
     return rows[rows != _PAD].tobytes().decode("ascii")
 
 
-def _positions_text(v: np.ndarray) -> str:
-    """JSON text of a position list, byte for byte what json.dumps writes
-    for _positions(v)."""
-    a = np.asarray(v).ravel()
-    table = _covering_table(a)
-    if table is None:
-        return _dumps(a.tolist())
-    digits = table[0][a]
-    rows = np.empty((a.size, digits.shape[1] + 1), dtype=np.uint8)
-    rows[:, :-1] = digits
-    rows[:, -1] = ord(",")
-    return "[" + _unpadded(rows)[:-1] + "]"
-
-
-def _int_array(items, count: int) -> Optional[np.ndarray]:
-    """items as int64, or None unless each is an int or a NumPy integer."""
-    if not all(t is int or issubclass(t, np.integer) for t in set(map(type, items))):
-        return None
-    try:
-        return np.fromiter(items, dtype=np.int64, count=count)
-    except OverflowError:
-        return None
-
-
-def _map_text(m: dict) -> str:
-    """JSON text of an int -> int map, byte for byte what json.dumps
-    writes for {str(k): int(v)} with sorted keys. Int keys in the digit
-    table with values 0..9 are written from arrays, any other map by
+def _json_text(keys: np.ndarray, bits: Optional[np.ndarray] = None) -> str:
+    """JSON text of a position list, or with bits of a position map, byte
+    for byte what json.dumps(sort_keys=True) writes for keys.tolist() or
+    {str(k): b}. Non-empty non-negative integer keys below
+    _DIGIT_TABLE_MAX are written from the digit table, any other by
     json.dumps."""
-    keys = _int_array(m.keys(), len(m))
-    values = _int_array(m.values(), len(m))
-    table = None if keys is None or values is None else _covering_table(keys)
-    if table is None or values.min() < 0 or values.max() > 9:
-        return _dumps({str(k): int(v) for k, v in m.items()})
-    digits, rank = table
-    order = np.argsort(rank[keys])
-    rows = np.empty((keys.size, digits.shape[1] + 5), dtype=np.uint8)  # "key":v,
+    if keys.dtype.kind not in "iu" or not keys.size or keys.min() < 0 \
+            or keys.max() >= _DIGIT_TABLE_MAX:
+        return _dumps(keys.tolist() if bits is None
+                      else dict(zip(map(str, keys.tolist()), bits.tolist())))
+    digits, order = _digit_table(1 << int(keys.max()).bit_length())
+    if bits is None:
+        rows = np.empty((keys.size, digits.shape[1] + 1), dtype=np.uint8)  # key,
+        rows[:, :-1] = digits[keys]
+        rows[:, -1] = ord(",")
+        return "[" + _unpadded(rows)[:-1] + "]"
+    # the map's bits over the whole table, 2 where it has no key, read in
+    # text order: its keys are where a bit is
+    spread = np.full(order.size, 2, dtype=np.uint8)
+    spread[keys] = bits
+    spread = spread[order]
+    present = spread < 2
+    rows = np.empty((keys.size, digits.shape[1] + 5), dtype=np.uint8)  # "key":b,
     rows[:, 0] = ord('"')
-    rows[:, 1:-4] = digits[keys[order]]
+    rows[:, 1:-4] = digits[order[present]]
     rows[:, -4:] = np.frombuffer(b'":0,', dtype=np.uint8)
-    rows[:, -2] += values[order].astype(np.uint8)
+    rows[:, -2] += spread[present]
     return "{" + _unpadded(rows)[:-1] + "}"
 
 
-def _int_keys(m: dict) -> Dict[int, int]:
-    return {int(k): int(v) for k, v in m.items()}
+def _positions_text(v: np.ndarray) -> str:
+    return _json_text(np.asarray(v).ravel())
+
+
+@dataclass(frozen=True, eq=False)
+class PositionMap:
+    """Bits at distinct positions, such as Bob's outcome per photon:
+    strictly increasing int64 positions and the uint8 bit at each. Its
+    JSON form is an object from decimal position text to bit; writing or
+    reading a map whose keys are not positions or whose values are not
+    bits raises DomainError."""
+
+    positions: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    bits: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
+
+    def __eq__(self, other):
+        if not isinstance(other, PositionMap):
+            return NotImplemented
+        return (np.array_equal(self.positions, other.positions)
+                and np.array_equal(self.bits, other.bits))
+
+
+def _checked(m: PositionMap) -> PositionMap:
+    """m with int64 positions and uint8 bits, after checking that it is a
+    PositionMap of distinct increasing positions and 0/1 bits."""
+    if not isinstance(m, PositionMap):
+        raise DomainError(f"a position map must be a PositionMap, not {type(m).__name__}")
+    pos, bits = np.asarray(m.positions), np.asarray(m.bits)
+    if pos.ndim != 1 or bits.shape != pos.shape:
+        raise DimensionError("a position map holds one bit per position")
+    if pos.size and pos.dtype.kind not in "iu":
+        raise DomainError("position map keys must be integer positions")
+    if bits.size and (bits.dtype.kind not in "iu" or bits.max() > 1
+                      or (bits.dtype.kind == "i" and bits.min() < 0)):
+        raise DomainError("position map values must be bits")
+    pos = pos.astype(np.int64, copy=False)  # a uint64 past int64 turns negative
+    if pos.size and (pos[0] < 0 or (pos[1:] <= pos[:-1]).any()):
+        raise DomainError("position map keys must be distinct positions in order")
+    return PositionMap(pos, bits.astype(np.uint8, copy=False))
+
+
+def _map_text(m: PositionMap) -> str:
+    m = _checked(m)
+    return _json_text(m.positions, m.bits)
+
+
+def _position_map(d: dict) -> PositionMap:
+    try:
+        keys = np.array([int(k) for k in d])
+    except ValueError as exc:
+        raise DomainError(f"position map key is not a position: {exc}") from exc
+    if [str(k) for k in keys.tolist()] != list(d):  # "05", " 5" or "1_0"
+        raise DomainError("position map keys must be written as decimal positions")
+    order = np.argsort(keys)
+    return _checked(PositionMap(keys[order], np.array(list(d.values()))[order]))
 
 
 _POSITION_FIELDS = ("R", "T0", "T1", "E0", "E1", "E_c")
@@ -556,8 +608,8 @@ _CODECS = {
         lambda r: {"positions": _positions(r["positions"]), "bits": _bits_str(r["bits"])},
         lambda r: {"positions": _position_array(r["positions"]), "bits": gf2.bits(r["bits"])},
     ),
-    "bob_values": (_map_text, _int_keys),
-    "deferred": (_map_text, _int_keys),
+    "bob_values": (_map_text, _position_map),
+    "deferred": (_map_text, _position_map),
 }
 
 
@@ -594,8 +646,8 @@ class Transcript:
     s: Optional[np.ndarray] = None
     a: Optional[np.ndarray] = None
     announced_rest: Optional[dict] = None  # {"positions": [...], "bits": vec}
-    bob_values: Dict[int, int] = field(default_factory=dict)
-    deferred: Dict[int, int] = field(default_factory=dict)
+    bob_values: PositionMap = field(default_factory=PositionMap)
+    deferred: PositionMap = field(default_factory=PositionMap)
     decoded: Optional[np.ndarray] = None
     b: Optional[np.ndarray] = None
     b_hat: Optional[np.ndarray] = None
@@ -695,7 +747,8 @@ def _run(
         theta_hat=record.theta_hat, w_hat=record.w_hat,
         theta_hat_commit=record.theta_hat_commit, w_hat_commit=record.w_hat_commit,
         R=R, test_errors=errors, passed=passed, b=b,
-        bob_values=dict(record.outcomes), eve=eve_record,
+        bob_values=PositionMap(record.measured, record.values[record.measured]),
+        eve=eve_record,
     )
     if not passed:
         return Transcript(abort_reason=TEST_FAILED, **base)
@@ -704,8 +757,8 @@ def _run(
     part = partition_and_choose_sets(theta, record.theta_hat, R, params.N, rng_bob)
     if part.shortage:
         return Transcript(abort_reason=SET_SHORTAGE, T0=part.T0, T1=part.T1, **base)
-    deferred = attacks.finish_deferred(record, reception, theta, rng_bob)
-    base["bob_values"] = {**record.outcomes, **deferred}
+    attacks.finish_deferred(record, reception, theta, rng_bob)
+    base["bob_values"] = PositionMap(np.arange(params.n), record.values)
 
     if qkd:
         announced: list = [part.E0]
@@ -728,15 +781,14 @@ def _run(
 
     b_hat, corrected = None, None
     if c == 0:
-        values = {**record.outcomes, **deferred}
-        w_hat_ec = np.array([values[int(i)] for i in E_pick], dtype=np.uint8)
-        b_hat, corrected = bob_decode(w_hat_ec, s, g, a, h)
+        b_hat, corrected = bob_decode(record.values[E_pick], s, g, a, h)
 
     return Transcript(
         T0=part.T0, T1=part.T1, E0=part.E0,
         E1=None if qkd else part.E1,
         announced_sets=announced, alice_pick=pick, c=c, E_c=E_pick,
-        s=s, a=a, announced_rest=rest, deferred=deferred,
+        s=s, a=a, announced_rest=rest,
+        deferred=PositionMap(record.held, record.values[record.held]),
         decoded=corrected, b_hat=b_hat, **base,
     )
 

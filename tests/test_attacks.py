@@ -97,8 +97,9 @@ def test_apply_strategy_honest_measures_everything():
     record = attacks.apply_strategy(
         attacks.honest(), reception, oracle, stream(1, "bob")
     )
-    assert sorted(record.outcomes) == list(range(6))
-    assert record.pending == ()
+    assert record.measured.tolist() == list(range(6))
+    assert record.held.size == 0
+    assert np.array_equal(record.values, record.w_hat)  # nothing held, no filler
     assert np.array_equal(
         oracle.open(record.w_hat_commit, range(6)), record.w_hat
     )
@@ -146,12 +147,16 @@ def test_apply_strategy_store_subset_defers_and_recovers():
         attacks.store_subset(positions=[1, 4]), reception, oracle,
         stream(2, "bob"),
     )
-    assert record.pending == (1, 4)
-    assert sorted(record.outcomes) == [0, 2, 3, 5]
+    assert record.held.tolist() == [1, 4]
+    assert record.measured.tolist() == [0, 2, 3, 5]
     assert record.runtime["stored"] == [1, 4]
-    deferred = attacks.finish_deferred(record, reception, theta, stream(3, "later"))
-    # announced bases plus a noiseless channel recover the stored bits
-    assert deferred == {1: int(w[1]), 4: int(w[4])}
+    measured = record.values.copy()
+    assert measured[[1, 4]].tolist() == [0, 0]
+    assert attacks.finish_deferred(record, reception, theta, stream(3, "later")) is None
+    # announced bases plus a noiseless channel recover the stored bits,
+    # and the photon-phase outcomes stay as they were
+    assert record.values[[1, 4]].tolist() == [w[1], w[4]]
+    assert np.array_equal(record.values[record.measured], measured[record.measured])
 
 
 def test_apply_strategy_store_count_draws_that_many():
@@ -160,7 +165,8 @@ def test_apply_strategy_store_count_draws_that_many():
         attacks.store_subset(count=3), reception,
         protocol.CommitmentOracle(), stream(4, "bob"),
     )
-    assert len(record.pending) == 3
+    assert record.held.size == 3
+    assert np.array_equal(record.measured, gf2.complement_positions(record.held, 6))
     with pytest.raises(DomainError):
         attacks.apply_strategy(
             attacks.store_subset(count=7), fresh_reception(protocol.Mode.EXACT_QUANTUM)[2],
@@ -185,7 +191,7 @@ def test_fixed_basis_zero_equals_honest_in_all_plus():
         )
         assert np.array_equal(fixed.theta_hat, honest.theta_hat)
         plus = np.nonzero(honest.theta_hat == quantum.PLUS)[0]
-        assert [fixed.outcomes[i] for i in plus] == [honest.outcomes[i] for i in plus]
+        assert np.array_equal(fixed.values[plus], honest.values[plus])
         plus_positions += plus.size
     assert plus_positions > 0
 
@@ -200,11 +206,12 @@ def test_random_ok_branches():
         )
         coin = record.runtime["coin_ok"]
         if coin == 1:
-            assert record.pending == tuple(range(6))
+            assert record.held.tolist() == list(range(6))
+            assert record.measured.size == 0
             stored += 1
         else:
-            assert record.pending == ()
-            assert len(record.outcomes) == 6
+            assert record.held.size == 0
+            assert record.measured.tolist() == list(range(6))
     assert 0 < stored < 12
 
 
@@ -788,6 +795,40 @@ def test_pattern_counts_match_the_candidate_sets(held, N):
 
 # ---------------------------------------------------------------------------
 # information accounting, Monte Carlo
+
+def dict_view_summary(tr, strategy):
+    """The view digest read position by position through a dict of the
+    deferred outcomes: the reference for the array form."""
+    deferred = dict(zip(tr.deferred.positions.tolist(), tr.deferred.bits.tolist()))
+    ec = [int(i) for i in tr.E_c]
+    base = (tuple(int(b) for b in tr.s), tuple(int(b) for b in tr.a))
+    known = tuple((k, deferred[i]) for k, i in enumerate(ec) if i in deferred)
+    if strategy.angle is None:
+        return base + (known,)
+    return base + (
+        known,
+        tuple(int(tr.w_hat[i]) for i in ec),
+        tuple(int(tr.theta[i]) for i in ec),
+    )
+
+
+@pytest.mark.parametrize("strategy", [
+    attacks.honest(), attacks.store_subset(positions=[1, 4, 7]),
+    attacks.store_subset(count=5), attacks.random_ok(), attacks.fixed_basis(0.3),
+])
+def test_view_summary_matches_the_dict_reference(strategy):
+    held_slots = 0
+    for seed in range(40):
+        params = protocol.ProtocolParams(n=10, m=1, r=1, N=3, delta=0.3, seed=seed)
+        tr = protocol.run_string_qot(params, [1], bob=strategy, force_c=1, announce_rest=True)
+        if tr.abort_reason is not None:
+            continue
+        summary = attacks._view_summary(tr, strategy)
+        assert summary == dict_view_summary(tr, strategy)
+        held_slots += len(summary[2])
+    if strategy.kind in (attacks.StrategyKind.STORE_SUBSET, attacks.StrategyKind.RANDOM_OK):
+        assert held_slots > 0
+
 
 @pytest.mark.parametrize(
     "strategy, noise_p",

@@ -1,5 +1,6 @@
 """Command line surface: artifacts, exit codes, config handling."""
 
+import hashlib
 import json
 import os
 
@@ -121,6 +122,45 @@ def test_simulate_qkd_announces_one_set(tmp_path):
             assert tr.c == 0
             assert len(tr.announced_sets) == 1
     assert saw_completed
+
+
+FROZEN_BASE = ["simulate", "--n", "40", "--N", "4", "--m", "2", "--r", "1",
+               "--delta", "0.3", "--trials", "6", "--seed", "5"]
+
+# sha256 of every file simulate writes, recorded before the position maps
+# became arrays; a later flag wins over FROZEN_BASE's
+FROZEN_ARTIFACTS = [
+    ([], {
+        "summary.csv": "4180c1b3a98c96fe3d1ca50a06726478293a5a2be094b2dae069b4f5205d02aa",
+        "transcripts.jsonl": "e92e9d36d86a09a8e2196d7cf9c5148778ebb6c845e9da47b50768d5a493e01c",
+    }),
+    (["--strategy", "STORE_SUBSET", "--store-count", "14", "--delta", "0.08"], {
+        "summary.csv": "c72a280a9a1c2f9a6c042d5bba4333fdd3744d33ed634fa09eb2cf53270afb82",
+        "transcripts.jsonl": "758f7c04c2e988d021808b3caf94e4e306c3e1f24afa39157980f054054e4f11",
+    }),
+    (["--strategy", "FIXED_BASIS", "--angle", "0.3"], {
+        "summary.csv": "b182d16e063d53deba610fa31248319698b8aa655801651d2c946b09ce292475",
+        "transcripts.jsonl": "5583f150b74b5bf80a87bd80868d207ea82f9f40fb4f17da6bbfe0f0199b1105",
+    }),
+    (["--protocol", "qkd", "--eve", "HONEST", "--delta", "0.05"], {
+        "summary.csv": "eeaa9114bf06c1f154e8e1441bae62faeb76df3c7c21f260254528eecd95a4e3",
+        "transcripts.jsonl": "4877034f7c87ad22362fca40c183855412dd9a810915e7f3f204885abdcea791",
+    }),
+    (["--protocol", "qkd", "--eve", "FIXED_BASIS", "--eve-angle", "0.5", "--delta", "0.08"], {
+        "summary.csv": "3628bfd92078c54806f5ab4d6d2d305d69aff264c39f1daaaac94956fb879355",
+        "transcripts.jsonl": "a0f955598869fa72922fb93f8741fb53378ae84ccdee85947b3c64a038772cb5",
+    }),
+]
+
+
+@pytest.mark.parametrize("flags, digests", FROZEN_ARTIFACTS)
+def test_simulate_artifacts_are_frozen(tmp_path, flags, digests):
+    assert run(FROZEN_BASE + flags + ["--out", str(tmp_path)]) == 0
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert written == digests
 
 
 def test_simulate_qkd_with_eve(tmp_path):

@@ -78,15 +78,16 @@ def test_channel_model_validation():
 
 def test_oracle_binding_and_tracking():
     oracle = protocol.CommitmentOracle()
-    cid = oracle.commit("1011")
-    assert oracle.opened_positions(cid) == []
-    assert np.array_equal(oracle.open(cid, [0, 2]), [1, 1])
-    assert np.array_equal(oracle.open(cid, [3]), [1])
-    assert oracle.opened_positions(cid) == [0, 2, 3]
+    values = gf2.bits("1011")
+    cid = oracle.commit(values)
+    values[:] = 0  # the ledger keeps its own copy
+    opened = oracle.open(cid, [0, 2])
+    assert np.array_equal(opened, [1, 1])
+    opened[:] = 0  # and hands out copies
+    assert np.array_equal(oracle.open(cid, [3, 2]), [1, 1])
+    assert oracle.commit("01") == cid + 1  # ids are issued in order
     with pytest.raises(ProtocolViolation):
-        oracle.open(cid + 1, [0])
-    with pytest.raises(ProtocolViolation):
-        oracle.opened_positions(99)
+        oracle.open(cid + 2, [0])
 
 
 def test_basis_angle():
@@ -196,48 +197,60 @@ def test_block_measurement_matches_the_photon_by_photon_loop(case, seed, mode):
                           loop.measure_many(final, 0.2, rng_loop))
 
 
-def born_loop(reception, positions, angles, rng):
-    """CLASSICAL_FAST measurement photon by photon, each Born probability
-    computed afresh: the reference for the per-block probability table."""
+def held_angles(reception):
+    """The angle each photon of a CLASSICAL_FAST reception rests at."""
+    return np.array(reception._angles)[reception._held]
+
+
+def born_loop(angles_held, bits_held, positions, angles, rng):
+    """CLASSICAL_FAST measurement photon by photon on plain per-photon
+    angle and bit arrays, each Born probability computed afresh: the
+    reference for the angle table and the Born table."""
     outs = []
     for i, angle in zip(positions, np.broadcast_to(angles, len(positions)).tolist()):
-        p1 = protocol._born_p1.__wrapped__(
-            float(reception._angles[i]), int(reception._bits[i]), angle
-        )
+        p1 = protocol._born_p1.__wrapped__(float(angles_held[i]), int(bits_held[i]), angle)
         outs.append(int(rng.random() < p1))
-        reception._angles[i], reception._bits[i] = angle, outs[-1]
+        angles_held[i], bits_held[i] = angle, outs[-1]
     return outs
 
 
 def assert_born_table_matches_the_loop(n, blocks, seed):
-    table, loop = twin_receptions(protocol.Mode.CLASSICAL_FAST, n, seed)
+    rng = np.random.default_rng(seed)
+    encoded, theta = gf2.random_bits(rng, n), gf2.random_bits(rng, n)
+    table = protocol.Reception(protocol.Mode.CLASSICAL_FAST, n, encoded, theta)
+    angles_held, bits_held = protocol.basis_angle(theta), encoded.copy()
     rng_table, rng_loop = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     for positions, angles in blocks:
         outs = table.measure_many(positions, angles, rng_table)
-        assert outs.tolist() == born_loop(loop, positions, angles, rng_loop)
+        assert outs.tolist() == born_loop(angles_held, bits_held, positions, angles, rng_loop)
         assert rng_table.bit_generator.state == rng_loop.bit_generator.state
-    # the same held states, down to the sign of a zero angle
-    assert table._angles.tobytes() == loop._angles.tobytes()
-    assert table._bits.tobytes() == loop._bits.tobytes()
-
-
-ZEROS_AND_ANGLES = st.sampled_from([0.0, -0.0, math.pi / 4, 0.3, -1.2])
+    # the same held states; an angle is matched by value, so -0.0 may rest
+    # at the table's 0.0, which has the same Born probabilities
+    assert np.array_equal(held_angles(table), angles_held)
+    assert table._bits.tobytes() == bits_held.tobytes()
+    # the angle table holds each distinct angle once, the basis angles first
+    assert table._angles[:2] == [0.0, math.pi / 4]
+    assert len(set(table._angles)) == len(table._angles)
 
 
 @st.composite
 def born_blocks(draw):
     """Blocks of distinct positions, each at one angle or at one angle per
-    photon drawn from a few values, 0.0 and -0.0 among them, so that the
-    held angles of later blocks are mixed."""
+    photon, over a growing pool: block j (from 0) draws from 0.0, -0.0,
+    pi/4 and the first j + 1 of one to four other angles, so a third and a
+    fourth angle join partway through the run and photons are measured
+    again at angles new to the run."""
     n = draw(st.integers(1, 12))
+    others = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4))
     blocks = []
-    for _ in range(draw(st.integers(1, 5))):
+    for j in range(draw(st.integers(1, 6))):
+        pool = st.sampled_from([0.0, -0.0, math.pi / 4, *others[:j + 1]])
         positions = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
         if draw(st.booleans()):
-            angles = draw(ZEROS_AND_ANGLES)
+            angles = draw(pool)
         else:
             angles = np.array(draw(st.lists(
-                ZEROS_AND_ANGLES, min_size=len(positions), max_size=len(positions)
+                pool, min_size=len(positions), max_size=len(positions)
             )))
         blocks.append((positions, angles))
     return n, blocks
@@ -258,9 +271,40 @@ def test_born_table_on_empty_blocks_and_on_both_zeros():
         ([5, 4, 3, 2, 1, 0], 0.0),  # held angles hold both zeros
         ([2, 0, 4], np.array([-0.0, 0.0, math.pi / 4])),
         ([0, 1, 2, 3, 4, 5], math.pi / 4),
+        ([3], 1.1),  # one photon brings in a third angle
+        ([4, 3, 1], np.array([-2.5, 1.1, 0.3])),  # and a block the fourth and fifth
+        ([0, 1, 2, 3, 4, 5], np.array([0.3, 1.1, -2.5, 0.0, math.pi / 4, 1.1])),
     ]
     for seed in range(20):
         assert_born_table_matches_the_loop(6, blocks, seed)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_angles_raise_before_any_draw(mode, bad):
+    reception, twin = twin_receptions(mode, 5, 8)
+    rng = CountingRng()
+    calls = [
+        lambda: reception.measure_many([0, 1], bad, rng),
+        lambda: reception.measure_many([0, 1, 2], [0.1, 0.2, bad], rng),
+        lambda: reception.measure_many([3], [bad], rng),
+        lambda: reception.measure(1, bad, rng),
+        lambda: reception.measure(np.int64(2), np.float64(bad), rng),
+        lambda: reception.measure_basis(1, bad, rng),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+    assert rng.drawn == 0
+    # nothing was measured: the reception still answers like its twin
+    every = np.arange(5)
+    assert np.array_equal(reception.measure_many(every, 0.4, np.random.default_rng(1)),
+                          twin.measure_many(every, 0.4, np.random.default_rng(1)))
+    if mode is protocol.Mode.CLASSICAL_FAST:
+        assert reception._angles == [0.0, math.pi / 4, 0.4]
 
 
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
@@ -375,12 +419,24 @@ def test_alice_test_boundary_is_inclusive():
     assert errors2 == 2 and not passed2
 
 
+class RecordingOracle(protocol.CommitmentOracle):
+    """An oracle that lists every (commitment, positions) it opens."""
+
+    def __init__(self):
+        super().__init__()
+        self.opened = []
+
+    def open(self, cid, positions):
+        self.opened.append((cid, list(positions)))
+        return super().open(cid, positions)
+
+
 def test_alice_test_only_opens_r():
     w = gf2.bits("0000")
-    oracle, tid, wid = build_opened(w, w, w, w)
+    oracle = RecordingOracle()
+    tid, wid = oracle.commit(w), oracle.commit(w)
     protocol.alice_test(w, w, wid, tid, [1, 3], 0.5, oracle)
-    assert oracle.opened_positions(wid) == [1, 3]
-    assert oracle.opened_positions(tid) == [1, 3]
+    assert sorted(oracle.opened) == [(tid, [1, 3]), (wid, [1, 3])]
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -668,8 +724,11 @@ def test_transcript_roundtrip_preserves_everything():
     assert tr is not None
     back = protocol.Transcript.from_json(tr.to_json())
     assert back.to_json() == tr.to_json()
-    assert back.deferred == tr.deferred  # keys back to ints
-    assert all(isinstance(k, int) for k in back.bob_values)
+    assert back.deferred == tr.deferred and back.bob_values == tr.bob_values
+    assert back.deferred.positions.tolist() == [1, 4]
+    assert back.bob_values.positions.tolist() == list(range(8))
+    for m in (back.deferred, back.bob_values):
+        assert m.positions.dtype == np.int64 and m.bits.dtype == np.uint8
     assert np.array_equal(back.f, tr.f)
     assert back.params == tr.params
 
@@ -730,7 +789,8 @@ def _positions(v):
 
 
 def _str_keys(m):
-    return {str(k): int(v) for k, v in m.items()}
+    return {str(k): int(v) for k, v in zip(np.asarray(m.positions).tolist(),
+                                           np.asarray(m.bits).tolist())}
 
 
 # the transcript encoder before position text came from digit tables:
@@ -754,21 +814,31 @@ def reference_to_json(tr: protocol.Transcript) -> str:
     return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
-# keys and values a run never writes: NumPy ints, negative, huge, bool
-# and str keys, values outside 0..9, floats
-ODD_KEYS = st.one_of(
-    st.integers(0, 1100), st.integers(0, 1100).map(np.int64), st.integers(0, 300).map(np.uint16),
-    st.integers(-50, -1), st.integers(2**16 - 2, 2**70), st.booleans(), st.text(max_size=2),
-)
-ODD_VALUES = st.one_of(
-    st.integers(0, 9), st.integers(-3, 12), st.integers(0, 9).map(np.uint8), st.booleans(),
-    st.integers(2**63, 2**70), st.floats(-3.0, 12.0),
-)
+def position_map(keys, bits):
+    """The map of a dict's sorted keys, in the given dtypes."""
+    keys, bits = np.asarray(keys), np.asarray(bits)
+    order = np.argsort(keys)
+    return protocol.PositionMap(keys[order], bits[order])
+
+
+KEY_DTYPES = st.sampled_from([np.int64, np.int32, np.uint16, np.uint64])
+BIT_DTYPES = st.sampled_from([np.uint8, np.int8, np.int64])
+
+
+@st.composite
+def position_maps(draw, keys=st.integers(0, 2**16 - 1)):
+    d = draw(st.dictionaries(keys, st.integers(0, 1), max_size=40))
+    key_dtype = draw(KEY_DTYPES) if max(d, default=0) < 2**16 else np.int64
+    return position_map(np.array(list(d), dtype=key_dtype),
+                        np.array(list(d.values()), dtype=draw(BIT_DTYPES)))
+
+
+# valid maps a run could write, small, spanning decimal widths, and at or
+# past _DIGIT_TABLE_MAX
 POSITION_MAPS = st.one_of(
-    st.dictionaries(st.integers(0, 1100), st.integers(0, 1), max_size=40),
-    st.dictionaries(st.integers(0, 2**16 - 1).map(np.int64), st.integers(0, 9), max_size=40),
-    st.dictionaries(st.integers(0, 1100), st.integers(-3, 12), max_size=40),
-    st.dictionaries(ODD_KEYS, ODD_VALUES, max_size=40),
+    position_maps(st.integers(0, 1100)),
+    position_maps(),
+    position_maps(st.integers(protocol._DIGIT_TABLE_MAX - 3, 2**63 - 1)),
 )
 POSITION_LISTS = st.one_of(
     st.lists(st.integers(0, 1100), max_size=40),
@@ -778,6 +848,40 @@ POSITION_LISTS = st.one_of(
     st.lists(st.floats(0.0, 50.0), max_size=5),
     st.lists(st.integers(0, 99), min_size=6, max_size=6).map(lambda v: np.reshape(v, (2, 3))),
 )
+
+# keys that are not positions and values that are not bits: negative,
+# huge, bool, str and float keys; values outside 0/1, bool, huge and float
+ODD_KEYS = st.one_of(
+    st.lists(st.integers(-50, -1), min_size=1, max_size=3),
+    st.lists(st.integers(2**63, 2**70), min_size=1, max_size=3),
+    st.lists(st.integers(2**63, 2**64 - 1), min_size=1, max_size=3).map(
+        lambda v: np.array(v, dtype=np.uint64)),
+    st.lists(st.booleans(), min_size=1, max_size=2, unique=True).map(
+        lambda v: np.array(v, dtype=bool)),
+    st.lists(st.text(max_size=2).filter(lambda t: not t.isdecimal()),
+             min_size=1, max_size=3, unique=True),
+    st.lists(st.floats(0.0, 50.0), min_size=1, max_size=3, unique=True),
+)
+ODD_VALUES = st.one_of(
+    st.integers(2, 12), st.integers(-3, -1), st.booleans(), st.integers(2**63, 2**70),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def odd_maps(draw):
+    """(keys, values) of a map with keys that are not positions, or with
+    one value that is not a bit among positions and bits."""
+    if draw(st.booleans()):
+        keys = draw(ODD_KEYS)
+        return keys, [draw(st.integers(0, 1)) for _ in range(len(keys))]
+    keys = draw(st.lists(st.integers(0, 1100), min_size=1, max_size=20, unique=True))
+    values = [draw(st.integers(0, 1)) for _ in keys]
+    bad = draw(ODD_VALUES)
+    if isinstance(bad, bool):
+        values = [bool(v) for v in values]  # a bool array: bits are not booleans
+    values[draw(st.integers(0, len(keys) - 1))] = bad
+    return keys, values
 
 
 @settings(max_examples=150, deadline=None)
@@ -793,6 +897,42 @@ def test_to_json_matches_the_reference_encoder(run, data):
         R=data.draw(POSITION_LISTS), E_c=data.draw(st.none() | POSITION_LISTS),
     )
     assert odd.to_json() == reference_to_json(odd)
+    decoded = json.loads(odd.to_json())
+    for name in ("bob_values", "deferred"):
+        assert protocol._position_map(decoded[name]) == getattr(odd, name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_maps())
+def test_position_maps_reject_keys_that_are_not_positions_and_values_that_are_not_bits(odd):
+    keys, values = odd
+    with pytest.raises(DomainError):
+        protocol._map_text(position_map(keys, values))
+    text = json.dumps({str(k): v for k, v in zip(np.asarray(keys).tolist(), values)})
+    with pytest.raises(DomainError):
+        protocol._position_map(json.loads(text))
+
+
+def test_position_maps_decode_only_the_text_they_encode_to():
+    assert protocol._position_map({"10": 1, "9": 0}) == protocol.PositionMap([9, 10], [0, 1])
+    for key in ("05", " 5", "5 ", "+5", "1_0", "-0", "٣", "5.0", ""):
+        with pytest.raises(DomainError):
+            protocol._position_map({key: 1})
+
+
+def test_position_maps_reject_unordered_repeated_and_misshapen_input():
+    tr = protocol.run_string_qot(make_params(seed=31), [1])
+    for keys, bits in (([3, 1], [0, 1]), ([1, 1], [0, 1])):
+        with pytest.raises(DomainError):
+            dataclasses.replace(tr, deferred=protocol.PositionMap(keys, bits)).to_json()
+    for keys, bits in (([[1, 2]], [[0, 1]]), ([1, 2], [0])):
+        with pytest.raises(DimensionError):
+            protocol._map_text(protocol.PositionMap(keys, bits))
+    assert protocol.PositionMap() == protocol.PositionMap([], [])
+    assert protocol.PositionMap([2], [1]) != protocol.PositionMap([2], [0])
+    # a transcript holds its maps as PositionMap, not as dicts
+    with pytest.raises(DomainError):
+        dataclasses.replace(tr, bob_values={0: 1}).to_json()
 
 
 def test_to_json_matches_the_reference_encoder_on_every_run_kind():
@@ -810,14 +950,21 @@ def test_to_json_matches_the_reference_encoder_on_every_run_kind():
             bob=attacks.store_subset(positions=[1, 7]), announce_rest=True,
         ),
     ]
-    assert runs[1].deferred and runs[2].bob_values == {}
+    assert runs[1].deferred.positions.size == 64
+    assert runs[2].bob_values == protocol.PositionMap()
     assert runs[2].abort_reason == protocol.TEST_FAILED
-    runs.append(dataclasses.replace(runs[0], bob_values={}, deferred={}, R=[]))
+    runs.append(dataclasses.replace(runs[0], bob_values=protocol.PositionMap(),
+                                    deferred=protocol.PositionMap(), R=[]))
+    # positions at and past the digit table go through json.dumps
+    top = protocol._DIGIT_TABLE_MAX
     runs.append(dataclasses.replace(
-        runs[0], bob_values={**runs[0].bob_values, 5: 10}, deferred={7: -1, 2**16: 1},
+        runs[0],
+        bob_values=protocol.PositionMap([5, 10, top - 1, top, 2**40], [1, 0, 1, 1, 0]),
+        deferred=protocol.PositionMap([top], [1]), R=[9, top, 2**40],
     ))
     for tr in runs:
         assert tr.to_json() == reference_to_json(tr)
+    assert '"deferred":{"65536":1}' in runs[-1].to_json()
 
 
 def test_transcript_from_json_rejects_missing_and_unknown_keys():
