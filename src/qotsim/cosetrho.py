@@ -15,6 +15,11 @@ rho_x - rho_x' on the low ball only: each coset member's overlaps with the
 ball's basis states are products of single-photon overlaps, so neither full
 density nor its frame change is built.
 
+Every density here is real (float64), as the +/x amplitudes are, and so
+are the certificate's low-ball block and its eigenvalues. A certificate
+pays for its pair alone: the code's memo keeps each syndrome's
+representative and each low ball, and the kernel span is cached per code.
+
 Normalization is by the actual coset size, which equals 2^-k exactly when f
 has full rank; with dependent rows the closed form still holds verbatim
 (the annihilator of ker f is the row space at any rank).
@@ -79,16 +84,20 @@ def rho_brute(ens: CosetEnsemble) -> np.ndarray:
 
 
 def rho_closed_form(ens: CosetEnsemble) -> np.ndarray:
-    """The formula above; entries over the conjugate basis of theta."""
+    """The formula above; real entries over the conjugate basis of theta.
+
+    Entry (alpha, alpha') depends on alpha xor alpha' alone, so one column
+    holds the value of each difference, +-2^-N on the row span and 0 off
+    it, and one xor table gathers the matrix from it.
+    """
     n = ens.code.N
     _check_density_cap(n)
-    span = np.zeros(1 << n, dtype=bool)
-    span[gf2.lane_prefix(ens.code.row_span, n)] = True
+    span = gf2.lane_prefix(ens.code.row_span, n)
+    parity = np.bitwise_count(span & gf2.pack_int(ens.beta0)) & 1
+    column = np.zeros(1 << n)
+    column[span] = (2.0 ** -n) * (1.0 - 2.0 * parity)
     idx = np.arange(1 << n, dtype=np.int64)
-    delta = idx[:, None] ^ idx[None, :]
-    b0 = gf2.pack_int(ens.beta0)
-    sign = 1.0 - 2.0 * (np.bitwise_count(delta & b0) & 1)
-    return (2.0 ** -n) * np.where(span[delta], sign, 0.0).astype(complex)
+    return column[idx[:, None] ^ idx]
 
 
 def induction_form(kernel_rows: np.ndarray, n_cols: int) -> np.ndarray:
@@ -102,7 +111,7 @@ def induction_form(kernel_rows: np.ndarray, n_cols: int) -> np.ndarray:
         packed = gf2.pack_int(row)
         perp &= (np.bitwise_count(idx & packed) & 1) == 0
     delta = idx[:, None] ^ idx[None, :]
-    return (2.0 ** -n_cols) * perp[delta].astype(complex)
+    return (2.0 ** -n_cols) * perp[delta]
 
 
 def rho_zero_induction(
@@ -161,17 +170,29 @@ def _low_ball_block(
     x, x_prime = gf2.bits(x), gf2.bits(x_prime)
     if x.size == x_prime.size and np.array_equal(x, x_prime):
         raise DomainError("syndromes must differ")
-    theta_hat = theta ^ 1
     ens = coset_ensemble(code, x, theta)
     _check_density_cap(code.N)
     ens_prime = coset_ensemble(code, x_prime, theta)
-    low = quantum.ball_projector(e, gf2.bits(w_hat, length=code.N), t)
+    low = _low_ball(code, e, w_hat, t)
     # both cosets shift one kernel, so they have the same K members
+    k = len(code.kernel_span)
     amps = quantum.framed_amplitudes(
-        np.vstack([ens.members, ens_prime.members]), theta, theta_hat, low
+        np.vstack([ens.members, ens_prime.members]), theta, theta ^ 1, low
     )
-    a, a_prime = np.split(amps, 2)
-    return (a.T @ a.conj() - a_prime.T @ a_prime.conj()) / len(a), low
+    a, a_prime = amps[:k], amps[k:]
+    return (a.T @ a - a_prime.T @ a_prime) / k, low
+
+
+def _low_ball(code: gf2.LinearCode, e, w_hat, t: int) -> np.ndarray:
+    """quantum.ball_projector(e, w_hat, t) over the code's N positions,
+    computed once per (e, w_hat, t) and kept (read-only) in the code's memo:
+    the certificates of one code share a centre and a few radii."""
+    e = gf2.position_set(e, code.N)
+    w_hat = gf2.bits(w_hat, length=code.N)
+    return code.memo.get(
+        ("low ball", e.tobytes(), w_hat.tobytes(), t),
+        lambda: quantum.ball_projector(e, w_hat, t),
+    )
 
 
 def _min_weight_on(code: gf2.LinearCode, e: np.ndarray):
@@ -234,7 +255,7 @@ def distinguishing_witness(
         raise DomainError("empty low ball has no witness")
     vals, vecs = np.linalg.eigh(block)
     best = int(np.argmax(np.abs(vals)))
-    coords = np.zeros(1 << code.N, dtype=complex)
+    coords = np.zeros(1 << code.N)
     coords[low] = vecs[:, best]
     phi = quantum.from_frame(coords, quantum.conjugate_bases(theta))
     return float(abs(vals[best])), phi

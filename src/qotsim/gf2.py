@@ -186,6 +186,31 @@ def solve_affine(m: np.ndarray, x: np.ndarray):
     return particular, kern
 
 
+class Memo:
+    """Results derived from one code, each computed once and kept for the
+    life of the code that owns the memo, at most MEMO_MAX of them; past
+    that, results are computed and returned without being kept. Arrays
+    are kept read-only, because every caller gets the same one."""
+
+    MEMO_MAX = 256
+
+    def __init__(self):
+        self._kept: dict = {}
+
+    def get(self, key, compute):
+        """The kept result for key, else compute()'s, kept if there is room."""
+        try:
+            return self._kept[key]
+        except KeyError:
+            pass
+        value = compute()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        if len(self._kept) < self.MEMO_MAX:
+            self._kept[key] = value
+        return value
+
+
 @dataclass(frozen=True)
 class LinearCode:
     """A code presented by its (r+m) x N generator-of-the-dual matrix f.
@@ -195,7 +220,8 @@ class LinearCode:
     freedom of the coset {beta : f beta = x}.
 
     f is kept as a read-only copy, so the facts derived from it once per
-    code (min distance, kernel, row span, coset solver) cannot go stale.
+    code (min distance, kernel, row span, coset solver, and the results in
+    memo) cannot go stale.
     """
 
     f: np.ndarray
@@ -251,6 +277,12 @@ class LinearCode:
         return red.matrix[:, n:].astype(np.int64), pivots
 
     @functools.cached_property
+    def memo(self) -> Memo:
+        """Per-syndrome and per-ball results for this code (particular
+        solutions here, low-ball indices in cosetrho)."""
+        return Memo()
+
+    @functools.cached_property
     def kernel_span(self) -> np.ndarray:
         """Every element of ker f, one bit row each, in span_words order."""
         return unpack_lanes(np.concatenate(list(span_words(self.kernel))), self.N)
@@ -263,8 +295,12 @@ class LinearCode:
 
     def particular(self, x) -> Optional[np.ndarray]:
         """solve_affine(f, x)'s particular solution, bit for bit (RREF is
-        unique), by one matvec; None when x is not in the image of f."""
+        unique), by one matvec; None when x is not in the image of f. Each
+        syndrome's solution is computed once and kept (read-only) in memo."""
         x = bits(x, length=self.f.shape[0])
+        return self.memo.get(("particular", x.tobytes()), lambda: self._solve(x))
+
+    def _solve(self, x: np.ndarray) -> Optional[np.ndarray]:
         carry, pivots = self._syndrome_map
         carried = carry @ x & 1
         if carried[pivots.size :].any():

@@ -463,6 +463,14 @@ def _bits_str(v: np.ndarray) -> str:
     return (np.asarray(v, dtype=np.uint8).ravel() + 48).tobytes().decode("ascii")
 
 
+def _rows_str(m: np.ndarray) -> List[str]:
+    """The rows of a bit matrix as '0'/'1' strings: one _bits_str over the
+    whole matrix, cut into rows of equal width."""
+    text = _bits_str(m)
+    width = len(text) // len(m) if len(m) else 0
+    return [text[i * width : (i + 1) * width] for i in range(len(m))]
+
+
 def _positions(v: np.ndarray) -> List[int]:
     return np.asarray(v).ravel().tolist()
 
@@ -593,7 +601,7 @@ _CODECS = {
         lambda c: {"kind": c.kind.value, "p": c.p},
         lambda d: ChannelModel(ChannelKind(d["kind"]), d["p"]),
     ),
-    "f": (lambda f: [_bits_str(row) for row in f], gf2.bitmatrix),
+    "f": (_rows_str, gf2.bitmatrix),
     "theta": (quantum.basis_text, quantum.basis_string),
     "theta_hat": (quantum.basis_text, quantum.basis_string),
     **{name: (_bits_str, gf2.bits)

@@ -11,6 +11,12 @@ keeps its inputs' dtype, so a BB84 statevector stays real through every
 collapse (complex states still work). A block of measurements splits each
 outcome off as a product factor and measures the block's later photons on
 the shrinking remainder, assembling the full state once at the end.
+
+Densities and frames keep their input's dtype too: density_from_ensemble,
+density_in_frame, to_frame/from_frame and ShiftOp.conjugate return
+float64 for real (or integer) input and complex128 for complex input. The
++/x frame change is a real butterfly, so a BB84 mixture is never copied
+to complex.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ STATEVECTOR_MAX_N = 20
 DENSITY_MAX_N = 10
 
 PHYS_TOL = 1e-10  # physical invariants (norms, traces, probabilities)
+_SHORT_STATES = 512  # bb84_states' crossover between its two multiply forms
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -81,9 +88,13 @@ def bb84_state(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def bb84_states(words: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """One product state per row of words, all encoded in bases theta.
 
-    Photon by photon, every row's state is multiplied by that photon's
-    amplitudes, which is np.kron's arithmetic in np.kron's order: each row
-    is bit-identical to a kron chain over its photons.
+    Photon by photon, every row's state grows into a buffer twice its
+    length: the state times the photon's amplitude 0 fills the even
+    entries and times its amplitude 1 the odd ones. That is np.kron's
+    arithmetic in np.kron's order, so each row is bit-identical to a kron
+    chain over its photons. Below _SHORT_STATES amplitudes in all, one
+    broadcast multiply fills both halves, which costs fewer calls; past
+    it, two strided multiplies, one per half, cost less per entry.
     """
     words = gf2.bitmatrix(words)
     theta = basis_string(theta)
@@ -95,7 +106,13 @@ def bb84_states(words: np.ndarray, theta: np.ndarray) -> np.ndarray:
     photons = _PHOTONS[theta, words]  # (rows, n, 2)
     states = np.ones((rows, 1))
     for i in range(n):
-        states = (states[:, :, None] * photons[:, i, None, :]).reshape(rows, -1)
+        grown = np.empty((rows, states.shape[1], 2))
+        if states.size < _SHORT_STATES:
+            np.multiply(states[:, :, None], photons[:, i, None, :], out=grown)
+        else:
+            np.multiply(states, photons[:, i, 0, None], out=grown[:, :, 0])
+            np.multiply(states, photons[:, i, 1, None], out=grown[:, :, 1])
+        states = grown.reshape(rows, -1)
     return states
 
 
@@ -104,7 +121,8 @@ def framed_amplitudes(words: np.ndarray, theta, theta_hat, indices) -> np.ndarra
     and each theta_hat basis index alpha of indices (axis 1).
 
     Each entry is the product over photons of the single-photon overlaps,
-    so only the listed columns of the frame change are ever formed.
+    so only the listed columns of the frame change are ever formed. Every
+    +/x amplitude is real, so the overlaps and the result are float64.
     """
     words = gf2.bitmatrix(words)
     theta = basis_string(theta, length=words.shape[1])
@@ -117,9 +135,9 @@ def framed_amplitudes(words: np.ndarray, theta, theta_hat, indices) -> np.ndarra
         raise DomainError(f"basis indices must lie in [0, 2^{n})")
     alphas = (indices[:, None] >> np.arange(n - 1, -1, -1)) & 1
     # overlap[i, b, a] = <a, theta_hat_i | b, theta_i>
-    overlap = np.einsum("iaj,ibj->iba", _PHOTONS[theta_hat].conj(), _PHOTONS[theta])
+    overlap = np.einsum("iaj,ibj->iba", _PHOTONS[theta_hat], _PHOTONS[theta])
     photons = overlap[np.arange(n), words]  # (rows, n, 2)
-    amps = np.ones((words.shape[0], indices.size), dtype=complex)
+    amps = np.ones((words.shape[0], indices.size))
     for i in range(n):
         amps *= photons[:, i, alphas[:, i]]
     return amps
@@ -148,12 +166,19 @@ def _other(bufs, a: np.ndarray) -> np.ndarray:
     return bufs[1] if a is bufs[0] else bufs[0]
 
 
+def _real_or_complex(a) -> np.ndarray:
+    """a as float64, or as complex128 when its dtype is complex."""
+    a = np.asarray(a)
+    return a.astype(complex if a.dtype.kind == "c" else float, copy=False)
+
+
 def to_frame(state: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
     """Coefficients of the state over the theta_hat product basis: an
     unscaled butterfly per cross photon, then one scale by 2^(-c/2) for c
-    cross photons."""
+    cross photons. A real state gives real coefficients (float64), a
+    complex one complex128."""
     theta_hat = basis_string(theta_hat)
-    state = np.asarray(state, dtype=complex).ravel()
+    state = _real_or_complex(state).ravel()
     if state.size != 1 << theta_hat.size:
         raise DimensionError("statevector dimension does not match basis string")
     cross = np.nonzero(theta_hat == CROSS)[0]
@@ -192,11 +217,10 @@ def measure_photons(state: np.ndarray, positions, rotations, rng) -> tuple:
     moveaxis copy: about two state sizes of work per block, against one
     full pass per photon. One uniform draw per photon, in block order;
     every check runs before the first draw. Returns (outcome bits in block
-    order, collapsed full state in the inputs' dtype).
+    order, collapsed full state: float64 when the state and rotations are
+    real, complex128 when either is complex).
     """
-    state = np.asarray(state).ravel()
-    if state.dtype.kind != "c":
-        state = state.astype(float, copy=False)
+    state = _real_or_complex(state).ravel()
     size = state.size
     if size == 0 or size & (size - 1):
         raise DimensionError("statevector length must be a power of 2")
@@ -236,7 +260,8 @@ def measure_photons(state: np.ndarray, positions, rotations, rng) -> tuple:
 def density_from_ensemble(states, probs) -> np.ndarray:
     """rho = sum_a p_a |psi_a><psi_a|, as one weighted product V^T P V*
     over the states stacked as the rows of V (an array of rows is used as
-    is). Real states, such as every BB84 encoding, make it a real product."""
+    is). Real states, such as every BB84 encoding, make it one real
+    product and a float64 rho; complex states give a complex128 rho."""
     probs = np.asarray(probs, dtype=float)
     if np.any(probs < -PHYS_TOL) or abs(probs.sum() - 1.0) > PHYS_TOL:
         raise DomainError("ensemble probabilities must be nonnegative and sum to 1")
@@ -249,29 +274,25 @@ def density_from_ensemble(states, probs) -> np.ndarray:
     v = np.asarray(states).reshape(probs.size, -1)
     if v.shape[1] > 1 << DENSITY_MAX_N:
         raise ResourceError(f"density matrices cap at N={DENSITY_MAX_N}")
-    return ((v.T * probs) @ v.conj()).astype(complex, copy=False)
+    return (v.T * probs) @ (v.conj() if v.dtype.kind == "c" else v)
 
 
 def density_in_frame(rho: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
-    """Matrix of rho over the theta_hat product basis.
+    """Matrix of rho over the theta_hat product basis, in rho's dtype:
+    float64 for a real rho (every BB84 mixture), complex128 for a complex
+    one.
 
     H rho H with H real and symmetric: the butterflies of to_frame on the
     rows, the same on the rows of the transpose, and one exact scale by
-    2^-c for c cross photons. H is real, so a real rho (every BB84
-    mixture) is changed on its real part alone.
+    2^-c for c cross photons. (Butterflies over the column bits of rho in
+    place of the transpose read strided pairs and ran slower.)
     """
     theta_hat = basis_string(theta_hat)
     n = theta_hat.size
-    rho = np.asarray(rho, dtype=complex)
+    rho = _real_or_complex(rho)
     if rho.shape != (1 << n, 1 << n):
         raise DimensionError("density dimension does not match basis string")
     cross = np.nonzero(theta_hat == CROSS)[0]
-    if rho.imag.any():
-        return _hadamard_conjugate(rho, cross)
-    return _hadamard_conjugate(rho.real, cross).astype(complex)
-
-
-def _hadamard_conjugate(rho: np.ndarray, cross: np.ndarray) -> np.ndarray:
     bufs = [np.empty_like(rho), np.empty_like(rho)]
     rows = _butterflies(rho, cross, bufs)
     flipped = _other(bufs, rows)
@@ -313,10 +334,11 @@ class ShiftOp:
     gates: tuple  # per-photon "I" | "X" | "Z"
 
     def conjugate(self, rho: np.ndarray) -> np.ndarray:
-        """U rho U (the adjoint equals the operator itself)."""
+        """U rho U (the adjoint equals the operator itself), in rho's
+        dtype: float64 for a real rho, complex128 for a complex one."""
         n = len(self.gates)
         dim = 1 << n
-        out = np.array(rho, dtype=complex).reshape([2] * (2 * n))
+        out = np.array(_real_or_complex(rho)).reshape([2] * (2 * n))
         for i, gate in enumerate(self.gates):
             if gate == "X":
                 out = np.flip(np.flip(out, axis=i), axis=n + i)

@@ -19,6 +19,74 @@ def random_code(rng, n_cols, rows):
     return gf2.LinearCode(f=f, r=r, m=rows - r)
 
 
+def reference_rho_closed_form(ens):
+    """The closed form the long way: the xor table of every index pair,
+    one sign per entry and np.where, in complex."""
+    n = ens.code.N
+    span = np.zeros(1 << n, dtype=bool)
+    span[gf2.lane_prefix(ens.code.row_span, n)] = True
+    idx = np.arange(1 << n, dtype=np.int64)
+    delta = idx[:, None] ^ idx[None, :]
+    b0 = gf2.pack_int(ens.beta0)
+    sign = 1.0 - 2.0 * (np.bitwise_count(delta & b0) & 1)
+    return (2.0 ** -n) * np.where(span[delta], sign, 0.0).astype(complex)
+
+
+def reference_framed_amplitudes(words, theta, theta_hat, indices):
+    """<alpha, theta_hat | psi_{w, theta}> as complex products of the
+    conjugated single-photon overlaps."""
+    n = theta.size
+    alphas = (np.asarray(indices, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    photons = quantum._PHOTONS.astype(complex)
+    overlap = np.einsum("iaj,ibj->iba", photons[theta_hat].conj(), photons[theta])
+    per_photon = overlap[np.arange(n), words]  # (rows, n, 2)
+    amps = np.ones((len(words), alphas.shape[0]), dtype=complex)
+    for i in range(n):
+        amps *= per_photon[:, i, alphas[:, i]]
+    return amps
+
+
+def reference_certificate(code, theta, x, x_prime, e, t, w_hat):
+    """(the complex low-ball block, the certificate read from it): split
+    with np.split, conjugated products, complex eigvalsh."""
+    theta = quantum.basis_string(theta)
+    ens = cosetrho.coset_ensemble(code, x, theta)
+    ens_prime = cosetrho.coset_ensemble(code, x_prime, theta)
+    low = quantum.ball_projector(e, w_hat, t)
+    amps = reference_framed_amplitudes(
+        np.vstack([ens.members, ens_prime.members]), theta, theta ^ 1, low
+    )
+    a, a_prime = np.split(amps, 2)
+    block = (a.T @ a.conj() - a_prime.T @ a_prime.conj()) / len(a)
+    if low.size:
+        defect = max(float(np.max(np.abs(block.diagonal()))),
+                     float(np.max(np.abs(np.linalg.eigvalsh(block)))))
+    else:
+        defect = 0.0
+    e = gf2.position_set(e, code.N)
+    d_eff = code.distance if e.size == code.N else cosetrho._min_weight_on(code, e)
+    return block, cosetrho.Lemma1Certificate(
+        max_defect=defect, dN=code.distance, condition_met=bool(2 * t < d_eff)
+    )
+
+
+@st.composite
+def small_codes(draw, max_n=8):
+    """Random codes with N <= max_n, r = 0 allowed, rank-deficient f
+    (a repeated or zero row) allowed; returns (code, rng)."""
+    n_cols = draw(st.integers(1, max_n))
+    rows = draw(st.integers(1, min(4, n_cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = gf2.random_bitmatrix(rng, rows, n_cols)
+    deficiency = draw(st.sampled_from(["none", "repeat", "zero"]))
+    if deficiency == "repeat" and rows > 1:
+        f[-1] = f[0]
+    elif deficiency == "zero":
+        f[-1] = 0
+    r = draw(st.integers(0, rows))
+    return gf2.LinearCode(f=f, r=r, m=rows - r), rng
+
+
 def valid_syndromes(code):
     out = []
     for x_int in range(1 << code.f.shape[0]):
@@ -117,6 +185,40 @@ def test_min_weight_on_is_the_least_restricted_weight(n_cols, rows, seed, data):
     assert cosetrho._min_weight_on(code, np.array(e, dtype=np.int64)) == expected
 
 
+def test_low_balls_are_computed_once_per_code_centre_and_radius(monkeypatch):
+    balls = []
+    real = quantum.ball_projector
+    monkeypatch.setattr(quantum, "ball_projector",
+                        lambda e, center, t: balls.append(t) or real(e, center, t))
+    code = gf2.LinearCode(f=gf2.bitmatrix(["11100", "00111"]), r=1, m=1)
+    for x_prime in ([0, 1], [1, 0], [1, 1]):
+        for t in (0, 1):
+            cosetrho.lemma1_certificate(code, "01010", [0, 0], x_prime, range(5), t, "00000")
+    assert balls == [0, 1]
+    # another centre, subset or code is a ball of its own
+    cosetrho.lemma1_certificate(code, "01010", [0, 0], [0, 1], range(5), 1, "10000")
+    cosetrho.lemma1_certificate(code, "01010", [0, 0], [0, 1], [0, 1], 1, "00000")
+    other = gf2.LinearCode(f=code.f, r=1, m=1)
+    cosetrho.lemma1_certificate(other, "01010", [0, 0], [0, 1], range(5), 1, "00000")
+    assert balls == [0, 1, 1, 1, 1]
+
+
+def test_coset_densities_and_certificate_blocks_are_real():
+    rng = np.random.default_rng(1060)
+    code = random_code(rng, 5, 2)
+    while gf2.rank(code.f) == 0:
+        code = random_code(rng, 5, 2)
+    theta = gf2.random_bits(rng, 5)
+    x, x_prime = valid_syndromes(code)[:2]
+    ens = cosetrho.coset_ensemble(code, x, theta)
+    real = [cosetrho.rho_brute(ens), cosetrho.rho_closed_form(ens),
+            cosetrho.induction_form(code.kernel, 5),
+            *cosetrho.rho_zero_induction(code, theta),
+            cosetrho._low_ball_block(code, theta, x, x_prime, range(5), 5, theta)[0],
+            cosetrho.distinguishing_witness(code, theta, x, x_prime, range(5), 5, theta)[1]]
+    assert [a.dtype for a in real] == [np.float64] * len(real)
+
+
 def test_coset_ensemble_empty_coset():
     code = gf2.LinearCode(f=gf2.bitmatrix(["11", "11"]), r=1, m=1)
     with pytest.raises(DomainError):
@@ -142,6 +244,41 @@ def test_brute_force_density_matches_closed_form(trial):
             cosetrho.rho_brute(ens), quantum.conjugate_bases(theta)
         )
         assert np.max(np.abs(framed - cosetrho.rho_closed_form(ens))) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes())
+def test_closed_form_equals_its_reference_bit_for_bit(drawn):
+    code, rng = drawn
+    theta = gf2.random_bits(rng, code.N)
+    for x in valid_syndromes(code):
+        ens = cosetrho.coset_ensemble(code, x, theta)
+        closed = cosetrho.rho_closed_form(ens)
+        reference = reference_rho_closed_form(ens)
+        assert closed.dtype == np.float64 and not reference.imag.any()
+        assert closed.tobytes() == reference.real.copy().tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(), st.data())
+def test_real_certificate_block_matches_the_complex_reference(drawn, data):
+    code, rng = drawn
+    syndromes = valid_syndromes(code)
+    if len(syndromes) < 2:  # a zero map has one coset, nothing to compare
+        return
+    i, j = data.draw(st.lists(st.integers(0, len(syndromes) - 1), min_size=2,
+                              max_size=2, unique=True))
+    e = data.draw(st.sampled_from([range(code.N), np.nonzero(rng.integers(0, 2, code.N))[0]]))
+    t = data.draw(st.integers(0, code.N))
+    args = (code, gf2.random_bits(rng, code.N), syndromes[i], syndromes[j], e, t,
+            gf2.random_bits(rng, code.N))
+    block, _ = cosetrho._low_ball_block(*args)
+    reference_block, reference = reference_certificate(*args)
+    assert block.dtype == np.float64
+    assert np.max(np.abs(block - reference_block), initial=0.0) <= 1e-15
+    cert = cosetrho.lemma1_certificate(*args)
+    assert abs(cert.max_defect - reference.max_defect) <= 1e-15
+    assert (cert.dN, cert.condition_met) == (reference.dN, reference.condition_met)
 
 
 def test_rho_brute_matches_the_per_member_outer_product_loop():

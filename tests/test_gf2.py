@@ -426,3 +426,32 @@ def test_linear_code_solver_is_solve_affine_bit_for_bit(f, seed, consistent):
     assert code.kernel.dtype == np.uint8
     assert np.array_equal(code.kernel, kern)
     assert np.array_equal(code.kernel, gf2.kernel_basis(f))
+
+
+def test_particular_solutions_are_solved_once_per_syndrome(monkeypatch):
+    """A code keeps each syndrome's solution, None included, read-only in
+    its memo; another code solves its own."""
+    solved = []
+    real = gf2.LinearCode._solve
+    monkeypatch.setattr(gf2.LinearCode, "_solve", lambda self, x: solved.append(x) or real(self, x))
+    code = gf2.LinearCode(f=gf2.bitmatrix(["110", "110"]), r=1, m=1)
+    first = code.particular([1, 1])
+    assert code.particular(np.array([1, 1], dtype=np.int64)) is first
+    assert code.particular([0, 1]) is None and code.particular([0, 1]) is None
+    assert len(solved) == 2
+    with pytest.raises(ValueError):
+        first[0] = 0
+    other = gf2.LinearCode(f=gf2.bitmatrix(["110", "110"]), r=1, m=1)
+    assert np.array_equal(other.particular([1, 1]), first) and len(solved) == 3
+
+
+def test_memo_keeps_at_most_memo_max_results():
+    memo = gf2.Memo()
+    computed = []
+    for key in range(gf2.Memo.MEMO_MAX + 5):
+        assert memo.get(key, lambda: computed.append(key) or key * 2) == key * 2
+    # the first MEMO_MAX are kept; the rest are computed again on every call
+    assert memo.get(0, lambda: pytest.fail("kept result recomputed")) == 0
+    last = gf2.Memo.MEMO_MAX + 4
+    assert memo.get(last, lambda: computed.append(last) or last * 2) == last * 2
+    assert computed.count(last) == 2 and len(computed) == gf2.Memo.MEMO_MAX + 6

@@ -91,15 +91,21 @@ def test_bb84_tensor_order_matches_pack_int():
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_bb84_states_rows_are_the_kron_chain_bit_for_bit(n):
-    rng = np.random.default_rng(790 + n)
-    words = rng.integers(0, 2, size=(6, n), dtype=np.uint8)
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([1, 6, 128]), st.integers(0, 2**32 - 1))
+def test_bb84_states_rows_are_the_kron_chain_bit_for_bit(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
     theta = gf2.random_bits(rng, n)
     states = quantum.bb84_states(words, theta)
-    assert states.shape == (6, 1 << n)
+    assert states.shape == (rows, 1 << n) and states.dtype == np.float64
     for row, state in zip(words, states):
-        assert np.array_equal(state, quantum.bb84_state(row, theta))
+        real_chain = np.ones(1)
+        for bit, basis in zip(row, theta):
+            real_chain = np.kron(real_chain, quantum.photon(int(bit), int(basis)))
+        assert state.tobytes() == real_chain.tobytes()
         assert np.array_equal(state, kron_state(row, theta))
+    assert np.array_equal(quantum.bb84_state(words[0], theta), states[0])
 
 
 def test_bb84_states_validation():
@@ -179,11 +185,49 @@ def test_frame_changes_match_the_dense_kron_reference(n, seed):
     rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     assert np.max(np.abs(quantum.to_frame(psi, theta_hat) - u @ psi)) < 1e-12
     assert np.max(np.abs(quantum.from_frame(psi, theta_hat) - u @ psi)) < 1e-12
-    # a complex rho, and a real one (the frame change of its real part alone)
+    # a complex rho stays complex128 and a real one float64
     for m in (rho, rho.real):
         framed = quantum.density_in_frame(m, theta_hat)
-        assert framed.dtype == complex and framed.flags.c_contiguous
+        assert framed.dtype == m.dtype and framed.flags.c_contiguous
         assert np.max(np.abs(framed - u @ m @ u)) < 1e-12
+
+
+def dtype_inputs(dtype):
+    """A random 8x8 matrix of dtype (a complex one has nonzero imaginary
+    parts), a unit vector of its first row and a basis string."""
+    rng = np.random.default_rng(41)
+    m = rng.integers(-3, 4, size=(8, 8))
+    if dtype == complex:
+        m = m + 1j * rng.integers(-3, 4, size=(8, 8))
+    m = m.astype(dtype)
+    return m, m[0] / np.linalg.norm(m[0]), gf2.bits("101")
+
+
+DTYPE_FUNCTIONS = {
+    "density_from_ensemble": lambda m, v, th: quantum.density_from_ensemble(m[:2], [0.25, 0.75]),
+    "density_in_frame": lambda m, v, th: quantum.density_in_frame(m, th),
+    "ShiftOp.conjugate": lambda m, v, th: quantum.u_beta("110", th).conjugate(m),
+    "to_frame": lambda m, v, th: quantum.to_frame(v, th),
+    "from_frame": lambda m, v, th: quantum.from_frame(v, th),
+    "measure_photons": lambda m, v, th: quantum.measure_photons(v, [1], [np.eye(2)], FixedUniform())[1],
+}
+
+
+@pytest.mark.parametrize("name", DTYPE_FUNCTIONS)
+@pytest.mark.parametrize("given_dtype, result_dtype", [
+    (np.int64, np.float64), (np.float64, np.float64), (np.complex128, np.complex128)])
+def test_density_and_frame_functions_keep_real_input_real(name, given_dtype, result_dtype):
+    m, v, theta_hat = dtype_inputs(given_dtype)
+    assert DTYPE_FUNCTIONS[name](m, v, theta_hat).dtype == result_dtype
+
+
+def test_real_and_complex_inputs_give_the_same_values():
+    """The complex path on a real matrix's complex copy gives the real
+    path's values, bit for bit."""
+    m, v, theta_hat = dtype_inputs(np.float64)
+    for fn in DTYPE_FUNCTIONS.values():
+        real, cplx = fn(m, v, theta_hat), fn(m.astype(complex), v.astype(complex), theta_hat)
+        assert np.array_equal(cplx.real, real) and not cplx.imag.any()
 
 
 def test_frame_changes_leave_their_input_alone():
