@@ -36,7 +36,6 @@ STATEVECTOR_MAX_N = 20
 DENSITY_MAX_N = 10
 
 PHYS_TOL = 1e-10  # physical invariants (norms, traces, probabilities)
-_SHORT_STATES = 512  # bb84_states' crossover between its two multiply forms
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -88,13 +87,9 @@ def bb84_state(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def bb84_states(words: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """One product state per row of words, all encoded in bases theta.
 
-    Photon by photon, every row's state grows into a buffer twice its
-    length: the state times the photon's amplitude 0 fills the even
-    entries and times its amplitude 1 the odd ones. That is np.kron's
-    arithmetic in np.kron's order, so each row is bit-identical to a kron
-    chain over its photons. Below _SHORT_STATES amplitudes in all, one
-    broadcast multiply fills both halves, which costs fewer calls; past
-    it, two strided multiplies, one per half, cost less per entry.
+    Photon by photon, every row's state is multiplied by that photon's
+    amplitudes, which is np.kron's arithmetic in np.kron's order: each row
+    is bit-identical to a kron chain over its photons.
     """
     words = gf2.bitmatrix(words)
     theta = basis_string(theta)
@@ -106,13 +101,7 @@ def bb84_states(words: np.ndarray, theta: np.ndarray) -> np.ndarray:
     photons = _PHOTONS[theta, words]  # (rows, n, 2)
     states = np.ones((rows, 1))
     for i in range(n):
-        grown = np.empty((rows, states.shape[1], 2))
-        if states.size < _SHORT_STATES:
-            np.multiply(states[:, :, None], photons[:, i, None, :], out=grown)
-        else:
-            np.multiply(states, photons[:, i, 0, None], out=grown[:, :, 0])
-            np.multiply(states, photons[:, i, 1, None], out=grown[:, :, 1])
-        states = grown.reshape(rows, -1)
+        states = (states[:, :, None] * photons[:, i, None, :]).reshape(rows, -1)
     return states
 
 

@@ -319,43 +319,54 @@ def test_density_check_is_deterministic(tmp_path):
     ).read_bytes()
 
 
-# sha256 of every file density-check writes, recorded when certificate
-# blocks became real. The max_defect column carries rounding residue, so
-# these pin the order of the certificate arithmetic; the radii are small
-# enough that every block stays below the size at which BLAS splits work
-# across threads, which would move the residue with the thread count.
+# Five density-check runs frozen when certificate blocks became real: the
+# sha256 of density_summary.json, the sha256 of density_certificates.csv
+# without its max_defect column, and that column's sum. max_defect is
+# rounding residue of a BLAS product and LAPACK's eigvalsh, whose last bits
+# move with the BLAS thread count and with the kernels OpenBLAS picks for
+# the CPU, so its bytes are host dependent and its sum is held to 1e-12;
+# every other byte is exact arithmetic and is the same on every host.
 FROZEN_DENSITY_CHECKS = [
-    (["--trials", "12", "--seed", "1"], {
-        "density_certificates.csv": "9a6b15b3c11122285f41fa967105e407951981b5423f26377dcc10edfd419d50",
-        "density_summary.json": "ee019eca9d8f87385420ba9f775292845e5fae27b436c233511941a38479482b",
-    }),
-    (["--N", "6", "--r", "0", "--m", "1", "--t", "1", "--trials", "12", "--seed", "2"], {
-        "density_certificates.csv": "bfcc976619ffe109e84372765d0399a9ee5ba99d0fd9c407006207e36c05d21a",
-        "density_summary.json": "cf107030861f011c9f475d4810c57f1179f006653fe8b372bf431880943107c7",
-    }),
-    (["--N", "8", "--r", "2", "--m", "1", "--t", "2", "--trials", "8", "--seed", "3"], {
-        "density_certificates.csv": "92aa24e0e22710b5a89eaa32e30a5838a1d248a8341c74a3915713c741cecbb4",
-        "density_summary.json": "a9bd318c13298ab1e132fd5e5b88bb98e0de4523d3639e277bf43ece990d511c",
-    }),
-    (["--N", "10", "--r", "1", "--m", "2", "--t", "1", "--trials", "6", "--seed", "4"], {
-        "density_certificates.csv": "a80c59be02909a242838a4cf60b0c3cb89d9b46caf50d1383463bcbb77a10a93",
-        "density_summary.json": "1c28333fa3874067eb1c809395325f71f294eb16ccec2f3856c090313d149161",
-    }),
-    (["--N", "7", "--r", "0", "--m", "3", "--trials", "12", "--seed", "5"], {
-        "density_certificates.csv": "05c6cb6fbe30650de70b8a16f8fa2dde7f3d9c644e03cb69aec0c1a05c0b5787",
-        "density_summary.json": "1543861fe936664388e1d0e97c083cbb956e65efe9a58078ffb600b243bfb846",
-    }),
+    (["--trials", "12", "--seed", "1"],
+     "ee019eca9d8f87385420ba9f775292845e5fae27b436c233511941a38479482b",
+     "0d1b8a29b7f657a0ff6393addb84b5d04841e0c81da06add8003be9e32221338",
+     1.65533008588991),
+    (["--N", "6", "--r", "0", "--m", "1", "--t", "1", "--trials", "12", "--seed", "2"],
+     "cf107030861f011c9f475d4810c57f1179f006653fe8b372bf431880943107c7",
+     "535f5e4aa6d9cffe5c1a51d2554fcd5c3468537c4b1a047520db74c4f7a03d95",
+     0.15624999999999997),
+    (["--N", "8", "--r", "2", "--m", "1", "--t", "2", "--trials", "8", "--seed", "3"],
+     "a9bd318c13298ab1e132fd5e5b88bb98e0de4523d3639e277bf43ece990d511c",
+     "33806198866af93a8669c9f7bb2b20516524b8ded082c8830ddeece815cd79ae",
+     0.08515230419227861),
+    (["--N", "10", "--r", "1", "--m", "2", "--t", "1", "--trials", "6", "--seed", "4"],
+     "1c28333fa3874067eb1c809395325f71f294eb16ccec2f3856c090313d149161",
+     "00c0042f2b674804166efac8de5098a14b93e711859a120c13e02c82ee0c0a37",
+     0.003906249999999999),
+    (["--N", "7", "--r", "0", "--m", "3", "--trials", "12", "--seed", "5"],
+     "1543861fe936664388e1d0e97c083cbb956e65efe9a58078ffb600b243bfb846",
+     "17470bd475a0745bb67a42789b4a9ed5bad381607710284fdd11328b69dd7836",
+     0.283462815198213),
 ]
 
 
-@pytest.mark.parametrize("flags, digests", FROZEN_DENSITY_CHECKS)
-def test_density_check_artifacts_are_frozen(tmp_path, flags, digests):
+@pytest.mark.parametrize(
+    "flags, summary_sha, exact_sha, defect_sum", FROZEN_DENSITY_CHECKS,
+    ids=[f"run{i}" for i in range(len(FROZEN_DENSITY_CHECKS))],
+)
+def test_density_check_artifacts_are_frozen(tmp_path, flags, summary_sha, exact_sha, defect_sum):
     assert run(["density-check", *flags, "--out", str(tmp_path)]) == 0
-    written = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.iterdir()
-    }
-    assert written == digests
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "density_certificates.csv", "density_summary.json"
+    ]
+    summary = (tmp_path / "density_summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == summary_sha
+    rows = [line.rsplit(",", 1) for line in
+            (tmp_path / "density_certificates.csv").read_text().splitlines()]
+    exact = "\n".join(row[0] for row in rows).encode()
+    assert hashlib.sha256(exact).hexdigest() == exact_sha
+    assert rows[0][1] == "max_defect"
+    assert sum(float(row[1]) for row in rows[1:]) == pytest.approx(defect_sum, rel=0, abs=1e-12)
 
 
 def test_density_check_validation(tmp_path):
