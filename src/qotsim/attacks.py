@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from functools import cache, reduce
+from functools import cache
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -408,33 +408,36 @@ def _pattern_counts(held: np.ndarray, N: int) -> Dict[tuple, int]:
     return {pattern: count for pattern, count in counts.items() if len(pattern) == N}
 
 
-def _syndrome_tables(code: gf2.LinearCode) -> Tuple[np.ndarray, np.ndarray]:
-    """Packed g- and h-images of every word in 2^N: word u of the span of
-    f's columns is f u, whose first r bits are g u and last m bits h u."""
-    images = np.concatenate(list(gf2.span_words(code.f.T)))
-    fu = gf2.lane_prefix(images, code.r + code.m)
-    return fu >> code.m, fu & ((1 << code.m) - 1)
+def _class_joint(tables, cols: np.ndarray, width: int) -> np.ndarray:
+    """joint[o, y]: the chance of observations o at the slots of E_c, summed
+    over the encoded words u with f u = y.
+
+    One trellis step per slot: slot i, with table q[obs, bit] and column
+    c_i of f, sends joint[o, y] to joint[(o, obs), y] = joint[o, y] q[obs, 0]
+    + joint[o, y ^ c_i] q[obs, 1]. Observations come out slot 0 most
+    significant; y and c_i are width-bit syndromes in lane_prefix order,
+    the g bits before the h bits.
+    """
+    joint = np.zeros((1, 1 << width))
+    joint[0, 0] = 1.0
+    ys = np.arange(1 << width)
+    for q, c in zip(tables, cols):
+        step = joint[:, None, :] * q[:, 0, None] + joint[:, None, ys ^ c] * q[:, 1, None]
+        joint = step.reshape(-1, 1 << width)
+    return joint
 
 
-def _class_entropy(
-    code: gf2.LinearCode,
-    prior: np.ndarray,
-    likelihood: np.ndarray,
-    syn: np.ndarray,
-    hmap: np.ndarray,
-) -> float:
+def _class_entropy(code: gf2.LinearCode, prior: np.ndarray, joint: np.ndarray) -> float:
     """E[H(B | view)] within one view class.
 
-    likelihood[o, u] is the probability of observation o at the E_c
-    photons when the encoded substring is u, so likelihood[o, u_true] is
-    also the chance of seeing o. Averages over the uniform true substring,
-    the observations, and the announced mask a = b xor h u_true.
+    joint[o, y] is the chance of observation o at the E_c photons summed
+    over the encoded substrings u with f u = y (_class_joint), which is all
+    the view class keeps of the true word: its syndrome s = g u and mask
+    t = h u. Averages over the uniform true substring, the observations,
+    and the announced mask a = b xor t.
     """
     m2 = prior.size
-    # joint[o, s, t]: chance of o summed over the words with syndrome s and
-    # mask t, which is all the view class keeps of the true word
-    joint = np.zeros((likelihood.shape[0], 1 << code.r, m2))
-    np.add.at(joint, (slice(None), syn, hmap), likelihood)
+    joint = joint.reshape(joint.shape[0], 1 << code.r, m2)  # joint[o, s, t]
     xor = np.arange(m2)[:, None] ^ np.arange(m2)
     # posterior of b given (o, s, a): prior[b] * joint[o, s, a ^ b], normalised
     post = prior * joint[:, :, xor]
@@ -496,7 +499,8 @@ def _exact_engine(
     p = params.noise_p
     thr = int(math.floor(params.delta * n))
     t_defect = int(math.floor(params.epsilon * n))
-    syn, hmap = _syndrome_tables(code)
+    width = code.r + m
+    cols = gf2.lane_prefix(gf2.pack_lanes(code.f.T), width)  # column i of f as a syndrome
     size = 1 << N
     h_prior = _entropy_bits(prior)
 
@@ -528,9 +532,8 @@ def _exact_engine(
     def pattern_stats(pattern: tuple) -> Tuple[float, float]:
         """(entropy, defect) of the view class with these slot kinds."""
         tables, chances = zip(*(slots[kind] for kind in pattern))
-        like = reduce(np.kron, tables, np.ones((1, 1)))
         return (
-            _class_entropy(code, prior, like, syn, hmap),
+            _class_entropy(code, prior, _class_joint(tables, cols, width)),
             _tail_over_threshold(chances, t_defect),
         )
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -196,8 +195,16 @@ def _trial_seed(root_seed: int, idx: int) -> int:
     return int(stream(root_seed, "trial", idx).integers(0, 2**62))
 
 
-def _csv_writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _write_csv(path: Path, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +244,8 @@ def _cmd_simulate(args) -> int:
         raise DomainError("qkd fixes c = 0; --force-c applies to qot")
     if args.trials < 1:
         raise DomainError("need at least one trial")
+    if args.workers < 1:
+        raise DomainError("need at least one worker")
     # fail fast on bad strategy flags before spawning workers
     _build_strategy(args.strategy, args.store_positions, args.store_count, args.angle)
     if args.eve is not None:
@@ -257,14 +266,11 @@ def _cmd_simulate(args) -> int:
     with open(transcripts, "w") as fh:
         for _, line, _ in results:
             fh.write(line + "\n")
-    with open(summary, "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(
-            ["trial", "seed", "passed", "test_errors", "abort_reason", "c",
-             "b_hat_equals_b"]
-        )
-        for _, _, row in results:
-            writer.writerow(row)
+    _write_csv(
+        summary,
+        ["trial", "seed", "passed", "test_errors", "abort_reason", "c", "b_hat_equals_b"],
+        (row for _, _, row in results),
+    )
     passed = sum(row[2] for _, _, row in results)
     aborted = sum(1 for _, _, row in results if row[4] != "")
     print(f"{args.trials} runs: {passed} passed the test, {aborted} aborted")
@@ -314,19 +320,14 @@ def _cmd_density_check(args) -> int:
             [idx, cert.dN, t, int(cert.condition_met), repr(cert.max_defect)]
         )
     path = out / "density_certificates.csv"
-    with open(path, "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["trial", "dN", "t", "condition_met", "max_defect"])
-        writer.writerows(rows_out)
-    agg = {
+    _write_csv(path, ["trial", "dN", "t", "condition_met", "max_defect"], rows_out)
+    agg_path = out / "density_summary.json"
+    _write_json(agg_path, {
         "trials": args.trials,
         "condition_met": met,
         "violations": violations,
         "tolerance": DENSITY_DEFECT_TOL,
-    }
-    agg_path = out / "density_summary.json"
-    with open(agg_path, "w") as fh:
-        fh.write(json.dumps(agg, sort_keys=True, separators=(",", ":")) + "\n")
+    })
     print(
         f"{args.trials} certificates, {met} under hypothesis, "
         f"max defect among those {worst_met!r}"
@@ -372,15 +373,13 @@ def _cmd_attack(args) -> int:
         "branches": branches,
     }
     path = out / "attack_report.json"
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_json(path, doc)
     defect_path = out / "defect_stats.csv"
-    with open(defect_path, "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["max_defect", "mean_defect"])
-        stats = report.small_distance_defect_stats
-        if stats is not None:
-            writer.writerow([repr(stats.max), repr(stats.mean)])
+    stats = report.small_distance_defect_stats
+    _write_csv(
+        defect_path, ["max_defect", "mean_defect"],
+        [] if stats is None else [[repr(stats.max), repr(stats.mean)]],
+    )
     print(f"pr_pass              {report.pr_pass!r}")
     print(f"mutual information   {report.mutual_information!r} bits")
     print(f"product              {report.product!r}")
@@ -417,12 +416,7 @@ def _attack_store_sweep(args, params) -> int:
         print(f"{frac:<9g} {st.expected:<9.4f} {st.empirical_mean:<10.4f} "
               f"{st.std_error:.5f}")
     path = out / "store_sweep.csv"
-    with open(path, "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(
-            ["fraction", "expected", "empirical_mean", "std_error", "trials"]
-        )
-        writer.writerows(rows_out)
+    _write_csv(path, ["fraction", "expected", "empirical_mean", "std_error", "trials"], rows_out)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -431,37 +425,22 @@ def _attack_store_sweep(args, params) -> int:
 # code-stats
 
 def _cmd_code_stats(args) -> int:
-    if args.rows >= args.n_cols:
-        raise DomainError("rows must be below the column count")
-    if args.rows > gf2.MIN_DISTANCE_MAX_ROWS:
-        raise ResourceError("row count exceeds the min-distance cap")
-    if args.trials < 1:
-        raise DomainError("need at least one trial")
-    threshold = gf2.binary_entropy_inverse(1.0 - args.rows / args.n_cols) - args.eta
+    threshold, draws = cosetrho.gv_trials(
+        args.n_cols, args.rows, args.eta, args.trials, partial(stream, args.seed, "trial")
+    )
+    hits = sum(ok for _, _, ok in draws)
     out = _out_dir(args)
-    rows_out = []
-    hits = 0
-    for idx in range(args.trials):
-        rng = stream(args.seed, "trial", idx)
-        f = gf2.random_bitmatrix(rng, args.rows, args.n_cols)
-        d = gf2.min_distance(f)
-        ratio = math.inf if d == math.inf else d / args.n_cols
-        satisfied = ratio > threshold
-        hits += satisfied
-        rows_out.append([idx, d, repr(ratio), int(satisfied)])
     path = out / "code_stats.csv"
-    with open(path, "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["trial", "dN", "ratio", "bound_satisfied"])
-        writer.writerows(rows_out)
-    agg = {
+    _write_csv(
+        path, ["trial", "dN", "ratio", "bound_satisfied"],
+        ([idx, d, repr(ratio), int(ok)] for idx, (d, ratio, ok) in enumerate(draws)),
+    )
+    agg_path = out / "code_stats_summary.json"
+    _write_json(agg_path, {
         "trials": args.trials,
         "threshold": threshold,
         "fraction_satisfied": hits / args.trials,
-    }
-    agg_path = out / "code_stats_summary.json"
-    with open(agg_path, "w") as fh:
-        fh.write(json.dumps(agg, sort_keys=True, separators=(",", ":")) + "\n")
+    })
     print(
         f"{hits}/{args.trials} codes beat ratio threshold {threshold!r}"
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -261,23 +261,34 @@ def distinguishing_witness(
     return float(abs(vals[best])), phi
 
 
+def gv_trials(
+    n_cols: int, rows: int, eta: float, trials: int, rng_for: Callable[[int], np.random.Generator]
+) -> Tuple[float, List[tuple]]:
+    """The threshold H^-1(1 - rows/N) - eta and, for each trial i, the
+    (min distance, ratio d/N, ratio > threshold) of one random rows x N
+    matrix drawn from rng_for(i). A matrix whose span has no nonzero word
+    has distance and ratio inf."""
+    if not math.isfinite(eta):
+        raise DomainError("eta must be finite")
+    if rows >= n_cols:
+        raise DomainError("rows must be below N")
+    if rows > gf2.MIN_DISTANCE_MAX_ROWS:
+        raise ResourceError("row count exceeds the min-distance cap")
+    if trials < 1:
+        raise DomainError("need at least one trial")
+    threshold = gf2.binary_entropy_inverse(1.0 - rows / n_cols) - eta
+    draws = []
+    for i in range(trials):
+        d = gf2.min_distance(gf2.random_bitmatrix(rng_for(i), rows, n_cols))
+        ratio = math.inf if d == math.inf else d / n_cols
+        draws.append((d, ratio, ratio > threshold))
+    return threshold, draws
+
+
 def gv_bound_trial(
     n_cols: int, rows: int, eta: float, trials: int, rng: np.random.Generator
 ) -> float:
-    """Fraction of random rows x N matrices whose span min-distance ratio
-    exceeds the entropy-inverse threshold H^-1(1 - rows/N) - eta."""
-    if rows >= n_cols:
-        raise DomainError("rows must be below N")
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    if rows > gf2.MIN_DISTANCE_MAX_ROWS:
-        raise ResourceError("row count exceeds the min-distance cap")
-    threshold = gf2.binary_entropy_inverse(1.0 - rows / n_cols) - eta
-    hits = 0
-    for _ in range(trials):
-        f = gf2.random_bitmatrix(rng, rows, n_cols)
-        d = gf2.min_distance(f)
-        ratio = math.inf if d == math.inf else d / n_cols
-        if ratio > threshold:
-            hits += 1
-    return hits / trials
+    """Fraction of random rows x N matrices, all drawn from rng, whose span
+    min-distance ratio exceeds the threshold of gv_trials."""
+    _, draws = gv_trials(n_cols, rows, eta, trials, lambda i: rng)
+    return sum(ok for _, _, ok in draws) / trials

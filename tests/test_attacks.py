@@ -9,7 +9,7 @@ regression anchors, not definitions.
 import json
 import math
 from dataclasses import replace
-from functools import cache
+from functools import cache, reduce
 from collections import Counter
 from itertools import combinations, product
 
@@ -774,13 +774,118 @@ def entropy_classes(draw):
     return code, prior / prior.sum(), like
 
 
+def ref_word_syndromes(cols, N):
+    """f u for every word u of N bits, slot 0 most significant in u: the
+    xor of the columns of f that u picks."""
+    words = np.arange(1 << N)
+    fu = np.zeros(1 << N, dtype=np.int64)
+    for i, c in enumerate(cols):
+        fu[(words >> (N - 1 - i)) & 1 == 1] ^= c
+    return fu
+
+
+def ref_bin_words(likelihood, fu, width):
+    """joint[o, y]: likelihood[o, u] summed over the words u with f u = y."""
+    joint = np.zeros((likelihood.shape[0], 1 << width))
+    np.add.at(joint, (slice(None), fu), likelihood)
+    return joint
+
+
+def ref_class_joint(tables, cols, width):
+    """The kron-and-bin form of _class_joint: the likelihood of every
+    observation and word as the Kronecker product of the slot tables,
+    binned by the words' syndromes."""
+    like = reduce(np.kron, tables, np.ones((1, 1)))
+    return ref_bin_words(like, ref_word_syndromes(cols, len(cols)), width)
+
+
+def code_columns(code):
+    """Column i of f as an (r+m)-bit syndrome, g bits first."""
+    return [gf2.pack_int(col) for col in code.f.T]
+
+
 @settings(max_examples=300, deadline=None)
 @given(entropy_classes())
 def test_class_entropy_matches_the_loop_over_words(case):
+    """_class_entropy on arbitrary (non-product) likelihood tables, binned
+    by the reference, against the loop over true words."""
     code, prior, like = case
-    syn, hmap = attacks._syndrome_tables(code)
-    got = attacks._class_entropy(code, prior, like, syn, hmap)
+    fu = ref_word_syndromes(code_columns(code), code.N)
+    syn, hmap = fu >> code.m, fu & ((1 << code.m) - 1)
+    got = attacks._class_entropy(code, prior, ref_bin_words(like, fu, code.r + code.m))
     assert got == pytest.approx(ref_class_entropy(code, prior, like, syn, hmap), abs=1e-12)
+
+
+@st.composite
+def slot_classes(draw):
+    """A code of up to ten columns (r = 0 allowed; zero rows make f
+    rank-deficient, and some columns are zero) with one slot table per
+    column: blind slots read one all-ones row, the rest one or two rows of
+    entries that are 0 or at least 1e-3, so no product underflows."""
+    N = draw(st.integers(1, 10))
+    m = draw(st.integers(1, min(3, N)))
+    r = draw(st.integers(0, min(2, N - m)))
+    f = np.array(draw(st.lists(st.integers(0, 1), min_size=(r + m) * N, max_size=(r + m) * N)),
+                 dtype=np.uint8).reshape(r + m, N)
+    f[np.array(draw(st.lists(st.booleans(), min_size=r + m, max_size=r + m)))] = 0
+    f[:, np.array(draw(st.lists(st.booleans(), min_size=N, max_size=N)))] = 0
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    tables = []
+    for _ in range(N):
+        rows = draw(st.integers(0, 2))
+        if rows == 0:
+            tables.append(np.ones((1, 2)))
+        else:
+            tables.append(np.array(draw(st.lists(entry, min_size=2 * rows, max_size=2 * rows)))
+                          .reshape(rows, 2))
+    prior = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=1 << m, max_size=1 << m
+    ).filter(any)))
+    return gf2.LinearCode(f=f, r=r, m=m), tables, prior / prior.sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot_classes())
+def test_class_joint_matches_kron_and_bin(case):
+    code, tables, prior = case
+    width = code.r + code.m
+    cols = np.array(code_columns(code), dtype=np.int64)
+    got = attacks._class_joint(tables, cols, width)
+    want = ref_class_joint(tables, cols, width)
+    assert got.shape == want.shape
+    # every term is nonnegative, so a bin is zero exactly when all its terms are
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert attacks._class_entropy(code, prior, got) == pytest.approx(
+        attacks._class_entropy(code, prior, want), rel=1e-12, abs=1e-14
+    )
+
+
+@pytest.mark.parametrize("strategy, disjoint", [
+    (attacks.honest(), False),
+    (attacks.store_subset(positions=[0, 3, 5, 8]), False),
+    (attacks.store_subset(positions=[0, 3, 5, 8]), True),
+    (attacks.fixed_basis(math.pi / 8), False),
+    (attacks.random_ok(), False),
+], ids=["honest", "store", "store-disjoint", "fixed", "random-ok"])
+def test_engine_agrees_with_the_kron_and_bin_likelihoods(monkeypatch, strategy, disjoint):
+    params = exact_params(n=10, N=3, r=1, m=2, delta=0.2, noise_p=0.05, epsilon=0.1, seed=3)
+    code = gf2.LinearCode(f=gf2.bitmatrix(["101", "011", "111"]), r=1, m=2)
+    kw = dict(code=code, require_disjoint_store=disjoint)
+    want = attacks.information_account(params, strategy, **kw)
+    code_cols = []
+
+    def reference(tables, cols, width):
+        code_cols.append(list(cols))
+        return ref_class_joint(tables, cols, width)
+
+    monkeypatch.setattr(attacks, "_class_joint", reference)
+    got = attacks.information_account(params, strategy, **kw)
+    assert code_cols[0] == [5, 3, 7]  # f's columns, g bit first
+    for field in ("pr_pass", "mutual_information", "product"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+    assert got.small_distance_defect_stats == want.small_distance_defect_stats
+    assert got.samples_or_statespace == want.samples_or_statespace
 
 
 @settings(max_examples=200, deadline=None)

@@ -84,6 +84,13 @@ def test_simulate_workers_do_not_change_the_output(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    assert run(QOT_ARGS + ["--out", str(tmp_path), "--workers", workers]) == 1
+    assert "worker" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_default_r_fits_the_decode_cap(tmp_path, capsys):
     """n=92 makes N=22: r=1 would leave a 2^21-word decode coset, so the
     default r is 2. An explicit --r is taken as given."""
@@ -224,6 +231,38 @@ def test_attack_report_and_defect_artifacts(tmp_path, capsys):
     defect = (tmp_path / "defect_stats.csv").read_text().splitlines()
     assert defect[0] == "max_defect,mean_defect"
     assert len(defect) == 2
+
+
+# One exact report per strategy on a drawn code (n = 10, N = 3, r = 1,
+# m = 2, seed 7): (pr_pass, mutual_information, product, defect max,
+# defect mean). Compared to 1e-12 relative, not by digest, because the last
+# bits of floating-point sums may move between hosts.
+PINNED_ATTACKS = {
+    "HONEST": ([], (0.168291882276535, 0.0, 0.0, 0.0, 0.0)),
+    "STORE_SUBSET": (["--store-positions", "0,1,2,3"], (
+        0.16796951830387116, 0.8387641643651669, 0.1408868126589661,
+        0.5, 0.09179871997017067)),
+    "FIXED_BASIS": (["--angle", "0.39269908169872414"], (
+        0.1680692581861636, 0.8262037876217923, 0.1388594576961933,
+        0.058058261758407795, 0.0580582617584078)),
+    "RANDOM_OK": ([], (
+        0.16616646230220794, 0.7866830726800389, 0.13072034314027278,
+        0.5, 0.24680227293630774)),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(PINNED_ATTACKS))
+def test_attack_reports_are_pinned(tmp_path, strategy):
+    flags, want = PINNED_ATTACKS[strategy]
+    args = ["attack", "--n", "10", "--N", "3", "--r", "1", "--m", "2", "--delta", "0.2",
+            "--noise", "0.05", "--epsilon", "0.1", "--seed", "7", "--strategy", strategy]
+    assert run(args + flags + ["--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "attack_report.json").read_text())["report"]
+    stats = report["small_distance_defect_stats"]
+    got = (report["pr_pass"], report["mutual_information"], report["product"],
+           stats["max"], stats["mean"])
+    assert got == pytest.approx(want, rel=1e-12)
+    assert report["samples_or_statespace"] == 376
 
 
 def test_attack_branch_decomposition(tmp_path):
@@ -402,6 +441,14 @@ def test_code_stats_validation(tmp_path):
     out = ["--out", str(tmp_path)]
     assert run(["code-stats", "--n-cols", "4", "--rows", "4"] + out) == 1
     assert run(["code-stats", "--n-cols", "30", "--rows", "25"] + out) == 2
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf", "-inf"])
+def test_code_stats_rejects_a_non_finite_eta(tmp_path, capsys, eta):
+    assert run(["code-stats", "--n-cols", "12", "--rows", "4", "--trials", "3",
+                f"--eta={eta}", "--out", str(tmp_path)]) == 1
+    assert "eta" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -495,5 +495,20 @@ def test_gv_bound_trial_validation_and_determinism():
     assert 0.0 <= a <= 1.0
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_gv_bound_trial_rejects_a_non_finite_eta(eta):
+    with pytest.raises(DomainError, match="eta"):
+        cosetrho.gv_bound_trial(10, 3, eta, 5, np.random.default_rng(5))
+
+
+def test_gv_bound_trial_is_the_share_of_gv_trials_over_one_generator():
+    rng = np.random.default_rng(17)
+    threshold, draws = cosetrho.gv_trials(10, 3, 0.1, 40, lambda i: rng)
+    assert threshold == gf2.binary_entropy_inverse(0.7) - 0.1
+    assert all(ok == (ratio > threshold) and ratio == d / 10 for d, ratio, ok in draws)
+    fraction = cosetrho.gv_bound_trial(10, 3, 0.1, 40, np.random.default_rng(17))
+    assert fraction == sum(ok for _, _, ok in draws) / 40
+
+
 def test_gv_bound_trial_zero_rows_always_satisfies():
     assert cosetrho.gv_bound_trial(8, 0, 0.1, 10, np.random.default_rng(1)) == 1.0
