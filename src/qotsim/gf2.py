@@ -12,12 +12,23 @@ holds the leading positions and each lane's top bit its first one, so
 comparing lane tuples compares the bit vectors lexicographically; a word
 of at most 64 bits is one integer, ordered as its bit vector, and its
 Hamming weight is one bitwise_count.
+
+Elimination works on row words: each row of a bit matrix becomes one
+Python int (_row_words), position j being bit cols - 1 - j, so position 0
+is the most significant bit as in pack_int, and a row operation is one
+integer xor at any width.
+
+Functions named with a leading underscore take uint8 arrays whose entries
+are already known to be 0 or 1 and check nothing; the public ones check
+their operands (bits, bitmatrix) and call them. A caller that has checked
+its operands once, as protocol.bob_decode does, calls them directly.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
 
@@ -108,6 +119,10 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     m, v = bitmatrix(m), bits(v)
     if m.shape[1] != v.size:
         raise DimensionError("matvec dimension mismatch")
+    return _matvec(m, v)
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m.astype(np.int64) @ v.astype(np.int64) & 1).astype(np.uint8)
 
 
@@ -120,26 +135,29 @@ class RowReduction:
 
 def row_reduce(m: np.ndarray) -> RowReduction:
     """Reduced row echelon form over GF(2)."""
-    a = bitmatrix(m).copy()
+    return _row_reduce(bitmatrix(m))
+
+
+def _row_reduce(a: np.ndarray) -> RowReduction:
+    """row_reduce on row words. Each row is cleared of the pivots found so
+    far; if a bit is left, its leading bit is a new pivot, cleared from the
+    rows already kept. The kept rows, by pivot column, are the RREF."""
     rows, cols = a.shape
-    pivots = []
-    row = 0
-    for col in range(cols):
-        if row >= rows:
-            break
-        hits = np.nonzero(a[row:, col])[0]
-        if hits.size == 0:
-            continue
-        swap = row + hits[0]
-        if swap != row:
-            a[[row, swap]] = a[[swap, row]]
-        # xor the pivot row into every other row with a 1 in this column
-        others = a[:, col].copy()
-        others[row] = 0
-        a ^= others[:, None] & a[row]
-        pivots.append(col)
-        row += 1
-    return RowReduction(matrix=a, rank=row, pivots=tuple(pivots))
+    kept = {}  # leading bit -> reduced row word; column j is bit cols - 1 - j
+    for word in _row_words(a):
+        for lead, row in kept.items():
+            if word >> lead & 1:
+                word ^= row
+        if word:
+            new = word.bit_length() - 1
+            for lead, row in kept.items():
+                if row >> new & 1:
+                    kept[lead] = row ^ word
+            kept[new] = word
+    leads = sorted(kept, reverse=True)
+    matrix = _rows_from_words([kept[lead] for lead in leads] + [0] * (rows - len(leads)), cols)
+    pivots = tuple(cols - 1 - lead for lead in leads)
+    return RowReduction(matrix=matrix, rank=len(leads), pivots=pivots)
 
 
 def rank(m: np.ndarray) -> int:
@@ -151,7 +169,8 @@ def _kernel_from(red: RowReduction, cols: int) -> np.ndarray:
     per free column. Pivots at or past cols (an augmented column) are
     skipped: the RREF of [m | x] restricted to m's columns is m's RREF."""
     pivots = [c for c in red.pivots if c < cols]
-    free = [c for c in range(cols) if c not in pivots]
+    taken = set(pivots)
+    free = [c for c in range(cols) if c not in taken]
     basis = np.zeros((len(free), cols), dtype=np.uint8)
     basis[np.arange(len(free)), free] = 1
     # pivot row i of the reduced matrix belongs to pivots[i]
@@ -162,7 +181,7 @@ def _kernel_from(red: RowReduction, cols: int) -> np.ndarray:
 def kernel_basis(m: np.ndarray) -> np.ndarray:
     """Basis of {v : m v = 0}, one row per free column; shape (dim, cols)."""
     m = bitmatrix(m)
-    return _kernel_from(row_reduce(m), m.shape[1])
+    return _kernel_from(_row_reduce(m), m.shape[1])
 
 
 def solve_affine(m: np.ndarray, x: np.ndarray):
@@ -176,13 +195,12 @@ def solve_affine(m: np.ndarray, x: np.ndarray):
     if m.shape[0] != x.size:
         raise DimensionError("solve_affine dimension mismatch")
     cols = m.shape[1]
-    red = row_reduce(np.concatenate([m, x.reshape(-1, 1)], axis=1))
+    red = _row_reduce(np.concatenate([m, x.reshape(-1, 1)], axis=1))
     kern = _kernel_from(red, cols)
     if cols in red.pivots:  # pivot in the augmented column: inconsistent
         return None, kern
     particular = np.zeros(cols, dtype=np.uint8)
-    for r, c in enumerate(red.pivots):
-        particular[c] = red.matrix[r, cols]
+    particular[list(red.pivots)] = red.matrix[: red.rank, cols]
     return particular, kern
 
 
@@ -278,7 +296,7 @@ class LinearCode:
         solve_affine performs on [f | x]. The first rank entries of E x are
         beta0 on the pivot columns; the rest vanish iff x is in the image."""
         n, rows = self.N, self.f.shape[0]
-        red = row_reduce(np.concatenate([self.f, np.eye(rows, dtype=np.uint8)], axis=1))
+        red = _row_reduce(np.concatenate([self.f, np.eye(rows, dtype=np.uint8)], axis=1))
         pivots = np.array([c for c in red.pivots if c < n], dtype=np.intp)
         return red.matrix[:, n:].astype(np.int64), pivots
 
@@ -321,22 +339,48 @@ def parity_code(n_cols: int) -> LinearCode:
     return LinearCode(f=np.ones((1, n_cols), dtype=np.uint8), r=0, m=1)
 
 
+def _row_words(m: np.ndarray) -> list:
+    """Each row of a uint8 bit matrix as one int, position 0 most
+    significant: the row's packbits bytes read big-endian, less the pad."""
+    rows, cols = m.shape
+    packed = np.packbits(m, axis=1)
+    width = packed.shape[1]
+    if not width:
+        return [0] * rows
+    pad, raw = 8 * width - cols, packed.tobytes()
+    return [int.from_bytes(raw[i : i + width], "big") >> pad for i in range(0, len(raw), width)]
+
+
+def _rows_from_words(words, cols: int) -> np.ndarray:
+    """_row_words inverted: ints below 2^cols as a (len(words), cols) bit
+    matrix."""
+    width = -(-cols // 8)
+    pad = 8 * width - cols
+    raw = b"".join([(word << pad).to_bytes(width, "big") for word in words])
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), width)
+    return np.unpackbits(packed, axis=1, count=cols)
+
+
 def pack_int(v: np.ndarray) -> int:
     """Bit vector to integer, position 0 most significant."""
-    out = 0
-    for b in bits(v):
-        out = (out << 1) | int(b)
-    return out
+    return _row_words(bits(v).reshape(1, -1))[0]
 
 
 def unpack_int(value: int, length: int) -> np.ndarray:
-    return np.array([(value >> (length - 1 - i)) & 1 for i in range(length)], dtype=np.uint8)
+    """pack_int inverted: the length-bit vector of value in [0, 2^length)."""
+    value = operator.index(value)
+    if length < 0 or not 0 <= value < 1 << length:
+        raise DomainError(f"unpack_int needs 0 <= value < 2^length, got {value} in {length} bits")
+    return _rows_from_words([value], length)[0]
 
 
 def pack_lanes(m) -> np.ndarray:
     """Rows of a bit matrix as lane words: shape (rows, ceil(cols / 64))
     uint64, position j at bit 63 - j % 64 of lane j // 64, zero past cols."""
-    m = bitmatrix(m)
+    return _pack_lanes(bitmatrix(m))
+
+
+def _pack_lanes(m: np.ndarray) -> np.ndarray:
     rows, cols = m.shape
     lanes = np.zeros((rows, -(-cols // 64)), dtype=">u8")
     lanes.view(np.uint8)[:, : -(-cols // 8)] = np.packbits(m, axis=1)
@@ -384,10 +428,20 @@ def span_words(m: np.ndarray) -> Iterator[np.ndarray]:
     leading positions with position 0 at its top bit, so the integer order
     of one-lane words, and the tuple order of wider ones, is the
     lexicographic order of the bit vectors.
+
+    Every block is a fresh array: a span of at most SPAN_BLOCK_ROWS rows is
+    yielded as built, as its only block.
     """
-    lanes = pack_lanes(m)
+    return _span_words(bitmatrix(m))
+
+
+def _span_words(m: np.ndarray) -> Iterator[np.ndarray]:
+    lanes = _pack_lanes(m)
     split = max(lanes.shape[0] - SPAN_BLOCK_ROWS, 0)
     low = _xor_doubling(lanes[split:])
+    if not split:
+        yield low
+        return
     for high in _xor_doubling(lanes[:split]):
         yield high ^ low
 
@@ -405,7 +459,7 @@ def min_distance(code: Union[LinearCode, np.ndarray]):
     rows = f.shape[0]
     if rows > MIN_DISTANCE_MAX_ROWS:
         raise ResourceError(f"min_distance caps at {MIN_DISTANCE_MAX_ROWS} rows, got {rows}")
-    weights = (lane_weights(block) for block in span_words(f))
+    weights = (lane_weights(block) for block in _span_words(f))
     return min((int(w[w > 0].min()) for w in weights if w.any()), default=math.inf)
 
 

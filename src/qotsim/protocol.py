@@ -429,16 +429,18 @@ def bob_decode(
     when the syndrome equation has no solution (impossible for an honestly
     generated s).
     """
-    g, h = gf2.bitmatrix(g), gf2.bitmatrix(h)
-    w_hat_ec = gf2.bits(w_hat_ec, length=g.shape[1])
-    s, a = gf2.bits(s), gf2.bits(a)
+    # gf2.solve_affine checks g and s, and the next three lines w_hat_ec, h
+    # and a; from there on only gf2's unchecked helpers see the operands
     particular, kern = gf2.solve_affine(g, s)
+    dim, n = kern.shape
+    w_hat_ec = gf2.bits(w_hat_ec, length=n)
+    h = gf2.bitmatrix(h, cols=n)
+    a = gf2.bits(a, length=h.shape[0])
     if particular is None:
         return None, None
-    dim = kern.shape[0]
     if (1 << dim) > DECODE_MAX_COSET:
         raise ResourceError(f"decode coset of 2^{dim} words exceeds the cap")
-    base, target = gf2.pack_lanes([particular, w_hat_ec])
+    base, target = gf2._pack_lanes(np.stack([particular, w_hat_ec]))
     offset = base ^ target
 
     def nearest(block):
@@ -451,9 +453,9 @@ def bob_decode(
             ties = ties[ties[:, lane] == ties[:, lane].min()]
         return int(least), tuple(ties[0].tolist())
 
-    _, best = min(nearest(block) for block in gf2.span_words(kern))
-    corrected = gf2.unpack_lanes(np.array([best], dtype=np.uint64), w_hat_ec.size)[0]
-    return a ^ gf2.matvec(h, corrected), corrected
+    _, best = min(nearest(block) for block in gf2._span_words(kern))
+    corrected = gf2.unpack_lanes(np.array([best], dtype=np.uint64), n)[0]
+    return a ^ gf2._matvec(h, corrected), corrected
 
 
 # ---------------------------------------------------------------------------

@@ -510,5 +510,20 @@ def test_gv_bound_trial_is_the_share_of_gv_trials_over_one_generator():
     assert fraction == sum(ok for _, _, ok in draws) / 40
 
 
+@pytest.mark.parametrize("above", [False, True])
+def test_gv_trials_counts_only_a_ratio_strictly_above_the_threshold(monkeypatch, above):
+    """A draw whose d/N lands exactly on the threshold is not counted; one
+    ulp lower, it is."""
+    n_cols, rows = 10, 3
+    d = gf2.min_distance(gf2.random_bitmatrix(np.random.default_rng(17), rows, n_cols))
+    assert d != math.inf
+    ratio = d / n_cols
+    threshold = math.nextafter(ratio, 0.0) if above else ratio
+    monkeypatch.setattr(gf2, "binary_entropy_inverse", lambda y: threshold)
+    got, draws = cosetrho.gv_trials(n_cols, rows, 0.0, 1, lambda i: np.random.default_rng(17))
+    assert got == threshold
+    assert draws == [(d, ratio, above)]
+
+
 def test_gv_bound_trial_zero_rows_always_satisfies():
     assert cosetrho.gv_bound_trial(8, 0, 0.1, 10, np.random.default_rng(1)) == 1.0

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qotsim import gf2
@@ -204,6 +204,29 @@ def test_pack_unpack_roundtrip(trial):
     assert np.array_equal(gf2.unpack_int(gf2.pack_int(v), v.size), v)
 
 
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+def test_pack_int_is_the_bit_loop_at_any_width(width, seed):
+    v = gf2.random_bits(np.random.default_rng(seed), width)
+    expected = 0
+    for b in v:
+        expected = (expected << 1) | int(b)
+    assert gf2.pack_int(v) == expected
+    assert np.array_equal(gf2.unpack_int(expected, width), v)
+
+
+@pytest.mark.parametrize("value, length", [(5, 2), (4, 2), (1, 0), (-1, 3), (0, -1), (2**64, 64)])
+def test_unpack_int_rejects_a_value_outside_its_width(value, length):
+    with pytest.raises(DomainError):
+        gf2.unpack_int(value, length)
+
+
+def test_unpack_int_at_the_edges_of_its_width():
+    assert gf2.unpack_int(0, 0).shape == (0,)
+    assert np.array_equal(gf2.unpack_int(3, 2), [1, 1])
+    assert np.array_equal(gf2.unpack_int(2**64 - 1, 64), np.ones(64))
+
+
 @pytest.mark.parametrize("trial", range(30))
 def test_min_distance_matches_exhaustive_enumeration(trial):
     rng = np.random.default_rng(700 + trial)
@@ -272,6 +295,27 @@ def test_span_words_matches_itertools_product(m):
 def test_span_words_across_a_block_boundary(m):
     """One walk crosses a block boundary (17 rows) and a lane boundary."""
     assert np.array_equal(unpacked_span(m), product_span(m))
+
+
+@pytest.mark.parametrize("rows", [0, 5, gf2.SPAN_BLOCK_ROWS, gf2.SPAN_BLOCK_ROWS + 1])
+def test_span_words_blocks_are_fresh_arrays(rows):
+    """Writing into a yielded block changes no later walk of the same
+    matrix, whether the span is one block or several."""
+    m = gf2.random_bitmatrix(np.random.default_rng(rows), rows, 70)
+    before = [block.copy() for block in gf2.span_words(m)]
+    for block in gf2.span_words(m):
+        block ^= np.uint64(2**64 - 1)
+    assert all(np.array_equal(a, b) for a, b in zip(gf2.span_words(m), before, strict=True))
+
+
+def test_writing_into_a_codes_spans_changes_no_later_walk():
+    code = gf2.LinearCode(f=gf2.random_bitmatrix(np.random.default_rng(3), 3, 12), r=1, m=2)
+    rows_before = np.concatenate(list(gf2.span_words(code.f)))
+    kernel_before = np.concatenate(list(gf2.span_words(code.kernel)))
+    code.row_span[:] = 0
+    code.kernel_span[:] = 1
+    assert np.array_equal(np.concatenate(list(gf2.span_words(code.f))), rows_before)
+    assert np.array_equal(np.concatenate(list(gf2.span_words(code.kernel))), kernel_before)
 
 
 @settings(max_examples=200, deadline=None)
@@ -374,6 +418,101 @@ def test_solve_affine_kernel_is_kernel_basis(m, seed, consistent):
         assert particular is not None
     if particular is not None:
         assert np.array_equal(gf2.matvec(m, particular), x)
+
+
+def reference_row_reduce(m) -> gf2.RowReduction:
+    """RREF by the column-at-a-time numpy elimination that row_reduce
+    replaced with row words: for each column, swap up the first row at or
+    below the current one with a 1 there, then clear that column from every
+    other row."""
+    a = gf2.bitmatrix(m).copy()
+    rows, cols = a.shape
+    pivots = []
+    row = 0
+    for col in range(cols):
+        if row >= rows:
+            break
+        hits = np.nonzero(a[row:, col])[0]
+        if hits.size == 0:
+            continue
+        swap = row + hits[0]
+        if swap != row:
+            a[[row, swap]] = a[[swap, row]]
+        others = a[:, col].copy()
+        others[row] = 0
+        a ^= others[:, None] & a[row]
+        pivots.append(col)
+        row += 1
+    return gf2.RowReduction(matrix=a, rank=row, pivots=tuple(pivots))
+
+
+def reference_kernel(red: gf2.RowReduction, cols: int) -> np.ndarray:
+    """One kernel row per free column c below cols: 1 at c, and at each
+    pivot the entry of column c in that pivot's row."""
+    pivots = [c for c in red.pivots if c < cols]
+    rows = []
+    for c in range(cols):
+        if c not in pivots:
+            v = np.zeros(cols, dtype=np.uint8)
+            v[c] = 1
+            for i, p in enumerate(pivots):
+                v[p] = red.matrix[i, c]
+            rows.append(v)
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), cols)
+
+
+def reference_solve(m: np.ndarray, x: np.ndarray):
+    cols = m.shape[1]
+    red = reference_row_reduce(np.concatenate([m, x.reshape(-1, 1)], axis=1))
+    kern = reference_kernel(red, cols)
+    if cols in red.pivots:
+        return None, kern
+    particular = np.zeros(cols, dtype=np.uint8)
+    for i, c in enumerate(red.pivots):
+        particular[c] = red.matrix[i, cols]
+    return particular, kern
+
+
+@pytest.mark.parametrize("cols", [0, 1, 7, 8, 63, 64, 65, 129, 200])
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(0, 12),
+    density=st.sampled_from([0.1, 0.5, 0.9]),
+    dependent=st.booleans(),
+    consistent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=0, density=0.5, dependent=False, consistent=False, seed=0)
+def test_elimination_on_row_words_is_the_column_loop_bit_for_bit(
+    cols, rows, density, dependent, consistent, seed
+):
+    """row_reduce, rank, kernel_basis, solve_affine and LinearCode.particular
+    against the column loop, across the 64-bit word edge and past two words."""
+    rng = np.random.default_rng(seed)
+    m = (rng.random((rows, cols)) < density).astype(np.uint8)
+    if rows >= 3 and dependent:
+        m[-1] = m[0] ^ m[1]
+    ref = reference_row_reduce(m)
+    red = gf2.row_reduce(m)
+    assert red.matrix.dtype == np.uint8 and red.matrix.shape == (rows, cols)
+    assert np.array_equal(red.matrix, ref.matrix)
+    assert (red.rank, red.pivots) == (ref.rank, ref.pivots)
+    assert all(type(c) is int for c in red.pivots)
+    assert gf2.rank(m) == ref.rank
+    assert np.array_equal(gf2.kernel_basis(m), reference_kernel(ref, cols))
+
+    x = gf2.matvec(m, gf2.random_bits(rng, cols)) if consistent else gf2.random_bits(rng, rows)
+    particular, kern = gf2.solve_affine(m, x)
+    ref_particular, ref_kern = reference_solve(m, x)
+    assert np.array_equal(kern, ref_kern)
+    assert (particular is None) == (ref_particular is None)
+    if particular is not None:
+        assert particular.dtype == np.uint8 and np.array_equal(particular, ref_particular)
+    if rows <= cols:
+        beta0 = gf2.LinearCode(f=m, r=rows, m=0).particular(x)
+        assert (beta0 is None) == (ref_particular is None)
+        if beta0 is not None:
+            assert np.array_equal(beta0, ref_particular)
 
 
 def test_binary_entropy_values():

@@ -530,6 +530,47 @@ def test_bob_decode_rejects_a_word_of_the_wrong_width():
         protocol.bob_decode("10100", [0, 0], g, [0], gf2.bitmatrix(["000001"]))
 
 
+def _decode_operands():
+    """A valid (w_hat_ec, s, g, a, h) for a width-3 word, as int64 arrays."""
+    g = np.array([[1, 1, 0], [0, 1, 1]])
+    h, u = np.array([[1, 0, 1]]), np.array([1, 0, 1])
+    return {"w_hat_ec": u, "s": g @ u % 2, "g": g, "a": np.array([1]) ^ h @ u % 2, "h": h}
+
+
+@pytest.mark.parametrize("operand", ["w_hat_ec", "s", "g", "a", "h"])
+def test_bob_decode_rejects_a_non_bit_entry_in_each_operand(operand):
+    ops = _decode_operands()
+    ops[operand] = ops[operand].copy()
+    ops[operand].flat[0] = 2
+    with pytest.raises(DomainError):
+        protocol.bob_decode(**ops)
+
+
+@pytest.mark.parametrize(
+    "operand, value",
+    [("w_hat_ec", [1, 0, 1, 0]), ("s", [0]), ("s", [0, 0, 0]), ("a", [1, 0]), ("h", [[1, 0]])],
+)
+def test_bob_decode_rejects_operands_of_the_wrong_size(operand, value):
+    ops = _decode_operands()
+    ops[operand] = np.array(value)
+    with pytest.raises(DimensionError):
+        protocol.bob_decode(**ops)
+
+
+@pytest.mark.parametrize("s", [[0, 1], [1, 1]])
+def test_bob_decode_checks_each_operand_once_and_solves_once(monkeypatch, s):
+    """One bit check per operand, and one gf2.solve_affine call, looked up
+    through the module, per decode, with or without a solution."""
+    checked, solved = [], []
+    real_check, real_solve = gf2._bit_array, gf2.solve_affine
+    monkeypatch.setattr(gf2, "_bit_array", lambda v, what: checked.append(v) or real_check(v, what))
+    monkeypatch.setattr(gf2, "solve_affine", lambda m, x: solved.append(x) or real_solve(m, x))
+    g = np.array([[1, 1, 0], [1, 1, 0]])  # s = [0, 1] has no solution
+    b_hat, corrected = protocol.bob_decode([1, 0, 1], s, g, [1], [[1, 0, 1]])
+    assert (corrected is None) == (s == [0, 1])
+    assert len(checked) == 5 and len(solved) == 1
+
+
 def test_bob_decode_of_empty_words():
     empty = np.zeros((0, 0), dtype=np.uint8)
     b_hat, corrected = protocol.bob_decode([], [], empty, [], empty)
