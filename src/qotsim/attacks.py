@@ -25,6 +25,7 @@ therefore upper-bounds the plain protocol.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import cache
@@ -433,20 +434,17 @@ def _class_entropy(code: gf2.LinearCode, prior: np.ndarray, joint: np.ndarray) -
     joint[o, y] is the chance of observation o at the E_c photons summed
     over the encoded substrings u with f u = y (_class_joint), which is all
     the view class keeps of the true word: its syndrome s = g u and mask
-    t = h u. Averages over the uniform true substring, the observations,
-    and the announced mask a = b xor t.
+    t = h u. Over the uniform true substring, q = joint / 2^N is the law of
+    (o, s, t), of total mass Z. The view announces a = b xor t with B
+    independent of (O, S, T), so H(B, O, S, A) = Z H(B) + H(q) and the
+    answer is that less H(O, S, A), whose law is q_A[o, s, a] =
+    sum_b prior[b] q[o, s, a ^ b].
     """
     m2 = prior.size
-    joint = joint.reshape(joint.shape[0], 1 << code.r, m2)  # joint[o, s, t]
+    q = joint.reshape(-1, m2) / (1 << code.N)  # rows (o, s), columns t
     xor = np.arange(m2)[:, None] ^ np.arange(m2)
-    # posterior of b given (o, s, a): prior[b] * joint[o, s, a ^ b], normalised
-    post = prior * joint[:, :, xor]
-    z = post.sum(axis=-1, keepdims=True)
-    post = np.divide(post, z, out=np.zeros_like(post), where=z > 0)
-    logs = np.log2(post, out=np.zeros_like(post), where=post > 0)
-    ent = -np.sum(post * logs, axis=-1)
-    # the announced mask is a = t ^ b for the true t and string b
-    return float(np.sum(joint * (ent[:, :, xor] @ prior)) / (1 << code.N))
+    q_a = q[:, xor] @ prior
+    return float(q.sum()) * _entropy_bits(prior) + _entropy_bits(q) - _entropy_bits(q_a)
 
 
 def _measurement_table(angle: float, basis: int, p: float) -> np.ndarray:
@@ -599,23 +597,16 @@ def _view_summary(tr: protocol.Transcript, strategy: AttackStrategy) -> tuple:
 
 
 def _plugin_mi(pairs: List[Tuple[tuple, tuple]]) -> float:
-    """Plug-in mutual information over the empirical joint; biased up by
-    O(alphabet/samples)."""
+    """Plug-in mutual information H(V) + H(B) - H(V, B) over the empirical
+    joint; biased up by O(alphabet/samples)."""
     if not pairs:
         return math.nan
-    total = len(pairs)
-    joint: Dict[tuple, int] = {}
-    left: Dict[tuple, int] = {}
-    right: Dict[tuple, int] = {}
-    for v, b in pairs:
-        joint[(v, b)] = joint.get((v, b), 0) + 1
-        left[v] = left.get(v, 0) + 1
-        right[b] = right.get(b, 0) + 1
-    mi = 0.0
-    for (v, b), c in joint.items():
-        pj = c / total
-        mi += pj * math.log2(pj * total * total / (left[v] * right[b]))
-    return max(0.0, mi)
+    views, strings = zip(*pairs)
+    h_view, h_string, h_pair = (
+        _entropy_bits(np.array(list(Counter(values).values())) / len(pairs))
+        for values in (views, strings, pairs)
+    )
+    return max(0.0, h_view + h_string - h_pair)
 
 
 def _monte_carlo_engine(

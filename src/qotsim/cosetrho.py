@@ -138,7 +138,9 @@ def rho_zero_induction(
         ):
             raise DomainError("supplied vectors are not a kernel basis of f")
     if code.N > quantum.DENSITY_MAX_N or kernel.shape[0] > COSET_MAX_DIM:
-        raise ResourceError("induction caps at N=10, kernel dimension 10")
+        raise ResourceError(
+            f"induction caps at N={quantum.DENSITY_MAX_N}, kernel dimension {COSET_MAX_DIM}"
+        )
     zero = quantum.bb84_state(np.zeros(code.N, dtype=np.uint8), theta)
     rho = np.outer(zero, zero.conj())
     out = [rho]

@@ -545,6 +545,27 @@ def test_exact_disjoint_store_learns_nothing():
     assert rep.pr_pass == pytest.approx(0.34854888916015614, abs=1e-12)
 
 
+@pytest.mark.parametrize("noise_p", [0.0, 0.05])
+def test_exact_zeros_stay_exact(noise_p):
+    """Honest receivers and storers conditioned on E_c missing their store
+    learn nothing at every shape within the caps, and the account reads
+    exactly 0.0 there, not a rounding residue."""
+    checked = 0
+    for n, N, m, r in product((6, 8, 10), (2, 3), (1, 2), (0, 1)):
+        if r + m > N:
+            continue
+        params = exact_params(n=n, N=N, m=m, r=r, delta=0.25, noise_p=noise_p, epsilon=0.1, seed=1)
+        for strategy, disjoint in (
+            (attacks.honest(), False),
+            (attacks.store_subset(positions=[0]), True),
+            (attacks.store_subset(positions=range(0, n, 2)), True),
+        ):
+            rep = attacks.information_account(params, strategy, require_disjoint_store=disjoint)
+            assert (rep.mutual_information, rep.product) == (0.0, 0.0)
+            checked += 1
+    assert checked == 63
+
+
 def test_exact_fixed_basis_zero_angle_halves_the_mask():
     """At angle 0 every photon collapses in +. On E_c the mask bit from a
     cross-encoded slot stays uniform while a plus-encoded slot is learned
@@ -816,6 +837,49 @@ def test_class_entropy_matches_the_loop_over_words(case):
     assert got == pytest.approx(ref_class_entropy(code, prior, like, syn, hmap), abs=1e-12)
 
 
+def posterior_class_entropy(code, prior, joint):
+    """The posterior form of _class_entropy: normalise prior[b] joint[o, s,
+    a ^ b] over b for every (o, s, a), take its entropy, and average it
+    over the true mask t and string b with a = t ^ b."""
+    m2 = prior.size
+    joint = joint.reshape(joint.shape[0], 1 << code.r, m2)  # joint[o, s, t]
+    xor = np.arange(m2)[:, None] ^ np.arange(m2)
+    post = prior * joint[:, :, xor]
+    z = post.sum(axis=-1, keepdims=True)
+    post = np.divide(post, z, out=np.zeros_like(post), where=z > 0)
+    logs = np.log2(post, out=np.zeros_like(post), where=post > 0)
+    ent = -np.sum(post * logs, axis=-1)
+    return float(np.sum(joint * (ent[:, :, xor] @ prior)) / (1 << code.N))
+
+
+@st.composite
+def binned_classes(draw):
+    """An entropy_classes case binned by its words' syndromes, at the mass
+    it was drawn with (Z = sum joint / 2^N arbitrary), rescaled to Z = 1 as
+    in every class of the engine, or zeroed outright (Z = 0)."""
+    code, prior, like = draw(entropy_classes())
+    joint = ref_bin_words(like, ref_word_syndromes(code_columns(code), code.N), code.r + code.m)
+    mass = draw(st.sampled_from(["drawn", "normalised", "zero"]))
+    if mass == "normalised" and joint.sum() > 0:
+        joint = joint / joint.sum() * (1 << code.N)
+    elif mass == "zero":
+        joint[:] = 0.0
+    return code, prior, joint
+
+
+@settings(max_examples=300, deadline=None)
+@given(binned_classes())
+def test_class_entropy_matches_the_posterior_form(case):
+    """Z H(B) + H(q) - H(q_A) is the posterior form's average entropy,
+    whatever the mass, zero rows and columns, zero prior entries or rank
+    of f."""
+    code, prior, joint = case
+    got = attacks._class_entropy(code, prior, joint)
+    assert got == pytest.approx(posterior_class_entropy(code, prior, joint), abs=1e-12)
+    if not joint.any():
+        assert got == 0.0
+
+
 @st.composite
 def slot_classes(draw):
     """A code of up to ten columns (r = 0 allowed; zero rows make f
@@ -933,6 +997,49 @@ def test_view_summary_matches_the_dict_reference(strategy):
         held_slots += len(summary[2])
     if strategy.kind in (attacks.StrategyKind.STORE_SUBSET, attacks.StrategyKind.RANDOM_OK):
         assert held_slots > 0
+
+
+def dict_plugin_mi(pairs):
+    """The plug-in mutual information term by term over three dicts of
+    counts: the reference for the entropy-difference form."""
+    if not pairs:
+        return math.nan
+    total = len(pairs)
+    joint, left, right = {}, {}, {}
+    for v, b in pairs:
+        joint[(v, b)] = joint.get((v, b), 0) + 1
+        left[v] = left.get(v, 0) + 1
+        right[b] = right.get(b, 0) + 1
+    mi = 0.0
+    for (v, b), c in joint.items():
+        pj = c / total
+        mi += pj * math.log2(pj * total * total / (left[v] * right[b]))
+    return max(0.0, mi)
+
+
+view_digests = st.tuples(st.integers(0, 3), st.integers(0, 1))
+string_tuples = st.tuples(st.integers(0, 1), st.integers(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(view_digests, string_tuples), max_size=60))
+def test_plugin_mi_matches_the_dict_reference(pairs):
+    got = attacks._plugin_mi(pairs)
+    if not pairs:
+        assert math.isnan(got)
+        return
+    assert got == pytest.approx(dict_plugin_mi(pairs), abs=1e-12)
+    assert got >= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(view_digests, min_size=1, max_size=40),
+       st.lists(string_tuples, min_size=1, max_size=40))
+def test_plugin_mi_is_exactly_zero_on_a_constant_side(views, strings):
+    """One string throughout, or one view throughout, carries no
+    information, and the estimate says so exactly."""
+    assert attacks._plugin_mi([(v, strings[0]) for v in views]) == 0.0
+    assert attacks._plugin_mi([(views[0], b) for b in strings]) == 0.0
 
 
 @pytest.mark.parametrize(

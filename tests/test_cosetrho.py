@@ -369,6 +369,39 @@ def test_mixing_recursion_rejects_bad_kernels():
         )
 
 
+@pytest.mark.parametrize("trial", range(8))
+def test_mixing_recursion_is_independent_of_the_kernel_basis(trial):
+    """Two bases of ker f, the derived one and its rows reversed with the
+    new first row added to the second, end on the same rho^(k): the zero
+    syndrome's brute-force density."""
+    rng = np.random.default_rng(1300 + trial)
+    n_cols = int(rng.integers(3, 7))
+    code = random_code(rng, n_cols, int(rng.integers(1, n_cols - 1)))
+    while code.kernel.shape[0] < 2:
+        code = random_code(rng, n_cols, int(rng.integers(1, n_cols - 1)))
+    theta = gf2.random_bits(rng, n_cols)
+    other = code.kernel[::-1].copy()
+    other[1] ^= other[0]
+    assert not np.array_equal(other, code.kernel)
+    derived = cosetrho.rho_zero_induction(code, theta)[-1]
+    mixed = cosetrho.rho_zero_induction(code, theta, kernel=other)[-1]
+    assert np.array_equal(derived, mixed)
+    zero = gf2.bits([0] * code.f.shape[0])
+    brute = cosetrho.rho_brute(cosetrho.coset_ensemble(code, zero, theta))
+    assert np.max(np.abs(mixed - brute)) < 1e-12
+
+
+def test_mixing_recursion_cap_message_follows_the_caps(monkeypatch):
+    code = gf2.LinearCode(f=gf2.bitmatrix(["11000"]), r=0, m=1)
+    monkeypatch.setattr(quantum, "DENSITY_MAX_N", 4)
+    with pytest.raises(ResourceError, match="^induction caps at N=4, kernel dimension 10$"):
+        cosetrho.rho_zero_induction(code, "00000")
+    monkeypatch.setattr(quantum, "DENSITY_MAX_N", 5)
+    monkeypatch.setattr(cosetrho, "COSET_MAX_DIM", 3)
+    with pytest.raises(ResourceError, match="^induction caps at N=5, kernel dimension 3$"):
+        cosetrho.rho_zero_induction(code, "00000")
+
+
 def full_density_block(code, theta, x, x_prime, e, t, w_hat):
     """The certificate's block the long way: both brute densities, their
     difference framed whole, then sliced to the low ball."""
