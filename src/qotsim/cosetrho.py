@@ -12,13 +12,18 @@ rho_closed_form fills the formula; rho_zero_induction reproduces the
 recursive derivation; lemma1_certificate checks that low-distance state
 spans cannot tell rho_x from rho_x' when 2t < dN. The certificate evaluates
 rho_x - rho_x' on the low ball only: each coset member's overlaps with the
-ball's basis states are products of single-photon overlaps, so neither full
-density nor its frame change is built.
+ball's basis states are products of single-photon overlaps, +-2^(-N/2)
+each, so neither full density nor its frame change is built.
 
 Every density here is real (float64), as the +/x amplitudes are, and so
-are the certificate's low-ball block and its eigenvalues. A certificate
-pays for its pair alone: the code's memo keeps each syndrome's
-representative and each low ball, and the kernel span is cached per code.
+are the certificate's low-ball block and its eigenvalues. The block is
+exact: each coset's overlaps, scaled by 2^(N/2) and rounded, form a +-1
+matrix S whose Gram block S^T S holds integers, and the block is the
+difference of two such Grams times 2^-N / K. So a block inside the
+hypothesis is exactly 0. A certificate checks its operands once and pays
+for its pair alone: the code's memo keeps each syndrome's representative,
+each low ball and each (syndrome, theta, ball) Gram block within the
+memo's bounds, and the kernel span is cached per code.
 
 Normalization is by the actual coset size, which equals 2^-k exactly when f
 has full rank; with dependent rows the closed form still holds verbatim
@@ -28,6 +33,7 @@ has full rank; with dependent rows the closed form still holds verbatim
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -37,6 +43,7 @@ from . import gf2, quantum
 from .errors import DomainError, ResourceError
 
 COSET_MAX_DIM = 10  # 2^dim coset members enumerated
+GRAM_ROUNDING_TOL = 1e-12  # |2^(N/2) amplitude - sign| allowed in a Gram block
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +103,8 @@ def rho_closed_form(ens: CosetEnsemble) -> np.ndarray:
     parity = np.bitwise_count(span & gf2.pack_int(ens.beta0)) & 1
     column = np.zeros(1 << n)
     column[span] = (2.0 ** -n) * (1.0 - 2.0 * parity)
-    idx = np.arange(1 << n, dtype=np.int64)
-    return column[idx[:, None] ^ idx]
+    idx = np.arange(1 << n, dtype=np.uint16)  # N <= DENSITY_MAX_N = 10 fits
+    return column[np.bitwise_xor.outer(idx, idx)]
 
 
 def induction_form(kernel_rows: np.ndarray, n_cols: int) -> np.ndarray:
@@ -158,43 +165,76 @@ class Lemma1Certificate:
     condition_met: bool
 
 
+def _certificate_operands(code: gf2.LinearCode, theta, x, x_prime, e, t, w_hat) -> tuple:
+    """(theta, x, x_prime, e, t, w_hat) of one certificate, each checked
+    once: bit strings of the code's lengths, two distinct syndromes, a
+    position set, an integer radius t >= 0, and the coset and density caps.
+    The helpers below take these and check nothing."""
+    n, rows = code.N, code.f.shape[0]
+    theta = quantum.basis_string(theta, length=n)
+    x, x_prime = gf2.bits(x, length=rows), gf2.bits(x_prime, length=rows)
+    if np.array_equal(x, x_prime):
+        raise DomainError("syndromes must differ")
+    e = gf2.position_set(e, n)
+    try:
+        t = operator.index(t)
+    except TypeError as exc:
+        raise DomainError("ball radius must be an integer") from exc
+    if t < 0:
+        raise DomainError("ball radius must be nonnegative")
+    w_hat = gf2.bits(w_hat, length=n)
+    if code.kernel.shape[0] > COSET_MAX_DIM:
+        raise ResourceError(f"coset dimension caps at {COSET_MAX_DIM}")
+    _check_density_cap(n)
+    return theta, x, x_prime, e, t, w_hat
+
+
 def _low_ball_block(
     code: gf2.LinearCode, theta, x, x_prime, e, t: int, w_hat
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(P1 delta-rho P1 over the low-ball states of the conjugate frame,
-    their frame indices).
+    their frame indices), from _certificate_operands' checked operands.
 
-    Row k of a coset's amplitude matrix A holds member k's overlaps with
-    the low-ball basis states, so the block is (A^T A* - A'^T A'*) / K; no
-    2^N x 2^N density is formed.
+    The block is (G_x - G_x') 2^-N / K over the K coset members, with the
+    Gram blocks of _gram: integers, so the difference and its power-of-two
+    scale are exact, and an in-hypothesis block is exactly 0. No 2^N x 2^N
+    density is formed.
     """
-    theta = quantum.basis_string(theta, length=code.N)
-    x, x_prime = gf2.bits(x), gf2.bits(x_prime)
-    if x.size == x_prime.size and np.array_equal(x, x_prime):
-        raise DomainError("syndromes must differ")
-    ens = coset_ensemble(code, x, theta)
-    _check_density_cap(code.N)
-    ens_prime = coset_ensemble(code, x_prime, theta)
-    low = _low_ball(code, e, w_hat, t)
-    # both cosets shift one kernel, so they have the same K members
-    k = len(code.kernel_span)
-    amps = quantum.framed_amplitudes(
-        np.vstack([ens.members, ens_prime.members]), theta, theta ^ 1, low
-    )
-    a, a_prime = amps[:k], amps[k:]
-    return (a.T @ a - a_prime.T @ a_prime) / k, low
+    ball = (e.tobytes(), w_hat.tobytes(), t)
+    low = code.memo.get(("low ball", *ball), lambda: quantum._ball_projector(e, w_hat, t))
+    gram = _gram(code, theta, x, ball, low)
+    # a Gram block the memo did not keep is this call's to overwrite
+    block = np.subtract(gram, _gram(code, theta, x_prime, ball, low),
+                        out=gram if gram.flags.writeable else None)
+    block *= 2.0 ** -code.N / len(code.kernel_span)
+    return block, low
 
 
-def _low_ball(code: gf2.LinearCode, e, w_hat, t: int) -> np.ndarray:
-    """quantum.ball_projector(e, w_hat, t) over the code's N positions,
-    computed once per (e, w_hat, t) and kept (read-only) in the code's memo:
-    the certificates of one code share a centre and a few radii."""
-    e = gf2.position_set(e, code.N)
-    w_hat = gf2.bits(w_hat, length=code.N)
-    return code.memo.get(
-        ("low ball", e.tobytes(), w_hat.tobytes(), t),
-        lambda: quantum.ball_projector(e, w_hat, t),
-    )
+def _gram(code: gf2.LinearCode, theta, x, ball: tuple, low: np.ndarray) -> np.ndarray:
+    """S^T S for the coset of syndrome x over the ball's states low, kept in
+    the code's memo per (syndrome, theta, ball).
+
+    Row k of S holds member k's overlaps with the states, times 2^(N/2).
+    Each overlap is a product of N single-photon overlaps +-1/sqrt(2)
+    (every photon is read in the basis conjugate to its encoding), so S is
+    a +-1 matrix up to rounding; it is rounded, and FloatingPointError
+    raised if that moves an entry by more than GRAM_ROUNDING_TOL. Each
+    entry of S^T S is then an integer of magnitude at most K, exact in any
+    summation order.
+    """
+
+    def build():
+        beta0 = code._particular(x)
+        if beta0 is None:
+            raise DomainError("syndrome x is not in the image of f; empty coset")
+        scaled = quantum._framed_amplitudes(code.kernel_span ^ beta0, theta, theta ^ 1, low)
+        scaled *= 2.0 ** (code.N / 2)
+        signs = np.rint(scaled)
+        if np.any(np.abs(scaled - signs) > GRAM_ROUNDING_TOL):
+            raise FloatingPointError("coset amplitudes are not +-2^(-N/2) to rounding")
+        return signs.T @ signs
+
+    return code.memo.get(("gram", x.tobytes(), theta.tobytes(), *ball), build)
 
 
 def _min_weight_on(code: gf2.LinearCode, e: np.ndarray):
@@ -205,7 +245,7 @@ def _min_weight_on(code: gf2.LinearCode, e: np.ndarray):
     span = span[gf2.lane_weights(span) > 0]
     if span.size == 0:
         return math.inf
-    emask = gf2.pack_lanes([np.isin(np.arange(code.N), e)])
+    emask = gf2._pack_lanes(np.isin(np.arange(code.N), e)[None])
     return int(gf2.lane_weights(span & emask).min())
 
 
@@ -216,29 +256,25 @@ def lemma1_certificate(
     two coset operators whenever 2t is below the span min-distance.
 
     delta rho is evaluated on the low ball only: its block over the
-    conjugate-frame basis states within distance t of w_hat on e. max_defect
-    is the larger of that block's biggest diagonal magnitude
-    (|<phi|delta rho|phi>| over the ball's basis states) and its operator
-    norm, the norm of P1 (delta rho) P1. dN is the code's min distance;
-    when e covers every coordinate the hypothesis is 2t < dN, and on a
-    proper subset it tightens to the min span weight restricted to e (what
-    a ball on e can resolve). condition_met records the hypothesis actually
+    conjugate-frame basis states within distance t of w_hat on e.
+    max_defect is the block's operator norm, the norm of P1 (delta rho) P1
+    (_top_eigenpair's, and 0.0 for a block that is exactly 0), which
+    bounds |<phi|delta rho|phi>| over the ball's basis states (the block's
+    diagonal is exactly 0: every member has weight 2^-N on every basis
+    state of the frame). dN is the code's min distance; when e
+    covers every coordinate the hypothesis is 2t < dN, and on a proper
+    subset it tightens to the min span weight restricted to e (what a ball
+    on e can resolve). condition_met records the hypothesis actually
     checked.
     """
-    block, low = _low_ball_block(code, theta, x, x_prime, e, t, w_hat)
-    if low.size:
-        diag_max = float(np.max(np.abs(block.diagonal())))
-        op_norm = float(np.max(np.abs(np.linalg.eigvalsh(block))))
-    else:
-        diag_max = op_norm = 0.0
+    operands = _certificate_operands(code, theta, x, x_prime, e, t, w_hat)
+    block, low = _low_ball_block(code, *operands)
+    # every in-hypothesis block is exactly 0, and so is its norm
+    op_norm = _top_eigenpair(code, block, low)[0] if block.any() else 0.0
+    e, t = operands[3], operands[4]
     d_min = code.distance
-    e = gf2.position_set(e, code.N)
     d_eff = d_min if e.size == code.N else _min_weight_on(code, e)
-    return Lemma1Certificate(
-        max_defect=max(diag_max, op_norm),
-        dN=d_min,
-        condition_met=bool(2 * t < d_eff),
-    )
+    return Lemma1Certificate(max_defect=op_norm, dN=d_min, condition_met=bool(2 * t < d_eff))
 
 
 def distinguishing_witness(
@@ -251,16 +287,44 @@ def distinguishing_witness(
     expressed in + amplitudes. Out-of-hypothesis configurations (2t >= dN)
     should yield strictly positive values.
     """
-    theta = quantum.basis_string(theta, length=code.N)
-    block, low = _low_ball_block(code, theta, x, x_prime, e, t, w_hat)
+    operands = _certificate_operands(code, theta, x, x_prime, e, t, w_hat)
+    block, low = _low_ball_block(code, *operands)
     if low.size == 0:
         raise DomainError("empty low ball has no witness")
-    vals, vecs = np.linalg.eigh(block)
-    best = int(np.argmax(np.abs(vals)))
-    coords = np.zeros(1 << code.N)
-    coords[low] = vecs[:, best]
-    phi = quantum.from_frame(coords, quantum.conjugate_bases(theta))
-    return float(abs(vals[best])), phi
+    value, coords = _top_eigenpair(code, block, low)
+    phi = np.zeros(1 << code.N)
+    phi[low] = coords
+    return value, quantum.from_frame(phi, operands[0] ^ 1)
+
+
+def _top_eigenpair(
+    code: gf2.LinearCode, block: np.ndarray, low: np.ndarray
+) -> Tuple[float, np.ndarray]:
+    """(|lambda|, v): the eigenvalue of the low-ball block largest in
+    magnitude and its unit eigenvector over the ball's states low.
+
+    By the closed form, delta rho links two states only when they differ
+    by a row-span word, so the block is a direct sum over the ball's
+    states in each coset of the row span, at most 2^(r+m) of them, and
+    eigh solves each coset's block alone. |lambda| is read as the Rayleigh
+    quotient |v^T B v| / v^T v of eigh's vector: on an exact block it lies
+    within an ulp or two of the true norm, where eigh's and eigvalsh's
+    eigenvalues can be several ulps off.
+    """
+    span = gf2.lane_prefix(code.row_span, code.N)
+    labels = np.min(low[:, None] ^ span, axis=1)  # least state of each coset
+    order = np.argsort(labels, kind="stable")
+    best, vector = -1.0, np.zeros(low.size)
+    for members in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        sub = block[np.ix_(members, members)]
+        vals, vecs = np.linalg.eigh(sub)
+        v = vecs[:, int(np.argmax(np.abs(vals)))]
+        value = float(abs(v @ sub @ v) / (v @ v))
+        if value > best:
+            best = value
+            vector[:] = 0.0
+            vector[members] = v
+    return best, vector
 
 
 def gv_trials(

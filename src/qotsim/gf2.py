@@ -21,7 +21,8 @@ integer xor at any width.
 Functions named with a leading underscore take uint8 arrays whose entries
 are already known to be 0 or 1 and check nothing; the public ones check
 their operands (bits, bitmatrix) and call them. A caller that has checked
-its operands once, as protocol.bob_decode does, calls them directly.
+its operands once, as protocol.bob_decode and cosetrho's certificates
+do, calls them directly.
 """
 
 from __future__ import annotations
@@ -206,20 +207,28 @@ def solve_affine(m: np.ndarray, x: np.ndarray):
 
 class Memo:
     """Results derived from one code, each computed once and kept for the
-    life of the code that owns the memo, at most MEMO_MAX of them; past
-    that, results are computed and returned without being kept. Arrays
-    are kept read-only, because every caller gets the same one.
+    life of the code that owns the memo, at most MEMO_MAX of them holding
+    at most MEMO_MAX_BYTES of arrays in all; past either bound, results
+    are computed and returned as computed, without being kept. Kept arrays
+    are made read-only, because every caller gets the same one.
 
-    MEMO_MAX bounds the memo; it is not a tuned size. Measured, a code
-    keeps at most 10 results in the bench certify lists, criteria 01 and
-    03 and the density-check runs: one particular solution per syndrome
-    (at most 8, for 3 rows of f) and one low ball per radius (at most 3).
+    MEMO_MAX and MEMO_MAX_BYTES bound the memo; they are not tuned sizes.
+    Measured, a code keeps at most 26 results in the bench certify lists,
+    criteria 01 and 03 and the density-check runs: one particular solution
+    per syndrome (8, for 3 rows of f), one low ball per radius (2) and one
+    certificate Gram block per syndrome and ball (16), at most 81 KB of
+    arrays outside density-check. A Gram block over a ball of L basis
+    states holds 8 L^2 bytes, so the byte bound keeps the small blocks
+    that certificates share and recomputes the multi-megabyte blocks of
+    wide balls at N = 10, which a code seldom asks for twice.
     """
 
     MEMO_MAX = 256
+    MEMO_MAX_BYTES = 1 << 20
 
     def __init__(self):
         self._kept: dict = {}
+        self._bytes = 0
 
     def get(self, key, compute):
         """The kept result for key, else compute()'s, kept if there is room."""
@@ -228,10 +237,13 @@ class Memo:
         except KeyError:
             pass
         value = compute()
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        if len(self._kept) < self.MEMO_MAX:
+        array = isinstance(value, np.ndarray)
+        size = value.nbytes if array else 0
+        if len(self._kept) < self.MEMO_MAX and self._bytes + size <= self.MEMO_MAX_BYTES:
+            if array:
+                value.setflags(write=False)
             self._kept[key] = value
+            self._bytes += size
         return value
 
 
@@ -303,7 +315,7 @@ class LinearCode:
     @functools.cached_property
     def memo(self) -> Memo:
         """Per-syndrome and per-ball results for this code (particular
-        solutions here, low-ball indices in cosetrho)."""
+        solutions here, low-ball indices and Gram blocks in cosetrho)."""
         return Memo()
 
     @functools.cached_property
@@ -321,7 +333,10 @@ class LinearCode:
         """solve_affine(f, x)'s particular solution, bit for bit (RREF is
         unique), by one matvec; None when x is not in the image of f. Each
         syndrome's solution is computed once and kept (read-only) in memo."""
-        x = bits(x, length=self.f.shape[0])
+        return self._particular(bits(x, length=self.f.shape[0]))
+
+    def _particular(self, x: np.ndarray) -> Optional[np.ndarray]:
+        """particular for a syndrome already checked to be r+m bits."""
         return self.memo.get(("particular", x.tobytes()), lambda: self._solve(x))
 
     def _solve(self, x: np.ndarray) -> Optional[np.ndarray]:
@@ -363,7 +378,11 @@ def _rows_from_words(words, cols: int) -> np.ndarray:
 
 def pack_int(v: np.ndarray) -> int:
     """Bit vector to integer, position 0 most significant."""
-    return _row_words(bits(v).reshape(1, -1))[0]
+    return _pack_int(bits(v))
+
+
+def _pack_int(v: np.ndarray) -> int:
+    return _row_words(v.reshape(1, -1))[0]
 
 
 def unpack_int(value: int, length: int) -> np.ndarray:

@@ -170,8 +170,12 @@ class Dispatch:
 def _born_p1(held: float, bit: int, probe: float) -> float:
     """Chance of outcome 1 when the photon left in basis state `bit` at
     angle `held` is measured at angle `probe`. A run holds few distinct
-    (held, bit, probe) triples, so each one is computed once."""
-    return abs(np.vdot(quantum.angle_basis(probe)[:, 1], quantum.angle_basis(held)[:, bit])) ** 2
+    (held, bit, probe) triples, so each one is computed once. The overlap
+    is summed in Python floats, two rounded products and a rounded sum,
+    so it does not depend on whether a BLAS kernel fuses the multiply-add."""
+    c0, c1 = quantum.angle_basis(probe)[:, 1].tolist()
+    v0, v1 = quantum.angle_basis(held)[:, bit].tolist()
+    return abs(c0 * v0 + c1 * v1) ** 2
 
 
 class Reception:

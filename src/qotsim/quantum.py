@@ -122,6 +122,13 @@ def framed_amplitudes(words: np.ndarray, theta, theta_hat, indices) -> np.ndarra
     indices = np.asarray(indices, dtype=np.int64).ravel()
     if indices.size and (indices.min() < 0 or indices.max() >= 1 << n):
         raise DomainError(f"basis indices must lie in [0, 2^{n})")
+    return _framed_amplitudes(words, theta, theta_hat, indices)
+
+
+def _framed_amplitudes(words, theta, theta_hat, indices) -> np.ndarray:
+    """framed_amplitudes on operands already checked: uint8 bit arrays of
+    one length n <= STATEVECTOR_MAX_N and int64 indices in [0, 2^n)."""
+    n = theta.size
     alphas = (indices[:, None] >> np.arange(n - 1, -1, -1)) & 1
     # overlap[i, b, a] = <a, theta_hat_i | b, theta_i>
     overlap = np.einsum("iaj,ibj->iba", _PHOTONS[theta_hat], _PHOTONS[theta])
@@ -297,10 +304,15 @@ def ball_projector(e, center, t: int) -> np.ndarray:
     if t < 0:
         raise DomainError("ball radius must be nonnegative")
     center = gf2.bits(center)
+    return _ball_projector(gf2.position_set(e, center.size), center, t)
+
+
+def _ball_projector(e: np.ndarray, center: np.ndarray, t: int) -> np.ndarray:
+    """ball_projector on a checked position set and bit vector."""
     n = center.size
-    emask = sum(1 << (n - 1 - int(i)) for i in gf2.position_set(e, n))
+    emask = sum(1 << (n - 1 - int(i)) for i in e)
     idx = np.arange(1 << n, dtype=np.int64)
-    return np.nonzero(np.bitwise_count((idx ^ gf2.pack_int(center)) & emask) <= t)[0]
+    return np.nonzero(np.bitwise_count((idx ^ gf2._pack_int(center)) & emask) <= t)[0]
 
 
 def small_distance_defect(phi: np.ndarray, theta_hat, indices) -> float:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -360,11 +362,13 @@ def test_density_check_is_deterministic(tmp_path):
 
 # Five density-check runs frozen when certificate blocks became real: the
 # sha256 of density_summary.json, the sha256 of density_certificates.csv
-# without its max_defect column, and that column's sum. max_defect is
-# rounding residue of a BLAS product and LAPACK's eigvalsh, whose last bits
-# move with the BLAS thread count and with the kernels OpenBLAS picks for
-# the CPU, so its bytes are host dependent and its sum is held to 1e-12;
-# every other byte is exact arithmetic and is the same on every host.
+# without its max_defect column, and that column's sum. The certificate
+# block is exact, so an in-hypothesis max_defect is 0.0 on every host; an
+# out-of-hypothesis one is the norm LAPACK's eigh finds on the exact block,
+# whose last bits move with the BLAS thread count and with the kernels
+# OpenBLAS picks for the CPU, so its bytes are host dependent and the
+# column's sum is held to 1e-12; every other byte is exact arithmetic and
+# is the same on every host.
 FROZEN_DENSITY_CHECKS = [
     (["--trials", "12", "--seed", "1"],
      "ee019eca9d8f87385420ba9f775292845e5fae27b436c233511941a38479482b",
@@ -406,6 +410,28 @@ def test_density_check_artifacts_are_frozen(tmp_path, flags, summary_sha, exact_
     assert hashlib.sha256(exact).hexdigest() == exact_sha
     assert rows[0][1] == "max_defect"
     assert sum(float(row[1]) for row in rows[1:]) == pytest.approx(defect_sum, rel=0, abs=1e-12)
+
+
+def test_in_hypothesis_certificates_do_not_depend_on_blas_threads(tmp_path):
+    """The same density-check under one and two OpenBLAS threads writes the
+    same condition_met = 1 rows byte for byte (max_defect 0.0, an exact
+    block). Out-of-hypothesis rows may still differ in max_defect's last
+    bits, through eigh."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    rows = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / threads
+        subprocess.run(
+            [sys.executable, "-m", "qotsim.cli", "density-check", "--N", "8", "--r", "2",
+             "--m", "1", "--trials", "8", "--seed", "3", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        lines = (out / "density_certificates.csv").read_text().splitlines()[1:]
+        rows[threads] = [line for line in lines if line.split(",")[3] == "1"]
+    assert rows["1"] and rows["1"] == rows["2"]
+    assert all(line.endswith(",0.0") for line in rows["1"])
 
 
 def test_density_check_validation(tmp_path):

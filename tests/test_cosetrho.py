@@ -46,6 +46,28 @@ def reference_framed_amplitudes(words, theta, theta_hat, indices):
     return amps
 
 
+def low_ball_block(code, theta, x, x_prime, e, t, w_hat):
+    """cosetrho._low_ball_block on operands checked as a certificate
+    checks them."""
+    operands = cosetrho._certificate_operands(code, theta, x, x_prime, e, t, w_hat)
+    return cosetrho._low_ball_block(code, *operands)
+
+
+def reference_float_block(code, theta, x, x_prime, e, t, w_hat):
+    """The low-ball block in float arithmetic: (A^T A - A'^T A') / K over
+    the framed amplitudes A of each coset, unscaled and unrounded."""
+    theta = quantum.basis_string(theta)
+    ens = cosetrho.coset_ensemble(code, x, theta)
+    ens_prime = cosetrho.coset_ensemble(code, x_prime, theta)
+    low = quantum.ball_projector(e, w_hat, t)
+    k = len(code.kernel_span)
+    amps = quantum.framed_amplitudes(
+        np.vstack([ens.members, ens_prime.members]), theta, theta ^ 1, low
+    )
+    a, a_prime = amps[:k], amps[k:]
+    return (a.T @ a - a_prime.T @ a_prime) / k, low
+
+
 def reference_certificate(code, theta, x, x_prime, e, t, w_hat):
     """(the complex low-ball block, the certificate read from it): split
     with np.split, conjugated products, complex eigvalsh."""
@@ -187,8 +209,8 @@ def test_min_weight_on_is_the_least_restricted_weight(n_cols, rows, seed, data):
 
 def test_low_balls_are_computed_once_per_code_centre_and_radius(monkeypatch):
     balls = []
-    real = quantum.ball_projector
-    monkeypatch.setattr(quantum, "ball_projector",
+    real = quantum._ball_projector
+    monkeypatch.setattr(quantum, "_ball_projector",
                         lambda e, center, t: balls.append(t) or real(e, center, t))
     code = gf2.LinearCode(f=gf2.bitmatrix(["11100", "00111"]), r=1, m=1)
     for x_prime in ([0, 1], [1, 0], [1, 1]):
@@ -214,7 +236,7 @@ def test_coset_densities_and_certificate_blocks_are_real():
     real = [cosetrho.rho_brute(ens), cosetrho.rho_closed_form(ens),
             cosetrho.induction_form(code.kernel, 5),
             *cosetrho.rho_zero_induction(code, theta),
-            cosetrho._low_ball_block(code, theta, x, x_prime, range(5), 5, theta)[0],
+            low_ball_block(code, theta, x, x_prime, range(5), 5, theta)[0],
             cosetrho.distinguishing_witness(code, theta, x, x_prime, range(5), 5, theta)[1]]
     assert [a.dtype for a in real] == [np.float64] * len(real)
 
@@ -259,6 +281,17 @@ def test_closed_form_equals_its_reference_bit_for_bit(drawn):
         assert closed.tobytes() == reference.real.copy().tobytes()
 
 
+@pytest.mark.parametrize("n_cols", [9, 10])
+def test_closed_form_at_the_density_cap_equals_its_reference(n_cols):
+    """Past 256 states the xor table needs more than 8 bits; uint16 holds
+    every index up to the cap."""
+    assert n_cols <= quantum.DENSITY_MAX_N
+    rng = np.random.default_rng(1070 + n_cols)
+    code = random_code(rng, n_cols, 3)
+    ens = cosetrho.coset_ensemble(code, valid_syndromes(code)[-1], gf2.random_bits(rng, n_cols))
+    assert cosetrho.rho_closed_form(ens).tobytes() == reference_rho_closed_form(ens).real.tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_codes(), st.data())
 def test_real_certificate_block_matches_the_complex_reference(drawn, data):
@@ -272,13 +305,168 @@ def test_real_certificate_block_matches_the_complex_reference(drawn, data):
     t = data.draw(st.integers(0, code.N))
     args = (code, gf2.random_bits(rng, code.N), syndromes[i], syndromes[j], e, t,
             gf2.random_bits(rng, code.N))
-    block, _ = cosetrho._low_ball_block(*args)
+    block, _ = low_ball_block(*args)
     reference_block, reference = reference_certificate(*args)
     assert block.dtype == np.float64
     assert np.max(np.abs(block - reference_block), initial=0.0) <= 1e-15
     cert = cosetrho.lemma1_certificate(*args)
     assert abs(cert.max_defect - reference.max_defect) <= 1e-15
     assert (cert.dN, cert.condition_met) == (reference.dN, reference.condition_met)
+
+
+def certificate_args(drawn, data):
+    """A certificate's operands over two distinct valid syndromes of a drawn
+    code, on every coordinate or a random subset, at any radius; None for a
+    code with a single coset."""
+    code, rng = drawn
+    syndromes = valid_syndromes(code)
+    if len(syndromes) < 2:
+        return None
+    i, j = data.draw(st.lists(st.integers(0, len(syndromes) - 1), min_size=2,
+                              max_size=2, unique=True))
+    e = data.draw(st.sampled_from([range(code.N), np.nonzero(rng.integers(0, 2, code.N))[0]]))
+    t = data.draw(st.integers(0, code.N))
+    return (code, gf2.random_bits(rng, code.N), syndromes[i], syndromes[j], e, t,
+            gf2.random_bits(rng, code.N))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(), st.data())
+def test_exact_block_is_the_restricted_closed_form_difference(drawn, data):
+    """(G_x - G_x') 2^-N / K equals rho_x - rho_x' of the closed form on
+    the ball's states, bit for bit, so a block inside the hypothesis is 0."""
+    args = certificate_args(drawn, data)
+    if args is None:
+        return
+    code, theta, x, x_prime = args[:4]
+    block, low = low_ball_block(*args)
+    closed = (cosetrho.rho_closed_form(cosetrho.coset_ensemble(code, x, theta))
+              - cosetrho.rho_closed_form(cosetrho.coset_ensemble(code, x_prime, theta)))
+    assert np.array_equal(block, closed[np.ix_(low, low)])
+    cert = cosetrho.lemma1_certificate(*args)
+    if cert.condition_met:
+        assert not block.any() and cert.max_defect == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(), st.data())
+def test_exact_block_matches_the_float_gram_reference(drawn, data):
+    args = certificate_args(drawn, data)
+    if args is None:
+        return
+    block, low = low_ball_block(*args)
+    reference_block, reference_low = reference_float_block(*args)
+    assert np.array_equal(low, reference_low)
+    assert np.max(np.abs(block - reference_block), initial=0.0) <= 1e-15
+    cert = cosetrho.lemma1_certificate(*args)
+    _, reference = reference_certificate(*args)
+    assert (cert.dN, cert.condition_met) == (reference.dN, reference.condition_met)
+
+
+@pytest.mark.parametrize("e", [range(5), [0, 1, 3]])
+def test_certificate_checks_each_operand_once(monkeypatch, e):
+    """One bit check per bit-string operand (theta, x, x', w_hat) per
+    certificate, whether its ball and Gram blocks are new or kept."""
+    code = gf2.LinearCode(f=gf2.bitmatrix(["11100", "00111"]), r=1, m=1)
+    code.distance, code.kernel_span, code.row_span  # per-code facts, cached
+    checked = []
+    real = gf2._bit_array
+    monkeypatch.setattr(gf2, "_bit_array", lambda v, what: checked.append(v) or real(v, what))
+    for t in (1, 1, 2):
+        operands = [[0, 1, 0, 1, 0], [0, 0], [1, 1], e, t, [0, 0, 0, 0, 1]]
+        cosetrho.lemma1_certificate(code, *operands)
+        assert len(checked) == 4
+        assert [sum(v is op for v in checked) for op in operands[:3] + operands[5:]] == [1] * 4
+        checked.clear()
+        cosetrho.distinguishing_witness(code, *operands)
+        assert sum(v is op for v in checked for op in operands) == 4
+        checked.clear()
+
+
+def test_gram_blocks_are_built_once_per_code_syndrome_and_ball(monkeypatch):
+    """Each (syndrome, theta, ball) Gram block is built from one
+    framed-amplitude matrix per code, however many pairs share it."""
+    built = []
+    real = quantum._framed_amplitudes
+    monkeypatch.setattr(quantum, "_framed_amplitudes",
+                        lambda words, *rest: built.append(len(words)) or real(words, *rest))
+    f = gf2.bitmatrix(["1110000", "0011100", "0000111"])
+    code = gf2.LinearCode(f=f, r=1, m=2)
+    syndromes = valid_syndromes(code)
+    assert len(syndromes) == 8
+    for x, x_prime in itertools.combinations(syndromes, 2):
+        for t in (0, 1):
+            cosetrho.lemma1_certificate(code, "0101010", x, x_prime, range(7), t, "0" * 7)
+    assert len(built) == 16 and set(built) == {len(code.kernel_span)}
+    # another theta, centre, subset or code is a Gram block of its own
+    for theta, e, w_hat, on in (("1101010", range(7), "0" * 7, code),
+                                ("0101010", range(7), "1" + "0" * 6, code),
+                                ("0101010", [0, 1], "0" * 7, code),
+                                ("0101010", range(7), "0" * 7, gf2.LinearCode(f=f, r=1, m=2))):
+        cosetrho.lemma1_certificate(on, theta, syndromes[0], syndromes[1], e, 1, w_hat)
+    assert len(built) == 24
+
+
+@pytest.mark.parametrize("moved, ok", [(1e-13, True), (1e-11, False)])
+def test_gram_refuses_amplitudes_that_rounding_moves(monkeypatch, moved, ok):
+    """An amplitude 2^(N/2) a that rounding to +-1 moves by more than
+    GRAM_ROUNDING_TOL raises FloatingPointError; within it, the block is
+    still exact."""
+    real = quantum._framed_amplitudes
+
+    def nudged(words, theta, theta_hat, indices):
+        amps = real(words, theta, theta_hat, indices)
+        amps[0, 0] += moved * 2.0 ** (-theta.size / 2)
+        return amps
+
+    monkeypatch.setattr(quantum, "_framed_amplitudes", nudged)
+    code = gf2.parity_code(4)
+    if ok:
+        cert = cosetrho.lemma1_certificate(code, "0x0x", [0], [1], range(4), 1, "0000")
+        assert cert.max_defect == 0.0
+    else:
+        with pytest.raises(FloatingPointError):
+            cosetrho.lemma1_certificate(code, "0x0x", [0], [1], range(4), 1, "0000")
+        assert not any(key[0] == "gram" for key in code.memo._kept)
+
+
+def test_nonzero_blocks_are_solved_one_row_span_coset_at_a_time(monkeypatch):
+    """A full-radius block over all 2^N states is a direct sum of 2^(N-2)
+    blocks of 4 states, one per coset of a rank-2 row span, and eigh sees
+    only those; the norm and witness are the full block's."""
+    sizes = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or real(a))
+    code = gf2.LinearCode(f=gf2.bitmatrix(["110100", "011010"]), r=1, m=1)
+    args = (code, "010011", [0, 0], [0, 1], range(6), 6, "000000")
+    cert = cosetrho.lemma1_certificate(*args)
+    value, phi = cosetrho.distinguishing_witness(*args)
+    assert sizes == [4] * 32
+    block, _ = low_ball_block(*args)
+    full = float(np.max(np.abs(np.linalg.eigvalsh(block))))
+    assert abs(cert.max_defect - full) <= 1e-15 and value == cert.max_defect
+    assert not cert.condition_met and value > 1e-3
+
+
+@pytest.mark.parametrize("t", [-1, 1.5, "1", None])
+def test_certificate_rejects_a_radius_that_is_not_a_nonnegative_integer(t):
+    code = gf2.parity_code(4)
+    with pytest.raises(DomainError, match="radius"):
+        cosetrho.lemma1_certificate(code, "0000", [0], [1], range(4), t, "0000")
+
+
+def test_wide_ball_grams_stay_within_the_memo_byte_bound():
+    """A full-radius Gram block at N = 10 (1024 x 1024 floats) is larger
+    than the memo's byte bound, so it is recomputed, not kept; a small
+    block of the same code is kept."""
+    code = gf2.LinearCode(f=gf2.random_bitmatrix(np.random.default_rng(1400), 3, 10), r=1, m=2)
+    x, x_prime = valid_syndromes(code)[:2]
+    wide = cosetrho.lemma1_certificate(code, "0" * 10, x, x_prime, range(10), 10, "0" * 10)
+    assert not wide.condition_met and wide.max_defect > 0.0
+    cosetrho.lemma1_certificate(code, "0" * 10, x, x_prime, range(10), 1, "0" * 10)
+    grams = [v for key, v in code.memo._kept.items() if key[0] == "gram"]
+    assert [g.shape for g in grams] == [(11, 11)] * 2
+    assert code.memo._bytes <= gf2.Memo.MEMO_MAX_BYTES
 
 
 def test_rho_brute_matches_the_per_member_outer_product_loop():
@@ -429,7 +617,7 @@ def test_low_ball_block_matches_the_framed_full_density(trial):
         for t in range(n_cols + 1):
             args = (code, theta, x, x_prime, e, t, w_hat)
             expect, low = full_density_block(*args)
-            block, got_low = cosetrho._low_ball_block(*args)
+            block, got_low = low_ball_block(*args)
             assert np.array_equal(got_low, low)
             assert np.max(np.abs(block - expect), initial=0.0) <= 1e-14
             if low.size:

@@ -594,3 +594,23 @@ def test_memo_keeps_at_most_memo_max_results():
     last = gf2.Memo.MEMO_MAX + 4
     assert memo.get(last, lambda: computed.append(last) or last * 2) == last * 2
     assert computed.count(last) == 2 and len(computed) == gf2.Memo.MEMO_MAX + 6
+
+
+def test_memo_keeps_at_most_memo_max_bytes_of_arrays(monkeypatch):
+    """Arrays are kept, read-only, while their bytes fit MEMO_MAX_BYTES in
+    all; a larger one is computed again on every call and returned as
+    computed, and smaller ones still fit."""
+    monkeypatch.setattr(gf2.Memo, "MEMO_MAX_BYTES", 100)
+    memo = gf2.Memo()
+    computed = []
+
+    def array(key, size):
+        return memo.get(key, lambda: computed.append(key) or np.zeros(size, dtype=np.uint8))
+
+    kept = array("a", 60)
+    assert kept.nbytes == 60 and array("a", 60) is kept and not kept.flags.writeable
+    big = array("b", 41)
+    assert big.flags.writeable and array("b", 41) is not big
+    assert array("c", 40) is array("c", 40)
+    assert array("d", 1).size == 1 and array("d", 1).size == 1
+    assert computed == ["a", "b", "b", "c", "d", "d"]

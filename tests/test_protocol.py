@@ -214,6 +214,17 @@ def born_loop(angles_held, bits_held, positions, angles, rng):
     return outs
 
 
+@settings(max_examples=300, deadline=None)
+@given(held=st.floats(-7.0, 7.0), bit=st.integers(0, 1), probe=st.floats(-7.0, 7.0))
+def test_born_p1_sums_two_rounded_products(held, bit, probe):
+    """p1 = |<probe, 1 | held, bit>|^2 with the overlap c0 v0 + c1 v1 taken
+    as two rounded products and a rounded sum, never a fused multiply-add,
+    so it is the same double on every host."""
+    ch, sh, cp, sp = math.cos(held), math.sin(held), math.cos(probe), math.sin(probe)
+    v0, v1 = (ch, sh) if bit == 0 else (-sh, ch)
+    assert protocol._born_p1.__wrapped__(held, bit, probe) == abs(-sp * v0 + cp * v1) ** 2
+
+
 def assert_born_table_matches_the_loop(n, blocks, seed):
     rng = np.random.default_rng(seed)
     encoded, theta = gf2.random_bits(rng, n), gf2.random_bits(rng, n)
