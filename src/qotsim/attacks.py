@@ -42,6 +42,8 @@ INFO_MAX_N = 10
 INFO_MAX_SIDE = 3  # N
 INFO_MAX_M = 2
 
+_BASIS_ANGLES = protocol.basis_angle((quantum.PLUS, quantum.CROSS)).tolist()  # by basis
+
 
 class StrategyKind(Enum):
     HONEST = "HONEST"
@@ -57,7 +59,7 @@ class AttackStrategy:
     No step of the protocol entangles photons, so a plan says, photon by
     photon, whether the receiver holds it until the bases are announced
     (committing a uniformly random outcome bit for it) or measures it now,
-    at `angle` or, when that is None, in his committed basis.
+    at an angle that depends on the committed basis (probe_angles).
 
     HONEST holds nothing. STORE_SUBSET holds the photons in F. FIXED_BASIS
     holds nothing and measures at one fixed angle. RANDOM_OK tosses a
@@ -76,6 +78,11 @@ class AttackStrategy:
             "count": self.count,
             "angle": self.angle,
         }
+
+    def probe_angles(self) -> List[float]:
+        """The angle at which the plan measures a photon, indexed by the
+        committed basis: the basis's own angle, or the fixed `angle`."""
+        return list(_BASIS_ANGLES) if self.angle is None else [self.angle] * 2
 
     def hold(self, n: int, rng: np.random.Generator) -> Tuple[np.ndarray, dict]:
         """Draw the sorted positions held in one run, plus the runtime
@@ -175,10 +182,9 @@ def apply_strategy(
     held, runtime = strategy.hold(n, rng)
 
     measured = gf2.complement_positions(held, n)
-    if strategy.angle is None:
-        angles = protocol.basis_angle(theta_hat[measured])
-    else:
-        angles = strategy.angle
+    probes = strategy.probe_angles()
+    # one angle serves the block when both committed bases share it
+    angles = probes[0] if probes[0] == probes[1] else np.array(probes).take(theta_hat[measured])
     values = np.zeros(n, dtype=np.uint8)
     values[measured] = reception.measure_many(measured, angles, rng)
     w_hat = values.copy()
@@ -209,23 +215,15 @@ def eve_intercept(
     collapsed state on. HONEST intercepts in fresh random bases per
     photon; FIXED_BASIS at its angle. Storage strategies have no channel
     counterpart."""
-    every = np.arange(reception.n)
     if eve.kind is StrategyKind.HONEST:
         bases = gf2.random_bits(rng, reception.n)
-        outs = reception.measure_many(every, protocol.basis_angle(bases), rng)
-        return {
-            "kind": "HONEST",
-            "bases": quantum.basis_text(bases),
-            "outcomes": protocol._bits_str(outs),
-        }
-    if eve.kind is StrategyKind.FIXED_BASIS:
-        outs = reception.measure_many(every, eve.angle, rng)
-        return {
-            "kind": "FIXED_BASIS",
-            "angle": eve.angle,
-            "outcomes": protocol._bits_str(outs),
-        }
-    raise DomainError("channel strategies are HONEST or FIXED_BASIS")
+        record, angles = {"bases": quantum.basis_text(bases)}, protocol.basis_angle(bases)
+    elif eve.kind is StrategyKind.FIXED_BASIS:
+        record, angles = {"angle": eve.angle}, eve.angle
+    else:
+        raise DomainError("channel strategies are HONEST or FIXED_BASIS")
+    outs = reception.measure_many(np.arange(reception.n), angles, rng)
+    return {"kind": eve.kind.value, **record, "outcomes": protocol._bits_str(outs)}
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +280,11 @@ def view_small_distance_defect(
     committed outcomes, ||P0 phi||^2, in either execution mode.
 
     The view is a product state, so this is the tail of independent
-    per-photon disagreements: none for a photon measured in its committed
-    basis; the squared overlap with the flipped outcome for one measured at
-    a fixed angle (the same for either outcome, the rotation being real);
-    for a held photon 0 or 1 when its basis matches the committed one,
-    else 1/2.
+    per-photon disagreements: for a measured photon the squared overlap of
+    its post-measurement state with the flipped outcome in the committed
+    frame (the same for either outcome, the rotation being real; exactly 0
+    in the committed basis); for a held photon 0 or 1 when its basis
+    matches the committed one, else 1/2.
     """
     if transcript.strategy["kind"] != strategy.kind.value:
         raise DomainError("strategy does not match the transcript")
@@ -295,15 +293,15 @@ def view_small_distance_defect(
     theta, theta_hat = transcript.theta, transcript.theta_hat
     encoded = transcript.w ^ transcript.flips
     held = set(transcript.strategy.get("stored") or ())
+    disagree = [protocol._born_p1(probe, 0, frame)  # by committed basis
+                for probe, frame in zip(strategy.probe_angles(), _BASIS_ANGLES)]
     chances = []
     for i in gf2.position_set(e, transcript.params.n):
         if i in held:
             matched = theta[i] == theta_hat[i]
             chances.append(float(encoded[i] != transcript.w_hat[i]) if matched else 0.5)
-        elif strategy.angle is not None:
-            chances.append(_disagree_prob(strategy.angle, int(theta_hat[i])))
         else:
-            chances.append(0.0)
+            chances.append(disagree[theta_hat[i]])
     return _tail_over_threshold(chances, t)
 
 
@@ -447,27 +445,15 @@ def _class_entropy(code: gf2.LinearCode, prior: np.ndarray, joint: np.ndarray) -
     return float(q.sum()) * _entropy_bits(prior) + _entropy_bits(q) - _entropy_bits(q_a)
 
 
-def _measurement_table(angle: float, basis: int, p: float) -> np.ndarray:
-    """q[obs, bit]: probability of outcome obs when bit was encoded in the
-    given basis, sent through flip noise p, and measured at angle."""
-    rot = quantum.angle_basis(angle)
-    q = np.zeros((2, 2))
-    for bit in range(2):
-        held = quantum.photon(bit, basis)
-        flipped = quantum.photon(1 - bit, basis)
-        for obs in range(2):
-            probe = rot[:, obs]
-            q[obs, bit] = (1 - p) * abs(np.vdot(probe, held)) ** 2 + p * abs(
-                np.vdot(probe, flipped)
-            ) ** 2
-    return q
-
-
-def _disagree_prob(angle: float, basis_hat: int) -> float:
-    """Chance that a photon left in the post-measurement state at `angle`
-    reads opposite to the recorded outcome in the basis_hat frame."""
-    rot = quantum.angle_basis(angle)
-    return float(abs(np.vdot(quantum.photon(1, basis_hat), rot[:, 0])) ** 2)
+def _measured_slot(angle: float, basis: int, p: float) -> Tuple[np.ndarray, float]:
+    """(table[obs, bit], disagreement chance) of an E_1 slot encoded in
+    `basis` through flip noise p and measured at `angle`; on E_1 the
+    committed basis is the other one. Reading obs from state bit is reading
+    1 from state bit ^ obs ^ 1, so every entry is a _born_p1 value."""
+    p1 = [protocol._born_p1(_BASIS_ANGLES[basis], bit, angle) for bit in (0, 1)]
+    table = np.array([[(1 - p) * p1[bit ^ obs ^ 1] + p * p1[bit ^ obs] for bit in (0, 1)]
+                      for obs in (0, 1)])
+    return table, protocol._born_p1(angle, 0, _BASIS_ANGLES[1 - basis])
 
 
 def _tail_over_threshold(probs: List[float], t: int) -> float:
@@ -519,12 +505,17 @@ def _exact_engine(
         "blind": (np.ones((1, 2)), 0.0),
         "held": (np.array([[1 - p, p], [p, 1 - p]]), 0.5),
     }
-    if strategy.angle is not None:
-        for ty, other in ((quantum.PLUS, quantum.CROSS), (quantum.CROSS, quantum.PLUS)):
-            slots[ty] = (
-                _measurement_table(strategy.angle, ty, p),
-                _disagree_prob(strategy.angle, other),
-            )
+    # Measured in the committed basis, a slot of E_1 is blind: there that
+    # basis is never Alice's. Otherwise a measured slot takes one kind per
+    # encoding basis, and a tested photon errs as its matched basis reads.
+    bases = (quantum.PLUS, quantum.CROSS)
+    probes = strategy.probe_angles()
+    if probes == _BASIS_ANGLES:
+        measured, p_rest = [(1.0, "blind")], p
+    else:
+        slots.update({ty: _measured_slot(probes[1 - ty], ty, p) for ty in bases})
+        measured = [(0.5, ty) for ty in bases]
+        p_rest = 0.5 * sum(_measured_slot(probes[ty], ty, p)[0][1, 0] for ty in bases)
 
     @cache
     def pattern_stats(pattern: tuple) -> Tuple[float, float]:
@@ -536,19 +527,16 @@ def _exact_engine(
         )
 
     def plan_classes(held: np.ndarray):
-        """(weight, slot pattern) of every view class of one plan."""
-        if strategy.angle is None:
-            # one class per slot pattern, weighted by its candidate sets; on
-            # E_1 the committed bases mismatch, so a slot not held is blind
-            weights = _geometry_weights(n, N, int(held.sum()), thr, 0.5, p)
-            for pattern, count in _pattern_counts(held, N).items():
-                yield count * weights[pattern.count("held")], pattern
-        else:
-            # one class per basis pattern on E_c
-            err = 0.5 * (slots[quantum.PLUS][0][1, 0] + slots[quantum.CROSS][0][1, 0])
-            base = math.comb(n, N) * _geometry_weights(n, N, 0, thr, err, err)[0]
-            for types in product((quantum.PLUS, quantum.CROSS), repeat=N):
-                yield base * 0.5**N, types
+        """(weight, slot kinds) of every view class of one plan: each
+        held-slot pattern, weighted by its candidate sets, with every
+        measured slot expanded over the measured kinds."""
+        weights = _geometry_weights(n, N, int(held.sum()), thr, 0.5, p_rest)
+        for pattern, count in _pattern_counts(held, N).items():
+            base = count * weights[pattern.count("held")]
+            choices = ([(1.0, "held")] if kind == "held" else measured for kind in pattern)
+            for choice in product(*choices):
+                shares, kinds = zip(*choice)
+                yield math.prod(shares, start=base), kinds
 
     # Pr(pass) itself never depends on the disjointness conditioning.
     pr_pass, w_tot, h_acc, d_acc, d_max = 0.0, 0.0, 0.0, 0.0, 0.0
@@ -672,11 +660,14 @@ def information_account(
     is uniform.
 
     require_disjoint_store further conditions a storing receiver on the
-    event that E_c avoided the stored set entirely.
+    event that E_c avoided the stored set entirely; only the exact method
+    conditions on it.
     """
     prior = _normalize_prior(prior, params.m)
     if budget is not None and budget < 1:
         raise DomainError(f"budget must be at least 1, got {budget}")
+    if require_disjoint_store and method is InfoMethod.MONTE_CARLO:
+        raise DomainError("disjointness conditioning needs the exact method")
     if rng is None:
         rng = stream(params.seed, "info")
     if code is None:
@@ -721,6 +712,8 @@ def random_ok_decomposition(
 ) -> BranchReport:
     """Empirical check that the single-coin strategy passes with the
     average of its two branch rates, in either mode."""
+    if trials < 1:
+        raise DomainError("trials must be positive")
     if rng is None:
         rng = stream(params.seed, "branches")
     rates = []

@@ -174,21 +174,22 @@ def _params_from_args(args, seed: int) -> protocol.ProtocolParams:
 
 
 def _build_strategy(name, store_positions, store_count, angle) -> attacks.AttackStrategy:
+    """The strategy of a name and its flags; a flag it does not take, or a
+    missing one, is an error."""
     kind = attacks.StrategyKind(name)
-    if kind is attacks.StrategyKind.HONEST:
-        return attacks.honest()
-    if kind is attacks.StrategyKind.STORE_SUBSET:
+    fixed, store = attacks.StrategyKind.FIXED_BASIS, attacks.StrategyKind.STORE_SUBSET
+    if (angle is not None) != (kind is fixed):
+        raise DomainError(f"an angle goes with FIXED_BASIS, which needs one (strategy {name})")
+    if sum(flag is not None for flag in (store_positions, store_count)) != int(kind is store):
+        raise DomainError("one of --store-positions and --store-count goes with "
+                          f"STORE_SUBSET, which needs one (strategy {name})")
+    if kind is store:
         if store_positions is not None:
-            positions = [int(x) for x in store_positions.split(",") if x.strip() != ""]
-            return attacks.store_subset(positions=positions)
-        if store_count is None:
-            raise DomainError("STORE_SUBSET needs --store-positions or --store-count")
-        return attacks.store_subset(count=store_count)
-    if kind is attacks.StrategyKind.FIXED_BASIS:
-        if angle is None:
-            raise DomainError("FIXED_BASIS needs --angle")
+            store_positions = [int(x) for x in store_positions.split(",") if x.strip() != ""]
+        return attacks.store_subset(positions=store_positions, count=store_count)
+    if kind is fixed:
         return attacks.fixed_basis(angle)
-    return attacks.random_ok()
+    return attacks.honest() if kind is attacks.StrategyKind.HONEST else attacks.random_ok()
 
 
 def _trial_seed(root_seed: int, idx: int) -> int:
@@ -213,7 +214,6 @@ def _write_json(path: Path, doc: dict) -> None:
 def _simulate_trial(args, idx: int):
     """One run; top level so a process pool can ship it."""
     params = _params_from_args(args, seed=_trial_seed(args.seed, idx))
-    bob = _build_strategy(args.strategy, args.store_positions, args.store_count, args.angle)
     if args.protocol == "qkd":
         eve = None if args.eve is None else _build_strategy(args.eve, None, None, args.eve_angle)
         tr = protocol.run_qkd(params, eve=eve, announce_rest=args.announce_rest)
@@ -222,6 +222,7 @@ def _simulate_trial(args, idx: int):
             b = gf2.bits(args.b, length=args.m)
         else:
             b = gf2.random_bits(stream(args.seed, "b", idx), args.m)
+        bob = _build_strategy(args.strategy, args.store_positions, args.store_count, args.angle)
         tr = protocol.run_string_qot(
             params, b, bob=bob, force_c=args.force_c, announce_rest=args.announce_rest,
         )
@@ -238,10 +239,12 @@ def _simulate_trial(args, idx: int):
 def _cmd_simulate(args) -> int:
     if args.eve is not None and args.protocol != "qkd":
         raise DomainError("--eve applies to the qkd protocol")
-    if args.eve == "FIXED_BASIS" and args.eve_angle is None:
-        raise DomainError("--eve FIXED_BASIS needs --eve-angle")
+    if (args.eve == "FIXED_BASIS") != (args.eve_angle is not None):
+        raise DomainError("--eve-angle goes with --eve FIXED_BASIS, which needs it")
     if args.protocol == "qkd" and args.force_c is not None:
         raise DomainError("qkd fixes c = 0; --force-c applies to qot")
+    if args.protocol == "qkd" and args.strategy != attacks.StrategyKind.HONEST.value:
+        raise DomainError("qkd runs an honest receiver; --strategy applies to qot")
     if args.trials < 1:
         raise DomainError("need at least one trial")
     if args.workers < 1:

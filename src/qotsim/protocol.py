@@ -266,7 +266,7 @@ class Reception:
             index[angles == angle] = entry
         new = index < 0
         if new.any():
-            self._learn(dict.fromkeys(angles[new].tolist()))
+            self._learn(np.unique(angles[new]).tolist())
             return self._index(angles)
         return index
 

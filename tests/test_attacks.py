@@ -665,6 +665,59 @@ def test_exact_engine_rejects_underspecified_stores():
         )
 
 
+@pytest.mark.parametrize("strategy", [attacks.honest(), attacks.store_subset(positions=[0, 1])])
+def test_monte_carlo_rejects_disjointness_conditioning(strategy):
+    with pytest.raises(DomainError, match="exact method"):
+        attacks.information_account(
+            exact_params(), strategy, method=attacks.InfoMethod.MONTE_CARLO,
+            budget=5, require_disjoint_store=True,
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(angle=st.floats(-7.0, 7.0), noise_p=st.sampled_from([0.0, 0.05, 0.1, 0.3]),
+       seed=st.integers(0, 3))
+def test_engine_slots_take_their_born_numbers_from_born_p1(angle, noise_p, seed):
+    """Every table and chance a fixed-angle engine run uses, and its test
+    error rate, is a plain two-product _born_p1 value: reading obs from
+    the state bit at angle a is reading 1 from state bit ^ obs ^ 1."""
+    born = protocol._born_p1.__wrapped__
+    frame = (0.0, math.pi / 4)  # indexed by quantum.PLUS, quantum.CROSS
+
+    def want(basis):
+        def read(obs, bit):
+            return born(frame[basis], bit ^ obs ^ 1, angle)
+        table = [[(1 - noise_p) * read(obs, bit) + noise_p * read(obs, 1 - bit)
+                  for bit in (0, 1)] for obs in (0, 1)]
+        return table, born(angle, 0, frame[1 - basis])
+
+    seen = {"tables": set(), "chances": set(), "p_rest": set()}
+    joint, tail, weights = attacks._class_joint, attacks._tail_over_threshold, attacks._geometry_weights
+
+    def spy_joint(tables, cols, width):
+        seen["tables"].update(json.dumps(np.asarray(t).tolist()) for t in tables)
+        return joint(tables, cols, width)
+
+    def spy_tail(chances, t):
+        seen["chances"].update(chances)
+        return tail(chances, t)
+
+    def spy_weights(n, N, held, thr, p_held, p_rest):
+        seen["p_rest"].add(p_rest)
+        return weights(n, N, held, thr, p_held, p_rest)
+
+    params = exact_params(n=6, N=2, noise_p=noise_p, epsilon=0.2, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attacks, "_class_joint", spy_joint)
+        patch.setattr(attacks, "_tail_over_threshold", spy_tail)
+        patch.setattr(attacks, "_geometry_weights", spy_weights)
+        attacks.information_account(params, attacks.fixed_basis(angle))
+    (plus, on_plus), (cross, on_cross) = want(quantum.PLUS), want(quantum.CROSS)
+    assert seen["tables"] == {json.dumps(plus), json.dumps(cross)}
+    assert seen["chances"] == {on_plus, on_cross}
+    assert seen["p_rest"] == {0.5 * (plus[1][0] + cross[1][0])}
+
+
 def test_information_account_validates_code_dimensions():
     bad = gf2.LinearCode(f=gf2.bitmatrix(["110", "011"]), r=1, m=1)
     with pytest.raises(DimensionError):
@@ -1085,6 +1138,12 @@ def test_monte_carlo_honest_excess_is_plugin_bias_sized():
         rng=stream(8, "mc"), code=IDENTITY_CODE,
     )
     assert mc.mutual_information < 0.08
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_random_ok_decomposition_needs_a_trial(trials):
+    with pytest.raises(DomainError, match="trials"):
+        attacks.random_ok_decomposition(exact_params(), trials)
 
 
 def test_random_ok_decomposition_balances():

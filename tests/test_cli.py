@@ -300,6 +300,43 @@ def test_non_finite_angles_exit_one(tmp_path, capsys, angle):
     assert not any(tmp_path.iterdir())
 
 
+def test_attack_monte_carlo_rejects_disjointness_conditioning(tmp_path, capsys):
+    args = ATTACK_ARGS + ["--strategy", "STORE_SUBSET", "--store-positions", "0,1",
+                          "--method", "MONTE_CARLO", "--budget", "5",
+                          "--require-disjoint-store", "--out", str(tmp_path)]
+    assert run(args) == 1
+    assert "exact method" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+QKD_ARGS = ["simulate", "--protocol", "qkd", "--n", "16", "--N", "4", "--trials", "2"]
+
+
+# strategy flags the chosen path would not use
+@pytest.mark.parametrize("argv", [
+    QOT_ARGS + ["--angle", "0.3"],
+    QOT_ARGS + ["--strategy", "RANDOM_OK", "--angle", "0.3"],
+    ATTACK_ARGS + ["--strategy", "STORE_SUBSET", "--store-positions", "0", "--angle", "0.3"],
+    QOT_ARGS + ["--strategy", "FIXED_BASIS", "--angle", "0.3", "--store-count", "2"],
+    ATTACK_ARGS + ["--strategy", "RANDOM_OK", "--store-positions", "0,1"],
+    ATTACK_ARGS + ["--store-count", "2"],
+    ATTACK_ARGS + ["--strategy", "STORE_SUBSET", "--store-positions", "0", "--store-count", "2"],
+    QKD_ARGS + ["--eve", "HONEST", "--eve-angle", "0.3"],
+    QKD_ARGS + ["--eve-angle", "0.3"],
+    QKD_ARGS + ["--strategy", "STORE_SUBSET", "--store-count", "2"],
+    QKD_ARGS + ["--strategy", "FIXED_BASIS", "--angle", "0.3"],
+    QKD_ARGS + ["--strategy", "RANDOM_OK"],
+], ids=[
+    "angle-honest", "angle-random-ok", "angle-store", "store-fixed", "store-random-ok",
+    "store-honest", "store-both", "eve-angle-honest", "eve-angle-alone", "qkd-store", "qkd-fixed",
+    "qkd-random-ok",
+])
+def test_unused_strategy_flags_exit_one(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_attack_branch_flag_needs_the_coin_strategy(tmp_path):
     assert run(ATTACK_ARGS + ["--branch-trials", "5", "--out", str(tmp_path)]) == 1
 
