@@ -28,7 +28,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -45,6 +45,7 @@ from .streams import stream
 
 OUTPUT_DIR_ENV = "QOTSIM_OUT"
 DENSITY_DEFECT_TOL = 1e-10
+SWEEP_TRIALS = 10000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -138,7 +139,7 @@ def build_parser():
                    help="comma separated stored fractions; runs the "
                         "expected-vs-empirical test-error sweep instead of "
                         "information accounting")
-    p.add_argument("--sweep-trials", type=int, default=10000, dest="sweep_trials")
+    p.add_argument("--sweep-trials", type=int, default=SWEEP_TRIALS, dest="sweep_trials")
     by_name["attack"] = p
 
     p = sub.add_parser("code-stats", help="min-distance ratio statistics")
@@ -185,11 +186,23 @@ def _build_strategy(name, store_positions, store_count, angle) -> attacks.Attack
                           f"STORE_SUBSET, which needs one (strategy {name})")
     if kind is store:
         if store_positions is not None:
-            store_positions = [int(x) for x in store_positions.split(",") if x.strip() != ""]
+            try:
+                store_positions = [int(x) for x in store_positions.split(",") if x.strip() != ""]
+            except ValueError as exc:
+                raise DomainError(f"bad --store-positions value: {exc}")
         return attacks.store_subset(positions=store_positions, count=store_count)
     if kind is fixed:
         return attacks.fixed_basis(angle)
     return attacks.honest() if kind is attacks.StrategyKind.HONEST else attacks.random_ok()
+
+
+def _reject_ignored(args, why: str, **defaults) -> None:
+    """DomainError naming each flag (by dest) that args sets away from its
+    default, on a path that would ignore it."""
+    given = [f"--{dest.replace('_', '-')}" for dest, default in defaults.items()
+             if getattr(args, dest) != default]
+    if given:
+        raise DomainError(f"{why}; it does not use {', '.join(given)}")
 
 
 def _trial_seed(root_seed: int, idx: int) -> int:
@@ -204,8 +217,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    path.write_text(protocol._dumps(doc) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +253,9 @@ def _cmd_simulate(args) -> int:
         raise DomainError("--eve applies to the qkd protocol")
     if (args.eve == "FIXED_BASIS") != (args.eve_angle is not None):
         raise DomainError("--eve-angle goes with --eve FIXED_BASIS, which needs it")
-    if args.protocol == "qkd" and args.force_c is not None:
-        raise DomainError("qkd fixes c = 0; --force-c applies to qot")
-    if args.protocol == "qkd" and args.strategy != attacks.StrategyKind.HONEST.value:
-        raise DomainError("qkd runs an honest receiver; --strategy applies to qot")
+    if args.protocol == "qkd":
+        _reject_ignored(args, "qkd runs an honest receiver, fixes c = 0 and draws its key",
+                        strategy=attacks.StrategyKind.HONEST.value, force_c=None, b=None)
     if args.trials < 1:
         raise DomainError("need at least one trial")
     if args.workers < 1:
@@ -349,6 +360,8 @@ def _cmd_attack(args) -> int:
     params = _params_from_args(args, seed=args.seed)
     if args.store_sweep is not None:
         return _attack_store_sweep(args, params)
+    _reject_ignored(args, "without --store-sweep attack runs an information account",
+                    sweep_trials=SWEEP_TRIALS)
     strategy = _build_strategy(
         args.strategy, args.store_positions, args.store_count, args.angle
     )
@@ -362,12 +375,7 @@ def _cmd_attack(args) -> int:
     if args.branch_trials > 0:
         if strategy.kind is not attacks.StrategyKind.RANDOM_OK:
             raise DomainError("--branch-trials decomposes the RANDOM_OK coin")
-        br = attacks.random_ok_decomposition(params, args.branch_trials)
-        branches = {
-            "pass_mixed": br.pass_mixed, "pass_honest": br.pass_honest,
-            "pass_store_all": br.pass_store_all, "residual": br.residual,
-            "trials": br.trials,
-        }
+        branches = asdict(attacks.random_ok_decomposition(params, args.branch_trials))
     out = _out_dir(args)
     doc = {
         "params": params.to_json(),
@@ -396,6 +404,10 @@ def _cmd_attack(args) -> int:
 
 
 def _attack_store_sweep(args, params) -> int:
+    _reject_ignored(args, "--store-sweep runs no information account",
+                    strategy=attacks.StrategyKind.HONEST.value, angle=None, store_positions=None,
+                    store_count=None, method=attacks.InfoMethod.EXACT_ENUMERATION.value,
+                    budget=None, require_disjoint_store=False, branch_trials=0)
     try:
         fractions = [float(x) for x in args.store_sweep.split(",") if x.strip()]
     except ValueError as exc:

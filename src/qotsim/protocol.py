@@ -477,19 +477,16 @@ def _rows_str(m: np.ndarray) -> List[str]:
     return [text[i * width : (i + 1) * width] for i in range(len(m))]
 
 
-def _positions(v: np.ndarray) -> List[int]:
-    return np.asarray(v).ravel().tolist()
-
-
 def _position_array(v: List[int]) -> np.ndarray:
     return np.asarray(v, dtype=np.int64)
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+# the one canonical JSON encoder: sorted keys, no spaces; it writes every
+# transcript and every CLI artifact
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-_DIGIT_TABLE_MAX = 1 << 16  # larger numbers are written by json.dumps
+_DIGIT_TABLE_MAX = 1 << 16  # larger numbers are written by _dumps
 _PAD = ord(" ")
 
 
@@ -497,7 +494,7 @@ _PAD = ord(" ")
 def _digit_table(bound: int) -> Tuple[np.ndarray, np.ndarray]:
     """Decimal text of 0..bound-1, right-aligned in space-padded uint8
     rows of one width, and the numbers in the order of those texts ("10"
-    before "9"), the order json.dumps(sort_keys=True) gives keys."""
+    before "9"), the order _dumps gives keys."""
     names = [str(k) for k in range(bound)]
     text = "".join(name.rjust(len(names[-1])) for name in names)
     digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(bound, -1)
@@ -510,15 +507,14 @@ def _unpadded(rows: np.ndarray) -> str:
 
 def _json_text(keys: np.ndarray, bits: Optional[np.ndarray] = None) -> str:
     """JSON text of a position list, or with bits of a position map, byte
-    for byte what json.dumps(sort_keys=True) writes for keys.tolist() or
-    {str(k): b}. Non-empty non-negative integer keys below
-    _DIGIT_TABLE_MAX are written from the digit table, any other by
-    json.dumps."""
+    for byte what _dumps writes for keys.tolist() or {str(k): b}.
+    Non-empty non-negative integer keys below _DIGIT_TABLE_MAX are written
+    from the digit table, any other by _dumps."""
     if keys.dtype.kind not in "iu" or not keys.size or keys.min() < 0 \
-            or keys.max() >= _DIGIT_TABLE_MAX:
+            or (top := int(keys.max())) >= _DIGIT_TABLE_MAX:
         return _dumps(keys.tolist() if bits is None
                       else dict(zip(map(str, keys.tolist()), bits.tolist())))
-    digits, order = _digit_table(1 << int(keys.max()).bit_length())
+    digits, order = _digit_table(1 << top.bit_length())
     if bits is None:
         rows = np.empty((keys.size, digits.shape[1] + 1), dtype=np.uint8)  # key,
         rows[:, :-1] = digits[keys]
@@ -595,31 +591,31 @@ def _position_map(d: dict) -> PositionMap:
     return _checked(PositionMap(keys[order], np.array(list(d.values()))[order]))
 
 
-_POSITION_FIELDS = ("R", "T0", "T1", "E0", "E1", "E_c")
-# fields whose encoder returns finished JSON text
-_TEXT_FIELDS = frozenset((*_POSITION_FIELDS, "bob_values", "deferred"))
-
 # (encode, decode) of every transcript field that is not plain JSON; None
-# stays None. Every other field is written and read as it stands.
+# stays None. encode returns the field's finished JSON text, byte for byte
+# what _dumps writes for the plain value it stands for; decode takes the
+# value json.loads reads from that text. Every other field is written by
+# _dumps and read as it stands.
 _CODECS = {
-    "params": (ProtocolParams.to_json, lambda d: ProtocolParams(**d)),
+    "params": (lambda p: _dumps(p.to_json()), lambda d: ProtocolParams(**d)),
     "channel": (
-        lambda c: {"kind": c.kind.value, "p": c.p},
+        lambda c: _dumps({"kind": c.kind.value, "p": c.p}),
         lambda d: ChannelModel(ChannelKind(d["kind"]), d["p"]),
     ),
-    "f": (_rows_str, gf2.bitmatrix),
-    "theta": (quantum.basis_text, quantum.basis_string),
-    "theta_hat": (quantum.basis_text, quantum.basis_string),
-    **{name: (_bits_str, gf2.bits)
+    "f": (lambda f: _dumps(_rows_str(f)), gf2.bitmatrix),
+    **{name: (lambda t: _dumps(quantum.basis_text(t)), quantum.basis_string)
+       for name in ("theta", "theta_hat")},
+    **{name: (lambda v: _dumps(_bits_str(v)), gf2.bits)
        for name in ("w", "flips", "w_hat", "s", "a", "decoded", "b", "b_hat")},
     **{name: (_positions_text, _position_array)
-       for name in _POSITION_FIELDS},
+       for name in ("R", "T0", "T1", "E0", "E1", "E_c")},
     "announced_sets": (
-        lambda sets: [_positions(e) for e in sets],
+        lambda sets: "[" + ",".join(map(_positions_text, sets)) + "]",
         lambda sets: [_position_array(e) for e in sets],
     ),
-    "announced_rest": (
-        lambda r: {"positions": _positions(r["positions"]), "bits": _bits_str(r["bits"])},
+    "announced_rest": (  # keys in sorted order
+        lambda r: '{"bits":' + _dumps(_bits_str(r["bits"]))
+        + ',"positions":' + _positions_text(r["positions"]) + "}",
         lambda r: {"positions": _position_array(r["positions"]), "bits": gf2.bits(r["bits"])},
     ),
     "bob_values": (_map_text, _position_map),
@@ -668,24 +664,15 @@ class Transcript:
     eve: Optional[dict] = None
 
     def to_json(self) -> str:
-        """The fields in sorted order, as one json.dumps(sort_keys=True)
-        of the encoded fields would write them, with the position maps'
-        text spliced in at their places."""
-        chunks, plain = [], {}
+        """What one _dumps of the fields' plain values writes: each field in
+        sorted order, as its codec's text, or by _dumps if None or codec-less."""
+        parts = []
         for name in sorted(fld.name for fld in fields(self)):
             value = getattr(self, name)
-            if value is not None and name in _CODECS:
-                value = _CODECS[name][0](value)
-            if name in _TEXT_FIELDS and value is not None:
-                if plain:
-                    chunks.append(_dumps(plain)[1:-1])
-                    plain = {}
-                chunks.append(f'"{name}":{value}')
-            else:
-                plain[name] = value
-        if plain:
-            chunks.append(_dumps(plain)[1:-1])
-        return "{" + ",".join(chunks) + "}"
+            codec = _CODECS.get(name)
+            text = _dumps(value) if value is None or codec is None else codec[0](value)
+            parts.append(f'"{name}":{text}')
+        return "{" + ",".join(parts) + "}"
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":

@@ -665,6 +665,15 @@ def test_exact_engine_rejects_underspecified_stores():
         )
 
 
+def test_exact_engine_rejects_a_store_no_announced_set_can_miss():
+    """Storing every photon leaves no E_c disjoint from the store, so the
+    event the account conditions on has probability zero."""
+    with pytest.raises(DomainError, match="conditioning event has probability zero"):
+        attacks.information_account(
+            exact_params(), attacks.store_subset(positions=range(8)), require_disjoint_store=True
+        )
+
+
 @pytest.mark.parametrize("strategy", [attacks.honest(), attacks.store_subset(positions=[0, 1])])
 def test_monte_carlo_rejects_disjointness_conditioning(strategy):
     with pytest.raises(DomainError, match="exact method"):

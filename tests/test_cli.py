@@ -1,5 +1,6 @@
 """Command line surface: artifacts, exit codes, config handling."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from qotsim import cli, protocol
+from qotsim import cli, cosetrho, protocol
 
 QOT_ARGS = [
     "simulate", "--protocol", "qot", "--n", "16", "--N", "4", "--m", "1",
@@ -137,7 +138,8 @@ FROZEN_BASE = ["simulate", "--n", "40", "--N", "4", "--m", "2", "--r", "1",
                "--delta", "0.3", "--trials", "6", "--seed", "5"]
 
 # sha256 of every file simulate writes, recorded before the position maps
-# became arrays; a later flag wins over FROZEN_BASE's
+# became arrays (the --announce-rest entry before each transcript field
+# wrote its own JSON text); a later flag wins over FROZEN_BASE's
 FROZEN_ARTIFACTS = [
     ([], {
         "summary.csv": "4180c1b3a98c96fe3d1ca50a06726478293a5a2be094b2dae069b4f5205d02aa",
@@ -158,6 +160,10 @@ FROZEN_ARTIFACTS = [
     (["--protocol", "qkd", "--eve", "FIXED_BASIS", "--eve-angle", "0.5", "--delta", "0.08"], {
         "summary.csv": "3628bfd92078c54806f5ab4d6d2d305d69aff264c39f1daaaac94956fb879355",
         "transcripts.jsonl": "a0f955598869fa72922fb93f8741fb53378ae84ccdee85947b3c64a038772cb5",
+    }),
+    (["--announce-rest"], {
+        "summary.csv": "4180c1b3a98c96fe3d1ca50a06726478293a5a2be094b2dae069b4f5205d02aa",
+        "transcripts.jsonl": "6643510eda822a420b598ded7f02198f9f3780a28e981947aeab4535d8736bb5",
     }),
 ]
 
@@ -310,9 +316,16 @@ def test_attack_monte_carlo_rejects_disjointness_conditioning(tmp_path, capsys):
 
 
 QKD_ARGS = ["simulate", "--protocol", "qkd", "--n", "16", "--N", "4", "--trials", "2"]
+SWEEP_ARGS = ["attack", "--n", "16", "--delta", "0.25", "--store-sweep", "0.5",
+              "--sweep-trials", "50"]
+SWEEP_IGNORES = [
+    ["--strategy", "RANDOM_OK"], ["--angle", "0.3"], ["--store-positions", "0,1"],
+    ["--store-count", "2"], ["--method", "MONTE_CARLO"], ["--budget", "3"],
+    ["--require-disjoint-store"], ["--branch-trials", "5"],
+]
 
 
-# strategy flags the chosen path would not use
+# flags the chosen path would not use, or could not read
 @pytest.mark.parametrize("argv", [
     QOT_ARGS + ["--angle", "0.3"],
     QOT_ARGS + ["--strategy", "RANDOM_OK", "--angle", "0.3"],
@@ -326,10 +339,15 @@ QKD_ARGS = ["simulate", "--protocol", "qkd", "--n", "16", "--N", "4", "--trials"
     QKD_ARGS + ["--strategy", "STORE_SUBSET", "--store-count", "2"],
     QKD_ARGS + ["--strategy", "FIXED_BASIS", "--angle", "0.3"],
     QKD_ARGS + ["--strategy", "RANDOM_OK"],
+    QKD_ARGS + ["--b", "1"],
+    ATTACK_ARGS + ["--strategy", "STORE_SUBSET", "--store-positions", "0,a"],
+    ATTACK_ARGS + ["--sweep-trials", "50"],
+    *(SWEEP_ARGS + flags for flags in SWEEP_IGNORES),
 ], ids=[
     "angle-honest", "angle-random-ok", "angle-store", "store-fixed", "store-random-ok",
     "store-honest", "store-both", "eve-angle-honest", "eve-angle-alone", "qkd-store", "qkd-fixed",
-    "qkd-random-ok",
+    "qkd-random-ok", "qkd-b", "store-not-an-integer", "sweep-trials-alone",
+    *(f"sweep{flags[0]}" for flags in SWEEP_IGNORES),
 ])
 def test_unused_strategy_flags_exit_one(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 1
@@ -353,6 +371,13 @@ def test_attack_store_sweep(tmp_path, capsys):
     row = lines[1].split(",")
     assert float(row[1]) == pytest.approx(64 * 0.25 / 8)
     assert abs(float(row[2]) - float(row[1])) < 5 * float(row[3])
+
+
+def test_attack_store_sweep_takes_the_protocol_parameters(tmp_path):
+    args = SWEEP_ARGS + ["--N", "4", "--m", "1", "--r", "1", "--noise", "0.01",
+                         "--epsilon", "0.2", "--mode", "EXACT_QUANTUM", "--seed", "2"]
+    assert run(args + ["--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["store_sweep.csv"]
 
 
 def test_attack_store_sweep_rejects_bad_input(tmp_path):
@@ -471,6 +496,19 @@ def test_in_hypothesis_certificates_do_not_depend_on_blas_threads(tmp_path):
     assert all(line.endswith(",0.0") for line in rows["1"])
 
 
+def test_density_check_exits_three_on_a_violated_certificate(tmp_path, capsys, monkeypatch):
+    """A certificate under its hypothesis with a defect above the tolerance
+    is counted, reported on stderr and ends the command with exit 3."""
+    real = cosetrho.lemma1_certificate
+    monkeypatch.setattr(cosetrho, "lemma1_certificate", lambda *a: dataclasses.replace(
+        real(*a), condition_met=True, max_defect=10 * cli.DENSITY_DEFECT_TOL))
+    args = ["density-check", "--trials", "3", "--seed", "2", "--out", str(tmp_path)]
+    assert run(args) == cli.EXIT_CERTIFICATE == 3
+    assert "3 certificate(s) violated the hypothesis" in capsys.readouterr().err
+    agg = json.loads((tmp_path / "density_summary.json").read_text())
+    assert (agg["condition_met"], agg["violations"]) == (3, 3)
+
+
 def test_density_check_validation(tmp_path):
     out = ["--out", str(tmp_path)]
     assert run(["density-check", "--r", "0", "--m", "0"] + out) == 1
@@ -529,3 +567,21 @@ def test_out_flag_beats_the_env_var(tmp_path, monkeypatch):
     assert run(QOT_ARGS + ["--out", str(explicit)]) == 0
     assert (explicit / "summary.csv").exists()
     assert not (tmp_path / "env").exists()
+
+
+# ---------------------------------------------------------------------------
+# entry point
+
+@pytest.mark.parametrize("argv, code", [
+    (["code-stats", "--n-cols", "8", "--rows", "2", "--trials", "2"], 0),
+    (["code-stats", "--n-cols", "4", "--rows", "4"], 1),
+    (["attack", "--n", "50"], 2),
+], ids=["ok", "usage", "resource"])
+def test_module_entry_point_exits_with_the_command_code(tmp_path, argv, code):
+    """python -m qotsim.cli hands main's exit code to the process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "qotsim.cli", *argv, "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    assert ("error:" in done.stderr, "resource cap:" in done.stderr) == (code == 1, code == 2)

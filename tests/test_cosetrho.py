@@ -4,6 +4,7 @@ recursion, low-ball certificates, and min-distance ratio statistics."""
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,42 @@ def reference_certificate(code, theta, x, x_prime, e, t, w_hat):
     return block, cosetrho.Lemma1Certificate(
         max_defect=defect, dN=code.distance, condition_met=bool(2 * t < d_eff)
     )
+
+
+def exact_norm(block):
+    """The operator norm of a symmetric block whose float entries are exact,
+    from mpmath eigenvalues at 40 digits. A permutation makes the block
+    block-diagonal over the connected parts of its nonzero pattern, so each
+    part's norm is taken alone (coset blocks split into parts of at most
+    2^rank(f) states), and a part seen before is not solved again."""
+    linked = block != 0
+    unseen = linked.any(axis=0)
+    norms = {}
+    while unseen.any():
+        part = np.zeros(len(block), dtype=bool)
+        part[np.argmax(unseen)] = True
+        while not np.array_equal(grown := part | linked[part].any(axis=0), part):
+            part = grown
+        unseen &= ~part
+        sub = block[np.ix_(part, part)]
+        if sub.tobytes() not in norms:
+            with mpmath.workdps(40):
+                eigs = mpmath.eigsy(mpmath.matrix(sub.tolist()), eigvals_only=True)
+                norms[sub.tobytes()] = max(abs(v) for v in eigs)
+    return max(norms.values(), default=mpmath.mpf(0))
+
+
+def test_exact_norm_splits_a_block_into_its_parts():
+    rng = np.random.default_rng(3)
+    block = np.zeros((24, 24))
+    order = rng.permutation(24)
+    for lo, hi in ((0, 9), (9, 13), (13, 16)):  # three parts, eight zero rows
+        part = rng.integers(-3, 4, (hi - lo, hi - lo)).astype(float)
+        block[np.ix_(order[lo:hi], order[lo:hi])] = part + part.T
+    with mpmath.workdps(40):
+        whole = max(abs(v) for v in mpmath.eigsy(mpmath.matrix(block.tolist()), eigvals_only=True))
+    assert abs(exact_norm(block) - whole) < mpmath.mpf(10) ** -35
+    assert exact_norm(np.zeros((3, 3))) == 0
 
 
 @st.composite
@@ -310,7 +347,9 @@ def test_real_certificate_block_matches_the_complex_reference(drawn, data):
     assert block.dtype == np.float64
     assert np.max(np.abs(block - reference_block), initial=0.0) <= 1e-15
     cert = cosetrho.lemma1_certificate(*args)
-    assert abs(cert.max_defect - reference.max_defect) <= 1e-15
+    # the block (G_x - G_x') 2^-N / K is exact, so its 40-digit norm is the
+    # true one; the complex reference's own norm may be 9e-16 from it
+    assert abs(cert.max_defect - exact_norm(block)) <= 1e-15
     assert (cert.dN, cert.condition_met) == (reference.dN, reference.condition_met)
 
 

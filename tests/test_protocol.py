@@ -840,17 +840,28 @@ def _positions(v):
     return np.asarray(v).ravel().tolist()
 
 
+def _bits(v):
+    return "".join(str(int(b)) for b in np.asarray(v).ravel())
+
+
 def _str_keys(m):
     return {str(k): int(v) for k, v in zip(np.asarray(m.positions).tolist(),
                                            np.asarray(m.bits).tolist())}
 
 
-# the transcript encoder before position text came from digit tables:
-# position lists as int lists and position maps with str keys, all
-# written by one json.dumps
+# every field's plain JSON value, built here and not by protocol's codecs,
+# all written by one json.dumps: the transcript text as it was before
+# position text came from digit tables and each field wrote its own text
 REFERENCE_ENCODERS = {
-    **{name: codec[0] for name, codec in protocol._CODECS.items()},
+    "params": lambda p: {**dataclasses.asdict(p), "mode": p.mode.value},
+    "channel": lambda c: {"kind": c.kind.value, "p": c.p},
+    "f": lambda f: [_bits(row) for row in f],
+    **{name: lambda t: "".join("+x"[b] for b in np.asarray(t).tolist())
+       for name in ("theta", "theta_hat")},
+    **{name: _bits for name in ("w", "flips", "w_hat", "s", "a", "decoded", "b", "b_hat")},
     **{name: _positions for name in ("R", "T0", "T1", "E0", "E1", "E_c")},
+    "announced_sets": lambda sets: [_positions(e) for e in sets],
+    "announced_rest": lambda r: {"positions": _positions(r["positions"]), "bits": _bits(r["bits"])},
     "bob_values": _str_keys,
     "deferred": _str_keys,
 }
