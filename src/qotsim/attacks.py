@@ -25,6 +25,7 @@ therefore upper-bounds the plain protocol.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -124,7 +125,13 @@ def store_subset(positions=None, count: Optional[int] = None) -> AttackStrategy:
     if (positions is None) == (count is None):
         raise DomainError("give exactly one of positions or count")
     if positions is not None:
-        positions = tuple(sorted({int(i) for i in positions}))
+        positions = list(positions)
+        if any(isinstance(i, bool) for i in positions):
+            raise DomainError("store positions must be integers")
+        try:
+            positions = tuple(sorted({operator.index(i) for i in positions}))
+        except TypeError as exc:
+            raise DomainError("store positions must be integers") from exc
     elif count < 0:
         raise DomainError("count may not be negative")
     return AttackStrategy(kind=StrategyKind.STORE_SUBSET, positions=positions, count=count)

@@ -268,8 +268,10 @@ def _cmd_simulate(args) -> int:
 
     out = _out_dir(args)
     trial = partial(_simulate_trial, args)
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a pool forks all its workers at the first submit: start no idle ones
+    workers = min(args.workers, args.trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(trial, range(args.trials)))
     else:
         results = list(map(trial, range(args.trials)))
@@ -372,7 +374,7 @@ def _cmd_attack(args) -> int:
         require_disjoint_store=args.require_disjoint_store,
     )
     branches = None
-    if args.branch_trials > 0:
+    if args.branch_trials != 0:
         if strategy.kind is not attacks.StrategyKind.RANDOM_OK:
             raise DomainError("--branch-trials decomposes the RANDOM_OK coin")
         branches = asdict(attacks.random_ok_decomposition(params, args.branch_trials))

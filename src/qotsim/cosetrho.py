@@ -11,19 +11,22 @@ for any coset representative beta0. rho_brute builds the mixture directly;
 rho_closed_form fills the formula; rho_zero_induction reproduces the
 recursive derivation; lemma1_certificate checks that low-distance state
 spans cannot tell rho_x from rho_x' when 2t < dN. The certificate evaluates
-rho_x - rho_x' on the low ball only: each coset member's overlaps with the
-ball's basis states are products of single-photon overlaps, +-2^(-N/2)
-each, so neither full density nor its frame change is built.
+rho_x - rho_x' on the low ball only, so neither full density nor its frame
+change is built.
 
 Every density here is real (float64), as the +/x amplitudes are, and so
 are the certificate's low-ball block and its eigenvalues. The block is
-exact: each coset's overlaps, scaled by 2^(N/2) and rounded, form a +-1
-matrix S whose Gram block S^T S holds integers, and the block is the
+exact: read in the basis conjugate to its encoding, every photon's overlap
+is (-1)^(a.b)/sqrt(2), so a coset member beta's overlap with a basis state
+alpha of the conjugate frame is (-1)^popcount(beta & alpha) 2^(-N/2), for
+every theta. Those signs form a +-1 matrix S, computed from integer
+popcounts; its Gram block S^T S holds integers, and the block is the
 difference of two such Grams times 2^-N / K. So a block inside the
-hypothesis is exactly 0. A certificate checks its operands once and pays
-for its pair alone: the code's memo keeps each syndrome's representative,
-each low ball and each (syndrome, theta, ball) Gram block within the
-memo's bounds, and the kernel span is cached per code.
+hypothesis is exactly 0, and the block does not depend on theta. A
+certificate checks its operands once and pays for its pair alone: the
+code's memo keeps each syndrome's representative, each low ball and each
+(syndrome, ball) Gram block within the memo's bounds, and the kernel span
+is cached per code.
 
 Normalization is by the actual coset size, which equals 2^-k exactly when f
 has full rank; with dependent rows the closed form still holds verbatim
@@ -43,7 +46,6 @@ from . import gf2, quantum
 from .errors import DomainError, ResourceError
 
 COSET_MAX_DIM = 10  # 2^dim coset members enumerated
-GRAM_ROUNDING_TOL = 1e-12  # |2^(N/2) amplitude - sign| allowed in a Gram block
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,14 +169,16 @@ class Lemma1Certificate:
 
 def _certificate_operands(code: gf2.LinearCode, theta, x, x_prime, e, t, w_hat) -> tuple:
     """(theta, x, x_prime, e, t, w_hat) of one certificate, each checked
-    once: bit strings of the code's lengths, two distinct syndromes, a
-    position set, an integer radius t >= 0, and the coset and density caps.
-    The helpers below take these and check nothing."""
+    once: bit strings of the code's lengths, two distinct syndromes in the
+    image of f, a position set, an integer radius t >= 0, and the coset and
+    density caps. The helpers below take these and check nothing."""
     n, rows = code.N, code.f.shape[0]
     theta = quantum.basis_string(theta, length=n)
     x, x_prime = gf2.bits(x, length=rows), gf2.bits(x_prime, length=rows)
     if np.array_equal(x, x_prime):
         raise DomainError("syndromes must differ")
+    if code._particular(x) is None or code._particular(x_prime) is None:
+        raise DomainError("both syndromes must lie in the image of f; one has an empty coset")
     e = gf2.position_set(e, n)
     try:
         t = operator.index(t)
@@ -190,10 +194,11 @@ def _certificate_operands(code: gf2.LinearCode, theta, x, x_prime, e, t, w_hat) 
 
 
 def _low_ball_block(
-    code: gf2.LinearCode, theta, x, x_prime, e, t: int, w_hat
+    code: gf2.LinearCode, x, x_prime, e, t: int, w_hat
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(P1 delta-rho P1 over the low-ball states of the conjugate frame,
     their frame indices), from _certificate_operands' checked operands.
+    The conjugate frame of any theta gives the same block.
 
     The block is (G_x - G_x') 2^-N / K over the K coset members, with the
     Gram blocks of _gram: integers, so the difference and its power-of-two
@@ -202,39 +207,37 @@ def _low_ball_block(
     """
     ball = (e.tobytes(), w_hat.tobytes(), t)
     low = code.memo.get(("low ball", *ball), lambda: quantum._ball_projector(e, w_hat, t))
-    gram = _gram(code, theta, x, ball, low)
+    gram = _gram(code, x, ball, low)
     # a Gram block the memo did not keep is this call's to overwrite
-    block = np.subtract(gram, _gram(code, theta, x_prime, ball, low),
+    block = np.subtract(gram, _gram(code, x_prime, ball, low),
                         out=gram if gram.flags.writeable else None)
     block *= 2.0 ** -code.N / len(code.kernel_span)
     return block, low
 
 
-def _gram(code: gf2.LinearCode, theta, x, ball: tuple, low: np.ndarray) -> np.ndarray:
-    """S^T S for the coset of syndrome x over the ball's states low, kept in
-    the code's memo per (syndrome, theta, ball).
+def _gram(code: gf2.LinearCode, x, ball: tuple, low: np.ndarray) -> np.ndarray:
+    """S^T S for the coset of syndrome x (in the image of f) over the
+    ball's states low, kept in the code's memo per (syndrome, ball).
 
-    Row k of S holds member k's overlaps with the states, times 2^(N/2).
-    Each overlap is a product of N single-photon overlaps +-1/sqrt(2)
-    (every photon is read in the basis conjugate to its encoding), so S is
-    a +-1 matrix up to rounding; it is rounded, and FloatingPointError
-    raised if that moves an entry by more than GRAM_ROUNDING_TOL. Each
-    entry of S^T S is then an integer of magnitude at most K, exact in any
-    summation order.
+    Row k of S holds member beta_k's overlaps with the states, times
+    2^(N/2): S[k, i] = (-1)^popcount(beta_k & low[i]) exactly, since every
+    photon is read in the basis conjugate to its encoding, so neither S nor
+    S^T S depends on theta. Each entry of S^T S is an integer of magnitude
+    at most K, exact in any summation order.
     """
 
     def build():
-        beta0 = code._particular(x)
-        if beta0 is None:
-            raise DomainError("syndrome x is not in the image of f; empty coset")
-        scaled = quantum._framed_amplitudes(code.kernel_span ^ beta0, theta, theta ^ 1, low)
-        scaled *= 2.0 ** (code.N / 2)
-        signs = np.rint(scaled)
-        if np.any(np.abs(scaled - signs) > GRAM_ROUNDING_TOL):
-            raise FloatingPointError("coset amplitudes are not +-2^(-N/2) to rounding")
+        members = gf2.lane_prefix(gf2._pack_lanes(code.kernel_span), code.N)
+        signs = _parity_signs(members ^ gf2._pack_int(code._particular(x)), low)
         return signs.T @ signs
 
-    return code.memo.get(("gram", x.tobytes(), theta.tobytes(), *ball), build)
+    return code.memo.get(("gram", x.tobytes(), *ball), build)
+
+
+def _parity_signs(words: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(w & alpha) as float64, for each packed word w of words
+    (axis 0) and each basis index alpha of indices (axis 1)."""
+    return 1.0 - 2.0 * (np.bitwise_count(words[:, None] & indices) & 1)
 
 
 def _min_weight_on(code: gf2.LinearCode, e: np.ndarray):
@@ -256,19 +259,20 @@ def lemma1_certificate(
     two coset operators whenever 2t is below the span min-distance.
 
     delta rho is evaluated on the low ball only: its block over the
-    conjugate-frame basis states within distance t of w_hat on e.
-    max_defect is the block's operator norm, the norm of P1 (delta rho) P1
-    (_top_eigenpair's, and 0.0 for a block that is exactly 0), which
-    bounds |<phi|delta rho|phi>| over the ball's basis states (the block's
-    diagonal is exactly 0: every member has weight 2^-N on every basis
-    state of the frame). dN is the code's min distance; when e
-    covers every coordinate the hypothesis is 2t < dN, and on a proper
-    subset it tightens to the min span weight restricted to e (what a ball
-    on e can resolve). condition_met records the hypothesis actually
-    checked.
+    conjugate-frame basis states within distance t of w_hat on e. That
+    block is the same for every theta, so theta is checked but does not
+    change the certificate. max_defect is the block's operator norm, the
+    norm of P1 (delta rho) P1 (_top_eigenpair's, and 0.0 for a block that
+    is exactly 0), which bounds |<phi|delta rho|phi>| over the ball's
+    basis states (the block's diagonal is exactly 0: every member has
+    weight 2^-N on every basis state of the frame). dN is the code's min
+    distance; when e covers every coordinate the hypothesis is 2t < dN,
+    and on a proper subset it tightens to the min span weight restricted
+    to e (what a ball on e can resolve). condition_met records the
+    hypothesis actually checked.
     """
     operands = _certificate_operands(code, theta, x, x_prime, e, t, w_hat)
-    block, low = _low_ball_block(code, *operands)
+    block, low = _low_ball_block(code, *operands[1:])
     # every in-hypothesis block is exactly 0, and so is its norm
     op_norm = _top_eigenpair(code, block, low)[0] if block.any() else 0.0
     e, t = operands[3], operands[4]
@@ -284,13 +288,12 @@ def distinguishing_witness(
 
     Returns (|<phi|delta rho|phi>|, phi) where phi is the low-ball
     eigenvector of P1 (delta rho) P1 with the largest absolute eigenvalue,
-    expressed in + amplitudes. Out-of-hypothesis configurations (2t >= dN)
-    should yield strictly positive values.
+    expressed in + amplitudes: theta does not change the block, only the
+    frame phi is mapped back from. Out-of-hypothesis configurations
+    (2t >= dN) should yield strictly positive values.
     """
     operands = _certificate_operands(code, theta, x, x_prime, e, t, w_hat)
-    block, low = _low_ball_block(code, *operands)
-    if low.size == 0:
-        raise DomainError("empty low ball has no witness")
+    block, low = _low_ball_block(code, *operands[1:])
     value, coords = _top_eigenpair(code, block, low)
     phi = np.zeros(1 << code.N)
     phi[low] = coords

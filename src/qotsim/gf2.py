@@ -90,10 +90,15 @@ def bitmatrix(values, rows: Optional[int] = None, cols: Optional[int] = None) ->
 def position_set(members, universe: int) -> np.ndarray:
     """Sorted duplicate-free index array over {0, ..., universe-1}.
 
-    Input that is already strictly increasing comes back as is, so the
-    result may share memory with members: callers only read it.
+    Entries must be integers: floats and bools raise DomainError instead of
+    being truncated. Input that is already strictly increasing comes back
+    as is, so the result may share memory with members: callers only read
+    it.
     """
-    e = np.asarray(members, dtype=np.int64).ravel()
+    e = np.asarray(members).ravel()
+    if e.size and e.dtype.kind not in "iu":
+        raise DomainError("positions must be integers")
+    e = e.astype(np.int64, copy=False)
     if e.size > 1 and not (e[1:] > e[:-1]).all():
         e = np.unique(e)
     if e.size and (e[0] < 0 or e[-1] >= universe):
@@ -297,9 +302,17 @@ class LinearCode:
         return min_distance(self.f)
 
     @functools.cached_property
+    def _reduction(self) -> RowReduction:
+        """The RREF of [f | I], the code's one elimination: restricted to
+        f's columns it is RREF(f), which gives the kernel, and its last
+        columns give the syndrome map."""
+        rows = self.f.shape[0]
+        return _row_reduce(np.concatenate([self.f, np.eye(rows, dtype=np.uint8)], axis=1))
+
+    @functools.cached_property
     def kernel(self) -> np.ndarray:
         """kernel_basis(f), one row per free column."""
-        return kernel_basis(self.f)
+        return _kernel_from(self._reduction, self.N)
 
     @functools.cached_property
     def _syndrome_map(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -307,8 +320,7 @@ class LinearCode:
         RREF(f), so E x carries a syndrome x through the elimination that
         solve_affine performs on [f | x]. The first rank entries of E x are
         beta0 on the pivot columns; the rest vanish iff x is in the image."""
-        n, rows = self.N, self.f.shape[0]
-        red = _row_reduce(np.concatenate([self.f, np.eye(rows, dtype=np.uint8)], axis=1))
+        n, red = self.N, self._reduction
         pivots = np.array([c for c in red.pivots if c < n], dtype=np.intp)
         return red.matrix[:, n:].astype(np.int64), pivots
 

@@ -105,40 +105,6 @@ def bb84_states(words: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return states
 
 
-def framed_amplitudes(words: np.ndarray, theta, theta_hat, indices) -> np.ndarray:
-    """<alpha, theta_hat | psi_{w, theta}> for each row w of words (axis 0)
-    and each theta_hat basis index alpha of indices (axis 1).
-
-    Each entry is the product over photons of the single-photon overlaps,
-    so only the listed columns of the frame change are ever formed. Every
-    +/x amplitude is real, so the overlaps and the result are float64.
-    """
-    words = gf2.bitmatrix(words)
-    theta = basis_string(theta, length=words.shape[1])
-    theta_hat = basis_string(theta_hat, length=theta.size)
-    n = theta.size
-    if n > STATEVECTOR_MAX_N:
-        raise ResourceError(f"statevectors cap at n={STATEVECTOR_MAX_N}")
-    indices = np.asarray(indices, dtype=np.int64).ravel()
-    if indices.size and (indices.min() < 0 or indices.max() >= 1 << n):
-        raise DomainError(f"basis indices must lie in [0, 2^{n})")
-    return _framed_amplitudes(words, theta, theta_hat, indices)
-
-
-def _framed_amplitudes(words, theta, theta_hat, indices) -> np.ndarray:
-    """framed_amplitudes on operands already checked: uint8 bit arrays of
-    one length n <= STATEVECTOR_MAX_N and int64 indices in [0, 2^n)."""
-    n = theta.size
-    alphas = (indices[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    # overlap[i, b, a] = <a, theta_hat_i | b, theta_i>
-    overlap = np.einsum("iaj,ibj->iba", _PHOTONS[theta_hat], _PHOTONS[theta])
-    photons = overlap[np.arange(n), words]  # (rows, n, 2)
-    amps = np.ones((words.shape[0], indices.size))
-    for i in range(n):
-        amps *= photons[:, i, alphas[:, i]]
-    return amps
-
-
 def _butterflies(a: np.ndarray, photons, bufs) -> np.ndarray:
     """Unscaled Hadamard butterflies (a0 + a1, a0 - a1) over the bit of
     each listed photon in a's leading index (2^n values, big-endian).

@@ -87,6 +87,36 @@ def test_simulate_workers_do_not_change_the_output(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("trials, workers, pools", [("2", "64", [2]), ("1", "8", []),
+                                                    ("5", "3", [3])])
+def test_simulate_starts_no_more_workers_than_trials(tmp_path, monkeypatch, trials, workers,
+                                                     pools):
+    """The pool is capped at one worker per trial, and a single trial runs
+    in process; the pool here records its size and maps in process."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(QOT_ARGS + ["--trials", trials, "--workers", workers, "--out", str(a)]) == 0
+    assert started == pools
+    assert run(QOT_ARGS + ["--trials", trials, "--out", str(b)]) == 0
+    for name in ("transcripts.jsonl", "summary.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_simulate_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     assert run(QOT_ARGS + ["--out", str(tmp_path), "--workers", workers]) == 1
@@ -342,11 +372,14 @@ SWEEP_IGNORES = [
     QKD_ARGS + ["--b", "1"],
     ATTACK_ARGS + ["--strategy", "STORE_SUBSET", "--store-positions", "0,a"],
     ATTACK_ARGS + ["--sweep-trials", "50"],
+    ATTACK_ARGS + ["--branch-trials", "-3"],
+    ATTACK_ARGS + ["--strategy", "RANDOM_OK", "--branch-trials", "-3"],
     *(SWEEP_ARGS + flags for flags in SWEEP_IGNORES),
 ], ids=[
     "angle-honest", "angle-random-ok", "angle-store", "store-fixed", "store-random-ok",
     "store-honest", "store-both", "eve-angle-honest", "eve-angle-alone", "qkd-store", "qkd-fixed",
     "qkd-random-ok", "qkd-b", "store-not-an-integer", "sweep-trials-alone",
+    "branch-trials-negative", "branch-trials-negative-random-ok",
     *(f"sweep{flags[0]}" for flags in SWEEP_IGNORES),
 ])
 def test_unused_strategy_flags_exit_one(tmp_path, capsys, argv):

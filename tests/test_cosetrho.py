@@ -47,11 +47,58 @@ def reference_framed_amplitudes(words, theta, theta_hat, indices):
     return amps
 
 
+def framed_amplitudes(words, theta, theta_hat, indices):
+    """<alpha, theta_hat | psi_{w, theta}> for each row w of words (axis 0)
+    and each theta_hat basis index alpha of indices (axis 1), in float64:
+    each entry is the product over photons of the single-photon overlaps,
+    so only the listed columns of the frame change are formed."""
+    n = theta.size
+    alphas = (np.asarray(indices, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    # overlap[i, b, a] = <a, theta_hat_i | b, theta_i>
+    overlap = np.einsum("iaj,ibj->iba", quantum._PHOTONS[theta_hat], quantum._PHOTONS[theta])
+    per_photon = overlap[np.arange(n), words]  # (rows, n, 2)
+    amps = np.ones((len(words), alphas.shape[0]))
+    for i in range(n):
+        amps *= per_photon[:, i, alphas[:, i]]
+    return amps
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_framed_amplitudes_are_columns_of_the_frame_change(n, seed):
+    rng = np.random.default_rng(seed)
+    words = gf2.random_bitmatrix(rng, int(rng.integers(1, 5)), n)
+    theta, theta_hat = gf2.random_bits(rng, n), gf2.random_bits(rng, n)
+    indices = rng.permutation(1 << n)[: int(rng.integers(0, (1 << n) + 1))]
+    framed = np.array([quantum.to_frame(v, theta_hat) for v in quantum.bb84_states(words, theta)])
+    got = framed_amplitudes(words, theta, theta_hat, indices)
+    assert got.shape == (len(words), indices.size)
+    assert np.max(np.abs(got - framed[:, indices]), initial=0.0) < 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_gram_signs_are_the_scaled_conjugate_frame_amplitudes(n, seed):
+    """S[k, i] = (-1)^popcount(w_k & alpha_i) is 2^(N/2) times the overlap
+    of w_k, encoded in any theta, with alpha_i of theta's conjugate frame:
+    the float reference rounds to S and lies within 1e-12 of it."""
+    rng = np.random.default_rng(seed)
+    words = gf2.random_bitmatrix(rng, int(rng.integers(1, 9)), n)
+    theta = gf2.random_bits(rng, n)
+    indices = rng.permutation(1 << n)[: int(rng.integers(0, (1 << n) + 1))]
+    packed = np.array([gf2.pack_int(w) for w in words], dtype=np.int64)
+    signs = cosetrho._parity_signs(packed, indices)
+    scaled = 2.0 ** (n / 2) * framed_amplitudes(words, theta, theta ^ 1, indices)
+    assert signs.dtype == np.float64 and signs.shape == scaled.shape
+    assert np.array_equal(np.rint(scaled), signs)
+    assert np.max(np.abs(scaled - signs), initial=0.0) <= 1e-12
+
+
 def low_ball_block(code, theta, x, x_prime, e, t, w_hat):
     """cosetrho._low_ball_block on operands checked as a certificate
-    checks them."""
+    checks them (theta is checked, but the block does not take it)."""
     operands = cosetrho._certificate_operands(code, theta, x, x_prime, e, t, w_hat)
-    return cosetrho._low_ball_block(code, *operands)
+    return cosetrho._low_ball_block(code, *operands[1:])
 
 
 def reference_float_block(code, theta, x, x_prime, e, t, w_hat):
@@ -62,7 +109,7 @@ def reference_float_block(code, theta, x, x_prime, e, t, w_hat):
     ens_prime = cosetrho.coset_ensemble(code, x_prime, theta)
     low = quantum.ball_projector(e, w_hat, t)
     k = len(code.kernel_span)
-    amps = quantum.framed_amplitudes(
+    amps = framed_amplitudes(
         np.vstack([ens.members, ens_prime.members]), theta, theta ^ 1, low
     )
     a, a_prime = amps[:k], amps[k:]
@@ -423,50 +470,54 @@ def test_certificate_checks_each_operand_once(monkeypatch, e):
 
 
 def test_gram_blocks_are_built_once_per_code_syndrome_and_ball(monkeypatch):
-    """Each (syndrome, theta, ball) Gram block is built from one
-    framed-amplitude matrix per code, however many pairs share it."""
+    """Each (syndrome, ball) Gram block is built from one sign matrix per
+    code and kept under one memo key, however many pairs share it; another
+    theta reuses it, since the block over theta's conjugate frame is the
+    same for every theta."""
     built = []
-    real = quantum._framed_amplitudes
-    monkeypatch.setattr(quantum, "_framed_amplitudes",
-                        lambda words, *rest: built.append(len(words)) or real(words, *rest))
+    real = cosetrho._parity_signs
+    monkeypatch.setattr(cosetrho, "_parity_signs",
+                        lambda words, low: built.append(len(words)) or real(words, low))
     f = gf2.bitmatrix(["1110000", "0011100", "0000111"])
     code = gf2.LinearCode(f=f, r=1, m=2)
+
+    def gram_keys(on):
+        return [key for key in on.memo._kept if key[0] == "gram"]
+
     syndromes = valid_syndromes(code)
     assert len(syndromes) == 8
+    blocks = {}
     for x, x_prime in itertools.combinations(syndromes, 2):
         for t in (0, 1):
-            cosetrho.lemma1_certificate(code, "0101010", x, x_prime, range(7), t, "0" * 7)
+            args = (code, "0101010", x, x_prime, range(7), t, "0" * 7)
+            cosetrho.lemma1_certificate(*args)
+            blocks[x.tobytes(), x_prime.tobytes(), t] = low_ball_block(*args)[0]
     assert len(built) == 16 and set(built) == {len(code.kernel_span)}
-    # another theta, centre, subset or code is a Gram block of its own
-    for theta, e, w_hat, on in (("1101010", range(7), "0" * 7, code),
-                                ("0101010", range(7), "1" + "0" * 6, code),
-                                ("0101010", [0, 1], "0" * 7, code),
-                                ("0101010", range(7), "0" * 7, gf2.LinearCode(f=f, r=1, m=2))):
-        cosetrho.lemma1_certificate(on, theta, syndromes[0], syndromes[1], e, 1, w_hat)
-    assert len(built) == 24
+    assert len(gram_keys(code)) == 16
+    for theta in ("1101010", "xxxxxxx"):
+        for (x, x_prime, t), block in blocks.items():
+            args = (code, theta, np.frombuffer(x, dtype=np.uint8),
+                    np.frombuffer(x_prime, dtype=np.uint8), range(7), t, "0" * 7)
+            assert np.array_equal(low_ball_block(*args)[0], block)
+    assert len(built) == 16
+    # another centre, subset or code is a Gram block of its own
+    for e, w_hat, on in ((range(7), "1" + "0" * 6, code), ([0, 1], "0" * 7, code),
+                         (range(7), "0" * 7, gf2.LinearCode(f=f, r=1, m=2))):
+        cosetrho.lemma1_certificate(on, "0101010", syndromes[0], syndromes[1], e, 1, w_hat)
+    assert len(built) == 22 and len(gram_keys(code)) == 20
 
 
-@pytest.mark.parametrize("moved, ok", [(1e-13, True), (1e-11, False)])
-def test_gram_refuses_amplitudes_that_rounding_moves(monkeypatch, moved, ok):
-    """An amplitude 2^(N/2) a that rounding to +-1 moves by more than
-    GRAM_ROUNDING_TOL raises FloatingPointError; within it, the block is
-    still exact."""
-    real = quantum._framed_amplitudes
-
-    def nudged(words, theta, theta_hat, indices):
-        amps = real(words, theta, theta_hat, indices)
-        amps[0, 0] += moved * 2.0 ** (-theta.size / 2)
-        return amps
-
-    monkeypatch.setattr(quantum, "_framed_amplitudes", nudged)
-    code = gf2.parity_code(4)
-    if ok:
-        cert = cosetrho.lemma1_certificate(code, "0x0x", [0], [1], range(4), 1, "0000")
-        assert cert.max_defect == 0.0
-    else:
-        with pytest.raises(FloatingPointError):
-            cosetrho.lemma1_certificate(code, "0x0x", [0], [1], range(4), 1, "0000")
-        assert not any(key[0] == "gram" for key in code.memo._kept)
+@pytest.mark.parametrize("check", [cosetrho.lemma1_certificate, cosetrho.distinguishing_witness])
+def test_certificates_reject_a_syndrome_outside_the_image(check):
+    """A rank-deficient f has syndromes with an empty coset; either one of
+    the pair is refused before any low ball or Gram block is built."""
+    code = gf2.LinearCode(f=gf2.bitmatrix(["1100", "1100", "0011"]), r=1, m=2)
+    inside, outside = [0, 0, 1], [1, 0, 0]
+    assert code.particular(inside) is not None and code.particular(outside) is None
+    for x, x_prime in ((inside, outside), (outside, inside)):
+        with pytest.raises(DomainError, match="image of f"):
+            check(code, "0000", x, x_prime, range(4), 1, "0000")
+    assert not any(key[0] in ("gram", "low ball") for key in code.memo._kept)
 
 
 def test_nonzero_blocks_are_solved_one_row_span_coset_at_a_time(monkeypatch):

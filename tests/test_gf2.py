@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qotsim import gf2
+from qotsim import attacks, cosetrho, gf2
 from qotsim.errors import DimensionError, DomainError, ResourceError
 
 
@@ -565,6 +565,33 @@ def test_linear_code_solver_is_solve_affine_bit_for_bit(f, seed, consistent):
     assert code.kernel.dtype == np.uint8
     assert np.array_equal(code.kernel, kern)
     assert np.array_equal(code.kernel, gf2.kernel_basis(f))
+
+
+def test_a_code_row_reduces_once(monkeypatch):
+    """The kernel basis and the syndrome map come from one reduction of
+    [f | I] per code."""
+    reduced = []
+    real = gf2._row_reduce
+    monkeypatch.setattr(gf2, "_row_reduce", lambda a: reduced.append(a.shape) or real(a))
+    code = gf2.LinearCode(f=gf2.bitmatrix(["1110000", "0011100", "0011100"]), r=1, m=2)
+    assert code.kernel.shape == (5, 7) and code.particular([1, 0, 0]) is not None
+    assert code.kernel_span.shape == (32, 7) and code.particular([0, 1, 0]) is None
+    assert reduced == [(3, 10)]
+
+
+@pytest.mark.parametrize("bad", [[1.5, 2.9], [0.7, 3.2], [True, False], np.array([1.0])],
+                         ids=["floats", "float-bits", "bools", "integral-float"])
+@pytest.mark.parametrize("entry", [
+    lambda e: gf2.position_set(e, 4),
+    lambda e: attacks.store_subset(positions=e),
+    lambda e: cosetrho.lemma1_certificate(gf2.parity_code(4), "0000", [0], [1], e, 1, "0000"),
+], ids=["position_set", "store_subset", "lemma1_certificate"])
+def test_positions_that_are_not_integers_are_refused(entry, bad):
+    """A float or bool position raises DomainError instead of being
+    truncated; an empty list of positions stays valid."""
+    with pytest.raises(DomainError, match="integers"):
+        entry(bad)
+    entry([])
 
 
 def test_particular_solutions_are_solved_once_per_syndrome(monkeypatch):

@@ -260,29 +260,6 @@ def test_shift_op_conjugate_matches_its_kron_matrix(vec, data):
     assert np.allclose(op.conjugate(rho), u @ rho @ u, atol=1e-12)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_framed_amplitudes_are_columns_of_the_frame_change(n, seed):
-    rng = np.random.default_rng(seed)
-    words = gf2.random_bitmatrix(rng, int(rng.integers(1, 5)), n)
-    theta, theta_hat = gf2.random_bits(rng, n), gf2.random_bits(rng, n)
-    indices = rng.permutation(1 << n)[: int(rng.integers(0, (1 << n) + 1))]
-    framed = np.array([quantum.to_frame(v, theta_hat) for v in quantum.bb84_states(words, theta)])
-    got = quantum.framed_amplitudes(words, theta, theta_hat, indices)
-    assert got.shape == (len(words), indices.size)
-    assert np.max(np.abs(got - framed[:, indices]), initial=0.0) < 1e-14
-
-
-def test_framed_amplitudes_validation():
-    with pytest.raises(DimensionError):
-        quantum.framed_amplitudes(np.zeros((1, 3), dtype=np.uint8), "00", "00", [0])
-    with pytest.raises(DomainError):
-        quantum.framed_amplitudes(np.zeros((1, 2), dtype=np.uint8), "00", "00", [4])
-    big = quantum.STATEVECTOR_MAX_N + 1
-    with pytest.raises(ResourceError):
-        quantum.framed_amplitudes(np.zeros((1, big), dtype=np.uint8), [0] * big, [0] * big, [0])
-
-
 def test_measure_photon_deterministic_when_aligned():
     state = quantum.bb84_state([1, 0], [quantum.PLUS, quantum.CROSS])
     rng = FixedUniform(0.999)  # threshold never reached spuriously
