@@ -87,18 +87,38 @@ def bitmatrix(values, rows: Optional[int] = None, cols: Optional[int] = None) ->
     return m
 
 
+_BOOL_TYPES = frozenset({bool, np.bool_})
+
+
+def position_array(members) -> np.ndarray:
+    """members as a flat int64 array, in their given order.
+
+    Entries must be integers: floats and bools raise DomainError instead of
+    being truncated. int64 array input comes back uncopied.
+    """
+    e = np.asarray(members)
+    if e.size and (e.dtype.kind not in "iu" or _lists_a_bool(members, e.ndim)):
+        raise DomainError("positions must be integers")
+    return e.ravel().astype(np.int64, copy=False)
+
+
+def _lists_a_bool(members, ndim: int) -> bool:
+    """Whether input that numpy reads as integers lists a bool: numpy casts
+    a list that mixes ints and bools to int64."""
+    if isinstance(members, (np.ndarray, range)):
+        return False
+    entries = members if ndim == 1 else np.asarray(members, dtype=object).ravel()
+    return not _BOOL_TYPES.isdisjoint(map(type, entries))
+
+
 def position_set(members, universe: int) -> np.ndarray:
     """Sorted duplicate-free index array over {0, ..., universe-1}.
 
-    Entries must be integers: floats and bools raise DomainError instead of
-    being truncated. Input that is already strictly increasing comes back
-    as is, so the result may share memory with members: callers only read
-    it.
+    Entries are checked by position_array. Input that is already strictly
+    increasing comes back as is, so the result may share memory with
+    members: callers only read it.
     """
-    e = np.asarray(members).ravel()
-    if e.size and e.dtype.kind not in "iu":
-        raise DomainError("positions must be integers")
-    e = e.astype(np.int64, copy=False)
+    e = position_array(members)
     if e.size > 1 and not (e[1:] > e[:-1]).all():
         e = np.unique(e)
     if e.size and (e[0] < 0 or e[-1] >= universe):

@@ -182,33 +182,38 @@ class Reception:
     """Bob's end of the channel.
 
     Exposes only projective measurement; the encoding data stays private
-    to the instance. EXACT_QUANTUM holds the full statevector, real like
-    every BB84 encoding and probe rotation, and collapses it one block at a
-    time (quantum.measure_photons measures each photon on the shrinking
-    remainder and assembles the state once). CLASSICAL_FAST holds per
-    photon a basis state bit and an index into the run's angle table, whose
-    entries 0 and 1 are the +/x basis angles, so theta is the initial index
-    array. An angle joins the table when a measurement first uses it, and
-    only then is the Born table of p1 per (held angle, bit, probe angle)
-    rebuilt; a protocol run uses at most three angles.
+    to the instance. No step of the protocol entangles photons, so both
+    modes hold one record per photon. EXACT_QUANTUM holds the exact product
+    state as its factors, an (n, 2) float64 array of per-photon amplitudes
+    starting from quantum._PHOTONS[theta, encoded], and measures through
+    quantum.measure_factors, which computes each photon's Born probability
+    from its amplitudes and overwrites its row with the outcome's basis
+    state. CLASSICAL_FAST holds per photon a basis state bit and an index
+    into the run's angle table, whose entries 0 and 1 are the +/x basis
+    angles, so theta is the initial index array. An angle joins the table
+    when a measurement first uses it, and only then is the Born table of p1
+    per (held angle, bit, probe angle) rebuilt; a protocol run uses at most
+    three angles. The two modes share no Born arithmetic, so criterion 09's
+    mode-equivalence checks compare independent paths.
 
     Measurement comes in blocks: measure_many takes k distinct positions,
     each with its finite angle, and consumes one uniform per photon in
-    block order, in either mode. CLASSICAL_FAST compares the block's angles
-    with the table's entries, gathers p1 per photon from the Born table,
-    and draws the block's uniforms with one rng.random(k) call, which
-    yields the same doubles as k scalar draws. So a block and a photon-by-photon loop leave
-    the same outcomes and the same generator state. measure and
-    measure_basis measure one photon directly and draw one scalar, as does
-    a block of one position. Bad positions and non-finite angles raise
-    DomainError before anything is drawn.
+    block order, in either mode. EXACT_QUANTUM builds each distinct angle's
+    basis once and measures the block in one step; CLASSICAL_FAST compares
+    the block's angles with the table's entries and gathers p1 per photon
+    from the Born table. Both draw the block's uniforms with one
+    rng.random(k) call, which yields the same doubles as k scalar draws, so
+    a block and a photon-by-photon loop leave the same outcomes and the
+    same generator state. measure and measure_basis measure one photon, as
+    does a block of one position. Bad positions (bools among them) and
+    non-finite angles raise DomainError before anything is drawn.
     """
 
     def __init__(self, mode: Mode, n: int, encoded: np.ndarray, theta: np.ndarray):
         self.mode = mode
         self.n = n
         if mode is Mode.EXACT_QUANTUM:
-            self._state = quantum.bb84_state(encoded, theta)
+            self._factors = quantum._PHOTONS[theta, encoded]
         else:
             self._angles: List[float] = []
             self._learn(_BASIS_ANGLES.tolist())
@@ -218,9 +223,7 @@ class Reception:
     def measure_many(self, positions, angles, rng: np.random.Generator) -> np.ndarray:
         """Measure the photons at positions, in order, each at its angle
         (one angle may serve the whole block); returns the outcome bits."""
-        pos = np.asarray(positions).ravel()
-        if pos.size and pos.dtype.kind not in "iu":
-            raise DomainError("measurement positions must be integers")
+        pos = gf2.position_array(positions)
         angles = np.asarray(angles, dtype=float)
         if angles.shape not in ((), pos.shape):
             raise DimensionError("give one angle, or one per position")
@@ -228,23 +231,21 @@ class Reception:
             raise DomainError("measurement angles must be finite")
         if not pos.size:
             return np.zeros(0, dtype=np.uint8)
+        if self.mode is Mode.EXACT_QUANTUM:
+            # a block holds few distinct angles: build each one's basis once
+            probes = np.full(pos.shape, angles).tolist()
+            rotation = {angle: quantum.angle_basis(angle) for angle in set(probes)}
+            return quantum.measure_factors(
+                self._factors, pos, [rotation[angle] for angle in probes], rng
+            )
         if pos.size == 1:
             return np.array([self._measure_one(int(pos[0]), float(angles.flat[0]), rng)],
                             dtype=np.uint8)
-        pos = pos.astype(np.int64)
         ordered = pos if (pos[1:] > pos[:-1]).all() else np.sort(pos)
         if ordered[0] < 0 or ordered[-1] >= self.n:
             raise DomainError("measurement position out of range")
         if (ordered[1:] == ordered[:-1]).any():
             raise DomainError("a block measures each position at most once")
-        if self.mode is Mode.EXACT_QUANTUM:
-            # a block holds few distinct angles: build each one's basis once
-            probes = np.full(pos.shape, angles).tolist()
-            rotation = {angle: quantum.angle_basis(angle) for angle in set(probes)}
-            out, self._state = quantum.measure_photons(
-                self._state, pos.tolist(), [rotation[angle] for angle in probes], rng
-            )
-            return out
         probe = self._index(angles)
         p1 = self._born[self._held[pos], self._bits[pos], probe]
         out = (rng.random(pos.size) < p1).astype(np.uint8)
@@ -280,13 +281,12 @@ class Reception:
         ]).reshape(size, 2, size)
 
     def _measure_one(self, i: int, angle: float, rng: np.random.Generator) -> int:
+        if self.mode is Mode.EXACT_QUANTUM:
+            return int(quantum.measure_factors(
+                self._factors, [i], [quantum.angle_basis(angle)], rng
+            )[0])
         if not 0 <= i < self.n:
             raise DomainError("measurement position out of range")
-        if self.mode is Mode.EXACT_QUANTUM:
-            out, self._state = quantum.measure_photon(
-                self._state, i, quantum.angle_basis(angle), rng
-            )
-            return out
         probe = self._index(angle)
         out = int(rng.random() < self._born[self._held[i], self._bits[i], probe])
         self._held[i] = probe

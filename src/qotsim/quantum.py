@@ -6,11 +6,15 @@ significant bit). Encoded states: |0>+ = (1,0), |1>+ = (0,1),
 |0>x = (|0>+ + |1>+)/sqrt2, |1>x = (|0>+ - |1>+)/sqrt2, which are the
 polarizations 0, 90, 45, -45 degrees. All chosen amplitudes are real, which
 makes the sign behavior of the shift unitaries exact, and so is every probe
-rotation: encodings and angle bases are float64 arrays, and a measurement
-keeps its inputs' dtype, so a BB84 statevector stays real through every
-collapse (complex states still work). A block of measurements splits each
-outcome off as a product factor and measures the block's later photons on
-the shrinking remainder, assembling the full state once at the end.
+rotation: encodings and angle bases are float64 arrays.
+
+Measurement comes in two forms. No step of the protocol entangles photons,
+so a BB84 product state is held as its factors, an (n, 2) float64 array of
+per-photon amplitudes, and measure_factors measures a block of photons in
+one vectorised step, each on its own row; this is the form a receiver
+uses. measure_photons measures the same block on a full 2^n statevector,
+keeping its inputs' dtype (complex states still work), and is the
+reference the factored form is tested against.
 
 Densities and frames keep their input's dtype too: density_from_ensemble,
 density_in_frame, to_frame/from_frame and ShiftOp.conjugate return
@@ -164,7 +168,7 @@ def measure_photon(state: np.ndarray, i: int, rotation: np.ndarray, rng) -> tupl
 def measure_photons(state: np.ndarray, positions, rotations, rng) -> tuple:
     """Projectively measure the photons at positions, in order, each in the
     basis given by the columns of its rotation (rotations aligns with
-    positions).
+    positions), on a full statevector: the reference for measure_factors.
 
     Each outcome o splits its photon off as the product factor rot[:, o],
     so the block's later photons are measured on the remainder over the
@@ -217,6 +221,64 @@ def measure_photons(state: np.ndarray, positions, rotations, rng) -> tuple:
         product = np.multiply.outer(product, rot[:, outcome]).ravel()
     full = np.multiply.outer(product / math.sqrt(weight), rest).reshape((2,) * n)
     return outcomes, np.moveaxis(full, range(k), positions).reshape(-1)
+
+
+def measure_factors(factors: np.ndarray, positions, rotations, rng) -> np.ndarray:
+    """Projectively measure the photons at positions of the product state
+    whose photon i has the real amplitudes factors[i], each in the basis
+    given by the columns of its rotation (rotations[j], a real 2x2 matrix,
+    serves positions[j]). factors is an (n, 2) float64 array, updated in
+    place: each measured row is overwritten by its rotation's outcome
+    column times the sign of its outcome component, which is the
+    normalised projection, so the rows stay real and of unit norm and
+    their kron is the collapsed statevector of measure_photons.
+
+    A product state keeps each photon's statistics to its own row, so the
+    block is measured in one vectorised step. Each photon's outcome
+    components c = rot^T psi are taken as two rounded products and a
+    rounded sum, p1 = c1^2 / (c0^2 + c1^2), and the block's uniforms come
+    from one rng.random(k) call, which yields the same doubles as k scalar
+    draws in block order. Every check, on every measured row's amplitudes
+    (finite, not all zero) included, runs before the draw. Returns the
+    outcome bits in block order.
+    """
+    if not isinstance(factors, np.ndarray) or factors.dtype != np.float64:
+        raise DomainError("photon factors are a float64 array")
+    if factors.ndim != 2 or factors.shape[1] != 2:
+        raise DimensionError("photon factors are an (n, 2) array")
+    positions = gf2.position_array(positions)
+    k = positions.size
+    try:
+        rotations = np.asarray(rotations)
+    except ValueError as exc:  # rotations of different shapes
+        raise DimensionError("a photon rotation is a 2x2 matrix") from exc
+    if rotations.dtype.kind not in "iuf":
+        raise DomainError("factored measurement takes real rotations")
+    # an empty block may come with an empty list of rotations
+    if rotations.shape != (k, 2, 2) and (k or rotations.size):
+        raise DimensionError("give one 2x2 rotation per measured photon")
+    if not k:
+        return np.zeros(0, dtype=np.uint8)
+    listed = positions.tolist()
+    if min(listed) < 0 or max(listed) >= factors.shape[0]:
+        raise DomainError(f"photon index outside [0, {factors.shape[0]})")
+    if len(set(listed)) != k:
+        raise DomainError("a block measures each photon at most once")
+    psi = factors[positions]
+    if not np.isfinite(psi).all():
+        raise DomainError("cannot measure a photon whose amplitudes are not finite")
+    # c[j, o] = rot[0, o] psi[0] + rot[1, o] psi[1]: a sum of two entries
+    # adds them once, so no fused multiply-add can change a digit
+    c = (rotations.astype(float, copy=False) * psi[:, :, None]).sum(axis=1)
+    squares = c * c
+    total = squares.sum(axis=1)
+    if not (total > 0.0).all():
+        raise DomainError("cannot measure a photon whose norm is zero or NaN")
+    outcomes = (rng.random(k) < squares[:, 1] / total).astype(np.uint8)
+    # the drawn outcome has c_o != 0: u < p1 needs p1 > 0, u >= p1 needs p1 < 1
+    block = np.arange(k)
+    factors[positions] = rotations[block, :, outcomes] * np.sign(c[block, outcomes])[:, None]
+    return outcomes
 
 
 def density_from_ensemble(states, probs) -> np.ndarray:

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from qotsim import cli, cosetrho, protocol
+from qotsim import cli, cosetrho, protocol, quantum
 
 QOT_ARGS = [
     "simulate", "--protocol", "qot", "--n", "16", "--N", "4", "--m", "1",
@@ -53,6 +53,14 @@ def test_resource_cap_maps_to_exit_two(tmp_path, capsys):
     code = run(["attack", "--n", "50", "--out", str(tmp_path)])
     assert code == 2
     assert "resource cap" in capsys.readouterr().err
+
+
+def test_exact_quantum_past_the_statevector_cap_exits_two(tmp_path, capsys):
+    n = quantum.STATEVECTOR_MAX_N + 1
+    code = run(["simulate", "--mode", "EXACT_QUANTUM", "--n", str(n), "--out", str(tmp_path)])
+    assert code == 2
+    assert (f"resource cap: EXACT_QUANTUM caps at n={quantum.STATEVECTOR_MAX_N}"
+            in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

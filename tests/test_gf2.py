@@ -579,8 +579,10 @@ def test_a_code_row_reduces_once(monkeypatch):
     assert reduced == [(3, 10)]
 
 
-@pytest.mark.parametrize("bad", [[1.5, 2.9], [0.7, 3.2], [True, False], np.array([1.0])],
-                         ids=["floats", "float-bits", "bools", "integral-float"])
+@pytest.mark.parametrize("bad", [[1.5, 2.9], [0.7, 3.2], [True, False], np.array([1.0]),
+                                 [1, True], [True], np.array([True])],
+                         ids=["floats", "float-bits", "bools", "integral-float",
+                              "int-and-bool", "bool", "bool-array"])
 @pytest.mark.parametrize("entry", [
     lambda e: gf2.position_set(e, 4),
     lambda e: attacks.store_subset(positions=e),

@@ -2,6 +2,7 @@
 set choice, decoding, transcripts, and the two execution modes."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -108,12 +109,25 @@ def test_transmit_noiseless_keeps_the_encoding():
 
 
 def test_transmit_statevector_cap():
-    w = np.zeros(21, dtype=np.uint8)
-    with pytest.raises(ResourceError):
+    """EXACT_QUANTUM stops at STATEVECTOR_MAX_N photons, though its
+    reception forms no statevector; CLASSICAL_FAST has no such cap."""
+    cap = quantum.STATEVECTOR_MAX_N
+    w = np.zeros(cap + 1, dtype=np.uint8)
+    with pytest.raises(ResourceError, match=f"EXACT_QUANTUM caps at n={cap}"):
         protocol.transmit(
             w, w, protocol.ChannelModel.noiseless(),
             protocol.Mode.EXACT_QUANTUM, np.random.default_rng(0),
         )
+    _, reception = protocol.transmit(
+        w, w, protocol.ChannelModel.noiseless(),
+        protocol.Mode.CLASSICAL_FAST, np.random.default_rng(0),
+    )
+    assert not reception.measure_many(np.arange(cap + 1), 0.0, np.random.default_rng(1)).any()
+    _, reception = protocol.transmit(
+        w[:cap], w[:cap], protocol.ChannelModel.noiseless(),
+        protocol.Mode.EXACT_QUANTUM, np.random.default_rng(0),
+    )
+    assert not reception.measure_many(np.arange(cap), 0.0, np.random.default_rng(1)).any()
 
 
 def test_transmit_bitflip_flips_the_encoded_bit():
@@ -338,13 +352,21 @@ def test_one_photon_measure_rejects_what_a_block_rejects(mode):
 
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
 def test_block_rejects_repeated_and_out_of_range_positions(mode):
-    reception, _ = twin_receptions(mode, 5, 3)
+    reception, twin = twin_receptions(mode, 5, 3)
     rng = np.random.default_rng(0)
-    for bad in ([1, 3, 1], [-1], [5], [0, 5], [1.0], [True]):
+    before = rng.bit_generator.state
+    # numpy casts a list that mixes ints and bools to int64: the bool is
+    # still refused, not measured as position 1 or 0
+    for bad in ([1, 3, 1], [-1], [5], [0, 5], [1.0], [True], [2, True], np.array([True]),
+                (np.False_, 3)):
         with pytest.raises(DomainError):
             reception.measure_many(bad, 0.0, rng)
     with pytest.raises(DimensionError):
         reception.measure_many([0, 1], [0.0, 0.1, 0.2], rng)
+    assert rng.bit_generator.state == before
+    every = np.arange(5)
+    assert np.array_equal(reception.measure_many(every, 0.4, np.random.default_rng(1)),
+                          twin.measure_many(every, 0.4, np.random.default_rng(1)))
 
 
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
@@ -357,6 +379,81 @@ def test_empty_block_draws_nothing(mode):
     assert rng.bit_generator.state == before
 
 
+class ScriptedRng:
+    """Returns the scripted uniforms in order, one or an array at a time."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.drawn = 0
+
+    def random(self, size=None):
+        take = 1 if size is None else size
+        out = self.values[self.drawn:self.drawn + take]
+        assert len(out) == take, "the script ran out of uniforms"
+        self.drawn += take
+        return out[0] if size is None else np.array(out)
+
+
+# angles on a grid of pi/16 and uniforms at odd multiples of 1/128: every
+# Born probability is sin^2 of a multiple of pi/16, at least 1e-3 from
+# every scripted uniform, so rounding cannot split the two measurements
+GRID_ANGLES = [k * math.pi / 16 for k in range(-16, 17)]
+GRID_UNIFORMS = [(2 * j + 1) / 128 for j in range(64)]
+
+
+@st.composite
+def reference_steps(draw):
+    """A photon count up to 8, an encoding, and a run of steps: blocks at
+    one angle or at one angle per photon, and single positions, which
+    measure photons again as the run goes on."""
+    n = draw(st.integers(1, 8))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    encoded, theta = draw(bits), draw(bits)
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            steps.append((draw(st.integers(0, n - 1)), draw(st.sampled_from(GRID_ANGLES))))
+            continue
+        positions = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=n))
+        if draw(st.booleans()):
+            angles = draw(st.sampled_from(GRID_ANGLES))
+        else:
+            angles = draw(st.lists(st.sampled_from(GRID_ANGLES),
+                                   min_size=len(positions), max_size=len(positions)))
+        steps.append((positions, angles))
+    uniforms = draw(st.lists(st.sampled_from(GRID_UNIFORMS), min_size=8 * 6, max_size=8 * 6))
+    return n, np.array(encoded, dtype=np.uint8), np.array(theta, dtype=np.uint8), steps, uniforms
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_steps())
+def test_factored_reception_matches_the_statevector_reference(case):
+    """The EXACT_QUANTUM reception measures its per-photon factors; the
+    statevector measure_photons on bb84_state of the same encoding, fed the
+    same uniforms, gives the same outcomes, and the kron of the factors is
+    its collapsed state."""
+    n, encoded, theta, steps, uniforms = case
+    reception = protocol.Reception(protocol.Mode.EXACT_QUANTUM, n, encoded, theta)
+    state = quantum.bb84_state(encoded, theta)
+    rng, ref_rng = ScriptedRng(uniforms), ScriptedRng(uniforms)
+    for positions, angles in steps:
+        if isinstance(positions, int):
+            got = [reception.measure(positions, angles, rng)]
+            positions, angles = [positions], [angles]
+        else:
+            got = reception.measure_many(positions, angles, rng).tolist()
+        probes = np.broadcast_to(angles, len(positions)).tolist()
+        expected, state = quantum.measure_photons(
+            state, positions, [quantum.angle_basis(a) for a in probes], ref_rng
+        )
+        assert got == expected.tolist()
+        assert rng.drawn == ref_rng.drawn
+        factors = reception._factors
+        assert factors.dtype == np.float64
+        kron = functools.reduce(np.kron, factors)
+        assert np.max(np.abs(kron - state)) < 1e-12
+
+
 def test_exact_block_builds_one_basis_per_distinct_angle(monkeypatch):
     reception, _ = twin_receptions(protocol.Mode.EXACT_QUANTUM, 6, 7)
     built = []
@@ -367,16 +464,21 @@ def test_exact_block_builds_one_basis_per_distinct_angle(monkeypatch):
     assert sorted(built) == [0.0, math.pi / 4]
 
 
+def assert_real_unit_factors(reception):
+    factors = reception._factors
+    assert factors.dtype == np.float64 and factors.shape == (reception.n, 2)
+    assert np.all(np.abs(np.linalg.norm(factors, axis=1) - 1.0) < quantum.PHYS_TOL)
+
+
 def test_exact_reception_state_stays_real_across_blocks():
     reception, _ = twin_receptions(protocol.Mode.EXACT_QUANTUM, 6, 11)
     rng = np.random.default_rng(5)
-    assert reception._state.dtype == np.float64
+    assert_real_unit_factors(reception)
     reception.measure_many([4, 0, 2], protocol.basis_angle([1, 0, 1]), rng)
-    assert reception._state.dtype == np.float64
+    assert_real_unit_factors(reception)
     reception.measure(3, 0.4, rng)
     reception.measure_many([5, 1], 1.1, rng)
-    assert reception._state.dtype == np.float64
-    assert abs(np.linalg.norm(reception._state) - 1.0) < quantum.PHYS_TOL
+    assert_real_unit_factors(reception)
 
 
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])

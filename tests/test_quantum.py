@@ -40,15 +40,16 @@ def outer_density(states, probs):
 
 
 class FixedUniform:
-    """rng stub returning a scripted uniform; counts how many were drawn."""
+    """rng stub returning a scripted uniform, one or an array of them;
+    counts how many were drawn."""
 
     def __init__(self, value=0.7):
         self.value = value
         self.calls = 0
 
-    def random(self):
-        self.calls += 1
-        return self.value
+    def random(self, size=None):
+        self.calls += 1 if size is None else size
+        return self.value if size is None else np.full(size, self.value)
 
 
 def test_basis_string_and_text():
@@ -449,6 +450,76 @@ def test_measure_photons_on_an_empty_block_draws_nothing():
     outcomes, collapsed = quantum.measure_photons(state, [], [], rng)
     assert outcomes.size == 0 and rng.calls == 0
     assert np.array_equal(collapsed, state)
+
+
+def bb84_factors(w, theta):
+    return quantum._PHOTONS[gf2.bits(theta), gf2.bits(w)]
+
+
+def test_measure_factors_recovers_the_encoding_and_draws_once_per_photon():
+    w, theta = gf2.bits("10110"), gf2.bits("01011")
+    factors = bb84_factors(w, theta)
+    rotations = [quantum.angle_basis(math.pi / 4 * b) for b in theta]
+    rng = FixedUniform(0.3)
+    order = [4, 0, 2, 1, 3]
+    outcomes = quantum.measure_factors(factors, order, [rotations[i] for i in order], rng)
+    assert outcomes.dtype == np.uint8 and outcomes.tolist() == w[order].tolist()
+    assert rng.calls == 5
+    assert np.allclose(factors, bb84_factors(w, theta), atol=1e-12)
+
+
+@pytest.mark.parametrize("uniform", [0.01, 0.99])
+def test_measure_factors_overwrites_the_measured_rows_only(uniform):
+    """A measured row becomes the outcome column, signed like its overlap
+    with the row it replaces (the normalised projection)."""
+    factors = bb84_factors([1, 0, 1], [1, 1, 0])
+    before = factors.copy()
+    rot = quantum.angle_basis(2.5)
+    (outcome,) = quantum.measure_factors(factors, [1], [rot], FixedUniform(uniform))
+    column = rot[:, outcome]
+    assert np.array_equal(factors[1], column * np.sign(column @ before[1]))
+    assert np.array_equal(factors[[0, 2]], before[[0, 2]])
+
+
+def test_measure_factors_on_an_empty_block_draws_nothing():
+    factors = bb84_factors([1, 0], [1, 0])
+    rng = FixedUniform()
+    assert quantum.measure_factors(factors, [], [], rng).size == 0
+    assert rng.calls == 0
+    assert np.array_equal(factors, bb84_factors([1, 0], [1, 0]))
+
+
+def bad_row(value):
+    factors = bb84_factors([0, 1, 1], [0, 1, 0])
+    factors[2] = value
+    return factors
+
+
+@pytest.mark.parametrize("factors, positions, rotations, error", [
+    (bb84_factors([0, 1, 1], [0, 1, 0]), [0, 2, 0], [np.eye(2)] * 3, DomainError),
+    (bb84_factors([0, 1, 1], [0, 1, 0]), [1, 3], [np.eye(2)] * 2, DomainError),
+    (bb84_factors([0, 1, 1], [0, 1, 0]), [2, -1], [np.eye(2)] * 2, DomainError),
+    (bb84_factors([0, 1, 1], [0, 1, 0]), [1.0], [np.eye(2)], DomainError),
+    (bb84_factors([0, 1, 1], [0, 1, 0]), [2, True], [np.eye(2)] * 2, DomainError),
+    (bb84_factors([0, 1, 1], [0, 1, 0]), [0, 1], [np.eye(2), np.eye(3)], DimensionError),
+    (bb84_factors([0, 1, 1], [0, 1, 0]), [0, 1], [np.eye(2)], DimensionError),
+    (bb84_factors([0, 1, 1], [0, 1, 0]), [0], [np.eye(2) * 1j], DomainError),
+    (bb84_factors([0, 1, 1], [0, 1, 0]).astype(complex), [0], [np.eye(2)], DomainError),
+    (bb84_factors([0, 1, 1], [0, 1, 0]).reshape(2, 3), [0], [np.eye(2)], DimensionError),
+    (np.zeros((3, 2)), [1, 0], [np.eye(2)] * 2, DomainError),
+    (bad_row(np.nan), [0, 2], [np.eye(2)] * 2, DomainError),
+    (bad_row(np.inf), [2, 1], [np.eye(2)] * 2, DomainError),
+    (bad_row(0.0), [0, 1, 2], [np.eye(2)] * 3, DomainError),
+], ids=["duplicate", "past-the-end", "negative", "float-index", "bool-index", "rotation-3x3",
+        "rotation-count", "complex-rotation", "complex-factors", "factor-shape", "zero-rows",
+        "nan-row", "inf-row", "last-row-zero"])
+def test_measure_factors_checks_everything_before_the_draw(factors, positions, rotations, error):
+    rng = FixedUniform()
+    before = factors.copy()
+    with pytest.raises(error):
+        quantum.measure_factors(factors, positions, rotations, rng)
+    assert rng.calls == 0
+    assert np.array_equal(factors, before, equal_nan=True)
 
 
 def test_density_from_ensemble_and_checks():
