@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
@@ -76,7 +77,8 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Run configuration. N defaults to floor(0.24 n); epsilon to 8 delta."""
+    """Run configuration. N defaults to floor(0.24 n); epsilon to 8 delta.
+    n, m, r, N and seed are kept as Python ints."""
 
     n: int
     m: int
@@ -89,6 +91,12 @@ class ProtocolParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "m", "r", "N", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "N" and value is None):
+                if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+                    raise DomainError(f"{name} must be an integer, not {type(value).__name__}")
+                object.__setattr__(self, name, operator.index(value))
         if self.n < 1:
             raise DomainError("need at least one photon")
         if self.m < 1:
@@ -149,8 +157,8 @@ _BASIS_ANGLES = np.array([0.0, math.pi / 4])  # indexed by quantum.PLUS, quantum
 
 def basis_angle(basis):
     """Measurement angle of a +/x basis label, elementwise over an array
-    of labels."""
-    return _BASIS_ANGLES[np.asarray(basis, dtype=np.intp)]
+    of labels. A label other than 0 or 1 raises DomainError."""
+    return _BASIS_ANGLES[gf2._bit_array(basis, "basis label")]
 
 
 @dataclass(frozen=True)
@@ -178,47 +186,55 @@ def _born_p1(held: float, bit: int, probe: float) -> float:
     return abs(c0 * v0 + c1 * v1) ** 2
 
 
+def _born_table(angles: List[float]) -> np.ndarray:
+    """p1 per (held angle, bit, probe angle) over an angle table."""
+    size = len(angles)
+    return np.array([
+        _born_p1(held, bit, probe) for held in angles for bit in (0, 1) for probe in angles
+    ]).reshape(size, 2, size)
+
+
+# every run's angle table starts at the basis angles; _learn never writes these
+_BASIS_ROTATIONS = np.array([quantum.angle_basis(angle) for angle in _BASIS_ANGLES.tolist()])
+_BASIS_BORN = _born_table(_BASIS_ANGLES.tolist())
+
+
 class Reception:
-    """Bob's end of the channel.
+    """Bob's end of the channel: projective measurement only, the encoding
+    data private. No step of the protocol entangles photons, so either
+    mode keeps one record per photon, at any n: EXACT_QUANTUM the exact
+    product state as an (n, 2) float64 array of per-photon amplitudes,
+    CLASSICAL_FAST a basis state bit and an index into the angle table.
 
-    Exposes only projective measurement; the encoding data stays private
-    to the instance. No step of the protocol entangles photons, so both
-    modes hold one record per photon. EXACT_QUANTUM holds the exact product
-    state as its factors, an (n, 2) float64 array of per-photon amplitudes
-    starting from quantum._PHOTONS[theta, encoded], and measures through
-    quantum.measure_factors, which computes each photon's Born probability
-    from its amplitudes and overwrites its row with the outcome's basis
-    state. CLASSICAL_FAST holds per photon a basis state bit and an index
-    into the run's angle table, whose entries 0 and 1 are the +/x basis
-    angles, so theta is the initial index array. An angle joins the table
-    when a measurement first uses it, and only then is the Born table of p1
-    per (held angle, bit, probe angle) rebuilt; a protocol run uses at most
-    three angles. The two modes share no Born arithmetic, so criterion 09's
-    mode-equivalence checks compare independent paths.
+    Each run has one angle table. It starts at the +/x basis angles, and
+    an angle joins it, matched by value, when a measurement first uses it
+    (a protocol run uses at most three). An entry carries its rotation
+    from quantum.angle_basis (EXACT_QUANTUM); the Born table of p1 per
+    (held angle, bit, probe angle) is rebuilt when the table grows
+    (CLASSICAL_FAST).
 
-    Measurement comes in blocks: measure_many takes k distinct positions,
-    each with its finite angle, and consumes one uniform per photon in
-    block order, in either mode. EXACT_QUANTUM builds each distinct angle's
-    basis once and measures the block in one step; CLASSICAL_FAST compares
-    the block's angles with the table's entries and gathers p1 per photon
-    from the Born table. Both draw the block's uniforms with one
-    rng.random(k) call, which yields the same doubles as k scalar draws, so
-    a block and a photon-by-photon loop leave the same outcomes and the
-    same generator state. measure and measure_basis measure one photon, as
-    does a block of one position. Bad positions (bools among them) and
-    non-finite angles raise DomainError before anything is drawn.
+    measure_many checks a block of distinct positions with finite angles,
+    measure one photon; both then call _measure, the one core, which
+    measures the factors through quantum._measure_factors or gathers p1
+    from the Born table. The modes share no Born arithmetic, so criterion
+    09 compares independent paths. Both draw a block's k uniforms with
+    one rng.random(k) call, the same doubles as k scalar draws, so a
+    block and a photon-by-photon loop leave the same outcomes and
+    generator state. Bad positions (bools among them) and non-finite
+    angles raise DomainError before any draw.
     """
 
     def __init__(self, mode: Mode, n: int, encoded: np.ndarray, theta: np.ndarray):
         self.mode = mode
         self.n = n
+        self._angles: List[float] = _BASIS_ANGLES.tolist()
         if mode is Mode.EXACT_QUANTUM:
             self._factors = quantum._PHOTONS[theta, encoded]
+            self._rotations = _BASIS_ROTATIONS
         else:
-            self._angles: List[float] = []
-            self._learn(_BASIS_ANGLES.tolist())
             self._held = theta.astype(np.intp)
             self._bits = encoded.astype(np.uint8).copy()
+            self._born = _BASIS_BORN
 
     def measure_many(self, positions, angles, rng: np.random.Generator) -> np.ndarray:
         """Measure the photons at positions, in order, each at its angle
@@ -231,22 +247,34 @@ class Reception:
             raise DomainError("measurement angles must be finite")
         if not pos.size:
             return np.zeros(0, dtype=np.uint8)
-        if self.mode is Mode.EXACT_QUANTUM:
-            # a block holds few distinct angles: build each one's basis once
-            probes = np.full(pos.shape, angles).tolist()
-            rotation = {angle: quantum.angle_basis(angle) for angle in set(probes)}
-            return quantum.measure_factors(
-                self._factors, pos, [rotation[angle] for angle in probes], rng
-            )
-        if pos.size == 1:
-            return np.array([self._measure_one(int(pos[0]), float(angles.flat[0]), rng)],
-                            dtype=np.uint8)
         ordered = pos if (pos[1:] > pos[:-1]).all() else np.sort(pos)
         if ordered[0] < 0 or ordered[-1] >= self.n:
             raise DomainError("measurement position out of range")
-        if (ordered[1:] == ordered[:-1]).any():
+        if ordered is not pos and (ordered[1:] == ordered[:-1]).any():
             raise DomainError("a block measures each position at most once")
-        probe = self._index(angles)
+        return self._measure(pos, self._index(angles), rng)
+
+    def measure(self, position: int, angle: float, rng: np.random.Generator) -> int:
+        if isinstance(position, bool) or not isinstance(position, (int, np.integer)):
+            raise DomainError("measurement positions must be integers")
+        if not 0 <= position < self.n:
+            raise DomainError("measurement position out of range")
+        angle = float(angle)
+        if not math.isfinite(angle):
+            raise DomainError("measurement angles must be finite")
+        return int(self._measure(np.array([position], dtype=np.int64), self._index(angle), rng)[0])
+
+    def measure_basis(self, position: int, basis: int, rng: np.random.Generator) -> int:
+        if basis not in (quantum.PLUS, quantum.CROSS):
+            raise DomainError("a basis is + (0) or x (1)")
+        return self.measure(position, _BASIS_ANGLES[int(basis)], rng)
+
+    def _measure(self, pos: np.ndarray, probe, rng: np.random.Generator) -> np.ndarray:
+        """Measure the checked distinct positions pos, in order, at the
+        angle table entry probe (one, or one per position)."""
+        if self.mode is Mode.EXACT_QUANTUM:
+            rotations = self._rotations[np.full(pos.shape, probe)]
+            return quantum._measure_factors(self._factors, pos, rotations, rng)
         p1 = self._born[self._held[pos], self._bits[pos], probe]
         out = (rng.random(pos.size) < p1).astype(np.uint8)
         self._held[pos] = probe
@@ -254,10 +282,10 @@ class Reception:
         return out
 
     def _index(self, angles):
-        """The entry in the angle table of one angle, or of each angle of
-        an array. Angles new to the run join the table first, and the Born
-        table is rebuilt over it."""
-        if not np.ndim(angles):
+        """The entry in the angle table of one angle (a float or a 0-d
+        array), or of each angle of an array. Angles new to the run join
+        the table first."""
+        if isinstance(angles, float) or not angles.ndim:
             angle = float(angles)
             if angle not in self._angles:
                 self._learn([angle])
@@ -272,39 +300,14 @@ class Reception:
         return index
 
     def _learn(self, angles) -> None:
-        """Add angles to the table and rebuild the Born table over it."""
+        """Add angles to the table: append their rotations (EXACT_QUANTUM),
+        or rebuild the Born table over the grown table (CLASSICAL_FAST)."""
         self._angles.extend(angles)
-        size = len(self._angles)
-        self._born = np.array([
-            _born_p1(held, bit, probe)
-            for held in self._angles for bit in (0, 1) for probe in self._angles
-        ]).reshape(size, 2, size)
-
-    def _measure_one(self, i: int, angle: float, rng: np.random.Generator) -> int:
         if self.mode is Mode.EXACT_QUANTUM:
-            return int(quantum.measure_factors(
-                self._factors, [i], [quantum.angle_basis(angle)], rng
-            )[0])
-        if not 0 <= i < self.n:
-            raise DomainError("measurement position out of range")
-        probe = self._index(angle)
-        out = int(rng.random() < self._born[self._held[i], self._bits[i], probe])
-        self._held[i] = probe
-        self._bits[i] = out
-        return out
-
-    def measure(self, position: int, angle: float, rng: np.random.Generator) -> int:
-        if isinstance(position, bool) or not isinstance(position, (int, np.integer)):
-            raise DomainError("measurement positions must be integers")
-        angle = float(angle)
-        if not math.isfinite(angle):
-            raise DomainError("measurement angles must be finite")
-        return self._measure_one(int(position), angle, rng)
-
-    def measure_basis(self, position: int, basis: int, rng: np.random.Generator) -> int:
-        if basis not in (quantum.PLUS, quantum.CROSS):
-            raise DomainError("a basis is + (0) or x (1)")
-        return self.measure(position, basis_angle(basis), rng)
+            new = [quantum.angle_basis(angle) for angle in angles]
+            self._rotations = np.concatenate([self._rotations, new])
+        else:
+            self._born = _born_table(self._angles)
 
 
 def alice_setup(
@@ -329,8 +332,6 @@ def transmit(
     w = gf2.bits(w)
     theta = quantum.basis_string(theta, length=w.size)
     n = w.size
-    if mode is Mode.EXACT_QUANTUM and n > quantum.STATEVECTOR_MAX_N:
-        raise ResourceError(f"EXACT_QUANTUM caps at n={quantum.STATEVECTOR_MAX_N}")
     if channel.kind is ChannelKind.BITFLIP:
         flips = (rng.random(n) < channel.p).astype(np.uint8)
     else:
@@ -477,10 +478,6 @@ def _rows_str(m: np.ndarray) -> List[str]:
     return [text[i * width : (i + 1) * width] for i in range(len(m))]
 
 
-def _position_array(v: List[int]) -> np.ndarray:
-    return np.asarray(v, dtype=np.int64)
-
-
 # the one canonical JSON encoder: sorted keys, no spaces; it writes every
 # transcript and every CLI artifact
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -607,16 +604,16 @@ _CODECS = {
        for name in ("theta", "theta_hat")},
     **{name: (lambda v: _dumps(_bits_str(v)), gf2.bits)
        for name in ("w", "flips", "w_hat", "s", "a", "decoded", "b", "b_hat")},
-    **{name: (_positions_text, _position_array)
+    **{name: (_positions_text, gf2.position_array)
        for name in ("R", "T0", "T1", "E0", "E1", "E_c")},
     "announced_sets": (
         lambda sets: "[" + ",".join(map(_positions_text, sets)) + "]",
-        lambda sets: [_position_array(e) for e in sets],
+        lambda sets: [gf2.position_array(e) for e in sets],
     ),
     "announced_rest": (  # keys in sorted order
         lambda r: '{"bits":' + _dumps(_bits_str(r["bits"]))
         + ',"positions":' + _positions_text(r["positions"]) + "}",
-        lambda r: {"positions": _position_array(r["positions"]), "bits": gf2.bits(r["bits"])},
+        lambda r: {"positions": gf2.position_array(r["positions"]), "bits": gf2.bits(r["bits"])},
     ),
     "bob_values": (_map_text, _position_map),
     "deferred": (_map_text, _position_map),

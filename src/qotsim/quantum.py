@@ -10,11 +10,13 @@ rotation: encodings and angle bases are float64 arrays.
 
 Measurement comes in two forms. No step of the protocol entangles photons,
 so a BB84 product state is held as its factors, an (n, 2) float64 array of
-per-photon amplitudes, and measure_factors measures a block of photons in
-one vectorised step, each on its own row; this is the form a receiver
-uses. measure_photons measures the same block on a full 2^n statevector,
-keeping its inputs' dtype (complex states still work), and is the
-reference the factored form is tested against.
+per-photon amplitudes, at any n, and measure_factors measures a block of
+photons in one vectorised step, each on its own row; this is the form a
+receiver uses, through _measure_factors, its unchecked half, once the
+receiver has checked the block itself. measure_photons measures the same
+block on a full 2^n statevector, keeping its inputs' dtype (complex states
+still work), and is the reference the factored form is tested against;
+STATEVECTOR_MAX_N caps only the statevectors bb84_states builds.
 
 Densities and frames keep their input's dtype too: density_from_ensemble,
 density_in_frame, to_frame/from_frame and ShiftOp.conjugate return
@@ -264,16 +266,26 @@ def measure_factors(factors: np.ndarray, positions, rotations, rng) -> np.ndarra
         raise DomainError(f"photon index outside [0, {factors.shape[0]})")
     if len(set(listed)) != k:
         raise DomainError("a block measures each photon at most once")
+    return _measure_factors(factors, positions, rotations.astype(float, copy=False), rng)
+
+
+def _measure_factors(factors: np.ndarray, positions: np.ndarray, rotations: np.ndarray,
+                     rng) -> np.ndarray:
+    """measure_factors on a checked non-empty block: distinct int64
+    positions inside the (n, 2) float64 factors, and a (k, 2, 2) float64
+    array of rotations. The measured rows are still checked before the
+    draw."""
     psi = factors[positions]
     if not np.isfinite(psi).all():
         raise DomainError("cannot measure a photon whose amplitudes are not finite")
     # c[j, o] = rot[0, o] psi[0] + rot[1, o] psi[1]: a sum of two entries
     # adds them once, so no fused multiply-add can change a digit
-    c = (rotations.astype(float, copy=False) * psi[:, :, None]).sum(axis=1)
+    c = (rotations * psi[:, :, None]).sum(axis=1)
     squares = c * c
     total = squares.sum(axis=1)
     if not (total > 0.0).all():
         raise DomainError("cannot measure a photon whose norm is zero or NaN")
+    k = positions.size
     outcomes = (rng.random(k) < squares[:, 1] / total).astype(np.uint8)
     # the drawn outcome has c_o != 0: u < p1 needs p1 > 0, u >= p1 needs p1 < 1
     block = np.arange(k)

@@ -55,12 +55,19 @@ def test_resource_cap_maps_to_exit_two(tmp_path, capsys):
     assert "resource cap" in capsys.readouterr().err
 
 
-def test_exact_quantum_past_the_statevector_cap_exits_two(tmp_path, capsys):
-    n = quantum.STATEVECTOR_MAX_N + 1
-    code = run(["simulate", "--mode", "EXACT_QUANTUM", "--n", str(n), "--out", str(tmp_path)])
-    assert code == 2
-    assert (f"resource cap: EXACT_QUANTUM caps at n={quantum.STATEVECTOR_MAX_N}"
-            in capsys.readouterr().err)
+def test_exact_quantum_past_the_statevector_cap_exits_zero(tmp_path):
+    """EXACT_QUANTUM has no photon cap: past STATEVECTOR_MAX_N it writes the
+    artifacts CLASSICAL_FAST writes, apart from the mode field."""
+    n = str(quantum.STATEVECTOR_MAX_N + 1)
+    written = {}
+    for mode in ("EXACT_QUANTUM", "CLASSICAL_FAST"):
+        out = tmp_path / mode
+        assert run(["simulate", "--mode", mode, "--n", n, "--out", str(out)]) == 0
+        transcripts = [json.loads(line) for line in
+                       (out / "transcripts.jsonl").read_text().splitlines()]
+        assert [d["params"].pop("mode") for d in transcripts] == [mode] * 10
+        written[mode] = transcripts, (out / "summary.csv").read_bytes()
+    assert written["EXACT_QUANTUM"] == written["CLASSICAL_FAST"]
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,25 @@ def test_params_validation():
     assert protocol.ProtocolParams(n=8, m=1, r=0, delta=0.1, N=2, epsilon=0.0).epsilon == 0.0
 
 
+@pytest.mark.parametrize("bad", [dict(n=16.0), dict(N=2.5), dict(m=1.0), dict(seed=1.5),
+                                 dict(r=True), dict(n=np.True_), dict(N=False), dict(seed=True),
+                                 dict(m="1"), dict(n=np.float64(16.0))])
+def test_params_refuse_sizes_that_are_not_integers(bad):
+    with pytest.raises(DomainError):
+        protocol.ProtocolParams(**{**dict(n=16, m=1, r=1, delta=0.1, N=4), **bad})
+
+
+def test_params_keep_numpy_integer_sizes_as_python_ints():
+    p = protocol.ProtocolParams(n=np.int64(16), m=np.uint8(1), r=np.int32(1), delta=0.25,
+                                seed=np.int64(3))
+    assert all(type(getattr(p, name)) is int for name in ("n", "m", "r", "N", "seed"))
+    assert p == protocol.ProtocolParams(n=16, m=1, r=1, delta=0.25, seed=3)
+    tr = protocol.run_string_qot(p, [1])
+    assert json.loads(tr.to_json())["params"]["n"] == 16
+    assert tr.to_json() == protocol.run_string_qot(
+        protocol.ProtocolParams(n=16, m=1, r=1, delta=0.25, seed=3), [1]).to_json()
+
+
 def test_params_mode_coercion_and_channel():
     p = protocol.ProtocolParams(n=8, m=1, r=0, delta=0.1, N=2, mode="EXACT_QUANTUM")
     assert p.mode is protocol.Mode.EXACT_QUANTUM
@@ -96,6 +115,34 @@ def test_basis_angle():
     assert protocol.basis_angle(quantum.CROSS) == pytest.approx(np.pi / 4)
 
 
+@pytest.mark.parametrize("label", [-1, 0.7, 2, np.int64(-1), np.uint8(2), [0, 2], [1, -1],
+                                   np.array([0.0, 0.5]), (0, 1, 3)])
+def test_basis_angle_refuses_labels_other_than_0_and_1(label):
+    with pytest.raises(DomainError):
+        protocol.basis_angle(label)
+
+
+def test_measure_basis_checks_its_label_once(monkeypatch):
+    """measure_basis checks a scalar label itself and takes its angle with
+    no second check; basis_angle checks every label of an array."""
+    checked = []
+    real = gf2._bit_array
+    monkeypatch.setattr(gf2, "_bit_array", lambda v, what: checked.append(v) or real(v, what))
+    _, reception = protocol.transmit(
+        "0110", "0101", protocol.ChannelModel.noiseless(),
+        protocol.Mode.CLASSICAL_FAST, np.random.default_rng(0),
+    )
+    checked.clear()  # transmit checks w and theta
+    rng = np.random.default_rng(1)
+    outs = [reception.measure_basis(i, b, rng) for i, b in enumerate((0, 1, 0, 1))]
+    assert outs == [0, 1, 1, 0]
+    assert checked == []
+    assert protocol.basis_angle([1, 0]).tolist() == [math.pi / 4, 0.0]
+    assert len(checked) == 1
+    with pytest.raises(DomainError):
+        reception.measure_basis(0, 2, rng)
+
+
 # ---------------------------------------------------------------------------
 # transmission and measurement
 
@@ -108,26 +155,19 @@ def test_transmit_noiseless_keeps_the_encoding():
     assert np.array_equal(dispatch.encoded, gf2.bits("1010"))
 
 
-def test_transmit_statevector_cap():
-    """EXACT_QUANTUM stops at STATEVECTOR_MAX_N photons, though its
-    reception forms no statevector; CLASSICAL_FAST has no such cap."""
+def test_transmit_has_no_photon_cap_in_either_mode():
+    """Neither reception forms a statevector, so both modes run past
+    STATEVECTOR_MAX_N photons; that cap guards bb84_states alone."""
     cap = quantum.STATEVECTOR_MAX_N
-    w = np.zeros(cap + 1, dtype=np.uint8)
-    with pytest.raises(ResourceError, match=f"EXACT_QUANTUM caps at n={cap}"):
-        protocol.transmit(
-            w, w, protocol.ChannelModel.noiseless(),
-            protocol.Mode.EXACT_QUANTUM, np.random.default_rng(0),
-        )
-    _, reception = protocol.transmit(
-        w, w, protocol.ChannelModel.noiseless(),
-        protocol.Mode.CLASSICAL_FAST, np.random.default_rng(0),
-    )
-    assert not reception.measure_many(np.arange(cap + 1), 0.0, np.random.default_rng(1)).any()
-    _, reception = protocol.transmit(
-        w[:cap], w[:cap], protocol.ChannelModel.noiseless(),
-        protocol.Mode.EXACT_QUANTUM, np.random.default_rng(0),
-    )
-    assert not reception.measure_many(np.arange(cap), 0.0, np.random.default_rng(1)).any()
+    for n in (cap + 1, 1024):
+        w = np.zeros(n, dtype=np.uint8)
+        for mode in protocol.Mode:
+            _, reception = protocol.transmit(
+                w, w, protocol.ChannelModel.noiseless(), mode, np.random.default_rng(0),
+            )
+            assert not reception.measure_many(np.arange(n), 0.0, np.random.default_rng(1)).any()
+    with pytest.raises(ResourceError, match=f"statevectors cap at n={cap}"):
+        quantum.bb84_state(w[:cap + 1], w[:cap + 1])
 
 
 def test_transmit_bitflip_flips_the_encoded_bit():
@@ -454,14 +494,28 @@ def test_factored_reception_matches_the_statevector_reference(case):
         assert np.max(np.abs(kron - state)) < 1e-12
 
 
-def test_exact_block_builds_one_basis_per_distinct_angle(monkeypatch):
-    reception, _ = twin_receptions(protocol.Mode.EXACT_QUANTUM, 6, 7)
+def test_exact_reception_builds_one_rotation_per_distinct_angle_per_run(monkeypatch):
+    """A rotation is built when its angle joins the run's table, at its
+    first measurement, in a block or on one photon, and never again. The
+    basis angles' rotations are shared by every reception."""
     built = []
     angle_basis = quantum.angle_basis
     monkeypatch.setattr(quantum, "angle_basis", lambda a: built.append(a) or angle_basis(a))
-    angles = protocol.basis_angle([0, 1, 1, 0, 1, 0])
-    reception.measure_many(range(6), angles, np.random.default_rng(4))
-    assert sorted(built) == [0.0, math.pi / 4]
+    rng = np.random.default_rng(7)
+    encoded, theta = gf2.random_bits(rng, 6), gf2.random_bits(rng, 6)
+    reception = protocol.Reception(protocol.Mode.EXACT_QUANTUM, 6, encoded, theta)
+    assert built == [] and reception._angles == [0.0, math.pi / 4]
+    rng = np.random.default_rng(4)
+    reception.measure_many(range(6), protocol.basis_angle([0, 1, 1, 0, 1, 0]), rng)
+    reception.measure_many([0, 2, 4], np.array([0.3, -0.0, 0.3]), rng)
+    reception.measure(5, 0.3, rng)
+    reception.measure_basis(1, quantum.CROSS, rng)
+    reception.measure_many([3, 1], 1.1, rng)
+    reception.measure_many(range(6), [1.1, 0.3, 0.0, math.pi / 4, 0.3, 1.1], rng)
+    assert built == [0.3, 1.1]
+    assert reception._angles == [0.0, math.pi / 4, 0.3, 1.1]
+    assert np.array_equal(reception._rotations,
+                          [angle_basis(a) for a in reception._angles])
 
 
 def assert_real_unit_factors(reception):
@@ -845,6 +899,48 @@ def test_modes_agree_run_for_run_on_honest_runs(noise_p, seed):
     assert da == db
 
 
+# every receiver strategy kind, and QKD with no Eve and each Eve kind
+SCALE_RUNS = {
+    "honest": lambda p: protocol.run_string_qot(p, [1, 0]),
+    "fixed_basis": lambda p: protocol.run_string_qot(p, [0, 1], bob=attacks.fixed_basis(0.3)),
+    "store_count": lambda p: protocol.run_string_qot(
+        p, [1, 1], bob=attacks.store_subset(count=100)
+    ),
+    "store_positions": lambda p: protocol.run_string_qot(
+        p, [0, 0], bob=attacks.store_subset(positions=range(0, 1024, 9))
+    ),
+    "random_ok": lambda p: protocol.run_string_qot(
+        p, [1, 0], bob=attacks.random_ok(), announce_rest=True
+    ),
+    "qkd": lambda p: protocol.run_qkd(p),
+    "qkd_honest_eve": lambda p: protocol.run_qkd(p, eve=attacks.honest()),
+    "qkd_fixed_eve_0.3": lambda p: protocol.run_qkd(p, eve=attacks.fixed_basis(0.3)),
+    "qkd_fixed_eve_pi/8": lambda p: protocol.run_qkd(p, eve=attacks.fixed_basis(math.pi / 8)),
+}
+
+
+@pytest.mark.parametrize("kind", SCALE_RUNS)
+def test_modes_write_equal_transcripts_at_protocol_scale(kind):
+    """At n = 1024 both receptions draw one uniform per photon in the same
+    order, and their Born probabilities differ only by rounding, so the two
+    modes write the same transcript, apart from the mode, seed by seed."""
+    outcomes = set()
+    for seed in range(1000, 1010):
+        texts = {}
+        for mode in protocol.Mode:
+            params = protocol.ProtocolParams(
+                n=1024, N=24, r=14, m=2, noise_p=0.03, delta=0.06, mode=mode, seed=seed,
+            )
+            tr = SCALE_RUNS[kind](params)
+            d = json.loads(tr.to_json())
+            assert d["params"].pop("mode") == mode.value
+            texts[mode] = d
+        assert texts[protocol.Mode.EXACT_QUANTUM] == texts[protocol.Mode.CLASSICAL_FAST]
+        outcomes.add((tr.abort_reason, tr.c))
+    # the seeds reach the correction step, and the transfers reach both picks
+    assert (None, 0) in outcomes and (kind.startswith("qkd") or (None, 1) in outcomes)
+
+
 def test_pinned_code_replaces_the_drawn_matrix():
     params = make_params(seed=23)
     code = gf2.LinearCode(f=gf2.bitmatrix(["1010", "0101"]), r=1, m=1)
@@ -1130,6 +1226,28 @@ def test_to_json_matches_the_reference_encoder_on_every_run_kind():
     for tr in runs:
         assert tr.to_json() == reference_to_json(tr)
     assert '"deferred":{"65536":1}' in runs[-1].to_json()
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("R", [0, 2.5]), ("R", [True, 3]), ("T0", [1.0]), ("T1", [False]), ("E0", [2, 2.0]),
+    ("E1", [0.5]), ("E_c", [True]),
+])
+def test_transcript_from_json_refuses_positions_that_are_not_integers(field, bad):
+    """A float or a JSON true among a field's positions raises DomainError
+    instead of being truncated to an integer."""
+    tr = protocol.run_string_qot(make_params(seed=7), [1], force_c=1, announce_rest=True)
+    d = json.loads(tr.to_json())
+    assert tr.abort_reason is None and d[field] is not None
+    protocol.Transcript.from_json(json.dumps(d))
+    with pytest.raises(DomainError, match="positions must be integers"):
+        protocol.Transcript.from_json(json.dumps({**d, field: bad}))
+    nested = [
+        {**d, "announced_sets": [d["announced_sets"][0], bad]},
+        {**d, "announced_rest": {**d["announced_rest"], "positions": bad}},
+    ]
+    for odd in nested:
+        with pytest.raises(DomainError, match="positions must be integers"):
+            protocol.Transcript.from_json(json.dumps(odd))
 
 
 def test_transcript_from_json_rejects_missing_and_unknown_keys():
