@@ -16,17 +16,12 @@ change is built.
 
 Every density here is real (float64), as the +/x amplitudes are, and so
 are the certificate's low-ball block and its eigenvalues. The block is
-exact: read in the basis conjugate to its encoding, every photon's overlap
-is (-1)^(a.b)/sqrt(2), so a coset member beta's overlap with a basis state
-alpha of the conjugate frame is (-1)^popcount(beta & alpha) 2^(-N/2), for
-every theta. Those signs form a +-1 matrix S, computed from integer
-popcounts; its Gram block S^T S holds integers, and the block is the
-difference of two such Grams times 2^-N / K. So a block inside the
-hypothesis is exactly 0, and the block does not depend on theta. A
-certificate checks its operands once and pays for its pair alone: the
-code's memo keeps each syndrome's representative, each low ball and each
-(syndrome, ball) Gram block within the memo's bounds, and the kernel span
-is cached per code.
+rho_x - rho_x' of the closed form on the ball's states, gathered from each
+syndrome's column of closed-form values, so no coset member is enumerated:
+its entries are 0 or +-2^(1-N) exactly, a block inside the hypothesis is
+exactly 0, and theta does not change it. The code's memo keeps each
+syndrome's representative, each low ball and each (syndrome, ball) block,
+so a certificate checks its operands once and pays for its pair alone.
 
 Normalization is by the actual coset size, which equals 2^-k exactly when f
 has full rank; with dependent rows the closed form still holds verbatim
@@ -96,17 +91,25 @@ def rho_closed_form(ens: CosetEnsemble) -> np.ndarray:
     """The formula above; real entries over the conjugate basis of theta.
 
     Entry (alpha, alpha') depends on alpha xor alpha' alone, so one column
-    holds the value of each difference, +-2^-N on the row span and 0 off
-    it, and one xor table gathers the matrix from it.
+    holds the value of each difference and one xor table gathers the
+    matrix from it.
     """
     n = ens.code.N
     _check_density_cap(n)
-    span = gf2.lane_prefix(ens.code.row_span, n)
-    parity = np.bitwise_count(span & gf2.pack_int(ens.beta0)) & 1
-    column = np.zeros(1 << n)
-    column[span] = (2.0 ** -n) * (1.0 - 2.0 * parity)
+    column = _closed_form_column(ens.code, ens.beta0)
     idx = np.arange(1 << n, dtype=np.uint16)  # N <= DENSITY_MAX_N = 10 fits
     return column[np.bitwise_xor.outer(idx, idx)]
+
+
+def _closed_form_column(code: gf2.LinearCode, beta0: np.ndarray) -> np.ndarray:
+    """The closed form's value at each difference alpha xor alpha' of the
+    coset of beta0: 2^N entries, +-2^-N on the row span and 0 off it."""
+    n = code.N
+    span = gf2.lane_prefix(code.row_span, n)
+    parity = np.bitwise_count(span & gf2._pack_int(beta0)) & 1
+    column = np.zeros(1 << n)
+    column[span] = (2.0 ** -n) * (1.0 - 2.0 * parity)
+    return column
 
 
 def induction_form(kernel_rows: np.ndarray, n_cols: int) -> np.ndarray:
@@ -170,8 +173,8 @@ class Lemma1Certificate:
 def _certificate_operands(code: gf2.LinearCode, theta, x, x_prime, e, t, w_hat) -> tuple:
     """(theta, x, x_prime, e, t, w_hat) of one certificate, each checked
     once: bit strings of the code's lengths, two distinct syndromes in the
-    image of f, a position set, an integer radius t >= 0, and the coset and
-    density caps. The helpers below take these and check nothing."""
+    image of f, a position set, an integer radius t >= 0, and the density
+    cap. The helpers below take these and check nothing."""
     n, rows = code.N, code.f.shape[0]
     theta = quantum.basis_string(theta, length=n)
     x, x_prime = gf2.bits(x, length=rows), gf2.bits(x_prime, length=rows)
@@ -187,8 +190,6 @@ def _certificate_operands(code: gf2.LinearCode, theta, x, x_prime, e, t, w_hat) 
     if t < 0:
         raise DomainError("ball radius must be nonnegative")
     w_hat = gf2.bits(w_hat, length=n)
-    if code.kernel.shape[0] > COSET_MAX_DIM:
-        raise ResourceError(f"coset dimension caps at {COSET_MAX_DIM}")
     _check_density_cap(n)
     return theta, x, x_prime, e, t, w_hat
 
@@ -200,44 +201,25 @@ def _low_ball_block(
     their frame indices), from _certificate_operands' checked operands.
     The conjugate frame of any theta gives the same block.
 
-    The block is (G_x - G_x') 2^-N / K over the K coset members, with the
-    Gram blocks of _gram: integers, so the difference and its power-of-two
-    scale are exact, and an in-hypothesis block is exactly 0. No 2^N x 2^N
-    density is formed.
+    Each syndrome's part is its _closed_form_column gathered at low xor
+    low, kept in the code's memo per (syndrome, ball). Every entry is 0 or
+    +-2^-N, so the difference is 0 or +-2^(1-N) exactly. It is the member
+    sum (G_x - G_x') 2^-N / K, with G_x = S^T S and S[k, i] =
+    (-1)^popcount(beta_k & low[i]) over the K coset members, entry by
+    entry: sum_{kappa in ker f} (-1)^(kappa . d) = K [d in rowspan f] at
+    any rank, so G_x is K times the closed-form block.
     """
     ball = (e.tobytes(), w_hat.tobytes(), t)
     low = code.memo.get(("low ball", *ball), lambda: quantum._ball_projector(e, w_hat, t))
-    gram = _gram(code, x, ball, low)
-    # a Gram block the memo did not keep is this call's to overwrite
-    block = np.subtract(gram, _gram(code, x_prime, ball, low),
-                        out=gram if gram.flags.writeable else None)
-    block *= 2.0 ** -code.N / len(code.kernel_span)
-    return block, low
 
+    def ball_block(syndrome):
+        return code.memo.get(
+            ("ball block", syndrome.tobytes(), *ball),
+            lambda: _closed_form_column(code, code._particular(syndrome))[
+                np.bitwise_xor.outer(low, low)],
+        )
 
-def _gram(code: gf2.LinearCode, x, ball: tuple, low: np.ndarray) -> np.ndarray:
-    """S^T S for the coset of syndrome x (in the image of f) over the
-    ball's states low, kept in the code's memo per (syndrome, ball).
-
-    Row k of S holds member beta_k's overlaps with the states, times
-    2^(N/2): S[k, i] = (-1)^popcount(beta_k & low[i]) exactly, since every
-    photon is read in the basis conjugate to its encoding, so neither S nor
-    S^T S depends on theta. Each entry of S^T S is an integer of magnitude
-    at most K, exact in any summation order.
-    """
-
-    def build():
-        members = gf2.lane_prefix(gf2._pack_lanes(code.kernel_span), code.N)
-        signs = _parity_signs(members ^ gf2._pack_int(code._particular(x)), low)
-        return signs.T @ signs
-
-    return code.memo.get(("gram", x.tobytes(), *ball), build)
-
-
-def _parity_signs(words: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """(-1)^popcount(w & alpha) as float64, for each packed word w of words
-    (axis 0) and each basis index alpha of indices (axis 1)."""
-    return 1.0 - 2.0 * (np.bitwise_count(words[:, None] & indices) & 1)
+    return ball_block(x) - ball_block(x_prime), low
 
 
 def _min_weight_on(code: gf2.LinearCode, e: np.ndarray):
@@ -263,8 +245,9 @@ def lemma1_certificate(
     block is the same for every theta, so theta is checked but does not
     change the certificate. max_defect is the block's operator norm, the
     norm of P1 (delta rho) P1 (_top_eigenpair's, and 0.0 for a block that
-    is exactly 0), which bounds |<phi|delta rho|phi>| over the ball's
-    basis states (the block's diagonal is exactly 0: every member has
+    is exactly 0, as _low_ball_block's exact closed-form entries make every
+    in-hypothesis block), which bounds |<phi|delta rho|phi>| over the ball's
+    basis states (the block's diagonal is exactly 0: every coset has
     weight 2^-N on every basis state of the frame). dN is the code's min
     distance; when e covers every coordinate the hypothesis is 2t < dN,
     and on a proper subset it tightens to the min span weight restricted

@@ -94,11 +94,14 @@ def position_array(members) -> np.ndarray:
     """members as a flat int64 array, in their given order.
 
     Entries must be integers: floats and bools raise DomainError instead of
-    being truncated. int64 array input comes back uncopied.
+    being truncated, and so does a uint64 entry past int64, instead of
+    wrapping to a negative one. int64 array input comes back uncopied.
     """
     e = np.asarray(members)
     if e.size and (e.dtype.kind not in "iu" or _lists_a_bool(members, e.ndim)):
         raise DomainError("positions must be integers")
+    if e.dtype == np.uint64 and e.size and e.max() >> np.uint64(63):
+        raise DomainError("positions must be below 2^63")
     return e.ravel().astype(np.int64, copy=False)
 
 
@@ -241,8 +244,8 @@ class Memo:
     Measured, a code keeps at most 26 results in the bench certify lists,
     criteria 01 and 03 and the density-check runs: one particular solution
     per syndrome (8, for 3 rows of f), one low ball per radius (2) and one
-    certificate Gram block per syndrome and ball (16), at most 81 KB of
-    arrays outside density-check. A Gram block over a ball of L basis
+    certificate ball block per syndrome and ball (16), at most 81 KB of
+    arrays outside density-check. A ball block over a ball of L basis
     states holds 8 L^2 bytes, so the byte bound keeps the small blocks
     that certificates share and recomputes the multi-megabyte blocks of
     wide balls at N = 10, which a code seldom asks for twice.
@@ -347,7 +350,7 @@ class LinearCode:
     @functools.cached_property
     def memo(self) -> Memo:
         """Per-syndrome and per-ball results for this code (particular
-        solutions here, low-ball indices and Gram blocks in cosetrho)."""
+        solutions here, low-ball indices and ball blocks in cosetrho)."""
         return Memo()
 
     @functools.cached_property

@@ -561,12 +561,10 @@ def _checked(m: PositionMap) -> PositionMap:
     pos, bits = np.asarray(m.positions), np.asarray(m.bits)
     if pos.ndim != 1 or bits.shape != pos.shape:
         raise DimensionError("a position map holds one bit per position")
-    if pos.size and pos.dtype.kind not in "iu":
-        raise DomainError("position map keys must be integer positions")
     if bits.size and (bits.dtype.kind not in "iu" or bits.max() > 1
                       or (bits.dtype.kind == "i" and bits.min() < 0)):
         raise DomainError("position map values must be bits")
-    pos = pos.astype(np.int64, copy=False)  # a uint64 past int64 turns negative
+    pos = gf2.position_array(pos)
     if pos.size and (pos[0] < 0 or (pos[1:] <= pos[:-1]).any()):
         raise DomainError("position map keys must be distinct positions in order")
     return PositionMap(pos, bits.astype(np.uint8, copy=False))
@@ -680,11 +678,28 @@ class Transcript:
                 f"transcript keys: missing {sorted(names - d.keys())}, "
                 f"unknown {sorted(d.keys() - names)}"
             )
-        return cls(**{
+        decoded = {
             name: value if value is None or name not in _CODECS
             else _CODECS[name][1](value)
             for name, value in d.items()
-        })
+        }
+        _check_run_positions(decoded)
+        return cls(**decoded)
+
+
+def _check_run_positions(d: dict) -> None:
+    """DomainError unless each decoded position is one of the run's n
+    photons and the announced rest has one bit per position."""
+    rest, n = d["announced_rest"] or {}, getattr(d["params"], "n", 0)
+    if rest and rest["bits"].size != rest["positions"].size:
+        raise DomainError("announced_rest holds one bit per position")
+    named = [(k, d[k]) for k in ("R", "T0", "T1", "E0", "E1", "E_c")]
+    named += [("announced_sets", e) for e in d["announced_sets"] or ()]
+    named += [("announced_rest", rest.get("positions"))]
+    named += [(k, getattr(d[k], "positions", None)) for k in ("bob_values", "deferred")]
+    for name, pos in named:
+        if pos is not None and pos.size and (pos.min() < 0 or pos.max() >= n):
+            raise DomainError(f"{name} positions must lie in [0, {n})")
 
 
 # ---------------------------------------------------------------------------

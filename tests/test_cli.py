@@ -557,6 +557,17 @@ def test_density_check_exits_three_on_a_violated_certificate(tmp_path, capsys, m
     assert (agg["condition_met"], agg["violations"]) == (3, 3)
 
 
+def test_density_check_past_the_density_cap_names_it(tmp_path, capsys):
+    """Certificates check the density cap, not the coset dimension: at
+    N = 12 with one row the kernel has dimension 11, and the run stops at
+    the density cap with exit 2 before writing anything."""
+    assert run(["density-check", "--N", "12", "--r", "0", "--m", "1",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "density matrices cap at N=10" in err and "coset" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_density_check_validation(tmp_path):
     out = ["--out", str(tmp_path)]
     assert run(["density-check", "--r", "0", "--m", "0"] + out) == 1

@@ -63,6 +63,23 @@ def framed_amplitudes(words, theta, theta_hat, indices):
     return amps
 
 
+def parity_signs(words, indices):
+    """(-1)^popcount(w & alpha) as float64, for each packed word w of words
+    (axis 0) and each basis index alpha of indices (axis 1)."""
+    return 1.0 - 2.0 * (np.bitwise_count(words[:, None] & indices) & 1)
+
+
+def gram(code, x, low):
+    """S^T S for the coset of syndrome x over the basis states low, summed
+    over every coset member: S[k, i] = (-1)^popcount(beta_k & low[i]) is
+    2^(N/2) times member beta_k's overlap with state low[i] of the frame
+    conjugate to its encoding, for every theta. Each entry is an integer
+    of magnitude at most K = |ker f|, exact in any summation order."""
+    members = gf2.lane_prefix(gf2.pack_lanes(code.kernel_span), code.N)
+    signs = parity_signs(members ^ gf2.pack_int(code.particular(x)), low)
+    return signs.T @ signs
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_framed_amplitudes_are_columns_of_the_frame_change(n, seed):
@@ -87,7 +104,7 @@ def test_gram_signs_are_the_scaled_conjugate_frame_amplitudes(n, seed):
     theta = gf2.random_bits(rng, n)
     indices = rng.permutation(1 << n)[: int(rng.integers(0, (1 << n) + 1))]
     packed = np.array([gf2.pack_int(w) for w in words], dtype=np.int64)
-    signs = cosetrho._parity_signs(packed, indices)
+    signs = parity_signs(packed, indices)
     scaled = 2.0 ** (n / 2) * framed_amplitudes(words, theta, theta ^ 1, indices)
     assert signs.dtype == np.float64 and signs.shape == scaled.shape
     assert np.array_equal(np.rint(scaled), signs)
@@ -394,8 +411,8 @@ def test_real_certificate_block_matches_the_complex_reference(drawn, data):
     assert block.dtype == np.float64
     assert np.max(np.abs(block - reference_block), initial=0.0) <= 1e-15
     cert = cosetrho.lemma1_certificate(*args)
-    # the block (G_x - G_x') 2^-N / K is exact, so its 40-digit norm is the
-    # true one; the complex reference's own norm may be 9e-16 from it
+    # the block's closed-form entries are exact, so its 40-digit norm is
+    # the true one; the complex reference's own norm may be 9e-16 from it
     assert abs(cert.max_defect - exact_norm(block)) <= 1e-15
     assert (cert.dN, cert.condition_met) == (reference.dN, reference.condition_met)
 
@@ -419,8 +436,8 @@ def certificate_args(drawn, data):
 @settings(max_examples=150, deadline=None)
 @given(small_codes(), st.data())
 def test_exact_block_is_the_restricted_closed_form_difference(drawn, data):
-    """(G_x - G_x') 2^-N / K equals rho_x - rho_x' of the closed form on
-    the ball's states, bit for bit, so a block inside the hypothesis is 0."""
+    """The low-ball block equals rho_x - rho_x' of rho_closed_form on the
+    ball's states, bit for bit, so a block inside the hypothesis is 0."""
     args = certificate_args(drawn, data)
     if args is None:
         return
@@ -449,12 +466,31 @@ def test_exact_block_matches_the_float_gram_reference(drawn, data):
     assert (cert.dN, cert.condition_met) == (reference.dN, reference.condition_met)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_codes(), st.data())
+def test_ball_block_is_the_scaled_member_gram_difference(drawn, data):
+    """At every radius 0..N, on every coordinate and on a random subset,
+    the low-ball block is (G_x - G_x') 2^-N / K of the member sums, bit for
+    bit: G_x is K times the closed-form block at any rank of f."""
+    args = certificate_args(drawn, data)
+    if args is None:
+        return
+    code, theta, x, x_prime, _, _, w_hat = args
+    k = len(code.kernel_span)
+    subset = np.nonzero(drawn[1].integers(0, 2, code.N))[0]
+    for e in (range(code.N), subset):
+        for t in range(code.N + 1):
+            block, low = low_ball_block(code, theta, x, x_prime, e, t, w_hat)
+            expect = (gram(code, x, low) - gram(code, x_prime, low)) * (2.0 ** -code.N / k)
+            assert block.dtype == np.float64 and np.array_equal(block, expect)
+
+
 @pytest.mark.parametrize("e", [range(5), [0, 1, 3]])
 def test_certificate_checks_each_operand_once(monkeypatch, e):
     """One bit check per bit-string operand (theta, x, x', w_hat) per
-    certificate, whether its ball and Gram blocks are new or kept."""
+    certificate, whether its low ball and ball blocks are new or kept."""
     code = gf2.LinearCode(f=gf2.bitmatrix(["11100", "00111"]), r=1, m=1)
-    code.distance, code.kernel_span, code.row_span  # per-code facts, cached
+    code.distance, code.row_span  # per-code facts, cached
     checked = []
     real = gf2._bit_array
     monkeypatch.setattr(gf2, "_bit_array", lambda v, what: checked.append(v) or real(v, what))
@@ -469,20 +505,20 @@ def test_certificate_checks_each_operand_once(monkeypatch, e):
         checked.clear()
 
 
-def test_gram_blocks_are_built_once_per_code_syndrome_and_ball(monkeypatch):
-    """Each (syndrome, ball) Gram block is built from one sign matrix per
-    code and kept under one memo key, however many pairs share it; another
+def test_ball_blocks_are_built_once_per_code_syndrome_and_ball(monkeypatch):
+    """Each (syndrome, ball) block is gathered from one closed-form column
+    and kept under one memo key, however many pairs share it; another
     theta reuses it, since the block over theta's conjugate frame is the
     same for every theta."""
     built = []
-    real = cosetrho._parity_signs
-    monkeypatch.setattr(cosetrho, "_parity_signs",
-                        lambda words, low: built.append(len(words)) or real(words, low))
+    real = cosetrho._closed_form_column
+    monkeypatch.setattr(cosetrho, "_closed_form_column",
+                        lambda on, beta0: built.append(on) or real(on, beta0))
     f = gf2.bitmatrix(["1110000", "0011100", "0000111"])
     code = gf2.LinearCode(f=f, r=1, m=2)
 
-    def gram_keys(on):
-        return [key for key in on.memo._kept if key[0] == "gram"]
+    def block_keys(on):
+        return [key for key in on.memo._kept if key[0] == "ball block"]
 
     syndromes = valid_syndromes(code)
     assert len(syndromes) == 8
@@ -492,32 +528,32 @@ def test_gram_blocks_are_built_once_per_code_syndrome_and_ball(monkeypatch):
             args = (code, "0101010", x, x_prime, range(7), t, "0" * 7)
             cosetrho.lemma1_certificate(*args)
             blocks[x.tobytes(), x_prime.tobytes(), t] = low_ball_block(*args)[0]
-    assert len(built) == 16 and set(built) == {len(code.kernel_span)}
-    assert len(gram_keys(code)) == 16
+    assert len(built) == 16 and all(on is code for on in built)
+    assert len(block_keys(code)) == 16
     for theta in ("1101010", "xxxxxxx"):
         for (x, x_prime, t), block in blocks.items():
             args = (code, theta, np.frombuffer(x, dtype=np.uint8),
                     np.frombuffer(x_prime, dtype=np.uint8), range(7), t, "0" * 7)
             assert np.array_equal(low_ball_block(*args)[0], block)
     assert len(built) == 16
-    # another centre, subset or code is a Gram block of its own
+    # another centre, subset or code is a block of its own
     for e, w_hat, on in ((range(7), "1" + "0" * 6, code), ([0, 1], "0" * 7, code),
                          (range(7), "0" * 7, gf2.LinearCode(f=f, r=1, m=2))):
         cosetrho.lemma1_certificate(on, "0101010", syndromes[0], syndromes[1], e, 1, w_hat)
-    assert len(built) == 22 and len(gram_keys(code)) == 20
+    assert len(built) == 22 and len(block_keys(code)) == 20
 
 
 @pytest.mark.parametrize("check", [cosetrho.lemma1_certificate, cosetrho.distinguishing_witness])
 def test_certificates_reject_a_syndrome_outside_the_image(check):
     """A rank-deficient f has syndromes with an empty coset; either one of
-    the pair is refused before any low ball or Gram block is built."""
+    the pair is refused before any low ball or ball block is built."""
     code = gf2.LinearCode(f=gf2.bitmatrix(["1100", "1100", "0011"]), r=1, m=2)
     inside, outside = [0, 0, 1], [1, 0, 0]
     assert code.particular(inside) is not None and code.particular(outside) is None
     for x, x_prime in ((inside, outside), (outside, inside)):
         with pytest.raises(DomainError, match="image of f"):
             check(code, "0000", x, x_prime, range(4), 1, "0000")
-    assert not any(key[0] in ("gram", "low ball") for key in code.memo._kept)
+    assert not any(key[0] in ("ball block", "low ball") for key in code.memo._kept)
 
 
 def test_nonzero_blocks_are_solved_one_row_span_coset_at_a_time(monkeypatch):
@@ -545,8 +581,8 @@ def test_certificate_rejects_a_radius_that_is_not_a_nonnegative_integer(t):
         cosetrho.lemma1_certificate(code, "0000", [0], [1], range(4), t, "0000")
 
 
-def test_wide_ball_grams_stay_within_the_memo_byte_bound():
-    """A full-radius Gram block at N = 10 (1024 x 1024 floats) is larger
+def test_wide_ball_blocks_stay_within_the_memo_byte_bound():
+    """A full-radius ball block at N = 10 (1024 x 1024 floats) is larger
     than the memo's byte bound, so it is recomputed, not kept; a small
     block of the same code is kept."""
     code = gf2.LinearCode(f=gf2.random_bitmatrix(np.random.default_rng(1400), 3, 10), r=1, m=2)
@@ -554,8 +590,8 @@ def test_wide_ball_grams_stay_within_the_memo_byte_bound():
     wide = cosetrho.lemma1_certificate(code, "0" * 10, x, x_prime, range(10), 10, "0" * 10)
     assert not wide.condition_met and wide.max_defect > 0.0
     cosetrho.lemma1_certificate(code, "0" * 10, x, x_prime, range(10), 1, "0" * 10)
-    grams = [v for key, v in code.memo._kept.items() if key[0] == "gram"]
-    assert [g.shape for g in grams] == [(11, 11)] * 2
+    blocks = [v for key, v in code.memo._kept.items() if key[0] == "ball block"]
+    assert [b.shape for b in blocks] == [(11, 11)] * 2
     assert code.memo._bytes <= gf2.Memo.MEMO_MAX_BYTES
 
 

@@ -596,6 +596,22 @@ def test_positions_that_are_not_integers_are_refused(entry, bad):
     entry([])
 
 
+@pytest.mark.parametrize("bad", [[2**63], [2**64 - 1], np.array([2**63], dtype=np.uint64)],
+                         ids=["list", "top", "uint64-array"])
+def test_positions_past_int64_are_refused_not_wrapped(bad):
+    """numpy reads a JSON or Python integer in [2^63, 2^64) as uint64, which
+    int64 would wrap to a negative position."""
+    with pytest.raises(DomainError, match="below 2\\^63"):
+        gf2.position_array(bad)
+    top = np.array([0, 2**63 - 1], dtype=np.uint64)
+    assert gf2.position_array(top).tolist() == [0, 2**63 - 1]
+
+
+def test_int64_positions_come_back_uncopied():
+    e = np.array([4, 1, 7], dtype=np.int64)
+    assert np.shares_memory(gf2.position_array(e), e)
+
+
 def test_particular_solutions_are_solved_once_per_syndrome(monkeypatch):
     """A code keeps each syndrome's solution, None included, read-only in
     its memo; another code solves its own."""

@@ -1250,6 +1250,50 @@ def test_transcript_from_json_refuses_positions_that_are_not_integers(field, bad
             protocol.Transcript.from_json(json.dumps(odd))
 
 
+def seed_7_transcript_dict():
+    tr = protocol.run_string_qot(make_params(seed=7), [1], force_c=1, announce_rest=True)
+    assert tr.abort_reason is None and tr.params.n == 24
+    return json.loads(tr.to_json())
+
+
+@pytest.mark.parametrize("field", ["R", "T0", "T1", "E0", "E1", "E_c"])
+@pytest.mark.parametrize("bad", [[-1, 5], [5, 24], [99, 100]])
+def test_transcript_from_json_refuses_a_position_set_outside_the_run(field, bad):
+    d = seed_7_transcript_dict()
+    with pytest.raises(DomainError, match=f"^{field} positions must lie in \\[0, 24\\)$"):
+        protocol.Transcript.from_json(json.dumps({**d, field: bad}))
+    protocol.Transcript.from_json(json.dumps({**d, field: [0, 23]}))
+
+
+@pytest.mark.parametrize("bad", [[-1, 5], [5, 24]])
+def test_transcript_from_json_refuses_an_announced_set_outside_the_run(bad):
+    d = seed_7_transcript_dict()
+    with pytest.raises(DomainError, match="^announced_sets positions must lie"):
+        protocol.Transcript.from_json(json.dumps({**d, "announced_sets": [d["announced_sets"][0], bad]}))
+
+
+def test_transcript_from_json_refuses_an_announced_rest_outside_the_run_or_misshapen():
+    d = seed_7_transcript_dict()
+    rest = d["announced_rest"]
+    assert len(rest["positions"]) == len(rest["bits"]) == 20
+    outside = {**rest, "positions": rest["positions"][:-1] + [24]}
+    with pytest.raises(DomainError, match="^announced_rest positions must lie"):
+        protocol.Transcript.from_json(json.dumps({**d, "announced_rest": outside}))
+    short = {**rest, "bits": rest["bits"][:3]}
+    with pytest.raises(DomainError, match="one bit per position"):
+        protocol.Transcript.from_json(json.dumps({**d, "announced_rest": short}))
+
+
+@pytest.mark.parametrize("field", ["bob_values", "deferred"])
+def test_transcript_from_json_refuses_a_map_key_outside_the_run(field):
+    d = seed_7_transcript_dict()
+    with pytest.raises(DomainError, match=f"^{field} positions must lie in \\[0, 24\\)$"):
+        protocol.Transcript.from_json(json.dumps({**d, field: {**d[field], "24": 1}}))
+    with pytest.raises(DomainError, match="distinct positions in order"):
+        protocol.Transcript.from_json(json.dumps({**d, field: {"-1": 1}}))
+    protocol.Transcript.from_json(json.dumps({**d, field: {"23": 1}}))
+
+
 def test_transcript_from_json_rejects_missing_and_unknown_keys():
     d = json.loads(protocol.run_string_qot(make_params(seed=31), [1]).to_json())
     protocol.Transcript.from_json(json.dumps(d))
