@@ -25,7 +25,6 @@ therefore upper-bounds the plain protocol.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -125,15 +124,11 @@ def store_subset(positions=None, count: Optional[int] = None) -> AttackStrategy:
     if (positions is None) == (count is None):
         raise DomainError("give exactly one of positions or count")
     if positions is not None:
-        positions = list(positions)
-        if any(isinstance(i, bool) for i in positions):
-            raise DomainError("store positions must be integers")
-        try:
-            positions = tuple(sorted({operator.index(i) for i in positions}))
-        except TypeError as exc:
-            raise DomainError("store positions must be integers") from exc
-    elif count < 0:
-        raise DomainError("count may not be negative")
+        positions = tuple(np.unique(gf2.position_array(list(positions))).tolist())
+    else:
+        count = gf2.integer(count, "a store count")
+        if count < 0:
+            raise DomainError("count may not be negative")
     return AttackStrategy(kind=StrategyKind.STORE_SUBSET, positions=positions, count=count)
 
 
@@ -258,6 +253,7 @@ def store_attack_test_statistics(
     """
     if not 0.0 <= fraction_f <= 1.0:
         raise DomainError("fraction must lie in [0, 1]")
+    trials = gf2.integer(trials, "trials")
     if trials < 1:
         raise DomainError("trials must be positive")
     n, p = params.n, params.noise_p
@@ -295,6 +291,7 @@ def view_small_distance_defect(
     """
     if transcript.strategy["kind"] != strategy.kind.value:
         raise DomainError("strategy does not match the transcript")
+    t = gf2.integer(t, "ball radius")
     if t < 0:
         raise DomainError("ball radius must be nonnegative")
     theta, theta_hat = transcript.theta, transcript.theta_hat
@@ -671,8 +668,10 @@ def information_account(
     conditions on it.
     """
     prior = _normalize_prior(prior, params.m)
-    if budget is not None and budget < 1:
-        raise DomainError(f"budget must be at least 1, got {budget}")
+    if budget is not None:
+        budget = gf2.integer(budget, "budget")
+        if budget < 1:
+            raise DomainError(f"budget must be at least 1, got {budget}")
     if require_disjoint_store and method is InfoMethod.MONTE_CARLO:
         raise DomainError("disjointness conditioning needs the exact method")
     if rng is None:
@@ -719,6 +718,7 @@ def random_ok_decomposition(
 ) -> BranchReport:
     """Empirical check that the single-coin strategy passes with the
     average of its two branch rates, in either mode."""
+    trials = gf2.integer(trials, "trials")
     if trials < 1:
         raise DomainError("trials must be positive")
     if rng is None:

@@ -31,7 +31,6 @@ has full rank; with dependent rows the closed form still holds verbatim
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -183,10 +182,7 @@ def _certificate_operands(code: gf2.LinearCode, theta, x, x_prime, e, t, w_hat) 
     if code._particular(x) is None or code._particular(x_prime) is None:
         raise DomainError("both syndromes must lie in the image of f; one has an empty coset")
     e = gf2.position_set(e, n)
-    try:
-        t = operator.index(t)
-    except TypeError as exc:
-        raise DomainError("ball radius must be an integer") from exc
+    t = gf2.integer(t, "ball radius")
     if t < 0:
         raise DomainError("ball radius must be nonnegative")
     w_hat = gf2.bits(w_hat, length=n)
@@ -322,6 +318,8 @@ def gv_trials(
     has distance and ratio inf."""
     if not math.isfinite(eta):
         raise DomainError("eta must be finite")
+    n_cols, rows = gf2.integer(n_cols, "n_cols"), gf2.integer(rows, "rows")
+    trials = gf2.integer(trials, "trials")
     if rows >= n_cols:
         raise DomainError("rows must be below N")
     if rows > gf2.MIN_DISTANCE_MAX_ROWS:

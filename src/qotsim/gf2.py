@@ -5,6 +5,13 @@ Bit vectors and matrices are numpy uint8 arrays with entries in {0, 1}.
 Position sets are sorted integer arrays over a universe {0, ..., n-1}.
 All indexing is 0-based, here and in every serialized artifact.
 
+Two rules check the integer data of every module. integer reads one
+scalar operand (a size, a count, a radius, a position) as a Python int
+and refuses a bool, a float or any other type. position_block reads a
+block of positions to measure: distinct int64 positions in range, in
+their given order. Both raise DomainError; their entries, like those of
+position_set, go through position_array.
+
 Span walks work on lane words instead: a bit vector of width n becomes a
 row of ceil(n / 64) big-endian uint64 lanes (pack_lanes), position j
 being bit 63 - j % 64 of lane j // 64 and the bits past n zero. Lane 0
@@ -29,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
 
@@ -90,6 +96,17 @@ def bitmatrix(values, rows: Optional[int] = None, cols: Optional[int] = None) ->
 _BOOL_TYPES = frozenset({bool, np.bool_})
 
 
+def integer(value, what: str) -> int:
+    """value as a Python int: a Python or numpy integer. A bool, a float or
+    any other type raises DomainError naming what, instead of being read
+    as an integer (True as 1, 1.5 truncated)."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise DomainError(f"{what} must be an integer, not {type(value).__name__}")
+
+
 def position_array(members) -> np.ndarray:
     """members as a flat int64 array, in their given order.
 
@@ -126,6 +143,23 @@ def position_set(members, universe: int) -> np.ndarray:
         e = np.unique(e)
     if e.size and (e[0] < 0 or e[-1] >= universe):
         raise DomainError(f"positions must lie in [0, {universe})")
+    return e
+
+
+def position_block(members, universe: int) -> np.ndarray:
+    """members as distinct int64 positions in [0, universe), in their given
+    order: a block to measure. Entries are checked by position_array, so
+    int64 array input comes back uncopied. A strictly increasing block is
+    distinct as it stands; only another one is sorted to find repeats.
+    """
+    e = position_array(members)
+    if not e.size:
+        return e
+    ordered = e if (e[1:] > e[:-1]).all() else np.sort(e)
+    if ordered[0] < 0 or ordered[-1] >= universe:
+        raise DomainError(f"positions must lie in [0, {universe})")
+    if ordered is not e and (ordered[1:] == ordered[:-1]).any():
+        raise DomainError("a block holds each position at most once")
     return e
 
 
@@ -285,7 +319,7 @@ class LinearCode:
 
     f is kept as a read-only copy, so the facts derived from it once per
     code (min distance, kernel, row span, coset solver, and the results in
-    memo) cannot go stale.
+    memo) cannot go stale. r and m are kept as Python ints.
     """
 
     f: np.ndarray
@@ -296,6 +330,8 @@ class LinearCode:
         f = bitmatrix(self.f).copy()
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
+        object.__setattr__(self, "r", integer(self.r, "r"))
+        object.__setattr__(self, "m", integer(self.m, "m"))
         if self.r < 0 or self.m < 0:
             raise DomainError("row counts must be nonnegative")
         if f.shape[0] != self.r + self.m:
@@ -422,7 +458,7 @@ def _pack_int(v: np.ndarray) -> int:
 
 def unpack_int(value: int, length: int) -> np.ndarray:
     """pack_int inverted: the length-bit vector of value in [0, 2^length)."""
-    value = operator.index(value)
+    value, length = integer(value, "unpack_int value"), integer(length, "unpack_int length")
     if length < 0 or not 0 <= value < 1 << length:
         raise DomainError(f"unpack_int needs 0 <= value < 2^length, got {value} in {length} bits")
     return _rows_from_words([value], length)[0]

@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
@@ -94,9 +93,7 @@ class ProtocolParams:
         for name in ("n", "m", "r", "N", "seed"):
             value = getattr(self, name)
             if type(value) is not int and not (name == "N" and value is None):
-                if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-                    raise DomainError(f"{name} must be an integer, not {type(value).__name__}")
-                object.__setattr__(self, name, operator.index(value))
+                object.__setattr__(self, name, gf2.integer(value, name))
         if self.n < 1:
             raise DomainError("need at least one photon")
         if self.m < 1:
@@ -239,7 +236,7 @@ class Reception:
     def measure_many(self, positions, angles, rng: np.random.Generator) -> np.ndarray:
         """Measure the photons at positions, in order, each at its angle
         (one angle may serve the whole block); returns the outcome bits."""
-        pos = gf2.position_array(positions)
+        pos = gf2.position_block(positions, self.n)
         angles = np.asarray(angles, dtype=float)
         if angles.shape not in ((), pos.shape):
             raise DimensionError("give one angle, or one per position")
@@ -247,22 +244,14 @@ class Reception:
             raise DomainError("measurement angles must be finite")
         if not pos.size:
             return np.zeros(0, dtype=np.uint8)
-        ordered = pos if (pos[1:] > pos[:-1]).all() else np.sort(pos)
-        if ordered[0] < 0 or ordered[-1] >= self.n:
-            raise DomainError("measurement position out of range")
-        if ordered is not pos and (ordered[1:] == ordered[:-1]).any():
-            raise DomainError("a block measures each position at most once")
         return self._measure(pos, self._index(angles), rng)
 
     def measure(self, position: int, angle: float, rng: np.random.Generator) -> int:
-        if isinstance(position, bool) or not isinstance(position, (int, np.integer)):
-            raise DomainError("measurement positions must be integers")
-        if not 0 <= position < self.n:
-            raise DomainError("measurement position out of range")
+        pos = gf2.position_block([gf2.integer(position, "a measurement position")], self.n)
         angle = float(angle)
         if not math.isfinite(angle):
             raise DomainError("measurement angles must be finite")
-        return int(self._measure(np.array([position], dtype=np.int64), self._index(angle), rng)[0])
+        return int(self._measure(pos, self._index(angle), rng)[0])
 
     def measure_basis(self, position: int, basis: int, rng: np.random.Generator) -> int:
         if basis not in (quantum.PLUS, quantum.CROSS):
@@ -720,7 +709,7 @@ def _run(
     if bob is None:
         bob = attacks.honest()
     channel = params.channel()
-    if force_c is not None and force_c not in (0, 1):
+    if force_c is not None and gf2.integer(force_c, "force_c") not in (0, 1):
         raise DomainError("force_c must be 0 or 1")
     seed = params.seed
     oracle = CommitmentOracle()

@@ -10,11 +10,11 @@ rotation: encodings and angle bases are float64 arrays.
 
 Measurement comes in two forms. No step of the protocol entangles photons,
 so a BB84 product state is held as its factors, an (n, 2) float64 array of
-per-photon amplitudes, at any n, and measure_factors measures a block of
+per-photon amplitudes, at any n, and _measure_factors measures a block of
 photons in one vectorised step, each on its own row; this is the form a
-receiver uses, through _measure_factors, its unchecked half, once the
-receiver has checked the block itself. measure_photons measures the same
-block on a full 2^n statevector, keeping its inputs' dtype (complex states
+receiver uses, and the receiver checks the block (gf2.position_block)
+before it calls _measure_factors. measure_photons measures the same block
+on a full 2^n statevector, keeping its inputs' dtype (complex states
 still work), and is the reference the factored form is tested against;
 STATEVECTOR_MAX_N caps only the statevectors bb84_states builds.
 
@@ -28,7 +28,6 @@ to complex.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +169,7 @@ def measure_photon(state: np.ndarray, i: int, rotation: np.ndarray, rng) -> tupl
 def measure_photons(state: np.ndarray, positions, rotations, rng) -> tuple:
     """Projectively measure the photons at positions, in order, each in the
     basis given by the columns of its rotation (rotations aligns with
-    positions), on a full statevector: the reference for measure_factors.
+    positions), on a full statevector: the reference for _measure_factors.
 
     Each outcome o splits its photon off as the product factor rot[:, o],
     so the block's later photons are measured on the remainder over the
@@ -193,19 +192,12 @@ def measure_photons(state: np.ndarray, positions, rotations, rng) -> tuple:
     if size == 0 or size & (size - 1):
         raise DimensionError("statevector length must be a power of 2")
     n = size.bit_length() - 1
-    try:
-        positions = [operator.index(i) for i in positions]
-    except TypeError as exc:
-        raise DomainError("photon indices must be integers") from exc
+    positions = gf2.position_block(positions, n).tolist()
     rotations = [np.asarray(rot) for rot in rotations]
     if len(rotations) != len(positions):
         raise DimensionError("give one rotation per measured photon")
     if any(rot.shape != (2, 2) for rot in rotations):
         raise DimensionError("a photon rotation is a 2x2 matrix")
-    if any(not 0 <= i < n for i in positions):
-        raise DomainError(f"photon index outside [0, {n})")
-    if len(set(positions)) != len(positions):
-        raise DomainError("a block measures each photon at most once")
     k = len(positions)
     # the block's photons lead, in block order, then the rest in photon order
     rest = np.moveaxis(state.reshape((2,) * n), positions, range(k)).reshape(-1)
@@ -225,11 +217,14 @@ def measure_photons(state: np.ndarray, positions, rotations, rng) -> tuple:
     return outcomes, np.moveaxis(full, range(k), positions).reshape(-1)
 
 
-def measure_factors(factors: np.ndarray, positions, rotations, rng) -> np.ndarray:
+def _measure_factors(factors: np.ndarray, positions: np.ndarray, rotations: np.ndarray,
+                     rng) -> np.ndarray:
     """Projectively measure the photons at positions of the product state
     whose photon i has the real amplitudes factors[i], each in the basis
-    given by the columns of its rotation (rotations[j], a real 2x2 matrix,
-    serves positions[j]). factors is an (n, 2) float64 array, updated in
+    given by the columns of its rotation (rotations[j] serves
+    positions[j]). The caller passes a checked block: distinct int64
+    positions inside the (n, 2) float64 factors (gf2.position_block) and a
+    (k, 2, 2) float64 array of rotations. factors is updated in
     place: each measured row is overwritten by its rotation's outcome
     column times the sign of its outcome component, which is the
     normalised projection, so the rows stay real and of unit norm and
@@ -240,41 +235,10 @@ def measure_factors(factors: np.ndarray, positions, rotations, rng) -> np.ndarra
     components c = rot^T psi are taken as two rounded products and a
     rounded sum, p1 = c1^2 / (c0^2 + c1^2), and the block's uniforms come
     from one rng.random(k) call, which yields the same doubles as k scalar
-    draws in block order. Every check, on every measured row's amplitudes
-    (finite, not all zero) included, runs before the draw. Returns the
-    outcome bits in block order.
+    draws in block order. The measured rows' amplitudes are checked
+    (finite, not all zero) before the draw. Returns the outcome bits in
+    block order.
     """
-    if not isinstance(factors, np.ndarray) or factors.dtype != np.float64:
-        raise DomainError("photon factors are a float64 array")
-    if factors.ndim != 2 or factors.shape[1] != 2:
-        raise DimensionError("photon factors are an (n, 2) array")
-    positions = gf2.position_array(positions)
-    k = positions.size
-    try:
-        rotations = np.asarray(rotations)
-    except ValueError as exc:  # rotations of different shapes
-        raise DimensionError("a photon rotation is a 2x2 matrix") from exc
-    if rotations.dtype.kind not in "iuf":
-        raise DomainError("factored measurement takes real rotations")
-    # an empty block may come with an empty list of rotations
-    if rotations.shape != (k, 2, 2) and (k or rotations.size):
-        raise DimensionError("give one 2x2 rotation per measured photon")
-    if not k:
-        return np.zeros(0, dtype=np.uint8)
-    listed = positions.tolist()
-    if min(listed) < 0 or max(listed) >= factors.shape[0]:
-        raise DomainError(f"photon index outside [0, {factors.shape[0]})")
-    if len(set(listed)) != k:
-        raise DomainError("a block measures each photon at most once")
-    return _measure_factors(factors, positions, rotations.astype(float, copy=False), rng)
-
-
-def _measure_factors(factors: np.ndarray, positions: np.ndarray, rotations: np.ndarray,
-                     rng) -> np.ndarray:
-    """measure_factors on a checked non-empty block: distinct int64
-    positions inside the (n, 2) float64 factors, and a (k, 2, 2) float64
-    array of rotations. The measured rows are still checked before the
-    draw."""
     psi = factors[positions]
     if not np.isfinite(psi).all():
         raise DomainError("cannot measure a photon whose amplitudes are not finite")
@@ -341,6 +305,7 @@ def ball_projector(e, center, t: int) -> np.ndarray:
     """The sorted basis indices alpha with d_e(alpha, center) <= t: in any
     product frame theta_hat, the states |alpha, theta_hat> that span the
     projector onto the distance-t ball around center on the positions e."""
+    t = gf2.integer(t, "ball radius")
     if t < 0:
         raise DomainError("ball radius must be nonnegative")
     center = gf2.bits(center)

@@ -73,6 +73,18 @@ def test_store_subset_accepts_any_iterable_of_positions(positions):
     assert st == attacks.store_subset(positions=[4, 1])
     held, runtime = st.hold(8, stream(0, "hold"))
     assert held.tolist() == [1, 4] and runtime == {"stored": [1, 4]}
+
+
+def test_a_numpy_store_count_writes_its_transcript():
+    """The count is kept as a Python int, so the strategy record of the
+    transcript serialises and reads back."""
+    st = attacks.store_subset(count=np.int64(3))
+    assert type(st.count) is int and st == attacks.store_subset(count=3)
+    for mode in protocol.Mode:
+        tr = protocol.run_string_qot(exact_params(mode=mode), [1], bob=st)
+        text = tr.to_json()
+        assert json.loads(text)["strategy"]["count"] == 3
+        assert protocol.Transcript.from_json(text).to_json() == text
     # range is checked where the photon count is known
     for bad in ({1, 8}, range(-1, 1)):
         with pytest.raises(DomainError):

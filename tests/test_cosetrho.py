@@ -574,7 +574,7 @@ def test_nonzero_blocks_are_solved_one_row_span_coset_at_a_time(monkeypatch):
     assert not cert.condition_met and value > 1e-3
 
 
-@pytest.mark.parametrize("t", [-1, 1.5, "1", None])
+@pytest.mark.parametrize("t", [-1, 1.5, "1", None, True, np.True_, np.float64(1.0)])
 def test_certificate_rejects_a_radius_that_is_not_a_nonnegative_integer(t):
     code = gf2.parity_code(4)
     with pytest.raises(DomainError, match="radius"):

@@ -1,5 +1,6 @@
 """Exact GF(2) helpers: representation, elimination, codes, distances."""
 
+import functools
 import itertools
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qotsim import attacks, cosetrho, gf2
+from qotsim import attacks, cosetrho, gf2, protocol, quantum
 from qotsim.errors import DimensionError, DomainError, ResourceError
 
 
@@ -96,6 +97,28 @@ def test_position_set_is_unique_of_its_input(members):
     assert np.array_equal(got, expect)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-4, 40), max_size=30),
+        st.lists(st.integers(-4, 40), max_size=30).map(sorted),
+        st.sets(st.integers(-4, 40), max_size=30).map(sorted),
+    ),
+    st.integers(0, 40),
+)
+def test_position_block_returns_a_valid_block_uncopied(members, universe):
+    """An int64 block of distinct positions in range comes back as given,
+    sharing memory; a repeat or a position out of range raises."""
+    e = np.array(members, dtype=np.int64)
+    if len(set(members)) == len(members) and all(0 <= i < universe for i in members):
+        got = gf2.position_block(e, universe)
+        assert got.dtype == np.int64 and np.array_equal(got, e)
+        assert not e.size or np.shares_memory(got, e)
+    else:
+        with pytest.raises(DomainError):
+            gf2.position_block(e, universe)
+
+
 def test_complement_positions():
     assert np.array_equal(gf2.complement_positions([0, 2], 4), [1, 3])
     assert np.array_equal(gf2.complement_positions([], 3), [0, 1, 2])
@@ -169,6 +192,14 @@ def test_linear_code_validation():
         gf2.LinearCode(f=gf2.bitmatrix(["11", "10", "01"]), r=2, m=1)
     with pytest.raises(DomainError):
         gf2.LinearCode(f=gf2.bitmatrix(["11"]), r=-1, m=2)
+
+
+def test_linear_code_keeps_numpy_row_counts_as_python_ints():
+    """Bool and float row counts are refused in
+    test_counts_and_radii_that_are_not_integers_are_refused."""
+    code = gf2.LinearCode(f=gf2.bitmatrix(["110", "011"]), r=np.int64(1), m=np.uint8(1))
+    assert type(code.r) is int and type(code.m) is int
+    assert code.g.shape == code.h.shape == (1, 3)
 
 
 def test_linear_code_keeps_a_read_only_copy_of_f():
@@ -596,6 +627,49 @@ def test_positions_that_are_not_integers_are_refused(entry, bad):
     entry([])
 
 
+@functools.cache
+def small_params():
+    return protocol.ProtocolParams(n=8, m=1, r=0, delta=0.25, N=2)
+
+
+@functools.cache
+def honest_run():
+    tr = protocol.run_string_qot(small_params(), [1])
+    assert tr.abort_reason is None
+    return tr
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 1.5, np.float64(1.0), "1"],
+                         ids=["bool", "numpy-bool", "float", "integral-float", "text"])
+@pytest.mark.parametrize("entry", [
+    lambda v: attacks.view_small_distance_defect(honest_run(), attacks.honest(), range(8), v),
+    lambda v: quantum.ball_projector([0, 1], "00", v),
+    lambda v: attacks.random_ok_decomposition(small_params(), v),
+    lambda v: attacks.store_attack_test_statistics(small_params(), 0.5, v, np.random.default_rng(0)),
+    lambda v: attacks.information_account(small_params(), attacks.honest(),
+                                          attacks.InfoMethod.MONTE_CARLO, budget=v),
+    lambda v: cosetrho.gv_trials(8, 2, 0.0, v, np.random.default_rng),
+    lambda v: cosetrho.gv_trials(8, v, 0.0, 1, np.random.default_rng),
+    lambda v: cosetrho.gv_trials(v, 0, 0.0, 1, np.random.default_rng),
+    lambda v: gf2.unpack_int(v, 1),
+    lambda v: gf2.unpack_int(1, v),
+    lambda v: gf2.LinearCode(f=np.ones((2, 3), dtype=np.uint8), r=v, m=1),
+    lambda v: gf2.LinearCode(f=np.ones((2, 3), dtype=np.uint8), r=1, m=v),
+    lambda v: attacks.store_subset(count=v),
+    lambda v: protocol.run_string_qot(small_params(), [1], force_c=v),
+], ids=["view_small_distance_defect-t", "ball_projector-t", "random_ok_decomposition-trials",
+        "store_attack_test_statistics-trials", "information_account-budget", "gv_trials-trials",
+        "gv_trials-rows", "gv_trials-n_cols", "unpack_int-value", "unpack_int-length",
+        "LinearCode-r", "LinearCode-m", "store_subset-count", "run_string_qot-force_c"])
+def test_counts_and_radii_that_are_not_integers_are_refused(entry, bad):
+    """A bool, a float or a string where a radius, a count or a size is due
+    raises DomainError instead of being read as 1 or truncated; 1 itself
+    is valid everywhere."""
+    with pytest.raises(DomainError, match="must be an integer"):
+        entry(bad)
+    entry(1)
+
+
 @pytest.mark.parametrize("bad", [[2**63], [2**64 - 1], np.array([2**63], dtype=np.uint64)],
                          ids=["list", "top", "uint64-array"])
 def test_positions_past_int64_are_refused_not_wrapped(bad):
@@ -603,6 +677,8 @@ def test_positions_past_int64_are_refused_not_wrapped(bad):
     int64 would wrap to a negative position."""
     with pytest.raises(DomainError, match="below 2\\^63"):
         gf2.position_array(bad)
+    with pytest.raises(DomainError, match="below 2\\^63"):
+        attacks.store_subset(positions=bad)
     top = np.array([0, 2**63 - 1], dtype=np.uint64)
     assert gf2.position_array(top).tolist() == [0, 2**63 - 1]
 
