@@ -64,12 +64,40 @@ class AttackStrategy:
     HONEST holds nothing. STORE_SUBSET holds the photons in F. FIXED_BASIS
     holds nothing and measures at one fixed angle. RANDOM_OK tosses a
     single coin and holds every photon when it lands 1.
+
+    A strategy takes exactly the fields of its kind, so its describe()
+    record states what it does: a finite angle with FIXED_BASIS, and with
+    STORE_SUBSET exactly one of positions (kept as a sorted tuple of
+    distinct ints) and count (an int >= 0). Any other field, or a missing
+    one, raises DomainError. The kind may be given by its name.
     """
 
     kind: StrategyKind
     positions: Optional[tuple] = None  # STORE_SUBSET explicit F
     count: Optional[int] = None        # STORE_SUBSET random-k variant
     angle: Optional[float] = None      # FIXED_BASIS
+
+    def __post_init__(self):
+        if not isinstance(self.kind, StrategyKind):
+            object.__setattr__(self, "kind", StrategyKind(self.kind))
+        name = self.kind.value
+        fixed = self.kind is StrategyKind.FIXED_BASIS
+        if (self.angle is not None) != fixed:
+            raise DomainError(f"an angle goes with FIXED_BASIS, which needs one (strategy {name})")
+        if fixed:
+            angle = float(self.angle)
+            if not math.isfinite(angle):
+                raise DomainError("a fixed measurement angle must be finite")
+            object.__setattr__(self, "angle", angle)
+        store = self.kind is StrategyKind.STORE_SUBSET
+        if (self.positions is not None) + (self.count is not None) != store:
+            raise DomainError("one of positions and count goes with STORE_SUBSET, "
+                              f"which needs exactly one (strategy {name})")
+        if self.positions is not None:
+            positions = np.unique(gf2.position_array(list(self.positions)))
+            object.__setattr__(self, "positions", tuple(positions.tolist()))
+        if self.count is not None:
+            object.__setattr__(self, "count", gf2.integer(self.count, "a store count", least=0))
 
     def describe(self) -> dict:
         return {
@@ -121,21 +149,10 @@ def honest() -> AttackStrategy:
 
 
 def store_subset(positions=None, count: Optional[int] = None) -> AttackStrategy:
-    if (positions is None) == (count is None):
-        raise DomainError("give exactly one of positions or count")
-    if positions is not None:
-        positions = tuple(np.unique(gf2.position_array(list(positions))).tolist())
-    else:
-        count = gf2.integer(count, "a store count")
-        if count < 0:
-            raise DomainError("count may not be negative")
     return AttackStrategy(kind=StrategyKind.STORE_SUBSET, positions=positions, count=count)
 
 
 def fixed_basis(angle: float) -> AttackStrategy:
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise DomainError("a fixed measurement angle must be finite")
     return AttackStrategy(kind=StrategyKind.FIXED_BASIS, angle=angle)
 
 
@@ -253,9 +270,7 @@ def store_attack_test_statistics(
     """
     if not 0.0 <= fraction_f <= 1.0:
         raise DomainError("fraction must lie in [0, 1]")
-    trials = gf2.integer(trials, "trials")
-    if trials < 1:
-        raise DomainError("trials must be positive")
+    trials = gf2.integer(trials, "trials", least=1)
     n, p = params.n, params.noise_p
     stored = round(fraction_f * n)
     rest = n - stored
@@ -291,9 +306,7 @@ def view_small_distance_defect(
     """
     if transcript.strategy["kind"] != strategy.kind.value:
         raise DomainError("strategy does not match the transcript")
-    t = gf2.integer(t, "ball radius")
-    if t < 0:
-        raise DomainError("ball radius must be nonnegative")
+    t = gf2.integer(t, "ball radius", least=0)
     theta, theta_hat = transcript.theta, transcript.theta_hat
     encoded = transcript.w ^ transcript.flips
     held = set(transcript.strategy.get("stored") or ())
@@ -669,9 +682,7 @@ def information_account(
     """
     prior = _normalize_prior(prior, params.m)
     if budget is not None:
-        budget = gf2.integer(budget, "budget")
-        if budget < 1:
-            raise DomainError(f"budget must be at least 1, got {budget}")
+        budget = gf2.integer(budget, "budget", least=1)
     if require_disjoint_store and method is InfoMethod.MONTE_CARLO:
         raise DomainError("disjointness conditioning needs the exact method")
     if rng is None:
@@ -718,9 +729,7 @@ def random_ok_decomposition(
 ) -> BranchReport:
     """Empirical check that the single-coin strategy passes with the
     average of its two branch rates, in either mode."""
-    trials = gf2.integer(trials, "trials")
-    if trials < 1:
-        raise DomainError("trials must be positive")
+    trials = gf2.integer(trials, "trials", least=1)
     if rng is None:
         rng = stream(params.seed, "branches")
     rates = []

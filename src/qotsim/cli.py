@@ -175,25 +175,14 @@ def _params_from_args(args, seed: int) -> protocol.ProtocolParams:
 
 
 def _build_strategy(name, store_positions, store_count, angle) -> attacks.AttackStrategy:
-    """The strategy of a name and its flags; a flag it does not take, or a
-    missing one, is an error."""
-    kind = attacks.StrategyKind(name)
-    fixed, store = attacks.StrategyKind.FIXED_BASIS, attacks.StrategyKind.STORE_SUBSET
-    if (angle is not None) != (kind is fixed):
-        raise DomainError(f"an angle goes with FIXED_BASIS, which needs one (strategy {name})")
-    if sum(flag is not None for flag in (store_positions, store_count)) != int(kind is store):
-        raise DomainError("one of --store-positions and --store-count goes with "
-                          f"STORE_SUBSET, which needs one (strategy {name})")
-    if kind is store:
-        if store_positions is not None:
-            try:
-                store_positions = [int(x) for x in store_positions.split(",") if x.strip() != ""]
-            except ValueError as exc:
-                raise DomainError(f"bad --store-positions value: {exc}")
-        return attacks.store_subset(positions=store_positions, count=store_count)
-    if kind is fixed:
-        return attacks.fixed_basis(angle)
-    return attacks.honest() if kind is attacks.StrategyKind.HONEST else attacks.random_ok()
+    """The strategy of a name and its flags; AttackStrategy refuses a flag
+    the kind does not take, or a missing one."""
+    if store_positions is not None:
+        try:
+            store_positions = [int(x) for x in store_positions.split(",") if x.strip() != ""]
+        except ValueError as exc:
+            raise DomainError(f"bad --store-positions value: {exc}")
+    return attacks.AttackStrategy(name, positions=store_positions, count=store_count, angle=angle)
 
 
 def _reject_ignored(args, why: str, **defaults) -> None:
@@ -223,18 +212,17 @@ def _write_json(path: Path, doc: dict) -> None:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _simulate_trial(args, idx: int):
-    """One run; top level so a process pool can ship it."""
+def _simulate_trial(args, bob, eve, idx: int):
+    """One run with the receiver bob and the eavesdropper eve (or None);
+    top level so a process pool can ship it."""
     params = _params_from_args(args, seed=_trial_seed(args.seed, idx))
     if args.protocol == "qkd":
-        eve = None if args.eve is None else _build_strategy(args.eve, None, None, args.eve_angle)
         tr = protocol.run_qkd(params, eve=eve, announce_rest=args.announce_rest)
     else:
         if args.b is not None:
             b = gf2.bits(args.b, length=args.m)
         else:
             b = gf2.random_bits(stream(args.seed, "b", idx), args.m)
-        bob = _build_strategy(args.strategy, args.store_positions, args.store_count, args.angle)
         tr = protocol.run_string_qot(
             params, b, bob=bob, force_c=args.force_c, announce_rest=args.announce_rest,
         )
@@ -251,30 +239,27 @@ def _simulate_trial(args, idx: int):
 def _cmd_simulate(args) -> int:
     if args.eve is not None and args.protocol != "qkd":
         raise DomainError("--eve applies to the qkd protocol")
-    if (args.eve == "FIXED_BASIS") != (args.eve_angle is not None):
-        raise DomainError("--eve-angle goes with --eve FIXED_BASIS, which needs it")
+    if args.eve is None:
+        _reject_ignored(args, "without --eve the channel has no eavesdropper", eve_angle=None)
     if args.protocol == "qkd":
         _reject_ignored(args, "qkd runs an honest receiver, fixes c = 0 and draws its key",
                         strategy=attacks.StrategyKind.HONEST.value, force_c=None, b=None)
-    if args.trials < 1:
-        raise DomainError("need at least one trial")
-    if args.workers < 1:
-        raise DomainError("need at least one worker")
-    # fail fast on bad strategy flags before spawning workers
-    _build_strategy(args.strategy, args.store_positions, args.store_count, args.angle)
-    if args.eve is not None:
-        _build_strategy(args.eve, None, None, args.eve_angle)
+    trials = gf2.integer(args.trials, "--trials", least=1)
+    workers = gf2.integer(args.workers, "--workers", least=1)
+    # bad strategy flags fail here, before any worker starts
+    bob = _build_strategy(args.strategy, args.store_positions, args.store_count, args.angle)
+    eve = None if args.eve is None else _build_strategy(args.eve, None, None, args.eve_angle)
     _params_from_args(args, seed=0)
 
     out = _out_dir(args)
-    trial = partial(_simulate_trial, args)
+    trial = partial(_simulate_trial, args, bob, eve)
     # a pool forks all its workers at the first submit: start no idle ones
-    workers = min(args.workers, args.trials)
+    workers = min(workers, trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trial, range(args.trials)))
+            results = list(pool.map(trial, range(trials)))
     else:
-        results = list(map(trial, range(args.trials)))
+        results = list(map(trial, range(trials)))
     results.sort(key=lambda item: item[0])
 
     transcripts = out / "transcripts.jsonl"
@@ -289,7 +274,7 @@ def _cmd_simulate(args) -> int:
     )
     passed = sum(row[2] for _, _, row in results)
     aborted = sum(1 for _, _, row in results if row[4] != "")
-    print(f"{args.trials} runs: {passed} passed the test, {aborted} aborted")
+    print(f"{trials} runs: {passed} passed the test, {aborted} aborted")
     print(f"wrote {transcripts} and {summary}")
     return EXIT_OK
 
@@ -298,24 +283,24 @@ def _cmd_simulate(args) -> int:
 # density-check
 
 def _cmd_density_check(args) -> int:
-    if args.r < 0 or args.m < 0 or args.r + args.m < 1:
+    r, m = gf2.integer(args.r, "--r", least=0), gf2.integer(args.m, "--m", least=0)
+    if r + m < 1:
         raise DomainError("need at least one code row")
-    if args.r + args.m > args.N:
+    if r + m > args.N:
         raise DomainError("r + m may not exceed N")
-    if args.trials < 1:
-        raise DomainError("need at least one trial")
+    trials = gf2.integer(args.trials, "--trials", least=1)
     out = _out_dir(args)
     rows_out = []
     violations = 0
     met = 0
     worst_met = 0.0
-    for idx in range(args.trials):
+    for idx in range(trials):
         rng = stream(args.seed, "trial", idx)
         while True:  # a zero map has a single coset, nothing to compare
-            f = gf2.random_bitmatrix(rng, args.r + args.m, args.N)
+            f = gf2.random_bitmatrix(rng, r + m, args.N)
             if gf2.rank(f) >= 1:
                 break
-        code = gf2.LinearCode(f=f, r=args.r, m=args.m)
+        code = gf2.LinearCode(f=f, r=r, m=m)
         theta = gf2.random_bits(rng, args.N)
         w_hat = gf2.random_bits(rng, args.N)
         x = gf2.matvec(f, gf2.random_bits(rng, args.N))
@@ -339,13 +324,13 @@ def _cmd_density_check(args) -> int:
     _write_csv(path, ["trial", "dN", "t", "condition_met", "max_defect"], rows_out)
     agg_path = out / "density_summary.json"
     _write_json(agg_path, {
-        "trials": args.trials,
+        "trials": trials,
         "condition_met": met,
         "violations": violations,
         "tolerance": DENSITY_DEFECT_TOL,
     })
     print(
-        f"{args.trials} certificates, {met} under hypothesis, "
+        f"{trials} certificates, {met} under hypothesis, "
         f"max defect among those {worst_met!r}"
     )
     print(f"wrote {path} and {agg_path}")
@@ -416,15 +401,14 @@ def _attack_store_sweep(args, params) -> int:
         raise DomainError(f"bad --store-sweep value: {exc}")
     if not fractions:
         raise DomainError("--store-sweep needs at least one fraction")
-    if args.sweep_trials < 1:
-        raise DomainError("need at least one sweep trial")
+    sweep_trials = gf2.integer(args.sweep_trials, "--sweep-trials", least=1)
     out = _out_dir(args)
     rows_out = []
     print("fraction  expected  empirical  std_error")
     for i, frac in enumerate(fractions):
         rng = stream(args.seed, "sweep", i)
         st = attacks.store_attack_test_statistics(
-            params, frac, args.sweep_trials, rng
+            params, frac, sweep_trials, rng
         )
         rows_out.append(
             [repr(frac), repr(st.expected), repr(st.empirical_mean),

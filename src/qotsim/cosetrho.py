@@ -182,9 +182,7 @@ def _certificate_operands(code: gf2.LinearCode, theta, x, x_prime, e, t, w_hat) 
     if code._particular(x) is None or code._particular(x_prime) is None:
         raise DomainError("both syndromes must lie in the image of f; one has an empty coset")
     e = gf2.position_set(e, n)
-    t = gf2.integer(t, "ball radius")
-    if t < 0:
-        raise DomainError("ball radius must be nonnegative")
+    t = gf2.integer(t, "ball radius", least=0)
     w_hat = gf2.bits(w_hat, length=n)
     _check_density_cap(n)
     return theta, x, x_prime, e, t, w_hat
@@ -318,14 +316,12 @@ def gv_trials(
     has distance and ratio inf."""
     if not math.isfinite(eta):
         raise DomainError("eta must be finite")
-    n_cols, rows = gf2.integer(n_cols, "n_cols"), gf2.integer(rows, "rows")
-    trials = gf2.integer(trials, "trials")
+    n_cols, rows = gf2.integer(n_cols, "n_cols"), gf2.integer(rows, "rows", least=0)
     if rows >= n_cols:
         raise DomainError("rows must be below N")
     if rows > gf2.MIN_DISTANCE_MAX_ROWS:
         raise ResourceError("row count exceeds the min-distance cap")
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    trials = gf2.integer(trials, "trials", least=1)
     threshold = gf2.binary_entropy_inverse(1.0 - rows / n_cols) - eta
     draws = []
     for i in range(trials):

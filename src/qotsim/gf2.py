@@ -5,12 +5,14 @@ Bit vectors and matrices are numpy uint8 arrays with entries in {0, 1}.
 Position sets are sorted integer arrays over a universe {0, ..., n-1}.
 All indexing is 0-based, here and in every serialized artifact.
 
-Two rules check the integer data of every module. integer reads one
-scalar operand (a size, a count, a radius, a position) as a Python int
-and refuses a bool, a float or any other type. position_block reads a
-block of positions to measure: distinct int64 positions in range, in
-their given order. Both raise DomainError; their entries, like those of
-position_set, go through position_array.
+Two rules check the integer data of every module, and no module keeps
+its own copy. integer reads one scalar operand (a size, a count, a
+radius, a position, a universe) as a Python int, refuses a bool, a float
+or any other type, and holds it to its lower bound (least). position_block
+reads a block of positions to measure: distinct int64 positions in range,
+in their given order. Both raise DomainError; their entries, like those
+of position_set, go through position_array. Checks that relate operands
+(r + m <= N, value < 2^length) stay with the code that relates them.
 
 Span walks work on lane words instead: a bit vector of width n becomes a
 row of ceil(n / 64) big-endian uint64 lanes (pack_lanes), position j
@@ -96,15 +98,18 @@ def bitmatrix(values, rows: Optional[int] = None, cols: Optional[int] = None) ->
 _BOOL_TYPES = frozenset({bool, np.bool_})
 
 
-def integer(value, what: str) -> int:
-    """value as a Python int: a Python or numpy integer. A bool, a float or
-    any other type raises DomainError naming what, instead of being read
-    as an integer (True as 1, 1.5 truncated)."""
-    if type(value) is int:
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise DomainError(f"{what} must be an integer, not {type(value).__name__}")
+def integer(value, what: str, least: Optional[int] = None) -> int:
+    """value as a Python int: a Python or numpy integer, at least least
+    when that is given. A bool, a float or any other type raises
+    DomainError naming what, instead of being read as an integer (True as
+    1, 1.5 truncated), and so does an integer below least."""
+    if type(value) is not int:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise DomainError(f"{what} must be an integer, not {type(value).__name__}")
+        value = int(value)
+    if least is not None and value < least:
+        raise DomainError(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 def position_array(members) -> np.ndarray:
@@ -138,7 +143,7 @@ def position_set(members, universe: int) -> np.ndarray:
     increasing comes back as is, so the result may share memory with
     members: callers only read it.
     """
-    e = position_array(members)
+    e, universe = position_array(members), integer(universe, "a position universe")
     if e.size > 1 and not (e[1:] > e[:-1]).all():
         e = np.unique(e)
     if e.size and (e[0] < 0 or e[-1] >= universe):
@@ -152,7 +157,7 @@ def position_block(members, universe: int) -> np.ndarray:
     int64 array input comes back uncopied. A strictly increasing block is
     distinct as it stands; only another one is sorted to find repeats.
     """
-    e = position_array(members)
+    e, universe = position_array(members), integer(universe, "a position universe")
     if not e.size:
         return e
     ordered = e if (e[1:] > e[:-1]).all() else np.sort(e)
@@ -330,10 +335,8 @@ class LinearCode:
         f = bitmatrix(self.f).copy()
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "r", integer(self.r, "r"))
-        object.__setattr__(self, "m", integer(self.m, "m"))
-        if self.r < 0 or self.m < 0:
-            raise DomainError("row counts must be nonnegative")
+        object.__setattr__(self, "r", integer(self.r, "r", least=0))
+        object.__setattr__(self, "m", integer(self.m, "m", least=0))
         if f.shape[0] != self.r + self.m:
             raise DimensionError("f must have r+m rows")
         if self.r + self.m > f.shape[1]:
@@ -422,6 +425,7 @@ class LinearCode:
 
 def parity_code(n_cols: int) -> LinearCode:
     """The r=0, m=1 all-ones code: t is the parity of the whole string."""
+    n_cols = integer(n_cols, "n_cols", least=1)
     return LinearCode(f=np.ones((1, n_cols), dtype=np.uint8), r=0, m=1)
 
 
@@ -458,8 +462,9 @@ def _pack_int(v: np.ndarray) -> int:
 
 def unpack_int(value: int, length: int) -> np.ndarray:
     """pack_int inverted: the length-bit vector of value in [0, 2^length)."""
-    value, length = integer(value, "unpack_int value"), integer(length, "unpack_int length")
-    if length < 0 or not 0 <= value < 1 << length:
+    value = integer(value, "unpack_int value")
+    length = integer(length, "unpack_int length", least=0)
+    if not 0 <= value < 1 << length:
         raise DomainError(f"unpack_int needs 0 <= value < 2^length, got {value} in {length} bits")
     return _rows_from_words([value], length)[0]
 

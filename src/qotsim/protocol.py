@@ -77,7 +77,8 @@ class ChannelModel:
 @dataclass(frozen=True)
 class ProtocolParams:
     """Run configuration. N defaults to floor(0.24 n); epsilon to 8 delta.
-    n, m, r, N and seed are kept as Python ints."""
+    n, m, r, N and seed are kept as Python ints; noise_p is held to the
+    rule of the channel it makes (ChannelModel)."""
 
     n: int
     m: int
@@ -90,30 +91,19 @@ class ProtocolParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "m", "r", "N", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int and not (name == "N" and value is None):
-                object.__setattr__(self, name, gf2.integer(value, name))
-        if self.n < 1:
-            raise DomainError("need at least one photon")
-        if self.m < 1:
-            raise DomainError("the transferred string needs at least one bit")
-        if self.r < 0:
-            raise DomainError("syndrome length may not be negative")
+        for name, least in (("n", 1), ("m", 1), ("r", 0), ("seed", None)):
+            object.__setattr__(self, name, gf2.integer(getattr(self, name), name, least))
         if not self.delta >= 0:  # also rejects NaN
             raise DomainError("test tolerance must be a nonnegative number")
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", 8.0 * self.delta)
         if not self.epsilon >= 0:
             raise DomainError("storage fraction epsilon must be a nonnegative number")
-        if self.N is None:
-            object.__setattr__(self, "N", int(0.24 * self.n))
-        if self.N < 1:
-            raise DomainError("N must be at least 1 (n too small for the default rule)")
+        N = int(0.24 * self.n) if self.N is None else self.N
+        object.__setattr__(self, "N", gf2.integer(N, "N", least=1))
         if self.r + self.m > self.N:
             raise DomainError("r + m may not exceed N")
-        if not 0.0 <= self.noise_p < 0.5:
-            raise DomainError("noise_p must lie in [0, 1/2)")
+        ChannelModel(ChannelKind.BITFLIP, self.noise_p)  # the channel's flip probability rule
         if not isinstance(self.mode, Mode):
             object.__setattr__(self, "mode", Mode(self.mode))
 

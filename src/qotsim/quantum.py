@@ -68,14 +68,15 @@ def conjugate_bases(theta: np.ndarray) -> np.ndarray:
     return basis_string(theta) ^ 1
 
 
+# _PHOTONS[basis, bit]: |0>+ and |1>+, then |0>x and |1>x
+_PHOTONS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[_SQ2, _SQ2], [_SQ2, -_SQ2]]])
+
+
 def photon(bit: int, basis: int) -> np.ndarray:
-    if basis == PLUS:
-        return np.array([1.0, 0.0] if bit == 0 else [0.0, 1.0])
-    return np.array([_SQ2, _SQ2] if bit == 0 else [_SQ2, -_SQ2])
-
-
-# _PHOTONS[basis, bit] is photon(bit, basis)
-_PHOTONS = np.array([[photon(bit, basis) for bit in (0, 1)] for basis in (PLUS, CROSS)])
+    """The amplitudes of bit encoded in basis. A bit or basis other than 0
+    or 1 raises DomainError, by the rule of gf2.bits."""
+    bit, basis = gf2._bit_array([bit, basis], "photon label").tolist()
+    return _PHOTONS[basis, bit].copy()
 
 
 def angle_basis(angle: float) -> np.ndarray:
@@ -305,9 +306,7 @@ def ball_projector(e, center, t: int) -> np.ndarray:
     """The sorted basis indices alpha with d_e(alpha, center) <= t: in any
     product frame theta_hat, the states |alpha, theta_hat> that span the
     projector onto the distance-t ball around center on the positions e."""
-    t = gf2.integer(t, "ball radius")
-    if t < 0:
-        raise DomainError("ball radius must be nonnegative")
+    t = gf2.integer(t, "ball radius", least=0)
     center = gf2.bits(center)
     return _ball_projector(gf2.position_set(e, center.size), center, t)
 

@@ -63,6 +63,71 @@ def test_strategy_constructors_validate():
     assert desc["kind"] == "RANDOM_OK" and desc["positions"] is None
 
 
+@pytest.mark.parametrize("fields", [
+    dict(kind=attacks.StrategyKind.HONEST, angle=0.3),
+    dict(kind=attacks.StrategyKind.FIXED_BASIS),
+    dict(kind=attacks.StrategyKind.STORE_SUBSET),
+    dict(kind=attacks.StrategyKind.STORE_SUBSET, positions=(1,), count=1),
+    dict(kind=attacks.StrategyKind.RANDOM_OK, count=2),
+    dict(kind=attacks.StrategyKind.FIXED_BASIS, angle=0.3, positions=(1,)),
+], ids=["honest-angle", "fixed-no-angle", "store-no-field", "store-both", "random-ok-count",
+        "fixed-positions"])
+def test_a_strategy_with_fields_its_kind_does_not_take_is_refused(fields):
+    """A strategy record states what the receiver does, so a field that
+    its kind would not use, or a missing one, raises DomainError."""
+    with pytest.raises(DomainError, match="goes with"):
+        attacks.AttackStrategy(**fields)
+
+
+def test_a_strategy_kind_may_be_given_by_name():
+    assert attacks.AttackStrategy("FIXED_BASIS", angle=1) == attacks.fixed_basis(1.0)
+    assert attacks.AttackStrategy("STORE_SUBSET", count=np.int64(2)).count == 2
+    with pytest.raises(ValueError):
+        attacks.AttackStrategy("STORE_SOME")
+
+
+KINDS = list(attacks.StrategyKind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS) | st.sampled_from([kind.value for kind in KINDS]),
+    positions=st.none() | st.lists(st.integers(0, 11), max_size=6),
+    count=st.none() | st.integers(-2, 12),
+    angle=st.none() | st.floats() | st.integers(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_an_accepted_strategy_describes_what_it_does(kind, positions, count, angle, seed):
+    """Every combination of fields is either refused with DomainError or
+    describes exactly what probe_angles and hold do."""
+    kind = attacks.StrategyKind(kind)
+    fixed, store = attacks.StrategyKind.FIXED_BASIS, attacks.StrategyKind.STORE_SUBSET
+    consistent = (
+        (angle is not None) == (kind is fixed) and (angle is None or math.isfinite(angle))
+        and (positions is not None) + (count is not None) == (kind is store)
+        and (count is None or count >= 0)
+    )
+    if not consistent:
+        with pytest.raises(DomainError):
+            attacks.AttackStrategy(kind, positions, count, angle)
+        return
+    strategy = attacks.AttackStrategy(kind.value, positions, count, angle)
+    desc = json.loads(json.dumps(strategy.describe()))
+    assert desc["kind"] == kind.value
+    bases = protocol.basis_angle([quantum.PLUS, quantum.CROSS]).tolist()
+    assert strategy.probe_angles() == (bases if desc["angle"] is None else [desc["angle"]] * 2)
+    held, runtime = strategy.hold(12, np.random.default_rng(seed))
+    if desc["positions"] is not None:
+        assert held.tolist() == desc["positions"] == sorted(set(positions))
+    elif desc["count"] is not None:
+        assert held.size == desc["count"] == count
+    elif kind is attacks.StrategyKind.RANDOM_OK:
+        assert held.tolist() == ([] if runtime["coin_ok"] == 0 else list(range(12)))
+    else:
+        assert held.size == 0
+    assert runtime.get("stored", []) == held.tolist()
+
+
 @pytest.mark.parametrize(
     "positions", [{4, 1}, range(1, 5, 3), np.array([4, 1, 4])], ids=["set", "range", "array"]
 )

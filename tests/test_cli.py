@@ -403,6 +403,51 @@ def test_unused_strategy_flags_exit_one(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+DENSITY_ARGS = ["density-check", "--N", "4", "--trials", "2"]
+
+
+@pytest.mark.parametrize("argv, flag, least", [
+    (QOT_ARGS, "--trials", 1),
+    (QOT_ARGS, "--workers", 1),
+    (DENSITY_ARGS, "--trials", 1),
+    (DENSITY_ARGS + ["--m", "1"], "--r", 0),
+    (DENSITY_ARGS + ["--r", "1"], "--m", 0),
+    (SWEEP_ARGS, "--sweep-trials", 1),
+], ids=["simulate-trials", "simulate-workers", "density-trials", "density-r", "density-m",
+        "sweep-trials"])
+def test_counts_below_their_bound_exit_one_naming_the_flag(tmp_path, capsys, argv, flag, least):
+    assert run(argv + [flag, str(least), "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    assert run(argv + [flag, str(least - 1), "--out", str(tmp_path / "bad")]) == 1
+    assert f"{flag} must be at least {least}, got {least - 1}" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+def test_a_config_count_that_is_not_an_integer_exits_one(tmp_path, capsys, value):
+    """A config file can give any JSON value; a count must be an integer
+    there too, not a bool read as 1 or a float."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trials": value}))
+    out = tmp_path / "out"
+    argv = ["simulate", "--n", "16", "--N", "4", "--delta", "0.25", "--config", str(config)]
+    assert run(argv + ["--out", str(out)]) == 1
+    assert "--trials must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_builds_each_strategy_once(tmp_path, monkeypatch):
+    """The receiver and Eve are built once per command and handed to every
+    trial."""
+    built = []
+    real = cli._build_strategy
+    monkeypatch.setattr(cli, "_build_strategy", lambda *a: built.append(a[0]) or real(*a))
+    qkd = ["simulate", "--protocol", "qkd", "--n", "16", "--N", "4", "--trials", "3",
+           "--eve", "FIXED_BASIS", "--eve-angle", "0.3", "--out", str(tmp_path)]
+    assert run(qkd) == 0
+    assert built == ["HONEST", "FIXED_BASIS"]
+
+
 def test_attack_branch_flag_needs_the_coin_strategy(tmp_path):
     assert run(ATTACK_ARGS + ["--branch-trials", "5", "--out", str(tmp_path)]) == 1
 

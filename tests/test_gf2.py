@@ -639,28 +639,66 @@ def honest_run():
     return tr
 
 
+def ones_code(r, m):
+    """A LinearCode of all-ones rows over 3 columns, r + m of them when r
+    and m are valid counts (2 otherwise: the code then refuses r or m)."""
+    rows = r + m if all(type(c) is int and c >= 0 for c in (r, m)) else 2
+    return gf2.LinearCode(f=np.ones((rows, 3), dtype=np.uint8), r=r, m=m)
+
+
+# Every entry point that reads a count, a size or a radius: (id, a call that
+# takes the operand, its least valid value or None when only its type is
+# checked here, the name its errors give it). Every entry takes 1.
+OPERANDS = [
+    ("view_small_distance_defect-t",
+     lambda v: attacks.view_small_distance_defect(honest_run(), attacks.honest(), range(8), v),
+     0, "ball radius"),
+    ("ball_projector-t", lambda v: quantum.ball_projector([0, 1], "00", v), 0, "ball radius"),
+    ("random_ok_decomposition-trials",
+     lambda v: attacks.random_ok_decomposition(small_params(), v), 1, "trials"),
+    ("store_attack_test_statistics-trials",
+     lambda v: attacks.store_attack_test_statistics(small_params(), 0.5, v,
+                                                    np.random.default_rng(0)),
+     1, "trials"),
+    ("information_account-budget",
+     lambda v: attacks.information_account(small_params(), attacks.honest(),
+                                           attacks.InfoMethod.MONTE_CARLO, budget=v),
+     1, "budget"),
+    ("gv_trials-trials", lambda v: cosetrho.gv_trials(8, 2, 0.0, v, np.random.default_rng),
+     1, "trials"),
+    ("gv_trials-rows", lambda v: cosetrho.gv_trials(8, v, 0.0, 1, np.random.default_rng),
+     0, "rows"),
+    ("gv_trials-n_cols", lambda v: cosetrho.gv_trials(v, 0, 0.0, 1, np.random.default_rng),
+     None, "n_cols"),
+    ("unpack_int-value", lambda v: gf2.unpack_int(v, 1), None, "unpack_int value"),
+    ("unpack_int-length", lambda v: gf2.unpack_int(0, v), 0, "unpack_int length"),
+    ("LinearCode-r", lambda v: ones_code(r=v, m=1), 0, "r"),
+    ("LinearCode-m", lambda v: ones_code(r=1, m=v), 0, "m"),
+    ("store_subset-count", lambda v: attacks.store_subset(count=v), 0, "store count"),
+    ("run_string_qot-force_c", lambda v: protocol.run_string_qot(small_params(), [1], force_c=v),
+     None, "force_c"),
+    ("lemma1_certificate-t",
+     lambda v: cosetrho.lemma1_certificate(gf2.parity_code(4), "0000", [0], [1], range(4), v,
+                                           "0000"),
+     0, "ball radius"),
+    ("parity_code-n_cols", gf2.parity_code, 1, "n_cols"),
+    ("position_set-universe", lambda v: gf2.position_set([0], v), None, "position universe"),
+    ("position_block-universe", lambda v: gf2.position_block([0], v), None, "position universe"),
+    ("ProtocolParams-n", lambda v: protocol.ProtocolParams(n=v, m=1, r=0, delta=0.25, N=1),
+     1, "n"),
+    ("ProtocolParams-m", lambda v: protocol.ProtocolParams(n=8, m=v, r=0, delta=0.25, N=2),
+     1, "m"),
+    ("ProtocolParams-r", lambda v: protocol.ProtocolParams(n=8, m=1, r=v, delta=0.25, N=2),
+     0, "r"),
+    ("ProtocolParams-N", lambda v: protocol.ProtocolParams(n=8, m=1, r=0, delta=0.25, N=v),
+     1, "N"),
+]
+
+
 @pytest.mark.parametrize("bad", [True, np.True_, 1.5, np.float64(1.0), "1"],
                          ids=["bool", "numpy-bool", "float", "integral-float", "text"])
-@pytest.mark.parametrize("entry", [
-    lambda v: attacks.view_small_distance_defect(honest_run(), attacks.honest(), range(8), v),
-    lambda v: quantum.ball_projector([0, 1], "00", v),
-    lambda v: attacks.random_ok_decomposition(small_params(), v),
-    lambda v: attacks.store_attack_test_statistics(small_params(), 0.5, v, np.random.default_rng(0)),
-    lambda v: attacks.information_account(small_params(), attacks.honest(),
-                                          attacks.InfoMethod.MONTE_CARLO, budget=v),
-    lambda v: cosetrho.gv_trials(8, 2, 0.0, v, np.random.default_rng),
-    lambda v: cosetrho.gv_trials(8, v, 0.0, 1, np.random.default_rng),
-    lambda v: cosetrho.gv_trials(v, 0, 0.0, 1, np.random.default_rng),
-    lambda v: gf2.unpack_int(v, 1),
-    lambda v: gf2.unpack_int(1, v),
-    lambda v: gf2.LinearCode(f=np.ones((2, 3), dtype=np.uint8), r=v, m=1),
-    lambda v: gf2.LinearCode(f=np.ones((2, 3), dtype=np.uint8), r=1, m=v),
-    lambda v: attacks.store_subset(count=v),
-    lambda v: protocol.run_string_qot(small_params(), [1], force_c=v),
-], ids=["view_small_distance_defect-t", "ball_projector-t", "random_ok_decomposition-trials",
-        "store_attack_test_statistics-trials", "information_account-budget", "gv_trials-trials",
-        "gv_trials-rows", "gv_trials-n_cols", "unpack_int-value", "unpack_int-length",
-        "LinearCode-r", "LinearCode-m", "store_subset-count", "run_string_qot-force_c"])
+@pytest.mark.parametrize("entry", [entry for _, entry, _, _ in OPERANDS],
+                         ids=[name for name, _, _, _ in OPERANDS])
 def test_counts_and_radii_that_are_not_integers_are_refused(entry, bad):
     """A bool, a float or a string where a radius, a count or a size is due
     raises DomainError instead of being read as 1 or truncated; 1 itself
@@ -668,6 +706,39 @@ def test_counts_and_radii_that_are_not_integers_are_refused(entry, bad):
     with pytest.raises(DomainError, match="must be an integer"):
         entry(bad)
     entry(1)
+
+
+@pytest.mark.parametrize("entry, least, what",
+                         [row[1:] for row in OPERANDS if row[2] is not None],
+                         ids=[row[0] for row in OPERANDS if row[2] is not None])
+def test_counts_and_radii_below_their_bound_are_refused(entry, least, what):
+    """Each bounded operand goes through gf2.integer's lower bound: the
+    bound itself is valid, and one below it raises DomainError naming the
+    operand and the bound."""
+    entry(least)
+    with pytest.raises(DomainError, match=f"{what} must be at least {least}, got {least - 1}"):
+        entry(least - 1)
+
+
+def test_integer_keeps_python_ints_and_reads_numpy_ones():
+    value = 2**70
+    assert gf2.integer(value, "a size", least=0) is value
+    assert type(gf2.integer(np.uint64(2**63), "a size")) is int
+    assert gf2.integer(np.int8(-3), "a shift", least=-3) == -3
+    with pytest.raises(DomainError, match="a shift must be at least -2, got -3"):
+        gf2.integer(np.int8(-3), "a shift", least=-2)
+
+
+def test_a_universe_that_is_not_an_integer_is_refused():
+    """position_set and position_block read their universe by gf2.integer,
+    so 1.5 no longer bounds positions as if it were an int; a numpy
+    integer universe still works."""
+    for call in (gf2.position_set, gf2.position_block):
+        with pytest.raises(DomainError, match="position universe must be an integer"):
+            call([1], 1.5)
+        with pytest.raises(DomainError, match="position universe must be an integer"):
+            call([], True)
+        assert call([1], np.int64(2)).tolist() == [1]
 
 
 @pytest.mark.parametrize("bad", [[2**63], [2**64 - 1], np.array([2**63], dtype=np.uint64)],

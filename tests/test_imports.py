@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports: the check an
-unused-import lint rule would make, on the standard library's ast."""
+"""Every module of the package uses each name it imports (the check an
+unused-import lint rule would make) and parses as the oldest Python that
+pyproject.toml declares, on the standard library's ast."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,11 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text())
     unused = sorted(set(imported_names(tree)) - used_names(tree))
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_every_module_parses_as_the_oldest_declared_python(path):
+    """pyproject.toml declares requires-python >= 3.10, so no module may use
+    newer syntax, such as except*, even where the suite runs on a newer
+    interpreter."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

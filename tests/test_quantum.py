@@ -22,6 +22,26 @@ def kron_state(w, theta):
     return state
 
 
+def test_photon_amplitudes_are_the_four_bb84_states():
+    assert quantum.photon(0, quantum.PLUS).tolist() == [1.0, 0.0]
+    assert quantum.photon(1, quantum.PLUS).tolist() == [0.0, 1.0]
+    assert quantum.photon(0, quantum.CROSS).tolist() == [SQ2, SQ2]
+    assert quantum.photon(1, quantum.CROSS).tolist() == [SQ2, -SQ2]
+    assert quantum.photon(np.uint8(1), np.int64(1)).tolist() == [SQ2, -SQ2]
+    quantum.photon(0, 0)[0] = 0.5  # a fresh array each call
+    assert quantum.photon(0, 0).tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("bit, basis", [(2, 5), (2, 0), (0, 2), (-1, 1), (0.5, 0), (1, "x")],
+                         ids=["both", "bit-2", "basis-2", "bit-negative", "bit-half",
+                              "basis-text"])
+def test_photon_labels_other_than_bits_are_refused(bit, basis):
+    """A bit or basis other than 0 or 1 raises DomainError by the rule of
+    gf2.bits, instead of being read as 1 (a bit) or x (a basis)."""
+    with pytest.raises(DomainError, match="0 or 1"):
+        quantum.photon(bit, basis)
+
+
 def shift_matrix(op):
     """Reference U_beta: one np.kron per photon gate."""
     gates = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]), "Z": np.diag([1.0, -1.0])}
