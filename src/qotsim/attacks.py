@@ -349,13 +349,16 @@ class InfoReport:
 
     pr_pass: float
     mutual_information: float
-    product: float
     method: InfoMethod
     samples_or_statespace: int
     small_distance_defect_stats: Optional[DefectStats]
 
+    @property
+    def product(self) -> float:
+        return self.mutual_information * self.pr_pass
+
     def to_json(self) -> dict:
-        return {**asdict(self), "method": self.method.value}
+        return {**asdict(self), "method": self.method.value, "product": self.product}
 
 
 def _entropy_bits(dist: np.ndarray) -> float:
@@ -577,7 +580,6 @@ def _exact_engine(
     return InfoReport(
         pr_pass=float(pr_pass),
         mutual_information=info,
-        product=info * float(pr_pass),
         method=InfoMethod.EXACT_ENUMERATION,
         samples_or_statespace=statespace,
         small_distance_defect_stats=defect_stats,
@@ -647,7 +649,6 @@ def _monte_carlo_engine(
     return InfoReport(
         pr_pass=pr_pass,
         mutual_information=mi,
-        product=mi * pr_pass,
         method=InfoMethod.MONTE_CARLO,
         samples_or_statespace=len(pairs),
         small_distance_defect_stats=stats,

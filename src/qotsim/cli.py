@@ -475,6 +475,10 @@ def main(argv=None) -> int:
         if unknown:
             parser.error(f"config keys not recognized: {', '.join(unknown)}")
         subparser.set_defaults(**overrides)
+        for action in subparser._actions:  # set_defaults skips argparse's choices check
+            value, choices = overrides.get(action.dest), action.choices
+            if choices is not None and value is not None and value not in choices:
+                parser.error(f"config {action.dest}: {value!r} is not one of {list(choices)}")
         args = parser.parse_args(argv)  # explicit flags still win
     try:
         return _COMMANDS[args.command](args)

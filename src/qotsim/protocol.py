@@ -4,8 +4,9 @@ variant.
 One run walks the eight steps: Alice draws the (r+m) x N matrix f (rows
 split into g for error correction and h for privacy amplification); Bob
 commits his measurement bases; Alice encodes a random w in random bases
-theta and sends the photons through the channel; Bob measures per his
-strategy and commits the outcomes; Alice samples a test set R by fair
+theta and sends the photons through the channel, which is its flip
+probability p (p = 0 is noiseless); Bob measures per his strategy and
+commits the outcomes; Alice samples a test set R by fair
 coins, opens the commitments there, and stops when strictly more than
 delta*n matched-basis positions disagree; theta is announced; Bob picks
 E0 inside the matched untested positions and E1 inside the mismatched
@@ -49,29 +50,29 @@ class Mode(Enum):
     CLASSICAL_FAST = "CLASSICAL_FAST"
 
 
-class ChannelKind(Enum):
-    NOISELESS = "NOISELESS"
-    BITFLIP = "BITFLIP"
-
-
 @dataclass(frozen=True)
 class ChannelModel:
-    kind: ChannelKind = ChannelKind.NOISELESS
+    """Flips each encoded bit independently with probability p, a float;
+    kind is NOISELESS at p = 0, BITFLIP above."""
+
     p: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.p < 0.5:
             raise DomainError("flip probability must lie in [0, 1/2)")
-        if self.kind is ChannelKind.NOISELESS and self.p != 0.0:
-            raise DomainError("a noiseless channel has p = 0")
+        object.__setattr__(self, "p", float(self.p))
+
+    @property
+    def kind(self) -> str:
+        return "NOISELESS" if self.p == 0.0 else "BITFLIP"
 
     @staticmethod
     def noiseless() -> "ChannelModel":
-        return ChannelModel(ChannelKind.NOISELESS, 0.0)
+        return ChannelModel(0.0)
 
     @staticmethod
     def bitflip(p: float) -> "ChannelModel":
-        return ChannelModel(ChannelKind.BITFLIP, float(p))
+        return ChannelModel(p)
 
 
 @dataclass(frozen=True)
@@ -103,14 +104,12 @@ class ProtocolParams:
         object.__setattr__(self, "N", gf2.integer(N, "N", least=1))
         if self.r + self.m > self.N:
             raise DomainError("r + m may not exceed N")
-        ChannelModel(ChannelKind.BITFLIP, self.noise_p)  # the channel's flip probability rule
+        self.channel()  # noise_p must make a channel
         if not isinstance(self.mode, Mode):
             object.__setattr__(self, "mode", Mode(self.mode))
 
     def channel(self) -> ChannelModel:
-        if self.noise_p == 0.0:
-            return ChannelModel.noiseless()
-        return ChannelModel.bitflip(self.noise_p)
+        return ChannelModel(self.noise_p)
 
     def to_json(self) -> dict:
         return {**{fld.name: getattr(self, fld.name) for fld in fields(self)},
@@ -148,19 +147,6 @@ def basis_angle(basis):
     return _BASIS_ANGLES[gf2._bit_array(basis, "basis label")]
 
 
-@dataclass(frozen=True)
-class Dispatch:
-    """Alice's lab record of what physically left her station."""
-
-    w: np.ndarray
-    theta: np.ndarray
-    flips: np.ndarray
-
-    @property
-    def encoded(self) -> np.ndarray:
-        return self.w ^ self.flips
-
-
 @functools.lru_cache(maxsize=256)
 def _born_p1(held: float, bit: int, probe: float) -> float:
     """Chance of outcome 1 when the photon left in basis state `bit` at
@@ -181,8 +167,9 @@ def _born_table(angles: List[float]) -> np.ndarray:
     ]).reshape(size, 2, size)
 
 
-# every run's angle table starts at the basis angles; _learn never writes these
-_BASIS_ROTATIONS = np.array([quantum.angle_basis(angle) for angle in _BASIS_ANGLES.tolist()])
+# every run's angle table starts at the basis angles, probed in the encoding's own
+# basis states so that p1 is exactly 0 or 1 in a photon's own basis; _learn never writes these
+_BASIS_ROTATIONS = quantum._PHOTONS.swapaxes(1, 2)
 _BASIS_BORN = _born_table(_BASIS_ANGLES.tolist())
 
 
@@ -196,9 +183,9 @@ class Reception:
     Each run has one angle table. It starts at the +/x basis angles, and
     an angle joins it, matched by value, when a measurement first uses it
     (a protocol run uses at most three). An entry carries its rotation
-    from quantum.angle_basis (EXACT_QUANTUM); the Born table of p1 per
-    (held angle, bit, probe angle) is rebuilt when the table grows
-    (CLASSICAL_FAST).
+    (EXACT_QUANTUM; at the basis angles the encoding's own basis states);
+    the Born table of p1 per (held angle, bit, probe angle) is rebuilt
+    when the table grows (CLASSICAL_FAST).
 
     measure_many checks a block of distinct positions with finite angles,
     measure one photon; both then call _measure, the one core, which
@@ -305,18 +292,17 @@ def transmit(
     channel: ChannelModel,
     mode: Mode,
     rng: np.random.Generator,
-) -> Tuple[Dispatch, Reception]:
-    """Send the encoded photons; noise is an independent per-photon flip
-    of the encoded bit with probability p."""
+) -> Tuple[np.ndarray, Reception]:
+    """Send the encoded photons: (flips, Bob's reception). Each encoded bit
+    flips with probability p, one uniform per photon; p = 0 draws none."""
     w = gf2.bits(w)
     theta = quantum.basis_string(theta, length=w.size)
     n = w.size
-    if channel.kind is ChannelKind.BITFLIP:
+    if channel.p > 0.0:
         flips = (rng.random(n) < channel.p).astype(np.uint8)
     else:
         flips = np.zeros(n, dtype=np.uint8)
-    dispatch = Dispatch(w=w, theta=theta, flips=flips)
-    return dispatch, Reception(mode, n, dispatch.encoded, theta)
+    return flips, Reception(mode, n, w ^ flips, theta)
 
 
 def alice_test(
@@ -554,6 +540,14 @@ def _map_text(m: PositionMap) -> str:
     return _json_text(m.positions, m.bits)
 
 
+def _channel(d: dict) -> ChannelModel:
+    """A transcript's channel record; its kind must be the one p gives."""
+    channel = ChannelModel(d["p"])
+    if d["kind"] != channel.kind:
+        raise DomainError(f"channel kind {d['kind']!r} does not match p = {channel.p!r}")
+    return channel
+
+
 def _position_map(d: dict) -> PositionMap:
     try:
         keys = np.array([int(k) for k in d])
@@ -572,10 +566,7 @@ def _position_map(d: dict) -> PositionMap:
 # _dumps and read as it stands.
 _CODECS = {
     "params": (lambda p: _dumps(p.to_json()), lambda d: ProtocolParams(**d)),
-    "channel": (
-        lambda c: _dumps({"kind": c.kind.value, "p": c.p}),
-        lambda d: ChannelModel(ChannelKind(d["kind"]), d["p"]),
-    ),
+    "channel": (lambda c: _dumps({"kind": c.kind, "p": c.p}), _channel),
     "f": (lambda f: _dumps(_rows_str(f)), gf2.bitmatrix),
     **{name: (lambda t: _dumps(quantum.basis_text(t)), quantum.basis_string)
        for name in ("theta", "theta_hat")},
@@ -667,8 +658,9 @@ class Transcript:
 
 
 def _check_run_positions(d: dict) -> None:
-    """DomainError unless each decoded position is one of the run's n
-    photons and the announced rest has one bit per position."""
+    """DomainError unless each decoded position list is strictly increasing
+    in [0, n), as the runner writes it, and the announced rest has one bit
+    per position."""
     rest, n = d["announced_rest"] or {}, getattr(d["params"], "n", 0)
     if rest and rest["bits"].size != rest["positions"].size:
         raise DomainError("announced_rest holds one bit per position")
@@ -679,6 +671,8 @@ def _check_run_positions(d: dict) -> None:
     for name, pos in named:
         if pos is not None and pos.size and (pos.min() < 0 or pos.max() >= n):
             raise DomainError(f"{name} positions must lie in [0, {n})")
+        if pos is not None and (pos[1:] <= pos[:-1]).any():
+            raise DomainError(f"{name} positions must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +711,7 @@ def _run(
     else:
         b = gf2.bits(b, length=params.m)
 
-    dispatch, reception = transmit(w, theta, channel, params.mode, stream(seed, "channel"))
+    flips, reception = transmit(w, theta, channel, params.mode, stream(seed, "channel"))
     eve_record = None
     if eve is not None:
         eve_record = attacks.eve_intercept(eve, reception, stream(seed, "eve"))
@@ -735,7 +729,7 @@ def _run(
     base = dict(
         protocol="qkd" if qkd else "qot",
         params=params, channel=channel, strategy=strategy_desc,
-        f=f, w=w, theta=theta, flips=dispatch.flips,
+        f=f, w=w, theta=theta, flips=flips,
         theta_hat=record.theta_hat, w_hat=record.w_hat,
         theta_hat_commit=record.theta_hat_commit, w_hat_commit=record.w_hat_commit,
         R=R, test_errors=errors, passed=passed, b=b,

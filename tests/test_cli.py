@@ -256,6 +256,27 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "protocol", "qxx"), ("simulate", "mode", "FAST"),
+    ("simulate", "strategy", "STORE_SOME"), ("attack", "mode", "FAST"),
+    ("attack", "strategy", "STORE_SOME"),
+])
+def test_config_values_outside_their_flags_choices_exit_one(tmp_path, capsys, command, key, value):
+    """A config value goes through the same choices as its flag: it neither
+    runs as some other choice nor ends in a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    argv = [command, "--n", "8", "--N", "2", "--r", "1", "--delta", "0.25", "--trials", "1"]
+    if command == "attack":
+        argv = argv[:-2]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"config {key}: {value!r} is not one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_rejects_unreadable_files(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

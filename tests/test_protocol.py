@@ -81,9 +81,12 @@ def test_params_keep_numpy_integer_sizes_as_python_ints():
 def test_params_mode_coercion_and_channel():
     p = protocol.ProtocolParams(n=8, m=1, r=0, delta=0.1, N=2, mode="EXACT_QUANTUM")
     assert p.mode is protocol.Mode.EXACT_QUANTUM
-    assert p.channel().kind is protocol.ChannelKind.NOISELESS
+    assert p.channel() == protocol.ChannelModel.noiseless() and p.channel().kind == "NOISELESS"
     noisy = make_params(noise_p=0.1).channel()
-    assert noisy.kind is protocol.ChannelKind.BITFLIP and noisy.p == 0.1
+    assert noisy == protocol.ChannelModel.bitflip(0.1)
+    assert noisy.kind == "BITFLIP" and noisy.p == 0.1
+    # the flip probability is kept as a float, whatever number gave it
+    assert type(make_params(noise_p=0).channel().p) is float
 
 
 def test_channel_model_validation():
@@ -91,6 +94,51 @@ def test_channel_model_validation():
         protocol.ChannelModel.bitflip(-0.1)
     with pytest.raises(DomainError):
         protocol.ChannelModel.bitflip(1.1)
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "BITFLIP", "p": 0.0}, {"kind": "NOISELESS", "p": 0.1},
+    {"kind": "DEPOLARIZING", "p": 0.1}, {"kind": "DEPOLARIZING", "p": 0.0},
+])
+def test_transcript_channel_record_refuses_a_kind_that_is_not_its_p(record):
+    """A channel is its flip probability: NOISELESS at p = 0, BITFLIP above.
+    A record naming any other kind is refused, and no channel is made."""
+    d = seed_7_transcript_dict()
+    with pytest.raises(DomainError, match="^channel kind .* does not match p = "):
+        protocol.Transcript.from_json(json.dumps({**d, "channel": record}))
+
+
+FLIP_PROBABILITIES = st.just(0.0) | st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=FLIP_PROBABILITIES, mode=st.sampled_from(protocol.Mode))
+def test_channel_is_its_flip_probability(p, mode):
+    """ChannelModel(p) writes and reads back as the same transcript text,
+    its record with the other kind is refused, and transmit draws one
+    uniform per photon when p > 0 and none at p = 0."""
+    channel = protocol.ChannelModel(p)
+    kind, other = ("NOISELESS", "BITFLIP") if p == 0.0 else ("BITFLIP", "NOISELESS")
+    assert channel.kind == kind
+    d = seed_7_transcript_dict()
+    text = json.dumps({**d, "channel": {"kind": kind, "p": p}}, sort_keys=True,
+                      separators=(",", ":"))
+    tr = protocol.Transcript.from_json(text)
+    assert tr.channel == channel and tr.to_json() == text
+    with pytest.raises(DomainError, match="does not match"):
+        protocol.Transcript.from_json(json.dumps({**d, "channel": {"kind": other, "p": p}}))
+
+    n = 40
+    w, theta = gf2.random_bits(np.random.default_rng(2), n), np.zeros(n, dtype=np.uint8)
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    flips, reception = protocol.transmit(w, theta, channel, mode, rng)
+    if p == 0.0:
+        assert not flips.any()
+    else:
+        assert np.array_equal(flips, twin.random(n) < p)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    read = reception.measure_many(np.arange(n), 0.0, np.random.default_rng(4))
+    assert np.array_equal(read, w ^ flips)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +195,14 @@ def test_measure_basis_checks_its_label_once(monkeypatch):
 # transmission and measurement
 
 def test_transmit_noiseless_keeps_the_encoding():
-    dispatch, _ = protocol.transmit(
-        "1010", "0101", protocol.ChannelModel.noiseless(),
-        protocol.Mode.CLASSICAL_FAST, np.random.default_rng(0),
-    )
-    assert not dispatch.flips.any()
-    assert np.array_equal(dispatch.encoded, gf2.bits("1010"))
+    for mode in protocol.Mode:
+        flips, reception = protocol.transmit(
+            "1010", "0101", protocol.ChannelModel.noiseless(), mode, np.random.default_rng(0),
+        )
+        assert not flips.any()
+        rng = np.random.default_rng(1)
+        read = [reception.measure_basis(i, basis, rng) for i, basis in enumerate((0, 1, 0, 1))]
+        assert read == [1, 0, 1, 0]
 
 
 def test_transmit_has_no_photon_cap_in_either_mode():
@@ -172,12 +222,12 @@ def test_transmit_has_no_photon_cap_in_either_mode():
 
 def test_transmit_bitflip_flips_the_encoded_bit():
     rng = np.random.default_rng(5)
-    dispatch, reception = protocol.transmit(
+    flips, reception = protocol.transmit(
         "00000000", "00000000", protocol.ChannelModel.bitflip(0.49),
         protocol.Mode.CLASSICAL_FAST, rng,
     )
-    assert dispatch.flips.any()
-    i = int(np.nonzero(dispatch.flips)[0][0])
+    assert flips.any()
+    i = int(np.nonzero(flips)[0][0])
     out = reception.measure_basis(i, quantum.PLUS, np.random.default_rng(1))
     assert out == 1  # matched-basis measurement sees the flipped bit
 
@@ -191,6 +241,31 @@ class CountingRng:
     def random(self, size=None):
         self.drawn += 1 if size is None else int(np.prod(size))
         return 0.42 if size is None else np.full(size, 0.42)
+
+
+class FixedRng:
+    """Hands out one uniform u for every draw."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+@pytest.mark.parametrize("u", [0.0, 1 - 2**-53])
+@pytest.mark.parametrize("mode", list(protocol.Mode))
+def test_a_photon_measured_in_its_own_basis_reads_its_bit_at_every_uniform(mode, u):
+    """Each mode probes the + and x bases with the encoding's own basis
+    states, so a photon measured in its own basis has p1 exactly 0 or 1
+    and reads its bit even at the extreme uniforms 0.0 and 1 - 2^-53."""
+    for basis in (quantum.PLUS, quantum.CROSS):
+        for bit in (0, 1):
+            _, reception = protocol.transmit(
+                [bit], [basis], protocol.ChannelModel.noiseless(), mode, np.random.default_rng(0),
+            )
+            assert reception.measure_basis(0, basis, FixedRng(u)) == bit, (basis, bit)
+            assert reception.measure_many([0], protocol.basis_angle(basis), FixedRng(u)) == [bit]
 
 
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
@@ -514,8 +589,11 @@ def test_exact_reception_builds_one_rotation_per_distinct_angle_per_run(monkeypa
     reception.measure_many(range(6), [1.1, 0.3, 0.0, math.pi / 4, 0.3, 1.1], rng)
     assert built == [0.3, 1.1]
     assert reception._angles == [0.0, math.pi / 4, 0.3, 1.1]
-    assert np.array_equal(reception._rotations,
-                          [angle_basis(a) for a in reception._angles])
+    # the basis angles' columns are the encoding's own basis states
+    for basis in (quantum.PLUS, quantum.CROSS):
+        for bit in (0, 1):
+            assert np.array_equal(reception._rotations[basis][:, bit], quantum.photon(bit, basis))
+    assert np.array_equal(reception._rotations[2:], [angle_basis(a) for a in (0.3, 1.1)])
 
 
 def assert_real_unit_factors(reception):
@@ -1052,7 +1130,7 @@ def _str_keys(m):
 # position text came from digit tables and each field wrote its own text
 REFERENCE_ENCODERS = {
     "params": lambda p: {**dataclasses.asdict(p), "mode": p.mode.value},
-    "channel": lambda c: {"kind": c.kind.value, "p": c.p},
+    "channel": lambda c: {"kind": "BITFLIP" if c.p else "NOISELESS", "p": c.p},
     "f": lambda f: [_bits(row) for row in f],
     **{name: lambda t: "".join("+x"[b] for b in np.asarray(t).tolist())
        for name in ("theta", "theta_hat")},
@@ -1282,6 +1360,27 @@ def test_transcript_from_json_refuses_an_announced_rest_outside_the_run_or_missh
     short = {**rest, "bits": rest["bits"][:3]}
     with pytest.raises(DomainError, match="one bit per position"):
         protocol.Transcript.from_json(json.dumps({**d, "announced_rest": short}))
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: {"R": d["R"][::-1]},
+    lambda d: {"R": sorted(d["R"] + d["R"][:1])},
+    lambda d: {"E0": d["E0"][::-1]},
+    lambda d: {"announced_sets": [d["announced_sets"][0], [d["E1"][0]] * len(d["E1"])]},
+    lambda d: {"T0": sorted(d["T0"] + d["T0"][-1:])},
+    lambda d: {"announced_rest": {**d["announced_rest"],
+                                  "positions": d["announced_rest"]["positions"][::-1]}},
+], ids=["R-reversed", "R-repeat", "E0-reversed", "announced-one-position", "T0-repeat",
+        "rest-reversed"])
+def test_transcript_from_json_refuses_position_lists_out_of_order(change):
+    """The runner writes every position list strictly increasing; a list
+    in another order, or with a repeat, is refused and not written back."""
+    d = seed_7_transcript_dict()
+    odd = {**d, **change(d)}
+    assert odd != d
+    name = next(iter(change(d)))
+    with pytest.raises(DomainError, match=f"^{name} positions must be strictly increasing$"):
+        protocol.Transcript.from_json(json.dumps(odd))
 
 
 @pytest.mark.parametrize("field", ["bob_values", "deferred"])
