@@ -27,11 +27,12 @@ variants can be compared run-for-run under one seed.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -435,69 +436,101 @@ def _bits_str(v: np.ndarray) -> str:
     return (np.asarray(v, dtype=np.uint8).ravel() + 48).tobytes().decode("ascii")
 
 
-def _rows_str(m: np.ndarray) -> List[str]:
-    """The rows of a bit matrix as '0'/'1' strings: one _bits_str over the
-    whole matrix, cut into rows of equal width."""
-    text = _bits_str(m)
-    width = len(text) // len(m) if len(m) else 0
-    return [text[i * width : (i + 1) * width] for i in range(len(m))]
-
-
-# the one canonical JSON encoder: sorted keys, no spaces; it writes every
-# transcript and every CLI artifact
+# the one canonical JSON encoder: sorted keys, no spaces. It writes every
+# CLI artifact, and a transcript is the text it writes for the fields'
+# plain values
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-_DIGIT_TABLE_MAX = 1 << 16  # larger numbers are written by _dumps
-_PAD = ord(" ")
+def _plain_text(value) -> str:
+    """_dumps(value), with None, bools, ints, finite floats and identifier
+    strings written without the encoder."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is str and value.isascii() and value.isidentifier():
+        return f'"{value}"'
+    return _dumps(value)
+
+
+_TEXT_TABLE_MAX = 1 << 16  # positions from here on are written by _dumps
+
+
+class _KeyText(NamedTuple):
+    """Text segments of the keys below a power-of-two bound: all of them
+    joined in one uint8 array, and where key k's segment ends in it and
+    how long it is."""
+
+    text: np.ndarray
+    end: np.ndarray
+    size: np.ndarray
+
+
+def _key_text(segments: List[str], keys) -> _KeyText:
+    """The table of segments joined in their order; segments[i] is the
+    segment of key keys[i]."""
+    size = np.array([len(s) for s in segments])
+    end, by_key = np.empty_like(size), np.empty_like(size)
+    end[keys] = np.cumsum(size)
+    by_key[keys] = size
+    end.flags.writeable = by_key.flags.writeable = False  # every caller shares the table
+    return _KeyText(np.frombuffer("".join(segments).encode("ascii"), dtype=np.uint8),
+                    end, by_key)
 
 
 @functools.lru_cache(maxsize=None)
-def _digit_table(bound: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Decimal text of 0..bound-1, right-aligned in space-padded uint8
-    rows of one width, and the numbers in the order of those texts ("10"
-    before "9"), the order _dumps gives keys."""
-    names = [str(k) for k in range(bound)]
-    text = "".join(name.rjust(len(names[-1])) for name in names)
-    digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(bound, -1)
-    return digits, np.array(sorted(range(bound), key=names.__getitem__))
+def _list_table(bound: int) -> _KeyText:
+    """'k,' for each k below bound, in key order: a position list's text."""
+    return _key_text([f"{k}," for k in range(bound)], range(bound))
 
 
-def _unpadded(rows: np.ndarray) -> str:
-    return rows[rows != _PAD].tobytes().decode("ascii")
+@functools.lru_cache(maxsize=None)
+def _map_table(bound: int) -> _KeyText:
+    """'"k":0,' for each k below bound, in the order _dumps sorts their key
+    text ("10" before "9"): a map's entries, each with the bit 0."""
+    keys = sorted(range(bound), key=str)
+    return _key_text([f'"{k}":0,' for k in keys], keys)
 
 
-def _json_text(keys: np.ndarray, bits: Optional[np.ndarray] = None) -> str:
-    """JSON text of a position list, or with bits of a position map, byte
-    for byte what _dumps writes for keys.tolist() or {str(k): b}.
-    Non-empty non-negative integer keys below _DIGIT_TABLE_MAX are written
-    from the digit table, any other by _dumps."""
-    if keys.dtype.kind not in "iu" or not keys.size or keys.min() < 0 \
-            or (top := int(keys.max())) >= _DIGIT_TABLE_MAX:
-        return _dumps(keys.tolist() if bits is None
-                      else dict(zip(map(str, keys.tolist()), bits.tolist())))
-    digits, order = _digit_table(1 << top.bit_length())
-    if bits is None:
-        rows = np.empty((keys.size, digits.shape[1] + 1), dtype=np.uint8)  # key,
-        rows[:, :-1] = digits[keys]
-        rows[:, -1] = ord(",")
-        return "[" + _unpadded(rows)[:-1] + "]"
-    # the map's bits over the whole table, 2 where it has no key, read in
-    # text order: its keys are where a bit is
-    spread = np.full(order.size, 2, dtype=np.uint8)
-    spread[keys] = bits
-    spread = spread[order]
-    present = spread < 2
-    rows = np.empty((keys.size, digits.shape[1] + 5), dtype=np.uint8)  # "key":b,
-    rows[:, 0] = ord('"')
-    rows[:, 1:-4] = digits[order[present]]
-    rows[:, -4:] = np.frombuffer(b'":0,', dtype=np.uint8)
-    rows[:, -2] += spread[present]
-    return "{" + _unpadded(rows)[:-1] + "}"
+def _gather(table: _KeyText, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The segments of keys, in their order, joined, and where each ends."""
+    size = table.size[keys]
+    ends = size.cumsum()
+    # byte j of the output, in the segment of key k that ends at e, is
+    # byte j + table.end[k] - e of the table
+    index = np.repeat(table.end[keys] - ends, size)
+    index += np.arange(index.size)
+    return table.text[index], ends
 
 
-def _positions_text(v: np.ndarray) -> str:
-    return _json_text(np.asarray(v).ravel())
+def _lists_text(lists: list) -> List[str]:
+    """The JSON text of each position list, byte for byte what _dumps
+    writes for its flattened tolist(). When every non-empty list holds
+    integers in [0, _TEXT_TABLE_MAX), all are cut from one gather of the
+    list table; otherwise each list is written on its own, and one that
+    is not such a list by _dumps."""
+    flat = [np.asarray(v).ravel() for v in lists]
+    full = [v for v in flat if v.size]
+    if not full:
+        return ["[]"] * len(flat)
+    keys = np.concatenate(full)
+    # read as unsigned, a negative key lies past _TEXT_TABLE_MAX
+    if (keys.dtype.kind in "iu" and all(v.dtype.kind in "iu" for v in full)
+            and (top := int(keys.view(keys.dtype.str.replace("i", "u")).max())) < _TEXT_TABLE_MAX):
+        rows, ends = _gather(_list_table(1 << top.bit_length()), keys)
+        text = rows.tobytes().decode("ascii")
+        cuts = [0, *(int(ends[count - 1]) if count else 0
+                     for count in itertools.accumulate(v.size for v in flat))]
+        return ["[" + text[a:b][:-1] + "]" for a, b in zip(cuts, cuts[1:])]
+    if len(flat) > 1:
+        return [text for v in flat for text in _lists_text([v])]
+    return [_dumps(flat[0].tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,16 +569,154 @@ def _checked(m: PositionMap) -> PositionMap:
 
 
 def _map_text(m: PositionMap) -> str:
+    """A position map's JSON text. A map that holds every key below its
+    table's bound is a copy of the table with its bits added at their
+    offsets; any other is a gather of its entries in text order. Keys at
+    or past _TEXT_TABLE_MAX are written by _dumps."""
     m = _checked(m)
-    return _json_text(m.positions, m.bits)
+    pos, bits = m.positions, m.bits
+    if not pos.size:
+        return "{}"
+    top = int(pos[-1])
+    if top >= _TEXT_TABLE_MAX:
+        return _dumps(dict(zip(map(str, pos.tolist()), bits.tolist())))
+    table = _map_table(1 << top.bit_length())
+    if pos.size == table.size.size:  # distinct, in order, below the bound: every key
+        rows = table.text.copy()
+        rows[table.end - 2] += bits
+    else:
+        order = np.argsort(table.end[pos])  # the entries' text order
+        rows, ends = _gather(table, pos[order])
+        rows[ends - 2] += bits[order]
+    return "{" + rows.tobytes().decode("ascii")[:-1] + "}"
 
 
-def _channel(d: dict) -> ChannelModel:
+_BIT_FIELDS = ("a", "b", "b_hat", "decoded", "flips", "s", "w", "w_hat")
+_BASIS_FIELDS = ("theta", "theta_hat")
+_LIST_FIELDS = ("E0", "E1", "E_c", "R", "T0", "T1")
+
+
+def _string_texts(d: dict) -> Dict[str, str]:
+    """The JSON text of each bit field, f and basis field of a transcript's
+    field dict that is not None, and of the announced rest's bits (under
+    "announced_rest.bits"), all turned into text in one pass. Their
+    entries are checked together by gf2's bit rule, so one that is not 0
+    or 1 raises DomainError naming its field."""
+    named = [(name, d[name]) for name in (*_BIT_FIELDS, "f") if d[name] is not None]
+    if d["announced_rest"] is not None:
+        named.append(("announced_rest.bits", d["announced_rest"]["bits"]))
+    first_basis = len(named)  # the basis fields come last
+    named += [(name, d[name]) for name in _BASIS_FIELDS if d[name] is not None]
+    if not named:
+        return {}
+    arrays = [np.asarray(value) for _, value in named]
+    try:
+        codes = gf2._bit_array(np.concatenate([a.ravel() for a in arrays]), "bit field")
+    except (DomainError, TypeError):
+        for (name, _), a in zip(named, arrays):
+            gf2._bit_array(a, f"transcript field {name}")
+        raise
+    sizes = [a.size for a in arrays]
+    start = sum(sizes[:first_basis])
+    codes[:start] += ord("0")
+    bases = codes[start:]  # '+' for 0, 'x' for 1
+    bases *= ord("x") - ord("+")
+    bases += ord("+")
+    text, out, at = codes.tobytes().decode("ascii"), {}, 0
+    for (name, _), a, size in zip(named, arrays, sizes):
+        piece, at = text[at:at + size], at + size
+        if name == "f":  # one string per row
+            rows = len(a)
+            width = size // rows if rows else 0
+            out[name] = "[" + ",".join(
+                f'"{piece[i * width:(i + 1) * width]}"' for i in range(rows)) + "]"
+        else:
+            out[name] = f'"{piece}"'
+    return out
+
+
+def _position_texts(d: dict) -> Dict[str, str]:
+    """The JSON text of each position list field of a transcript's field
+    dict that is not None, of the announced sets and of the announced
+    rest's positions (under "announced_rest.positions"), all from one
+    _lists_text call."""
+    names = [name for name in _LIST_FIELDS if d[name] is not None]
+    lists = [d[name] for name in names]
+    sets, rest = d["announced_sets"], d["announced_rest"]
+    if sets is not None:
+        lists += sets
+    if rest is not None:
+        lists.append(rest["positions"])
+    texts = _lists_text(lists)
+    out = dict(zip(names, texts))
+    if sets is not None:
+        out["announced_sets"] = "[" + ",".join(texts[len(names):len(names) + len(sets)]) + "]"
+    if rest is not None:
+        out["announced_rest.positions"] = texts[-1]
+    return out
+
+
+def _params_text(p: ProtocolParams) -> str:
+    """_dumps(p.to_json()): the sizes and the seed are ints, the mode's
+    value an identifier."""
+    return ('{"N":%d,"delta":%s,"epsilon":%s,"m":%d,"mode":"%s","n":%d,"noise_p":%s,"r":%d,'
+            '"seed":%d}' % (p.N, _plain_text(p.delta), _plain_text(p.epsilon), p.m,
+                            p.mode.value, p.n, _plain_text(p.noise_p), p.r, p.seed))
+
+
+# the writers of the records that are neither strings nor position lists;
+# every other field is written by _plain_text
+_RECORD_TEXTS = {
+    "params": _params_text,
+    "channel": lambda c: f'{{"kind":"{c.kind}","p":{_plain_text(c.p)}}}',
+    "bob_values": _map_text,
+    "deferred": _map_text,
+}
+
+
+def _record(value, keys: set, what: str) -> None:
+    if not isinstance(value, dict) or value.keys() != keys:
+        raise DomainError(f"{what} must be a record of {sorted(keys)}")
+
+
+def _number(value, what: str):
+    if type(value) not in (int, float):
+        raise DomainError(f"{what} must be a number, not {value!r}")
+    return value
+
+
+def _params(d) -> ProtocolParams:
+    """A transcript's params record: every ProtocolParams field, with
+    numbers where a run writes numbers."""
+    _record(d, {fld.name for fld in fields(ProtocolParams)}, "params")
+    for name in ("N", "delta", "epsilon", "noise_p"):
+        _number(d[name], f"params {name}")
+    return ProtocolParams(**d)
+
+
+def _channel(d) -> ChannelModel:
     """A transcript's channel record; its kind must be the one p gives."""
-    channel = ChannelModel(d["p"])
+    _record(d, {"kind", "p"}, "channel")
+    channel = ChannelModel(_number(d["p"], "channel p"))
     if d["kind"] != channel.kind:
         raise DomainError(f"channel kind {d['kind']!r} does not match p = {channel.p!r}")
     return channel
+
+
+def _one_of(name: str, allowed: tuple):
+    """The decoder of a field that holds one of the allowed values, with
+    its type: no bool for 0 or 1, no 1.0 for 1."""
+    def decode(value):
+        if not any(type(value) is type(a) and value == a for a in allowed):
+            raise DomainError(f"{name} must be one of {allowed}, not {value!r}")
+        return value
+    return decode
+
+
+def _position_list(v) -> np.ndarray:
+    if not isinstance(v, list):
+        raise DomainError(f"a position list must be a JSON list, not {type(v).__name__}")
+    return gf2.position_array(v)
 
 
 def _position_map(d: dict) -> PositionMap:
@@ -559,32 +730,31 @@ def _position_map(d: dict) -> PositionMap:
     return _checked(PositionMap(keys[order], np.array(list(d.values()))[order]))
 
 
-# (encode, decode) of every transcript field that is not plain JSON; None
-# stays None. encode returns the field's finished JSON text, byte for byte
-# what _dumps writes for the plain value it stands for; decode takes the
-# value json.loads reads from that text. Every other field is written by
-# _dumps and read as it stands.
-_CODECS = {
-    "params": (lambda p: _dumps(p.to_json()), lambda d: ProtocolParams(**d)),
-    "channel": (lambda c: _dumps({"kind": c.kind, "p": c.p}), _channel),
-    "f": (lambda f: _dumps(_rows_str(f)), gf2.bitmatrix),
-    **{name: (lambda t: _dumps(quantum.basis_text(t)), quantum.basis_string)
-       for name in ("theta", "theta_hat")},
-    **{name: (lambda v: _dumps(_bits_str(v)), gf2.bits)
-       for name in ("w", "flips", "w_hat", "s", "a", "decoded", "b", "b_hat")},
-    **{name: (_positions_text, gf2.position_array)
-       for name in ("R", "T0", "T1", "E0", "E1", "E_c")},
-    "announced_sets": (
-        lambda sets: "[" + ",".join(map(_positions_text, sets)) + "]",
-        lambda sets: [gf2.position_array(e) for e in sets],
-    ),
-    "announced_rest": (  # keys in sorted order
-        lambda r: '{"bits":' + _dumps(_bits_str(r["bits"]))
-        + ',"positions":' + _positions_text(r["positions"]) + "}",
-        lambda r: {"positions": gf2.position_array(r["positions"]), "bits": gf2.bits(r["bits"])},
-    ),
-    "bob_values": (_map_text, _position_map),
-    "deferred": (_map_text, _position_map),
+def _announced_rest(r) -> dict:
+    _record(r, {"bits", "positions"}, "announced_rest")
+    return {"positions": _position_list(r["positions"]), "bits": gf2.bits(r["bits"])}
+
+
+# each field's decoder, from the value json.loads reads to the field's
+# value (a field with none keeps the value as read); it raises DomainError,
+# or an error _decode turns into one, on a value no run writes
+_DECODERS = {
+    "protocol": _one_of("protocol", ("qot", "qkd")),
+    "abort_reason": _one_of("abort_reason", (TEST_FAILED, SET_SHORTAGE)),
+    "passed": _one_of("passed", (True, False)),
+    **{name: _one_of(name, (0, 1)) for name in ("alice_pick", "c")},
+    **{name: functools.partial(gf2.integer, what=name, least=0)
+       for name in ("test_errors", "theta_hat_commit", "w_hat_commit")},
+    "params": _params,
+    "channel": _channel,
+    "f": gf2.bitmatrix,
+    **{name: quantum.basis_string for name in _BASIS_FIELDS},
+    **{name: gf2.bits for name in _BIT_FIELDS},
+    **{name: _position_list for name in _LIST_FIELDS},
+    "announced_sets": lambda sets: [_position_list(e) for e in sets],
+    "announced_rest": _announced_rest,
+    "bob_values": _position_map,
+    "deferred": _position_map,
 }
 
 
@@ -629,32 +799,68 @@ class Transcript:
     eve: Optional[dict] = None
 
     def to_json(self) -> str:
-        """What one _dumps of the fields' plain values writes: each field in
-        sorted order, as its codec's text, or by _dumps if None or codec-less."""
-        parts = []
-        for name in sorted(fld.name for fld in fields(self)):
-            value = getattr(self, name)
-            codec = _CODECS.get(name)
-            text = _dumps(value) if value is None or codec is None else codec[0](value)
-            parts.append(f'"{name}":{text}')
-        return "{" + ",".join(parts) + "}"
+        """What one _dumps of the fields' plain values writes: bit fields
+        as '0'/'1' strings, bases as '+'/'x', f as row strings, position
+        lists as lists and position maps as objects. A bit, basis or f
+        entry other than 0 or 1 raises DomainError."""
+        d = vars(self)
+        text = {**_string_texts(d), **_position_texts(d)}
+        if d["announced_rest"] is not None:  # keys in sorted order
+            text["announced_rest"] = ('{"bits":' + text["announced_rest.bits"]
+                                      + ',"positions":' + text["announced_rest.positions"] + "}")
+        for name, write in _RECORD_TEXTS.items():
+            if d[name] is not None:
+                text[name] = write(d[name])
+        return _TRANSCRIPT_FORMAT % tuple([text[name] if name in text else _plain_text(d[name])
+                                           for name in _FIELD_NAMES])
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
-        d = json.loads(text)
-        names = {fld.name for fld in fields(cls)}
+        """The transcript a to_json text stands for. Text that is not a
+        JSON object of every field, a null where no run leaves one, or a
+        field value no run writes raises DomainError; no protocol equation
+        is checked."""
+        try:
+            d = json.loads(text)
+        except ValueError as exc:
+            raise DomainError(f"a transcript must be JSON text: {exc}") from exc
+        if not isinstance(d, dict):
+            raise DomainError(f"a transcript must be a JSON object, not {type(d).__name__}")
+        names = set(_FIELD_NAMES)
         if d.keys() != names:
             raise DomainError(
                 f"transcript keys: missing {sorted(names - d.keys())}, "
                 f"unknown {sorted(d.keys() - names)}"
             )
-        decoded = {
-            name: value if value is None or name not in _CODECS
-            else _CODECS[name][1](value)
-            for name, value in d.items()
-        }
+        decoded = {name: _decode(name, value) for name, value in d.items()}
         _check_run_positions(decoded)
         return cls(**decoded)
+
+
+# the fields in the order _dumps sorts them, and a transcript's text with
+# %s in place of each field's value text
+_FIELD_NAMES = tuple(sorted(fld.name for fld in fields(Transcript)))
+_TRANSCRIPT_FORMAT = "{" + ",".join(f'"{name}":%s' for name in _FIELD_NAMES) + "}"
+# the fields a run may leave None
+_NULLABLE = frozenset(fld.name for fld in fields(Transcript) if fld.default is None)
+
+
+def _decode(name: str, value):
+    """A transcript field as json.loads read it, decoded. Any error of
+    its decoder is raised as DomainError naming the field."""
+    if value is None:
+        if name not in _NULLABLE:
+            raise DomainError(f"transcript field {name} may not be null")
+        return None
+    decode = _DECODERS.get(name)
+    if decode is None:
+        return value
+    try:
+        return decode(value)
+    except DomainError:
+        raise
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise DomainError(f"transcript field {name} does not decode: {exc}") from exc
 
 
 def _check_run_positions(d: dict) -> None:
@@ -664,7 +870,7 @@ def _check_run_positions(d: dict) -> None:
     rest, n = d["announced_rest"] or {}, getattr(d["params"], "n", 0)
     if rest and rest["bits"].size != rest["positions"].size:
         raise DomainError("announced_rest holds one bit per position")
-    named = [(k, d[k]) for k in ("R", "T0", "T1", "E0", "E1", "E_c")]
+    named = [(k, d[k]) for k in _LIST_FIELDS]
     named += [("announced_sets", e) for e in d["announced_sets"] or ()]
     named += [("announced_rest", rest.get("positions"))]
     named += [(k, getattr(d[k], "positions", None)) for k in ("bob_values", "deferred")]

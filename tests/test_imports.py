@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports (the check an
-unused-import lint rule would make) and parses as the oldest Python that
-pyproject.toml declares, on the standard library's ast."""
+unused-import lint rule would make), parses as the oldest Python that
+pyproject.toml declares, and writes JSON only through protocol._dumps, on
+the standard library's ast."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,29 @@ def test_every_module_parses_as_the_oldest_declared_python(path):
     newer syntax, such as except*, even where the suite runs on a newer
     interpreter."""
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+JSON_ENCODERS = {"dump", "dumps", "JSONEncoder"}
+
+
+def json_encoders(tree):
+    """The line of each json encoder a module names: json.dump, json.dumps
+    or json.JSONEncoder, read or imported from json."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in JSON_ENCODERS
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            yield from (node.lineno for alias in node.names if alias.name in JSON_ENCODERS)
+
+
+def test_protocol_dumps_is_the_only_json_encoder():
+    """Every transcript and CLI artifact is the text _dumps writes; an
+    encoder built or called anywhere else could write other bytes."""
+    found = {path.stem: list(json_encoders(ast.parse(path.read_text()))) for path in MODULES}
+    tree = ast.parse((Path(qotsim.__file__).parent / "protocol.py").read_text())
+    dumps = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and [getattr(target, "id", None) for target in node.targets] == ["_dumps"]]
+    assert {stem: lines for stem, lines in found.items() if lines} == {"protocol": dumps}
+    assert len(dumps) == 1
+

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qotsim import attacks, gf2, protocol, quantum
@@ -1106,8 +1106,10 @@ def execute(run) -> protocol.Transcript:
 
 
 @settings(max_examples=200, deadline=None)
-@given(protocol_runs())
+@given(protocol_runs(exact=True))
 def test_random_transcripts_round_trip_byte_for_byte(run):
+    """Runs of every receiver strategy, Eve and mode read back as the
+    transcript that writes the same text."""
     text = execute(run).to_json()
     assert protocol.Transcript.from_json(text).to_json() == text
 
@@ -1125,9 +1127,9 @@ def _str_keys(m):
                                            np.asarray(m.bits).tolist())}
 
 
-# every field's plain JSON value, built here and not by protocol's codecs,
+# every field's plain JSON value, built here and not by protocol's writers,
 # all written by one json.dumps: the transcript text as it was before
-# position text came from digit tables and each field wrote its own text
+# position text came from cached tables and each field wrote its own text
 REFERENCE_ENCODERS = {
     "params": lambda p: {**dataclasses.asdict(p), "mode": p.mode.value},
     "channel": lambda c: {"kind": "BITFLIP" if c.p else "NOISELESS", "p": c.p},
@@ -1173,11 +1175,11 @@ def position_maps(draw, keys=st.integers(0, 2**16 - 1)):
 
 
 # valid maps a run could write, small, spanning decimal widths, and at or
-# past _DIGIT_TABLE_MAX
+# past _TEXT_TABLE_MAX
 POSITION_MAPS = st.one_of(
     position_maps(st.integers(0, 1100)),
     position_maps(),
-    position_maps(st.integers(protocol._DIGIT_TABLE_MAX - 3, 2**63 - 1)),
+    position_maps(st.integers(protocol._TEXT_TABLE_MAX - 3, 2**63 - 1)),
 )
 POSITION_LISTS = st.one_of(
     st.lists(st.integers(0, 1100), max_size=40),
@@ -1294,8 +1296,8 @@ def test_to_json_matches_the_reference_encoder_on_every_run_kind():
     assert runs[2].abort_reason == protocol.TEST_FAILED
     runs.append(dataclasses.replace(runs[0], bob_values=protocol.PositionMap(),
                                     deferred=protocol.PositionMap(), R=[]))
-    # positions at and past the digit table go through json.dumps
-    top = protocol._DIGIT_TABLE_MAX
+    # positions at and past the tables' bound go through json.dumps
+    top = protocol._TEXT_TABLE_MAX
     runs.append(dataclasses.replace(
         runs[0],
         bob_values=protocol.PositionMap([5, 10, top - 1, top, 2**40], [1, 0, 1, 1, 0]),
@@ -1495,3 +1497,191 @@ def test_exact_quantum_transcripts_keep_their_frozen_digests():
     # the runs cover passing and failing tests, both picks and a decode
     assert {tr.abort_reason for tr in runs.values()} == {None, protocol.TEST_FAILED}
     assert {tr.c for tr in runs.values()} == {None, 0, 1}
+
+
+# ---------------------------------------------------------------------------
+# the transcript writer's tables, bit checks and the reader's refusals
+
+def _run_at(n, seed, **kw):
+    params = make_params(n=n, N=16, r=8, m=2, delta=0.05, noise_p=0.02, seed=seed)
+    if kw.pop("qkd", False):
+        return protocol.run_qkd(params, **kw)
+    return protocol.run_string_qot(params, [1, 0], **kw)
+
+
+@pytest.mark.parametrize("n", [511, 512, 513, 1023, 1024, 1025])
+def test_to_json_matches_the_reference_encoder_around_the_table_bounds(n):
+    """Runs whose positions end just below, at and just past a power of
+    two: n = 512 and 1024 fill their tables, 513 and 1025 start the next."""
+    runs = [
+        _run_at(n, 3),
+        _run_at(n, 3, bob=attacks.store_subset(count=64), force_c=0, announce_rest=True),
+        _run_at(n, 3, bob=attacks.fixed_basis(0.3)),
+        _run_at(n, 3, qkd=True, eve=attacks.honest(), announce_rest=True),
+    ]
+    assert any(tr.abort_reason is None for tr in runs)
+    for tr in runs:
+        assert tr.to_json() == reference_to_json(tr)
+        if tr.abort_reason is None:
+            assert tr.bob_values.positions.tolist() == list(range(n))
+
+
+TABLE_EDGES = [0, 1, 2, 3, 4, 7, 8, 9, 10, 99, 100, 511, 512, 1023, 1024, 2**15 - 1, 2**15,
+               2**16 - 1, 2**16]
+
+
+@pytest.mark.parametrize("top", TABLE_EDGES)
+def test_to_json_matches_the_reference_encoder_on_lists_and_maps_ending_at_top(top):
+    """Position lists and maps whose largest key is 2^k - 1 or 2^k, the
+    last key of one table and the first of the next (2^16 is written by
+    json.dumps)."""
+    tr = _run_at(24, 7)
+    keys = sorted({0, top // 3, max(top - 1, 0), top})
+    bits = [k % 2 for k in keys]
+    odd = dataclasses.replace(
+        tr, R=keys, E_c=np.array(keys[::-1], dtype=np.int64), T1=[top],
+        announced_sets=[keys, [top], []],
+        bob_values=protocol.PositionMap(keys, bits), deferred=protocol.PositionMap([top], [1]),
+    )
+    assert odd.to_json() == reference_to_json(odd)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 100, 511, 512, 513, 1024, 1025])
+def test_to_json_matches_the_reference_encoder_on_full_maps_and_one_key_short(n):
+    """A map over every position below n, and the same map without its
+    first, a middle or its last key."""
+    tr = _run_at(24, 7)
+    bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+    maps = [protocol.PositionMap(np.arange(n), bits)]
+    for gone in sorted({0, n // 2, n - 1}):
+        keep = np.arange(n) != gone
+        maps.append(protocol.PositionMap(np.arange(n)[keep], bits[keep]))
+    for m in maps:
+        odd = dataclasses.replace(tr, bob_values=m, deferred=m)
+        assert odd.to_json() == reference_to_json(odd)
+
+
+def test_writing_an_n_1024_transcript_builds_only_the_1024_tables():
+    protocol._list_table.cache_clear()
+    protocol._map_table.cache_clear()
+    _run_at(1024, 3).to_json()
+    assert protocol._list_table.cache_info().currsize == 1
+    assert protocol._map_table.cache_info().currsize == 1
+    assert protocol._list_table(1024).size.size == protocol._map_table(1024).size.size == 1024
+
+
+# entries no bit or basis field may hold: gf2's bit rule takes 0 and 1 of
+# any integer, bool or float type, and nothing else
+NON_BITS = st.one_of(
+    st.integers(2, 300), st.integers(-300, -1), st.integers(2**63, 2**70),
+    st.floats(allow_nan=True).filter(lambda x: x not in (0.0, 1.0)), st.text(max_size=3),
+)
+BIT_VALUED = ("a", "announced_rest", "b", "b_hat", "decoded", "f", "flips", "s", "theta",
+              "theta_hat", "w", "w_hat")
+
+
+@settings(max_examples=200, deadline=None)
+@given(protocol_runs(exact=True), st.sampled_from(BIT_VALUED), NON_BITS, st.data())
+def test_to_json_refuses_a_bit_or_basis_entry_that_is_not_0_or_1(run, name, bad, data):
+    """One entry of a bit field, f, a basis field or the announced rest's
+    bits set to a non-bit value (or the whole field to that one value)
+    raises DomainError naming the field, whatever dtype numpy gives it."""
+    tr = execute(run)
+    value = getattr(tr, name)
+    if name == "announced_rest":
+        assume(value is not None)
+        value = value["bits"]
+    if value is None or not np.size(value) or data.draw(st.booleans()):
+        corrupt = bad
+    else:
+        corrupt = np.asarray(value).astype(object)
+        corrupt.flat[data.draw(st.integers(0, corrupt.size - 1))] = bad
+        if data.draw(st.booleans()):
+            corrupt = np.array(corrupt.tolist())  # the dtype numpy reads the list as
+    if name == "announced_rest":
+        odd, name = dataclasses.replace(tr, announced_rest={**tr.announced_rest, "bits": corrupt}), \
+            "announced_rest.bits"
+    else:
+        odd = dataclasses.replace(tr, **{name: corrupt})
+    with pytest.raises(DomainError, match=f"^transcript field {name} entries must be 0 or 1$"):
+        odd.to_json()
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("w", 0.5), ("w", [0, 2]), ("f", 5), ("theta", -1), ("theta", 3),
+])
+def test_to_json_refuses_the_non_bits_it_once_wrote(field, bad):
+    """w = [0, 2] was written as "02", w = 0.5 as "0", f = 5 as "5",
+    theta = -1 as "x", and theta = 3 raised IndexError."""
+    tr = _run_at(24, 7)
+    with pytest.raises(DomainError, match=f"^transcript field {field} entries must be 0 or 1$"):
+        dataclasses.replace(tr, **{field: bad}).to_json()
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("channel", {"kind": "BITFLIP"}), ("channel", {"kind": "NOISELESS", "p": "0.1"}),
+    ("channel", [0.1]), ("channel", {"kind": "NOISELESS", "p": False}),
+    ("params", lambda d: {**d["params"], "extra": 1}), ("params", 5),
+    ("params", lambda d: {**d["params"], "mode": "zzz"}),
+    ("params", lambda d: {**d["params"], "N": None}), ("announced_rest", [1]),
+    ("announced_rest", lambda d: {**d["announced_rest"], "extra": 1}), ("announced_sets", 3),
+    ("announced_sets", [[1], 2]), ("R", 5), ("bob_values", [1]),
+    ("passed", "yes"), ("passed", 1), ("passed", None), ("test_errors", "3"), ("test_errors", True),
+    ("test_errors", -1), ("c", 7), ("c", True), ("c", 1.0), ("alice_pick", 2),
+    ("w_hat_commit", "0"), ("theta_hat_commit", None), ("abort_reason", "NOPE"),
+    ("protocol", "zzz"), ("strategy", None), ("f", ["01a"]), ("f", [[0, 1], [1]]),
+])
+def test_transcript_from_json_refuses_malformed_records_with_domain_error(field, bad):
+    d = seed_7_transcript_dict()
+    if callable(bad):  # a change to the field's own record
+        bad = bad(d)
+    with pytest.raises(DomainError):
+        protocol.Transcript.from_json(json.dumps({**d, field: bad}))
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "5", "null", "not json", '{"protocol": "qot"'])
+def test_transcript_from_json_refuses_text_that_is_not_a_record(text):
+    with pytest.raises(DomainError):
+        protocol.Transcript.from_json(text)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def fuzzed_records(draw):
+    """A runner's transcript record with one field replaced by any JSON
+    value, or one entry of a record or list field replaced or dropped, or
+    one key added."""
+    d = json.loads(execute(draw(protocol_runs())).to_json())
+    name = draw(st.sampled_from(sorted(d)))
+    value = d[name]
+    how = draw(st.sampled_from(["replace", "entry", "drop", "add"]))
+    if how == "replace" or not value:
+        return {**d, name: draw(JSON_VALUES)}
+    if how == "add":
+        return {**d, draw(st.text(max_size=5)): draw(JSON_VALUES)}
+    if isinstance(value, dict):
+        key = draw(st.sampled_from(sorted(value)))
+        inner = {k: v for k, v in value.items() if k != key}
+        return {**d, name: inner if how == "drop" else {**inner, key: draw(JSON_VALUES)}}
+    if isinstance(value, list):
+        at = draw(st.integers(0, len(value) - 1))
+        inner = value[:at] + ([] if how == "drop" else [draw(JSON_VALUES)]) + value[at + 1:]
+        return {**d, name: inner}
+    return {k: v for k, v in d.items() if k != name}
+
+
+@settings(max_examples=400, deadline=None)
+@given(fuzzed_records())
+def test_transcript_from_json_raises_only_domain_error_on_fuzzed_records(record):
+    """Whatever it holds, a record either reads back or raises DomainError."""
+    try:
+        protocol.Transcript.from_json(json.dumps(record))
+    except DomainError:
+        pass
+
