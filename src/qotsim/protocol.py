@@ -51,6 +51,13 @@ class Mode(Enum):
     CLASSICAL_FAST = "CLASSICAL_FAST"
 
 
+def _number(value, what: str):
+    """value, unless it is not a Python int or float (a bool is not)."""
+    if type(value) not in (int, float):
+        raise DomainError(f"{what} must be a number, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """Flips each encoded bit independently with probability p, a float;
@@ -59,7 +66,7 @@ class ChannelModel:
     p: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.p < 0.5:
+        if not 0.0 <= _number(self.p, "flip probability") < 0.5:
             raise DomainError("flip probability must lie in [0, 1/2)")
         object.__setattr__(self, "p", float(self.p))
 
@@ -79,8 +86,8 @@ class ChannelModel:
 @dataclass(frozen=True)
 class ProtocolParams:
     """Run configuration. N defaults to floor(0.24 n); epsilon to 8 delta.
-    n, m, r, N and seed are kept as Python ints; noise_p is held to the
-    rule of the channel it makes (ChannelModel)."""
+    n, m, r, N and seed are kept as Python ints; delta, epsilon and
+    noise_p (by the rule of ChannelModel) must be Python ints or floats."""
 
     n: int
     m: int
@@ -95,11 +102,11 @@ class ProtocolParams:
     def __post_init__(self):
         for name, least in (("n", 1), ("m", 1), ("r", 0), ("seed", None)):
             object.__setattr__(self, name, gf2.integer(getattr(self, name), name, least))
-        if not self.delta >= 0:  # also rejects NaN
+        if not _number(self.delta, "delta") >= 0:  # also rejects NaN
             raise DomainError("test tolerance must be a nonnegative number")
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", 8.0 * self.delta)
-        if not self.epsilon >= 0:
+        if not _number(self.epsilon, "epsilon") >= 0:
             raise DomainError("storage fraction epsilon must be a nonnegative number")
         N = int(0.24 * self.n) if self.N is None else self.N
         object.__setattr__(self, "N", gf2.integer(N, "N", least=1))
@@ -674,35 +681,6 @@ _RECORD_TEXTS = {
 }
 
 
-def _record(value, keys: set, what: str) -> None:
-    if not isinstance(value, dict) or value.keys() != keys:
-        raise DomainError(f"{what} must be a record of {sorted(keys)}")
-
-
-def _number(value, what: str):
-    if type(value) not in (int, float):
-        raise DomainError(f"{what} must be a number, not {value!r}")
-    return value
-
-
-def _params(d) -> ProtocolParams:
-    """A transcript's params record: every ProtocolParams field, with
-    numbers where a run writes numbers."""
-    _record(d, {fld.name for fld in fields(ProtocolParams)}, "params")
-    for name in ("N", "delta", "epsilon", "noise_p"):
-        _number(d[name], f"params {name}")
-    return ProtocolParams(**d)
-
-
-def _channel(d) -> ChannelModel:
-    """A transcript's channel record; its kind must be the one p gives."""
-    _record(d, {"kind", "p"}, "channel")
-    channel = ChannelModel(_number(d["p"], "channel p"))
-    if d["kind"] != channel.kind:
-        raise DomainError(f"channel kind {d['kind']!r} does not match p = {channel.p!r}")
-    return channel
-
-
 def _one_of(name: str, allowed: tuple):
     """The decoder of a field that holds one of the allowed values, with
     its type: no bool for 0 or 1, no 1.0 for 1."""
@@ -714,30 +692,24 @@ def _one_of(name: str, allowed: tuple):
 
 
 def _position_list(v) -> np.ndarray:
-    if not isinstance(v, list):
-        raise DomainError(f"a position list must be a JSON list, not {type(v).__name__}")
-    return gf2.position_array(v)
+    """Sorted and without repeats, so that no other list writes back as
+    read. A strictly increasing list, as runs write, is kept as it is:
+    the first np.unique call imports numpy.ma, about 1.7 MB."""
+    e = gf2.position_array(v)
+    return e if (e[1:] > e[:-1]).all() else np.unique(e)
 
 
 def _position_map(d: dict) -> PositionMap:
-    try:
-        keys = np.array([int(k) for k in d])
-    except ValueError as exc:
-        raise DomainError(f"position map key is not a position: {exc}") from exc
-    if [str(k) for k in keys.tolist()] != list(d):  # "05", " 5" or "1_0"
-        raise DomainError("position map keys must be written as decimal positions")
+    keys = np.array([int(k) for k in d])
     order = np.argsort(keys)
     return _checked(PositionMap(keys[order], np.array(list(d.values()))[order]))
 
 
-def _announced_rest(r) -> dict:
-    _record(r, {"bits", "positions"}, "announced_rest")
-    return {"positions": _position_list(r["positions"]), "bits": gf2.bits(r["bits"])}
-
-
 # each field's decoder, from the value json.loads reads to the field's
-# value (a field with none keeps the value as read); it raises DomainError,
-# or an error _decode turns into one, on a value no run writes
+# value; it raises DomainError, or an error _decode turns into one, on a
+# value it cannot decode. from_json refuses any other value no run writes
+# when it writes the transcript back, except those the writer keeps as
+# they are: the _one_of and integer decoders refuse those
 _DECODERS = {
     "protocol": _one_of("protocol", ("qot", "qkd")),
     "abort_reason": _one_of("abort_reason", (TEST_FAILED, SET_SHORTAGE)),
@@ -745,14 +717,16 @@ _DECODERS = {
     **{name: _one_of(name, (0, 1)) for name in ("alice_pick", "c")},
     **{name: functools.partial(gf2.integer, what=name, least=0)
        for name in ("test_errors", "theta_hat_commit", "w_hat_commit")},
-    "params": _params,
-    "channel": _channel,
+    "params": lambda d: ProtocolParams(**d),
+    "channel": lambda d: ChannelModel(d["p"]),
+    **{name: lambda d: dict(**d) for name in ("strategy", "eve")},  # JSON objects only
     "f": gf2.bitmatrix,
     **{name: quantum.basis_string for name in _BASIS_FIELDS},
     **{name: gf2.bits for name in _BIT_FIELDS},
     **{name: _position_list for name in _LIST_FIELDS},
     "announced_sets": lambda sets: [_position_list(e) for e in sets],
-    "announced_rest": _announced_rest,
+    "announced_rest": lambda r: {"positions": _position_list(r["positions"]),
+                                 "bits": gf2.bits(r["bits"])},
     "bob_values": _position_map,
     "deferred": _position_map,
 }
@@ -816,10 +790,13 @@ class Transcript:
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
-        """The transcript a to_json text stands for. Text that is not a
-        JSON object of every field, a null where no run leaves one, or a
-        field value no run writes raises DomainError; no protocol equation
-        is checked."""
+        """The transcript a to_json text stands for, read only if to_json
+        writes it back: each field is decoded by the constructor of its
+        value, and a field whose text the decoded transcript writes
+        otherwise (a bit string as a list, X for x, a position list out
+        of order) raises DomainError naming it. So do text that is not a
+        JSON object of every field, a null where no run leaves one and a
+        value no decoder takes. No protocol equation is checked."""
         try:
             d = json.loads(text)
         except ValueError as exc:
@@ -834,7 +811,14 @@ class Transcript:
             )
         decoded = {name: _decode(name, value) for name, value in d.items()}
         _check_run_positions(decoded)
-        return cls(**decoded)
+        transcript = cls(**decoded)
+        written = transcript.to_json()
+        if written != text:  # other spacing or key order, or a field written otherwise
+            written = json.loads(written)
+            for name in _FIELD_NAMES:
+                if _dumps(written[name]) != _dumps(d[name]):
+                    raise DomainError(f"transcript field {name} is not in the form to_json writes")
+        return transcript
 
 
 # the fields in the order _dumps sorts them, and a transcript's text with
@@ -852,11 +836,8 @@ def _decode(name: str, value):
         if name not in _NULLABLE:
             raise DomainError(f"transcript field {name} may not be null")
         return None
-    decode = _DECODERS.get(name)
-    if decode is None:
-        return value
     try:
-        return decode(value)
+        return _DECODERS[name](value)
     except DomainError:
         raise
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
@@ -864,10 +845,9 @@ def _decode(name: str, value):
 
 
 def _check_run_positions(d: dict) -> None:
-    """DomainError unless each decoded position list is strictly increasing
-    in [0, n), as the runner writes it, and the announced rest has one bit
-    per position."""
-    rest, n = d["announced_rest"] or {}, getattr(d["params"], "n", 0)
+    """DomainError unless each decoded position list lies in [0, n) and
+    the announced rest has one bit per position."""
+    rest, n = d["announced_rest"] or {}, d["params"].n
     if rest and rest["bits"].size != rest["positions"].size:
         raise DomainError("announced_rest holds one bit per position")
     named = [(k, d[k]) for k in _LIST_FIELDS]
@@ -877,8 +857,6 @@ def _check_run_positions(d: dict) -> None:
     for name, pos in named:
         if pos is not None and pos.size and (pos.min() < 0 or pos.max() >= n):
             raise DomainError(f"{name} positions must lie in [0, {n})")
-        if pos is not None and (pos[1:] <= pos[:-1]).any():
-            raise DomainError(f"{name} positions must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------

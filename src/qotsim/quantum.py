@@ -60,7 +60,8 @@ _BASIS_CHARS = np.frombuffer(b"+x", dtype=np.uint8)
 
 
 def basis_text(theta: np.ndarray) -> str:
-    return _BASIS_CHARS[np.asarray(theta, dtype=np.intp)].tobytes().decode("ascii")
+    """'+x' text of a basis string; a label other than 0 or 1 raises DomainError."""
+    return _BASIS_CHARS[gf2._bit_array(theta, "basis label")].tobytes().decode("ascii")
 
 
 def conjugate_bases(theta: np.ndarray) -> np.ndarray:

@@ -457,6 +457,21 @@ def test_a_config_count_that_is_not_an_integer_exits_one(tmp_path, capsys, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("delta", True), ("delta", [1]), ("epsilon", False),
+                                        ("noise_p", [0.1])])
+def test_a_config_number_that_is_not_an_int_or_float_exits_one(tmp_path, capsys, key, value):
+    """delta, epsilon and noise_p from a config file are held to the rule
+    of ProtocolParams: a bool is not written into a transcript as true, a
+    list does not end in a traceback, and no output directory is made."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    argv = ["simulate", "--n", "16", "--N", "4", "--config", str(config), "--out", str(out)]
+    assert run(argv) == 1
+    assert f"must be a number, not {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_builds_each_strategy_once(tmp_path, monkeypatch):
     """The receiver and Eve are built once per command and handed to every
     trial."""

@@ -1,6 +1,7 @@
 """Protocol runner: parameters, commitments, transmission, the test,
 set choice, decoding, transcripts, and the two execution modes."""
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -25,6 +26,10 @@ def make_params(**kw):
     base = dict(n=24, m=1, r=1, delta=0.25, N=4, mode=protocol.Mode.CLASSICAL_FAST, seed=1)
     base.update(kw)
     return protocol.ProtocolParams(**base)
+
+
+# from_json's refusal of a field that does not write back as it was read
+NOT_WRITTEN_BACK = "transcript field %s is not in the form to_json writes"
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +62,22 @@ def test_params_validation():
         with pytest.raises(DomainError):
             protocol.ProtocolParams(**{**dict(n=8, m=1, r=0, delta=0.1, N=2), **bad})
     assert protocol.ProtocolParams(n=8, m=1, r=0, delta=0.1, N=2, epsilon=0.0).epsilon == 0.0
+
+
+@pytest.mark.parametrize("bad", [dict(delta="0.1"), dict(delta=True), dict(delta=[1]),
+                                 dict(delta=None), dict(epsilon=[1]), dict(epsilon=False),
+                                 dict(noise_p="0"), dict(noise_p=np.True_)])
+def test_params_refuse_numbers_that_are_not_python_ints_or_floats(bad):
+    """delta, epsilon and noise_p raise DomainError, not TypeError, when
+    they are not a Python int or float; a bool is not read as 0 or 1."""
+    with pytest.raises(DomainError, match="must be a number, not "):
+        protocol.ProtocolParams(**{**dict(n=16, m=1, r=1, delta=0.1, N=4), **bad})
+
+
+@pytest.mark.parametrize("bad", ["0.1", True, False, None, [0.1]])
+def test_channel_refuses_a_flip_probability_that_is_not_a_python_int_or_float(bad):
+    with pytest.raises(DomainError, match="^flip probability must be a number, not "):
+        protocol.ChannelModel(bad)
 
 
 @pytest.mark.parametrize("bad", [dict(n=16.0), dict(N=2.5), dict(m=1.0), dict(seed=1.5),
@@ -102,9 +123,10 @@ def test_channel_model_validation():
 ])
 def test_transcript_channel_record_refuses_a_kind_that_is_not_its_p(record):
     """A channel is its flip probability: NOISELESS at p = 0, BITFLIP above.
-    A record naming any other kind is refused, and no channel is made."""
+    A record naming any other kind does not write back as read, and is
+    refused."""
     d = seed_7_transcript_dict()
-    with pytest.raises(DomainError, match="^channel kind .* does not match p = "):
+    with pytest.raises(DomainError, match=f"^{NOT_WRITTEN_BACK % 'channel'}$"):
         protocol.Transcript.from_json(json.dumps({**d, "channel": record}))
 
 
@@ -125,7 +147,7 @@ def test_channel_is_its_flip_probability(p, mode):
                       separators=(",", ":"))
     tr = protocol.Transcript.from_json(text)
     assert tr.channel == channel and tr.to_json() == text
-    with pytest.raises(DomainError, match="does not match"):
+    with pytest.raises(DomainError, match=f"^{NOT_WRITTEN_BACK % 'channel'}$"):
         protocol.Transcript.from_json(json.dumps({**d, "channel": {"kind": other, "p": p}}))
 
     n = 40
@@ -1249,16 +1271,24 @@ def test_position_maps_reject_keys_that_are_not_positions_and_values_that_are_no
     keys, values = odd
     with pytest.raises(DomainError):
         protocol._map_text(position_map(keys, values))
-    text = json.dumps({str(k): v for k, v in zip(np.asarray(keys).tolist(), values)})
+    record = {**seed_7_transcript_dict(),
+              "bob_values": {str(k): v for k, v in zip(np.asarray(keys).tolist(), values)}}
     with pytest.raises(DomainError):
-        protocol._position_map(json.loads(text))
+        protocol.Transcript.from_json(json.dumps(record))
 
 
 def test_position_maps_decode_only_the_text_they_encode_to():
+    """A map key that int reads but str does not write ("05" for 5) does
+    not write back as read; a key int does not read does not decode."""
     assert protocol._position_map({"10": 1, "9": 0}) == protocol.PositionMap([9, 10], [0, 1])
-    for key in ("05", " 5", "5 ", "+5", "1_0", "-0", "٣", "5.0", ""):
-        with pytest.raises(DomainError):
-            protocol._position_map({key: 1})
+    d = seed_7_transcript_dict()
+    for field in ("bob_values", "deferred"):
+        for key in ("05", " 5", "5 ", "+5", "1_0", "-0", "٣"):
+            with pytest.raises(DomainError, match=f"^{NOT_WRITTEN_BACK % field}$"):
+                protocol.Transcript.from_json(json.dumps({**d, field: {key: 1}}))
+        for key in ("5.0", ""):
+            with pytest.raises(DomainError, match=f"^transcript field {field} does not decode: "):
+                protocol.Transcript.from_json(json.dumps({**d, field: {key: 1}}))
 
 
 def test_position_maps_reject_unordered_repeated_and_misshapen_input():
@@ -1376,12 +1406,13 @@ def test_transcript_from_json_refuses_an_announced_rest_outside_the_run_or_missh
         "rest-reversed"])
 def test_transcript_from_json_refuses_position_lists_out_of_order(change):
     """The runner writes every position list strictly increasing; a list
-    in another order, or with a repeat, is refused and not written back."""
+    in another order, or with a repeat, reads as the sorted list without
+    repeats, which does not write back as read, and is refused."""
     d = seed_7_transcript_dict()
     odd = {**d, **change(d)}
     assert odd != d
     name = next(iter(change(d)))
-    with pytest.raises(DomainError, match=f"^{name} positions must be strictly increasing$"):
+    with pytest.raises(DomainError, match=f"^{NOT_WRITTEN_BACK % name}$"):
         protocol.Transcript.from_json(json.dumps(odd))
 
 
@@ -1630,6 +1661,7 @@ def test_to_json_refuses_the_non_bits_it_once_wrote(field, bad):
     ("test_errors", -1), ("c", 7), ("c", True), ("c", 1.0), ("alice_pick", 2),
     ("w_hat_commit", "0"), ("theta_hat_commit", None), ("abort_reason", "NOPE"),
     ("protocol", "zzz"), ("strategy", None), ("f", ["01a"]), ("f", [[0, 1], [1]]),
+    ("strategy", 5), ("eve", [1, 2]),
 ])
 def test_transcript_from_json_refuses_malformed_records_with_domain_error(field, bad):
     d = seed_7_transcript_dict()
@@ -1685,3 +1717,85 @@ def test_transcript_from_json_raises_only_domain_error_on_fuzzed_records(record)
     except DomainError:
         pass
 
+
+
+def test_codec_tables_name_only_transcript_fields():
+    """Every name in the writer's and the reader's tables is a Transcript
+    field, and every field has a decoder: a renamed field cannot fall
+    through to _plain_text, or be kept as it was read, unnoticed."""
+    names = {fld.name for fld in dataclasses.fields(protocol.Transcript)}
+    for table in (protocol._DECODERS, protocol._BIT_FIELDS, protocol._BASIS_FIELDS,
+                  protocol._LIST_FIELDS, protocol._RECORD_TEXTS, protocol._NULLABLE):
+        assert set(table) <= names
+    assert set(protocol._DECODERS) == names
+
+
+def _position_forms(v: list) -> dict:
+    """A position list nested, with a repeat and reordered, where it has
+    the entries for that."""
+    forms = {"nested": [[x] for x in v], "repeated": v[:1] + v} if v else {}
+    if len(v) > 1:
+        forms["reordered"] = v[::-1]
+    return forms
+
+
+def reencodings(d: dict) -> dict:
+    """The fields of a runner's record d, one at a time, in a form that
+    json.loads reads and the field's decoder takes, but to_json does not
+    write: {form: [(field, value), ...]} over the forms d has room for."""
+    ints = lambda text: [int(ch) for ch in text]  # noqa: E731
+    out = collections.defaultdict(list)
+    for name in ("a", "b", "b_hat", "decoded", "flips", "s", "w", "w_hat"):
+        if d[name] is not None:
+            out["bits as a list"].append((name, ints(d[name])))
+    rest, sets = d["announced_rest"], d["announced_sets"]
+    if rest is not None:
+        out["rest bits as a list"].append(("announced_rest", {**rest, "bits": ints(rest["bits"])}))
+    for name in ("theta", "theta_hat"):
+        out["basis 0/1"].append((name, d[name].translate(str.maketrans("+x", "01"))))
+        if "x" in d[name]:
+            out["basis X"].append((name, d[name].replace("x", "X")))
+    out["f as lists"].append(("f", [ints(row) for row in d["f"]]))
+    if d["channel"]["p"] == 0.0:
+        out["int channel p"].append(("channel", {**d["channel"], "p": 0}))
+    places = [(name, d[name], lambda v: v)
+              for name in ("E0", "E1", "E_c", "R", "T0", "T1") if d[name] is not None]
+    if sets is not None:
+        places += [("announced_sets", e, lambda v, i=i: sets[:i] + [v] + sets[i + 1:])
+                   for i, e in enumerate(sets)]
+    if rest is not None:
+        places.append(("announced_rest", rest["positions"], lambda v: {**rest, "positions": v}))
+    for name, v, put in places:
+        for form, odd in _position_forms(v).items():
+            out[f"{form} positions"].append((name, put(odd)))
+    for name in ("bob_values", "deferred"):
+        for key in d[name]:
+            out['"05" map key'].append(
+                (name, {("0" + k if k == key else k): bit for k, bit in d[name].items()}))
+    for key in ("epsilon", "noise_p", "mode", "seed"):  # without N, params may not be made
+        out["params missing a defaulted key"].append(
+            ("params", {k: v for k, v in d["params"].items() if k != key}))
+    return out
+
+
+def test_a_completed_run_has_room_for_every_reencoding():
+    assert sorted(reencodings(seed_7_transcript_dict())) == sorted([
+        "bits as a list", "rest bits as a list", "basis 0/1", "basis X", "f as lists",
+        "int channel p", "nested positions", "repeated positions", "reordered positions",
+        '"05" map key', "params missing a defaulted key",
+    ])
+
+
+@settings(max_examples=300, deadline=None)
+@given(protocol_runs(exact=True), st.data())
+def test_transcript_from_json_reads_a_field_only_in_the_form_to_json_writes(run, data):
+    """A runner's record (qot or qkd, either mode, with or without the
+    announced rest) with one field in another form than to_json writes is
+    refused, naming the field: bit strings as lists, bases as X or 0/1, f
+    as lists, an int channel p, nested, reordered or repeated positions, a
+    "05" map key, params without a defaulted key."""
+    d = json.loads(execute(run).to_json())
+    forms = reencodings(d)
+    name, value = data.draw(st.sampled_from(forms[data.draw(st.sampled_from(sorted(forms)))]))
+    with pytest.raises(DomainError, match=f"^{NOT_WRITTEN_BACK % name}$"):
+        protocol.Transcript.from_json(json.dumps({**d, name: value}))

@@ -79,6 +79,14 @@ def test_basis_string_and_text():
     assert np.array_equal(quantum.basis_string(quantum.basis_text(gf2.bits("0110"))), [0, 1, 1, 0])
 
 
+@pytest.mark.parametrize("theta", [[0, -1], [3, 1]], ids=["negative", "three"])
+def test_basis_text_refuses_labels_other_than_bits(theta):
+    """-1 was written as "x" and 3 raised IndexError; both are held to the
+    rule of gf2.bits."""
+    with pytest.raises(DomainError, match="^basis label entries must be 0 or 1$"):
+        quantum.basis_text(np.array(theta))
+
+
 def test_conjugate_bases_flips_every_label():
     assert np.array_equal(quantum.conjugate_bases([0, 1, 0]), [1, 0, 1])
 
