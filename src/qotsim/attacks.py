@@ -94,8 +94,8 @@ class AttackStrategy:
             raise DomainError("one of positions and count goes with STORE_SUBSET, "
                               f"which needs exactly one (strategy {name})")
         if self.positions is not None:
-            positions = np.unique(gf2.position_array(list(self.positions)))
-            object.__setattr__(self, "positions", tuple(positions.tolist()))
+            positions = set(gf2.position_array(list(self.positions)).tolist())
+            object.__setattr__(self, "positions", tuple(sorted(positions)))
         if self.count is not None:
             object.__setattr__(self, "count", gf2.integer(self.count, "a store count", least=0))
 

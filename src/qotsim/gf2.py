@@ -70,9 +70,9 @@ def _bit_array(values, what: str) -> np.ndarray:
 
 
 def bits(values, length: Optional[int] = None) -> np.ndarray:
-    """Normalize to a uint8 bit vector, validating entries are 0/1."""
+    """Normalize to a uint8 bit vector, validating entries (a string's characters) are 0/1."""
     if isinstance(values, str):
-        values = [int(ch) for ch in values]
+        values = np.frombuffer(values.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
     v = _bit_array(values, "bit vector").ravel()
     if length is not None and v.size != length:
         raise DimensionError(f"expected length {length}, got {v.size}")
@@ -145,7 +145,8 @@ def position_set(members, universe: int) -> np.ndarray:
     """
     e, universe = position_array(members), integer(universe, "a position universe")
     if e.size > 1 and not (e[1:] > e[:-1]).all():
-        e = np.unique(e)
+        e = np.sort(e)  # np.unique would import numpy.ma
+        e = e[np.concatenate(([True], e[1:] != e[:-1]))]
     if e.size and (e[0] < 0 or e[-1] >= universe):
         raise DomainError(f"positions must lie in [0, {universe})")
     return e

@@ -30,6 +30,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -86,8 +87,8 @@ class ChannelModel:
 @dataclass(frozen=True)
 class ProtocolParams:
     """Run configuration. N defaults to floor(0.24 n); epsilon to 8 delta.
-    n, m, r, N and seed are kept as Python ints; delta, epsilon and
-    noise_p (by the rule of ChannelModel) must be Python ints or floats."""
+    n, m, r, N and seed are kept as Python ints; delta, epsilon (finite)
+    and noise_p (by the rule of ChannelModel) must be Python ints or floats."""
 
     n: int
     m: int
@@ -102,12 +103,12 @@ class ProtocolParams:
     def __post_init__(self):
         for name, least in (("n", 1), ("m", 1), ("r", 0), ("seed", None)):
             object.__setattr__(self, name, gf2.integer(getattr(self, name), name, least))
-        if not _number(self.delta, "delta") >= 0:  # also rejects NaN
-            raise DomainError("test tolerance must be a nonnegative number")
+        if not 0 <= _number(self.delta, "delta") <= sys.float_info.max:  # no NaN, inf, 10**400
+            raise DomainError("test tolerance must be a finite nonnegative number")
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", 8.0 * self.delta)
-        if not _number(self.epsilon, "epsilon") >= 0:
-            raise DomainError("storage fraction epsilon must be a nonnegative number")
+        if not 0 <= _number(self.epsilon, "epsilon") <= sys.float_info.max:
+            raise DomainError("storage fraction epsilon must be a finite nonnegative number")
         N = int(0.24 * self.n) if self.N is None else self.N
         object.__setattr__(self, "N", gf2.integer(N, "N", least=1))
         if self.r + self.m > self.N:
@@ -269,7 +270,7 @@ class Reception:
             index[angles == angle] = entry
         new = index < 0
         if new.any():
-            self._learn(np.unique(angles[new]).tolist())
+            self._learn(sorted(set(angles[new].tolist())))
             return self._index(angles)
         return index
 
@@ -449,21 +450,9 @@ def _bits_str(v: np.ndarray) -> str:
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _plain_text(value) -> str:
-    """_dumps(value), with None, bools, ints, finite floats and identifier
-    strings written without the encoder."""
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if kind is str and value.isascii() and value.isidentifier():
-        return f'"{value}"'
-    return _dumps(value)
+def _number_text(value) -> str:
+    """_dumps(value) of a Python int or finite float, without the encoder."""
+    return int.__repr__(value) if type(value) is int else float.__repr__(value)
 
 
 _TEXT_TABLE_MAX = 1 << 16  # positions from here on are written by _dumps
@@ -516,37 +505,52 @@ def _gather(table: _KeyText, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return table.text[index], ends
 
 
-def _lists_text(lists: list) -> List[str]:
-    """The JSON text of each position list, byte for byte what _dumps
-    writes for its flattened tolist(). When every non-empty list holds
-    integers in [0, _TEXT_TABLE_MAX), all are cut from one gather of the
-    list table; otherwise each list is written on its own, and one that
-    is not such a list by _dumps."""
-    flat = [np.asarray(v).ravel() for v in lists]
-    full = [v for v in flat if v.size]
-    if not full:
-        return ["[]"] * len(flat)
-    keys = np.concatenate(full)
-    # read as unsigned, a negative key lies past _TEXT_TABLE_MAX
-    if (keys.dtype.kind in "iu" and all(v.dtype.kind in "iu" for v in full)
-            and (top := int(keys.view(keys.dtype.str.replace("i", "u")).max())) < _TEXT_TABLE_MAX):
-        rows, ends = _gather(_list_table(1 << top.bit_length()), keys)
-        text = rows.tobytes().decode("ascii")
-        cuts = [0, *(int(ends[count - 1]) if count else 0
-                     for count in itertools.accumulate(v.size for v in flat))]
-        return ["[" + text[a:b][:-1] + "]" for a, b in zip(cuts, cuts[1:])]
-    if len(flat) > 1:
-        return [text for v in flat for text in _lists_text([v])]
-    return [_dumps(flat[0].tolist())]
+def _flat_positions(name: str, v) -> np.ndarray:
+    """The positions of field name as a flat int64 array, by gf2's integer
+    rule; a runner's int64 array comes back as it is."""
+    if type(v) is np.ndarray and v.dtype == np.int64 and v.ndim == 1:
+        return v
+    if np.ndim(v) != 1:
+        raise DomainError(f"{name} positions must be a flat list")
+    try:
+        return gf2.position_array(v)
+    except DomainError as exc:  # "positions must be integers", or below 2^63
+        raise DomainError(f"{name} {exc}") from None
+
+
+def _lists_text(named: list, n: int) -> List[str]:
+    """The JSON text of each (field name, position list) pair, what _dumps
+    writes for its tolist(). Each list must be flat integers, strictly
+    increasing, in [0, n), or DomainError names its field; the rule is
+    checked on the lists' concatenation, the keys of their one gather of
+    the list table. Keys past _TEXT_TABLE_MAX are written by _dumps."""
+    lists = [_flat_positions(name, v) for name, v in named]
+    keys = np.concatenate(lists)
+    counts = list(itertools.accumulate(v.size for v in lists))
+    rising = keys[1:] > keys[:-1]
+    rising[[count - 1 for count in counts if 0 < count < keys.size]] = True  # a list's start
+    top = int(keys.view(np.uint64).max(initial=0))  # read as unsigned, a negative key lies past n
+    if top >= n or not rising.all():
+        for (name, _), v in zip(named, lists):
+            if v.size and (v.min() < 0 or v.max() >= n):
+                raise DomainError(f"{name} positions must lie in [0, {n})")
+            if (v[1:] <= v[:-1]).any():
+                raise DomainError(f"{name} positions must be strictly increasing")
+    if top >= _TEXT_TABLE_MAX:
+        return [_dumps(v.tolist()) for v in lists]
+    rows, ends = _gather(_list_table(1 << top.bit_length()), keys)
+    text = rows.tobytes().decode("ascii")
+    cuts = [0, *(int(ends[count - 1]) if count else 0 for count in counts)]
+    return ["[" + text[a:b][:-1] + "]" for a, b in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True, eq=False)
 class PositionMap:
     """Bits at distinct positions, such as Bob's outcome per photon:
     strictly increasing int64 positions and the uint8 bit at each. Its
-    JSON form is an object from decimal position text to bit; writing or
-    reading a map whose keys are not positions or whose values are not
-    bits raises DomainError."""
+    JSON form is an object from decimal position text to bit; writing a
+    map whose keys are not positions or whose values are not bits raises
+    DomainError."""
 
     positions: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     bits: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
@@ -558,33 +562,25 @@ class PositionMap:
                 and np.array_equal(self.bits, other.bits))
 
 
-def _checked(m: PositionMap) -> PositionMap:
-    """m with int64 positions and uint8 bits, after checking that it is a
-    PositionMap of distinct increasing positions and 0/1 bits."""
+def _map_text(m: PositionMap, name: str, n: int) -> str:
+    """The JSON text of field name's map, a PositionMap whose positions
+    follow the rule of _lists_text, with one bit by gf2's rule at each.
+    A map of every key below its table's bound is a copy of the table
+    with its bits added at their offsets; any other is a gather of its
+    entries in text order. Keys past _TEXT_TABLE_MAX are written by _dumps."""
     if not isinstance(m, PositionMap):
-        raise DomainError(f"a position map must be a PositionMap, not {type(m).__name__}")
-    pos, bits = np.asarray(m.positions), np.asarray(m.bits)
-    if pos.ndim != 1 or bits.shape != pos.shape:
-        raise DimensionError("a position map holds one bit per position")
-    if bits.size and (bits.dtype.kind not in "iu" or bits.max() > 1
-                      or (bits.dtype.kind == "i" and bits.min() < 0)):
-        raise DomainError("position map values must be bits")
-    pos = gf2.position_array(pos)
-    if pos.size and (pos[0] < 0 or (pos[1:] <= pos[:-1]).any()):
-        raise DomainError("position map keys must be distinct positions in order")
-    return PositionMap(pos, bits.astype(np.uint8, copy=False))
-
-
-def _map_text(m: PositionMap) -> str:
-    """A position map's JSON text. A map that holds every key below its
-    table's bound is a copy of the table with its bits added at their
-    offsets; any other is a gather of its entries in text order. Keys at
-    or past _TEXT_TABLE_MAX are written by _dumps."""
-    m = _checked(m)
-    pos, bits = m.positions, m.bits
+        raise DomainError(f"{name} must be a PositionMap, not {type(m).__name__}")
+    pos = _flat_positions(name, m.positions)
+    bits = gf2._bit_array(m.bits, f"transcript field {name}")
+    if bits.shape != pos.shape:
+        raise DomainError(f"{name} holds one bit per position")
     if not pos.size:
         return "{}"
+    if not (pos[1:] > pos[:-1]).all():
+        raise DomainError(f"{name} positions must be strictly increasing")
     top = int(pos[-1])
+    if pos[0] < 0 or top >= n:
+        raise DomainError(f"{name} positions must lie in [0, {n})")
     if top >= _TEXT_TABLE_MAX:
         return _dumps(dict(zip(map(str, pos.tolist()), bits.tolist())))
     table = _map_table(1 << top.bit_length())
@@ -642,22 +638,24 @@ def _string_texts(d: dict) -> Dict[str, str]:
     return out
 
 
-def _position_texts(d: dict) -> Dict[str, str]:
+def _position_texts(d: dict, n: int) -> Dict[str, str]:
     """The JSON text of each position list field of a transcript's field
     dict that is not None, of the announced sets and of the announced
     rest's positions (under "announced_rest.positions"), all from one
-    _lists_text call."""
-    names = [name for name in _LIST_FIELDS if d[name] is not None]
-    lists = [d[name] for name in names]
+    _lists_text call; the announced rest must hold one bit per position."""
+    named = [(name, d[name]) for name in _LIST_FIELDS if d[name] is not None]
+    first_set = len(named)
     sets, rest = d["announced_sets"], d["announced_rest"]
     if sets is not None:
-        lists += sets
+        named += [("announced_sets", e) for e in sets]
     if rest is not None:
-        lists.append(rest["positions"])
-    texts = _lists_text(lists)
-    out = dict(zip(names, texts))
+        named.append(("announced_rest", rest["positions"]))
+    texts = _lists_text(named, n)
+    if rest is not None and np.size(rest["bits"]) != np.size(rest["positions"]):  # checked flat
+        raise DomainError("announced_rest holds one bit per position")
+    out = {name: text for (name, _), text in zip(named[:first_set], texts)}
     if sets is not None:
-        out["announced_sets"] = "[" + ",".join(texts[len(names):len(names) + len(sets)]) + "]"
+        out["announced_sets"] = "[" + ",".join(texts[first_set:first_set + len(sets)]) + "]"
     if rest is not None:
         out["announced_rest.positions"] = texts[-1]
     return out
@@ -667,65 +665,64 @@ def _params_text(p: ProtocolParams) -> str:
     """_dumps(p.to_json()): the sizes and the seed are ints, the mode's
     value an identifier."""
     return ('{"N":%d,"delta":%s,"epsilon":%s,"m":%d,"mode":"%s","n":%d,"noise_p":%s,"r":%d,'
-            '"seed":%d}' % (p.N, _plain_text(p.delta), _plain_text(p.epsilon), p.m,
-                            p.mode.value, p.n, _plain_text(p.noise_p), p.r, p.seed))
+            '"seed":%d}' % (p.N, _number_text(p.delta), _number_text(p.epsilon), p.m,
+                            p.mode.value, p.n, _number_text(p.noise_p), p.r, p.seed))
 
 
-# the writers of the records that are neither strings nor position lists;
-# every other field is written by _plain_text
+def _one_of(*allowed):
+    """The writer of a field that holds one of the allowed values, with its
+    type (no bool for 0, no 1.0 for 1): one (type, value) lookup."""
+    texts = {(type(a), a): _dumps(a) for a in allowed}
+
+    def write(value, name: str, n: int) -> str:
+        try:
+            return texts[type(value), value]
+        except (KeyError, TypeError):  # TypeError: a value that cannot be hashed
+            raise DomainError(f"{name} must be one of {allowed}, not {value!r}") from None
+    return write
+
+
+def _dict_text(value, name: str, n: int) -> str:
+    if type(value) is not dict:
+        raise DomainError(f"{name} must be a dict, not {type(value).__name__}")
+    return _dumps(value)
+
+
+# the writers of the fields that are neither strings nor position lists,
+# each called as write(value, name, n) on a value that is not None
 _RECORD_TEXTS = {
-    "params": _params_text,
-    "channel": lambda c: f'{{"kind":"{c.kind}","p":{_plain_text(c.p)}}}',
+    "params": lambda p, name, n: _params_text(p),
+    "channel": lambda c, name, n: f'{{"kind":"{c.kind}","p":{_number_text(c.p)}}}',
     "bob_values": _map_text,
     "deferred": _map_text,
+    "protocol": _one_of("qot", "qkd"),
+    "abort_reason": _one_of(TEST_FAILED, SET_SHORTAGE),
+    "passed": _one_of(True, False),
+    **{name: _one_of(0, 1) for name in ("alice_pick", "c")},
+    **{name: lambda v, name, n: int.__repr__(gf2.integer(v, name, least=0))
+       for name in ("test_errors", "theta_hat_commit", "w_hat_commit")},
+    **{name: _dict_text for name in ("strategy", "eve")},
 }
 
 
-def _one_of(name: str, allowed: tuple):
-    """The decoder of a field that holds one of the allowed values, with
-    its type: no bool for 0 or 1, no 1.0 for 1."""
-    def decode(value):
-        if not any(type(value) is type(a) and value == a for a in allowed):
-            raise DomainError(f"{name} must be one of {allowed}, not {value!r}")
-        return value
-    return decode
-
-
-def _position_list(v) -> np.ndarray:
-    """Sorted and without repeats, so that no other list writes back as
-    read. A strictly increasing list, as runs write, is kept as it is:
-    the first np.unique call imports numpy.ma, about 1.7 MB."""
-    e = gf2.position_array(v)
-    return e if (e[1:] > e[:-1]).all() else np.unique(e)
-
-
 def _position_map(d: dict) -> PositionMap:
-    keys = np.array([int(k) for k in d])
+    keys = gf2.position_array([int(k) for k in d])
     order = np.argsort(keys)
-    return _checked(PositionMap(keys[order], np.array(list(d.values()))[order]))
+    return PositionMap(keys[order], gf2.bits(list(d.values()))[order])
 
 
 # each field's decoder, from the value json.loads reads to the field's
-# value; it raises DomainError, or an error _decode turns into one, on a
-# value it cannot decode. from_json refuses any other value no run writes
-# when it writes the transcript back, except those the writer keeps as
-# they are: the _one_of and integer decoders refuse those
+# value; a field with none is kept as read. A decoder only converts: the
+# writer checks what it returns
 _DECODERS = {
-    "protocol": _one_of("protocol", ("qot", "qkd")),
-    "abort_reason": _one_of("abort_reason", (TEST_FAILED, SET_SHORTAGE)),
-    "passed": _one_of("passed", (True, False)),
-    **{name: _one_of(name, (0, 1)) for name in ("alice_pick", "c")},
-    **{name: functools.partial(gf2.integer, what=name, least=0)
-       for name in ("test_errors", "theta_hat_commit", "w_hat_commit")},
     "params": lambda d: ProtocolParams(**d),
     "channel": lambda d: ChannelModel(d["p"]),
-    **{name: lambda d: dict(**d) for name in ("strategy", "eve")},  # JSON objects only
     "f": gf2.bitmatrix,
     **{name: quantum.basis_string for name in _BASIS_FIELDS},
     **{name: gf2.bits for name in _BIT_FIELDS},
-    **{name: _position_list for name in _LIST_FIELDS},
-    "announced_sets": lambda sets: [_position_list(e) for e in sets],
-    "announced_rest": lambda r: {"positions": _position_list(r["positions"]),
+    **{name: gf2.position_array for name in _LIST_FIELDS},
+    "announced_sets": lambda sets: [gf2.position_array(e) for e in sets],
+    "announced_rest": lambda r: {"positions": gf2.position_array(r["positions"]),
                                  "bits": gf2.bits(r["bits"])},
     "bob_values": _position_map,
     "deferred": _position_map,
@@ -775,28 +772,35 @@ class Transcript:
     def to_json(self) -> str:
         """What one _dumps of the fields' plain values writes: bit fields
         as '0'/'1' strings, bases as '+'/'x', f as row strings, position
-        lists as lists and position maps as objects. A bit, basis or f
-        entry other than 0 or 1 raises DomainError."""
+        lists as lists and position maps as objects. It is the one check
+        of a transcript's shape: a field that breaks its rule (a null no
+        run leaves, an entry other than 0 or 1, positions that are not flat
+        integers rising in [0, n), a scalar outside its values) raises
+        DomainError naming it."""
         d = vars(self)
-        text = {**_string_texts(d), **_position_texts(d)}
+        for name in _REQUIRED:
+            if d[name] is None:
+                raise DomainError(f"transcript field {name} may not be null")
+        n = d["params"].n
+        text = {**_string_texts(d), **_position_texts(d, n)}
         if d["announced_rest"] is not None:  # keys in sorted order
             text["announced_rest"] = ('{"bits":' + text["announced_rest.bits"]
                                       + ',"positions":' + text["announced_rest.positions"] + "}")
         for name, write in _RECORD_TEXTS.items():
             if d[name] is not None:
-                text[name] = write(d[name])
-        return _TRANSCRIPT_FORMAT % tuple([text[name] if name in text else _plain_text(d[name])
-                                           for name in _FIELD_NAMES])
+                text[name] = write(d[name], name, n)
+        return _TRANSCRIPT_FORMAT % tuple([text.get(name, "null") for name in _FIELD_NAMES])
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
         """The transcript a to_json text stands for, read only if to_json
-        writes it back: each field is decoded by the constructor of its
-        value, and a field whose text the decoded transcript writes
-        otherwise (a bit string as a list, X for x, a position list out
-        of order) raises DomainError naming it. So do text that is not a
-        JSON object of every field, a null where no run leaves one and a
-        value no decoder takes. No protocol equation is checked."""
+        writes it back. Each field is converted by the constructor of its
+        value (a field with none is kept as read), and the transcript is
+        written once: a field the writer refuses raises its DomainError,
+        and one it writes otherwise (a bit string as a list, X for x, a
+        nested position list) DomainError naming it. So do text that is
+        not a JSON object of every field and a value no constructor takes.
+        No protocol equation is checked."""
         try:
             d = json.loads(text)
         except ValueError as exc:
@@ -809,9 +813,7 @@ class Transcript:
                 f"transcript keys: missing {sorted(names - d.keys())}, "
                 f"unknown {sorted(d.keys() - names)}"
             )
-        decoded = {name: _decode(name, value) for name, value in d.items()}
-        _check_run_positions(decoded)
-        transcript = cls(**decoded)
+        transcript = cls(**{name: _decode(name, value) for name, value in d.items()})
         written = transcript.to_json()
         if written != text:  # other spacing or key order, or a field written otherwise
             written = json.loads(written)
@@ -825,38 +827,22 @@ class Transcript:
 # %s in place of each field's value text
 _FIELD_NAMES = tuple(sorted(fld.name for fld in fields(Transcript)))
 _TRANSCRIPT_FORMAT = "{" + ",".join(f'"{name}":%s' for name in _FIELD_NAMES) + "}"
-# the fields a run may leave None
-_NULLABLE = frozenset(fld.name for fld in fields(Transcript) if fld.default is None)
+# the fields no run leaves None
+_REQUIRED = tuple(fld.name for fld in fields(Transcript) if fld.default is not None)
 
 
 def _decode(name: str, value):
-    """A transcript field as json.loads read it, decoded. Any error of
-    its decoder is raised as DomainError naming the field."""
-    if value is None:
-        if name not in _NULLABLE:
-            raise DomainError(f"transcript field {name} may not be null")
-        return None
+    """A transcript field as json.loads read it, converted by its decoder
+    (null and a field with none are kept as read). Any error of the
+    decoder is raised as DomainError naming the field."""
+    if value is None or name not in _DECODERS:
+        return value
     try:
         return _DECODERS[name](value)
-    except DomainError:
-        raise
+    except DomainError as exc:
+        raise DomainError(f"transcript field {name}: {exc}") from exc
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise DomainError(f"transcript field {name} does not decode: {exc}") from exc
-
-
-def _check_run_positions(d: dict) -> None:
-    """DomainError unless each decoded position list lies in [0, n) and
-    the announced rest has one bit per position."""
-    rest, n = d["announced_rest"] or {}, d["params"].n
-    if rest and rest["bits"].size != rest["positions"].size:
-        raise DomainError("announced_rest holds one bit per position")
-    named = [(k, d[k]) for k in _LIST_FIELDS]
-    named += [("announced_sets", e) for e in d["announced_sets"] or ()]
-    named += [("announced_rest", rest.get("positions"))]
-    named += [(k, getattr(d[k], "positions", None)) for k in ("bob_values", "deferred")]
-    for name, pos in named:
-        if pos is not None and pos.size and (pos.min() < 0 or pos.max() >= n):
-            raise DomainError(f"{name} positions must lie in [0, {n})")
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,25 @@ def test_attack_rejects_a_negative_epsilon(tmp_path, capsys):
     assert not (tmp_path / "attack_report.json").exists()
 
 
+@pytest.mark.parametrize("flags", [["--epsilon", "inf"], ["--delta", "inf"], ["--delta", "nan"],
+                                   ["--epsilon", "1e400"]])
+def test_non_finite_delta_and_epsilon_exit_one(tmp_path, capsys, flags):
+    """attack ended in a traceback from math.floor(inf), and simulate
+    exited 0 writing "delta":Infinity, which is not JSON."""
+    simulate = QOT_ARGS + flags + ["--out", str(tmp_path / "sim")]
+    assert run(simulate) == 1
+    assert run(ATTACK_ARGS + flags + ["--out", str(tmp_path / "attack")]) == 1
+    assert capsys.readouterr().err.count("must be a finite nonnegative number") == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_bit_string_that_is_not_bits_exits_one(tmp_path, capsys):
+    argv = ["simulate", "--n", "16", "--N", "4", "--m", "2", "--b", "0a", "--out", str(tmp_path)]
+    assert run(argv) == 1
+    assert "error: bit vector entries must be 0 or 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
 def test_non_finite_angles_exit_one(tmp_path, capsys, angle):
     bob = ATTACK_ARGS + ["--strategy", "FIXED_BASIS", f"--angle={angle}", "--out", str(tmp_path)]

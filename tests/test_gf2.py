@@ -46,6 +46,17 @@ def test_bitmatrix_rejects_fractional_entries():
         gf2.bitmatrix([[0.5, 1.0]])
 
 
+@pytest.mark.parametrize("text", ["0a", " 1", "1.", "1 ", "+1", "2", "\u0661", "0\u0661", "\ud800"])
+def test_bit_strings_are_read_by_the_bit_rule(text):
+    """A string's characters other than 0 and 1 raise DomainError, as any
+    other non-bit entry does, instead of ValueError from int(); a Unicode
+    digit such as the Arabic-Indic one is refused, not read as 1."""
+    with pytest.raises(DomainError, match="^bit vector entries must be 0 or 1$"):
+        gf2.bits(text)
+    with pytest.raises(DomainError, match="^bit vector entries must be 0 or 1$"):
+        gf2.bitmatrix(["01", text])
+
+
 def test_bits_keeps_exact_zeros_and_ones_of_any_dtype():
     for values in ([0, 1], np.array([0.0, 1.0]), np.array([False, True]), np.array([0, 1], dtype=np.int8)):
         got = gf2.bits(values)

@@ -1,9 +1,13 @@
 """Every module of the package uses each name it imports (the check an
 unused-import lint rule would make), parses as the oldest Python that
 pyproject.toml declares, and writes JSON only through protocol._dumps, on
-the standard library's ast."""
+the standard library's ast; and runs and transcripts leave numpy.ma
+unimported."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +78,31 @@ def test_protocol_dumps_is_the_only_json_encoder():
     assert {stem: lines for stem, lines in found.items() if lines} == {"protocol": dumps}
     assert len(dumps) == 1
 
+
+
+NUMPY_MA_PROBE = """
+import sys
+from qotsim import attacks, protocol
+from qotsim.protocol import Mode, ProtocolParams, Transcript
+
+strategies = [attacks.honest(), attacks.random_ok(), attacks.fixed_basis(0.3),
+              attacks.store_subset(positions=[5, 1, 5, 3]), attacks.store_subset(count=3)]
+for mode in Mode:
+    params = ProtocolParams(n=10, m=1, r=0, N=2, delta=0.3, noise_p=0.1, mode=mode, seed=3)
+    runs = [protocol.run_string_qot(params, [1], bob=bob, announce_rest=True) for bob in strategies]
+    runs.append(protocol.run_qkd(params, eve=attacks.fixed_basis(0.3), announce_rest=True))
+    for tr in runs:
+        text = tr.to_json()
+        assert Transcript.from_json(text).to_json() == text
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_runs_and_transcripts_leave_numpy_ma_unimported():
+    """numpy 2's np.unique imports numpy.ma, about 1.7 MB: building every
+    strategy kind, running one transcript of each in both modes, writing
+    and reading them back call no np.unique."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qotsim.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"

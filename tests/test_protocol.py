@@ -7,6 +7,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ def make_params(**kw):
 
 # from_json's refusal of a field that does not write back as it was read
 NOT_WRITTEN_BACK = "transcript field %s is not in the form to_json writes"
+# to_json's refusal of a position list, after the field's name
+OUT_OF_ORDER = "positions must be strictly increasing"
 
 
 # ---------------------------------------------------------------------------
@@ -1177,6 +1180,22 @@ def reference_to_json(tr: protocol.Transcript) -> str:
     return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
+def is_position_list(v) -> bool:
+    """Whether v is a list to_json writes: flat integers (no bools),
+    strictly increasing, from 0 up to below 2^63."""
+    a = np.asarray(v)
+    entries = a.tolist()
+    return (a.ndim == 1 and all(type(k) is int and 0 <= k < 2**63 for k in entries)
+            and entries == sorted(set(entries)))
+
+
+def with_room(tr, top):
+    """tr in a run of top + 1 photons, or of its own n if that is more: a
+    valid ProtocolParams takes any n, so hand-built keys up to top lie in
+    the run."""
+    return dataclasses.replace(tr, params=dataclasses.replace(tr.params, n=max(tr.params.n, top + 1)))
+
+
 def position_map(keys, bits):
     """The map of a dict's sorted keys, in the given dtypes."""
     keys, bits = np.asarray(keys), np.asarray(bits)
@@ -1204,6 +1223,11 @@ POSITION_MAPS = st.one_of(
     position_maps(st.integers(protocol._TEXT_TABLE_MAX - 3, 2**63 - 1)),
 )
 POSITION_LISTS = st.one_of(
+    # lists a transcript may hold, then lists to_json refuses (most of the rest)
+    st.lists(st.integers(0, 1100), max_size=40, unique=True).map(sorted),
+    st.lists(st.integers(0, 2**17), max_size=40, unique=True).map(sorted),
+    st.lists(st.integers(0, 2**16 - 1), max_size=40, unique=True).map(
+        lambda v: np.array(sorted(v), dtype=np.uint16)),
     st.lists(st.integers(0, 1100), max_size=40),
     st.lists(st.integers(-5, 2**17), max_size=40),
     st.lists(st.integers(0, 2**16 - 1), max_size=40).map(lambda v: np.array(v, dtype=np.uint16)),
@@ -1253,12 +1277,19 @@ def odd_maps(draw):
 def test_to_json_matches_the_reference_encoder(run, data):
     tr = execute(run)
     assert tr.to_json() == reference_to_json(tr)
-    # hand-built transcripts with maps and position lists no run makes
-    odd = dataclasses.replace(
-        tr,
-        bob_values=data.draw(POSITION_MAPS), deferred=data.draw(POSITION_MAPS),
-        R=data.draw(POSITION_LISTS), E_c=data.draw(st.none() | POSITION_LISTS),
-    )
+    # hand-built transcripts with maps and position lists no run makes, in a
+    # run long enough for their keys: a list of flat integers, strictly
+    # increasing and not negative, is written as the reference writes it,
+    # and any other is refused, naming its field
+    maps = {name: data.draw(POSITION_MAPS) for name in ("bob_values", "deferred")}
+    lists = {"R": data.draw(POSITION_LISTS), "E_c": data.draw(st.none() | POSITION_LISTS)}
+    good = {name: v for name, v in lists.items() if v is None or is_position_list(v)}
+    top = max([int(m.positions[-1]) for m in maps.values() if m.positions.size]
+              + [int(v[-1]) for v in good.values() if v is not None and len(v)], default=0)
+    odd = dataclasses.replace(with_room(tr, top), **maps, **good)
+    for name in lists.keys() - good.keys():
+        with pytest.raises(DomainError, match=f"^{name} positions must "):
+            dataclasses.replace(odd, **{name: lists[name]}).to_json()
     assert odd.to_json() == reference_to_json(odd)
     decoded = json.loads(odd.to_json())
     for name in ("bob_values", "deferred"):
@@ -1268,9 +1299,17 @@ def test_to_json_matches_the_reference_encoder(run, data):
 @settings(max_examples=200, deadline=None)
 @given(odd_maps())
 def test_position_maps_reject_keys_that_are_not_positions_and_values_that_are_not_bits(odd):
+    """Keys that are not positions are refused. A value is read by gf2's
+    bit rule, as every bit field's entry is: a bool or a float 0.0 or 1.0
+    is written as its bit, and any other value that is not 0 or 1 is
+    refused, naming the field."""
     keys, values = odd
-    with pytest.raises(DomainError):
-        protocol._map_text(position_map(keys, values))
+    m = position_map(keys, values)
+    if all(type(k) is int and 0 <= k < 2**63 for k in np.asarray(keys).tolist()) and set(values) <= {0, 1}:
+        assert protocol._map_text(m, "bob_values", 1101) == protocol._dumps(_str_keys(m))
+    else:
+        with pytest.raises(DomainError, match="^(transcript field )?bob_values "):
+            protocol._map_text(m, "bob_values", 1101)
     record = {**seed_7_transcript_dict(),
               "bob_values": {str(k): v for k, v in zip(np.asarray(keys).tolist(), values)}}
     with pytest.raises(DomainError):
@@ -1297,8 +1336,8 @@ def test_position_maps_reject_unordered_repeated_and_misshapen_input():
         with pytest.raises(DomainError):
             dataclasses.replace(tr, deferred=protocol.PositionMap(keys, bits)).to_json()
     for keys, bits in (([[1, 2]], [[0, 1]]), ([1, 2], [0])):
-        with pytest.raises(DimensionError):
-            protocol._map_text(protocol.PositionMap(keys, bits))
+        with pytest.raises(DomainError, match="^deferred "):
+            protocol._map_text(protocol.PositionMap(keys, bits), "deferred", 24)
     assert protocol.PositionMap() == protocol.PositionMap([], [])
     assert protocol.PositionMap([2], [1]) != protocol.PositionMap([2], [0])
     # a transcript holds its maps as PositionMap, not as dicts
@@ -1329,7 +1368,7 @@ def test_to_json_matches_the_reference_encoder_on_every_run_kind():
     # positions at and past the tables' bound go through json.dumps
     top = protocol._TEXT_TABLE_MAX
     runs.append(dataclasses.replace(
-        runs[0],
+        with_room(runs[0], 2**40),
         bob_values=protocol.PositionMap([5, 10, top - 1, top, 2**40], [1, 0, 1, 1, 0]),
         deferred=protocol.PositionMap([top], [1]), R=[9, top, 2**40],
     ))
@@ -1406,13 +1445,13 @@ def test_transcript_from_json_refuses_an_announced_rest_outside_the_run_or_missh
         "rest-reversed"])
 def test_transcript_from_json_refuses_position_lists_out_of_order(change):
     """The runner writes every position list strictly increasing; a list
-    in another order, or with a repeat, reads as the sorted list without
-    repeats, which does not write back as read, and is refused."""
+    in another order, or with a repeat, reads as it is written, and the
+    writer refuses it."""
     d = seed_7_transcript_dict()
     odd = {**d, **change(d)}
     assert odd != d
     name = next(iter(change(d)))
-    with pytest.raises(DomainError, match=f"^{NOT_WRITTEN_BACK % name}$"):
+    with pytest.raises(DomainError, match=f"^{name} {OUT_OF_ORDER}$"):
         protocol.Transcript.from_json(json.dumps(odd))
 
 
@@ -1421,7 +1460,7 @@ def test_transcript_from_json_refuses_a_map_key_outside_the_run(field):
     d = seed_7_transcript_dict()
     with pytest.raises(DomainError, match=f"^{field} positions must lie in \\[0, 24\\)$"):
         protocol.Transcript.from_json(json.dumps({**d, field: {**d[field], "24": 1}}))
-    with pytest.raises(DomainError, match="distinct positions in order"):
+    with pytest.raises(DomainError, match=f"^{field} positions must lie in \\[0, 24\\)$"):
         protocol.Transcript.from_json(json.dumps({**d, field: {"-1": 1}}))
     protocol.Transcript.from_json(json.dumps({**d, field: {"23": 1}}))
 
@@ -1566,22 +1605,25 @@ def test_to_json_matches_the_reference_encoder_on_lists_and_maps_ending_at_top(t
     """Position lists and maps whose largest key is 2^k - 1 or 2^k, the
     last key of one table and the first of the next (2^16 is written by
     json.dumps)."""
-    tr = _run_at(24, 7)
+    tr = with_room(_run_at(24, 7), top)
     keys = sorted({0, top // 3, max(top - 1, 0), top})
     bits = [k % 2 for k in keys]
     odd = dataclasses.replace(
-        tr, R=keys, E_c=np.array(keys[::-1], dtype=np.int64), T1=[top],
+        tr, R=keys, E_c=np.array(keys, dtype=np.int64), T1=[top],
         announced_sets=[keys, [top], []],
         bob_values=protocol.PositionMap(keys, bits), deferred=protocol.PositionMap([top], [1]),
     )
     assert odd.to_json() == reference_to_json(odd)
+    if len(keys) > 1:  # reversed, they are refused
+        with pytest.raises(DomainError, match="^E_c positions must be strictly increasing$"):
+            dataclasses.replace(odd, E_c=np.array(keys[::-1], dtype=np.int64)).to_json()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 100, 511, 512, 513, 1024, 1025])
 def test_to_json_matches_the_reference_encoder_on_full_maps_and_one_key_short(n):
     """A map over every position below n, and the same map without its
     first, a middle or its last key."""
-    tr = _run_at(24, 7)
+    tr = with_room(_run_at(24, 7), n - 1)
     bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
     maps = [protocol.PositionMap(np.arange(n), bits)]
     for gone in sorted({0, n // 2, n - 1}):
@@ -1671,6 +1713,56 @@ def test_transcript_from_json_refuses_malformed_records_with_domain_error(field,
         protocol.Transcript.from_json(json.dumps({**d, field: bad}))
 
 
+# one field of a transcript set to a value that breaks to_json's rule, in
+# any run of n photons: (field, the value, the value as JSON)
+CORRUPTIONS = [
+    *[(name, value, value) for name, value in (
+        ("passed", "yes"), ("c", 7), ("alice_pick", 1.0), ("test_errors", -1),
+        ("abort_reason", "NOPE"), ("strategy", 5), ("w", None), ("w_hat_commit", None))],
+    ("R", np.array([1, 0]), [1, 0]),
+    ("R", [0.0, 1.0], [0.0, 1.0]),
+    ("R", np.array([-1, 0]), [-1, 0]),
+    ("R", lambda n: np.array([0, n]), lambda n: [0, n]),
+    ("E_c", np.array([0, 0]), [0, 0]),
+    ("announced_rest", {"positions": np.array([0, 1]), "bits": np.array([1], dtype=np.uint8)},
+     {"bits": "1", "positions": [0, 1]}),
+    ("deferred", lambda n: protocol.PositionMap([n], [1]), lambda n: {str(n): 1}),
+    ("R", np.array([[0], [1]]), [[0], [1]]),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(protocol_runs(exact=True))
+def test_to_json_refuses_every_record_from_json_refuses(run):
+    """On any runner transcript (qot or qkd, either mode, every receiver
+    kind, with and without the announced rest and Eve), each corruption
+    makes to_json raise DomainError naming the field, and from_json
+    refuses the same record read from JSON."""
+    tr = execute(run)
+    n, d = tr.params.n, json.loads(tr.to_json())
+    for name, value, as_json in CORRUPTIONS:
+        value, as_json = (v(n) if callable(v) else v for v in (value, as_json))
+        with pytest.raises(DomainError, match=rf"\b{name}\b"):
+            dataclasses.replace(tr, **{name: value}).to_json()
+        with pytest.raises(DomainError, match=rf"\b{name}\b"):
+            protocol.Transcript.from_json(json.dumps({**d, name: as_json}))
+
+
+def test_from_json_names_the_field_of_a_value_its_decoder_refuses():
+    """A decoder's own DomainError, and the writer's refusal of a map
+    whose keys read as one position twice, name the field."""
+    d = seed_7_transcript_dict()
+    cases = [
+        ("params", {**d["params"], "delta": True},
+         "transcript field params: delta must be a number, not True"),
+        ("theta", "+q" + d["theta"][2:], "transcript field theta: unknown basis character 'q'"),
+        ("bob_values", {"5": 1, "05": 1}, f"bob_values {OUT_OF_ORDER}"),
+    ]
+    for name, value, message in cases:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            protocol.Transcript.from_json(json.dumps({**d, name: value}))
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "5", "null", "not json", '{"protocol": "qot"'])
 def test_transcript_from_json_refuses_text_that_is_not_a_record(text):
     with pytest.raises(DomainError):
@@ -1721,13 +1813,21 @@ def test_transcript_from_json_raises_only_domain_error_on_fuzzed_records(record)
 
 def test_codec_tables_name_only_transcript_fields():
     """Every name in the writer's and the reader's tables is a Transcript
-    field, and every field has a decoder: a renamed field cannot fall
-    through to _plain_text, or be kept as it was read, unnoticed."""
+    field, every field has a writer, and the fields the reader keeps as
+    read are the scalars and dicts a _RECORD_TEXTS writer checks: a
+    renamed field cannot be written as null, or read unchecked,
+    unnoticed."""
     names = {fld.name for fld in dataclasses.fields(protocol.Transcript)}
-    for table in (protocol._DECODERS, protocol._BIT_FIELDS, protocol._BASIS_FIELDS,
-                  protocol._LIST_FIELDS, protocol._RECORD_TEXTS, protocol._NULLABLE):
+    tables = (protocol._DECODERS, protocol._BIT_FIELDS, protocol._BASIS_FIELDS,
+              protocol._LIST_FIELDS, protocol._RECORD_TEXTS, protocol._REQUIRED)
+    for table in tables:
         assert set(table) <= names
-    assert set(protocol._DECODERS) == names
+    written = {*protocol._BIT_FIELDS, *protocol._BASIS_FIELDS, *protocol._LIST_FIELDS,
+               *protocol._RECORD_TEXTS, "f", "announced_sets", "announced_rest"}
+    assert written == names
+    assert names - set(protocol._DECODERS) == {
+        "abort_reason", "alice_pick", "c", "eve", "passed", "protocol", "strategy",
+        "test_errors", "theta_hat_commit", "w_hat_commit"}
 
 
 def _position_forms(v: list) -> dict:
@@ -1778,6 +1878,9 @@ def reencodings(d: dict) -> dict:
     return out
 
 
+ORDER_FORMS = ("repeated positions", "reordered positions")
+
+
 def test_a_completed_run_has_room_for_every_reencoding():
     assert sorted(reencodings(seed_7_transcript_dict())) == sorted([
         "bits as a list", "rest bits as a list", "basis 0/1", "basis X", "f as lists",
@@ -1796,6 +1899,9 @@ def test_transcript_from_json_reads_a_field_only_in_the_form_to_json_writes(run,
     "05" map key, params without a defaulted key."""
     d = json.loads(execute(run).to_json())
     forms = reencodings(d)
-    name, value = data.draw(st.sampled_from(forms[data.draw(st.sampled_from(sorted(forms)))]))
-    with pytest.raises(DomainError, match=f"^{NOT_WRITTEN_BACK % name}$"):
+    form = data.draw(st.sampled_from(sorted(forms)))
+    name, value = data.draw(st.sampled_from(forms[form]))
+    # a reordered list, or one with a repeat, is read as it is, and the writer refuses it
+    refusal = f"{name} {OUT_OF_ORDER}" if form in ORDER_FORMS else NOT_WRITTEN_BACK % name
+    with pytest.raises(DomainError, match=f"^{refusal}$"):
         protocol.Transcript.from_json(json.dumps({**d, name: value}))
