@@ -85,10 +85,8 @@ class AttackStrategy:
         if (self.angle is not None) != fixed:
             raise DomainError(f"an angle goes with FIXED_BASIS, which needs one (strategy {name})")
         if fixed:
-            angle = float(self.angle)
-            if not math.isfinite(angle):
-                raise DomainError("a fixed measurement angle must be finite")
-            object.__setattr__(self, "angle", angle)
+            angle = gf2.number(self.angle, "a fixed measurement angle")
+            object.__setattr__(self, "angle", float(angle))
         store = self.kind is StrategyKind.STORE_SUBSET
         if (self.positions is not None) + (self.count is not None) != store:
             raise DomainError("one of positions and count goes with STORE_SUBSET, "
@@ -268,7 +266,8 @@ def store_attack_test_statistics(
     Monte Carlo draws those coins directly (the exact marginal of the full
     run), plus channel flips on the honestly measured positions.
     """
-    if not 0.0 <= fraction_f <= 1.0:
+    fraction_f = gf2.number(fraction_f, "fraction")
+    if not 0 <= fraction_f <= 1:
         raise DomainError("fraction must lie in [0, 1]")
     trials = gf2.integer(trials, "trials", least=1)
     n, p = params.n, params.noise_p
@@ -370,10 +369,10 @@ def _entropy_bits(dist: np.ndarray) -> float:
 def _normalize_prior(prior, m: int) -> np.ndarray:
     if prior is None:
         return np.full(1 << m, 2.0 ** -m)
-    prior = np.asarray(prior, dtype=float).ravel()
+    prior = gf2.numbers(prior, "prior").ravel()
     if prior.size != 1 << m:
         raise DimensionError(f"prior needs 2^{m} entries")
-    if not np.isfinite(prior).all() or np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-9:
+    if np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-9:
         raise DomainError("prior must be a probability vector")
     return prior / prior.sum()
 

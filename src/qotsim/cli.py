@@ -212,16 +212,15 @@ def _write_json(path: Path, doc: dict) -> None:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _simulate_trial(args, bob, eve, idx: int):
-    """One run with the receiver bob and the eavesdropper eve (or None);
-    top level so a process pool can ship it."""
+def _simulate_trial(args, bob, eve, b, idx: int):
+    """One run with the receiver bob, the eavesdropper eve (or None) and
+    the string bits b (or None, to draw them); top level so a process pool
+    can ship it."""
     params = _params_from_args(args, seed=_trial_seed(args.seed, idx))
     if args.protocol == "qkd":
         tr = protocol.run_qkd(params, eve=eve, announce_rest=args.announce_rest)
     else:
-        if args.b is not None:
-            b = gf2.bits(args.b, length=args.m)
-        else:
+        if b is None:
             b = gf2.random_bits(stream(args.seed, "b", idx), args.m)
         tr = protocol.run_string_qot(
             params, b, bob=bob, force_c=args.force_c, announce_rest=args.announce_rest,
@@ -250,9 +249,10 @@ def _cmd_simulate(args) -> int:
     bob = _build_strategy(args.strategy, args.store_positions, args.store_count, args.angle)
     eve = None if args.eve is None else _build_strategy(args.eve, None, None, args.eve_angle)
     _params_from_args(args, seed=0)
+    b = None if args.b is None else gf2.bits(args.b, length=args.m)
 
     out = _out_dir(args)
-    trial = partial(_simulate_trial, args, bob, eve)
+    trial = partial(_simulate_trial, args, bob, eve, b)
     # a pool forks all its workers at the first submit: start no idle ones
     workers = min(workers, trials)
     if workers > 1:

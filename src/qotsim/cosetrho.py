@@ -314,8 +314,7 @@ def gv_trials(
     (min distance, ratio d/N, ratio > threshold) of one random rows x N
     matrix drawn from rng_for(i). A matrix whose span has no nonzero word
     has distance and ratio inf."""
-    if not math.isfinite(eta):
-        raise DomainError("eta must be finite")
+    eta = gf2.number(eta, "eta")
     n_cols, rows = gf2.integer(n_cols, "n_cols"), gf2.integer(rows, "rows", least=0)
     if rows >= n_cols:
         raise DomainError("rows must be below N")

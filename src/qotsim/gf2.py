@@ -5,14 +5,12 @@ Bit vectors and matrices are numpy uint8 arrays with entries in {0, 1}.
 Position sets are sorted integer arrays over a universe {0, ..., n-1}.
 All indexing is 0-based, here and in every serialized artifact.
 
-Two rules check the integer data of every module, and no module keeps
-its own copy. integer reads one scalar operand (a size, a count, a
-radius, a position, a universe) as a Python int, refuses a bool, a float
-or any other type, and holds it to its lower bound (least). position_block
-reads a block of positions to measure: distinct int64 positions in range,
-in their given order. Both raise DomainError; their entries, like those
-of position_set, go through position_array. Checks that relate operands
-(r + m <= N, value < 2^length) stay with the code that relates them.
+Every module reads its operands through the rules here, each raising
+DomainError that names the operand: integer (a size, a count, a radius,
+a universe, as a Python int, at least least), number and numbers (a real
+parameter, an angle, a probability: finite, no bool), position_array and
+position_block (positions). Checks that relate operands (r + m <= N,
+p < 1/2) stay with the code that relates them.
 
 Span walks work on lane words instead: a bit vector of width n becomes a
 row of ceil(n / 64) big-endian uint64 lanes (pack_lanes), position j
@@ -38,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
 
@@ -112,6 +111,33 @@ def integer(value, what: str, least: Optional[int] = None) -> int:
     return value
 
 
+def number(value, what: str) -> Union[int, float]:
+    """value as a finite Python int or float: a Python or numpy integer or
+    float. A bool (not read as 1), any other type, NaN, +-inf or an int
+    past the float range raises DomainError naming what."""
+    if type(value) is not float and type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise DomainError(f"{what} must be a number, not {value!r}")
+        value = float(value) if isinstance(value, (float, np.floating)) else int(value)
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails too
+        shown = repr(value) if type(value) is float else f"an int of {value.bit_length()} bits"
+        raise DomainError(f"{what} must be finite, not {shown}")
+    return value
+
+
+def numbers(values, what: str) -> np.ndarray:
+    """values, a number or an array of them, as a float64 array, each entry
+    held to the rule of number (a bool that numpy would cast among ints or
+    floats too). float64 array input comes back uncopied."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf" or _lists_a_bool(values, a.ndim):
+        raise DomainError(f"{what} must be numbers")
+    a = a.astype(np.float64, copy=False)
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} must be finite")
+    return a
+
+
 def position_array(members) -> np.ndarray:
     """members as a flat int64 array, in their given order.
 
@@ -128,9 +154,10 @@ def position_array(members) -> np.ndarray:
 
 
 def _lists_a_bool(members, ndim: int) -> bool:
-    """Whether input that numpy reads as integers lists a bool: numpy casts
-    a list that mixes ints and bools to int64."""
-    if isinstance(members, (np.ndarray, range)):
+    """Whether input that numpy reads as numbers lists a bool: numpy casts
+    a list that mixes ints or floats with bools to int64 or float64. A
+    scalar it reads so is no bool."""
+    if not ndim or isinstance(members, (np.ndarray, range)):
         return False
     entries = members if ndim == 1 else np.asarray(members, dtype=object).ravel()
     return not _BOOL_TYPES.isdisjoint(map(type, entries))
@@ -561,19 +588,21 @@ def min_distance(code: Union[LinearCode, np.ndarray]):
 
 def binary_entropy(x: float) -> float:
     """H(x) = -(x lg x + (1-x) lg(1-x)), with 0 lg 0 = 0."""
-    if x < 0.0 or x > 1.0:
+    x = number(x, "binary_entropy argument")
+    if not 0 <= x <= 1:
         raise DomainError("binary_entropy argument outside [0, 1]")
     if x == 0.0 or x == 1.0:
         return 0.0
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
-def binary_entropy_inverse(y: float, tol: float = 1e-12) -> float:
-    """The x in [0, 1/2] with H(x) = y, by bisection."""
-    if y < 0.0 or y > 1.0:
+def binary_entropy_inverse(y: float) -> float:
+    """The x in [0, 1/2] with H(x) = y, by bisection to within 1e-12."""
+    y = number(y, "binary_entropy_inverse argument")
+    if not 0 <= y <= 1:
         raise DomainError("binary_entropy_inverse argument outside [0, 1]")
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2.0
         if binary_entropy(mid) < y:
             lo = mid

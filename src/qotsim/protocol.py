@@ -30,7 +30,6 @@ import functools
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -52,13 +51,6 @@ class Mode(Enum):
     CLASSICAL_FAST = "CLASSICAL_FAST"
 
 
-def _number(value, what: str):
-    """value, unless it is not a Python int or float (a bool is not)."""
-    if type(value) not in (int, float):
-        raise DomainError(f"{what} must be a number, not {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ChannelModel:
     """Flips each encoded bit independently with probability p, a float;
@@ -67,7 +59,7 @@ class ChannelModel:
     p: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= _number(self.p, "flip probability") < 0.5:
+        if not 0.0 <= gf2.number(self.p, "flip probability") < 0.5:
             raise DomainError("flip probability must lie in [0, 1/2)")
         object.__setattr__(self, "p", float(self.p))
 
@@ -87,8 +79,9 @@ class ChannelModel:
 @dataclass(frozen=True)
 class ProtocolParams:
     """Run configuration. N defaults to floor(0.24 n); epsilon to 8 delta.
-    n, m, r, N and seed are kept as Python ints; delta, epsilon (finite)
-    and noise_p (by the rule of ChannelModel) must be Python ints or floats."""
+    n, m, r, N and seed are kept as Python ints, delta, epsilon and noise_p
+    as Python ints or floats (gf2.integer, gf2.number); noise_p must make a
+    ChannelModel."""
 
     n: int
     m: int
@@ -103,16 +96,17 @@ class ProtocolParams:
     def __post_init__(self):
         for name, least in (("n", 1), ("m", 1), ("r", 0), ("seed", None)):
             object.__setattr__(self, name, gf2.integer(getattr(self, name), name, least))
-        if not 0 <= _number(self.delta, "delta") <= sys.float_info.max:  # no NaN, inf, 10**400
-            raise DomainError("test tolerance must be a finite nonnegative number")
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", 8.0 * self.delta)
-        if not 0 <= _number(self.epsilon, "epsilon") <= sys.float_info.max:
-            raise DomainError("storage fraction epsilon must be a finite nonnegative number")
+        delta = gf2.number(self.delta, "delta")
+        epsilon = 8.0 * delta if self.epsilon is None else self.epsilon
+        for name, value in (("delta", delta), ("epsilon", gf2.number(epsilon, "epsilon"))):
+            if value < 0:
+                raise DomainError(f"{name} must be nonnegative, got {value!r}")
+            object.__setattr__(self, name, value)
         N = int(0.24 * self.n) if self.N is None else self.N
         object.__setattr__(self, "N", gf2.integer(N, "N", least=1))
         if self.r + self.m > self.N:
             raise DomainError("r + m may not exceed N")
+        object.__setattr__(self, "noise_p", gf2.number(self.noise_p, "flip probability"))
         self.channel()  # noise_p must make a channel
         if not isinstance(self.mode, Mode):
             object.__setattr__(self, "mode", Mode(self.mode))
@@ -203,8 +197,8 @@ class Reception:
     09 compares independent paths. Both draw a block's k uniforms with
     one rng.random(k) call, the same doubles as k scalar draws, so a
     block and a photon-by-photon loop leave the same outcomes and
-    generator state. Bad positions (bools among them) and non-finite
-    angles raise DomainError before any draw.
+    generator state. Bad positions and angles raise DomainError (by the
+    rules of gf2) before any draw.
     """
 
     def __init__(self, mode: Mode, n: int, encoded: np.ndarray, theta: np.ndarray):
@@ -223,26 +217,22 @@ class Reception:
         """Measure the photons at positions, in order, each at its angle
         (one angle may serve the whole block); returns the outcome bits."""
         pos = gf2.position_block(positions, self.n)
-        angles = np.asarray(angles, dtype=float)
+        angles = gf2.numbers(angles, "measurement angles")
         if angles.shape not in ((), pos.shape):
             raise DimensionError("give one angle, or one per position")
-        if not np.isfinite(angles).all():
-            raise DomainError("measurement angles must be finite")
         if not pos.size:
             return np.zeros(0, dtype=np.uint8)
         return self._measure(pos, self._index(angles), rng)
 
     def measure(self, position: int, angle: float, rng: np.random.Generator) -> int:
         pos = gf2.position_block([gf2.integer(position, "a measurement position")], self.n)
-        angle = float(angle)
-        if not math.isfinite(angle):
-            raise DomainError("measurement angles must be finite")
+        angle = gf2.number(angle, "a measurement angle")
         return int(self._measure(pos, self._index(angle), rng)[0])
 
     def measure_basis(self, position: int, basis: int, rng: np.random.Generator) -> int:
         if basis not in (quantum.PLUS, quantum.CROSS):
             raise DomainError("a basis is + (0) or x (1)")
-        return self.measure(position, _BASIS_ANGLES[int(basis)], rng)
+        return self.measure(position, self._angles[int(basis)], rng)
 
     def _measure(self, pos: np.ndarray, probe, rng: np.random.Generator) -> np.ndarray:
         """Measure the checked distinct positions pos, in order, at the
@@ -257,10 +247,10 @@ class Reception:
         return out
 
     def _index(self, angles):
-        """The entry in the angle table of one angle (a float or a 0-d
+        """The entry in the angle table of one angle (a number or a 0-d
         array), or of each angle of an array. Angles new to the run join
         the table first."""
-        if isinstance(angles, float) or not angles.ndim:
+        if not isinstance(angles, np.ndarray) or not angles.ndim:
             angle = float(angles)
             if angle not in self._angles:
                 self._learn([angle])

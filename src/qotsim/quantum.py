@@ -45,14 +45,19 @@ PHYS_TOL = 1e-10  # physical invariants (norms, traces, probabilities)
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 
+# the label of each ASCII byte of '+x' text: + and 0 are PLUS, x, X and 1 CROSS, others 2
+_BASIS_LABELS = np.full(256, 2, dtype=np.uint8)
+_BASIS_LABELS[np.frombuffer(b"+0xX1", dtype=np.uint8)] = [PLUS, PLUS, CROSS, CROSS, CROSS]
+
+
 def basis_string(spec, length=None) -> np.ndarray:
     """Normalize a basis string; accepts '+x' text or a 0/1 sequence."""
     if isinstance(spec, str):
-        table = {"+": PLUS, "x": CROSS, "X": CROSS, "0": PLUS, "1": CROSS}
-        try:
-            spec = [table[ch] for ch in spec]
-        except KeyError as exc:
-            raise DomainError(f"unknown basis character {exc}") from exc
+        labels = _BASIS_LABELS[np.frombuffer(spec.encode("ascii", "replace"), dtype=np.uint8)]
+        unknown = np.flatnonzero(labels > CROSS)
+        if unknown.size:
+            raise DomainError(f"unknown basis character {spec[unknown[0]]!r}")
+        spec = labels
     return gf2.bits(spec, length=length)
 
 
@@ -82,6 +87,7 @@ def photon(bit: int, basis: int) -> np.ndarray:
 
 def angle_basis(angle: float) -> np.ndarray:
     """Rotation whose columns are the basis states at the given angle from +."""
+    angle = gf2.number(angle, "a rotation angle")
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
 
@@ -264,7 +270,7 @@ def density_from_ensemble(states, probs) -> np.ndarray:
     over the states stacked as the rows of V (an array of rows is used as
     is). Real states, such as every BB84 encoding, make it one real
     product and a float64 rho; complex states give a complex128 rho."""
-    probs = np.asarray(probs, dtype=float)
+    probs = gf2.numbers(probs, "ensemble probabilities")
     if np.any(probs < -PHYS_TOL) or abs(probs.sum() - 1.0) > PHYS_TOL:
         raise DomainError("ensemble probabilities must be nonnegative and sum to 1")
     if probs.shape != (len(states),):

@@ -369,15 +369,19 @@ def test_non_finite_delta_and_epsilon_exit_one(tmp_path, capsys, flags):
     simulate = QOT_ARGS + flags + ["--out", str(tmp_path / "sim")]
     assert run(simulate) == 1
     assert run(ATTACK_ARGS + flags + ["--out", str(tmp_path / "attack")]) == 1
-    assert capsys.readouterr().err.count("must be a finite nonnegative number") == 2
+    assert capsys.readouterr().err.count(f"{flags[0][2:]} must be finite, not ") == 2
     assert not any(tmp_path.iterdir())
 
 
 def test_a_bit_string_that_is_not_bits_exits_one(tmp_path, capsys):
-    argv = ["simulate", "--n", "16", "--N", "4", "--m", "2", "--b", "0a", "--out", str(tmp_path)]
-    assert run(argv) == 1
-    assert "error: bit vector entries must be 0 or 1" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    """--b is read once, before the output directory is made."""
+    out = tmp_path / "out"
+    for b, message in (("0a", "bit vector entries must be 0 or 1"),
+                       ("101", "expected length 2, got 3")):
+        argv = ["simulate", "--n", "16", "--N", "4", "--m", "2", "--b", b, "--out", str(out)]
+        assert run(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
@@ -488,6 +492,26 @@ def test_a_config_number_that_is_not_an_int_or_float_exits_one(tmp_path, capsys,
     argv = ["simulate", "--n", "16", "--N", "4", "--config", str(config), "--out", str(out)]
     assert run(argv) == 1
     assert f"must be a number, not {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (ATTACK_ARGS, {"strategy": "FIXED_BASIS", "angle": True},
+     "a fixed measurement angle must be a number, not True"),
+    (["simulate", "--protocol", "qkd", "--n", "16", "--N", "4", "--trials", "2",
+      "--eve", "FIXED_BASIS"], {"eve_angle": True},
+     "a fixed measurement angle must be a number, not True"),
+    (["code-stats", "--n-cols", "12", "--rows", "4", "--trials", "3"], {"eta": True},
+     "eta must be a number, not True"),
+], ids=["attack-angle", "qkd-eve-angle", "code-stats-eta"])
+def test_a_config_angle_or_eta_that_is_a_bool_exits_one(tmp_path, capsys, argv, config, message):
+    """An angle or eta from a config file is read by gf2.number: a bool is
+    not recorded as the angle 1.0 or run as eta = 1."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(argv + ["--config", str(path), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

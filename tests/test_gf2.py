@@ -740,6 +740,87 @@ def test_integer_keeps_python_ints_and_reads_numpy_ones():
         gf2.integer(np.int8(-3), "a shift", least=-2)
 
 
+def small_reception():
+    return protocol.Reception(protocol.Mode.CLASSICAL_FAST, 2, np.zeros(2, dtype=np.uint8),
+                              np.zeros(2, dtype=np.uint8))
+
+
+# Every entry point that reads a real number, alone or in an array: (id, a
+# call that takes the operand and returns what it made of it, the name its
+# errors give it). Every entry takes 0.25.
+NUMBER_OPERANDS = [
+    ("ChannelModel-p", lambda v: protocol.ChannelModel(v).p, "flip probability"),
+    ("ProtocolParams-delta",
+     lambda v: protocol.ProtocolParams(n=8, m=1, r=0, delta=v, N=2).delta, "delta"),
+    ("ProtocolParams-epsilon",
+     lambda v: protocol.ProtocolParams(n=8, m=1, r=0, delta=0.25, N=2, epsilon=v).epsilon,
+     "epsilon"),
+    ("ProtocolParams-noise_p",
+     lambda v: protocol.ProtocolParams(n=8, m=1, r=0, delta=0.25, N=2, noise_p=v).noise_p,
+     "flip probability"),
+    ("Reception.measure",
+     lambda v: small_reception().measure(0, v, np.random.default_rng(0)), "measurement angle"),
+    ("Reception.measure_many",
+     lambda v: small_reception().measure_many([0, 1], v, np.random.default_rng(0)).tolist(),
+     "measurement angles"),
+    ("AttackStrategy-angle", lambda v: attacks.fixed_basis(v).angle, "angle"),
+    ("store_attack_test_statistics-fraction",
+     lambda v: attacks.store_attack_test_statistics(small_params(), v, 2,
+                                                    np.random.default_rng(0)),
+     "fraction"),
+    ("information_account-prior",
+     lambda v: attacks.information_account(small_params(), attacks.honest(),
+                                           prior=[v, 0.75]).mutual_information,
+     "prior"),
+    ("gv_trials-eta", lambda v: cosetrho.gv_trials(8, 2, v, 1, np.random.default_rng), "eta"),
+    ("binary_entropy", gf2.binary_entropy, "binary_entropy argument"),
+    ("binary_entropy_inverse", gf2.binary_entropy_inverse, "binary_entropy_inverse argument"),
+    ("angle_basis", lambda v: quantum.angle_basis(v).tolist(), "rotation angle"),
+    ("density_from_ensemble",
+     lambda v: quantum.density_from_ensemble(np.eye(2), [v, 0.75]).tolist(),
+     "ensemble probabilities"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "0.3", None, math.nan, math.inf, -math.inf,
+                                 10**400],
+                         ids=["bool", "numpy-bool", "text", "none", "nan", "inf", "-inf",
+                              "past-float"])
+@pytest.mark.parametrize("entry, what", [row[1:] for row in NUMBER_OPERANDS],
+                         ids=[row[0] for row in NUMBER_OPERANDS])
+def test_numbers_that_are_not_finite_ints_or_floats_are_refused(entry, what, bad):
+    """A bool, text, None, NaN, +-inf or an int past the float range where
+    a real number is due raises DomainError naming the operand, by the
+    rule of gf2.number, instead of being read as 1 or 0.3, a TypeError, a
+    NaN result or a bisection that never ends. An epsilon of None is its
+    default, 8 delta."""
+    if bad is None and what == "epsilon":
+        assert entry(bad) == 2.0
+        return
+    with pytest.raises(DomainError, match=what):
+        entry(bad)
+
+
+@pytest.mark.parametrize("entry", [row[1] for row in NUMBER_OPERANDS],
+                         ids=[row[0] for row in NUMBER_OPERANDS])
+def test_numpy_floats_are_read_as_python_floats(entry):
+    """np.float64 is accepted wherever a Python float is, gives the same
+    result and is kept as a Python float."""
+    got, want = entry(np.float64(0.25)), entry(0.25)
+    assert got == want and type(got) is type(want)
+
+
+def test_number_keeps_python_ints_and_floats():
+    assert gf2.number(0, "delta") == 0 and type(gf2.number(np.int64(3), "delta")) is int
+    assert type(gf2.number(np.float32(0.5), "delta")) is float
+    assert '"delta":0,' in protocol.run_string_qot(
+        protocol.ProtocolParams(n=8, m=1, r=0, delta=0, N=2), [1]).to_json()
+    angles = np.array([0.5, 1.5])
+    assert gf2.numbers(angles, "angles") is angles
+    with pytest.raises(DomainError, match="angles must be numbers"):
+        gf2.numbers([0.5, True], "angles")  # numpy reads it as [0.5, 1.0]
+
+
 def test_a_universe_that_is_not_an_integer_is_refused():
     """position_set and position_block read their universe by gf2.integer,
     so 1.5 no longer bounds positions as if it were an int; a numpy

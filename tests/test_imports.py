@@ -1,8 +1,8 @@
 """Every module of the package uses each name it imports (the check an
 unused-import lint rule would make), parses as the oldest Python that
-pyproject.toml declares, and writes JSON only through protocol._dumps, on
-the standard library's ast; and runs and transcripts leave numpy.ma
-unimported."""
+pyproject.toml declares, writes JSON only through protocol._dumps and
+checks numbers only through gf2, on the standard library's ast; and runs
+and transcripts leave numpy.ma unimported."""
 
 import ast
 import os
@@ -77,6 +77,35 @@ def test_protocol_dumps_is_the_only_json_encoder():
              and [getattr(target, "id", None) for target in node.targets] == ["_dumps"]]
     assert {stem: lines for stem, lines in found.items() if lines} == {"protocol": dumps}
     assert len(dumps) == 1
+
+
+NUMBER_CHECKS = {("math", "isfinite"), ("np", "isfinite"), ("numpy", "isfinite"),
+                 ("sys", "float_info")}
+
+
+def number_checks(node, where="<module>"):
+    """The function (or <module>) around each math.isfinite, np.isfinite
+    or sys.float_info a module reads or imports."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from number_checks(child, child.name)
+            continue
+        if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                and (child.value.id, child.attr) in NUMBER_CHECKS):
+            yield where
+        elif isinstance(child, ast.ImportFrom):
+            yield from (where for alias in child.names if (child.module, alias.name) in NUMBER_CHECKS)
+        yield from number_checks(child, where)
+
+
+def test_gf2_owns_the_number_rule():
+    """Real operands are checked by gf2.number and gf2.numbers alone; the
+    one other finiteness check is quantum._measure_factors' check of the
+    amplitudes it measures, which are state, not an operand."""
+    found = {path.stem: list(number_checks(ast.parse(path.read_text()))) for path in MODULES}
+    assert {stem: where for stem, where in found.items() if where and stem != "gf2"} == {
+        "quantum": ["_measure_factors"]}
+    assert found["gf2"]
 
 
 
