@@ -154,6 +154,8 @@ def build_parser():
 
 
 def _out_dir(args) -> Path:
+    """The output directory, made on the way: a command calls it only
+    once its last check has passed, right before it writes its files."""
     root = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
     path = Path(root)
     path.mkdir(parents=True, exist_ok=True)
@@ -251,7 +253,6 @@ def _cmd_simulate(args) -> int:
     _params_from_args(args, seed=0)
     b = None if args.b is None else gf2.bits(args.b, length=args.m)
 
-    out = _out_dir(args)
     trial = partial(_simulate_trial, args, bob, eve, b)
     # a pool forks all its workers at the first submit: start no idle ones
     workers = min(workers, trials)
@@ -262,6 +263,7 @@ def _cmd_simulate(args) -> int:
         results = list(map(trial, range(trials)))
     results.sort(key=lambda item: item[0])
 
+    out = _out_dir(args)
     transcripts = out / "transcripts.jsonl"
     summary = out / "summary.csv"
     with open(transcripts, "w") as fh:
@@ -289,7 +291,6 @@ def _cmd_density_check(args) -> int:
     if r + m > args.N:
         raise DomainError("r + m may not exceed N")
     trials = gf2.integer(args.trials, "--trials", least=1)
-    out = _out_dir(args)
     rows_out = []
     violations = 0
     met = 0
@@ -320,6 +321,7 @@ def _cmd_density_check(args) -> int:
         rows_out.append(
             [idx, cert.dN, t, int(cert.condition_met), repr(cert.max_defect)]
         )
+    out = _out_dir(args)
     path = out / "density_certificates.csv"
     _write_csv(path, ["trial", "dN", "t", "condition_met", "max_defect"], rows_out)
     agg_path = out / "density_summary.json"
@@ -402,7 +404,6 @@ def _attack_store_sweep(args, params) -> int:
     if not fractions:
         raise DomainError("--store-sweep needs at least one fraction")
     sweep_trials = gf2.integer(args.sweep_trials, "--sweep-trials", least=1)
-    out = _out_dir(args)
     rows_out = []
     print("fraction  expected  empirical  std_error")
     for i, frac in enumerate(fractions):
@@ -416,7 +417,7 @@ def _attack_store_sweep(args, params) -> int:
         )
         print(f"{frac:<9g} {st.expected:<9.4f} {st.empirical_mean:<10.4f} "
               f"{st.std_error:.5f}")
-    path = out / "store_sweep.csv"
+    path = _out_dir(args) / "store_sweep.csv"
     _write_csv(path, ["fraction", "expected", "empirical_mean", "std_error", "trials"], rows_out)
     print(f"wrote {path}")
     return EXIT_OK

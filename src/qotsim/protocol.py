@@ -170,47 +170,56 @@ def _born_table(angles: List[float]) -> np.ndarray:
     ]).reshape(size, 2, size)
 
 
-# every run's angle table starts at the basis angles, probed in the encoding's own
-# basis states so that p1 is exactly 0 or 1 in a photon's own basis; _learn never writes these
+def _rotation_born_table(rotations: np.ndarray) -> np.ndarray:
+    """p1 per (held entry, bit, probe entry) over a rotation table, the
+    photon resting at column `bit` of its held rotation: c = rot^T psi
+    as two rounded products and a rounded sum, p1 = c1^2 / (c0^2 + c1^2)."""
+    psi = rotations.swapaxes(1, 2)[:, :, None, :, None]  # (held, bit, 1, component, 1)
+    c = (rotations * psi).sum(axis=3)  # (held, bit, probe, outcome)
+    squares = c * c
+    return squares[..., 1] / squares.sum(axis=3)
+
+
+# every run's angle table starts at the basis angles; EXACT_QUANTUM's rotations there
+# are the encoding's own basis states, so that p1 is exactly 0 or 1 in a photon's own
+# basis. _learn never writes these
 _BASIS_ROTATIONS = quantum._PHOTONS.swapaxes(1, 2)
 _BASIS_BORN = _born_table(_BASIS_ANGLES.tolist())
+_BASIS_EXACT_BORN = _rotation_born_table(_BASIS_ROTATIONS)
 
 
 class Reception:
     """Bob's end of the channel: projective measurement only, the encoding
-    data private. No step of the protocol entangles photons, so either
-    mode keeps one record per photon, at any n: EXACT_QUANTUM the exact
-    product state as an (n, 2) float64 array of per-photon amplitudes,
-    CLASSICAL_FAST a basis state bit and an index into the angle table.
+    data private. No step of the protocol entangles photons, so a measured
+    photon is exactly a basis state, and either mode holds, at any n, an
+    entry of the run's angle table and a basis-state bit per photon.
 
-    Each run has one angle table. It starts at the +/x basis angles, and
-    an angle joins it, matched by value, when a measurement first uses it
-    (a protocol run uses at most three). An entry carries its rotation
-    (EXACT_QUANTUM; at the basis angles the encoding's own basis states);
-    the Born table of p1 per (held angle, bit, probe angle) is rebuilt
-    when the table grows (CLASSICAL_FAST).
+    The angle table starts at the +/x basis angles, and an angle joins it,
+    matched by value, when a measurement first uses it (a protocol run
+    uses at most three). A Born table of p1 per (held entry, bit, probe
+    entry) is rebuilt when the angle table grows. The mode decides only
+    how it is filled: CLASSICAL_FAST by _born_p1 on the angles,
+    EXACT_QUANTUM by _rotation_born_table on a table of rotations (at the
+    basis angles the encoding's own basis states). The modes share no Born
+    arithmetic, so criterion 09 compares independent paths.
 
     measure_many checks a block of distinct positions with finite angles,
-    measure one photon; both then call _measure, the one core, which
-    measures the factors through quantum._measure_factors or gathers p1
-    from the Born table. The modes share no Born arithmetic, so criterion
-    09 compares independent paths. Both draw a block's k uniforms with
-    one rng.random(k) call, the same doubles as k scalar draws, so a
-    block and a photon-by-photon loop leave the same outcomes and
-    generator state. Bad positions and angles raise DomainError (by the
-    rules of gf2) before any draw.
+    measure one photon; both then call _measure, which gathers p1 from the
+    Born table and draws the block's k uniforms with one rng.random(k)
+    call, the same doubles as k scalar draws. Bad positions and angles
+    raise DomainError (by the rules of gf2) before any draw.
     """
 
     def __init__(self, mode: Mode, n: int, encoded: np.ndarray, theta: np.ndarray):
         self.mode = mode
         self.n = n
         self._angles: List[float] = _BASIS_ANGLES.tolist()
+        self._held = theta.astype(np.intp)
+        self._bits = encoded.astype(np.uint8).copy()
         if mode is Mode.EXACT_QUANTUM:
-            self._factors = quantum._PHOTONS[theta, encoded]
             self._rotations = _BASIS_ROTATIONS
+            self._born = _BASIS_EXACT_BORN
         else:
-            self._held = theta.astype(np.intp)
-            self._bits = encoded.astype(np.uint8).copy()
             self._born = _BASIS_BORN
 
     def measure_many(self, positions, angles, rng: np.random.Generator) -> np.ndarray:
@@ -237,9 +246,6 @@ class Reception:
     def _measure(self, pos: np.ndarray, probe, rng: np.random.Generator) -> np.ndarray:
         """Measure the checked distinct positions pos, in order, at the
         angle table entry probe (one, or one per position)."""
-        if self.mode is Mode.EXACT_QUANTUM:
-            rotations = self._rotations[np.full(pos.shape, probe)]
-            return quantum._measure_factors(self._factors, pos, rotations, rng)
         p1 = self._born[self._held[pos], self._bits[pos], probe]
         out = (rng.random(pos.size) < p1).astype(np.uint8)
         self._held[pos] = probe
@@ -265,12 +271,14 @@ class Reception:
         return index
 
     def _learn(self, angles) -> None:
-        """Add angles to the table: append their rotations (EXACT_QUANTUM),
-        or rebuild the Born table over the grown table (CLASSICAL_FAST)."""
+        """Add angles to the table and rebuild the Born table over it,
+        from their appended rotations (EXACT_QUANTUM) or from the angles
+        (CLASSICAL_FAST)."""
         self._angles.extend(angles)
         if self.mode is Mode.EXACT_QUANTUM:
             new = [quantum.angle_basis(angle) for angle in angles]
             self._rotations = np.concatenate([self._rotations, new])
+            self._born = _rotation_born_table(self._rotations)
         else:
             self._born = _born_table(self._angles)
 

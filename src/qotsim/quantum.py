@@ -8,15 +8,12 @@ polarizations 0, 90, 45, -45 degrees. All chosen amplitudes are real, which
 makes the sign behavior of the shift unitaries exact, and so is every probe
 rotation: encodings and angle bases are float64 arrays.
 
-Measurement comes in two forms. No step of the protocol entangles photons,
-so a BB84 product state is held as its factors, an (n, 2) float64 array of
-per-photon amplitudes, at any n, and _measure_factors measures a block of
-photons in one vectorised step, each on its own row; this is the form a
-receiver uses, and the receiver checks the block (gf2.position_block)
-before it calls _measure_factors. measure_photons measures the same block
-on a full 2^n statevector, keeping its inputs' dtype (complex states
-still work), and is the reference the factored form is tested against;
-STATEVECTOR_MAX_N caps only the statevectors bb84_states builds.
+Measurement: measure_photons measures a block of photons on a full 2^n
+statevector, keeping its inputs' dtype (complex states still work). A
+receiver forms no statevector: no step of the protocol entangles
+photons, so protocol.Reception holds each photon as a basis state, and
+measure_photons is the reference it is tested against. STATEVECTOR_MAX_N
+caps only the statevectors bb84_states builds.
 
 Densities and frames keep their input's dtype too: density_from_ensemble,
 density_in_frame, to_frame/from_frame and ShiftOp.conjugate return
@@ -177,7 +174,7 @@ def measure_photon(state: np.ndarray, i: int, rotation: np.ndarray, rng) -> tupl
 def measure_photons(state: np.ndarray, positions, rotations, rng) -> tuple:
     """Projectively measure the photons at positions, in order, each in the
     basis given by the columns of its rotation (rotations aligns with
-    positions), on a full statevector: the reference for _measure_factors.
+    positions), on a full statevector: the reference for protocol.Reception.
 
     Each outcome o splits its photon off as the product factor rot[:, o],
     so the block's later photons are measured on the remainder over the
@@ -223,46 +220,6 @@ def measure_photons(state: np.ndarray, positions, rotations, rng) -> tuple:
         product = np.multiply.outer(product, rot[:, outcome]).ravel()
     full = np.multiply.outer(product / math.sqrt(weight), rest).reshape((2,) * n)
     return outcomes, np.moveaxis(full, range(k), positions).reshape(-1)
-
-
-def _measure_factors(factors: np.ndarray, positions: np.ndarray, rotations: np.ndarray,
-                     rng) -> np.ndarray:
-    """Projectively measure the photons at positions of the product state
-    whose photon i has the real amplitudes factors[i], each in the basis
-    given by the columns of its rotation (rotations[j] serves
-    positions[j]). The caller passes a checked block: distinct int64
-    positions inside the (n, 2) float64 factors (gf2.position_block) and a
-    (k, 2, 2) float64 array of rotations. factors is updated in
-    place: each measured row is overwritten by its rotation's outcome
-    column times the sign of its outcome component, which is the
-    normalised projection, so the rows stay real and of unit norm and
-    their kron is the collapsed statevector of measure_photons.
-
-    A product state keeps each photon's statistics to its own row, so the
-    block is measured in one vectorised step. Each photon's outcome
-    components c = rot^T psi are taken as two rounded products and a
-    rounded sum, p1 = c1^2 / (c0^2 + c1^2), and the block's uniforms come
-    from one rng.random(k) call, which yields the same doubles as k scalar
-    draws in block order. The measured rows' amplitudes are checked
-    (finite, not all zero) before the draw. Returns the outcome bits in
-    block order.
-    """
-    psi = factors[positions]
-    if not np.isfinite(psi).all():
-        raise DomainError("cannot measure a photon whose amplitudes are not finite")
-    # c[j, o] = rot[0, o] psi[0] + rot[1, o] psi[1]: a sum of two entries
-    # adds them once, so no fused multiply-add can change a digit
-    c = (rotations * psi[:, :, None]).sum(axis=1)
-    squares = c * c
-    total = squares.sum(axis=1)
-    if not (total > 0.0).all():
-        raise DomainError("cannot measure a photon whose norm is zero or NaN")
-    k = positions.size
-    outcomes = (rng.random(k) < squares[:, 1] / total).astype(np.uint8)
-    # the drawn outcome has c_o != 0: u < p1 needs p1 > 0, u >= p1 needs p1 < 1
-    block = np.arange(k)
-    factors[positions] = rotations[block, :, outcomes] * np.sign(c[block, outcomes])[:, None]
-    return outcomes
 
 
 def density_from_ensemble(states, probs) -> np.ndarray:

@@ -384,6 +384,30 @@ def test_a_bit_string_that_is_not_bits_exits_one(tmp_path, capsys):
         assert not out.exists()
 
 
+SWEEP_ARGS = ["attack", "--n", "8", "--N", "2", "--m", "1", "--r", "1", "--delta", "0.125"]
+STORE_ARGS = ["simulate", "--n", "16", "--N", "4", "--m", "2", "--strategy", "STORE_SUBSET"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (SWEEP_ARGS + ["--store-sweep", "nan"], 1, "error: fraction must be finite, not nan"),
+    (SWEEP_ARGS + ["--store-sweep", "1.5"], 1, "error: fraction must lie in [0, 1]"),
+    (["density-check", "--t", "-1"], 1, "error: ball radius must be at least 0, got -1"),
+    (["density-check", "--N", "11"], 2, "resource cap: density matrices cap at N=10"),
+    (STORE_ARGS + ["--store-count", "100"], 1, "error: cannot store more photons than were sent"),
+    (STORE_ARGS + ["--store-positions", "99"], 1, "error: positions must lie in [0, 16)"),
+], ids=["sweep-nan", "sweep-past-one", "density-negative-t", "density-past-cap",
+        "store-count-past-n", "store-position-past-n"])
+def test_a_check_failing_mid_command_makes_no_output_directory(tmp_path, capsys, argv, code,
+                                                                message):
+    """A check inside a command's work (a sweep fraction, a certificate's
+    radius or size, a trial's store plan) fails before the output
+    directory is made."""
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
 def test_non_finite_angles_exit_one(tmp_path, capsys, angle):
     bob = ATTACK_ARGS + ["--strategy", "FIXED_BASIS", f"--angle={angle}", "--out", str(tmp_path)]

@@ -99,12 +99,10 @@ def number_checks(node, where="<module>"):
 
 
 def test_gf2_owns_the_number_rule():
-    """Real operands are checked by gf2.number and gf2.numbers alone; the
-    one other finiteness check is quantum._measure_factors' check of the
-    amplitudes it measures, which are state, not an operand."""
+    """Real operands are checked by gf2.number and gf2.numbers alone: no
+    other module calls a finiteness check."""
     found = {path.stem: list(number_checks(ast.parse(path.read_text()))) for path in MODULES}
-    assert {stem: where for stem, where in found.items() if where and stem != "gf2"} == {
-        "quantum": ["_measure_factors"]}
+    assert {stem: where for stem, where in found.items() if where and stem != "gf2"} == {}
     assert found["gf2"]
 
 

@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -352,7 +353,7 @@ def test_block_measurement_matches_the_photon_by_photon_loop(case, seed, mode):
 
 
 def held_angles(reception):
-    """The angle each photon of a CLASSICAL_FAST reception rests at."""
+    """The angle each photon of a reception rests at."""
     return np.array(reception._angles)[reception._held]
 
 
@@ -568,10 +569,10 @@ def reference_steps(draw):
 @settings(max_examples=200, deadline=None)
 @given(reference_steps())
 def test_factored_reception_matches_the_statevector_reference(case):
-    """The EXACT_QUANTUM reception measures its per-photon factors; the
+    """The EXACT_QUANTUM reception holds each photon as a basis state; the
     statevector measure_photons on bb84_state of the same encoding, fed the
-    same uniforms, gives the same outcomes, and the kron of the factors is
-    its collapsed state."""
+    same uniforms, gives the same outcomes, and the kron of the held basis
+    states is its collapsed state up to a global sign."""
     n, encoded, theta, steps, uniforms = case
     reception = protocol.Reception(protocol.Mode.EXACT_QUANTUM, n, encoded, theta)
     state = quantum.bb84_state(encoded, theta)
@@ -588,10 +589,10 @@ def test_factored_reception_matches_the_statevector_reference(case):
         )
         assert got == expected.tolist()
         assert rng.drawn == ref_rng.drawn
-        factors = reception._factors
-        assert factors.dtype == np.float64
-        kron = functools.reduce(np.kron, factors)
-        assert np.max(np.abs(kron - state)) < 1e-12
+        photons = [reception._rotations[entry][:, bit]
+                   for entry, bit in zip(reception._held, reception._bits)]
+        kron = functools.reduce(np.kron, photons)
+        assert min(np.max(np.abs(kron - sign * state)) for sign in (1, -1)) < 1e-12
 
 
 def test_exact_reception_builds_one_rotation_per_distinct_angle_per_run(monkeypatch):
@@ -621,21 +622,59 @@ def test_exact_reception_builds_one_rotation_per_distinct_angle_per_run(monkeypa
     assert np.array_equal(reception._rotations[2:], [angle_basis(a) for a in (0.3, 1.1)])
 
 
-def assert_real_unit_factors(reception):
-    factors = reception._factors
-    assert factors.dtype == np.float64 and factors.shape == (reception.n, 2)
-    assert np.all(np.abs(np.linalg.norm(factors, axis=1) - 1.0) < quantum.PHYS_TOL)
+# p1 of a photon held at a basis angle (entry, bit) probed at the other one
+CROSS_BASIS_P1 = {
+    protocol.Mode.EXACT_QUANTUM: {0: 0.5, 1: 0.5},
+    protocol.Mode.CLASSICAL_FAST: {0: 0.4999999999999999, 1: 0.5000000000000001},
+}
 
 
-def test_exact_reception_state_stays_real_across_blocks():
+@pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
+def test_basis_born_tables_pin_each_entry(mode):
+    """Each mode's Born table over the basis angles, entry by entry: a
+    photon read in its own basis gives its bit exactly, and in the other
+    basis the two modes' independent arithmetic gives 0.5 or its
+    neighbouring doubles."""
+    reception, _ = twin_receptions(mode, 4, 11)
+    for held in (quantum.PLUS, quantum.CROSS):
+        for bit in (0, 1):
+            assert reception._born[held, bit, held] == bit
+            assert reception._born[held, bit, 1 - held] == CROSS_BASIS_P1[mode][bit]
+
+
+def test_exact_born_table_of_learned_angles_is_the_two_product_formula():
+    """An EXACT_QUANTUM entry for a learned angle is p1 = c1^2 / (c0^2 + c1^2)
+    with c = rot^T psi taken per photon as two rounded products and a
+    rounded sum, psi the held rotation's column."""
     reception, _ = twin_receptions(protocol.Mode.EXACT_QUANTUM, 6, 11)
     rng = np.random.default_rng(5)
-    assert_real_unit_factors(reception)
     reception.measure_many([4, 0, 2], protocol.basis_angle([1, 0, 1]), rng)
-    assert_real_unit_factors(reception)
     reception.measure(3, 0.4, rng)
-    reception.measure_many([5, 1], 1.1, rng)
-    assert_real_unit_factors(reception)
+    reception.measure_many([5, 1], np.array([1.1, -2.5]), rng)
+    rotations = reception._rotations.tolist()
+    assert len(rotations) == len(reception._angles) == 5
+    for held, probe in itertools.product(range(5), repeat=2):
+        for bit in (0, 1):
+            v0, v1 = rotations[held][0][bit], rotations[held][1][bit]
+            c0, c1 = (rotations[probe][0][o] * v0 + rotations[probe][1][o] * v1 for o in (0, 1))
+            assert reception._born[held, bit, probe] == c1 * c1 / (c0 * c0 + c1 * c1)
+
+
+@pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
+def test_measurement_leaves_unmeasured_photons_entry_and_bit(mode):
+    """A measured photon rests at its probe's entry and its outcome bit; no
+    other photon's entry or bit changes."""
+    reception, _ = twin_receptions(mode, 6, 11)
+    rng = np.random.default_rng(5)
+    for positions, angles in (([4, 0, 2], 0.3), ([1], 1.1), ([5, 3], np.array([0.3, 0.0]))):
+        held, bits = reception._held.copy(), reception._bits.copy()
+        outs = reception.measure_many(positions, angles, rng)
+        rest = np.setdiff1d(np.arange(6), positions)
+        assert np.array_equal(reception._held[rest], held[rest])
+        assert np.array_equal(reception._bits[rest], bits[rest])
+        assert np.array_equal(reception._bits[positions], outs)
+        assert np.array_equal(held_angles(reception)[positions],
+                              np.broadcast_to(angles, len(positions)))
 
 
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])

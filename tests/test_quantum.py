@@ -482,80 +482,6 @@ def test_measure_photons_on_an_empty_block_draws_nothing():
     assert np.array_equal(collapsed, state)
 
 
-def bb84_factors(w, theta):
-    return quantum._PHOTONS[gf2.bits(theta), gf2.bits(w)]
-
-
-def measure_block(factors, positions, rotations, rng):
-    """The receiver's path: the block checked by gf2.position_block, its
-    rotations stacked as a (k, 2, 2) float64 array, then measured."""
-    block = gf2.position_block(positions, len(factors))
-    rotations = np.array(rotations, dtype=float).reshape(-1, 2, 2)
-    return quantum._measure_factors(factors, block, rotations, rng)
-
-
-def test_measure_factors_recovers_the_encoding_and_draws_once_per_photon():
-    w, theta = gf2.bits("10110"), gf2.bits("01011")
-    factors = bb84_factors(w, theta)
-    rotations = [quantum.angle_basis(math.pi / 4 * b) for b in theta]
-    rng = FixedUniform(0.3)
-    order = [4, 0, 2, 1, 3]
-    outcomes = measure_block(factors, order, [rotations[i] for i in order], rng)
-    assert outcomes.dtype == np.uint8 and outcomes.tolist() == w[order].tolist()
-    assert rng.calls == 5
-    assert np.allclose(factors, bb84_factors(w, theta), atol=1e-12)
-
-
-@pytest.mark.parametrize("uniform", [0.01, 0.99])
-def test_measure_factors_overwrites_the_measured_rows_only(uniform):
-    """A measured row becomes the outcome column, signed like its overlap
-    with the row it replaces (the normalised projection)."""
-    factors = bb84_factors([1, 0, 1], [1, 1, 0])
-    before = factors.copy()
-    rot = quantum.angle_basis(2.5)
-    (outcome,) = measure_block(factors, [1], [rot], FixedUniform(uniform))
-    column = rot[:, outcome]
-    assert np.array_equal(factors[1], column * np.sign(column @ before[1]))
-    assert np.array_equal(factors[[0, 2]], before[[0, 2]])
-
-
-def test_measure_factors_on_an_empty_block_draws_nothing():
-    factors = bb84_factors([1, 0], [1, 0])
-    rng = FixedUniform()
-    assert measure_block(factors, [], [], rng).size == 0
-    assert rng.calls == 0
-    assert np.array_equal(factors, bb84_factors([1, 0], [1, 0]))
-
-
-def bad_row(value):
-    factors = bb84_factors([0, 1, 1], [0, 1, 0])
-    factors[2] = value
-    return factors
-
-
-@pytest.mark.parametrize("factors, positions, rotations", [
-    (bb84_factors([0, 1, 1], [0, 1, 0]), [0, 2, 0], [np.eye(2)] * 3),
-    (bb84_factors([0, 1, 1], [0, 1, 0]), [1, 3], [np.eye(2)] * 2),
-    (bb84_factors([0, 1, 1], [0, 1, 0]), [2, -1], [np.eye(2)] * 2),
-    (bb84_factors([0, 1, 1], [0, 1, 0]), [1.0], [np.eye(2)]),
-    (bb84_factors([0, 1, 1], [0, 1, 0]), [2, True], [np.eye(2)] * 2),
-    (np.zeros((3, 2)), [1, 0], [np.eye(2)] * 2),
-    (bad_row(np.nan), [0, 2], [np.eye(2)] * 2),
-    (bad_row(np.inf), [2, 1], [np.eye(2)] * 2),
-    (bad_row(0.0), [0, 1, 2], [np.eye(2)] * 3),
-], ids=["duplicate", "past-the-end", "negative", "float-index", "bool-index", "zero-rows",
-        "nan-row", "inf-row", "last-row-zero"])
-def test_measure_factors_checks_everything_before_the_draw(factors, positions, rotations):
-    """gf2.position_block refuses the block, or _measure_factors the
-    measured rows' amplitudes (not finite, or all zero), before any draw."""
-    rng = FixedUniform()
-    before = factors.copy()
-    with pytest.raises(DomainError):
-        measure_block(factors, positions, rotations, rng)
-    assert rng.calls == 0
-    assert np.array_equal(factors, before, equal_nan=True)
-
-
 def test_density_from_ensemble_and_checks():
     states = [quantum.bb84_state([0], [0]), quantum.bb84_state([0], [1])]
     rho = quantum.density_from_ensemble(states, [0.5, 0.5])
