@@ -294,6 +294,24 @@ def test_a_photon_measured_in_its_own_basis_reads_its_bit_at_every_uniform(mode,
             assert reception.measure_many([0], protocol.basis_angle(basis), FixedRng(u)) == [bit]
 
 
+@pytest.mark.parametrize("mode", list(protocol.Mode))
+def test_a_block_in_its_own_bases_recovers_the_encoding_in_block_order(mode):
+    """A block taken out of order, each photon at its own basis angle,
+    reads the encoded bits in block order with one uniform per photon, and
+    leaves every photon resting at its own basis entry and bit."""
+    w, theta = gf2.bits("10110"), gf2.bits("01011")
+    _, reception = protocol.transmit(
+        w, theta, protocol.ChannelModel.noiseless(), mode, np.random.default_rng(0),
+    )
+    rng = CountingRng()
+    order = [4, 0, 2, 1, 3]
+    outcomes = reception.measure_many(order, protocol.basis_angle(theta[order]), rng)
+    assert outcomes.dtype == np.uint8 and outcomes.tolist() == w[order].tolist()
+    assert rng.drawn == 5
+    assert reception._held.tolist() == theta.tolist()
+    assert reception._bits.tolist() == w.tolist()
+
+
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
 def test_reception_consumes_one_uniform_per_measurement(mode):
     _, reception = protocol.transmit(
@@ -658,6 +676,58 @@ def test_exact_born_table_of_learned_angles_is_the_two_product_formula():
             v0, v1 = rotations[held][0][bit], rotations[held][1][bit]
             c0, c1 = (rotations[probe][0][o] * v0 + rotations[probe][1][o] * v1 for o in (0, 1))
             assert reception._born[held, bit, probe] == c1 * c1 / (c0 * c0 + c1 * c1)
+
+
+def signed_amplitude_rotation(angle):
+    """The rotation the signed-amplitude form probed an angle with: the
+    encoding's own basis states at the basis angles, angle_basis elsewhere."""
+    for basis in (quantum.PLUS, quantum.CROSS):
+        if angle == protocol.basis_angle(basis):
+            return np.stack([quantum.photon(0, basis), quantum.photon(1, basis)], axis=1)
+    return quantum.angle_basis(angle)
+
+
+def signed_amplitude_loop(psi, positions, angles, rng):
+    """EXACT_QUANTUM measurement photon by photon on per-photon real
+    amplitudes psi (a list of [a0, a1]): c = rot^T psi as two rounded
+    products and a rounded sum, p1 = c1^2 / (c0^2 + c1^2), and the
+    measured photon's amplitudes rewritten to its outcome column signed
+    like c_o, the normalised projection. The reference for holding a
+    basis-state bit and gathering p1 from the rotation Born table.
+    Returns the outcomes and each photon's p1."""
+    outs, p1s = [], []
+    for i, angle in zip(positions, np.broadcast_to(angles, len(positions)).tolist()):
+        rot = signed_amplitude_rotation(angle).tolist()
+        c = [rot[0][o] * psi[i][0] + rot[1][o] * psi[i][1] for o in (0, 1)]
+        p1s.append(c[1] * c[1] / (c[0] * c[0] + c[1] * c[1]))
+        outs.append(int(rng.random() < p1s[-1]))
+        sign = math.copysign(1.0, c[outs[-1]])
+        psi[i] = [rot[0][outs[-1]] * sign, rot[1][outs[-1]] * sign]
+    return outs, p1s
+
+
+@settings(max_examples=150, deadline=None)
+@given(born_blocks(), st.integers(0, 2**32))
+def test_exact_reception_draws_what_the_signed_amplitude_form_draws(case, seed):
+    """Dropping a measured photon's sign changes no outcome: c only changes
+    sign, so each photon's p1 is the same double, at any angle, not only
+    on a grid. The held basis states are the amplitudes up to their sign."""
+    n, blocks = case
+    rng = np.random.default_rng(seed)
+    encoded, theta = gf2.random_bits(rng, n), gf2.random_bits(rng, n)
+    reception = protocol.Reception(protocol.Mode.EXACT_QUANTUM, n, encoded, theta)
+    psi = [quantum.photon(bit, basis).tolist() for bit, basis in zip(encoded, theta)]
+    rng_table, rng_loop = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for positions, angles in blocks:
+        held, bits = reception._held[positions], reception._bits[positions]
+        outs = reception.measure_many(positions, angles, rng_table)
+        expected, p1s = signed_amplitude_loop(psi, positions, angles, rng_loop)
+        assert outs.tolist() == expected
+        assert reception._born[held, bits, reception._held[positions]].tolist() == p1s
+        assert rng_table.bit_generator.state == rng_loop.bit_generator.state
+    for i, (entry, bit) in enumerate(zip(reception._held, reception._bits)):
+        column = reception._rotations[entry][:, bit].tolist()
+        assert column in (psi[i], [-a for a in psi[i]])
 
 
 @pytest.mark.parametrize("mode", [protocol.Mode.CLASSICAL_FAST, protocol.Mode.EXACT_QUANTUM])
