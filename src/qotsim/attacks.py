@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cache
 from itertools import product
@@ -110,14 +110,26 @@ class AttackStrategy:
         committed basis: the basis's own angle, or the fixed `angle`."""
         return list(_BASIS_ANGLES) if self.angle is None else [self.angle] * 2
 
+    def check_fits(self, n: int) -> None:
+        """Raise DomainError unless the plan fits a run of n photons: a store
+        set inside [0, n), a store count of at most n."""
+        if self.positions is not None:
+            gf2.position_set(self.positions, n)
+        elif self.count is not None and self.count > n:
+            raise DomainError("cannot store more photons than were sent")
+
     def hold(self, n: int, rng: np.random.Generator) -> Tuple[np.ndarray, dict]:
         """Draw the sorted positions held in one run, plus the runtime
-        record (the chosen store set, the coin) that joins the transcript."""
+        record (the chosen store set, the coin) that joins the transcript.
+        A plan that does not fit n raises DomainError before any draw."""
+        self.check_fits(n)
+        return self._hold(n, rng)
+
+    def _hold(self, n: int, rng: np.random.Generator) -> Tuple[np.ndarray, dict]:
+        """hold of a plan that fits n."""
         if self.kind is StrategyKind.STORE_SUBSET:
             if self.positions is not None:
-                held = gf2.position_set(self.positions, n)
-            elif self.count > n:
-                raise DomainError("cannot store more photons than were sent")
+                held = np.array(self.positions, dtype=np.int64)
             else:
                 held = np.sort(rng.choice(n, size=self.count, replace=False))
             return held, {"stored": [int(i) for i in held]}
@@ -192,23 +204,30 @@ def apply_strategy(
     photons.
 
     Held photons stay in the reception, in either mode, until
-    finish_deferred measures them.
+    finish_deferred measures them. A plan that does not fit the reception
+    raises DomainError before any draw.
     """
+    strategy.check_fits(reception.n)
+    return _apply_strategy(strategy, reception, oracle, rng)
+
+
+def _apply_strategy(strategy: AttackStrategy, reception, oracle, rng) -> BobRecord:
+    """apply_strategy of a plan that fits the reception."""
     n = reception.n
     theta_hat = gf2.random_bits(rng, n)
-    held, runtime = strategy.hold(n, rng)
+    held, runtime = strategy._hold(n, rng)
 
     measured = gf2.complement_positions(held, n)
     probes = strategy.probe_angles()
     # one angle serves the block when both committed bases share it
     angles = probes[0] if probes[0] == probes[1] else np.array(probes).take(theta_hat[measured])
     values = np.zeros(n, dtype=np.uint8)
-    values[measured] = reception.measure_many(measured, angles, rng)
+    values[measured] = reception._measure_many(measured, angles, rng)
     w_hat = values.copy()
     w_hat[held] = gf2.random_bits(rng, held.size)
 
-    tid = oracle.commit(theta_hat)
-    wid = oracle.commit(w_hat)
+    tid = oracle._commit(theta_hat)
+    wid = oracle._commit(w_hat)
     return BobRecord(
         theta_hat=theta_hat, w_hat=w_hat, theta_hat_commit=tid, w_hat_commit=wid,
         measured=measured, held=held, values=values, runtime=runtime,
@@ -220,9 +239,13 @@ def finish_deferred(
 ) -> None:
     """Measure the held photons in the now-announced encoding bases and
     write their outcomes into record.values."""
-    theta = quantum.basis_string(theta, length=reception.n)
+    _finish_deferred(record, reception, quantum.basis_string(theta, length=reception.n), rng)
+
+
+def _finish_deferred(record: BobRecord, reception, theta, rng) -> None:
+    """finish_deferred of a checked basis string of the reception's size."""
     held = record.held
-    record.values[held] = reception.measure_many(held, protocol.basis_angle(theta[held]), rng)
+    record.values[held] = reception._measure_many(held, protocol._BASIS_ANGLES[theta[held]], rng)
 
 
 def eve_intercept(
@@ -231,15 +254,21 @@ def eve_intercept(
     """Intercept-resend on the channel: measure each photon, pass the
     collapsed state on. HONEST intercepts in fresh random bases per
     photon; FIXED_BASIS at its angle. Storage strategies have no channel
-    counterpart."""
+    counterpart, and raise DomainError before any draw."""
+    if eve.kind not in (StrategyKind.HONEST, StrategyKind.FIXED_BASIS):
+        raise DomainError("channel strategies are HONEST or FIXED_BASIS")
+    return _eve_intercept(eve, reception, rng)
+
+
+def _eve_intercept(eve: AttackStrategy, reception, rng) -> dict:
+    """eve_intercept of an HONEST or FIXED_BASIS strategy."""
     if eve.kind is StrategyKind.HONEST:
         bases = gf2.random_bits(rng, reception.n)
-        record, angles = {"bases": quantum.basis_text(bases)}, protocol.basis_angle(bases)
-    elif eve.kind is StrategyKind.FIXED_BASIS:
-        record, angles = {"angle": eve.angle}, eve.angle
+        record = {"bases": quantum._basis_text(bases)}
+        angles = protocol._BASIS_ANGLES[bases]
     else:
-        raise DomainError("channel strategies are HONEST or FIXED_BASIS")
-    outs = reception.measure_many(np.arange(reception.n), angles, rng)
+        record, angles = {"angle": eve.angle}, eve.angle
+    outs = reception._measure_many(np.arange(reception.n), angles, rng)
     return {"kind": eve.kind.value, **record, "outcomes": protocol._bits_str(outs)}
 
 
@@ -255,6 +284,15 @@ class StoreTestStats:
     stored: int
 
 
+def store_fraction(value) -> float:
+    """value as a fraction of the photons stored: a number by gf2's rule
+    (DomainError otherwise) in [0, 1]."""
+    value = gf2.number(value, "fraction")
+    if not 0 <= value <= 1:
+        raise DomainError("fraction must lie in [0, 1]")
+    return value
+
+
 def store_attack_test_statistics(
     params: protocol.ProtocolParams, fraction_f: float, trials: int, rng
 ) -> StoreTestStats:
@@ -266,9 +304,7 @@ def store_attack_test_statistics(
     Monte Carlo draws those coins directly (the exact marginal of the full
     run), plus channel flips on the honestly measured positions.
     """
-    fraction_f = gf2.number(fraction_f, "fraction")
-    if not 0 <= fraction_f <= 1:
-        raise DomainError("fraction must lie in [0, 1]")
+    fraction_f = store_fraction(fraction_f)
     trials = gf2.integer(trials, "trials", least=1)
     n, p = params.n, params.noise_p
     stored = round(fraction_f * n)
@@ -631,7 +667,7 @@ def _monte_carlo_engine(
     for trial in range(budget):
         b_idx = int(rng.choice(1 << m, p=prior))
         b = gf2.unpack_int(b_idx, m)
-        run_params = replace(params, seed=int(rng.integers(0, 2**62)))
+        run_params = params._reseeded(int(rng.integers(0, 2**62)))
         tr = protocol.run_string_qot(
             run_params, b, bob=strategy, force_c=1, announce_rest=True, code=code
         )
@@ -736,7 +772,7 @@ def random_ok_decomposition(
     for strat in (random_ok(), honest(), store_subset(positions=range(params.n))):
         passed = 0
         for _ in range(trials):
-            run_params = replace(params, seed=int(rng.integers(0, 2**62)))
+            run_params = params._reseeded(int(rng.integers(0, 2**62)))
             b = gf2.random_bits(rng, params.m)
             tr = protocol.run_string_qot(run_params, b, bob=strat)
             if tr.passed:

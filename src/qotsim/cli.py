@@ -404,6 +404,7 @@ def _attack_store_sweep(args, params) -> int:
     if not fractions:
         raise DomainError("--store-sweep needs at least one fraction")
     sweep_trials = gf2.integer(args.sweep_trials, "--sweep-trials", least=1)
+    fractions = [attacks.store_fraction(frac) for frac in fractions]  # all before any output
     rows_out = []
     print("fraction  expected  empirical  std_error")
     for i, frac in enumerate(fractions):

@@ -28,7 +28,7 @@ integer xor at any width.
 Functions named with a leading underscore take uint8 arrays whose entries
 are already known to be 0 or 1 and check nothing; the public ones check
 their operands (bits, bitmatrix) and call them. A caller that has checked
-its operands once, as protocol.bob_decode and cosetrho's certificates
+its operands once, as protocol's runners and cosetrho's certificates
 do, calls them directly.
 """
 
@@ -290,6 +290,11 @@ def solve_affine(m: np.ndarray, x: np.ndarray):
     m, x = bitmatrix(m), bits(x)
     if m.shape[0] != x.size:
         raise DimensionError("solve_affine dimension mismatch")
+    return _solve_affine(m, x)
+
+
+def _solve_affine(m: np.ndarray, x: np.ndarray):
+    """solve_affine of a bit matrix and a bit vector of its row count."""
     cols = m.shape[1]
     red = _row_reduce(np.concatenate([m, x.reshape(-1, 1)], axis=1))
     kern = _kernel_from(red, cols)

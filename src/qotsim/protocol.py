@@ -22,6 +22,13 @@ Randomness: every run owns named substreams of its seed ("alice",
 "channel", "eve", "bob", "test", "alice-pick", "secret"), and each phase
 draws from its own stream in a fixed order, so modes and protocol
 variants can be compared run-for-run under one seed.
+
+Checks: a runner checks its inputs once: params and strategies (when
+built, and a strategy's plan against n), b, force_c and a pinned code.
+Each public step function is its checks plus one call to an unchecked
+core named with a leading underscore, as in gf2, and a runner hands what
+it drew or derived straight to the cores and the oracle's _commit and
+_open.
 """
 
 from __future__ import annotations
@@ -114,6 +121,12 @@ class ProtocolParams:
     def channel(self) -> ChannelModel:
         return ChannelModel(self.noise_p)
 
+    def _reseeded(self, seed: int) -> "ProtocolParams":
+        """These checked params with the Python int seed, not checked again."""
+        twin = object.__new__(ProtocolParams)
+        vars(twin).update(vars(self), seed=seed)
+        return twin
+
     def to_json(self) -> dict:
         return {**{fld.name: getattr(self, fld.name) for fld in fields(self)},
                 "mode": self.mode.value}
@@ -129,16 +142,23 @@ class CommitmentOracle:
         self._next = 0
 
     def commit(self, values) -> int:
+        return self._commit(gf2.bits(values))
+
+    def _commit(self, values: np.ndarray) -> int:
+        """commit of a checked bit vector."""
         cid = self._next
         self._next += 1
-        self._ledger[cid] = gf2.bits(values).copy()
+        self._ledger[cid] = values.copy()
         return cid
 
     def open(self, cid: int, positions) -> np.ndarray:
         if cid not in self._ledger:
             raise ProtocolViolation(f"no commitment with id {cid}")
-        stored = self._ledger[cid]
-        return stored[gf2.position_set(positions, stored.size)].copy()
+        return self._open(cid, gf2.position_set(positions, self._ledger[cid].size))
+
+    def _open(self, cid: int, positions: np.ndarray) -> np.ndarray:
+        """open of an issued id at a checked position set of its vector."""
+        return self._ledger[cid][positions].copy()
 
 
 _BASIS_ANGLES = np.array([0.0, math.pi / 4])  # indexed by quantum.PLUS, quantum.CROSS
@@ -156,10 +176,15 @@ def _born_p1(held: float, bit: int, probe: float) -> float:
     angle `held` is measured at angle `probe`. A run holds few distinct
     (held, bit, probe) triples, so each one is computed once. The overlap
     is summed in Python floats, two rounded products and a rounded sum,
-    so it does not depend on whether a BLAS kernel fuses the multiply-add."""
+    so it does not depend on whether a BLAS kernel fuses the multiply-add.
+    Measured again at its own angle a photon reads its bit exactly, and
+    the square, which rounding can lift past 1 near the diagonal, is
+    capped at 1."""
+    if held == probe:
+        return float(bit)
     c0, c1 = quantum.angle_basis(probe)[:, 1].tolist()
     v0, v1 = quantum.angle_basis(held)[:, bit].tolist()
-    return abs(c0 * v0 + c1 * v1) ** 2
+    return min(abs(c0 * v0 + c1 * v1) ** 2, 1.0)
 
 
 def _born_table(angles: List[float]) -> np.ndarray:
@@ -203,11 +228,12 @@ class Reception:
     basis angles the encoding's own basis states). The modes share no Born
     arithmetic, so criterion 09 compares independent paths.
 
-    measure_many checks a block of distinct positions with finite angles,
-    measure one photon; both then call _measure, which gathers p1 from the
-    Born table and draws the block's k uniforms with one rng.random(k)
-    call, the same doubles as k scalar draws. Bad positions and angles
-    raise DomainError (by the rules of gf2) before any draw.
+    measure_many checks a block of distinct positions with finite angles
+    and calls _measure_many, which a runner calls directly on the blocks it
+    makes; measure checks one photon. Both end in _measure, which gathers
+    p1 from the Born table and draws the block's k uniforms with one
+    rng.random(k) call, the same doubles as k scalar draws. Bad positions
+    and angles raise DomainError (by the rules of gf2) before any draw.
     """
 
     def __init__(self, mode: Mode, n: int, encoded: np.ndarray, theta: np.ndarray):
@@ -229,6 +255,11 @@ class Reception:
         angles = gf2.numbers(angles, "measurement angles")
         if angles.shape not in ((), pos.shape):
             raise DimensionError("give one angle, or one per position")
+        return self._measure_many(pos, angles, rng)
+
+    def _measure_many(self, pos: np.ndarray, angles, rng) -> np.ndarray:
+        """measure_many of checked distinct positions and finite angles (a
+        float, or a float64 array of one per position)."""
         if not pos.size:
             return np.zeros(0, dtype=np.uint8)
         return self._measure(pos, self._index(angles), rng)
@@ -303,7 +334,11 @@ def transmit(
     """Send the encoded photons: (flips, Bob's reception). Each encoded bit
     flips with probability p, one uniform per photon; p = 0 draws none."""
     w = gf2.bits(w)
-    theta = quantum.basis_string(theta, length=w.size)
+    return _transmit(w, quantum.basis_string(theta, length=w.size), channel, mode, rng)
+
+
+def _transmit(w, theta, channel: ChannelModel, mode: Mode, rng) -> Tuple[np.ndarray, Reception]:
+    """transmit of a checked bit vector w and basis string theta of its size."""
     n = w.size
     if channel.p > 0.0:
         flips = (rng.random(n) < channel.p).astype(np.uint8)
@@ -326,13 +361,16 @@ def alice_test(
     The run fails only when strictly more than delta*n are wrong.
     """
     w, theta = gf2.bits(w), quantum.basis_string(theta)
-    n = w.size
-    R = gf2.position_set(R, n)
-    opened_w = oracle.open(w_hat_commit, R)
-    opened_t = oracle.open(theta_hat_commit, R)
-    matched = opened_t == theta[R]
-    errors = int(np.sum(matched & (opened_w != w[R])))
-    return errors <= delta * n, errors
+    R = gf2.position_set(R, w.size)
+    return _alice_test(w, theta, oracle.open(w_hat_commit, R), oracle.open(theta_hat_commit, R),
+                       R, delta)
+
+
+def _alice_test(w, theta, opened_w, opened_t, R, delta: float) -> Tuple[bool, int]:
+    """alice_test of checked w and theta, given both commitments opened on
+    the checked position set R."""
+    errors = int(np.sum((opened_t == theta[R]) & (opened_w != w[R])))
+    return errors <= delta * w.size, errors
 
 
 @dataclass(frozen=True)
@@ -360,8 +398,13 @@ def partition_and_choose_sets(
     """
     theta = quantum.basis_string(theta)
     theta_hat = quantum.basis_string(theta_hat, length=theta.size)
+    return _partition_and_choose_sets(theta, theta_hat, gf2.position_set(R, theta.size), N, rng)
+
+
+def _partition_and_choose_sets(theta, theta_hat, R, N: int, rng) -> Partition:
+    """partition_and_choose_sets of checked basis strings of one size and a
+    checked position set R."""
     n = theta.size
-    R = gf2.position_set(R, n)
     in_r = np.zeros(n, dtype=bool)
     in_r[R] = True
     T0 = np.nonzero(theta == theta_hat)[0]
@@ -384,12 +427,17 @@ def alice_announce_correction(
     b, w = gf2.bits(b), gf2.bits(w)
     E_c = gf2.position_set(E_c, w.size)
     g, h = gf2.bitmatrix(g), gf2.bitmatrix(h)
-    u = w[E_c]
-    if g.shape[1] != u.size or h.shape[1] != u.size:
+    if g.shape[1] != E_c.size or h.shape[1] != E_c.size:
         raise DimensionError("code width differs from |E_c|")
     if b.size != h.shape[0]:
         raise DimensionError("b length differs from the h row count")
-    return gf2.matvec(g, u), b ^ gf2.matvec(h, u)
+    return _alice_announce_correction(b, w, E_c, g, h)
+
+
+def _alice_announce_correction(b, w, E_c, g, h) -> Tuple[np.ndarray, np.ndarray]:
+    """alice_announce_correction of checked operands of matching sizes."""
+    u = w[E_c]
+    return gf2._matvec(g, u), b ^ gf2._matvec(h, u)
 
 
 def bob_decode(
@@ -409,10 +457,19 @@ def bob_decode(
     # gf2.solve_affine checks g and s, and the next three lines w_hat_ec, h
     # and a; from there on only gf2's unchecked helpers see the operands
     particular, kern = gf2.solve_affine(g, s)
-    dim, n = kern.shape
+    n = kern.shape[1]
     w_hat_ec = gf2.bits(w_hat_ec, length=n)
     h = gf2.bitmatrix(h, cols=n)
     a = gf2.bits(a, length=h.shape[0])
+    return _bob_decode(w_hat_ec, particular, kern, a, h)
+
+
+def _bob_decode(
+    w_hat_ec, particular, kern, a, h
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """bob_decode of checked operands of matching sizes, given
+    solve_affine(g, s): a particular solution or None, and a kernel basis."""
+    dim, n = kern.shape
     if particular is None:
         return None, None
     if (1 << dim) > DECODE_MAX_COSET:
@@ -879,19 +936,20 @@ def _run(
     else:
         b = gf2.bits(b, length=params.m)
 
-    flips, reception = transmit(w, theta, channel, params.mode, stream(seed, "channel"))
+    flips, reception = _transmit(w, theta, channel, params.mode, stream(seed, "channel"))
     eve_record = None
     if eve is not None:
         eve_record = attacks.eve_intercept(eve, reception, stream(seed, "eve"))
 
     rng_bob = stream(seed, "bob")
-    record = attacks.apply_strategy(bob, reception, oracle, rng_bob)
+    record = attacks.apply_strategy(bob, reception, oracle, rng_bob)  # checks bob's plan
     strategy_desc = {**bob.describe(), **record.runtime}
 
     coins = stream(seed, "test").random(params.n)
     R = np.nonzero(coins < 0.5)[0]
-    passed, errors = alice_test(
-        w, theta, record.w_hat_commit, record.theta_hat_commit, R, params.delta, oracle
+    passed, errors = _alice_test(
+        w, theta, oracle._open(record.w_hat_commit, R), oracle._open(record.theta_hat_commit, R),
+        R, params.delta,
     )
 
     base = dict(
@@ -908,10 +966,10 @@ def _run(
         return Transcript(abort_reason=TEST_FAILED, **base)
 
     # theta announced
-    part = partition_and_choose_sets(theta, record.theta_hat, R, params.N, rng_bob)
+    part = _partition_and_choose_sets(theta, record.theta_hat, R, params.N, rng_bob)
     if part.shortage:
         return Transcript(abort_reason=SET_SHORTAGE, T0=part.T0, T1=part.T1, **base)
-    attacks.finish_deferred(record, reception, theta, rng_bob)
+    attacks._finish_deferred(record, reception, theta, rng_bob)
     base["bob_values"] = PositionMap(np.arange(params.n), record.values)
 
     if qkd:
@@ -926,7 +984,7 @@ def _run(
             pick = 0 if announced[0] is want else 1
     E_pick = announced[pick]
     c = 0 if E_pick is part.E0 else 1
-    s, a = alice_announce_correction(b, w, E_pick, g, h)
+    s, a = _alice_announce_correction(b, w, E_pick, g, h)
 
     rest = None
     if announce_rest:
@@ -935,7 +993,7 @@ def _run(
 
     b_hat, corrected = None, None
     if c == 0:
-        b_hat, corrected = bob_decode(record.values[E_pick], s, g, a, h)
+        b_hat, corrected = _bob_decode(record.values[E_pick], *gf2._solve_affine(g, s), a, h)
 
     return Transcript(
         T0=part.T0, T1=part.T1, E0=part.E0,

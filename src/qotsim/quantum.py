@@ -63,7 +63,12 @@ _BASIS_CHARS = np.frombuffer(b"+x", dtype=np.uint8)
 
 def basis_text(theta: np.ndarray) -> str:
     """'+x' text of a basis string; a label other than 0 or 1 raises DomainError."""
-    return _BASIS_CHARS[gf2._bit_array(theta, "basis label")].tobytes().decode("ascii")
+    return _basis_text(gf2._bit_array(theta, "basis label"))
+
+
+def _basis_text(theta: np.ndarray) -> str:
+    """basis_text of labels already known to be 0 or 1."""
+    return _BASIS_CHARS[theta].tobytes().decode("ascii")
 
 
 def conjugate_bases(theta: np.ndarray) -> np.ndarray:

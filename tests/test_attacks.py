@@ -6,6 +6,7 @@ against the Monte Carlo estimator when they were first computed; they are
 regression anchors, not definitions.
 """
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -1241,3 +1242,53 @@ def test_random_ok_decomposition_balances():
     assert br.pass_mixed == pytest.approx(
         0.5 * (br.pass_honest + br.pass_store_all) + br.residual
     )
+
+
+def test_monte_carlo_pass_rate_agrees_with_exact_at_a_fractional_threshold():
+    """At delta n = 0.5 the test allows floor(0.5) = 0 disagreements. A
+    store-all receiver passes with chance 0.175 by the exact engine and
+    in a run; reading the threshold as ceil(0.5) = 1 would give 0.392,
+    about 11 sigma away at 400 runs."""
+    params = exact_params(n=10, N=2, delta=0.05, mode=protocol.Mode.CLASSICAL_FAST, seed=1)
+    store_all = attacks.store_subset(positions=range(10))
+    exact = attacks.information_account(params, store_all)
+    mc = attacks.information_account(params, store_all, method=attacks.InfoMethod.MONTE_CARLO,
+                                     budget=400)
+    sigma = math.sqrt(exact.pr_pass * (1 - exact.pr_pass) / 400)
+    assert abs(mc.pr_pass - exact.pr_pass) < 4 * sigma
+    assert exact.pr_pass == pytest.approx(0.1751140952)
+
+
+# sha256 of the sorted-key JSON of InfoReport.to_json() for 16-run Monte
+# Carlo accounts: the attack bench's shapes under EXACT_QUANTUM (n = 12,
+# N = 2, r = 1, m = 1, a store set and the coin) at three seeds, and one
+# CLASSICAL_FAST fixed-angle receiver. They pin the re-seeded, force_c = 1,
+# announce_rest, pinned-code runs the engine makes
+FROZEN_MONTE_CARLO = {
+    "store seed=1": "92f22147a6ba87a5a405210e8f87a233881981e3055beff353df19ebb22a7939",
+    "random_ok seed=1": "55796d167f2fa6f37f7044faf7a1d1e87f2e5146f45a13077a314f149d09ce5a",
+    "store seed=2": "e77fc05c8673fc2cd5919155468d7cceed7557f9ce9e8b706a55f818fc0be065",
+    "random_ok seed=2": "93dcbff670d0ec5cf027c427d920a5afe93c435c59bc9b27b00c07a045736db7",
+    "store seed=3": "bac941f4df994c52954b73c7c4d4ce71371b78bf295d3119f4b75c883756e7da",
+    "random_ok seed=3": "e86a710dc6fd2d456235c4ce5d3bbababfd3fd7bd1b6d4e2dcc19a719cb6ee58",
+    "fixed_basis classical seed=4": "f51a67d8be804ac3b355a6ec71f41a5423afba0f34b54c280550acfb27bc88c1",
+}
+
+
+def test_monte_carlo_reports_keep_their_frozen_digests():
+    def params(seed, mode=protocol.Mode.EXACT_QUANTUM):
+        return protocol.ProtocolParams(n=12, m=1, r=1, N=2, delta=0.5, epsilon=0.05,
+                                       noise_p=0.05, mode=mode, seed=seed)
+    cases = {}
+    for seed in (1, 2, 3):
+        cases[f"store seed={seed}"] = params(seed), attacks.store_subset(positions=[0, 3, 5, 7])
+        cases[f"random_ok seed={seed}"] = params(seed), attacks.random_ok()
+    cases["fixed_basis classical seed=4"] = (params(4, protocol.Mode.CLASSICAL_FAST),
+                                             attacks.fixed_basis(0.3))
+    digests = {}
+    for name, (p, strategy) in cases.items():
+        report = attacks.information_account(p, strategy, method=attacks.InfoMethod.MONTE_CARLO,
+                                             budget=16)
+        text = json.dumps(report.to_json(), sort_keys=True)
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == FROZEN_MONTE_CARLO

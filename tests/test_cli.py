@@ -576,6 +576,24 @@ def test_attack_store_sweep_takes_the_protocol_parameters(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["store_sweep.csv"]
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ("0.5,nan", "fraction must be finite, not nan"),
+    ("0.25,0.5,1.5", "fraction must lie in [0, 1]"),
+])
+def test_attack_store_sweep_refuses_a_bad_fraction_before_any_output(tmp_path, capsys, sweep,
+                                                                      message):
+    """Every fraction is read before the table's header: a bad one after
+    good ones prints nothing and makes no output directory."""
+    out = tmp_path / "out"
+    argv = ["attack", "--n", "8", "--N", "2", "--m", "1", "--r", "1", "--delta", "0.125",
+            "--store-sweep", sweep, "--out", str(out)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+    assert not out.exists()
+
+
 def test_attack_store_sweep_rejects_bad_input(tmp_path):
     base = ["attack", "--out", str(tmp_path)]
     assert run(base + ["--store-sweep", "abc"]) == 1

@@ -390,12 +390,43 @@ def born_loop(angles_held, bits_held, positions, angles, rng):
 @settings(max_examples=300, deadline=None)
 @given(held=st.floats(-7.0, 7.0), bit=st.integers(0, 1), probe=st.floats(-7.0, 7.0))
 def test_born_p1_sums_two_rounded_products(held, bit, probe):
-    """p1 = |<probe, 1 | held, bit>|^2 with the overlap c0 v0 + c1 v1 taken
-    as two rounded products and a rounded sum, never a fused multiply-add,
-    so it is the same double on every host."""
+    """Off the diagonal, p1 = |<probe, 1 | held, bit>|^2 with the overlap
+    c0 v0 + c1 v1 taken as two rounded products and a rounded sum, never a
+    fused multiply-add, so it is the same double on every host; a square
+    rounded past 1 reads 1."""
+    assume(held != probe)
     ch, sh, cp, sp = math.cos(held), math.sin(held), math.cos(probe), math.sin(probe)
     v0, v1 = (ch, sh) if bit == 0 else (-sh, ch)
-    assert protocol._born_p1.__wrapped__(held, bit, probe) == abs(-sp * v0 + cp * v1) ** 2
+    assert protocol._born_p1.__wrapped__(held, bit, probe) == min(abs(-sp * v0 + cp * v1) ** 2, 1.0)
+
+
+def test_born_p1_reads_a_photon_at_its_own_angle_exactly():
+    """A photon resting at bit 1 of a learned angle is read again there
+    with p1 exactly 1: at 2.5268284329722572 the two-product square is
+    0.9999999999999996, so a uniform that high would read 0."""
+    angle = 2.5268284329722572
+    c, s = math.cos(angle), math.sin(angle)
+    assert abs(-s * -s + c * c) ** 2 < 1.0
+    assert protocol._born_p1.__wrapped__(angle, 1, angle) == 1.0
+    assert protocol._born_p1.__wrapped__(angle, 0, angle) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(angles=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=6),
+       mode=st.sampled_from(protocol.Mode))
+def test_every_born_entry_lies_in_the_unit_interval_and_the_diagonal_is_exact(angles, mode):
+    """Over any angles a run learns, in either mode, every Born entry is a
+    probability, and a photon measured again at the angle it rests at
+    reads its bit: entry [e, bit, e] is exactly bit."""
+    reception = protocol.Reception(mode, 1, np.zeros(1, dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+    rng = np.random.default_rng(0)
+    for angle in angles:
+        reception.measure(0, angle, rng)
+    born = reception._born
+    assert born.shape[0] == len(reception._angles) >= 2
+    assert ((0.0 <= born) & (born <= 1.0)).all()
+    for entry in range(born.shape[0]):
+        assert born[entry, 0, entry] == 0.0 and born[entry, 1, entry] == 1.0
 
 
 def assert_born_table_matches_the_loop(n, blocks, seed):
@@ -1003,6 +1034,143 @@ def test_bob_decode_returns_the_first_nearest_coset_word_on_wide_words(width, di
     best = min(coset, key=lambda v: (np.count_nonzero(v != target), v.tolist()))
     assert np.array_equal(corrected, best)
     assert np.array_equal(b_hat, a ^ gf2.matvec(h, best))
+
+
+# ---------------------------------------------------------------------------
+# the public steps' checks
+
+def step_call(name):
+    """A public step, or oracle method, and valid operands for it at n = 4,
+    built afresh: (the callable, its keyword operands)."""
+    w, theta = gf2.bits("0110"), gf2.bits("0101")
+    rng = np.random.default_rng(3)
+    _, reception = protocol.transmit(w, theta, protocol.ChannelModel.noiseless(),
+                                     protocol.Mode.CLASSICAL_FAST, np.random.default_rng(0))
+    oracle = protocol.CommitmentOracle()
+    tid, wid = oracle.commit(theta), oracle.commit(w)
+    if name == "transmit":
+        return protocol.transmit, dict(w=w, theta=theta, channel=protocol.ChannelModel.noiseless(),
+                                       mode=protocol.Mode.CLASSICAL_FAST, rng=rng)
+    if name == "alice_test":
+        return protocol.alice_test, dict(w=w, theta=theta, w_hat_commit=wid,
+                                         theta_hat_commit=tid, R=[0, 2], delta=0.25, oracle=oracle)
+    if name == "partition_and_choose_sets":
+        return protocol.partition_and_choose_sets, dict(theta=theta, theta_hat=gf2.bits("0110"),
+                                                        R=[1], N=1, rng=rng)
+    if name == "alice_announce_correction":
+        return protocol.alice_announce_correction, dict(b=[1], w=w, E_c=[0, 2, 3],
+                                                        g=[[1, 1, 0]], h=[[0, 1, 1]])
+    if name == "bob_decode":
+        return protocol.bob_decode, _decode_operands()
+    if name == "apply_strategy":
+        return attacks.apply_strategy, dict(strategy=attacks.honest(), reception=reception,
+                                            oracle=oracle, rng=rng)
+    if name == "finish_deferred":
+        record = attacks.apply_strategy(attacks.store_subset(positions=[1]), reception, oracle,
+                                        np.random.default_rng(1))
+        return attacks.finish_deferred, dict(record=record, reception=reception, theta=theta,
+                                             rng=rng)
+    if name == "eve_intercept":
+        return attacks.eve_intercept, dict(eve=attacks.honest(), reception=reception, rng=rng)
+    if name == "CommitmentOracle.open":
+        return oracle.open, dict(cid=wid, positions=[0, 2])
+    raise KeyError(name)
+
+
+NOT_BITS = "bit vector entries must be 0 or 1"
+
+# (step, operand, bad value, error, message): every operand check of the
+# public steps, which the runners skip by calling their cores
+STEP_CHECKS = [
+    ("transmit", "w", [0, 2, 1, 0], DomainError, NOT_BITS),
+    ("transmit", "theta", [0, 1, 2, 0], DomainError, NOT_BITS),
+    ("transmit", "theta", "+x?x", DomainError, "unknown basis character '?'"),
+    ("transmit", "theta", [0, 1, 0], DimensionError, "expected length 4, got 3"),
+    ("alice_test", "w", [0, 1, 1, -1], DomainError, NOT_BITS),
+    ("alice_test", "theta", [0, 3, 0, 1], DomainError, NOT_BITS),
+    ("alice_test", "R", [0, 4], DomainError, "positions must lie in [0, 4)"),
+    ("alice_test", "R", [0.5], DomainError, "positions must be integers"),
+    ("alice_test", "w_hat_commit", 9, ProtocolViolation, "no commitment with id 9"),
+    ("alice_test", "theta_hat_commit", 9, ProtocolViolation, "no commitment with id 9"),
+    ("partition_and_choose_sets", "theta", [0, 1, 0, 2], DomainError, NOT_BITS),
+    ("partition_and_choose_sets", "theta_hat", "x+x?", DomainError, "unknown basis character '?'"),
+    ("partition_and_choose_sets", "theta_hat", [0, 1], DimensionError, "expected length 4, got 2"),
+    ("partition_and_choose_sets", "R", [-1, 2], DomainError, "positions must lie in [0, 4)"),
+    ("alice_announce_correction", "b", [2], DomainError, NOT_BITS),
+    ("alice_announce_correction", "w", [0, 1, 1, 2], DomainError, NOT_BITS),
+    ("alice_announce_correction", "E_c", [0, 2, 4], DomainError, "positions must lie in [0, 4)"),
+    ("alice_announce_correction", "g", [[1, 2, 0]], DomainError,
+     "bit matrix entries must be 0 or 1"),
+    ("alice_announce_correction", "h", [[0, 1, 3]], DomainError,
+     "bit matrix entries must be 0 or 1"),
+    ("alice_announce_correction", "g", [[1, 1]], DimensionError, "code width differs from |E_c|"),
+    ("alice_announce_correction", "b", [1, 0], DimensionError,
+     "b length differs from the h row count"),
+    ("bob_decode", "w_hat_ec", [1, 2, 1], DomainError, NOT_BITS),
+    ("bob_decode", "s", [0, 2], DomainError, NOT_BITS),
+    ("bob_decode", "g", [[1, 1, 0], [0, 1, 2]], DomainError, "bit matrix entries must be 0 or 1"),
+    ("bob_decode", "a", [2], DomainError, NOT_BITS),
+    ("bob_decode", "h", [[1, 0, 5]], DomainError, "bit matrix entries must be 0 or 1"),
+    ("bob_decode", "w_hat_ec", [1, 0], DimensionError, "expected length 3, got 2"),
+    ("bob_decode", "s", [0], DimensionError, "solve_affine dimension mismatch"),
+    ("bob_decode", "a", [1, 0], DimensionError, "expected length 1, got 2"),
+    ("bob_decode", "h", [[1, 0]], DimensionError, "expected 3 cols, got 2"),
+    ("apply_strategy", "strategy", attacks.store_subset(positions=[1, 4]), DomainError,
+     "positions must lie in [0, 4)"),
+    ("apply_strategy", "strategy", attacks.store_subset(count=5), DomainError,
+     "cannot store more photons than were sent"),
+    ("finish_deferred", "theta", [0, 1, 2, 1], DomainError, NOT_BITS),
+    ("finish_deferred", "theta", "+x", DimensionError, "expected length 4, got 2"),
+    ("eve_intercept", "eve", attacks.store_subset(count=1), DomainError,
+     "channel strategies are HONEST or FIXED_BASIS"),
+    ("eve_intercept", "eve", attacks.random_ok(), DomainError,
+     "channel strategies are HONEST or FIXED_BASIS"),
+    ("CommitmentOracle.open", "cid", 2, ProtocolViolation, "no commitment with id 2"),
+    ("CommitmentOracle.open", "positions", [1, 4], DomainError, "positions must lie in [0, 4)"),
+    ("CommitmentOracle.open", "positions", [True], DomainError, "positions must be integers"),
+]
+
+
+@pytest.mark.parametrize("name, operand, bad, error, message", STEP_CHECKS,
+                         ids=[f"{c[0]}-{c[1]}-{i}" for i, c in enumerate(STEP_CHECKS)])
+def test_the_public_steps_keep_their_checks(name, operand, bad, error, message):
+    """A public step refuses each bad operand with its error and message,
+    before any draw: its generator, if it takes one, is where it was."""
+    call, operands = step_call(name)
+    operands[operand] = bad
+    rng = operands.get("rng")
+    state = None if rng is None else rng.bit_generator.state
+    with pytest.raises(error, match=re.escape(message)):
+        call(**operands)
+    if rng is not None:
+        assert rng.bit_generator.state == state
+    call, operands = step_call(name)
+    call(**operands)  # the valid operands pass
+
+
+def count_checks(run):
+    """How many times run() calls gf2's five operand rules."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for rule in ("_bit_array", "position_array", "integer", "number", "numbers"):
+            real = getattr(gf2, rule)
+            patch.setattr(gf2, rule, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+        run()
+    return len(calls)
+
+
+def test_a_run_checks_its_inputs_once():
+    """A runner checks b, force_c and the channel once and passes what it
+    drew to unchecked cores: an honest n = 1024 run makes two operand
+    checks, and a 16-run Monte Carlo op at most ten per run."""
+    params = protocol.ProtocolParams(n=1024, m=2, r=8, N=16, delta=0.05, noise_p=0.02, seed=7)
+    assert count_checks(lambda: protocol.run_string_qot(params, [1, 0])) == 2
+    small = protocol.ProtocolParams(n=12, m=1, r=1, N=2, delta=0.5, epsilon=0.05, noise_p=0.05,
+                                    mode=protocol.Mode.EXACT_QUANTUM, seed=3)
+    for strategy in (attacks.store_subset(positions=[0, 3, 5, 7]), attacks.random_ok()):
+        op = functools.partial(attacks.information_account, small, strategy,
+                               method=attacks.InfoMethod.MONTE_CARLO, budget=16)
+        assert count_checks(op) <= 160
 
 
 # ---------------------------------------------------------------------------
