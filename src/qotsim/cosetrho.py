@@ -7,8 +7,10 @@ Expressed over the opposite product basis, rho_x has the closed form
     (rho_x)_{alpha,alpha'} = 2^-N (-1)^((alpha xor alpha') . beta0)
                              if alpha xor alpha' in rowspan(f), else 0
 
-for any coset representative beta0. rho_brute builds the mixture directly;
-rho_closed_form fills the formula; rho_zero_induction reproduces the
+for any coset representative beta0. rho_brute builds the mixture directly,
+from the members' states of quantum's unchecked core; rho_closed_form
+writes the formula's value at each difference alpha xor alpha' as row 0 and
+fills every other row by copies; rho_zero_induction reproduces the
 recursive derivation; lemma1_certificate checks that low-distance state
 spans cannot tell rho_x from rho_x' when 2t < dN. The certificate evaluates
 rho_x - rho_x' on the low ball only, so neither full density nor its frame
@@ -81,23 +83,30 @@ def _check_density_cap(n: int) -> None:
 def rho_brute(ens: CosetEnsemble) -> np.ndarray:
     """Direct mixture over the coset; entries over the + computational basis."""
     _check_density_cap(ens.code.N)
-    # every BB84 amplitude is real, so the mixture is one real product
-    states = quantum.bb84_states(ens.members, ens.theta)
+    # every BB84 amplitude is real, so the mixture is one real product;
+    # coset_ensemble checked theta, and the members are bits of width N
+    states = quantum._bb84_states(ens.members, ens.theta)
     return quantum.density_from_ensemble(states, np.full(len(states), 1.0 / len(states)))
 
 
 def rho_closed_form(ens: CosetEnsemble) -> np.ndarray:
     """The formula above; real entries over the conjugate basis of theta.
 
-    Entry (alpha, alpha') depends on alpha xor alpha' alone, so one column
-    holds the value of each difference and one xor table gathers the
-    matrix from it.
+    Entry (alpha, alpha') depends on alpha xor alpha' alone, so row 0 is
+    the column of closed-form values and every other row is a copy of
+    earlier ones: for h = 1, 2, 4, ..., rows h..2h-1 are rows 0..h-1 with
+    each h-aligned block of columns swapped with its partner (xor h).
     """
     n = ens.code.N
     _check_density_cap(n)
-    column = _closed_form_column(ens.code, ens.beta0)
-    idx = np.arange(1 << n, dtype=np.uint16)  # N <= DENSITY_MAX_N = 10 fits
-    return column[np.bitwise_xor.outer(idx, idx)]
+    size = 1 << n
+    rho = np.empty((size, size))
+    rho[0] = _closed_form_column(ens.code, ens.beta0)
+    for i in range(n):
+        # rows 0..2h-1 for h = 2^i: (half, row and block pair, block, column)
+        rows = rho[: 2 << i].reshape(2, size >> 1, 2, 1 << i)
+        rows[1] = rows[0, :, ::-1]
+    return rho
 
 
 def _closed_form_column(code: gf2.LinearCode, beta0: np.ndarray) -> np.ndarray:

@@ -360,7 +360,8 @@ def alice_test(
 
     The run fails only when strictly more than delta*n are wrong.
     """
-    w, theta = gf2.bits(w), quantum.basis_string(theta)
+    w = gf2.bits(w)
+    theta = quantum.basis_string(theta, length=w.size)
     R = gf2.position_set(R, w.size)
     return _alice_test(w, theta, oracle.open(w_hat_commit, R), oracle.open(theta_hat_commit, R),
                        R, delta)
@@ -398,7 +399,8 @@ def partition_and_choose_sets(
     """
     theta = quantum.basis_string(theta)
     theta_hat = quantum.basis_string(theta_hat, length=theta.size)
-    return _partition_and_choose_sets(theta, theta_hat, gf2.position_set(R, theta.size), N, rng)
+    R = gf2.position_set(R, theta.size)
+    return _partition_and_choose_sets(theta, theta_hat, R, gf2.integer(N, "N", least=1), rng)
 
 
 def _partition_and_choose_sets(theta, theta_hat, R, N: int, rng) -> Partition:

@@ -6,7 +6,10 @@ significant bit). Encoded states: |0>+ = (1,0), |1>+ = (0,1),
 |0>x = (|0>+ + |1>+)/sqrt2, |1>x = (|0>+ - |1>+)/sqrt2, which are the
 polarizations 0, 90, 45, -45 degrees. All chosen amplitudes are real, which
 makes the sign behavior of the shift unitaries exact, and so is every probe
-rotation: encodings and angle bases are float64 arrays.
+rotation: encodings and angle bases are float64 arrays. bb84_states
+multiplies exact 0 and +-1 sign factors and puts the cross photons' 1/sqrt2
+in once, as their fold: byte for byte the kron chain of the amplitudes,
+signed zeros included.
 
 Measurement: measure_photons measures a block of photons on a full 2^n
 statevector, keeping its inputs' dtype (complex states still work). A
@@ -76,8 +79,10 @@ def conjugate_bases(theta: np.ndarray) -> np.ndarray:
     return basis_string(theta) ^ 1
 
 
-# _PHOTONS[basis, bit]: |0>+ and |1>+, then |0>x and |1>x
-_PHOTONS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[_SQ2, _SQ2], [_SQ2, -_SQ2]]])
+# _SIGNS[basis, bit]: |0>+ and |1>+, then |0>x and |1>x over 1/sqrt2, all
+# exact 0 and +-1; _PHOTONS holds the amplitudes themselves
+_SIGNS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, -1.0]]])
+_PHOTONS = _SIGNS * np.array([1.0, _SQ2])[:, None, None]
 
 
 def photon(bit: int, basis: int) -> np.ndarray:
@@ -100,24 +105,52 @@ def bb84_state(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def bb84_states(words: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """One product state per row of words, all encoded in bases theta.
-
-    Photon by photon, every row's state is multiplied by that photon's
-    amplitudes, which is np.kron's arithmetic in np.kron's order: each row
-    is bit-identical to a kron chain over its photons.
-    """
+    """One product state per row of words, all encoded in bases theta; each
+    row is bit-identical to np.kron's chain over its photons' amplitudes."""
     words = gf2.bitmatrix(words)
     theta = basis_string(theta)
-    rows, n = words.shape
-    if n != theta.size:
+    if words.shape[1] != theta.size:
         raise DimensionError("bit string and basis string lengths differ")
-    if n > STATEVECTOR_MAX_N:
+    if theta.size > STATEVECTOR_MAX_N:
         raise ResourceError(f"statevectors cap at n={STATEVECTOR_MAX_N}")
-    photons = _PHOTONS[theta, words]  # (rows, n, 2)
-    states = np.ones((rows, 1))
-    for i in range(n):
-        states = (states[:, :, None] * photons[:, i, None, :]).reshape(rows, -1)
-    return states
+    return _bb84_states(words, theta)
+
+
+def _bb84_states(words: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """bb84_states of a checked bit matrix and a basis string of its width.
+
+    Every amplitude is 0, 1 or +-1/sqrt2. So each entry of the kron chain
+    is a product whose sign is the xor of its factors' signs, signed zeros
+    included, and whose magnitude, when it is not zero, is the chain's fold
+    of 1/sqrt2 over the cross photons: the same for every entry. Here the
+    factors are the exact 0 and +-1 of _SIGNS, with that fold put into
+    photon 0's factor, so every product is exact in any order. Adjacent
+    factors merge pairwise, all the pairs of a level in one product; the
+    odd last factor of a level is set aside, and the factors set aside
+    join the last merged one in one final product.
+    """
+    rows, n = words.shape
+    if n == 0:
+        return np.ones((rows, 1))
+    factors = _SIGNS[theta[:, None], words.T]  # (n, rows, 2), photon-major
+    fold = 1.0
+    for _ in range(int(np.count_nonzero(theta))):
+        fold *= _SQ2
+    factors[0] *= fold
+    aside = None  # the product of the factors set aside, in photon order
+    while len(factors) > 1:
+        k = len(factors)
+        if k & 1:
+            aside = factors[-1:] if aside is None else _row_kron(factors[-1:], aside)
+        factors = _row_kron(factors[0 : k - 1 : 2], factors[1:k:2])
+    return (factors if aside is None else _row_kron(factors, aside))[0]
+
+
+def _row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of each vector along the last axis of a with the vector at
+    the same (k, rows) place in b, as a (k, rows, len_a * len_b) array."""
+    k, rows = a.shape[:2]
+    return (a[:, :, :, None] * b[:, :, None, :]).reshape(k, rows, -1)
 
 
 def _butterflies(a: np.ndarray, photons, bufs) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Coset density operators: brute force vs closed form, the mixing
 recursion, low-ball certificates, and min-distance ratio statistics."""
 
+import hashlib
 import itertools
 import math
 
@@ -384,13 +385,82 @@ def test_closed_form_equals_its_reference_bit_for_bit(drawn):
 
 @pytest.mark.parametrize("n_cols", [9, 10])
 def test_closed_form_at_the_density_cap_equals_its_reference(n_cols):
-    """Past 256 states the xor table needs more than 8 bits; uint16 holds
-    every index up to the cap."""
+    """Up to the cap, where the doubling fill runs ten levels and the last
+    copies half of a 1024 x 1024 matrix, it matches the long-way
+    reference and the xor-table gather."""
     assert n_cols <= quantum.DENSITY_MAX_N
     rng = np.random.default_rng(1070 + n_cols)
     code = random_code(rng, n_cols, 3)
     ens = cosetrho.coset_ensemble(code, valid_syndromes(code)[-1], gf2.random_bits(rng, n_cols))
-    assert cosetrho.rho_closed_form(ens).tobytes() == reference_rho_closed_form(ens).real.tobytes()
+    closed = cosetrho.rho_closed_form(ens).tobytes()
+    assert closed == reference_rho_closed_form(ens).real.tobytes()
+    assert closed == xor_table_closed_form(ens).tobytes()
+
+
+def xor_table_closed_form(ens):
+    """rho_closed_form by a gather: the closed-form column read through
+    the uint16 table of every alpha xor alpha' (N <= 10 fits)."""
+    idx = np.arange(1 << ens.code.N, dtype=np.uint16)
+    return cosetrho._closed_form_column(ens.code, ens.beta0)[np.bitwise_xor.outer(idx, idx)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes())
+def test_doubling_fill_equals_the_xor_table_gather_byte_for_byte(drawn):
+    code, rng = drawn
+    theta = gf2.random_bits(rng, code.N)
+    for x in valid_syndromes(code):
+        ens = cosetrho.coset_ensemble(code, x, theta)
+        assert cosetrho.rho_closed_form(ens).tobytes() == xor_table_closed_form(ens).tobytes()
+
+
+def brute_path_codes(n_cols):
+    """Three seeded codes of width n_cols, each with a basis string: f of
+    min(n_cols, 3) random rows, f of one random row, and a rank-deficient
+    f (that row twice, or one zero row at n_cols = 1)."""
+    rng = np.random.default_rng(1200 + n_cols)
+    row = gf2.random_bitmatrix(rng, 1, n_cols)
+    deficient = np.vstack([row, row]) if n_cols > 1 else np.zeros((1, 1), dtype=np.uint8)
+    fs = [gf2.random_bitmatrix(rng, min(n_cols, 3), n_cols), row, deficient]
+    return [(gf2.LinearCode(f=f, r=0, m=f.shape[0]), gf2.random_bits(rng, n_cols)) for f in fs]
+
+
+# sha256 of rho_brute's bytes and of its conjugate-frame bytes, over every
+# valid syndrome of brute_path_codes(N), in order. They pin the brute
+# mixture's bits, which the closed form matches only to rounding; the
+# mixture is a BLAS product, so another BLAS kernel may sum in another
+# order and move these digests without a fault in qotsim.
+BRUTE_PATH_SHA256 = {
+    1: ("b3bef6cee5c68b914a7aa69197908910c01b2991c39abe26a2c90945c30f5c93",
+        "391e57897e8f4230fbde054d931904dd414253594d6fe83deeb2e5920acdbe51"),
+    2: ("88789b5eed163fc667c53f2f893626eeb5f8d9731f2f8de9b075cd379412c787",
+        "8685fbafe13afc4d804508353f5f50f5b3cadd9d90cd353695127d8be21dd64d"),
+    3: ("99ac792a4bd5de6c296e9d6492963aaf42d0850cf40b932d7ac63225a87b5120",
+        "50bfb63ff7824446a1597597d9057f04be2033dfc3f2e84d236f0d81e5549afb"),
+    4: ("502014e0ef17dce4e69583a11e395f2e34afffc7bfc1b01bee2e5fb5f7e8ae5b",
+        "14dc74f83b7684d9b8ea22b5898857558fd5ba63ee85a4226c2b3f8e3f76bdd2"),
+    5: ("3cfda3a1da1637eff04d6f449a81aff09dc5be22b5f4e08f98cdd44fd7740a35",
+        "49b1d38bd32a5d794d19946a50f3ad30e1003bd5259a6b8d180f37187be16b91"),
+    6: ("afe3a72203881ce050d3b1047b52a52ab97451806606fd16441fa546b0d47f50",
+        "efe6b433667c14ccd325b443cddb07ca3d30ad447bcc12312b35d393886590fb"),
+    7: ("c05c01f07509306e47ed8f7fa8e997517e434a49865ad4bbbb0003c0a9147cad",
+        "7d30470ec73e6c73924f05e60a9d0f545a4fc1706e5f99baf1ed68ba0c0e2429"),
+    8: ("739fe46a26be0230c930ec7041ee57f74c96f3363e5e8f7d2ac3af8fca376c0c",
+        "527ceff2d25538285c79ba5ed9413ec271df84c4f096c5d69bf760c90515302d"),
+}
+
+
+@pytest.mark.parametrize("n_cols", sorted(BRUTE_PATH_SHA256))
+def test_brute_path_bytes_are_frozen(n_cols):
+    codes = brute_path_codes(n_cols)
+    assert any(gf2.rank(code.f) < code.f.shape[0] for code, _ in codes)
+    brute, framed = hashlib.sha256(), hashlib.sha256()
+    for code, theta in codes:
+        for x in valid_syndromes(code):
+            rho = cosetrho.rho_brute(cosetrho.coset_ensemble(code, x, theta))
+            brute.update(rho.tobytes())
+            framed.update(quantum.density_in_frame(rho, quantum.conjugate_bases(theta)).tobytes())
+    assert (brute.hexdigest(), framed.hexdigest()) == BRUTE_PATH_SHA256[n_cols]
 
 
 @settings(max_examples=150, deadline=None)

@@ -849,6 +849,32 @@ def test_alice_test_only_opens_r():
     assert sorted(oracle.opened) == [(tid, [1, 3]), (wid, [1, 3])]
 
 
+@pytest.mark.parametrize("theta", ["01", "010110"])
+def test_alice_test_refuses_a_basis_string_of_another_length(theta):
+    """A theta shorter than w is refused, not an IndexError; a longer one
+    is refused, not read as its first n letters. No commitment opens."""
+    oracle = RecordingOracle()
+    tid, wid = oracle.commit(gf2.bits("0101")), oracle.commit(gf2.bits("0110"))
+    with pytest.raises(DimensionError, match=f"expected length 4, got {len(theta)}"):
+        protocol.alice_test("0110", theta, wid, tid, [0, 2, 3], 0.25, oracle)
+    assert oracle.opened == []
+
+
+@pytest.mark.parametrize("N", [1.5, True])
+@pytest.mark.parametrize("theta_hat, short", [("1010", False), ("0110", True)])
+def test_partition_reads_N_by_the_integer_rule(N, theta_hat, short):
+    """N = 1.5 or True is refused before any draw, whether or not a side
+    is short, as ProtocolParams refuses it."""
+    theta = gf2.bits("0110")
+    assert protocol.partition_and_choose_sets(theta, theta_hat, [], 1,
+                                              np.random.default_rng(0)).shortage == short
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match=f"N must be an integer, not {type(N).__name__}"):
+        protocol.partition_and_choose_sets(theta, theta_hat, [], N, rng)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("trial", range(10))
 def test_partition_properties(trial):
     rng = np.random.default_rng(1400 + trial)
@@ -1128,6 +1154,9 @@ STEP_CHECKS = [
     ("CommitmentOracle.open", "cid", 2, ProtocolViolation, "no commitment with id 2"),
     ("CommitmentOracle.open", "positions", [1, 4], DomainError, "positions must lie in [0, 4)"),
     ("CommitmentOracle.open", "positions", [True], DomainError, "positions must be integers"),
+    ("alice_test", "theta", [0, 1], DimensionError, "expected length 4, got 2"),
+    ("partition_and_choose_sets", "N", 1.5, DomainError, "N must be an integer, not float"),
+    ("partition_and_choose_sets", "N", 0, DomainError, "N must be at least 1, got 0"),
 ]
 
 

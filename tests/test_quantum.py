@@ -137,6 +137,44 @@ def test_bb84_states_rows_are_the_kron_chain_bit_for_bit(n, rows, seed):
     assert np.array_equal(quantum.bb84_state(words[0], theta), states[0])
 
 
+def reference_bb84_states(words, theta):
+    """bb84_states the long way: photon by photon, every row's state times
+    that photon's amplitudes (np.kron's arithmetic in np.kron's order)."""
+    rows, n = words.shape
+    photons = quantum._PHOTONS[theta, words]  # (rows, n, 2)
+    states = np.ones((rows, 1))
+    for i in range(n):
+        states = (states[:, :, None] * photons[:, i, None, :]).reshape(rows, -1)
+    return states
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 128), st.integers(0, 2**32 - 1))
+def test_sign_chain_states_are_the_photon_loop_byte_for_byte(n, rows, seed):
+    """The exact sign chain scaled by the fold of 1/sqrt2 gives the loop's
+    bytes: every magnitude, and the sign of every zero."""
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+    theta = gf2.random_bits(rng, n)
+    states = quantum._bb84_states(words, theta)
+    reference = reference_bb84_states(words, theta)
+    assert states.shape == reference.shape and states.dtype == np.float64
+    assert states.tobytes() == reference.tobytes()
+
+
+def test_sign_chain_keeps_the_signed_zeros_of_the_loop():
+    """|1>x then |1>+ gives (+0, 1/sqrt2, -0, -1/sqrt2): the -0 is the
+    loop's, from -1/sqrt2 times 0."""
+    states = quantum._bb84_states(gf2.bitmatrix(["11"]), gf2.bits([quantum.CROSS, quantum.PLUS]))
+    assert np.signbit(states[0]).tolist() == [False, False, True, True]
+    assert states.tobytes() == reference_bb84_states(gf2.bitmatrix(["11"]), gf2.bits("10")).tobytes()
+
+
+def test_sign_chain_of_no_photons_is_the_empty_product():
+    states = quantum.bb84_states(np.zeros((3, 0), dtype=np.uint8), [])
+    assert states.tobytes() == np.ones((3, 1)).tobytes()
+
+
 def test_bb84_states_validation():
     with pytest.raises(DimensionError):
         quantum.bb84_states([[0, 1]], [0])
