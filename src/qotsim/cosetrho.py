@@ -230,7 +230,7 @@ def _min_weight_on(code: gf2.LinearCode, e: np.ndarray):
     row-span words. A span word supported off e is invisible to distances
     measured on e, so this is the quantity a ball on e actually tests."""
     span = code.row_span
-    span = span[gf2.lane_weights(span) > 0]
+    span = np.compress(gf2.lane_weights(span) > 0, span, axis=0)
     if span.size == 0:
         return math.inf
     emask = gf2._pack_lanes(np.isin(np.arange(code.N), e)[None])

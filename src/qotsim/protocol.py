@@ -476,20 +476,21 @@ def _bob_decode(
         return None, None
     if (1 << dim) > DECODE_MAX_COSET:
         raise ResourceError(f"decode coset of 2^{dim} words exceeds the cap")
-    base, target = gf2._pack_lanes(np.stack([particular, w_hat_ec]))
-    offset = base ^ target
+    offset, target = gf2._pack_lanes(np.stack([particular ^ w_hat_ec, w_hat_ec]))
 
     def nearest(block):
-        # block holds kernel words k; the coset word k ^ base lies at
-        # distance weight(k ^ base ^ target) from w_hat_ec
-        dist = gf2.lane_weights(block ^ offset)
+        # the walk starts from offset, so block holds k ^ particular ^
+        # w_hat_ec for kernel words k: each word's weight is the distance
+        # of the coset word k ^ particular from w_hat_ec, and the word
+        # xor-ed with w_hat_ec is that coset word
+        dist = gf2.lane_weights(block)
         least = dist.min()
-        ties = block[dist == least] ^ base
+        ties = np.compress(dist == least, block, axis=0) ^ target
         for lane in range(ties.shape[1]):  # lexicographic: lane 0 leads
-            ties = ties[ties[:, lane] == ties[:, lane].min()]
+            ties = np.compress(ties[:, lane] == ties[:, lane].min(), ties, axis=0)
         return int(least), tuple(ties[0].tolist())
 
-    _, best = min(nearest(block) for block in gf2._span_words(kern))
+    _, best = min(nearest(block) for block in gf2._span_words(kern, offset))
     corrected = gf2.unpack_lanes(np.array([best], dtype=np.uint64), n)[0]
     return a ^ gf2._matvec(h, corrected), corrected
 

@@ -410,6 +410,39 @@ def test_min_distance_matches_a_python_reference_across_lanes(f):
     assert gf2.min_distance(f) == python_min_distance(f)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(2, 9),
+    cols=st.integers(1, 135),
+    pick=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_min_distance_with_a_repeated_row(rows, cols, pick, seed):
+    """A repeated row puts a zero word inside block 0, past word 0."""
+    f = gf2.random_bitmatrix(np.random.default_rng(seed), rows, cols)
+    i, j = pick.draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
+    f[j] = f[i]
+    assert gf2.min_distance(f) == python_min_distance(f)
+
+
+@pytest.mark.parametrize("cols", [40, 70])
+@pytest.mark.parametrize("rows", [gf2.SPAN_BLOCK_ROWS + 1, gf2.SPAN_BLOCK_ROWS + 2])
+def test_min_distance_with_a_zero_word_only_past_block_0(rows, cols):
+    """Only the last row is dependent, the xor of row 0 and some others:
+    the one zero word past word 0 picks row 0, so it lies in a later
+    block, and block 0 holds no zero word but its first."""
+    rng = np.random.default_rng(rows * 1000 + cols)
+    f = gf2.random_bitmatrix(rng, rows, cols)
+    assert gf2.rank(f[:-1]) == rows - 1
+    picked = gf2.random_bits(rng, rows - 1)
+    picked[0] = 1
+    f[-1] = gf2.matvec(f[:-1].T, picked)
+    assert gf2.rank(f) == rows - 1
+    weights = [gf2.lane_weights(block) for block in gf2.span_words(f)]
+    assert weights[0][1:].all() and not all(w.all() for w in weights[1:])
+    assert gf2.min_distance(f) == python_min_distance(f)
+
+
 @settings(max_examples=50, deadline=None)
 @given(bit_matrices(max_rows=8, min_cols=65))
 def test_min_distance_matches_exhaustive_search_on_wide_words(f):

@@ -1062,6 +1062,74 @@ def test_bob_decode_returns_the_first_nearest_coset_word_on_wide_words(width, di
     assert np.array_equal(b_hat, a ^ gf2.matvec(h, best))
 
 
+def reference_decode(w_hat_ec, s, g, a, h):
+    """bob_decode by the scan that walked the unseeded kernel span: each
+    block xor-ed with the offset for its distances, and the tied words
+    picked by a 2-D boolean mask."""
+    particular, kern = gf2.solve_affine(g, s)
+    n = kern.shape[1]
+    base, target = gf2.pack_lanes(np.stack([particular, w_hat_ec]))
+    offset = base ^ target
+
+    def nearest(block):
+        dist = gf2.lane_weights(block ^ offset)
+        least = dist.min()
+        ties = block[dist == least] ^ base
+        for lane in range(ties.shape[1]):
+            ties = ties[ties[:, lane] == ties[:, lane].min()]
+        return int(least), tuple(ties[0].tolist())
+
+    _, best = min(nearest(block) for block in gf2.span_words(kern))
+    corrected = gf2.unpack_lanes(np.array([best], dtype=np.uint64), n)[0]
+    return a ^ gf2.matvec(h, corrected), corrected
+
+
+def decode_case(rng, width, dim, tie, flip=0.05):
+    """Operands of a decode whose coset has at least 2^dim words; with tie,
+    columns 0 and 1 of g agree and the received word differs on them, so
+    two coset words sit at every distance in pairs."""
+    g = gf2.random_bitmatrix(rng, width - dim, width)
+    target = gf2.random_bits(rng, width)
+    if tie:
+        g[:, 1] = g[:, 0]
+        target[1] = 1 - target[0]
+    u = target ^ (rng.random(width) < flip).astype(np.uint8)
+    h, a = gf2.random_bitmatrix(rng, 2, width), gf2.random_bits(rng, 2)
+    return target, gf2.matvec(g, u), g, a, h
+
+
+def assert_decodes_alike(operands):
+    b_hat, corrected = protocol.bob_decode(*operands)
+    b_ref, c_ref = reference_decode(*operands)
+    assert corrected.dtype == c_ref.dtype and corrected.tobytes() == c_ref.tobytes()
+    assert b_hat.dtype == b_ref.dtype and b_hat.tobytes() == b_ref.tobytes()
+
+
+@pytest.mark.parametrize("tie", [False, True])
+@pytest.mark.parametrize("width, dim", [(40, 17), (64, 18), (70, 17), (130, 18)])
+def test_bob_decode_matches_the_unseeded_scan_across_block_boundaries(width, dim, tie):
+    """Cosets of 2^17 to 2^19 words span several span_words blocks, and
+    only the low block holds the start word."""
+    rng = np.random.default_rng(width * 100 + dim * 2 + tie)
+    operands = decode_case(rng, width, dim, tie)
+    assert gf2.kernel_basis(operands[2]).shape[0] > gf2.SPAN_BLOCK_ROWS
+    assert_decodes_alike(operands)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    width=st.integers(0, 130),
+    dim=st.integers(0, 8),
+    tie=st.booleans(),
+    flip=st.sampled_from([0.02, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bob_decode_matches_the_unseeded_scan(width, dim, tie, flip, seed):
+    dim = min(dim, width)
+    operands = decode_case(np.random.default_rng(seed), width, dim, tie and width >= 2, flip)
+    assert_decodes_alike(operands)
+
+
 # ---------------------------------------------------------------------------
 # the public steps' checks
 
