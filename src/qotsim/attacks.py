@@ -207,13 +207,8 @@ def apply_strategy(
     finish_deferred measures them. A plan that does not fit the reception
     raises DomainError before any draw.
     """
-    strategy.check_fits(reception.n)
-    return _apply_strategy(strategy, reception, oracle, rng)
-
-
-def _apply_strategy(strategy: AttackStrategy, reception, oracle, rng) -> BobRecord:
-    """apply_strategy of a plan that fits the reception."""
     n = reception.n
+    strategy.check_fits(n)
     theta_hat = gf2.random_bits(rng, n)
     held, runtime = strategy._hold(n, rng)
 
@@ -257,11 +252,6 @@ def eve_intercept(
     counterpart, and raise DomainError before any draw."""
     if eve.kind not in (StrategyKind.HONEST, StrategyKind.FIXED_BASIS):
         raise DomainError("channel strategies are HONEST or FIXED_BASIS")
-    return _eve_intercept(eve, reception, rng)
-
-
-def _eve_intercept(eve: AttackStrategy, reception, rng) -> dict:
-    """eve_intercept of an HONEST or FIXED_BASIS strategy."""
     if eve.kind is StrategyKind.HONEST:
         bases = gf2.random_bits(rng, reception.n)
         record = {"bases": quantum._basis_text(bases)}

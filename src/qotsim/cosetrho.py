@@ -12,18 +12,24 @@ from the members' states of quantum's unchecked core; rho_closed_form
 writes the formula's value at each difference alpha xor alpha' as row 0 and
 fills every other row by copies; rho_zero_induction reproduces the
 recursive derivation; lemma1_certificate checks that low-distance state
-spans cannot tell rho_x from rho_x' when 2t < dN. The certificate evaluates
-rho_x - rho_x' on the low ball only, so neither full density nor its frame
-change is built.
+spans cannot tell rho_x from rho_x' when 2t < dN. The certificate reads
+rho_x - rho_x' on the low ball only, and by counting, so neither a full
+density, its frame change nor the ball's block is built.
 
-Every density here is real (float64), as the +/x amplitudes are, and so
-are the certificate's low-ball block and its eigenvalues. The block is
-rho_x - rho_x' of the closed form on the ball's states, gathered from each
-syndrome's column of closed-form values, so no coset member is enumerated:
-its entries are 0 or +-2^(1-N) exactly, a block inside the hypothesis is
-exactly 0, and theta does not change it. The code's memo keeps each
-syndrome's representative, each low ball and each (syndrome, ball) block,
-so a certificate checks its operands once and pays for its pair alone.
+Every density here is real (float64), as the +/x amplitudes are. On the
+ball's states the closed form makes rho_x - rho_x' a direct sum over the
+cosets of f's row span; on each coset it is 2^(1-N) sigma_i sigma_j
+between the states whose parities with delta = beta0(x) xor beta0(x')
+differ, and 0 elsewhere. That is a signed complete bipartite block between
+a and b states, of norm 2^(1-N) sqrt(a b) and with a closed-form top
+eigenvector, so no coset member is enumerated, no eigensolver runs, a
+certificate inside the hypothesis is exactly 0.0 and theta does not change
+it. The code's memo keeps each syndrome's representative, each low ball
+and, per ball, the states that share their row-span coset with another
+ball state and those cosets' numbers, so a certificate checks its
+operands once and pays for its pair alone: one parity and one count per
+linked state, and nothing when no state is linked (e covering every
+coordinate and 2t < dN).
 
 Normalization is by the actual coset size, which equals 2^-k exactly when f
 has full rank; with dependent rows the closed form still holds verbatim
@@ -197,32 +203,44 @@ def _certificate_operands(code: gf2.LinearCode, theta, x, x_prime, e, t, w_hat) 
     return theta, x, x_prime, e, t, w_hat
 
 
-def _low_ball_block(
-    code: gf2.LinearCode, x, x_prime, e, t: int, w_hat
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(P1 delta-rho P1 over the low-ball states of the conjugate frame,
-    their frame indices), from _certificate_operands' checked operands.
-    The conjugate frame of any theta gives the same block.
-
-    Each syndrome's part is its _closed_form_column gathered at low xor
-    low, kept in the code's memo per (syndrome, ball). Every entry is 0 or
-    +-2^-N, so the difference is 0 or +-2^(1-N) exactly. It is the member
-    sum (G_x - G_x') 2^-N / K, with G_x = S^T S and S[k, i] =
-    (-1)^popcount(beta_k & low[i]) over the K coset members, entry by
-    entry: sum_{kappa in ker f} (-1)^(kappa . d) = K [d in rowspan f] at
-    any rank, so G_x is K times the closed-form block.
-    """
+def _ball_links(code: gf2.LinearCode, e, t: int, w_hat) -> Tuple[np.ndarray, np.ndarray]:
+    """(low, links) for _certificate_operands' checked e, t and w_hat: the
+    low ball's conjugate-frame states, and a 2 x M array of the states that
+    share their coset of f's row span with another state of the ball (row
+    0) and the numbers of those cosets (row 1). By the closed form, delta
+    rho links two states only when they differ by a row-span word, so only
+    these states can meet it; with e every coordinate and 2t < dN there
+    are none. Both arrays are kept in the code's memo per ball."""
     ball = (e.tobytes(), w_hat.tobytes(), t)
     low = code.memo.get(("low ball", *ball), lambda: quantum._ball_projector(e, w_hat, t))
+    return low, code.memo.get(("ball cosets", *ball), lambda: _shared_cosets(code, low))
 
-    def ball_block(syndrome):
-        return code.memo.get(
-            ("ball block", syndrome.tobytes(), *ball),
-            lambda: _closed_form_column(code, code._particular(syndrome))[
-                np.bitwise_xor.outer(low, low)],
-        )
 
-    return ball_block(x) - ball_block(x_prime), low
+def _shared_cosets(code: gf2.LinearCode, states: np.ndarray) -> np.ndarray:
+    """_ball_links' links of states. A state's coset is numbered by the bits
+    of its parities with the kernel basis of f: two states differ by a
+    row-span word iff those parities agree, since the row span is the
+    annihilator of ker f at any rank."""
+    kernel = gf2.lane_prefix(gf2._pack_lanes(code.kernel), code.N)
+    coset = (np.bitwise_count(states[:, None] & kernel) & 1) @ (1 << np.arange(kernel.size))
+    shared = np.bincount(coset)[coset] > 1
+    return np.stack([states[shared], coset[shared]])
+
+
+def _side_counts(code: gf2.LinearCode, x, x_prime, links) -> Tuple[np.ndarray, np.ndarray]:
+    """(side, counts) over _ball_links' linked states: each state's side, its
+    parity with delta = beta0(x) xor beta0(x'), and counts[2c + s], the
+    number of states of coset c on side s.
+
+    On coset c the block of delta rho is 2^(1-N) sigma_i sigma_j between
+    states on different sides and 0 elsewhere, with sigma_i =
+    (-1)^popcount(state_i & beta0(x)): a signed complete bipartite block
+    between its a = counts[2c] and b = counts[2c + 1] states, of norm
+    2^(1-N) sqrt(a b).
+    """
+    delta = gf2._pack_int(code._particular(x) ^ code._particular(x_prime))
+    side = np.bitwise_count(links[0] & delta) & 1
+    return side, np.bincount(2 * links[1] + side, minlength=2 << code.kernel.shape[0])
 
 
 def _min_weight_on(code: gf2.LinearCode, e: np.ndarray):
@@ -247,73 +265,61 @@ def lemma1_certificate(
     conjugate-frame basis states within distance t of w_hat on e. That
     block is the same for every theta, so theta is checked but does not
     change the certificate. max_defect is the block's operator norm, the
-    norm of P1 (delta rho) P1 (_top_eigenpair's, and 0.0 for a block that
-    is exactly 0, as _low_ball_block's exact closed-form entries make every
-    in-hypothesis block), which bounds |<phi|delta rho|phi>| over the ball's
-    basis states (the block's diagonal is exactly 0: every coset has
-    weight 2^-N on every basis state of the frame). dN is the code's min
-    distance; when e covers every coordinate the hypothesis is 2t < dN,
-    and on a proper subset it tightens to the min span weight restricted
-    to e (what a ball on e can resolve). condition_met records the
-    hypothesis actually checked.
+    norm of P1 (delta rho) P1, which bounds |<phi|delta rho|phi>| over the
+    ball's states. The block is a direct sum over the cosets of f's row
+    span, of norms 2^(1-N) sqrt(a b) (_side_counts), so max_defect is
+    2^(1-N) sqrt(max a b): no eigensolver runs, and it is exactly 0.0 when
+    no coset holds states on both sides.
+    dN is the code's min distance; when e covers every coordinate the
+    hypothesis is 2t < dN, and on a proper subset it tightens to the min
+    span weight restricted to e (what a ball on e can resolve).
+    condition_met records the hypothesis actually checked.
     """
-    operands = _certificate_operands(code, theta, x, x_prime, e, t, w_hat)
-    block, low = _low_ball_block(code, *operands[1:])
-    # every in-hypothesis block is exactly 0, and so is its norm
-    op_norm = _top_eigenpair(code, block, low)[0] if block.any() else 0.0
-    e, t = operands[3], operands[4]
+    _, x, x_prime, e, t, w_hat = _certificate_operands(code, theta, x, x_prime, e, t, w_hat)
+    links, product = _ball_links(code, e, t, w_hat)[1], 0
+    if links.size:  # else no two ball states share a coset, and the block is 0
+        counts = _side_counts(code, x, x_prime, links)[1]
+        product = (counts[0::2] * counts[1::2]).max()
     d_min = code.distance
     d_eff = d_min if e.size == code.N else _min_weight_on(code, e)
-    return Lemma1Certificate(max_defect=op_norm, dN=d_min, condition_met=bool(2 * t < d_eff))
+    return Lemma1Certificate(max_defect=_norm(code, product), dN=d_min,
+                             condition_met=bool(2 * t < d_eff))
 
 
 def distinguishing_witness(
     code: gf2.LinearCode, theta, x, x_prime, e, t: int, w_hat
 ) -> Tuple[float, np.ndarray]:
-    """Best low-distance distinguisher by eigendecomposition.
+    """Best low-distance distinguisher, in closed form.
 
     Returns (|<phi|delta rho|phi>|, phi) where phi is the low-ball
-    eigenvector of P1 (delta rho) P1 with the largest absolute eigenvalue,
-    expressed in + amplitudes: theta does not change the block, only the
-    frame phi is mapped back from. Out-of-hypothesis configurations
-    (2t >= dN) should yield strictly positive values.
+    eigenvector of P1 (delta rho) P1 with eigenvalue +2^(1-N) sqrt(a b),
+    on the lowest-numbered row-span coset with the largest a b: frame
+    coordinates sigma_i / sqrt(2a) on side 0 and sigma_i / sqrt(2b) on
+    side 1, the signs and sides of _side_counts. A block that is all zero
+    gives 0.0 and the ball's first frame state. phi is expressed in + amplitudes:
+    theta does not change the block, only the frame phi is mapped back
+    from. Out-of-hypothesis configurations (2t >= dN) should yield
+    strictly positive values.
     """
-    operands = _certificate_operands(code, theta, x, x_prime, e, t, w_hat)
-    block, low = _low_ball_block(code, *operands[1:])
-    value, coords = _top_eigenpair(code, block, low)
+    theta, x, x_prime, e, t, w_hat = _certificate_operands(code, theta, x, x_prime, e, t, w_hat)
+    low, links = _ball_links(code, e, t, w_hat)
+    side, counts = _side_counts(code, x, x_prime, links)
+    products = counts[0::2] * counts[1::2]
+    best = int(np.argmax(products))
     phi = np.zeros(1 << code.N)
-    phi[low] = coords
-    return value, quantum.from_frame(phi, operands[0] ^ 1)
+    if products[best]:
+        inside = links[1] == best
+        members, beta0 = links[0, inside], gf2._pack_int(code._particular(x))
+        sigma = 1.0 - 2.0 * (np.bitwise_count(members & beta0) & 1)
+        phi[members] = sigma / np.sqrt(2.0 * counts[2 * best + side[inside]])
+    else:
+        phi[low[0]] = 1.0
+    return _norm(code, products[best]), quantum.from_frame(phi, theta ^ 1)
 
 
-def _top_eigenpair(
-    code: gf2.LinearCode, block: np.ndarray, low: np.ndarray
-) -> Tuple[float, np.ndarray]:
-    """(|lambda|, v): the eigenvalue of the low-ball block largest in
-    magnitude and its unit eigenvector over the ball's states low.
-
-    By the closed form, delta rho links two states only when they differ
-    by a row-span word, so the block is a direct sum over the ball's
-    states in each coset of the row span, at most 2^(r+m) of them, and
-    eigh solves each coset's block alone. |lambda| is read as the Rayleigh
-    quotient |v^T B v| / v^T v of eigh's vector: on an exact block it lies
-    within an ulp or two of the true norm, where eigh's and eigvalsh's
-    eigenvalues can be several ulps off.
-    """
-    span = gf2.lane_prefix(code.row_span, code.N)
-    labels = np.min(low[:, None] ^ span, axis=1)  # least state of each coset
-    order = np.argsort(labels, kind="stable")
-    best, vector = -1.0, np.zeros(low.size)
-    for members in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
-        sub = block[np.ix_(members, members)]
-        vals, vecs = np.linalg.eigh(sub)
-        v = vecs[:, int(np.argmax(np.abs(vals)))]
-        value = float(abs(v @ sub @ v) / (v @ v))
-        if value > best:
-            best = value
-            vector[:] = 0.0
-            vector[members] = v
-    return best, vector
+def _norm(code: gf2.LinearCode, product) -> float:
+    """2^(1-N) sqrt(a b), the norm of one coset's part of the block."""
+    return 2.0 ** (1 - code.N) * math.sqrt(int(product))
 
 
 def gv_trials(

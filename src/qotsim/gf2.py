@@ -313,28 +313,22 @@ def _solve_affine(m: np.ndarray, x: np.ndarray):
 
 class Memo:
     """Results derived from one code, each computed once and kept for the
-    life of the code that owns the memo, at most MEMO_MAX of them holding
-    at most MEMO_MAX_BYTES of arrays in all; past either bound, results
-    are computed and returned as computed, without being kept. Kept arrays
-    are made read-only, because every caller gets the same one.
+    life of the code that owns the memo, at most MEMO_MAX of them; past
+    that bound, results are computed and returned as computed, without
+    being kept. Kept arrays are made read-only, because every caller gets
+    the same one.
 
-    MEMO_MAX and MEMO_MAX_BYTES bound the memo; they are not tuned sizes.
-    Measured, a code keeps at most 26 results in the bench certify lists,
-    criteria 01 and 03 and the density-check runs: one particular solution
-    per syndrome (8, for 3 rows of f), one low ball per radius (2) and one
-    certificate ball block per syndrome and ball (16), at most 81 KB of
-    arrays outside density-check. A ball block over a ball of L basis
-    states holds 8 L^2 bytes, so the byte bound keeps the small blocks
-    that certificates share and recomputes the multi-megabyte blocks of
-    wide balls at N = 10, which a code seldom asks for twice.
+    MEMO_MAX bounds the memo; it is not a tuned size. Every kept array is
+    small: a particular solution holds N bits, a low ball (cosetrho) at
+    most 2^N int64 states and its shared cosets at most two int64 entries
+    per state, so at the density cap N = 10 no array exceeds 16 KiB and a
+    full memo holds at most 4 MiB.
     """
 
     MEMO_MAX = 256
-    MEMO_MAX_BYTES = 1 << 20
 
     def __init__(self):
         self._kept: dict = {}
-        self._bytes = 0
 
     def get(self, key, compute):
         """The kept result for key, else compute()'s, kept if there is room."""
@@ -343,13 +337,10 @@ class Memo:
         except KeyError:
             pass
         value = compute()
-        array = isinstance(value, np.ndarray)
-        size = value.nbytes if array else 0
-        if len(self._kept) < self.MEMO_MAX and self._bytes + size <= self.MEMO_MAX_BYTES:
-            if array:
+        if len(self._kept) < self.MEMO_MAX:
+            if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             self._kept[key] = value
-            self._bytes += size
         return value
 
 
@@ -428,7 +419,8 @@ class LinearCode:
     @functools.cached_property
     def memo(self) -> Memo:
         """Per-syndrome and per-ball results for this code (particular
-        solutions here, low-ball indices and ball blocks in cosetrho)."""
+        solutions here, low balls and their shared row-span cosets in
+        cosetrho)."""
         return Memo()
 
     @functools.cached_property

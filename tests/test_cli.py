@@ -638,42 +638,47 @@ def test_density_check_is_deterministic(tmp_path):
 
 # Five density-check runs frozen when certificate blocks became real: the
 # sha256 of density_summary.json, the sha256 of density_certificates.csv
-# without its max_defect column, and that column's sum. The certificate
-# block is exact, so an in-hypothesis max_defect is 0.0 on every host; an
-# out-of-hypothesis one is the norm LAPACK's eigh finds on the exact block,
-# whose last bits move with the BLAS thread count and with the kernels
-# OpenBLAS picks for the CPU, so its bytes are host dependent and the
-# column's sum is held to 1e-12; every other byte is exact arithmetic and
-# is the same on every host.
+# without its max_defect column, and that column's sum to 1e-12. Since the
+# certificates count instead of calling an eigensolver, every max_defect is
+# 2^(1-N) sqrt(a b) of integer counts, the same bytes on every host and
+# BLAS thread count, so each run also freezes the whole csv's sha256
+# (recorded when the counting form came in; the eigensolver's values
+# differed from it by at most 2 ulps in these runs).
 FROZEN_DENSITY_CHECKS = [
     (["--trials", "12", "--seed", "1"],
      "ee019eca9d8f87385420ba9f775292845e5fae27b436c233511941a38479482b",
      "0d1b8a29b7f657a0ff6393addb84b5d04841e0c81da06add8003be9e32221338",
-     1.65533008588991),
+     1.65533008588991,
+     "492f7a0a4e0216843e7aacae4c905ecfc999fee63855f1e8dd0274e409f75f40"),
     (["--N", "6", "--r", "0", "--m", "1", "--t", "1", "--trials", "12", "--seed", "2"],
      "cf107030861f011c9f475d4810c57f1179f006653fe8b372bf431880943107c7",
      "535f5e4aa6d9cffe5c1a51d2554fcd5c3468537c4b1a047520db74c4f7a03d95",
-     0.15624999999999997),
+     0.15624999999999997,
+     "ef2af113db9b874a36156c8cb45f70cb522340787c3dd9735eece0fb4085e201"),
     (["--N", "8", "--r", "2", "--m", "1", "--t", "2", "--trials", "8", "--seed", "3"],
      "a9bd318c13298ab1e132fd5e5b88bb98e0de4523d3639e277bf43ece990d511c",
      "33806198866af93a8669c9f7bb2b20516524b8ded082c8830ddeece815cd79ae",
-     0.08515230419227861),
+     0.08515230419227861,
+     "5c0fcd8498454baa0ffa24aa8c8cec413b4700946f6c6c9b4916c9895e557425"),
     (["--N", "10", "--r", "1", "--m", "2", "--t", "1", "--trials", "6", "--seed", "4"],
      "1c28333fa3874067eb1c809395325f71f294eb16ccec2f3856c090313d149161",
      "00c0042f2b674804166efac8de5098a14b93e711859a120c13e02c82ee0c0a37",
-     0.003906249999999999),
+     0.003906249999999999,
+     "4c57899ddb0c83ade635223932b6e42eefc87273662068f2222d7fc5d422e0c2"),
     (["--N", "7", "--r", "0", "--m", "3", "--trials", "12", "--seed", "5"],
      "1543861fe936664388e1d0e97c083cbb956e65efe9a58078ffb600b243bfb846",
      "17470bd475a0745bb67a42789b4a9ed5bad381607710284fdd11328b69dd7836",
-     0.283462815198213),
+     0.283462815198213,
+     "11db1091d56386f1c0a7566be3809e9916c419b032e46915a814b40c20fd648e"),
 ]
 
 
 @pytest.mark.parametrize(
-    "flags, summary_sha, exact_sha, defect_sum", FROZEN_DENSITY_CHECKS,
+    "flags, summary_sha, exact_sha, defect_sum, certificates_sha", FROZEN_DENSITY_CHECKS,
     ids=[f"run{i}" for i in range(len(FROZEN_DENSITY_CHECKS))],
 )
-def test_density_check_artifacts_are_frozen(tmp_path, flags, summary_sha, exact_sha, defect_sum):
+def test_density_check_artifacts_are_frozen(tmp_path, flags, summary_sha, exact_sha, defect_sum,
+                                            certificates_sha):
     assert run(["density-check", *flags, "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "density_certificates.csv", "density_summary.json"
@@ -686,13 +691,15 @@ def test_density_check_artifacts_are_frozen(tmp_path, flags, summary_sha, exact_
     assert hashlib.sha256(exact).hexdigest() == exact_sha
     assert rows[0][1] == "max_defect"
     assert sum(float(row[1]) for row in rows[1:]) == pytest.approx(defect_sum, rel=0, abs=1e-12)
+    certificates = (tmp_path / "density_certificates.csv").read_bytes()
+    assert hashlib.sha256(certificates).hexdigest() == certificates_sha
 
 
 def test_in_hypothesis_certificates_do_not_depend_on_blas_threads(tmp_path):
-    """The same density-check under one and two OpenBLAS threads writes the
-    same condition_met = 1 rows byte for byte (max_defect 0.0, an exact
-    block). Out-of-hypothesis rows may still differ in max_defect's last
-    bits, through eigh."""
+    """The same density-check under one and two OpenBLAS threads writes
+    every row byte for byte the same, out-of-hypothesis rows included:
+    each max_defect is counted, with no eigensolver, and each in-hypothesis
+    one is 0.0."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     rows = {}
     for threads in ("1", "2"):
@@ -704,10 +711,11 @@ def test_in_hypothesis_certificates_do_not_depend_on_blas_threads(tmp_path):
              "--m", "1", "--trials", "8", "--seed", "3", "--out", str(out)],
             env=env, check=True, capture_output=True,
         )
-        lines = (out / "density_certificates.csv").read_text().splitlines()[1:]
-        rows[threads] = [line for line in lines if line.split(",")[3] == "1"]
-    assert rows["1"] and rows["1"] == rows["2"]
-    assert all(line.endswith(",0.0") for line in rows["1"])
+        rows[threads] = (out / "density_certificates.csv").read_text().splitlines()[1:]
+    assert rows["1"] == rows["2"]
+    met = [line for line in rows["1"] if line.split(",")[3] == "1"]
+    assert met and all(line.endswith(",0.0") for line in met)
+    assert any(line.split(",")[3] == "0" and not line.endswith(",0.0") for line in rows["1"])
 
 
 def test_density_check_exits_three_on_a_violated_certificate(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qotsim import cosetrho, gf2, quantum
@@ -113,10 +113,21 @@ def test_gram_signs_are_the_scaled_conjugate_frame_amplitudes(n, seed):
 
 
 def low_ball_block(code, theta, x, x_prime, e, t, w_hat):
-    """cosetrho._low_ball_block on operands checked as a certificate
-    checks them (theta is checked, but the block does not take it)."""
-    operands = cosetrho._certificate_operands(code, theta, x, x_prime, e, t, w_hat)
-    return cosetrho._low_ball_block(code, *operands[1:])
+    """(P1 delta-rho P1 over the low-ball states of the conjugate frame,
+    their frame indices), built whole on operands checked as a certificate
+    checks them (theta is checked, but the block does not take it): each
+    syndrome's closed-form column gathered at the xor of every pair of the
+    ball's states, then one subtraction. The reference that the counting
+    form of lemma1_certificate and distinguishing_witness is held to."""
+    _, x, x_prime, e, t, w_hat = cosetrho._certificate_operands(
+        code, theta, x, x_prime, e, t, w_hat)
+    low = quantum.ball_projector(e, w_hat, t)
+
+    def gather(syndrome):
+        column = cosetrho._closed_form_column(code, code.particular(syndrome))
+        return column[np.bitwise_xor.outer(low, low)]
+
+    return gather(x) - gather(x_prime), low
 
 
 def reference_float_block(code, theta, x, x_prime, e, t, w_hat):
@@ -555,10 +566,71 @@ def test_ball_block_is_the_scaled_member_gram_difference(drawn, data):
             assert block.dtype == np.float64 and np.array_equal(block, expect)
 
 
+def reference_max_product(code, x, x_prime, low):
+    """max a b over the cosets of f's row span in the ball low, the long
+    way: each state labelled by its least xor with a span word, a and b
+    counting a label's states of each parity with beta0(x) xor beta0(x')."""
+    span = gf2.lane_prefix(code.row_span, code.N)
+    labels = np.min(low[:, None] ^ span, axis=1)
+    delta = gf2.pack_int(code.particular(x) ^ code.particular(x_prime))
+    side = np.bitwise_count(low & delta) & 1
+    return max(int(np.sum(side[labels == c] == 0) * np.sum(side[labels == c] == 1))
+               for c in np.unique(labels))
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_codes(), st.data())
+def test_counted_certificate_and_witness_match_the_reference_block(drawn, data):
+    """max_defect is 2^(1-N) sqrt(max a b) exactly, 0.0 in the hypothesis,
+    and within 1e-14 relative of eigvalsh on the reference block; the
+    witness is a unit vector in the ball that reaches that value on the
+    difference of the brute-force densities."""
+    args = certificate_args(drawn, data)
+    assume(args is not None)
+    code, theta, x, x_prime = args[:4]
+    block, low = low_ball_block(*args)
+    cert = cosetrho.lemma1_certificate(*args)
+    value, phi = cosetrho.distinguishing_witness(*args)
+    assert value == cert.max_defect
+    assert cert.max_defect == 2.0 ** (1 - code.N) * math.sqrt(
+        reference_max_product(code, x, x_prime, low))
+    if cert.condition_met:
+        assert cert.max_defect == 0.0
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(block))))
+    assert abs(cert.max_defect - norm) <= 1e-14 * norm
+    assert abs(np.linalg.norm(phi) - 1.0) <= 1e-12
+    coords = quantum.to_frame(phi, quantum.conjugate_bases(theta))
+    coords[low] = 0.0
+    assert np.max(np.abs(coords)) <= 1e-12
+    diff = (cosetrho.rho_brute(cosetrho.coset_ensemble(code, x, theta))
+            - cosetrho.rho_brute(cosetrho.coset_ensemble(code, x_prime, theta)))
+    assert abs(phi @ diff @ phi - value) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_codes(max_n=10), st.data())
+def test_certificate_sees_a_difference_iff_2t_reaches_the_pair_distance(drawn, data):
+    """With e every coordinate, max_defect > 0 iff 2t >= d(x, x'), the
+    least weight of f^T y over the y with y . (x xor x') = 1: two ball
+    states differ by any word of weight at most 2t, and by no heavier."""
+    code, rng = drawn
+    syndromes = valid_syndromes(code)
+    assume(len(syndromes) >= 2)
+    i, j = data.draw(st.lists(st.integers(0, len(syndromes) - 1), min_size=2,
+                              max_size=2, unique=True))
+    x, x_prime, t = syndromes[i], syndromes[j], data.draw(st.integers(0, code.N))
+    rows = code.f.shape[0]
+    d = min(int(np.sum(y @ code.f & 1)) for y in itertools.product([0, 1], repeat=rows)
+            if np.dot(y, x ^ x_prime) & 1)
+    cert = cosetrho.lemma1_certificate(code, gf2.random_bits(rng, code.N), x, x_prime,
+                                       range(code.N), t, gf2.random_bits(rng, code.N))
+    assert (cert.max_defect > 0) == (2 * t >= d)
+
+
 @pytest.mark.parametrize("e", [range(5), [0, 1, 3]])
 def test_certificate_checks_each_operand_once(monkeypatch, e):
     """One bit check per bit-string operand (theta, x, x', w_hat) per
-    certificate, whether its low ball and ball blocks are new or kept."""
+    certificate, whether its low ball and shared cosets are new or kept."""
     code = gf2.LinearCode(f=gf2.bitmatrix(["11100", "00111"]), r=1, m=1)
     code.distance, code.row_span  # per-code facts, cached
     checked = []
@@ -575,73 +647,80 @@ def test_certificate_checks_each_operand_once(monkeypatch, e):
         checked.clear()
 
 
-def test_ball_blocks_are_built_once_per_code_syndrome_and_ball(monkeypatch):
-    """Each (syndrome, ball) block is gathered from one closed-form column
-    and kept under one memo key, however many pairs share it; another
-    theta reuses it, since the block over theta's conjugate frame is the
-    same for every theta."""
-    built = []
-    real = cosetrho._closed_form_column
+def test_ball_cosets_are_found_once_per_code_and_ball(monkeypatch):
+    """Each ball's shared row-span cosets are found once and kept,
+    read-only, under one memo key beside the low ball, however many
+    syndrome pairs and thetas share the ball; no certificate builds a
+    closed-form column, and another centre, subset or code has cosets of
+    its own. Inside the hypothesis with e every coordinate no two ball
+    states share a coset, so nothing is linked."""
+    found = []
+    real = cosetrho._shared_cosets
+    monkeypatch.setattr(cosetrho, "_shared_cosets",
+                        lambda on, states: found.append(on) or real(on, states))
     monkeypatch.setattr(cosetrho, "_closed_form_column",
-                        lambda on, beta0: built.append(on) or real(on, beta0))
+                        lambda *a: pytest.fail("a certificate built a block"))
     f = gf2.bitmatrix(["1110000", "0011100", "0000111"])
     code = gf2.LinearCode(f=f, r=1, m=2)
 
-    def block_keys(on):
-        return [key for key in on.memo._kept if key[0] == "ball block"]
+    def kept(on, name):
+        return [v for key, v in on.memo._kept.items() if key[0] == name]
 
     syndromes = valid_syndromes(code)
     assert len(syndromes) == 8
-    blocks = {}
-    for x, x_prime in itertools.combinations(syndromes, 2):
-        for t in (0, 1):
-            args = (code, "0101010", x, x_prime, range(7), t, "0" * 7)
-            cosetrho.lemma1_certificate(*args)
-            blocks[x.tobytes(), x_prime.tobytes(), t] = low_ball_block(*args)[0]
-    assert len(built) == 16 and all(on is code for on in built)
-    assert len(block_keys(code)) == 16
-    for theta in ("1101010", "xxxxxxx"):
-        for (x, x_prime, t), block in blocks.items():
-            args = (code, theta, np.frombuffer(x, dtype=np.uint8),
-                    np.frombuffer(x_prime, dtype=np.uint8), range(7), t, "0" * 7)
-            assert np.array_equal(low_ball_block(*args)[0], block)
-    assert len(built) == 16
-    # another centre, subset or code is a block of its own
+    for theta in ("0101010", "1101010", "xxxxxxx"):
+        for x, x_prime in itertools.combinations(syndromes, 2):
+            for t in (0, 1):
+                args = (code, theta, x, x_prime, range(7), t, "0" * 7)
+                assert cosetrho.lemma1_certificate(*args).max_defect == 0.0
+                assert cosetrho.distinguishing_witness(*args)[0] == 0.0
+    assert len(found) == 2 and all(on is code for on in found)
+    links, balls = kept(code, "ball cosets"), kept(code, "low ball")
+    assert [a.shape for a in links] == [(2, 0)] * 2 and [b.size for b in balls] == [1, 8]
+    assert not any(a.flags.writeable for a in links + balls)
     for e, w_hat, on in ((range(7), "1" + "0" * 6, code), ([0, 1], "0" * 7, code),
                          (range(7), "0" * 7, gf2.LinearCode(f=f, r=1, m=2))):
         cosetrho.lemma1_certificate(on, "0101010", syndromes[0], syndromes[1], e, 1, w_hat)
-    assert len(built) == 22 and len(block_keys(code)) == 20
+    assert len(found) == 5 and len(kept(code, "ball cosets")) == 4
+    # on two coordinates, each of the ball's 3 * 2^5 states shares its coset
+    assert kept(code, "ball cosets")[-1].shape == (2, 3 * 32)
 
 
 @pytest.mark.parametrize("check", [cosetrho.lemma1_certificate, cosetrho.distinguishing_witness])
 def test_certificates_reject_a_syndrome_outside_the_image(check):
     """A rank-deficient f has syndromes with an empty coset; either one of
-    the pair is refused before any low ball or ball block is built."""
+    the pair is refused before any low ball or its cosets are found."""
     code = gf2.LinearCode(f=gf2.bitmatrix(["1100", "1100", "0011"]), r=1, m=2)
     inside, outside = [0, 0, 1], [1, 0, 0]
     assert code.particular(inside) is not None and code.particular(outside) is None
     for x, x_prime in ((inside, outside), (outside, inside)):
         with pytest.raises(DomainError, match="image of f"):
             check(code, "0000", x, x_prime, range(4), 1, "0000")
-    assert not any(key[0] in ("ball block", "low ball") for key in code.memo._kept)
+    assert not any(key[0] in ("ball cosets", "low ball") for key in code.memo._kept)
 
 
-def test_nonzero_blocks_are_solved_one_row_span_coset_at_a_time(monkeypatch):
+def test_nonzero_blocks_are_counted_one_row_span_coset_at_a_time(monkeypatch):
     """A full-radius block over all 2^N states is a direct sum of 2^(N-2)
-    blocks of 4 states, one per coset of a rank-2 row span, and eigh sees
-    only those; the norm and witness are the full block's."""
-    sizes = []
-    real = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or real(a))
+    parts of 4 states, one per coset of a rank-2 row span, each split 2 + 2
+    by its parity with delta; the norm 2^(1-N) sqrt(2 * 2) and witness are
+    the full block's, found with no eigensolver."""
+    for name in ("eigh", "eigvalsh", "eig", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("an eigensolver ran"))
     code = gf2.LinearCode(f=gf2.bitmatrix(["110100", "011010"]), r=1, m=1)
     args = (code, "010011", [0, 0], [0, 1], range(6), 6, "000000")
+    operands = cosetrho._certificate_operands(*args)
+    low, links = cosetrho._ball_links(code, *operands[3:])
+    assert np.array_equal(low, np.arange(64)) and np.array_equal(links[0], low)
+    assert np.array_equal(np.bincount(links[1]), [4] * 16)
+    assert cosetrho._side_counts(code, *operands[1:3], links)[1].tolist() == [2] * 32
     cert = cosetrho.lemma1_certificate(*args)
     value, phi = cosetrho.distinguishing_witness(*args)
-    assert sizes == [4] * 32
+    assert cert.max_defect == value == 2.0 ** -5 * 2 and not cert.condition_met
+    monkeypatch.undo()
     block, _ = low_ball_block(*args)
-    full = float(np.max(np.abs(np.linalg.eigvalsh(block))))
-    assert abs(cert.max_defect - full) <= 1e-15 and value == cert.max_defect
-    assert not cert.condition_met and value > 1e-3
+    assert abs(cert.max_defect - float(np.max(np.abs(np.linalg.eigvalsh(block))))) <= 1e-15
+    coords = quantum.to_frame(phi, quantum.conjugate_bases(operands[0]))
+    assert abs(coords @ block @ coords - value) <= 1e-15
 
 
 @pytest.mark.parametrize("t", [-1, 1.5, "1", None, True, np.True_, np.float64(1.0)])
@@ -651,18 +730,24 @@ def test_certificate_rejects_a_radius_that_is_not_a_nonnegative_integer(t):
         cosetrho.lemma1_certificate(code, "0000", [0], [1], range(4), t, "0000")
 
 
-def test_wide_ball_blocks_stay_within_the_memo_byte_bound():
-    """A full-radius ball block at N = 10 (1024 x 1024 floats) is larger
-    than the memo's byte bound, so it is recomputed, not kept; a small
-    block of the same code is kept."""
+def test_wide_balls_keep_small_read_only_arrays():
+    """A full-radius ball at N = 10 keeps its 1024 states (8 KiB) and their
+    shared cosets (16 KiB), read-only, beside a radius-0 ball of the same
+    code, inside the hypothesis, that links no state: nothing quadratic
+    in the ball is built or kept."""
     code = gf2.LinearCode(f=gf2.random_bitmatrix(np.random.default_rng(1400), 3, 10), r=1, m=2)
     x, x_prime = valid_syndromes(code)[:2]
     wide = cosetrho.lemma1_certificate(code, "0" * 10, x, x_prime, range(10), 10, "0" * 10)
-    assert not wide.condition_met and wide.max_defect > 0.0
-    cosetrho.lemma1_certificate(code, "0" * 10, x, x_prime, range(10), 1, "0" * 10)
-    blocks = [v for key, v in code.memo._kept.items() if key[0] == "ball block"]
-    assert [b.shape for b in blocks] == [(11, 11)] * 2
-    assert code.memo._bytes <= gf2.Memo.MEMO_MAX_BYTES
+    assert not wide.condition_met and wide.max_defect == 2.0 ** -9 * 4
+    narrow = cosetrho.lemma1_certificate(code, "0" * 10, x, x_prime, range(10), 0, "0" * 10)
+    assert narrow.condition_met and narrow.max_defect == 0.0
+    arrays = {key[0] + str(key[3]): v for key, v in code.memo._kept.items()
+              if key[0] in ("low ball", "ball cosets")}
+    assert {k: a.shape for k, a in arrays.items()} == {
+        "low ball10": (1024,), "ball cosets10": (2, 1024), "low ball0": (1,),
+        "ball cosets0": (2, 0)}
+    assert max(a.nbytes for a in arrays.values()) == 16 << 10
+    assert not any(a.flags.writeable for a in arrays.values())
 
 
 def test_rho_brute_matches_the_per_member_outer_product_loop():

@@ -902,32 +902,18 @@ def test_particular_solutions_are_solved_once_per_syndrome(monkeypatch):
 
 
 def test_memo_keeps_at_most_memo_max_results():
+    """The first MEMO_MAX results are kept, arrays read-only; past the bound
+    each is computed again on every call and returned as computed."""
     memo = gf2.Memo()
     computed = []
-    for key in range(gf2.Memo.MEMO_MAX + 5):
+    kept = memo.get("array", lambda: np.zeros(60, dtype=np.uint8))
+    assert memo.get("array", lambda: pytest.fail("kept result recomputed")) is kept
+    assert not kept.flags.writeable
+    for key in range(gf2.Memo.MEMO_MAX + 4):
         assert memo.get(key, lambda: computed.append(key) or key * 2) == key * 2
-    # the first MEMO_MAX are kept; the rest are computed again on every call
     assert memo.get(0, lambda: pytest.fail("kept result recomputed")) == 0
-    last = gf2.Memo.MEMO_MAX + 4
+    last = gf2.Memo.MEMO_MAX + 3
     assert memo.get(last, lambda: computed.append(last) or last * 2) == last * 2
-    assert computed.count(last) == 2 and len(computed) == gf2.Memo.MEMO_MAX + 6
-
-
-def test_memo_keeps_at_most_memo_max_bytes_of_arrays(monkeypatch):
-    """Arrays are kept, read-only, while their bytes fit MEMO_MAX_BYTES in
-    all; a larger one is computed again on every call and returned as
-    computed, and smaller ones still fit."""
-    monkeypatch.setattr(gf2.Memo, "MEMO_MAX_BYTES", 100)
-    memo = gf2.Memo()
-    computed = []
-
-    def array(key, size):
-        return memo.get(key, lambda: computed.append(key) or np.zeros(size, dtype=np.uint8))
-
-    kept = array("a", 60)
-    assert kept.nbytes == 60 and array("a", 60) is kept and not kept.flags.writeable
-    big = array("b", 41)
-    assert big.flags.writeable and array("b", 41) is not big
-    assert array("c", 40) is array("c", 40)
-    assert array("d", 1).size == 1 and array("d", 1).size == 1
-    assert computed == ["a", "b", "b", "c", "d", "d"]
+    assert computed.count(last) == 2 and len(computed) == gf2.Memo.MEMO_MAX + 5
+    past = memo.get("late array", lambda: np.zeros(4, dtype=np.uint8))
+    assert past.flags.writeable and memo.get("late array", lambda: past.copy()) is not past
