@@ -28,7 +28,6 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import cache
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -562,7 +561,6 @@ def _exact_engine(
         measured = [(0.5, ty) for ty in bases]
         p_rest = 0.5 * sum(_measured_slot(probes[ty], ty, p)[0][1, 0] for ty in bases)
 
-    @cache
     def pattern_stats(pattern: tuple) -> Tuple[float, float]:
         """(entropy, defect) of the view class with these slot kinds."""
         tables, chances = zip(*(slots[kind] for kind in pattern))

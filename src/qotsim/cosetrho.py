@@ -10,9 +10,10 @@ Expressed over the opposite product basis, rho_x has the closed form
 for any coset representative beta0. rho_brute builds the mixture directly,
 from the members' states of quantum's unchecked core; rho_closed_form
 writes the formula's value at each difference alpha xor alpha' as row 0 and
-fills every other row by copies; rho_zero_induction reproduces the
-recursive derivation; lemma1_certificate checks that low-distance state
-spans cannot tell rho_x from rho_x' when 2t < dN. The certificate reads
+fills every other row by copies (_xor_fill), as induction_form does for
+the steps of the recursive derivation that rho_zero_induction reproduces;
+lemma1_certificate checks that low-distance state spans cannot tell rho_x
+from rho_x' when 2t < dN. The certificate reads
 rho_x - rho_x' on the low ball only, and by counting, so neither a full
 density, its frame change nor the ball's block is built.
 
@@ -96,19 +97,21 @@ def rho_brute(ens: CosetEnsemble) -> np.ndarray:
 
 
 def rho_closed_form(ens: CosetEnsemble) -> np.ndarray:
-    """The formula above; real entries over the conjugate basis of theta.
+    """The formula above; real entries over the conjugate basis of theta."""
+    _check_density_cap(ens.code.N)
+    return _xor_fill(_closed_form_column(ens.code, ens.beta0))
 
-    Entry (alpha, alpha') depends on alpha xor alpha' alone, so row 0 is
-    the column of closed-form values and every other row is a copy of
-    earlier ones: for h = 1, 2, 4, ..., rows h..2h-1 are rows 0..h-1 with
-    each h-aligned block of columns swapped with its partner (xor h).
-    """
-    n = ens.code.N
-    _check_density_cap(n)
-    size = 1 << n
+
+def _xor_fill(column: np.ndarray) -> np.ndarray:
+    """The 2^n x 2^n matrix whose entry (alpha, alpha') is
+    column[alpha xor alpha']. Row 0 is column and every other row is a
+    copy of earlier ones: for h = 1, 2, 4, ..., rows h..2h-1 are rows
+    0..h-1 with each h-aligned block of columns swapped with its partner
+    (xor h)."""
+    size = column.size
     rho = np.empty((size, size))
-    rho[0] = _closed_form_column(ens.code, ens.beta0)
-    for i in range(n):
+    rho[0] = column
+    for i in range(size.bit_length() - 1):
         # rows 0..2h-1 for h = 2^i: (half, row and block pair, block, column)
         rows = rho[: 2 << i].reshape(2, size >> 1, 2, 1 << i)
         rows[1] = rows[0, :, ::-1]
@@ -128,16 +131,17 @@ def _closed_form_column(code: gf2.LinearCode, beta0: np.ndarray) -> np.ndarray:
 
 def induction_form(kernel_rows: np.ndarray, n_cols: int) -> np.ndarray:
     """Claimed matrix of rho^(j) over the conjugate basis: 2^-N on pairs
-    whose difference annihilates every listed kernel vector, else 0."""
+    whose difference annihilates every listed kernel vector, else 0. No
+    rows, as [] or a (0, n_cols) bit matrix, constrain nothing."""
+    n_cols = gf2.integer(n_cols, "n_cols", least=0)
+    _check_density_cap(n_cols)
+    rows = np.asarray(kernel_rows)
+    if rows.ndim == 1 and not rows.size:
+        rows = rows.reshape(0, n_cols)
+    words = gf2.lane_prefix(gf2._pack_lanes(gf2.bitmatrix(rows, cols=n_cols)), n_cols)
     idx = np.arange(1 << n_cols, dtype=np.int64)
-    perp = np.ones(1 << n_cols, dtype=bool)
-    for row in np.atleast_2d(kernel_rows):
-        if row.size == 0:
-            continue
-        packed = gf2.pack_int(row)
-        perp &= (np.bitwise_count(idx & packed) & 1) == 0
-    delta = idx[:, None] ^ idx[None, :]
-    return (2.0 ** -n_cols) * perp[delta]
+    odd = (np.bitwise_count(idx[:, None] & words) & 1).any(axis=1)
+    return _xor_fill((2.0 ** -n_cols) * ~odd)
 
 
 def rho_zero_induction(
@@ -163,10 +167,7 @@ def rho_zero_induction(
             gf2.matvec(code.f, row).any() for row in kernel
         ):
             raise DomainError("supplied vectors are not a kernel basis of f")
-    if code.N > quantum.DENSITY_MAX_N or kernel.shape[0] > COSET_MAX_DIM:
-        raise ResourceError(
-            f"induction caps at N={quantum.DENSITY_MAX_N}, kernel dimension {COSET_MAX_DIM}"
-        )
+    _check_density_cap(code.N)
     zero = quantum.bb84_state(np.zeros(code.N, dtype=np.uint8), theta)
     rho = np.outer(zero, zero.conj())
     out = [rho]

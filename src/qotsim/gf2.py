@@ -44,7 +44,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -303,12 +303,20 @@ def _solve_affine(m: np.ndarray, x: np.ndarray):
     """solve_affine of a bit matrix and a bit vector of its row count."""
     cols = m.shape[1]
     red = _row_reduce(np.concatenate([m, x.reshape(-1, 1)], axis=1))
-    kern = _kernel_from(red, cols)
-    if cols in red.pivots:  # pivot in the augmented column: inconsistent
-        return None, kern
-    particular = np.zeros(cols, dtype=np.uint8)
-    particular[list(red.pivots)] = red.matrix[: red.rank, cols]
-    return particular, kern
+    return _coset(red, cols, red.matrix[:, cols]), _kernel_from(red, cols)
+
+
+def _coset(red: RowReduction, cols: int, carried: np.ndarray) -> Optional[np.ndarray]:
+    """The solution of m beta = x whose free columns are 0, from any RREF
+    of [m | X] (m its first cols columns) and x carried through the same
+    elimination: the carried bits on m's pivot rows, or None when a row
+    past m's rank carries a 1."""
+    pivots = [c for c in red.pivots if c < cols]
+    if carried[len(pivots) :].any():
+        return None
+    beta = np.zeros(cols, dtype=np.uint8)
+    beta[pivots] = carried[: len(pivots)]
+    return beta
 
 
 class Memo:
@@ -397,7 +405,7 @@ class LinearCode:
     def _reduction(self) -> RowReduction:
         """The RREF of [f | I], the code's one elimination: restricted to
         f's columns it is RREF(f), which gives the kernel, and its last
-        columns give the syndrome map."""
+        columns carry a syndrome through it for _coset."""
         rows = self.f.shape[0]
         return _row_reduce(np.concatenate([self.f, np.eye(rows, dtype=np.uint8)], axis=1))
 
@@ -405,16 +413,6 @@ class LinearCode:
     def kernel(self) -> np.ndarray:
         """kernel_basis(f), one row per free column."""
         return _kernel_from(self._reduction, self.N)
-
-    @functools.cached_property
-    def _syndrome_map(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(E, the pivot columns of f), from the RREF of [f | I]: E f is
-        RREF(f), so E x carries a syndrome x through the elimination that
-        solve_affine performs on [f | x]. The first rank entries of E x are
-        beta0 on the pivot columns; the rest vanish iff x is in the image."""
-        n, red = self.N, self._reduction
-        pivots = np.array([c for c in red.pivots if c < n], dtype=np.intp)
-        return red.matrix[:, n:].astype(np.int64), pivots
 
     @functools.cached_property
     def memo(self) -> Memo:
@@ -445,13 +443,8 @@ class LinearCode:
         return self.memo.get(("particular", x.tobytes()), lambda: self._solve(x))
 
     def _solve(self, x: np.ndarray) -> Optional[np.ndarray]:
-        carry, pivots = self._syndrome_map
-        carried = carry @ x & 1
-        if carried[pivots.size :].any():
-            return None
-        beta0 = np.zeros(self.N, dtype=np.uint8)
-        beta0[pivots] = carried[: pivots.size]
-        return beta0
+        red = self._reduction
+        return _coset(red, self.N, red.matrix[:, self.N :] @ x & 1)
 
 
 def parity_code(n_cols: int) -> LinearCode:

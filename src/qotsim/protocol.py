@@ -230,7 +230,7 @@ class Reception:
 
     measure_many checks a block of distinct positions with finite angles
     and calls _measure_many, which a runner calls directly on the blocks it
-    makes; measure checks one photon. Both end in _measure, which gathers
+    makes; measure checks one photon and calls it too. _measure_many gathers
     p1 from the Born table and draws the block's k uniforms with one
     rng.random(k) call, the same doubles as k scalar draws. Bad positions
     and angles raise DomainError (by the rules of gf2) before any draw.
@@ -260,28 +260,22 @@ class Reception:
     def _measure_many(self, pos: np.ndarray, angles, rng) -> np.ndarray:
         """measure_many of checked distinct positions and finite angles (a
         float, or a float64 array of one per position)."""
-        if not pos.size:
-            return np.zeros(0, dtype=np.uint8)
-        return self._measure(pos, self._index(angles), rng)
-
-    def measure(self, position: int, angle: float, rng: np.random.Generator) -> int:
-        pos = gf2.position_block([gf2.integer(position, "a measurement position")], self.n)
-        angle = gf2.number(angle, "a measurement angle")
-        return int(self._measure(pos, self._index(angle), rng)[0])
-
-    def measure_basis(self, position: int, basis: int, rng: np.random.Generator) -> int:
-        if basis not in (quantum.PLUS, quantum.CROSS):
-            raise DomainError("a basis is + (0) or x (1)")
-        return self.measure(position, self._angles[int(basis)], rng)
-
-    def _measure(self, pos: np.ndarray, probe, rng: np.random.Generator) -> np.ndarray:
-        """Measure the checked distinct positions pos, in order, at the
-        angle table entry probe (one, or one per position)."""
+        probe = self._index(angles)
         p1 = self._born[self._held[pos], self._bits[pos], probe]
         out = (rng.random(pos.size) < p1).astype(np.uint8)
         self._held[pos] = probe
         self._bits[pos] = out
         return out
+
+    def measure(self, position: int, angle: float, rng: np.random.Generator) -> int:
+        pos = gf2.position_block([gf2.integer(position, "a measurement position")], self.n)
+        angle = gf2.number(angle, "a measurement angle")
+        return int(self._measure_many(pos, angle, rng)[0])
+
+    def measure_basis(self, position: int, basis: int, rng: np.random.Generator) -> int:
+        if basis not in (quantum.PLUS, quantum.CROSS):
+            raise DomainError("a basis is + (0) or x (1)")
+        return self.measure(position, self._angles[int(basis)], rng)
 
     def _index(self, angles):
         """The entry in the angle table of one angle (a number or a 0-d

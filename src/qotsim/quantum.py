@@ -16,7 +16,8 @@ statevector, keeping its inputs' dtype (complex states still work). A
 receiver forms no statevector: no step of the protocol entangles
 photons, so protocol.Reception holds each photon as a basis state, and
 measure_photons is the reference it is tested against. STATEVECTOR_MAX_N
-caps only the statevectors bb84_states builds.
+caps the 2^n arrays built here: the statevectors of bb84_states and the
+ball_projector's scan of every basis index.
 
 Densities and frames keep their input's dtype too: density_from_ensemble,
 density_in_frame, to_frame/from_frame and ShiftOp.conjugate return
@@ -310,6 +311,8 @@ def ball_projector(e, center, t: int) -> np.ndarray:
     projector onto the distance-t ball around center on the positions e."""
     t = gf2.integer(t, "ball radius", least=0)
     center = gf2.bits(center)
+    if center.size > STATEVECTOR_MAX_N:
+        raise ResourceError(f"ball projectors cap at n={STATEVECTOR_MAX_N}")
     return _ball_projector(gf2.position_set(e, center.size), center, t)
 
 
@@ -345,7 +348,10 @@ class ShiftOp:
         dtype: float64 for a real rho, complex128 for a complex one."""
         n = len(self.gates)
         dim = 1 << n
-        out = np.array(_real_or_complex(rho)).reshape([2] * (2 * n))
+        rho = _real_or_complex(rho)
+        if rho.shape != (dim, dim):
+            raise DimensionError("density dimension does not match the shift")
+        out = np.array(rho).reshape([2] * (2 * n))
         for i, gate in enumerate(self.gates):
             if gate == "X":
                 out = np.flip(np.flip(out, axis=i), axis=n + i)

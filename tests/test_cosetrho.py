@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qotsim import cosetrho, gf2, quantum
-from qotsim.errors import DomainError, ResourceError
+from qotsim.errors import DimensionError, DomainError, ResourceError
 
 
 def random_code(rng, n_cols, rows):
@@ -797,6 +797,54 @@ def test_coset_density_is_a_scaled_projector(trial):
     assert np.max(np.abs(rho @ rho - rho / len(ens.members))) < 1e-12
 
 
+def reference_induction_form(kernel_rows, n_cols):
+    """induction_form the long way: each listed row's parity mask over
+    every index, then the 2^N x 2^N xor index table of every pair."""
+    idx = np.arange(1 << n_cols, dtype=np.int64)
+    perp = np.ones(1 << n_cols, dtype=bool)
+    for row in np.atleast_2d(kernel_rows):
+        if row.size == 0:
+            continue
+        packed = gf2.pack_int(row)
+        perp &= (np.bitwise_count(idx & packed) & 1) == 0
+    delta = idx[:, None] ^ idx[None, :]
+    return (2.0 ** -n_cols) * perp[delta]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.integers(0, 2**32 - 1))))
+def test_induction_form_is_the_xor_table_reference_byte_for_byte(drawn):
+    """The xor fill from one parity column equals the xor-table gather, for
+    0 to N rows, dependent ones included (a repeated row, a sum of two, a
+    zero row), and for both empty forms."""
+    n_cols, count, seed = drawn
+    rng = np.random.default_rng(seed)
+    rows = gf2.random_bitmatrix(rng, count, n_cols)
+    if count >= 2:
+        rows[-1] = rows[0] ^ rows[1] if rng.integers(2) else rows[0]
+    elif count == 1 and rng.integers(2):
+        rows[0] = 0
+    expect = reference_induction_form(rows, n_cols).tobytes()
+    assert cosetrho.induction_form(rows, n_cols).tobytes() == expect
+    if not count:
+        assert cosetrho.induction_form([], n_cols).tobytes() == expect
+
+
+def test_induction_form_refuses_rows_of_another_width_and_past_the_cap():
+    """A row wider or narrower than n_cols raises DimensionError instead
+    of being read as another row; n_cols past the density cap raises
+    ResourceError before any 2^N array is made."""
+    for n_cols in (2, 4):
+        with pytest.raises(DimensionError, match=f"expected {n_cols} cols, got 3"):
+            cosetrho.induction_form(np.ones((1, 3), dtype=np.uint8), n_cols)
+    with pytest.raises(DimensionError):
+        cosetrho.induction_form(np.zeros((0, 3), dtype=np.uint8), 2)
+    for n_cols in (quantum.DENSITY_MAX_N + 1, 40):
+        with pytest.raises(ResourceError, match="density matrices cap"):
+            cosetrho.induction_form([], n_cols)
+
+
 def test_induction_form_base_and_one_step():
     base = cosetrho.induction_form(np.zeros((0, 2), dtype=np.uint8), 2)
     assert np.allclose(base, np.full((4, 4), 0.25))
@@ -861,14 +909,16 @@ def test_mixing_recursion_is_independent_of_the_kernel_basis(trial):
 
 
 def test_mixing_recursion_cap_message_follows_the_caps(monkeypatch):
+    """rho_zero_induction refuses an N past the density cap with the density
+    cap's message; a kernel basis has at most N rows, so no other cap is
+    reached, and N at the cap runs."""
     code = gf2.LinearCode(f=gf2.bitmatrix(["11000"]), r=0, m=1)
-    monkeypatch.setattr(quantum, "DENSITY_MAX_N", 4)
-    with pytest.raises(ResourceError, match="^induction caps at N=4, kernel dimension 10$"):
-        cosetrho.rho_zero_induction(code, "00000")
+    for cap in (3, 4):
+        monkeypatch.setattr(quantum, "DENSITY_MAX_N", cap)
+        with pytest.raises(ResourceError, match=f"^density matrices cap at N={cap}$"):
+            cosetrho.rho_zero_induction(code, "00000")
     monkeypatch.setattr(quantum, "DENSITY_MAX_N", 5)
-    monkeypatch.setattr(cosetrho, "COSET_MAX_DIM", 3)
-    with pytest.raises(ResourceError, match="^induction caps at N=5, kernel dimension 3$"):
-        cosetrho.rho_zero_induction(code, "00000")
+    assert len(cosetrho.rho_zero_induction(code, "00000")) == 5
 
 
 def full_density_block(code, theta, x, x_prime, e, t, w_hat):

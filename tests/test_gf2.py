@@ -726,6 +726,7 @@ OPERANDS = [
                                            "0000"),
      0, "ball radius"),
     ("parity_code-n_cols", gf2.parity_code, 1, "n_cols"),
+    ("induction_form-n_cols", lambda v: cosetrho.induction_form([], v), 0, "n_cols"),
     ("position_set-universe", lambda v: gf2.position_set([0], v), None, "position universe"),
     ("position_block-universe", lambda v: gf2.position_block([0], v), None, "position universe"),
     ("ProtocolParams-n", lambda v: protocol.ProtocolParams(n=v, m=1, r=0, delta=0.25, N=1),

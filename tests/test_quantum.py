@@ -641,6 +641,23 @@ def test_ball_projector_radius_covers_everything():
         quantum.ball_projector([0], "0", -1)
 
 
+@pytest.mark.parametrize("bits", [quantum.STATEVECTOR_MAX_N + 1, 40, 70])
+def test_ball_projector_refuses_centres_past_the_statevector_cap(bits):
+    """A centre past STATEVECTOR_MAX_N raises ResourceError before its 2^n
+    scan is made, where 40 bits asked for 8 TiB (MemoryError) and 70 bits
+    gave numpy's bare ValueError."""
+    with pytest.raises(ResourceError, match="ball projectors cap"):
+        quantum.ball_projector([0], np.zeros(bits, dtype=np.uint8), 0)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (2, 2), (4, 2), (16,)])
+def test_shift_op_conjugate_refuses_a_density_of_another_size(shape):
+    """A rho that is not 2^n x 2^n for the n photons of the shift raises
+    DimensionError instead of numpy's reshape ValueError."""
+    with pytest.raises(DimensionError, match="density dimension"):
+        quantum.u_beta("10", "0x").conjugate(np.zeros(shape))
+
+
 @pytest.mark.parametrize("trial", range(6))
 def test_shift_op_translates_encodings(trial):
     rng = np.random.default_rng(900 + trial)
