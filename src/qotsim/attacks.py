@@ -24,6 +24,7 @@ therefore upper-bounds the plain protocol.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -122,22 +123,24 @@ class AttackStrategy:
         record (the chosen store set, the coin) that joins the transcript.
         A plan that does not fit n raises DomainError before any draw."""
         self.check_fits(n)
-        return self._hold(n, rng)
+        held, _, runtime = self._hold(n, rng)
+        return held, runtime
 
-    def _hold(self, n: int, rng: np.random.Generator) -> Tuple[np.ndarray, dict]:
-        """hold of a plan that fits n."""
-        if self.kind is StrategyKind.STORE_SUBSET:
-            if self.positions is not None:
-                held = np.array(self.positions, dtype=np.int64)
-            else:
-                held = np.sort(rng.choice(n, size=self.count, replace=False))
-            return held, {"stored": [int(i) for i in held]}
+    def _hold(self, n: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray, dict]:
+        """hold of a plan that fits n, with the measured positions between
+        held and runtime. A drawn store set is sorted from rng; any other
+        plan reads both position arrays from its layout once its coin (if
+        it has one) is tossed."""
+        if self.count is not None:
+            held = np.sort(rng.choice(n, size=self.count, replace=False))
+            return held, gf2.complement_positions(held, n), {"stored": held.tolist()}
+        runtime, coin = {}, 0
         if self.kind is StrategyKind.RANDOM_OK:
-            coin = int(rng.integers(0, 2))
-            if coin == 1:
-                return np.arange(n), {"coin_ok": coin, "stored": list(range(n))}
-            return np.arange(0), {"coin_ok": coin}
-        return np.arange(0), {}
+            coin = runtime["coin_ok"] = int(rng.integers(0, 2))
+        held, measured = _layout(self, n, coin)
+        if coin or self.kind is StrategyKind.STORE_SUBSET:
+            runtime["stored"] = held.tolist()
+        return held, measured, runtime
 
     def branches(self, n: int) -> List[Tuple[float, np.ndarray]]:
         """The plans this strategy mixes, as (weight, held mask) pairs."""
@@ -151,6 +154,24 @@ class AttackStrategy:
         if self.kind is StrategyKind.RANDOM_OK:
             return [(0.5, none), (0.5, np.ones(n, dtype=bool))]
         return [(1.0, none)]
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(strategy: AttackStrategy, n: int, coin: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The read-only (held, measured) positions of a plan at n photons
+    whose held set is fixed once its coin is tossed: every plan but a
+    drawn store set, with coin 0 for a plan without one. The plan is
+    checked against n first; DomainError, raised when it does not fit,
+    is not cached, so every such call raises it."""
+    strategy.check_fits(n)
+    if strategy.positions is not None:
+        held = np.array(strategy.positions, dtype=np.int64)
+    else:
+        held = np.arange(n if coin else 0)
+    measured = gf2.complement_positions(held, n)
+    held.setflags(write=False)
+    measured.setflags(write=False)
+    return held, measured
 
 
 def honest() -> AttackStrategy:
@@ -205,18 +226,29 @@ def apply_strategy(
     Held photons stay in the reception, in either mode, until
     finish_deferred measures them. A plan that does not fit the reception
     raises DomainError before any draw.
+
+    Every plan but a drawn store set reads its held and measured positions
+    from a layout cached per (plan, n, coin), which also checks the plan
+    against n once. The arrays are read-only; the cache keeps at most 64
+    layouts, each of n int64 positions in all (about 8 n bytes).
     """
     n = reception.n
-    strategy.check_fits(n)
+    if strategy.count is None:
+        _layout(strategy, n, 0)  # the plan's check, before any draw
+    else:
+        strategy.check_fits(n)
     theta_hat = gf2.random_bits(rng, n)
-    held, runtime = strategy._hold(n, rng)
+    held, measured, runtime = strategy._hold(n, rng)
 
-    measured = gf2.complement_positions(held, n)
     probes = strategy.probe_angles()
-    # one angle serves the block when both committed bases share it
-    angles = probes[0] if probes[0] == probes[1] else np.array(probes).take(theta_hat[measured])
+    if probes == _BASIS_ANGLES:  # the angle table's first entries, by basis
+        entries = theta_hat[measured]
+    elif probes[0] == probes[1]:  # one angle serves the block
+        entries = reception._index(probes[0])
+    else:
+        entries = reception._index(np.array(probes).take(theta_hat[measured]))
     values = np.zeros(n, dtype=np.uint8)
-    values[measured] = reception._measure_many(measured, angles, rng)
+    values[measured] = reception._measure_at(measured, entries, rng)
     w_hat = values.copy()
     w_hat[held] = gf2.random_bits(rng, held.size)
 
@@ -239,7 +271,7 @@ def finish_deferred(
 def _finish_deferred(record: BobRecord, reception, theta, rng) -> None:
     """finish_deferred of a checked basis string of the reception's size."""
     held = record.held
-    record.values[held] = reception._measure_many(held, protocol._BASIS_ANGLES[theta[held]], rng)
+    record.values[held] = reception._measure_at(held, theta[held], rng)  # bases are entries
 
 
 def eve_intercept(
@@ -254,10 +286,10 @@ def eve_intercept(
     if eve.kind is StrategyKind.HONEST:
         bases = gf2.random_bits(rng, reception.n)
         record = {"bases": quantum._basis_text(bases)}
-        angles = protocol._BASIS_ANGLES[bases]
+        entries = bases  # the +/x angles are the angle table's first entries
     else:
-        record, angles = {"angle": eve.angle}, eve.angle
-    outs = reception._measure_many(np.arange(reception.n), angles, rng)
+        record, entries = {"angle": eve.angle}, reception._index(eve.angle)
+    outs = reception._measure_at(np.arange(reception.n), entries, rng)
     return {"kind": eve.kind.value, **record, "outcomes": protocol._bits_str(outs)}
 
 
@@ -334,8 +366,7 @@ def view_small_distance_defect(
     theta, theta_hat = transcript.theta, transcript.theta_hat
     encoded = transcript.w ^ transcript.flips
     held = set(transcript.strategy.get("stored") or ())
-    disagree = [protocol._born_p1(probe, 0, frame)  # by committed basis
-                for probe, frame in zip(strategy.probe_angles(), _BASIS_ANGLES)]
+    disagree = _disagreements(tuple(strategy.probe_angles()))
     chances = []
     for i in gf2.position_set(e, transcript.params.n):
         if i in held:
@@ -344,6 +375,13 @@ def view_small_distance_defect(
         else:
             chances.append(disagree[theta_hat[i]])
     return _tail_over_threshold(chances, t)
+
+
+@functools.lru_cache(maxsize=64)
+def _disagreements(probes: tuple) -> Tuple[float, float]:
+    """A photon measured at probes[basis]: its chance, by committed basis,
+    to read the flipped outcome in the committed frame."""
+    return tuple(protocol._born_p1(probe, 0, frame) for probe, frame in zip(probes, _BASIS_ANGLES))
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +540,17 @@ def _measured_slot(angle: float, basis: int, p: float) -> Tuple[np.ndarray, floa
 
 def _tail_over_threshold(probs: List[float], t: int) -> float:
     """P(sum of independent Bernoullis > t): a Poisson-binomial DP over the
-    counts 0..t that carries the mass crossing t as it goes."""
+    counts 0..t that carries the mass crossing t as it goes. It runs on
+    Python floats, each step the separately rounded products and sums an
+    array form would take."""
     if t < 0:
         return 1.0
-    dist = np.zeros(t + 1)
-    dist[0] = 1.0
+    dist = [1.0] + [0.0] * t
     over = 0.0
     for q in probs:
         over += dist[t] * q
-        dist[1:] = dist[1:] * (1.0 - q) + dist[:-1] * q
-        dist[0] *= 1.0 - q
+        keep = 1.0 - q
+        dist = [dist[0] * keep] + [d * keep + below * q for d, below in zip(dist[1:], dist)]
     return float(over)
 
 
@@ -652,9 +691,16 @@ def _monte_carlo_engine(
     pairs: List[Tuple[tuple, tuple]] = []
     defects: List[float] = []
     t_defect = int(math.floor(params.epsilon * params.n))
+    # rng.choice(1 << m, p=prior) draws one double and reads it against this
+    # CDF; b is that index as a bit string, position 0 most significant
+    cdf = prior.cumsum()
+    cdf /= cdf[-1]
+    strings = gf2._rows_from_words(range(1 << m), m)
+    strings.setflags(write=False)
+    keys = [tuple(row) for row in strings.tolist()]
     for trial in range(budget):
-        b_idx = int(rng.choice(1 << m, p=prior))
-        b = gf2.unpack_int(b_idx, m)
+        b_idx = int(cdf.searchsorted(rng.random(), side="right"))
+        b = strings[b_idx]
         run_params = params._reseeded(int(rng.integers(0, 2**62)))
         tr = protocol.run_string_qot(
             run_params, b, bob=strategy, force_c=1, announce_rest=True, code=code
@@ -662,7 +708,7 @@ def _monte_carlo_engine(
         if tr.abort_reason is not None:
             continue
         passes += 1
-        pairs.append((_view_summary(tr, strategy), tuple(int(x) for x in tr.b)))
+        pairs.append((_view_summary(tr, strategy), keys[b_idx]))
         defects.append(view_small_distance_defect(tr, strategy, tr.E_c, t_defect))
     pr_pass = passes / budget
     mi = _plugin_mi(pairs)

@@ -352,7 +352,7 @@ class Memo:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
     """A code presented by its (r+m) x N generator-of-the-dual matrix f.
 
@@ -362,7 +362,8 @@ class LinearCode:
 
     f is kept as a read-only copy, so the facts derived from it once per
     code (min distance, kernel, row span, coset solver, and the results in
-    memo) cannot go stale. r and m are kept as Python ints.
+    memo) cannot go stale. r and m are kept as Python ints. Two codes are
+    equal, and hash alike, when f, its shape, r and m are.
     """
 
     f: np.ndarray
@@ -379,6 +380,17 @@ class LinearCode:
             raise DimensionError("f must have r+m rows")
         if self.r + self.m > f.shape[1]:
             raise DomainError("r+m may not exceed N")
+
+    def _key(self) -> tuple:
+        return self.f.tobytes(), self.f.shape, self.r, self.m
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearCode):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def N(self) -> int:
@@ -481,7 +493,9 @@ def pack_int(v: np.ndarray) -> int:
 
 
 def _pack_int(v: np.ndarray) -> int:
-    return _row_words(v.reshape(1, -1))[0]
+    """pack_int of a uint8 bit vector: its packbits bytes read big-endian,
+    less the pad."""
+    return int.from_bytes(np.packbits(v).tobytes(), "big") >> (-v.size % 8)
 
 
 def unpack_int(value: int, length: int) -> np.ndarray:

@@ -230,10 +230,14 @@ class Reception:
 
     measure_many checks a block of distinct positions with finite angles
     and calls _measure_many, which a runner calls directly on the blocks it
-    makes; measure checks one photon and calls it too. _measure_many gathers
-    p1 from the Born table and draws the block's k uniforms with one
-    rng.random(k) call, the same doubles as k scalar draws. Bad positions
-    and angles raise DomainError (by the rules of gf2) before any draw.
+    makes; measure checks one photon and calls it too. _measure_many finds
+    the angles' entries (_index) and calls _measure_at, which a runner
+    calls directly with entries it already knows: a block probed in the
+    +/x bases passes its basis bits, the table's first two entries.
+    _measure_at gathers p1 from the Born table and draws the block's k
+    uniforms with one rng.random(k) call, the same doubles as k scalar
+    draws. Bad positions and angles raise DomainError (by the rules of
+    gf2) before any draw.
     """
 
     def __init__(self, mode: Mode, n: int, encoded: np.ndarray, theta: np.ndarray):
@@ -260,10 +264,14 @@ class Reception:
     def _measure_many(self, pos: np.ndarray, angles, rng) -> np.ndarray:
         """measure_many of checked distinct positions and finite angles (a
         float, or a float64 array of one per position)."""
-        probe = self._index(angles)
-        p1 = self._born[self._held[pos], self._bits[pos], probe]
+        return self._measure_at(pos, self._index(angles), rng)
+
+    def _measure_at(self, pos: np.ndarray, entries, rng) -> np.ndarray:
+        """Measure checked distinct positions at angle-table entries (an
+        int, or an integer array of one per position)."""
+        p1 = self._born[self._held[pos], self._bits[pos], entries]
         out = (rng.random(pos.size) < p1).astype(np.uint8)
-        self._held[pos] = probe
+        self._held[pos] = entries
         self._bits[pos] = out
         return out
 
@@ -781,11 +789,12 @@ _DECODERS = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class Transcript:
     """Complete lab record of one run: every announcement plus both
     parties' private data. Hiding is enforced by the oracle interface
-    during the run, not by censoring the record afterwards."""
+    during the run, not by censoring the record afterwards. Two
+    transcripts are equal when their to_json texts are."""
 
     protocol: str
     params: ProtocolParams
@@ -842,6 +851,11 @@ class Transcript:
             if d[name] is not None:
                 text[name] = write(d[name], name, n)
         return _TRANSCRIPT_FORMAT % tuple([text.get(name, "null") for name in _FIELD_NAMES])
+
+    def __eq__(self, other):
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return self.to_json() == other.to_json()
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":

@@ -252,6 +252,186 @@ def test_apply_strategy_store_count_draws_that_many():
         )
 
 
+# references for the photon phase: every plan's held set drawn per run, and
+# every block measured through _measure_many, its angles matched by value
+
+def reference_hold(strategy, n, rng):
+    if strategy.kind is attacks.StrategyKind.STORE_SUBSET:
+        if strategy.positions is not None:
+            held = np.array(strategy.positions, dtype=np.int64)
+        else:
+            held = np.sort(rng.choice(n, size=strategy.count, replace=False))
+        return held, {"stored": [int(i) for i in held]}
+    if strategy.kind is attacks.StrategyKind.RANDOM_OK:
+        coin = int(rng.integers(0, 2))
+        if coin == 1:
+            return np.arange(n), {"coin_ok": coin, "stored": list(range(n))}
+        return np.arange(0), {"coin_ok": coin}
+    return np.arange(0), {}
+
+
+def reference_apply_strategy(strategy, reception, oracle, rng):
+    n = reception.n
+    strategy.check_fits(n)
+    theta_hat = gf2.random_bits(rng, n)
+    held, runtime = reference_hold(strategy, n, rng)
+    measured = gf2.complement_positions(held, n)
+    probes = strategy.probe_angles()
+    angles = probes[0] if probes[0] == probes[1] else np.array(probes).take(theta_hat[measured])
+    values = np.zeros(n, dtype=np.uint8)
+    values[measured] = reception._measure_many(measured, angles, rng)
+    w_hat = values.copy()
+    w_hat[held] = gf2.random_bits(rng, held.size)
+    return attacks.BobRecord(
+        theta_hat=theta_hat, w_hat=w_hat, theta_hat_commit=oracle._commit(theta_hat),
+        w_hat_commit=oracle._commit(w_hat), measured=measured, held=held, values=values,
+        runtime=runtime,
+    )
+
+
+def reference_finish_deferred(record, reception, theta, rng):
+    held = record.held
+    record.values[held] = reception._measure_many(held, protocol._BASIS_ANGLES[theta[held]], rng)
+
+
+def reference_eve_intercept(eve, reception, rng):
+    if eve.kind is attacks.StrategyKind.HONEST:
+        bases = gf2.random_bits(rng, reception.n)
+        record = {"bases": quantum._basis_text(bases)}
+        angles = protocol._BASIS_ANGLES[bases]
+    else:
+        record, angles = {"angle": eve.angle}, eve.angle
+    outs = reception._measure_many(np.arange(reception.n), angles, rng)
+    return {"kind": eve.kind.value, **record, "outcomes": protocol._bits_str(outs)}
+
+
+def reception_tables(reception):
+    """Everything a reception keeps, as comparable plain values."""
+    tables = [reception._angles, reception._held.tolist(), reception._bits.tolist(),
+              reception._born.tobytes()]
+    if reception.mode is protocol.Mode.EXACT_QUANTUM:
+        tables.append(reception._rotations.tobytes())
+    return tables
+
+
+@st.composite
+def photon_phases(draw):
+    """A photon count, a receiver plan for it, an optional Eve and a mode."""
+    n = draw(st.integers(1, 12))
+    bob = draw(st.one_of(
+        st.just(attacks.honest()),
+        st.just(attacks.random_ok()),
+        st.floats(-4.0, 4.0).map(attacks.fixed_basis),
+        st.lists(st.integers(0, n - 1), unique=True).map(
+            lambda f: attacks.store_subset(positions=f)
+        ),
+        st.integers(0, n).map(lambda k: attacks.store_subset(count=k)),
+    ))
+    eve = draw(st.sampled_from([None, attacks.honest(), attacks.fixed_basis(0.3)]))
+    return n, bob, eve, draw(st.sampled_from(protocol.Mode))
+
+
+@settings(max_examples=200, deadline=None)
+@given(photon_phases(), st.integers(0, 2**32))
+def test_photon_phase_matches_the_angle_matching_reference(phase, seed):
+    """Eve, the receiver's plan and the deferred measurements, with blocks
+    probed at basis bits as angle-table entries and positions read from
+    the cached layouts, give the records, outcomes, generator state and
+    reception tables of the per-run angle-matching reference."""
+    n, bob, eve, mode = phase
+    rng = np.random.default_rng(seed)
+    encoded, theta = gf2.random_bits(rng, n), gf2.random_bits(rng, n)
+    got_reception, want_reception = (protocol.Reception(mode, n, encoded, theta)
+                                     for _ in range(2))
+    got_rng, want_rng = (np.random.default_rng(seed + 1) for _ in range(2))
+    if eve is not None:
+        assert (attacks.eve_intercept(eve, got_reception, got_rng)
+                == reference_eve_intercept(eve, want_reception, want_rng))
+    got_oracle, want_oracle = protocol.CommitmentOracle(), protocol.CommitmentOracle()
+    got = attacks.apply_strategy(bob, got_reception, got_oracle, got_rng)
+    want = reference_apply_strategy(bob, want_reception, want_oracle, want_rng)
+    for name in ("theta_hat", "w_hat", "measured", "held", "values"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+    assert got.runtime == want.runtime
+    for cid in (got.theta_hat_commit, got.w_hat_commit):
+        assert np.array_equal(got_oracle._open(cid, np.arange(n)),
+                              want_oracle._open(cid, np.arange(n)))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert reception_tables(got_reception) == reception_tables(want_reception)
+    attacks._finish_deferred(got, got_reception, theta, got_rng)
+    reference_finish_deferred(want, want_reception, theta, want_rng)
+    assert got.values.tolist() == want.values.tolist()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert reception_tables(got_reception) == reception_tables(want_reception)
+
+
+@pytest.mark.parametrize("mode", list(protocol.Mode))
+def test_a_plan_that_does_not_fit_raises_before_any_draw_on_every_call(mode):
+    """The layout checks a plan once per photon count, and a refusal is
+    not cached: a store set that fits 8 photons runs there, then raises
+    DomainError at 6 on the first and every later call, as does a store
+    count past n, with the generator and the reception untouched."""
+    wide = attacks.store_subset(positions=[1, 6])
+    attacks.apply_strategy(wide, fresh_reception(mode, n=8)[2], protocol.CommitmentOracle(),
+                           stream(4, "bob"))
+    for strategy in (wide, attacks.store_subset(count=7)):
+        _, _, reception = fresh_reception(mode)
+        tables = reception_tables(reception)
+        rng = stream(4, "bob")
+        state = rng.bit_generator.state
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                attacks.apply_strategy(strategy, reception, protocol.CommitmentOracle(), rng)
+            assert rng.bit_generator.state == state
+            assert reception_tables(reception) == tables
+
+
+def test_layout_positions_are_read_only_through_the_transcript():
+    """A fixed plan's held and measured arrays are shared by its runs, so
+    they are read-only, in the record and in the transcript's deferred
+    map; a drawn store set's arrays are its own."""
+    record = attacks.apply_strategy(
+        attacks.store_subset(positions=[1, 4]), fresh_reception(protocol.Mode.CLASSICAL_FAST)[2],
+        protocol.CommitmentOracle(), stream(2, "bob"),
+    )
+    for positions in (record.held, record.measured):
+        with pytest.raises(ValueError):
+            positions[0] = 3
+    tr = completed_run(attacks.store_subset(positions=[1, 4]))
+    assert tr.deferred.positions.tolist() == [1, 4]
+    with pytest.raises(ValueError):
+        tr.deferred.positions[0] = 2
+    drawn = attacks.apply_strategy(
+        attacks.store_subset(count=2), fresh_reception(protocol.Mode.CLASSICAL_FAST)[2],
+        protocol.CommitmentOracle(), stream(2, "bob"),
+    )
+    assert drawn.held.flags.writeable and drawn.measured.flags.writeable
+
+
+@pytest.mark.parametrize("mode", list(protocol.Mode))
+def test_random_ok_holds_everything_or_nothing_by_its_coin(mode):
+    """Both coins occur; each reads its own layout, and on a noiseless
+    channel the deferred photons read back the encoded bits."""
+    seen = set()
+    for seed in range(20):
+        w, theta, reception = fresh_reception(mode, seed=seed)
+        record = attacks.apply_strategy(attacks.random_ok(), reception,
+                                        protocol.CommitmentOracle(), stream(seed, "bob"))
+        coin = record.runtime["coin_ok"]
+        seen.add(coin)
+        everything, nothing = list(range(6)), []
+        assert record.held.tolist() == (everything if coin else nothing)
+        assert record.measured.tolist() == (nothing if coin else everything)
+        assert record.runtime == ({"coin_ok": 1, "stored": everything} if coin
+                                  else {"coin_ok": 0})
+        assert not record.held.flags.writeable and not record.measured.flags.writeable
+        attacks.finish_deferred(record, reception, theta, stream(seed, "later"))
+        if coin:
+            assert np.array_equal(record.values, w)
+    assert seen == {0, 1}
+
+
 def test_fixed_basis_zero_equals_honest_in_all_plus():
     """Both strategies draw the same committed bases; wherever those are +,
     measuring at angle 0 is the honest measurement."""
@@ -476,6 +656,20 @@ def test_view_defect_matches_the_kron_reference():
     assert checked >= 35
 
 
+def reference_tail_over_threshold(probs, t):
+    """The tail DP on a numpy count array, as it ran before the list form."""
+    if t < 0:
+        return 1.0
+    dist = np.zeros(t + 1)
+    dist[0] = 1.0
+    over = 0.0
+    for q in probs:
+        over += dist[t] * q
+        dist[1:] = dist[1:] * (1.0 - q) + dist[:-1] * q
+        dist[0] *= 1.0 - q
+    return float(over)
+
+
 def brute_tail(probs, t):
     """P(sum of independent Bernoullis > t) over all 2^len patterns."""
     return sum(
@@ -488,10 +682,12 @@ def brute_tail(probs, t):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0.0, 1.0), max_size=10))
 def test_tail_over_threshold_is_the_brute_enumeration(probs):
+    """It is also the numpy DP bit for bit, past t = len(probs)."""
     radii = range(-1, len(probs) + 2)
     tails = [attacks._tail_over_threshold(probs, t) for t in radii]
     for t, got in zip(radii, tails):
         assert got == pytest.approx(brute_tail(probs, t), abs=1e-12)
+        assert type(got) is float and got.hex() == reference_tail_over_threshold(probs, t).hex()
     assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
     assert tails[0] == 1.0 and tails[-2:] == [0.0, 0.0]
 
@@ -1263,7 +1459,9 @@ def test_monte_carlo_pass_rate_agrees_with_exact_at_a_fractional_threshold():
 # Carlo accounts: the attack bench's shapes under EXACT_QUANTUM (n = 12,
 # N = 2, r = 1, m = 1, a store set and the coin) at three seeds, and one
 # CLASSICAL_FAST fixed-angle receiver. They pin the re-seeded, force_c = 1,
-# announce_rest, pinned-code runs the engine makes
+# announce_rest, pinned-code runs the engine makes. The last four add an
+# m = 2 prior with a zero entry (the string draw's CDF), a drawn store set,
+# an honest receiver and a CLASSICAL_FAST coin
 FROZEN_MONTE_CARLO = {
     "store seed=1": "92f22147a6ba87a5a405210e8f87a233881981e3055beff353df19ebb22a7939",
     "random_ok seed=1": "55796d167f2fa6f37f7044faf7a1d1e87f2e5146f45a13077a314f149d09ce5a",
@@ -1272,23 +1470,107 @@ FROZEN_MONTE_CARLO = {
     "store seed=3": "bac941f4df994c52954b73c7c4d4ce71371b78bf295d3119f4b75c883756e7da",
     "random_ok seed=3": "e86a710dc6fd2d456235c4ce5d3bbababfd3fd7bd1b6d4e2dcc19a719cb6ee58",
     "fixed_basis classical seed=4": "f51a67d8be804ac3b355a6ec71f41a5423afba0f34b54c280550acfb27bc88c1",
+    "store prior m=2 seed=5": "424b3c1117ee15a0211b26c03e2223680c2e72f4afd1860ca2e13f043dd9996c",
+    "store count seed=6": "478346969def8a628cd2ed45800bec28e8782a977a18f8b7b8581991eb001b71",
+    "honest seed=7": "b9ff09f4804874fedd19d201e4d56e29ea4549d87a121ef6d580148d905756e8",
+    "random_ok classical seed=8": "aba8384f8c3e9f02f54fb13e2defc3d4b843bd1a71ea17b751b50c391789958a",
 }
 
 
 def test_monte_carlo_reports_keep_their_frozen_digests():
-    def params(seed, mode=protocol.Mode.EXACT_QUANTUM):
-        return protocol.ProtocolParams(n=12, m=1, r=1, N=2, delta=0.5, epsilon=0.05,
-                                       noise_p=0.05, mode=mode, seed=seed)
+    def params(seed, mode=protocol.Mode.EXACT_QUANTUM, **kw):
+        return protocol.ProtocolParams(**{**dict(n=12, m=1, r=1, N=2, delta=0.5, epsilon=0.05,
+                                                 noise_p=0.05, mode=mode, seed=seed), **kw})
+    classical = protocol.Mode.CLASSICAL_FAST
     cases = {}
     for seed in (1, 2, 3):
-        cases[f"store seed={seed}"] = params(seed), attacks.store_subset(positions=[0, 3, 5, 7])
-        cases[f"random_ok seed={seed}"] = params(seed), attacks.random_ok()
-    cases["fixed_basis classical seed=4"] = (params(4, protocol.Mode.CLASSICAL_FAST),
-                                             attacks.fixed_basis(0.3))
+        cases[f"store seed={seed}"] = (params(seed), attacks.store_subset(positions=[0, 3, 5, 7]),
+                                       None)
+        cases[f"random_ok seed={seed}"] = params(seed), attacks.random_ok(), None
+    cases["fixed_basis classical seed=4"] = params(4, classical), attacks.fixed_basis(0.3), None
+    cases["store prior m=2 seed=5"] = (params(5, n=16, m=2, N=3),
+                                       attacks.store_subset(positions=[1, 4, 9]),
+                                       [0.5, 0.0, 0.125, 0.375])
+    cases["store count seed=6"] = params(6), attacks.store_subset(count=3), None
+    cases["honest seed=7"] = params(7), attacks.honest(), None
+    cases["random_ok classical seed=8"] = params(8, classical), attacks.random_ok(), None
     digests = {}
-    for name, (p, strategy) in cases.items():
+    for name, (p, strategy, prior) in cases.items():
         report = attacks.information_account(p, strategy, method=attacks.InfoMethod.MONTE_CARLO,
-                                             budget=16)
+                                             budget=16, prior=prior)
         text = json.dumps(report.to_json(), sort_keys=True)
         digests[name] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == FROZEN_MONTE_CARLO
+
+
+def reference_monte_carlo_engine(params, strategy, code, prior, budget, rng):
+    """The Monte Carlo engine as it drew each string: rng.choice over the
+    prior, then unpack_int, once per trial."""
+    m = params.m
+    passes = 0
+    pairs, defects = [], []
+    t_defect = int(math.floor(params.epsilon * params.n))
+    for trial in range(budget):
+        b_idx = int(rng.choice(1 << m, p=prior))
+        b = gf2.unpack_int(b_idx, m)
+        run_params = params._reseeded(int(rng.integers(0, 2**62)))
+        tr = protocol.run_string_qot(
+            run_params, b, bob=strategy, force_c=1, announce_rest=True, code=code
+        )
+        if tr.abort_reason is not None:
+            continue
+        passes += 1
+        pairs.append((attacks._view_summary(tr, strategy), tuple(int(x) for x in tr.b)))
+        defects.append(attacks.view_small_distance_defect(tr, strategy, tr.E_c, t_defect))
+    stats = None
+    if defects:
+        stats = attacks.DefectStats(max=float(np.max(defects)), mean=float(np.mean(defects)))
+    return attacks.InfoReport(
+        pr_pass=passes / budget, mutual_information=attacks._plugin_mi(pairs),
+        method=attacks.InfoMethod.MONTE_CARLO, samples_or_statespace=len(pairs),
+        small_distance_defect_stats=stats,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 2),
+    weights=st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any),
+    strategy=st.sampled_from([attacks.honest(), attacks.random_ok(), attacks.fixed_basis(0.3),
+                              attacks.store_subset(positions=[0, 5]),
+                              attacks.store_subset(count=2)]),
+    seed=st.integers(0, 2**32),
+)
+def test_monte_carlo_engine_matches_the_per_trial_draw_reference(m, weights, strategy, seed):
+    """Priors with zero entries, m up to 2: the engine's one CDF per
+    account draws the strings rng.choice drew, so the reports and the
+    generator states are the reference's."""
+    weights = weights[: 1 << m]
+    if not any(weights):
+        weights[-1] = 1
+    prior = attacks._normalize_prior(np.array(weights) / sum(weights), m)
+    params = protocol.ProtocolParams(n=10, m=m, r=1, N=m + 1, delta=0.3, epsilon=0.1,
+                                     noise_p=0.05, mode=protocol.Mode.CLASSICAL_FAST, seed=seed)
+    rng = np.random.default_rng(seed)
+    code = gf2.LinearCode(f=gf2.random_bitmatrix(rng, m + 1, m + 1), r=1, m=m)
+    got_rng, want_rng = (np.random.default_rng(seed + 1) for _ in range(2))
+    got = attacks._monte_carlo_engine(params, strategy, code, prior, 6, got_rng)
+    want = reference_monte_carlo_engine(params, strategy, code, prior, 6, want_rng)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.integers(0, 5), min_size=1, max_size=8).filter(any),
+       seed=st.integers(0, 2**32))
+def test_a_cdf_draw_is_rng_choice_with_p(weights, seed):
+    """What the engine relies on: rng.choice(k, p=prior) reads one double
+    against the normalised cumulative sum, side right."""
+    prior = np.array(weights) / sum(weights)
+    cdf = prior.cumsum()
+    cdf /= cdf[-1]
+    choice, by_cdf = (np.random.default_rng(seed) for _ in range(2))
+    for _ in range(4):
+        assert int(choice.choice(prior.size, p=prior)) == int(
+            cdf.searchsorted(by_cdf.random(), side="right"))
+    assert choice.bit_generator.state == by_cdf.bit_generator.state

@@ -213,6 +213,28 @@ def test_linear_code_keeps_numpy_row_counts_as_python_ints():
     assert code.g.shape == code.h.shape == (1, 3)
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 5), extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_equal_codes_hash_alike(rows, extra, seed, data):
+    """Codes compare and hash by (f, its shape, r, m): the same f given as
+    another array type is the same code, a flipped bit or another split
+    of the rows is another."""
+    f = gf2.random_bitmatrix(np.random.default_rng(seed), rows, rows + extra)
+    r = data.draw(st.integers(0, rows))
+    code = gf2.LinearCode(f=f, r=r, m=rows - r)
+    twin = gf2.LinearCode(f=f.astype(np.int64).tolist(), r=np.int64(r), m=rows - r)
+    assert code == twin and hash(code) == hash(twin) and len({code, twin}) == 1
+    flipped = f.copy()
+    flipped[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, rows + extra - 1))] ^= 1
+    others = [gf2.LinearCode(f=flipped, r=r, m=rows - r)]
+    if r:
+        others.append(gf2.LinearCode(f=f, r=r - 1, m=rows - r + 1))
+    for other in others:
+        assert other != code
+    assert code != (f, r, rows - r)
+
+
 def test_linear_code_keeps_a_read_only_copy_of_f():
     f = gf2.bitmatrix(["110", "011"])
     code = gf2.LinearCode(f=f, r=1, m=1)

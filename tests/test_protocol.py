@@ -370,6 +370,31 @@ def test_block_measurement_matches_the_photon_by_photon_loop(case, seed, mode):
                           loop.measure_many(final, 0.2, rng_loop))
 
 
+@settings(max_examples=150, deadline=None)
+@given(measurement_blocks(), st.integers(0, 2**32), st.sampled_from(list(protocol.Mode)))
+def test_basis_bits_as_entries_measure_as_their_angles_do(case, seed, mode):
+    """_measure_at with a block's basis bits as angle-table entries is
+    _measure_many with their +/x angles, matched by value: the same
+    outcomes, generator state and tables, also after other angles joined
+    the table."""
+    n, blocks = case
+    by_entry, by_angle = twin_receptions(mode, n, seed)
+    rng_entry, rng_angle = (np.random.default_rng(seed + 1) for _ in range(2))
+    for positions, angles in blocks:
+        pos = np.array(positions, dtype=np.int64)
+        want = by_angle._measure_many(pos, angles, rng_angle)
+        if isinstance(angles, np.ndarray):  # per-photon basis angles
+            got = by_entry._measure_at(pos, (angles == math.pi / 4).astype(np.uint8), rng_entry)
+        else:
+            got = by_entry._measure_many(pos, angles, rng_entry)
+        assert got.dtype == np.uint8 and got.tolist() == want.tolist()
+        assert rng_entry.bit_generator.state == rng_angle.bit_generator.state
+        for table in ("_angles", "_held", "_bits", "_born"):
+            assert np.array_equal(getattr(by_entry, table), getattr(by_angle, table)), table
+        if mode is protocol.Mode.EXACT_QUANTUM:
+            assert np.array_equal(by_entry._rotations, by_angle._rotations)
+
+
 def held_angles(reception):
     """The angle each photon of a reception rests at."""
     return np.array(reception._angles)[reception._held]
@@ -1511,6 +1536,20 @@ def test_random_transcripts_round_trip_byte_for_byte(run):
     transcript that writes the same text."""
     text = execute(run).to_json()
     assert protocol.Transcript.from_json(text).to_json() == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(protocol_runs(exact=True))
+def test_a_transcript_equals_its_from_json_reading(run):
+    """Transcripts compare by their text: every runner's transcript equals
+    its own reading, differs from one with another test count, and, being
+    mutable, has no hash."""
+    tr = execute(run)
+    assert protocol.Transcript.from_json(tr.to_json()) == tr
+    assert dataclasses.replace(tr, test_errors=tr.test_errors + 1) != tr
+    assert tr != tr.to_json()
+    with pytest.raises(TypeError):
+        hash(tr)
 
 
 def _positions(v):
