@@ -24,13 +24,12 @@ therefore upper-bounds the plain protocol.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -123,24 +122,22 @@ class AttackStrategy:
         record (the chosen store set, the coin) that joins the transcript.
         A plan that does not fit n raises DomainError before any draw."""
         self.check_fits(n)
-        held, _, runtime = self._hold(n, rng)
-        return held, runtime
+        return self._hold(n, rng)
 
-    def _hold(self, n: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray, dict]:
-        """hold of a plan that fits n, with the measured positions between
-        held and runtime. A drawn store set is sorted from rng; any other
-        plan reads both position arrays from its layout once its coin (if
-        it has one) is tossed."""
-        if self.count is not None:
-            held = np.sort(rng.choice(n, size=self.count, replace=False))
-            return held, gf2.complement_positions(held, n), {"stored": held.tolist()}
-        runtime, coin = {}, 0
+    def _hold(self, n: int, rng: np.random.Generator) -> Tuple[np.ndarray, dict]:
+        """hold of a plan that fits n."""
+        if self.kind is StrategyKind.STORE_SUBSET:
+            if self.positions is not None:
+                held = np.array(self.positions, dtype=np.int64)
+            else:
+                held = np.sort(rng.choice(n, size=self.count, replace=False))
+            return held, {"stored": [int(i) for i in held]}
         if self.kind is StrategyKind.RANDOM_OK:
-            coin = runtime["coin_ok"] = int(rng.integers(0, 2))
-        held, measured = _layout(self, n, coin)
-        if coin or self.kind is StrategyKind.STORE_SUBSET:
-            runtime["stored"] = held.tolist()
-        return held, measured, runtime
+            coin = int(rng.integers(0, 2))
+            if coin == 1:
+                return np.arange(n), {"coin_ok": coin, "stored": list(range(n))}
+            return np.arange(0), {"coin_ok": coin}
+        return np.arange(0), {}
 
     def branches(self, n: int) -> List[Tuple[float, np.ndarray]]:
         """The plans this strategy mixes, as (weight, held mask) pairs."""
@@ -154,24 +151,6 @@ class AttackStrategy:
         if self.kind is StrategyKind.RANDOM_OK:
             return [(0.5, none), (0.5, np.ones(n, dtype=bool))]
         return [(1.0, none)]
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(strategy: AttackStrategy, n: int, coin: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The read-only (held, measured) positions of a plan at n photons
-    whose held set is fixed once its coin is tossed: every plan but a
-    drawn store set, with coin 0 for a plan without one. The plan is
-    checked against n first; DomainError, raised when it does not fit,
-    is not cached, so every such call raises it."""
-    strategy.check_fits(n)
-    if strategy.positions is not None:
-        held = np.array(strategy.positions, dtype=np.int64)
-    else:
-        held = np.arange(n if coin else 0)
-    measured = gf2.complement_positions(held, n)
-    held.setflags(write=False)
-    measured.setflags(write=False)
-    return held, measured
 
 
 def honest() -> AttackStrategy:
@@ -226,27 +205,21 @@ def apply_strategy(
     Held photons stay in the reception, in either mode, until
     finish_deferred measures them. A plan that does not fit the reception
     raises DomainError before any draw.
-
-    Every plan but a drawn store set reads its held and measured positions
-    from a layout cached per (plan, n, coin), which also checks the plan
-    against n once. The arrays are read-only; the cache keeps at most 64
-    layouts, each of n int64 positions in all (about 8 n bytes).
     """
     n = reception.n
-    if strategy.count is None:
-        _layout(strategy, n, 0)  # the plan's check, before any draw
-    else:
-        strategy.check_fits(n)
+    strategy.check_fits(n)
     theta_hat = gf2.random_bits(rng, n)
-    held, measured, runtime = strategy._hold(n, rng)
+    held, runtime = strategy._hold(n, rng)
 
+    measured = gf2.complement_positions(held, n)
+    # one probe angle per committed basis, as angle-table entries. The +/x
+    # angles are the table's first two entries, so a plan that probes in
+    # the committed bases uses its basis bits: going through _index for
+    # them too measurably slows the bench's transfer and attack ops
     probes = strategy.probe_angles()
-    if probes == _BASIS_ANGLES:  # the angle table's first entries, by basis
-        entries = theta_hat[measured]
-    elif probes[0] == probes[1]:  # one angle serves the block
-        entries = reception._index(probes[0])
-    else:
-        entries = reception._index(np.array(probes).take(theta_hat[measured]))
+    entries = theta_hat[measured]
+    if probes != _BASIS_ANGLES:
+        entries = reception._index(np.array(probes)).take(entries)
     values = np.zeros(n, dtype=np.uint8)
     values[measured] = reception._measure_at(measured, entries, rng)
     w_hat = values.copy()
@@ -366,7 +339,8 @@ def view_small_distance_defect(
     theta, theta_hat = transcript.theta, transcript.theta_hat
     encoded = transcript.w ^ transcript.flips
     held = set(transcript.strategy.get("stored") or ())
-    disagree = _disagreements(tuple(strategy.probe_angles()))
+    disagree = [protocol._born_p1(probe, 0, frame)  # by committed basis
+                for probe, frame in zip(strategy.probe_angles(), _BASIS_ANGLES)]
     chances = []
     for i in gf2.position_set(e, transcript.params.n):
         if i in held:
@@ -375,13 +349,6 @@ def view_small_distance_defect(
         else:
             chances.append(disagree[theta_hat[i]])
     return _tail_over_threshold(chances, t)
-
-
-@functools.lru_cache(maxsize=64)
-def _disagreements(probes: tuple) -> Tuple[float, float]:
-    """A photon measured at probes[basis]: its chance, by committed basis,
-    to read the flipped outcome in the committed frame."""
-    return tuple(protocol._born_p1(probe, 0, frame) for probe, frame in zip(probes, _BASIS_ANGLES))
 
 
 # ---------------------------------------------------------------------------
@@ -540,17 +507,19 @@ def _measured_slot(angle: float, basis: int, p: float) -> Tuple[np.ndarray, floa
 
 def _tail_over_threshold(probs: List[float], t: int) -> float:
     """P(sum of independent Bernoullis > t): a Poisson-binomial DP over the
-    counts 0..t that carries the mass crossing t as it goes. It runs on
-    Python floats, each step the separately rounded products and sums an
-    array form would take."""
+    counts 0..t that carries the mass crossing t as it goes; no mass crosses
+    t in t steps or fewer."""
     if t < 0:
         return 1.0
-    dist = [1.0] + [0.0] * t
+    if t >= len(probs):
+        return 0.0
+    dist = np.zeros(t + 1)
+    dist[0] = 1.0
     over = 0.0
     for q in probs:
         over += dist[t] * q
-        keep = 1.0 - q
-        dist = [dist[0] * keep] + [d * keep + below * q for d, below in zip(dist[1:], dist)]
+        dist[1:] = dist[1:] * (1.0 - q) + dist[:-1] * q
+        dist[0] *= 1.0 - q
     return float(over)
 
 
@@ -665,9 +634,10 @@ def _view_summary(tr: protocol.Transcript, strategy: AttackStrategy) -> tuple:
     return base + (known, tuple(tr.w_hat[ec].tolist()), tuple(tr.theta[ec].tolist()))
 
 
-def _plugin_mi(pairs: List[Tuple[tuple, tuple]]) -> float:
+def _plugin_mi(pairs: List[Tuple[tuple, Hashable]]) -> float:
     """Plug-in mutual information H(V) + H(B) - H(V, B) over the empirical
-    joint; biased up by O(alphabet/samples)."""
+    joint of (view, string label) pairs; biased up by O(alphabet/samples).
+    Any one-to-one labelling of the strings gives the same counts."""
     if not pairs:
         return math.nan
     views, strings = zip(*pairs)
@@ -688,7 +658,7 @@ def _monte_carlo_engine(
 ) -> InfoReport:
     m = params.m
     passes = 0
-    pairs: List[Tuple[tuple, tuple]] = []
+    pairs: List[Tuple[tuple, int]] = []
     defects: List[float] = []
     t_defect = int(math.floor(params.epsilon * params.n))
     # rng.choice(1 << m, p=prior) draws one double and reads it against this
@@ -697,7 +667,6 @@ def _monte_carlo_engine(
     cdf /= cdf[-1]
     strings = gf2._rows_from_words(range(1 << m), m)
     strings.setflags(write=False)
-    keys = [tuple(row) for row in strings.tolist()]
     for trial in range(budget):
         b_idx = int(cdf.searchsorted(rng.random(), side="right"))
         b = strings[b_idx]
@@ -708,7 +677,7 @@ def _monte_carlo_engine(
         if tr.abort_reason is not None:
             continue
         passes += 1
-        pairs.append((_view_summary(tr, strategy), keys[b_idx]))
+        pairs.append((_view_summary(tr, strategy), b_idx))  # b by its index
         defects.append(view_small_distance_defect(tr, strategy, tr.E_c, t_defect))
     pr_pass = passes / budget
     mi = _plugin_mi(pairs)

@@ -252,29 +252,14 @@ def test_apply_strategy_store_count_draws_that_many():
         )
 
 
-# references for the photon phase: every plan's held set drawn per run, and
-# every block measured through _measure_many, its angles matched by value
-
-def reference_hold(strategy, n, rng):
-    if strategy.kind is attacks.StrategyKind.STORE_SUBSET:
-        if strategy.positions is not None:
-            held = np.array(strategy.positions, dtype=np.int64)
-        else:
-            held = np.sort(rng.choice(n, size=strategy.count, replace=False))
-        return held, {"stored": [int(i) for i in held]}
-    if strategy.kind is attacks.StrategyKind.RANDOM_OK:
-        coin = int(rng.integers(0, 2))
-        if coin == 1:
-            return np.arange(n), {"coin_ok": coin, "stored": list(range(n))}
-        return np.arange(0), {"coin_ok": coin}
-    return np.arange(0), {}
-
+# references for the photon phase: every block measured through
+# _measure_many, its angles matched by value
 
 def reference_apply_strategy(strategy, reception, oracle, rng):
     n = reception.n
     strategy.check_fits(n)
     theta_hat = gf2.random_bits(rng, n)
-    held, runtime = reference_hold(strategy, n, rng)
+    held, runtime = strategy._hold(n, rng)
     measured = gf2.complement_positions(held, n)
     probes = strategy.probe_angles()
     angles = probes[0] if probes[0] == probes[1] else np.array(probes).take(theta_hat[measured])
@@ -335,9 +320,8 @@ def photon_phases(draw):
 @given(photon_phases(), st.integers(0, 2**32))
 def test_photon_phase_matches_the_angle_matching_reference(phase, seed):
     """Eve, the receiver's plan and the deferred measurements, with blocks
-    probed at basis bits as angle-table entries and positions read from
-    the cached layouts, give the records, outcomes, generator state and
-    reception tables of the per-run angle-matching reference."""
+    probed at angle-table entries, give the records, outcomes, generator
+    state and reception tables of the angle-matching reference."""
     n, bob, eve, mode = phase
     rng = np.random.default_rng(seed)
     encoded, theta = gf2.random_bits(rng, n), gf2.random_bits(rng, n)
@@ -368,10 +352,9 @@ def test_photon_phase_matches_the_angle_matching_reference(phase, seed):
 
 @pytest.mark.parametrize("mode", list(protocol.Mode))
 def test_a_plan_that_does_not_fit_raises_before_any_draw_on_every_call(mode):
-    """The layout checks a plan once per photon count, and a refusal is
-    not cached: a store set that fits 8 photons runs there, then raises
-    DomainError at 6 on the first and every later call, as does a store
-    count past n, with the generator and the reception untouched."""
+    """A store set that fits 8 photons runs there, then raises DomainError
+    at 6 on the first and every later call, as does a store count past n,
+    with the generator and the reception untouched."""
     wide = attacks.store_subset(positions=[1, 6])
     attacks.apply_strategy(wide, fresh_reception(mode, n=8)[2], protocol.CommitmentOracle(),
                            stream(4, "bob"))
@@ -387,32 +370,10 @@ def test_a_plan_that_does_not_fit_raises_before_any_draw_on_every_call(mode):
             assert reception_tables(reception) == tables
 
 
-def test_layout_positions_are_read_only_through_the_transcript():
-    """A fixed plan's held and measured arrays are shared by its runs, so
-    they are read-only, in the record and in the transcript's deferred
-    map; a drawn store set's arrays are its own."""
-    record = attacks.apply_strategy(
-        attacks.store_subset(positions=[1, 4]), fresh_reception(protocol.Mode.CLASSICAL_FAST)[2],
-        protocol.CommitmentOracle(), stream(2, "bob"),
-    )
-    for positions in (record.held, record.measured):
-        with pytest.raises(ValueError):
-            positions[0] = 3
-    tr = completed_run(attacks.store_subset(positions=[1, 4]))
-    assert tr.deferred.positions.tolist() == [1, 4]
-    with pytest.raises(ValueError):
-        tr.deferred.positions[0] = 2
-    drawn = attacks.apply_strategy(
-        attacks.store_subset(count=2), fresh_reception(protocol.Mode.CLASSICAL_FAST)[2],
-        protocol.CommitmentOracle(), stream(2, "bob"),
-    )
-    assert drawn.held.flags.writeable and drawn.measured.flags.writeable
-
-
 @pytest.mark.parametrize("mode", list(protocol.Mode))
 def test_random_ok_holds_everything_or_nothing_by_its_coin(mode):
-    """Both coins occur; each reads its own layout, and on a noiseless
-    channel the deferred photons read back the encoded bits."""
+    """Both coins occur, and on a noiseless channel the deferred photons
+    read back the encoded bits."""
     seen = set()
     for seed in range(20):
         w, theta, reception = fresh_reception(mode, seed=seed)
@@ -425,7 +386,6 @@ def test_random_ok_holds_everything_or_nothing_by_its_coin(mode):
         assert record.measured.tolist() == (nothing if coin else everything)
         assert record.runtime == ({"coin_ok": 1, "stored": everything} if coin
                                   else {"coin_ok": 0})
-        assert not record.held.flags.writeable and not record.measured.flags.writeable
         attacks.finish_deferred(record, reception, theta, stream(seed, "later"))
         if coin:
             assert np.array_equal(record.values, w)
@@ -657,7 +617,7 @@ def test_view_defect_matches_the_kron_reference():
 
 
 def reference_tail_over_threshold(probs, t):
-    """The tail DP on a numpy count array, as it ran before the list form."""
+    """The tail DP run over every probability, whatever t."""
     if t < 0:
         return 1.0
     dist = np.zeros(t + 1)
@@ -682,7 +642,8 @@ def brute_tail(probs, t):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0.0, 1.0), max_size=10))
 def test_tail_over_threshold_is_the_brute_enumeration(probs):
-    """It is also the numpy DP bit for bit, past t = len(probs)."""
+    """It is also the DP run in full, bit for bit: past t = len(probs) that
+    DP reads exactly 0."""
     radii = range(-1, len(probs) + 2)
     tails = [attacks._tail_over_threshold(probs, t) for t in radii]
     for t, got in zip(radii, tails):
