@@ -33,7 +33,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from . import gf2, protocol, quantum
+from . import gf2, protocol, quantum, transcript
 from .errors import DimensionError, DomainError, ResourceError
 from .streams import stream
 
@@ -263,7 +263,7 @@ def eve_intercept(
     else:
         record, entries = {"angle": eve.angle}, reception._index(eve.angle)
     outs = reception._measure_at(np.arange(reception.n), entries, rng)
-    return {"kind": eve.kind.value, **record, "outcomes": protocol._bits_str(outs)}
+    return {"kind": eve.kind.value, **record, "outcomes": transcript._bits_str(outs)}
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attacks, cosetrho, gf2, protocol
+from . import attacks, cosetrho, gf2, protocol, transcript
 from .errors import (
     DimensionError,
     DomainError,
@@ -208,7 +208,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(protocol._dumps(doc) + "\n")
+    path.write_text(transcript._dumps(doc) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +285,11 @@ def _cmd_simulate(args) -> int:
 # density-check
 
 def _cmd_density_check(args) -> int:
+    N = gf2.integer(args.N, "--N", least=1)
     r, m = gf2.integer(args.r, "--r", least=0), gf2.integer(args.m, "--m", least=0)
     if r + m < 1:
         raise DomainError("need at least one code row")
-    if r + m > args.N:
+    if r + m > N:
         raise DomainError("r + m may not exceed N")
     trials = gf2.integer(args.trials, "--trials", least=1)
     rows_out = []
@@ -298,20 +299,20 @@ def _cmd_density_check(args) -> int:
     for idx in range(trials):
         rng = stream(args.seed, "trial", idx)
         while True:  # a zero map has a single coset, nothing to compare
-            f = gf2.random_bitmatrix(rng, r + m, args.N)
+            f = gf2.random_bitmatrix(rng, r + m, N)
             if gf2.rank(f) >= 1:
                 break
         code = gf2.LinearCode(f=f, r=r, m=m)
-        theta = gf2.random_bits(rng, args.N)
-        w_hat = gf2.random_bits(rng, args.N)
-        x = gf2.matvec(f, gf2.random_bits(rng, args.N))
+        theta = gf2.random_bits(rng, N)
+        w_hat = gf2.random_bits(rng, N)
+        x = gf2.matvec(f, gf2.random_bits(rng, N))
         while True:
-            x_prime = gf2.matvec(f, gf2.random_bits(rng, args.N))
+            x_prime = gf2.matvec(f, gf2.random_bits(rng, N))
             if not np.array_equal(x, x_prime):
                 break
-        t = args.t if args.t is not None else int(rng.integers(0, args.N + 1))
+        t = args.t if args.t is not None else int(rng.integers(0, N + 1))
         cert = cosetrho.lemma1_certificate(
-            code, theta, x, x_prime, range(args.N), t, w_hat
+            code, theta, x, x_prime, range(N), t, w_hat
         )
         if cert.condition_met:
             met += 1
@@ -483,6 +484,7 @@ def main(argv=None) -> int:
                 parser.error(f"config {action.dest}: {value!r} is not one of {list(choices)}")
         args = parser.parse_args(argv)  # explicit flags still win
     try:
+        args.seed = gf2.integer(args.seed, "--seed", least=0)
         return _COMMANDS[args.command](args)
     except ResourceError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -188,8 +188,10 @@ class Lemma1Certificate:
 def _certificate_operands(code: gf2.LinearCode, theta, x, x_prime, e, t, w_hat) -> tuple:
     """(theta, x, x_prime, e, t, w_hat) of one certificate, each checked
     once: bit strings of the code's lengths, two distinct syndromes in the
-    image of f, a position set, an integer radius t >= 0, and the density
-    cap. The helpers below take these and check nothing."""
+    image of f, a position set, an integer radius t >= 0, and the ball
+    projector's cap, since a certificate forms no density and its largest
+    array is the ball's scan of 2^N indices. The helpers below take these
+    and check nothing."""
     n, rows = code.N, code.f.shape[0]
     theta = quantum.basis_string(theta, length=n)
     x, x_prime = gf2.bits(x, length=rows), gf2.bits(x_prime, length=rows)
@@ -200,7 +202,8 @@ def _certificate_operands(code: gf2.LinearCode, theta, x, x_prime, e, t, w_hat) 
     e = gf2.position_set(e, n)
     t = gf2.integer(t, "ball radius", least=0)
     w_hat = gf2.bits(w_hat, length=n)
-    _check_density_cap(n)
+    if n > quantum.STATEVECTOR_MAX_N:
+        raise ResourceError(f"ball projectors cap at n={quantum.STATEVECTOR_MAX_N}")
     return theta, x, x_prime, e, t, w_hat
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qotsim import attacks, gf2, protocol, quantum
+from qotsim import attacks, gf2, protocol, quantum, transcript
 from qotsim.errors import DimensionError, DomainError, ResourceError
 from qotsim.streams import stream
 
@@ -287,7 +287,7 @@ def reference_eve_intercept(eve, reception, rng):
     else:
         record, angles = {"angle": eve.angle}, eve.angle
     outs = reception._measure_many(np.arange(reception.n), angles, rng)
-    return {"kind": eve.kind.value, **record, "outcomes": protocol._bits_str(outs)}
+    return {"kind": eve.kind.value, **record, "outcomes": transcript._bits_str(outs)}
 
 
 def reception_tables(reception):

@@ -392,7 +392,7 @@ STORE_ARGS = ["simulate", "--n", "16", "--N", "4", "--m", "2", "--strategy", "ST
     (SWEEP_ARGS + ["--store-sweep", "nan"], 1, "error: fraction must be finite, not nan"),
     (SWEEP_ARGS + ["--store-sweep", "1.5"], 1, "error: fraction must lie in [0, 1]"),
     (["density-check", "--t", "-1"], 1, "error: ball radius must be at least 0, got -1"),
-    (["density-check", "--N", "11"], 2, "resource cap: density matrices cap at N=10"),
+    (["density-check", "--N", "21"], 2, "resource cap: ball projectors cap at n=20"),
     (STORE_ARGS + ["--store-count", "100"], 1, "error: cannot store more photons than were sent"),
     (STORE_ARGS + ["--store-positions", "99"], 1, "error: positions must lie in [0, 16)"),
 ], ids=["sweep-nan", "sweep-past-one", "density-negative-t", "density-past-cap",
@@ -501,6 +501,41 @@ def test_a_config_count_that_is_not_an_integer_exits_one(tmp_path, capsys, value
     argv = ["simulate", "--n", "16", "--N", "4", "--delta", "0.25", "--config", str(config)]
     assert run(argv + ["--out", str(out)]) == 1
     assert "--trials must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [4.5, True], ids=["float", "bool"])
+def test_a_config_code_length_that_is_not_an_integer_exits_one(tmp_path, capsys, value):
+    """density-check reads --N by the rule of --r and --m: a float from a
+    config file does not end in a traceback, and a bool is not read as 1."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"N": value}))
+    out = tmp_path / "out"
+    assert run(["density-check", "--config", str(config), "--out", str(out)]) == 1
+    assert "error: --N must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "density-check", "attack", "code-stats"])
+@pytest.mark.parametrize("flags, config, message", [
+    (["--seed", "-3"], None, "--seed must be at least 0, got -3"),
+    ([], {"seed": True}, "--seed must be an integer, not bool"),
+    ([], {"seed": 1.5}, "--seed must be an integer, not float"),
+    ([], {"seed": -1}, "--seed must be at least 0, got -1"),
+], ids=["flag-negative", "config-bool", "config-float", "config-negative"])
+def test_a_seed_that_is_not_a_nonnegative_integer_exits_one(tmp_path, capsys, command, flags,
+                                                            config, message):
+    """Every command reads its seed once, by gf2's integer rule, before any
+    work: a negative seed, a float or a bool read as 1 exits 1 naming
+    --seed, with no traceback and no output directory."""
+    out = tmp_path / "out"
+    argv = [command, *flags, "--out", str(out)]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert run(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -731,15 +766,22 @@ def test_density_check_exits_three_on_a_violated_certificate(tmp_path, capsys, m
     assert (agg["condition_met"], agg["violations"]) == (3, 3)
 
 
-def test_density_check_past_the_density_cap_names_it(tmp_path, capsys):
-    """Certificates check the density cap, not the coset dimension: at
-    N = 12 with one row the kernel has dimension 11, and the run stops at
-    the density cap with exit 2 before writing anything."""
-    assert run(["density-check", "--N", "12", "--r", "0", "--m", "1",
+def test_density_check_past_the_ball_cap_names_it(tmp_path, capsys):
+    """Certificates check the ball projector's cap, not the density cap or
+    the coset dimension: at N = 21 with one row the kernel has dimension
+    20, and the run stops at the ball cap with exit 2 before writing
+    anything."""
+    assert run(["density-check", "--N", "21", "--r", "0", "--m", "1",
                 "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "density matrices cap at N=10" in err and "coset" not in err
+    assert "ball projectors cap at n=20" in err and "coset" not in err
     assert not any(tmp_path.iterdir())
+
+
+def test_density_check_runs_past_the_density_cap(tmp_path):
+    """A certificate forms no 2^N x 2^N density, so N = 11 certifies."""
+    assert run(["density-check", "--N", "11", "--trials", "2", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "density_certificates.csv").read_text().count("\n") == 3
 
 
 def test_density_check_validation(tmp_path):

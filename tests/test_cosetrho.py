@@ -956,10 +956,34 @@ def test_low_ball_block_matches_the_framed_full_density(trial):
                 assert abs(value - np.max(np.abs(np.linalg.eigvalsh(expect)))) <= 1e-12
 
 
-def test_certificate_keeps_the_density_cap():
-    code = gf2.parity_code(11)
-    with pytest.raises(ResourceError):
-        cosetrho.lemma1_certificate(code, "0" * 11, [0], [1], range(11), 0, "0" * 11)
+def test_certificate_caps_at_the_ball_scan():
+    """A certificate forms no density; its largest array is the ball's
+    scan of 2^N indices, so it stops where ball_projector does."""
+    n = quantum.STATEVECTOR_MAX_N + 1
+    code = gf2.parity_code(n)
+    with pytest.raises(ResourceError, match=f"^ball projectors cap at n={n - 1}$"):
+        cosetrho.lemma1_certificate(code, "0" * n, [0], [1], range(n), 0, "0" * n)
+
+
+@pytest.mark.parametrize("n_cols", [12, 14, 16])
+def test_certificates_run_past_the_density_cap(n_cols):
+    """Past DENSITY_MAX_N a certificate still certifies. With e every
+    coordinate and x' = x xor f e_j, for j in the support of a least
+    weight span word, d(x, x') = dN: the block is exactly 0.0 at 2t < dN
+    and nonzero from 2t >= dN on."""
+    rng = np.random.default_rng(4000 + n_cols)
+    code = random_code(rng, n_cols, 3)
+    span = [np.array(y) @ code.f & 1 for y in itertools.product([0, 1], repeat=3)]
+    least = min((word for word in span if word.any()), key=np.sum)
+    d = int(least.sum())
+    assert n_cols > quantum.DENSITY_MAX_N and code.distance == d > 2
+    x = gf2.matvec(code.f, gf2.random_bits(rng, n_cols))
+    x_prime = x ^ code.f[:, int(np.argmax(least))]
+    theta, w_hat = gf2.random_bits(rng, n_cols), gf2.random_bits(rng, n_cols)
+    inside, outside = (cosetrho.lemma1_certificate(code, theta, x, x_prime, range(n_cols), t, w_hat)
+                       for t in ((d - 1) // 2, (d + 1) // 2))
+    assert inside.condition_met and inside.max_defect == 0.0
+    assert not outside.condition_met and outside.max_defect > 0
 
 
 def test_certificate_under_hypothesis():

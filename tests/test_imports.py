@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports (the check an
 unused-import lint rule would make), parses as the oldest Python that
-pyproject.toml declares, writes JSON only through protocol._dumps and
-checks numbers only through gf2, on the standard library's ast; and runs
-and transcripts leave numpy.ma unimported."""
+pyproject.toml declares, writes JSON only through transcript._dumps and
+checks numbers only through gf2, on the standard library's ast; the
+record's names in protocol are transcript's own; and runs and
+transcripts leave numpy.ma unimported."""
 
 import ast
 import os
@@ -68,15 +69,37 @@ def json_encoders(tree):
             yield from (node.lineno for alias in node.names if alias.name in JSON_ENCODERS)
 
 
-def test_protocol_dumps_is_the_only_json_encoder():
+def test_transcript_dumps_is_the_only_json_encoder():
     """Every transcript and CLI artifact is the text _dumps writes; an
     encoder built or called anywhere else could write other bytes."""
     found = {path.stem: list(json_encoders(ast.parse(path.read_text()))) for path in MODULES}
-    tree = ast.parse((Path(qotsim.__file__).parent / "protocol.py").read_text())
+    tree = ast.parse((Path(qotsim.__file__).parent / "transcript.py").read_text())
     dumps = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assign)
              and [getattr(target, "id", None) for target in node.targets] == ["_dumps"]]
-    assert {stem: lines for stem, lines in found.items() if lines} == {"protocol": dumps}
+    assert {stem: lines for stem, lines in found.items() if lines} == {"transcript": dumps}
     assert len(dumps) == 1
+
+
+RECORD_NAMES = ("TEST_FAILED", "SET_SHORTAGE", "Mode", "ChannelModel", "ProtocolParams",
+                "PositionMap", "Transcript")
+
+
+def test_protocol_takes_the_record_from_transcript():
+    """The run's record is defined once, in transcript: each of its public
+    names in protocol and in the package is the same object, and protocol
+    imports no json, so it writes and reads no text of its own."""
+    from qotsim import protocol, transcript
+
+    for name in RECORD_NAMES:
+        assert getattr(protocol, name) is getattr(transcript, name), name
+    for name in ("ChannelModel", "Mode", "ProtocolParams", "Transcript"):
+        assert getattr(qotsim, name) is getattr(transcript, name), name
+    tree = ast.parse((Path(qotsim.__file__).parent / "protocol.py").read_text())
+    assert "json" not in set(imported_names(tree))
+    defined = {node.name for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    defined.update(target.id for node in tree.body if isinstance(node, ast.Assign)
+                   for target in node.targets if isinstance(target, ast.Name))
+    assert not defined & set(vars(transcript))
 
 
 NUMBER_CHECKS = {("math", "isfinite"), ("np", "isfinite"), ("numpy", "isfinite"),

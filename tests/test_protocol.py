@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qotsim import attacks, gf2, protocol, quantum
+from qotsim import attacks, gf2, protocol, quantum, transcript
 from qotsim.errors import (
     DimensionError,
     DomainError,
@@ -61,6 +61,8 @@ def test_params_validation():
         protocol.ProtocolParams(n=8, m=1, r=0, delta=0.1, N=2, noise_p=0.5)
     with pytest.raises(DomainError):
         protocol.ProtocolParams(n=3, m=1, r=0, delta=0.1)  # default N = 0
+    with pytest.raises(DomainError, match="^seed must be at least 0, got -1$"):
+        protocol.ProtocolParams(n=8, m=1, r=0, delta=0.1, N=2, seed=-1)  # streams take none
     # nan < 0 is false, so a sign test alone would let NaN through
     for bad in (dict(delta=math.nan), dict(epsilon=-0.1), dict(epsilon=math.nan)):
         with pytest.raises(DomainError):
@@ -1633,7 +1635,7 @@ def position_maps(draw, keys=st.integers(0, 2**16 - 1)):
 POSITION_MAPS = st.one_of(
     position_maps(st.integers(0, 1100)),
     position_maps(),
-    position_maps(st.integers(protocol._TEXT_TABLE_MAX - 3, 2**63 - 1)),
+    position_maps(st.integers(transcript._TEXT_TABLE_MAX - 3, 2**63 - 1)),
 )
 POSITION_LISTS = st.one_of(
     # lists a transcript may hold, then lists to_json refuses (most of the rest)
@@ -1706,7 +1708,7 @@ def test_to_json_matches_the_reference_encoder(run, data):
     assert odd.to_json() == reference_to_json(odd)
     decoded = json.loads(odd.to_json())
     for name in ("bob_values", "deferred"):
-        assert protocol._position_map(decoded[name]) == getattr(odd, name)
+        assert transcript._position_map(decoded[name]) == getattr(odd, name)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1719,10 +1721,10 @@ def test_position_maps_reject_keys_that_are_not_positions_and_values_that_are_no
     keys, values = odd
     m = position_map(keys, values)
     if all(type(k) is int and 0 <= k < 2**63 for k in np.asarray(keys).tolist()) and set(values) <= {0, 1}:
-        assert protocol._map_text(m, "bob_values", 1101) == protocol._dumps(_str_keys(m))
+        assert transcript._map_text(m, "bob_values", 1101) == transcript._dumps(_str_keys(m))
     else:
         with pytest.raises(DomainError, match="^(transcript field )?bob_values "):
-            protocol._map_text(m, "bob_values", 1101)
+            transcript._map_text(m, "bob_values", 1101)
     record = {**seed_7_transcript_dict(),
               "bob_values": {str(k): v for k, v in zip(np.asarray(keys).tolist(), values)}}
     with pytest.raises(DomainError):
@@ -1732,7 +1734,7 @@ def test_position_maps_reject_keys_that_are_not_positions_and_values_that_are_no
 def test_position_maps_decode_only_the_text_they_encode_to():
     """A map key that int reads but str does not write ("05" for 5) does
     not write back as read; a key int does not read does not decode."""
-    assert protocol._position_map({"10": 1, "9": 0}) == protocol.PositionMap([9, 10], [0, 1])
+    assert transcript._position_map({"10": 1, "9": 0}) == protocol.PositionMap([9, 10], [0, 1])
     d = seed_7_transcript_dict()
     for field in ("bob_values", "deferred"):
         for key in ("05", " 5", "5 ", "+5", "1_0", "-0", "٣"):
@@ -1750,7 +1752,7 @@ def test_position_maps_reject_unordered_repeated_and_misshapen_input():
             dataclasses.replace(tr, deferred=protocol.PositionMap(keys, bits)).to_json()
     for keys, bits in (([[1, 2]], [[0, 1]]), ([1, 2], [0])):
         with pytest.raises(DomainError, match="^deferred "):
-            protocol._map_text(protocol.PositionMap(keys, bits), "deferred", 24)
+            transcript._map_text(protocol.PositionMap(keys, bits), "deferred", 24)
     assert protocol.PositionMap() == protocol.PositionMap([], [])
     assert protocol.PositionMap([2], [1]) != protocol.PositionMap([2], [0])
     # a transcript holds its maps as PositionMap, not as dicts
@@ -1779,7 +1781,7 @@ def test_to_json_matches_the_reference_encoder_on_every_run_kind():
     runs.append(dataclasses.replace(runs[0], bob_values=protocol.PositionMap(),
                                     deferred=protocol.PositionMap(), R=[]))
     # positions at and past the tables' bound go through json.dumps
-    top = protocol._TEXT_TABLE_MAX
+    top = transcript._TEXT_TABLE_MAX
     runs.append(dataclasses.replace(
         with_room(runs[0], 2**40),
         bob_values=protocol.PositionMap([5, 10, top - 1, top, 2**40], [1, 0, 1, 1, 0]),
@@ -2048,12 +2050,12 @@ def test_to_json_matches_the_reference_encoder_on_full_maps_and_one_key_short(n)
 
 
 def test_writing_an_n_1024_transcript_builds_only_the_1024_tables():
-    protocol._list_table.cache_clear()
-    protocol._map_table.cache_clear()
+    transcript._list_table.cache_clear()
+    transcript._map_table.cache_clear()
     _run_at(1024, 3).to_json()
-    assert protocol._list_table.cache_info().currsize == 1
-    assert protocol._map_table.cache_info().currsize == 1
-    assert protocol._list_table(1024).size.size == protocol._map_table(1024).size.size == 1024
+    assert transcript._list_table.cache_info().currsize == 1
+    assert transcript._map_table.cache_info().currsize == 1
+    assert transcript._list_table(1024).size.size == transcript._map_table(1024).size.size == 1024
 
 
 # entries no bit or basis field may hold: gf2's bit rule takes 0 and 1 of
@@ -2231,14 +2233,14 @@ def test_codec_tables_name_only_transcript_fields():
     renamed field cannot be written as null, or read unchecked,
     unnoticed."""
     names = {fld.name for fld in dataclasses.fields(protocol.Transcript)}
-    tables = (protocol._DECODERS, protocol._BIT_FIELDS, protocol._BASIS_FIELDS,
-              protocol._LIST_FIELDS, protocol._RECORD_TEXTS, protocol._REQUIRED)
+    tables = (transcript._DECODERS, transcript._BIT_FIELDS, transcript._BASIS_FIELDS,
+              transcript._LIST_FIELDS, transcript._RECORD_TEXTS, transcript._REQUIRED)
     for table in tables:
         assert set(table) <= names
-    written = {*protocol._BIT_FIELDS, *protocol._BASIS_FIELDS, *protocol._LIST_FIELDS,
-               *protocol._RECORD_TEXTS, "f", "announced_sets", "announced_rest"}
+    written = {*transcript._BIT_FIELDS, *transcript._BASIS_FIELDS, *transcript._LIST_FIELDS,
+               *transcript._RECORD_TEXTS, "f", "announced_sets", "announced_rest"}
     assert written == names
-    assert names - set(protocol._DECODERS) == {
+    assert names - set(transcript._DECODERS) == {
         "abort_reason", "alice_pick", "c", "eve", "passed", "protocol", "strategy",
         "test_errors", "theta_hat_commit", "w_hat_commit"}
 
