@@ -35,7 +35,7 @@ import numpy as np
 
 from . import gf2, protocol, quantum, transcript
 from .errors import DimensionError, DomainError, ResourceError
-from .streams import stream
+from .streams import drawn_blocks, primed, stream
 
 INFO_MAX_N = 10
 INFO_MAX_SIDE = 3  # N
@@ -657,7 +657,6 @@ def _monte_carlo_engine(
     rng: np.random.Generator,
 ) -> InfoReport:
     m = params.m
-    passes = 0
     pairs: List[Tuple[tuple, int]] = []
     defects: List[float] = []
     t_defect = int(math.floor(params.epsilon * params.n))
@@ -667,19 +666,23 @@ def _monte_carlo_engine(
     cdf /= cdf[-1]
     strings = gf2._rows_from_words(range(1 << m), m)
     strings.setflags(write=False)
-    for trial in range(budget):
+
+    def draw():
         b_idx = int(cdf.searchsorted(rng.random(), side="right"))
-        b = strings[b_idx]
-        run_params = params._reseeded(int(rng.integers(0, 2**62)))
-        tr = protocol.run_string_qot(
-            run_params, b, bob=strategy, force_c=1, announce_rest=True, code=code
-        )
-        if tr.abort_reason is not None:
-            continue
-        passes += 1
-        pairs.append((_view_summary(tr, strategy), b_idx))  # b by its index
-        defects.append(view_small_distance_defect(tr, strategy, tr.E_c, t_defect))
-    pr_pass = passes / budget
+        return int(rng.integers(0, 2**62)), b_idx
+
+    for block in drawn_blocks(draw, budget):
+        with primed([seed for seed, _ in block], protocol._RUN_STREAMS):
+            for seed, b_idx in block:
+                tr = protocol.run_string_qot(
+                    params._reseeded(seed), strings[b_idx],
+                    bob=strategy, force_c=1, announce_rest=True, code=code,
+                )
+                if tr.abort_reason is not None:
+                    continue
+                pairs.append((_view_summary(tr, strategy), b_idx))  # b by its index
+                defects.append(view_small_distance_defect(tr, strategy, tr.E_c, t_defect))
+    pr_pass = len(pairs) / budget  # one pair per passing run
     mi = _plugin_mi(pairs)
     stats = None
     if defects:
@@ -771,15 +774,18 @@ def random_ok_decomposition(
     trials = gf2.integer(trials, "trials", least=1)
     if rng is None:
         rng = stream(params.seed, "branches")
+    paths = protocol._RUN_STREAMS + (("alice-pick",),)
+
+    def draw():  # the seed, then b
+        return int(rng.integers(0, 2**62)), gf2.random_bits(rng, params.m)
+
     rates = []
     for strat in (random_ok(), honest(), store_subset(positions=range(params.n))):
         passed = 0
-        for _ in range(trials):
-            run_params = params._reseeded(int(rng.integers(0, 2**62)))
-            b = gf2.random_bits(rng, params.m)
-            tr = protocol.run_string_qot(run_params, b, bob=strat)
-            if tr.passed:
-                passed += 1
+        for block in drawn_blocks(draw, trials):
+            with primed([seed for seed, _ in block], paths):
+                for seed, b in block:
+                    passed += protocol.run_string_qot(params._reseeded(seed), b, bob=strat).passed
         rates.append(passed / trials)
     mixed, honest_rate, store_rate = rates
     return BranchReport(

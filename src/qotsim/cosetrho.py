@@ -224,9 +224,13 @@ def _shared_cosets(code: gf2.LinearCode, states: np.ndarray) -> np.ndarray:
     """_ball_links' links of states. A state's coset is numbered by the bits
     of its parities with the kernel basis of f: two states differ by a
     row-span word iff those parities agree, since the row span is the
-    annihilator of ker f at any rank."""
+    annihilator of ker f at any rank. The bits are folded in one kernel
+    row at a time, so no temporary is larger than the ball."""
     kernel = gf2.lane_prefix(gf2._pack_lanes(code.kernel), code.N)
-    coset = (np.bitwise_count(states[:, None] & kernel) & 1) @ (1 << np.arange(kernel.size))
+    coset = np.zeros(states.size, dtype=np.int64)
+    for row in kernel[::-1].tolist():  # bit j is the parity with row j
+        coset <<= 1
+        coset |= np.bitwise_count(states & row) & 1
     shared = np.bincount(coset)[coset] > 1
     return np.stack([states[shared], coset[shared]])
 

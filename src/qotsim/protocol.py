@@ -47,7 +47,7 @@ import numpy as np
 
 from . import gf2, quantum
 from .errors import DimensionError, DomainError, ProtocolViolation, ResourceError
-from .streams import stream
+from .streams import _stream
 from .transcript import (SET_SHORTAGE, TEST_FAILED, ChannelModel, Mode, PositionMap,
                          ProtocolParams, Transcript)
 
@@ -422,6 +422,10 @@ def _bob_decode(
 # ---------------------------------------------------------------------------
 # runners
 
+# the streams every run draws from; "secret", "eve" and "alice-pick" only some
+_RUN_STREAMS = (("alice",), ("channel",), ("bob",), ("test",))
+
+
 def _run(
     params: ProtocolParams,
     b: Optional[np.ndarray],
@@ -442,7 +446,7 @@ def _run(
     seed = params.seed
     oracle = CommitmentOracle()
 
-    f, w, theta = alice_setup(params, stream(seed, "alice"))
+    f, w, theta = alice_setup(params, _stream(seed, "alice"))
     if code is not None:
         # pinned code supersedes the drawn f; the stream draws stay put so
         # the run remains aligned with its unpinned twin
@@ -451,20 +455,20 @@ def _run(
         f = code.f
     g, h = f[: params.r], f[params.r:]
     if qkd:
-        b = gf2.random_bits(stream(seed, "secret"), params.m)
+        b = gf2.random_bits(_stream(seed, "secret"), params.m)
     else:
         b = gf2.bits(b, length=params.m)
 
-    flips, reception = _transmit(w, theta, channel, params.mode, stream(seed, "channel"))
+    flips, reception = _transmit(w, theta, channel, params.mode, _stream(seed, "channel"))
     eve_record = None
     if eve is not None:
-        eve_record = attacks.eve_intercept(eve, reception, stream(seed, "eve"))
+        eve_record = attacks.eve_intercept(eve, reception, _stream(seed, "eve"))
 
-    rng_bob = stream(seed, "bob")
+    rng_bob = _stream(seed, "bob")
     record = attacks.apply_strategy(bob, reception, oracle, rng_bob)  # checks bob's plan
     strategy_desc = {**bob.describe(), **record.runtime}
 
-    coins = stream(seed, "test").random(params.n)
+    coins = _stream(seed, "test").random(params.n)
     R = np.nonzero(coins < 0.5)[0]
     passed, errors = _alice_test(
         w, theta, oracle._open(record.w_hat_commit, R), oracle._open(record.theta_hat_commit, R),
@@ -497,7 +501,7 @@ def _run(
     else:
         announced = list(part.announced)
         if force_c is None:
-            pick = int(stream(seed, "alice-pick").integers(0, 2))
+            pick = int(_stream(seed, "alice-pick").integers(0, 2))
         else:
             want = part.E0 if force_c == 0 else part.E1
             pick = 0 if announced[0] is want else 1

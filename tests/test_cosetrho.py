@@ -686,6 +686,46 @@ def test_ball_cosets_are_found_once_per_code_and_ball(monkeypatch):
     assert kept(code, "ball cosets")[-1].shape == (2, 3 * 32)
 
 
+def reference_shared_cosets(code, states):
+    """_shared_cosets in one broadcast: every state's parity with every
+    kernel row in a ball size x kernel dimension temporary."""
+    kernel = gf2.lane_prefix(gf2._pack_lanes(code.kernel), code.N)
+    coset = (np.bitwise_count(states[:, None] & kernel) & 1) @ (1 << np.arange(kernel.size))
+    shared = np.bincount(coset)[coset] > 1
+    return np.stack([states[shared], coset[shared]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_cols=st.integers(1, 10), rows=st.integers(1, 4), t=st.integers(0, 10),
+       seed=st.integers(0, 2**32 - 1))
+def test_shared_cosets_fold_the_broadcast_parities(n_cols, rows, t, seed):
+    rng = np.random.default_rng(seed)
+    code = random_code(rng, n_cols, min(rows, n_cols))
+    e = np.flatnonzero(rng.integers(0, 2, n_cols))
+    states = quantum._ball_projector(e, gf2.random_bits(rng, n_cols), t)
+    got, want = cosetrho._shared_cosets(code, states), reference_shared_cosets(code, states)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_shared_cosets_of_a_full_ball_stay_near_the_ball_size():
+    """The whole 2^16 ball of an N = 16 code with a 14-row kernel: the
+    broadcast's parity temporary alone is 14 ball-sized int64 arrays, the
+    fold's peak a few."""
+    import tracemalloc
+
+    code = gf2.LinearCode(f=gf2.bitmatrix(["1" * 8 + "0" * 8, "01" * 8]), r=1, m=1)
+    states = quantum._ball_projector(np.arange(16), np.zeros(16, dtype=np.uint8), 16)
+    assert states.size == 1 << 16 and code.kernel.shape[0] == 14
+    tracemalloc.start()
+    try:
+        got = cosetrho._shared_cosets(code, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, reference_shared_cosets(code, states))
+    assert peak < 6 * states.nbytes
+
+
 @pytest.mark.parametrize("check", [cosetrho.lemma1_certificate, cosetrho.distinguishing_witness])
 def test_certificates_reject_a_syndrome_outside_the_image(check):
     """A rank-deficient f has syndromes with an empty coset; either one of
