@@ -774,8 +774,6 @@ def random_ok_decomposition(
     trials = gf2.integer(trials, "trials", least=1)
     if rng is None:
         rng = stream(params.seed, "branches")
-    paths = protocol._RUN_STREAMS + (("alice-pick",),)
-
     def draw():  # the seed, then b
         return int(rng.integers(0, 2**62)), gf2.random_bits(rng, params.m)
 
@@ -783,7 +781,7 @@ def random_ok_decomposition(
     for strat in (random_ok(), honest(), store_subset(positions=range(params.n))):
         passed = 0
         for block in drawn_blocks(draw, trials):
-            with primed([seed for seed, _ in block], paths):
+            with primed([seed for seed, _ in block], protocol._RUN_STREAMS):
                 for seed, b in block:
                     passed += protocol.run_string_qot(params._reseeded(seed), b, bob=strat).passed
         rates.append(passed / trials)

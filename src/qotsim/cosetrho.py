@@ -49,6 +49,7 @@ from . import gf2, quantum
 from .errors import DomainError, ResourceError
 
 COSET_MAX_DIM = 10  # 2^dim coset members enumerated
+_COSET_BLOCK = 4096  # ball states whose kernel parities _shared_cosets takes at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,13 +225,15 @@ def _shared_cosets(code: gf2.LinearCode, states: np.ndarray) -> np.ndarray:
     """_ball_links' links of states. A state's coset is numbered by the bits
     of its parities with the kernel basis of f: two states differ by a
     row-span word iff those parities agree, since the row span is the
-    annihilator of ker f at any rank. The bits are folded in one kernel
-    row at a time, so no temporary is larger than the ball."""
+    annihilator of ker f at any rank. The parities are taken for at most
+    _COSET_BLOCK states at a time, which bounds the broadcast's
+    block x kernel-dimension temporaries on a large ball."""
     kernel = gf2.lane_prefix(gf2._pack_lanes(code.kernel), code.N)
-    coset = np.zeros(states.size, dtype=np.int64)
-    for row in kernel[::-1].tolist():  # bit j is the parity with row j
-        coset <<= 1
-        coset |= np.bitwise_count(states & row) & 1
+    weights = 1 << np.arange(kernel.size)
+    coset = np.empty(states.size, dtype=np.int64)
+    for start in range(0, states.size, _COSET_BLOCK):
+        block = states[start:start + _COSET_BLOCK]
+        coset[start:start + block.size] = (np.bitwise_count(block[:, None] & kernel) & 1) @ weights
     shared = np.bincount(coset)[coset] > 1
     return np.stack([states[shared], coset[shared]])
 

@@ -86,26 +86,15 @@ def _generate_state(pool: list) -> list:
 def _batch_states(seeds: list, paths) -> np.ndarray:
     """generate_state(4, np.uint64) of every seed, all in [0, 2^64), under
     every path, all name tuples of one length, as a (paths, seeds, 4)
-    array: _entropy_pool, _fold and _generate_state on uint32 arrays, with
-    the pool words a step updates together in one array."""
+    array: the one-seed functions on uint32 arrays, seeds along the last
+    axis and paths along the first. Every word is an array, as a Python
+    int mixed with a uint32 array could overflow."""
     names = np.array([[_name_key(name) for name in path] for path in paths], np.uint32)
-    a = np.array(_powers(_A, _MULT_A, 17 + 4 * names.shape[1]), np.uint32)[:, None]
-    b = np.array(_B, np.uint32)
     array = np.array(seeds, dtype=np.uint64)
-    words = np.zeros((4, array.size), np.uint32)
-    words[0], words[1] = array & _MASK, array >> 32
-    pool = _hashmix(words, a[:4], a[1:5])
-    k = 4
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k:k + 3], a[k + 1:k + 4]))
-        k += 3
-    pool = pool[:, None]  # pool word, path, seed
-    for word in names.T:
-        pool = _mix(pool, _hashmix(word[:, None], a[k:k + 4, None], a[k + 1:k + 5, None]))
-        k += 4
-    state = _hashmix(pool.transpose(1, 2, 0)[..., [0, 1, 2, 3, 0, 1, 2, 3]], b[:8], b[1:])
-    return np.ascontiguousarray(state, dtype="<u4").view("<u8")
+    zero = np.zeros(array.size, np.uint32)
+    words = [(array & _MASK).astype(np.uint32), (array >> 32).astype(np.uint32), zero, zero]
+    pool, _ = _fold(*_entropy_pool(words), [names[:, j, None] for j in range(names.shape[1])])
+    return np.stack(_generate_state(pool), -1).astype("<u4", copy=False).view("<u8")
 
 
 def _int_words(value: int) -> list:

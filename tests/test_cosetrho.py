@@ -4,6 +4,7 @@ recursion, low-ball certificates, and min-distance ratio statistics."""
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -697,20 +698,24 @@ def reference_shared_cosets(code, states):
 
 @settings(max_examples=60, deadline=None)
 @given(n_cols=st.integers(1, 10), rows=st.integers(1, 4), t=st.integers(0, 10),
-       seed=st.integers(0, 2**32 - 1))
-def test_shared_cosets_fold_the_broadcast_parities(n_cols, rows, t, seed):
+       block=st.sampled_from([1, 3, 64, cosetrho._COSET_BLOCK]), seed=st.integers(0, 2**32 - 1))
+def test_shared_cosets_equal_the_broadcast_reference(n_cols, rows, t, block, seed):
+    """Any block size, a ball split across blocks or not, numbers the same
+    cosets as the one broadcast."""
     rng = np.random.default_rng(seed)
     code = random_code(rng, n_cols, min(rows, n_cols))
     e = np.flatnonzero(rng.integers(0, 2, n_cols))
     states = quantum._ball_projector(e, gf2.random_bits(rng, n_cols), t)
-    got, want = cosetrho._shared_cosets(code, states), reference_shared_cosets(code, states)
+    with mock.patch.object(cosetrho, "_COSET_BLOCK", block):
+        got = cosetrho._shared_cosets(code, states)
+    want = reference_shared_cosets(code, states)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_shared_cosets_of_a_full_ball_stay_near_the_ball_size():
     """The whole 2^16 ball of an N = 16 code with a 14-row kernel: the
-    broadcast's parity temporary alone is 14 ball-sized int64 arrays, the
-    fold's peak a few."""
+    one broadcast's parity temporary alone is 14 ball-sized int64 arrays,
+    the blocked parities' peak a few."""
     import tracemalloc
 
     code = gf2.LinearCode(f=gf2.bitmatrix(["1" * 8 + "0" * 8, "01" * 8]), r=1, m=1)
